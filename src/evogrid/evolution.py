@@ -18,6 +18,17 @@ instead of special-casing T = {}.
 Complex functions on the finite point set over T are stored as value vectors
 in that linear order.  Restriction of points and pullback of functions along
 restriction are the two moves everything later builds on.
+
+Subset geometry is derived once per space and subset.  A frame maps labels
+to positions through one dict and memoises the frame-ordered labels of each
+subset; a space keeps one record per subset it has been asked about, holding
+the ordered labels, axes, shape, point count and, once first requested, the
+restriction table (full-set point index -> restricted point index).  Every
+geometry query reads that record, so a table is built once per space and
+subset and returned read-only: a caller that tries to write into it gets a
+ValueError instead of corrupting later queries.  The records hold at most one
+int64 table of N entries per subset, and they are not dataclass fields, so
+equality, hashing and fingerprints see only the frame and the grids.
 """
 
 from __future__ import annotations
@@ -94,6 +105,9 @@ class TimeFrame:
                     if s1 | s2 not in fam_set:
                         raise StructureError("admissible family is not closed under unions")
             object.__setattr__(self, "sigma0", family)
+        # lookup caches, not fields: equality and hashing ignore them
+        object.__setattr__(self, "_positions", {t: i for i, t in enumerate(times)})
+        object.__setattr__(self, "_ordered", {})
 
     @property
     def full(self) -> frozenset:
@@ -101,8 +115,8 @@ class TimeFrame:
 
     def position(self, t) -> int:
         try:
-            return self.times.index(t)
-        except ValueError:
+            return self._positions[t]
+        except KeyError:
             raise DomainError(f"unknown time label {t!r}") from None
 
     def weight(self, t) -> float:
@@ -111,8 +125,11 @@ class TimeFrame:
     def ordered(self, subset) -> tuple:
         """Labels of `subset` in frame order; validates membership."""
         s = _as_frozenset(subset)
-        positions = sorted(self.position(t) for t in s)
-        return tuple(self.times[i] for i in positions)
+        labels = self._ordered.get(s)
+        if labels is None:
+            positions = sorted(self.position(t) for t in s)
+            labels = self._ordered[s] = tuple(self.times[i] for i in positions)
+        return labels
 
     def mu(self, subset) -> float:
         """Measure of a label subset: sum of weights in frame order."""
@@ -279,6 +296,23 @@ class GridPoint:
             raise DomainError(f"point has no coordinate at time {t!r}") from None
 
 
+class _SubsetGeometry:
+    """Ordered labels, axes, shape and point count of one subset of times.
+
+    `restricted` stays None until `GridEvolutionSpace.restricted_index_array`
+    first builds the subset's read-only restriction table.
+    """
+
+    __slots__ = ("labels", "axes", "shape", "npoints", "restricted")
+
+    def __init__(self, labels: tuple, axes: tuple[int, ...], shape: tuple[int, ...]):
+        self.labels = labels
+        self.axes = axes
+        self.shape = shape
+        self.npoints = math.prod(shape)
+        self.restricted: np.ndarray | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class GridEvolutionSpace:
     """Per-time grids of maps over a time frame, with product-point plumbing."""
@@ -299,6 +333,7 @@ class GridEvolutionSpace:
         if len(algebras) != 1:
             raise StructureError("all grid maps must act on the same algebra")
         object.__setattr__(self, "grids", aligned)
+        object.__setattr__(self, "_geometries", {})
 
     @property
     def algebra(self) -> WStarAlgebra:
@@ -310,14 +345,25 @@ class GridEvolutionSpace:
 
     # -- subset geometry -------------------------------------------------
 
+    def _geometry(self, subset) -> _SubsetGeometry:
+        """The subset's geometry record, built on first use; validates labels."""
+        s = _as_frozenset(subset)
+        geometry = self._geometries.get(s)
+        if geometry is None:
+            labels = self.frame.ordered(s)
+            axes = tuple(self.frame.position(t) for t in labels)
+            shape = tuple(len(self.grids[i]) for i in axes)
+            geometry = self._geometries[s] = _SubsetGeometry(labels, axes, shape)
+        return geometry
+
     def axes(self, subset) -> tuple[int, ...]:
-        return tuple(sorted(self.frame.position(t) for t in _as_frozenset(subset)))
+        return self._geometry(subset).axes
 
     def shape(self, subset) -> tuple[int, ...]:
-        return tuple(len(self.grids[i]) for i in self.axes(subset))
+        return self._geometry(subset).shape
 
     def npoints(self, subset) -> int:
-        return math.prod(self.shape(subset))
+        return self._geometry(subset).npoints
 
     def full_shape(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.grids)
@@ -343,59 +389,63 @@ class GridEvolutionSpace:
 
     def enumerate_points(self, subset) -> list[GridPoint]:
         """All points over `subset` in ascending mixed-radix order."""
-        labels = self.frame.ordered(subset)
-        ranges = [range(self.grid_size(t)) for t in labels]
-        return [GridPoint(labels, idx) for idx in itertools.product(*ranges)]
+        geometry = self._geometry(subset)
+        ranges = [range(size) for size in geometry.shape]
+        return [GridPoint(geometry.labels, idx) for idx in itertools.product(*ranges)]
 
     def linear_index(self, point: GridPoint) -> int:
         """Mixed-radix index; earliest time is the most significant digit."""
-        labels = self.frame.ordered(point.subset)
+        geometry = self._geometry(point.subset)
+        labels = geometry.labels
         if labels != point.times:
             point = GridPoint(labels, tuple(point.index_at(t) for t in labels))
         index = 0
-        for t, i in zip(point.times, point.indices):
-            size = self.grid_size(t)
+        for t, i, size in zip(labels, point.indices, geometry.shape):
             if not 0 <= i < size:
                 raise DomainError(f"grid index {i} out of range at time {t!r}")
             index = index * size + i
         return index
 
     def point_from_index(self, subset, index: int) -> GridPoint:
-        labels = self.frame.ordered(subset)
-        sizes = [self.grid_size(t) for t in labels]
-        total = math.prod(sizes)
-        if not 0 <= index < total:
-            raise DomainError(f"linear index {index} out of range for subset {labels}")
+        geometry = self._geometry(subset)
+        sizes = geometry.shape
+        if not 0 <= index < geometry.npoints:
+            raise DomainError(f"linear index {index} out of range for subset {geometry.labels}")
         digits = [0] * len(sizes)
         for k in range(len(sizes) - 1, -1, -1):
             index, digits[k] = divmod(index, sizes[k])
-        return GridPoint(labels, tuple(digits))
+        return GridPoint(geometry.labels, tuple(digits))
 
     def restrict_point(self, point: GridPoint, subset) -> GridPoint:
         """Forget the coordinates outside `subset`."""
         target = _as_frozenset(subset)
         if not target <= point.subset:
             raise DomainError("cannot restrict to a subset with extra time labels")
-        labels = self.frame.ordered(target)
+        labels = self._geometry(target).labels
         return GridPoint(labels, tuple(point.index_at(t) for t in labels))
 
     def restricted_index_array(self, subset) -> np.ndarray:
         """For each full-set point index, the linear index of its restriction.
 
-        Computed by placing each retained digit's place value along its own
-        axis of the full mixed-radix grid and summing with broadcasting.
+        Computed once per subset by placing each retained digit's place value
+        along its own axis of the full mixed-radix grid and summing with
+        broadcasting; the cached table is read-only.
         """
-        full_shape = self.full_shape()
-        axes = self.axes(subset)
-        out = np.zeros(full_shape, dtype=np.int64)
-        place = 1
-        for ax in reversed(axes):
-            size = full_shape[ax]
-            shape = [1] * len(full_shape)
-            shape[ax] = size
-            out += (np.arange(size, dtype=np.int64) * place).reshape(shape)
-            place *= size
-        return out.ravel()
+        geometry = self._geometry(subset)
+        if geometry.restricted is None:
+            full_shape = self.full_shape()
+            out = np.zeros(full_shape, dtype=np.int64)
+            place = 1
+            for ax in reversed(geometry.axes):
+                size = full_shape[ax]
+                shape = [1] * len(full_shape)
+                shape[ax] = size
+                out += (np.arange(size, dtype=np.int64) * place).reshape(shape)
+                place *= size
+            table = out.ravel()
+            table.setflags(write=False)
+            geometry.restricted = table
+        return geometry.restricted
 
     # -- functions on point sets ------------------------------------------
 

@@ -11,10 +11,12 @@ vectors it contains.
 Measures over a smaller time subset T arise by pushing the full measure
 forward along restriction: the projection of V, a set of points over T, is
 diagonal with a one at each full point whose restriction lies in V.  The
-spectral integral of a function over T against that measure is computed as
-an explicit atom sum, one rank-|fiber| projection per point of T; the fact
-that it agrees, entry for entry, with representing the pullback of the
-function is one of the identities the test suites keep pinned.
+spectral integral of a function over T against that measure is a gather
+through the subset's restriction table: each full point takes the value at
+the point of T it restricts to.  Two identities keep that route honest: the
+`spectral-sum` check compares it, bit for bit, with the explicit sum of
+value-scaled atoms, and `factorization` with representing the pullback of
+the function, which broadcasts instead of reading the table.
 
 Conjugating everything by a unitary W on the Hilbert space produces unitarily
 equivalent data.  Conjugated measures keep the (W, diagonal rule) pair and
@@ -352,6 +354,7 @@ class SpectralMeasure:
         return self.space.npoints(self.subset)
 
     def _point_indices(self, members: Iterable) -> list[int]:
+        npoints = self.npoints
         out = []
         for m in members:
             if isinstance(m, GridPoint):
@@ -360,7 +363,7 @@ class SpectralMeasure:
                 out.append(self.space.linear_index(m))
             else:
                 i = int(m)
-                if not 0 <= i < self.npoints:
+                if not 0 <= i < npoints:
                     raise DomainError(f"point index {i} outside the measure's point set")
                 out.append(i)
         return out
@@ -407,18 +410,20 @@ def pushforward(E: SpectralMeasure, subset) -> SpectralMeasure:
 
 
 def integrate(f: GridFunction, E: SpectralMeasure) -> Operator:
-    """Spectral integral of f against E, summed atom by atom.
+    """Spectral integral of f against E, as one gather over the restriction table.
 
-    This is deliberately the atom-sum route: one projection per point of the
-    subset, scaled by the value there.  Agreement with representing the
-    pullback of f is a verified identity, not an implementation shortcut.
+    The atom b of E is the projection onto the full points restricting to b,
+    so the integral's diagonal at a full point x is f at the restriction of x.
+    Each full point lies in exactly one atom, so the gather equals the sum of
+    value-scaled atoms bit for bit; adding it into zeros keeps that sum's
+    0.0 + (-0.0) = +0.0.  The `spectral-sum` check pins the atom-sum
+    identity and `factorization` the agreement with the pullback route.
     """
     if f.subset != E.subset:
         raise DomainError("function and measure live over different subsets")
     restricted = E.space.restricted_index_array(E.subset)
     diag = np.zeros(E.space.dimension, dtype=np.complex128)
-    for b in range(E.npoints):
-        diag[restricted == b] += f.values[b]
+    diag += f.values[restricted]
     return E.representation._wrap(diag)
 
 

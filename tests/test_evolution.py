@@ -176,6 +176,51 @@ def test_restricted_index_array_matches_pointwise():
             assert table[space.linear_index(x)] == space.linear_index(r)
 
 
+def test_restricted_index_array_is_read_only():
+    space = make_232_space()
+    table = space.restricted_index_array({"1", "3"})
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 5
+    assert space.restricted_index_array({"1", "3"}) is table
+    assert table[0] == 0
+
+
+def test_spaces_do_not_share_geometry():
+    first = make_232_space()
+    twin = make_232_space()
+    smaller = GridEvolutionSpace(first.frame, first.grids[:2] + (first.grids[2][:1],))
+    subset = {"2", "3"}
+    assert twin.restricted_index_array(subset) is not first.restricted_index_array(subset)
+    assert np.array_equal(twin.restricted_index_array(subset), first.restricted_index_array(subset))
+    # same frame, other grid sizes: its own shape and table
+    assert smaller.shape(subset) == (3, 1)
+    assert np.array_equal(smaller.restricted_index_array(subset), [0, 1, 2, 0, 1, 2])
+    assert first.shape(subset) == (3, 2)
+
+
+def test_frame_queries_leave_equality_and_hash_alone():
+    used = TimeFrame(("1", "2", "3"), (0.5, 2.0, 0.0))
+    assert used.position("3") == 2
+    assert used.ordered({"3", "1"}) == ("1", "3")
+    assert used.ordered({"3", "1"}) == ("1", "3")
+    fresh = TimeFrame(("1", "2", "3"), (0.5, 2.0, 0.0))
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
+def test_unknown_labels_still_raise_after_queries():
+    frame = TimeFrame(("1", "2"), (1.0, 1.0))
+    frame.ordered({"1", "2"})
+    with pytest.raises(DomainError):
+        frame.position("9")
+    with pytest.raises(DomainError):
+        frame.ordered({"1", "9"})
+    with pytest.raises(DomainError):
+        make_232_space().npoints({"9"})
+
+
 def test_restrict_rejects_extra_labels():
     space = make_232_space()
     p = space.point_from_index(frozenset({"1"}), 0)

@@ -203,12 +203,29 @@ def test_integrate_matches_manual_sum(rep4, small_space):
     rng = SplitMix64(15)
     for subset in small_space.frame.admissible():
         measure = rep4.spectral_measure(subset)
-        f = small_space.random_function(subset, rng)
-        got = integrate(f, measure).diag
-        manual = np.zeros(4, dtype=np.complex128)
-        for b in range(measure.npoints):
-            manual += f.values[b] * measure.atom(b).diag
-        assert np.array_equal(got, manual)
+        # the atom sum turns a -0.0 value into +0.0; the integral must too
+        signed_zero = np.full(measure.npoints, -0.0)
+        signed_zero[-1] = -1.5
+        for f in (small_space.random_function(subset, rng), small_space.function(subset, signed_zero)):
+            got = integrate(f, measure).diag
+            manual = np.zeros(4, dtype=np.complex128)
+            for b in range(measure.npoints):
+                manual += f.values[b] * measure.atom(b).diag
+            assert got.tobytes() == manual.tobytes()
+
+
+def test_integrate_and_pullback_routes_check_each_other(monkeypatch):
+    from evogrid import GridEvolutionSpace, load_scenario
+    from evogrid.suites import _check_embedding, _check_factorization
+
+    scn = load_scenario("demo")
+    assert _check_factorization(scn)[0][2] == 0.0
+    assert _check_embedding(scn)[0][2] == 0.0
+    table = GridEvolutionSpace.restricted_index_array
+    # integrate reads the restriction table; pullback and embed_eta broadcast
+    monkeypatch.setattr(GridEvolutionSpace, "restricted_index_array", lambda self, subset: table(self, subset)[::-1])
+    assert _check_factorization(scn)[0][2] > 0.0
+    assert _check_embedding(scn)[0][2] > 0.0
 
 
 def test_integrate_factors_through_pullback(rep4, small_space):
