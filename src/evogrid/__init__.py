@@ -6,177 +6,26 @@ representations carrying projection-valued measures, and evolution
 unitaries built from action weights or Lagrangian densities.  Every
 structural law ships as an executable check; see the `suites` module and
 the `evogrid` command line tool.
+
+The package exports the `__all__` names of each module below, so every
+public name is listed once, in the module that defines it.
 """
 
-from .algebra import (
-    AlgebraElement,
-    Automorphism,
-    AutomorphismReport,
-    ElementaryTensor,
-    NormalFunctional,
-    WStarAlgebra,
-    apply_automorphism,
-    compose_automorphisms,
-    functional_at,
-    linear_map_matrix,
-    verify_automorphism,
-    weakstar_pairing,
-)
-from .dynamics import (
-    ActionWeight,
-    ActionWeightReport,
-    CommutantReport,
-    EvolutionUnitary,
-    GroupLawReport,
-    check_group_law,
-    commutant_witness,
-    evolution_unitary,
-    example_action,
-    register_g,
-    resolve_g,
-    validate_action_weight,
-)
-from .errors import (
-    CapExceededError,
-    ConfigError,
-    DataError,
-    DomainError,
-    EvogridError,
-    PreconditionError,
-    StructureError,
-)
-from .evolution import (
-    GridEvolutionSpace,
-    GridFunction,
-    GridPoint,
-    GridPointMap,
-    TimeFrame,
-    contraction_norm_estimate,
-    named_contraction,
-    pullback,
-    restrict_point,
-)
-from .lagrangian import (
-    Action,
-    Lagrangian,
-    LagrangianReport,
-    action_from_lagrangian,
-    build_action,
-    verify_lagrangian,
-    weight_from_action,
-    weight_from_lagrangian,
-)
-from .representation import (
-    ConjugatedDiagonalOperator,
-    DenseOperator,
-    DiagonalOperator,
-    PureRepresentation,
-    RepresentationSpace,
-    SpectralMeasure,
-    conjugate,
-    embed_eta,
-    identity_operator,
-    integrate,
-    matrix_element,
-    projection_rank,
-    pushforward,
-    represent,
-    spectral_projection,
-    theta_projection,
-    theta_represent,
-)
-from .rng import SplitMix64, derive_seed, fnv1a64
-from .scenario import (
-    BUILTIN_NAMES,
-    Scenario,
-    Tolerances,
-    builtin_scenario,
-    canonical_json,
-    load_scenario,
-    scenario_from_dict,
-)
-from .suites import CheckRecord, VerificationReport, run_suite
+from . import algebra, dynamics, errors, evolution, lagrangian, representation, rng, scenario, suites
+from .algebra import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .evolution import *  # noqa: F403
+from .lagrangian import *  # noqa: F403
+from .representation import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .scenario import *  # noqa: F403
+from .suites import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement",
-    "Automorphism",
-    "AutomorphismReport",
-    "ElementaryTensor",
-    "NormalFunctional",
-    "WStarAlgebra",
-    "apply_automorphism",
-    "compose_automorphisms",
-    "functional_at",
-    "linear_map_matrix",
-    "verify_automorphism",
-    "weakstar_pairing",
-    "ActionWeight",
-    "ActionWeightReport",
-    "CommutantReport",
-    "EvolutionUnitary",
-    "GroupLawReport",
-    "check_group_law",
-    "commutant_witness",
-    "evolution_unitary",
-    "example_action",
-    "register_g",
-    "resolve_g",
-    "validate_action_weight",
-    "CapExceededError",
-    "ConfigError",
-    "DataError",
-    "DomainError",
-    "EvogridError",
-    "PreconditionError",
-    "StructureError",
-    "GridEvolutionSpace",
-    "GridFunction",
-    "GridPoint",
-    "GridPointMap",
-    "TimeFrame",
-    "contraction_norm_estimate",
-    "named_contraction",
-    "pullback",
-    "restrict_point",
-    "Action",
-    "Lagrangian",
-    "LagrangianReport",
-    "action_from_lagrangian",
-    "build_action",
-    "verify_lagrangian",
-    "weight_from_action",
-    "weight_from_lagrangian",
-    "ConjugatedDiagonalOperator",
-    "DenseOperator",
-    "DiagonalOperator",
-    "PureRepresentation",
-    "RepresentationSpace",
-    "SpectralMeasure",
-    "conjugate",
-    "embed_eta",
-    "identity_operator",
-    "integrate",
-    "matrix_element",
-    "projection_rank",
-    "pushforward",
-    "represent",
-    "spectral_projection",
-    "theta_projection",
-    "theta_represent",
-    "SplitMix64",
-    "derive_seed",
-    "fnv1a64",
-    "BUILTIN_NAMES",
-    "Scenario",
-    "Tolerances",
-    "builtin_scenario",
-    "canonical_json",
-    "load_scenario",
-    "scenario_from_dict",
-    "CheckRecord",
-    "VerificationReport",
-    "run_suite",
-    "__version__",
-]
+    name
+    for module in (algebra, dynamics, errors, evolution, lagrangian, representation, rng, scenario, suites)
+    for name in module.__all__
+] + ["__version__"]

@@ -38,11 +38,10 @@ __all__ = [
     "Automorphism",
     "ElementaryTensor",
     "AutomorphismReport",
-    "apply_automorphism",
     "compose_automorphisms",
+    "linear_map_matrix",
     "verify_automorphism",
     "weakstar_pairing",
-    "functional_at",
 ]
 
 UNITARY_TOL = 1e-8  # construction-time sanity bound; laws are verified separately
@@ -246,14 +245,6 @@ class Automorphism:
         unitaries = tuple(self.unitaries[inv_perm[m]].conj().T for m in range(k))
         return Automorphism(self.algebra, unitaries, tuple(inv_perm))
 
-    def matrix(self) -> np.ndarray:
-        """Dense matrix of the map on coordinate vectors."""
-        return linear_map_matrix(self)
-
-
-def apply_automorphism(alpha: Automorphism, a: AlgebraElement) -> AlgebraElement:
-    return alpha.apply(a)
-
 
 def compose_automorphisms(alpha: Automorphism, beta: Automorphism) -> Automorphism:
     """The automorphism a |-> alpha(beta(a))."""
@@ -357,8 +348,3 @@ def weakstar_pairing(phi, tensor: ElementaryTensor) -> complex:
     for a, g in tensor.pairs:
         total += g(phi.apply(a))
     return total
-
-
-def functional_at(tensor: ElementaryTensor, phi) -> complex:
-    """The probe read as a scalar function evaluated at the map `phi`."""
-    return weakstar_pairing(phi, tensor)

@@ -1,4 +1,4 @@
-"""Action weights and the unitaries they integrate to.
+"""The unitaries that action weights integrate to.
 
 An action weight assigns to every admissible time subset T a unimodular
 function u_T on the points over T, subject to two laws: u_T is identically
@@ -14,23 +14,20 @@ unitaries commute within one representation, and conjugating the
 representation conjugates every U_T along with it.  Each of those statements
 is a check in the verification suites, not an assumption.
 
-The module also provides the concrete action built from duality probes:
-S_T(alpha) = sum over t in T of g_t(f_t(alpha_t - tau_t)) with f_t an
-elementary tensor, tau_t a reference grid map, and g_t drawn from a small
-registry of real-valued post-maps.
+The module also names the real-valued post-maps g_t of the probe-difference
+Lagrangian that scenarios build, L_t(alpha) = g_t(f_t(alpha_t - tau_t)) with
+f_t an elementary tensor and tau_t a reference grid map.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import ElementaryTensor, functional_at
-from .errors import DataError, DomainError, PreconditionError, StructureError
-from .evolution import GridEvolutionSpace, GridFunction, GridPointMap
+from .errors import DomainError, PreconditionError, StructureError
+from .evolution import GridEvolutionSpace, GridFunction
 from .representation import (
     Operator,
     PureRepresentation,
@@ -51,37 +48,34 @@ __all__ = [
     "evolution_unitary",
     "check_group_law",
     "commutant_witness",
-    "example_action",
-    "G_REGISTRY",
-    "register_g",
     "resolve_g",
 ]
 
-# registry of real-valued post-maps applied to probe values
-G_REGISTRY: dict[str, Callable[[complex], float]] = {
+# real-valued post-maps applied to probe values; fixed, because a scenario's
+# fingerprint records only the name
+_G_REGISTRY: dict[str, Callable[[complex], float]] = {
     "abs": lambda z: abs(z),
     "abs2": lambda z: abs(z) ** 2,
     "re": lambda z: z.real,
 }
 
 
-def register_g(name: str, fn: Callable[[complex], float]) -> None:
-    G_REGISTRY[name] = fn
-
-
 def resolve_g(spec) -> Callable[[complex], float]:
-    """Accepts a callable, a registry name, or {name, scale, offset}."""
-    if callable(spec):
-        return spec
+    """Accepts a post-map name or a mapping {name, scale, offset}."""
     if isinstance(spec, str):
         try:
-            return G_REGISTRY[spec]
+            return _G_REGISTRY[spec]
         except KeyError:
             raise DomainError(f"unknown post-map {spec!r}") from None
     if isinstance(spec, Mapping):
+        if "name" not in spec:
+            raise DomainError(f"post-map spec {dict(spec)!r} has no name")
         base = resolve_g(spec["name"])
-        scale = float(spec.get("scale", 1.0))
-        offset = float(spec.get("offset", 0.0))
+        try:
+            scale = float(spec.get("scale", 1.0))
+            offset = float(spec.get("offset", 0.0))
+        except (TypeError, ValueError):
+            raise DomainError(f"post-map scale and offset must be numbers, got {dict(spec)!r}") from None
         return lambda z: scale * base(z) + offset
     raise DomainError(f"cannot interpret post-map spec {spec!r}")
 
@@ -285,46 +279,3 @@ def commutant_witness(
                                 tuple(map(str, weight.space.frame.ordered(s2))))
     return CommutantReport(same, covariance, witness, witness_pair, tol)
 
-
-def example_action(
-    space: GridEvolutionSpace,
-    subset,
-    probes: Mapping,
-    post_maps: Mapping,
-    references: Mapping,
-) -> GridFunction:
-    """The probe-difference action S_T(alpha) = sum_t g_t(f_t(alpha_t - tau_t)).
-
-    `probes` maps each time in T to an elementary tensor f_t, `post_maps` to
-    a real-valued g_t (name, spec, or callable), and `references` to a grid
-    map tau_t.  Each time's contribution depends only on that time's grid
-    coordinate, so the sum is assembled by broadcasting one value table per
-    time across the product grid.
-    """
-    target = frozenset(subset)
-    labels = space.frame.ordered(target)
-    for t in labels:
-        if t not in probes or t not in post_maps or t not in references:
-            raise StructureError(f"missing probe, post-map, or reference at time {t!r}")
-
-    shape = space.shape(target)
-    values = np.zeros(shape, dtype=np.float64)
-    for pos, t in enumerate(labels):
-        f_t: ElementaryTensor = probes[t]
-        g_t = resolve_g(post_maps[t])
-        tau_t: GridPointMap = references[t]
-        base = functional_at(f_t, tau_t)
-        table = np.empty(space.grid_size(t), dtype=np.float64)
-        for j in range(space.grid_size(t)):
-            z = functional_at(f_t, space.map_at(t, j)) - base
-            g_val = g_t(z)
-            try:
-                table[j] = float(g_val)
-            except (TypeError, ValueError):
-                raise DataError(f"post-map at time {t!r} returned a non-real value {g_val!r}") from None
-            if not math.isfinite(table[j]):
-                raise DataError(f"post-map produced a non-finite value at time {t!r}, grid index {j}")
-        bshape = [1] * len(shape)
-        bshape[pos] = space.grid_size(t)
-        values = values + table.reshape(bshape)
-    return GridFunction(space, target, values.ravel())

@@ -6,6 +6,16 @@ mistakes (mismatched shapes, foreign algebras) apart from mathematical
 precondition failures (non-unitary conjugator, overlapping time subsets).
 """
 
+__all__ = [
+    "EvogridError",
+    "StructureError",
+    "DomainError",
+    "PreconditionError",
+    "DataError",
+    "ConfigError",
+    "CapExceededError",
+]
+
 
 class EvogridError(Exception):
     """Base class for every error raised by this package."""

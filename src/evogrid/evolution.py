@@ -50,11 +50,9 @@ __all__ = [
     "GridPoint",
     "GridEvolutionSpace",
     "GridFunction",
-    "restrict_point",
     "pullback",
     "named_contraction",
     "contraction_norm_estimate",
-    "NAMED_CONTRACTIONS",
 ]
 
 CONTRACTION_TOL = 1e-10  # slack allowed on the unit-ball membership check
@@ -224,20 +222,23 @@ class GridPointMap:
 
 
 def _trace_average_matrix(algebra: WStarAlgebra) -> np.ndarray:
-    """Coordinate matrix of a |-> (+)_i (trace(a_i)/n_i) * identity."""
+    """Coordinate matrix of a |-> (+)_i (trace(a_i)/n_i) * identity.
 
-    class _Avg:
-        def __init__(self, alg):
-            self.algebra = alg
+    Each diagonal coordinate of block i feeds 1/n_i into every diagonal
+    coordinate of the same block; all other entries are zero.
+    """
+    d = algebra.dimension
+    out = np.zeros((d, d), dtype=np.complex128)
+    start = 0
+    for n in algebra.block_dims:
+        diagonal = start + (n + 1) * np.arange(n)
+        out[np.ix_(diagonal, diagonal)] = 1.0 / n
+        start += n * n
+    return out
 
-        def apply(self, a):
-            blocks = [np.trace(b) / n * np.eye(n) for b, n in zip(a.blocks, self.algebra.block_dims)]
-            return self.algebra.element(blocks)
 
-    return linear_map_matrix(_Avg(algebra))
-
-
-NAMED_CONTRACTIONS: dict[str, Callable[[WStarAlgebra], GridPointMap]] = {
+# fixed table: a scenario's fingerprint records only the name
+_NAMED_CONTRACTIONS: dict[str, Callable[[WStarAlgebra], GridPointMap]] = {
     "identity": GridPointMap.identity,
     "trace_average": lambda algebra: GridPointMap.from_matrix(algebra, _trace_average_matrix(algebra)),
 }
@@ -245,7 +246,7 @@ NAMED_CONTRACTIONS: dict[str, Callable[[WStarAlgebra], GridPointMap]] = {
 
 def named_contraction(name: str, algebra: WStarAlgebra) -> GridPointMap:
     try:
-        builder = NAMED_CONTRACTIONS[name]
+        builder = _NAMED_CONTRACTIONS[name]
     except KeyError:
         raise DomainError(f"unknown named contraction {name!r}") from None
     return builder(algebra)
@@ -382,9 +383,6 @@ class GridEvolutionSpace:
             raise DomainError(f"grid index {index} out of range at time {t!r}")
         return grid[index]
 
-    def maps_of(self, point: GridPoint) -> tuple[GridPointMap, ...]:
-        return tuple(self.map_at(t, i) for t, i in zip(point.times, point.indices))
-
     # -- points ----------------------------------------------------------
 
     def enumerate_points(self, subset) -> list[GridPoint]:
@@ -456,11 +454,26 @@ class GridEvolutionSpace:
         n = self.npoints(subset)
         return self.function(subset, np.full(n, value, dtype=np.complex128))
 
-    def indicator(self, subset, members: Iterable[int]) -> "GridFunction":
-        vals = np.zeros(self.npoints(subset), dtype=np.complex128)
-        for i in members:
+    def indicator(self, subset, members: Iterable) -> "GridFunction":
+        """0/1 function over points(subset) marking `members`.
+
+        Members are linear indices or GridPoints over `subset`; an index out
+        of range or a point over another subset is a DomainError.
+        """
+        s = _as_frozenset(subset)
+        n = self.npoints(s)
+        vals = np.zeros(n, dtype=np.complex128)
+        for m in members:
+            if isinstance(m, GridPoint):
+                if m.subset != s:
+                    raise DomainError("point lies over a different subset")
+                i = self.linear_index(m)
+            else:
+                i = int(m)
+                if not 0 <= i < n:
+                    raise DomainError(f"point index {i} outside the subset's point set")
             vals[i] = 1.0
-        return self.function(subset, vals)
+        return self.function(s, vals)
 
     def random_function(self, subset, rng: SplitMix64, unimodular: bool = False) -> "GridFunction":
         n = self.npoints(subset)
@@ -492,11 +505,6 @@ class GridFunction:
         object.__setattr__(self, "subset", subset)
         object.__setattr__(self, "values", vals)
 
-    def at(self, point: GridPoint) -> complex:
-        if point.subset != self.subset:
-            raise DomainError("point lies over a different subset")
-        return complex(self.values[self.space.linear_index(point)])
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
@@ -522,14 +530,6 @@ class GridFunction:
 
     def conjugate(self) -> "GridFunction":
         return GridFunction(self.space, self.subset, np.conj(self.values))
-
-    def same_values(self, other: "GridFunction") -> bool:
-        self._peer(other)
-        return bool(np.array_equal(self.values, other.values))
-
-
-def restrict_point(space: GridEvolutionSpace, point: GridPoint, subset) -> GridPoint:
-    return space.restrict_point(point, subset)
 
 
 def pullback(f: GridFunction) -> GridFunction:

@@ -34,11 +34,8 @@ from .rng import SplitMix64
 
 __all__ = [
     "Lagrangian",
-    "Action",
     "LagrangianReport",
     "action_from_lagrangian",
-    "build_action",
-    "weight_from_action",
     "weight_from_lagrangian",
     "verify_lagrangian",
 ]
@@ -88,21 +85,6 @@ class Lagrangian:
         return value.real
 
 
-@dataclass(frozen=True, eq=False)
-class Action:
-    """The integrated action, one real grid function per admissible subset."""
-
-    space: GridEvolutionSpace
-    functions: Mapping[frozenset, GridFunction]
-
-    def function(self, subset) -> GridFunction:
-        key = frozenset(subset)
-        try:
-            return self.functions[key]
-        except KeyError:
-            raise DomainError(f"subset {sorted(map(str, key))} is not admissible") from None
-
-
 def action_from_lagrangian(lagrangian: Lagrangian, subset) -> GridFunction:
     """S_T(alpha) = sum over t in T of weight(t) * L_{T, alpha}(t).
 
@@ -128,25 +110,14 @@ def action_from_lagrangian(lagrangian: Lagrangian, subset) -> GridFunction:
     return GridFunction(space, target, values)
 
 
-def build_action(lagrangian: Lagrangian) -> Action:
-    functions = {
-        subset: action_from_lagrangian(lagrangian, subset)
-        for subset in lagrangian.space.frame.admissible()
-    }
-    return Action(lagrangian.space, functions)
-
-
-def weight_from_action(action: Action) -> ActionWeight:
-    """Exponentiate: u_T = exp(i S_T), one unimodular function per subset."""
-    functions = {
-        subset: GridFunction(action.space, subset, np.exp(1j * f.values.real))
-        for subset, f in action.functions.items()
-    }
-    return ActionWeight(action.space, functions)
-
-
 def weight_from_lagrangian(lagrangian: Lagrangian) -> ActionWeight:
-    return weight_from_action(build_action(lagrangian))
+    """Exponentiate: u_T = exp(i S_T), one unimodular function per admissible subset."""
+    space = lagrangian.space
+    functions = {
+        subset: GridFunction(space, subset, np.exp(1j * action_from_lagrangian(lagrangian, subset).values))
+        for subset in space.frame.admissible()
+    }
+    return ActionWeight(space, functions)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,6 @@ __all__ = [
     "RepresentationSpace",
     "PureRepresentation",
     "SpectralMeasure",
-    "represent",
-    "spectral_projection",
     "pushforward",
     "integrate",
     "conjugate",
@@ -269,10 +267,6 @@ class RepresentationSpace:
     def dimension(self) -> int:
         return self.space.dimension
 
-    def basis_points(self) -> list[GridPoint]:
-        """Basis labels: the full-set grid points in linear-index order."""
-        return self.space.enumerate_points(self.space.full)
-
     def basis_index(self, x: GridPoint | int) -> int:
         if isinstance(x, GridPoint):
             if x.subset != self.space.full:
@@ -313,7 +307,7 @@ class PureRepresentation:
         return ConjugatedDiagonalOperator(self.conjugator, diag)
 
     def represent(self, f: GridFunction) -> Operator:
-        """Action of a function on the full point set, diagonal entry f(x)."""
+        """The action of a function on the full point set, diagonal entry f(x)."""
         if f.subset != self.space.full:
             raise DomainError("represent expects a function over the full time set")
         return self._wrap(f.values.astype(np.complex128))
@@ -323,9 +317,6 @@ class PureRepresentation:
         if not subset <= self.space.full:
             raise DomainError("measure subset contains unknown time labels")
         return SpectralMeasure(self, subset)
-
-    def integrate(self, f: GridFunction) -> Operator:
-        return integrate(f, self.spectral_measure(f.subset))
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,32 +344,9 @@ class SpectralMeasure:
     def npoints(self) -> int:
         return self.space.npoints(self.subset)
 
-    def _point_indices(self, members: Iterable) -> list[int]:
-        npoints = self.npoints
-        out = []
-        for m in members:
-            if isinstance(m, GridPoint):
-                if m.subset != self.subset:
-                    raise DomainError("point lies over a different subset than the measure")
-                out.append(self.space.linear_index(m))
-            else:
-                i = int(m)
-                if not 0 <= i < npoints:
-                    raise DomainError(f"point index {i} outside the measure's point set")
-                out.append(i)
-        return out
-
-    def small_indicator(self, members: Iterable) -> np.ndarray:
-        """0/1 vector over points(subset) marking the members."""
-        mask = np.zeros(self.npoints, dtype=np.complex128)
-        for i in self._point_indices(members):
-            mask[i] = 1.0
-        return mask
-
     def projection(self, members: Iterable) -> Operator:
         """Projection onto the basis vectors whose restriction lies in V."""
-        mask = GridFunction(self.space, self.subset, self.small_indicator(members))
-        diag = pullback(mask).values
+        diag = pullback(self.space.indicator(self.subset, members)).values
         return self.representation._wrap(diag)
 
     def atom(self, index: int) -> Operator:
@@ -389,14 +357,6 @@ class SpectralMeasure:
 
     def empty(self) -> Operator:
         return self.projection([])
-
-
-def represent(rep: PureRepresentation, f: GridFunction) -> Operator:
-    return rep.represent(f)
-
-
-def spectral_projection(E: SpectralMeasure, members: Iterable) -> Operator:
-    return E.projection(members)
 
 
 def pushforward(E: SpectralMeasure, subset) -> SpectralMeasure:
@@ -443,27 +403,14 @@ def conjugate(u: np.ndarray, obj, tol: float = 1e-10):
     raise StructureError(f"cannot conjugate object of type {type(obj).__name__}")
 
 
-def theta_represent(space: GridEvolutionSpace, f: GridFunction) -> DiagonalOperator:
+def theta_represent(f: GridFunction) -> DiagonalOperator:
     """Diagonal action of f on the small space spanned by points(subset)."""
     return DiagonalOperator(f.values.astype(np.complex128))
 
 
 def theta_projection(space: GridEvolutionSpace, subset, members: Iterable) -> DiagonalOperator:
     """Spectral projection of the small-space action for V subset points(T)."""
-    target = frozenset(subset)
-    n = space.npoints(target)
-    mask = np.zeros(n, dtype=np.complex128)
-    for m in members:
-        if isinstance(m, GridPoint):
-            if m.subset != target:
-                raise DomainError("point lies over a different subset")
-            mask[space.linear_index(m)] = 1.0
-        else:
-            i = int(m)
-            if not 0 <= i < n:
-                raise DomainError(f"point index {i} outside the subset's point set")
-            mask[i] = 1.0
-    return DiagonalOperator(mask)
+    return DiagonalOperator(space.indicator(subset, members).values)
 
 
 def embed_eta(rep_space: RepresentationSpace, subset, op: DiagonalOperator) -> DiagonalOperator:

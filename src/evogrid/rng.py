@@ -39,6 +39,8 @@ import math
 
 import numpy as np
 
+__all__ = ["SplitMix64", "derive_seed", "fnv1a64"]
+
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9

@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import Automorphism, ElementaryTensor, NormalFunctional, WStarAlgebra, functional_at
+from .algebra import Automorphism, ElementaryTensor, NormalFunctional, WStarAlgebra, weakstar_pairing
 from .dynamics import ActionWeight, resolve_g
 from .errors import CapExceededError, ConfigError, EvogridError
 from .evolution import GridEvolutionSpace, GridFunction, GridPointMap, TimeFrame, named_contraction
@@ -144,7 +144,6 @@ class Scenario:
     conjugator: np.ndarray | None
     weight: ActionWeight
     lagrangian: Lagrangian | None
-    terms: dict | None
     witness_threshold: float | None
     config: dict
     fingerprint: str
@@ -277,10 +276,10 @@ def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpa
             references[t] = _parse_reference(
                 term.get("reference"), algebra, space, t, f"dynamics.terms[{t!r}].reference"
             )
-        bases = {t: functional_at(probes[t], references[t]) for t in times}
+        bases = {t: weakstar_pairing(references[t], probes[t]) for t in times}
 
         def term_fn(t, index, grid_map):
-            value = functional_at(probes[t], grid_map) - bases[t]
+            value = weakstar_pairing(grid_map, probes[t]) - bases[t]
             return post_maps[t](value)
 
         lagrangian = Lagrangian.from_local(space, term_fn)
@@ -288,8 +287,7 @@ def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpa
             weight = weight_from_lagrangian(lagrangian)
         except EvogridError as exc:
             raise ConfigError(f"dynamics: {exc}") from None
-        terms = {"probes": probes, "post_maps": post_maps, "references": references}
-        return weight, lagrangian, terms
+        return weight, lagrangian
     if kind == "action_weight":
         entries = _expect_list(dyn.get("weights"), "dynamics.weights")
         functions = {}
@@ -311,7 +309,7 @@ def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpa
             weight = ActionWeight(space, functions)
         except EvogridError as exc:
             raise ConfigError(f"dynamics.weights: {exc}") from None
-        return weight, None, None
+        return weight, None
     raise ConfigError("dynamics.kind must be 'lagrangian' or 'action_weight'")
 
 
@@ -391,7 +389,7 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
         raise
     representation = PureRepresentation(rep_space)
 
-    weight, lagrangian, terms = _parse_dynamics(effective, algebra, space)
+    weight, lagrangian = _parse_dynamics(effective, algebra, space)
     conjugator = _parse_conjugator(effective, rep_space.dimension)
 
     threshold = effective.get("witness_threshold")
@@ -414,7 +412,6 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
         conjugator=conjugator,
         weight=weight,
         lagrangian=lagrangian,
-        terms=terms,
         witness_threshold=threshold,
         config=effective,
         fingerprint=hashlib.sha256(canonical_json(effective).encode("ascii")).hexdigest(),

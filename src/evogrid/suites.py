@@ -37,7 +37,7 @@ from .dynamics import (
 )
 from .errors import DomainError
 from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback
-from .lagrangian import verify_lagrangian
+from .lagrangian import action_from_lagrangian, verify_lagrangian
 from .representation import (
     conjugate,
     embed_eta,
@@ -417,7 +417,7 @@ def _check_embedding(scn: Scenario) -> list[tuple[str, str, float, float]]:
         measure = rep.spectral_measure(subset)
         for _ in range(10):
             f = space.random_function(subset, rng)
-            small = theta_represent(space, f)
+            small = theta_represent(f)
             lifted = embed_eta(scn.rep_space, subset, small)
             dev = max(dev, float(np.max(np.abs(lifted.diag - integrate(f, measure).diag))))
             norm_dev = max(norm_dev, abs(lifted.norm() - small.norm()))
@@ -673,8 +673,6 @@ def _check_lagrangian_consistency(scn: Scenario) -> list[tuple[str, str, float, 
 
 
 def _check_action_additivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    from .lagrangian import action_from_lagrangian
-
     space = scn.space
     frame = scn.frame
     actions = {s: action_from_lagrangian(scn.lagrangian, s) for s in frame.admissible()}
@@ -690,8 +688,6 @@ def _check_action_additivity(scn: Scenario) -> list[tuple[str, str, float, float
 
 
 def _check_action_lipschitz(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    from .lagrangian import action_from_lagrangian
-
     space = scn.space
     frame = scn.frame
     dev = 0.0
@@ -718,8 +714,6 @@ def _check_action_lipschitz(scn: Scenario) -> list[tuple[str, str, float, float]
 
 
 def _check_null_action(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    from .lagrangian import action_from_lagrangian
-
     dev = 0.0
     for subset in scn.frame.admissible():
         if scn.frame.mu(subset) != 0.0:

@@ -223,7 +223,7 @@ def test_criterion_04_embedding():
         k = measure.npoints
         for _ in range(25):
             f = space.random_function(subset, rng)
-            small = theta_represent(space, f)
+            small = theta_represent(f)
             lifted = embed_eta(rep.rep_space, subset, small)
             exact &= np.array_equal(lifted.diag, integrate(f, measure).diag)
             exact &= lifted.norm() == small.norm()

@@ -10,7 +10,6 @@ from evogrid import (
     StructureError,
     WStarAlgebra,
     compose_automorphisms,
-    functional_at,
     linear_map_matrix,
     named_contraction,
     verify_automorphism,
@@ -133,13 +132,13 @@ def test_weakstar_pairing_frozen_value(m2, flip):
     assert weakstar_pairing(flip, tensor) == pytest.approx(3.0, abs=1e-14)
 
 
-def test_functional_at_difference_frozen_value(m2, flip):
+def test_weakstar_pairing_difference_frozen_value(m2, flip):
     a = m2.element([np.diag([1.0, 0.0])])
     g = NormalFunctional(m2, (np.diag([1.0, 0.0]),))
     tensor = ElementaryTensor(m2, ((a, g),))
     ident = Automorphism.identity(m2)
     # f(flip) - f(id) = 0 - 1 = -1
-    assert functional_at(tensor, flip) - functional_at(tensor, ident) == pytest.approx(-1.0, abs=1e-14)
+    assert weakstar_pairing(flip, tensor) - weakstar_pairing(ident, tensor) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_tensor_addition_extends_pairs(m2, flip):

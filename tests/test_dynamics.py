@@ -1,29 +1,33 @@
+import json
+
 import numpy as np
 import pytest
 
 from evogrid import (
     ActionWeight,
-    DataError,
+    ConfigError,
     DiagonalOperator,
     DomainError,
-    ElementaryTensor,
     GridPointMap,
     Lagrangian,
-    NormalFunctional,
     PreconditionError,
     StructureError,
+    action_from_lagrangian,
     check_group_law,
     commutant_witness,
     evolution_unitary,
-    example_action,
+    load_scenario,
     named_contraction,
     resolve_g,
     validate_action_weight,
+    verify_lagrangian,
     weight_from_lagrangian,
 )
+from evogrid.cli import main
 from evogrid.rng import SplitMix64
+from evogrid.scenario import encode_matrix
 
-from conftest import HADAMARD
+from conftest import FLIP, HADAMARD
 
 
 def make_weight(space):
@@ -39,11 +43,9 @@ def test_resolve_g_forms():
     assert resolve_g("re")(2.0 - 1.0j) == pytest.approx(2.0)
     scaled = resolve_g({"name": "abs", "scale": 2.0, "offset": 1.0})
     assert scaled(-3.0) == pytest.approx(7.0)
-    assert resolve_g(lambda z: 5.0)(0) == 5.0
-    with pytest.raises(DomainError):
-        resolve_g("nope")
-    with pytest.raises(DomainError):
-        resolve_g(42)
+    for bad in ("nope", 42, lambda z: 5.0, {"scale": 2}, {"name": "abs", "scale": "x"}):
+        with pytest.raises(DomainError):
+            resolve_g(bad)
 
 
 # -- action weights ------------------------------------------------------------
@@ -205,44 +207,50 @@ def test_commutant_witness_frozen_value(m2):
 # -- probe-difference actions ----------------------------------------------------
 
 
-def test_example_action_frozen_value(m2, flip):
-    from evogrid import GridEvolutionSpace, TimeFrame
+def probe_scenario():
+    """Times 1 and 2 of weight 1 over M_2, grids (identity, flip) at both, and
+    per time the probe element and density diag(1, 0), post-map abs2 and the
+    identity as reference."""
+    diag10 = encode_matrix(np.diag([1.0, 0.0]))
+    term = {
+        "probe": {"pairs": [{"element": [diag10], "density": [diag10]}]},
+        "post_map": "abs2",
+        "reference": {"grid_index": 0},
+    }
+    grid = {"unitaries": [[encode_matrix(np.eye(2))], [encode_matrix(FLIP)]]}
+    return {
+        "name": "probe",
+        "algebra": {"blocks": [2]},
+        "time_frame": {"times": ["1", "2"], "weights": {"1": "1", "2": "1"}},
+        "grids": {"1": grid, "2": grid},
+        "dynamics": {"kind": "lagrangian", "terms": {"1": term, "2": dict(term)}},
+    }
 
-    frame = TimeFrame(("1",), (1.0,))
-    ident = GridPointMap.identity(m2)
-    space = GridEvolutionSpace(frame, ((ident, GridPointMap.from_automorphism(flip)),))
-    probe = ElementaryTensor(
-        m2, ((m2.element([np.diag([1.0, 0.0])]), NormalFunctional(m2, (np.diag([1.0, 0.0]),))),)
-    )
-    action = example_action(
-        space,
-        {"1"},
-        probes={"1": probe},
-        post_maps={"1": "abs2"},
-        references={"1": ident},
-    )
+
+def test_probe_term_action_frozen_value():
+    scn = load_scenario(probe_scenario())
+    action = action_from_lagrangian(scn.lagrangian, {"1"})
     # identity point contributes 0; the flip point probes to -1, squared to 1
     assert np.array_equal(action.values, np.array([0.0, 1.0]))
 
 
-def test_example_action_requires_real_post_values(m2, flip):
-    from evogrid import GridEvolutionSpace, TimeFrame
-
-    frame = TimeFrame(("1",), (1.0,))
-    ident = GridPointMap.identity(m2)
-    space = GridEvolutionSpace(frame, ((ident, GridPointMap.from_automorphism(flip)),))
-    probe = ElementaryTensor(
-        m2, ((m2.element([np.diag([1.0, 0.0])]), NormalFunctional(m2, (np.diag([1.0, 0.0]),))),)
-    )
-    with pytest.raises(DataError):
-        example_action(space, {"1"}, {"1": probe}, {"1": lambda z: 1.0j}, {"1": ident})
+def test_probe_terms_must_name_every_time():
+    cfg = probe_scenario()
+    del cfg["dynamics"]["terms"]["2"]
+    with pytest.raises(ConfigError, match="dynamics.terms"):
+        load_scenario(cfg)
 
 
-def test_example_action_missing_time_data(m2, flip):
-    from evogrid import GridEvolutionSpace, TimeFrame
+def test_non_real_probe_term_flagged():
+    space = load_scenario(probe_scenario()).space
+    lag = Lagrangian.from_local(space, lambda t, index, grid_map: 1.0j)
+    assert verify_lagrangian(lag).realness_deviation > 0
 
-    frame = TimeFrame(("1",), (1.0,))
-    ident = GridPointMap.identity(m2)
-    space = GridEvolutionSpace(frame, ((ident, GridPointMap.from_automorphism(flip)),))
-    with pytest.raises(StructureError):
-        example_action(space, {"1"}, {}, {"1": "abs"}, {"1": ident})
+
+@pytest.mark.parametrize("spec", [{"scale": 2}, {"name": "abs", "scale": "x"}], ids=["no-name", "bad-scale"])
+def test_malformed_post_map_exits_with_config_error(tmp_path, spec):
+    cfg = probe_scenario()
+    cfg["dynamics"]["terms"]["1"]["post_map"] = spec
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path)]) == 2

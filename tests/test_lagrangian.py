@@ -7,10 +7,8 @@ from evogrid import (
     GridPoint,
     Lagrangian,
     action_from_lagrangian,
-    build_action,
     validate_action_weight,
     verify_lagrangian,
-    weight_from_action,
     weight_from_lagrangian,
 )
 
@@ -116,19 +114,16 @@ def test_from_table_requires_full_rows(weighted_space):
 
 def test_action_additivity_over_disjoint_subsets(weighted_space):
     lag = table_lagrangian(weighted_space)
-    action = build_action(lag)
     frame = weighted_space.frame
+    pulled = {
+        s: action_from_lagrangian(lag, s).values[weighted_space.restricted_index_array(s)]
+        for s in frame.admissible()
+    }
     for t1 in frame.admissible():
         for t2 in frame.admissible():
             if frame.mu(t1 & t2) != 0.0:
                 continue
-            union = t1 | t2
-            pulled_union = action.function(union).values[
-                weighted_space.restricted_index_array(union)
-            ]
-            pulled_1 = action.function(t1).values[weighted_space.restricted_index_array(t1)]
-            pulled_2 = action.function(t2).values[weighted_space.restricted_index_array(t2)]
-            assert np.max(np.abs(pulled_union - pulled_1 - pulled_2)) < 1e-12
+            assert np.max(np.abs(pulled[t1 | t2] - pulled[t1] - pulled[t2])) < 1e-12
 
 
 def test_action_lipschitz_in_the_density(weighted_space):
@@ -151,19 +146,11 @@ def test_action_lipschitz_in_the_density(weighted_space):
                 assert gap <= dens * mu + 1e-12
 
 
-def test_weight_from_action_is_exponential(weighted_space):
+def test_weight_from_lagrangian_shortcut(weighted_space):
+    # u_T = exp(i S_T) bit for bit, one function per admissible subset
     lag = table_lagrangian(weighted_space)
-    action = build_action(lag)
-    weight = weight_from_action(action)
+    weight = weight_from_lagrangian(lag)
     for subset in weighted_space.frame.admissible():
-        expected = np.exp(1j * action.function(subset).values)
+        expected = np.exp(1j * action_from_lagrangian(lag, subset).values)
         assert np.array_equal(weight.function(subset).values, expected)
     assert validate_action_weight(weight, tol=1e-12).passed
-
-
-def test_weight_from_lagrangian_shortcut(weighted_space):
-    lag = table_lagrangian(weighted_space)
-    w1 = weight_from_lagrangian(lag)
-    w2 = weight_from_action(build_action(lag))
-    for subset in weighted_space.frame.admissible():
-        assert np.array_equal(w1.function(subset).values, w2.function(subset).values)

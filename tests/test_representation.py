@@ -9,6 +9,7 @@ from evogrid import (
     DenseOperator,
     DiagonalOperator,
     DomainError,
+    GridPoint,
     PreconditionError,
     StructureError,
     RepresentationSpace,
@@ -91,7 +92,7 @@ def test_cap_enforced(small_space):
 
 
 def test_basis_index_roundtrip(rep4):
-    points = rep4.rep_space.basis_points()
+    points = rep4.space.enumerate_points(rep4.space.full)
     assert len(points) == 4
     for i, p in enumerate(points):
         assert rep4.rep_space.basis_index(p) == i
@@ -257,7 +258,7 @@ def test_matrix_element_frozen_values(rep4):
 
 def test_theta_diagonalizes_subset_functions(small_space):
     f = small_space.function({"1"}, [5.0, 6.0])
-    op = theta_represent(small_space, f)
+    op = theta_represent(f)
     assert np.array_equal(op.diag, np.array([5.0, 6.0], dtype=np.complex128))
 
 
@@ -268,6 +269,22 @@ def test_theta_projection_variants(small_space):
     assert np.array_equal(by_pt.diag, by_ix.diag)
     with pytest.raises(DomainError):
         theta_projection(small_space, {"1"}, [2])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rep, members: rep.space.indicator({"1"}, members),
+        lambda rep, members: rep.spectral_measure({"1"}).projection(members),
+        lambda rep, members: theta_projection(rep.space, {"1"}, members),
+    ],
+    ids=["indicator", "projection", "theta_projection"],
+)
+@pytest.mark.parametrize("member", [-1, 2, GridPoint(("2",), (0,))], ids=["negative", "npoints", "other-subset"])
+def test_point_set_members_are_validated(rep4, build, member):
+    # points({"1"}) has two members, indices 0 and 1
+    with pytest.raises(DomainError):
+        build(rep4, [member])
 
 
 def test_embedding_frozen_values(rep4, small_space):
@@ -284,8 +301,8 @@ def test_embedding_is_unital_isometric_multiplicative(rep4, small_space):
         assert np.array_equal(unit.diag, np.ones(4, dtype=np.complex128))
         f = small_space.random_function(subset, rng)
         g = small_space.random_function(subset, rng)
-        fo = theta_represent(small_space, f)
-        go = theta_represent(small_space, g)
+        fo = theta_represent(f)
+        go = theta_represent(g)
         lhs = embed_eta(rep4.rep_space, subset, fo @ go)
         rhs = embed_eta(rep4.rep_space, subset, fo) @ embed_eta(rep4.rep_space, subset, go)
         assert np.array_equal(lhs.diag, rhs.diag)
@@ -297,7 +314,7 @@ def test_embedding_intertwines_spectral_data(rep4, small_space):
     for subset in small_space.frame.admissible():
         measure = rep4.spectral_measure(subset)
         f = small_space.random_function(subset, rng)
-        lifted = embed_eta(rep4.rep_space, subset, theta_represent(small_space, f))
+        lifted = embed_eta(rep4.rep_space, subset, theta_represent(f))
         assert np.array_equal(lifted.diag, integrate(f, measure).diag)
         for v in all_subsets(measure.npoints):
             lifted_pr = embed_eta(rep4.rep_space, subset, theta_projection(small_space, subset, v))
