@@ -146,11 +146,22 @@ def test_action_lipschitz_in_the_density(weighted_space):
                 assert gap <= dens * mu + 1e-12
 
 
-def test_weight_from_lagrangian_shortcut(weighted_space):
-    # u_T = exp(i S_T) bit for bit, one function per admissible subset
+def test_weight_from_action_is_exponential(weighted_space):
+    # u_T = exp(i S_T) bit for bit
     lag = table_lagrangian(weighted_space)
     weight = weight_from_lagrangian(lag)
     for subset in weighted_space.frame.admissible():
         expected = np.exp(1j * action_from_lagrangian(lag, subset).values)
         assert np.array_equal(weight.function(subset).values, expected)
     assert validate_action_weight(weight, tol=1e-12).passed
+
+
+def test_weight_from_lagrangian_shortcut(weighted_space):
+    # one unimodular function per admissible subset, each over its own subset
+    lag = table_lagrangian(weighted_space)
+    weight = weight_from_lagrangian(lag)
+    assert set(weight.functions) == set(weighted_space.frame.admissible())
+    for subset in weighted_space.frame.admissible():
+        f = weight.function(subset)
+        assert f.space is weighted_space and f.subset == subset
+        assert np.max(np.abs(np.abs(f.values) - 1.0)) < 1e-12
