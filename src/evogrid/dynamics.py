@@ -70,6 +70,9 @@ def resolve_g(spec) -> Callable[[complex], float]:
     if isinstance(spec, Mapping):
         if "name" not in spec:
             raise DomainError(f"post-map spec {dict(spec)!r} has no name")
+        extra = set(spec) - {"name", "scale", "offset"}
+        if extra:
+            raise DomainError(f"post-map spec has unknown keys {sorted(extra)}")
         base = resolve_g(spec["name"])
         try:
             scale = float(spec.get("scale", 1.0))

@@ -14,14 +14,18 @@ zero action, hence weight functions exactly one.  A two-point Lipschitz
 estimate bounds action differences by the sup of the density difference
 times the subset measure.  All three statements are suite checks.
 
-Local Lagrangians, where L_{T, alpha}(t) depends only on (t, alpha_t),
-satisfy the consistency law by construction; the general constructor exists
-so that tests can build counterexamples and watch the verifier flag them.
+A Lagrangian is stored extensionally, like an action weight: construction
+calls the evaluator once per (admissible T, point over T, t in T) and keeps
+one read-only complex (npoints(T), |T|) table per admissible T, columns in
+frame order, which every later consumer reads.  Local Lagrangians, where
+L_{T, alpha}(t) depends only on (t, alpha_t), call their term once per grid
+entry and satisfy the consistency law by construction; the general
+constructor exists so that tests can build counterexamples and watch the
+verifier flag them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -30,7 +34,6 @@ import numpy as np
 from .dynamics import ActionWeight
 from .errors import DataError, DomainError
 from .evolution import GridEvolutionSpace, GridFunction, GridPoint
-from .rng import SplitMix64
 
 __all__ = [
     "Lagrangian",
@@ -43,21 +46,39 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Lagrangian:
-    """Evaluator (T, point over T, t in T) -> real density value."""
+    """Density tables of an evaluator (T, point over T, t in T) -> density."""
 
     space: GridEvolutionSpace
-    evaluator: Callable[[frozenset, GridPoint, object], float]
-    local: bool = False
+    evaluator: Callable[[frozenset, GridPoint, object], complex]
+
+    def __post_init__(self):
+        frame = self.space.frame
+        tables = {}
+        for subset in frame.admissible():
+            labels = frame.ordered(subset)
+            points = self.space.enumerate_points(subset)
+            table = np.array(
+                [[complex(self.evaluator(subset, p, t)) for t in labels] for p in points],
+                dtype=np.complex128,
+            )
+            if not np.all(np.isfinite(table)):
+                raise DataError(f"density evaluator returned non-finite values on subset {list(map(str, labels))}")
+            table.setflags(write=False)
+            tables[subset] = table
+        object.__setattr__(self, "_tables", tables)
 
     @classmethod
     def from_local(cls, space: GridEvolutionSpace, term: Callable) -> "Lagrangian":
-        """Build from a per-time term(t, grid_index, grid_map) -> real."""
+        """Build from a per-time term(t, grid_index, grid_map) -> real, called once per grid entry."""
+        values = {
+            t: [term(t, index, space.map_at(t, index)) for index in range(space.grid_size(t))]
+            for t in space.frame.times
+        }
 
         def evaluator(subset: frozenset, point: GridPoint, t) -> float:
-            index = point.index_at(t)
-            return term(t, index, space.map_at(t, index))
+            return values[t][point.index_at(t)]
 
-        return cls(space, evaluator, local=True)
+        return cls(space, evaluator)
 
     @classmethod
     def from_table(cls, space: GridEvolutionSpace, table: Mapping) -> "Lagrangian":
@@ -72,41 +93,42 @@ class Lagrangian:
 
         return cls.from_local(space, term)
 
+    def table(self, subset) -> np.ndarray:
+        """Densities over `subset`: one row per point, one column per time in frame order."""
+        key = frozenset(subset)
+        try:
+            return self._tables[key]
+        except KeyError:
+            raise DomainError(f"subset {sorted(map(str, key))} is not admissible") from None
+
     def evaluate(self, subset, point: GridPoint, t) -> float:
         target = frozenset(subset)
         if point.subset != target:
             raise DomainError("point lies over a different subset")
         if t not in target:
             raise DomainError(f"time {t!r} is not in the evaluated subset")
-        raw = self.evaluator(target, point, t)
-        value = complex(raw)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise DataError(f"density evaluator returned non-finite value at time {t!r}")
-        return value.real
+        column = self.space.frame.ordered(target).index(t)
+        return float(self.table(target)[self.space.linear_index(point), column].real)
 
 
 def action_from_lagrangian(lagrangian: Lagrangian, subset) -> GridFunction:
     """S_T(alpha) = sum over t in T of weight(t) * L_{T, alpha}(t).
 
+    Columns are added into zeros in frame order, bit for bit a running sum.
     The empty subset gets the empty sum, identically zero; weight-zero times
     contribute exactly zero because the float product 0.0 * x is exact.
     """
     space = lagrangian.space
     frame = space.frame
     target = frozenset(subset)
-    if not frame.is_admissible(target):
-        raise DomainError(f"subset {sorted(map(str, target))} is not admissible")
+    densities = lagrangian.table(target).real
     labels = frame.ordered(target)
-    points = space.enumerate_points(target)
-    values = np.zeros(len(points), dtype=np.float64)
-    for k, alpha in enumerate(points):
-        total = 0.0
-        for t in labels:
-            density = lagrangian.evaluate(target, alpha, t)
-            total += frame.weight(t) * density
-        if not math.isfinite(total):
-            raise DataError(f"action is non-finite at point index {k} of subset {list(map(str, labels))}")
-        values[k] = total
+    values = np.zeros(space.npoints(target), dtype=np.float64)
+    for j, t in enumerate(labels):
+        values += frame.weight(t) * densities[:, j]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DataError(f"action is non-finite at point index {bad[0]} of subset {list(map(str, labels))}")
     return GridFunction(space, target, values)
 
 
@@ -126,8 +148,7 @@ class LagrangianReport:
 
     restriction_deviation: float
     realness_deviation: float
-    evaluations: int
-    sampled: bool
+    pairs: int
     tolerance: float
 
     @property
@@ -135,48 +156,27 @@ class LagrangianReport:
         return max(self.restriction_deviation, self.realness_deviation) <= self.tolerance
 
 
-def verify_lagrangian(
-    lagrangian: Lagrangian,
-    tol: float = 1e-12,
-    budget: int = 10_000,
-    seed: int = 0,
-) -> LagrangianReport:
-    """Check restriction consistency and realness across admissible subsets.
+def verify_lagrangian(lagrangian: Lagrangian, tol: float = 1e-12) -> LagrangianReport:
+    """Check restriction consistency and realness on every admissible subset.
 
-    Every admissible pair T' subset of T is swept; within a pair, all points
-    over T are used when the total evaluation count stays inside `budget`,
-    otherwise a seeded sample of points is drawn per pair.
+    Every admissible pair T' subset of T with T' nonempty is compared on
+    every full point through the restriction tables; realness is the largest
+    imaginary part in any table.
     """
     space = lagrangian.space
     frame = space.frame
     domain = frame.admissible()
-    pairs = [
-        (big, small)
-        for big in domain
-        for small in domain
-        if small < big and len(small) > 0
-    ]
-    total = sum(space.npoints(big) * len(small) for big, small in pairs)
-    sampled = total > budget
-    rng = SplitMix64(seed)
-
     restriction = 0.0
-    realness = 0.0
-    evaluations = 0
-    for big, small in pairs:
-        n_big = space.npoints(big)
-        if sampled:
-            per_pair = max(1, budget // max(1, len(pairs)))
-            indices = [rng.integer(n_big) for _ in range(min(per_pair, n_big))]
-        else:
-            indices = range(n_big)
-        for k in indices:
-            alpha = space.point_from_index(big, k)
-            beta = space.restrict_point(alpha, small)
-            for t in frame.ordered(small):
-                raw = complex(lagrangian.evaluator(big, alpha, t))
-                realness = max(realness, abs(raw.imag))
-                other = lagrangian.evaluate(small, beta, t)
-                restriction = max(restriction, abs(raw.real - other))
-                evaluations += 1
-    return LagrangianReport(restriction, realness, evaluations, sampled, tol)
+    pairs = 0
+    for big in domain:
+        labels = frame.ordered(big)
+        pulled = lagrangian.table(big).real[space.restricted_index_array(big)]
+        for small in domain:
+            if not (small < big and small):
+                continue
+            columns = [labels.index(t) for t in frame.ordered(small)]
+            other = lagrangian.table(small).real[space.restricted_index_array(small)]
+            restriction = max(restriction, float(np.max(np.abs(pulled[:, columns] - other))))
+            pairs += 1
+    realness = max(float(np.max(np.abs(lagrangian.table(s).imag), initial=0.0)) for s in domain)
+    return LagrangianReport(restriction, realness, pairs, tol)

@@ -78,6 +78,15 @@ def _expect_mapping(obj, context: str) -> Mapping:
     return obj
 
 
+def _expect_object(obj, context: str, keys) -> Mapping:
+    """A mapping whose keys all lie in `keys`; unknown keys are a ConfigError."""
+    spec = _expect_mapping(obj, context)
+    extra = set(spec) - set(keys)
+    if extra:
+        raise ConfigError(f"{context}: unknown keys {sorted(extra)}")
+    return spec
+
+
 def _expect_list(obj, context: str) -> list:
     if not isinstance(obj, list):
         raise ConfigError(f"{context}: expected a list")
@@ -114,11 +123,7 @@ class Tolerances:
     def from_config(cls, obj) -> "Tolerances":
         if obj is None:
             return cls()
-        table = dict(_expect_mapping(obj, "tolerances"))
-        known = {"exact", "conjugated", "unitary", "dynamics"}
-        extra = set(table) - known
-        if extra:
-            raise ConfigError(f"tolerances: unknown keys {sorted(extra)}")
+        table = _expect_object(obj, "tolerances", ("exact", "conjugated", "unitary", "dynamics"))
         values = {}
         for key, val in table.items():
             try:
@@ -150,7 +155,7 @@ class Scenario:
 
 
 def _parse_frame(cfg: Mapping) -> TimeFrame:
-    frame_cfg = _expect_mapping(cfg.get("time_frame"), "time_frame")
+    frame_cfg = _expect_object(cfg.get("time_frame"), "time_frame", ("times", "weights", "sigma0"))
     raw_times = _expect_list(frame_cfg.get("times"), "time_frame.times")
     times = tuple(str(t) for t in raw_times)
     if len(set(times)) != len(times) or not times:
@@ -183,7 +188,7 @@ def _parse_frame(cfg: Mapping) -> TimeFrame:
 
 
 def _parse_grid(entry, algebra: WStarAlgebra, t: str) -> tuple[GridPointMap, ...]:
-    spec = _expect_mapping(entry, f"grids[{t!r}]")
+    spec = _expect_object(entry, f"grids[{t!r}]", ("unitaries", "haar", "named"))
     kinds = [k for k in ("unitaries", "haar", "named") if k in spec]
     if len(kinds) != 1:
         raise ConfigError(f"grids[{t!r}]: exactly one of unitaries/haar/named is required")
@@ -193,6 +198,7 @@ def _parse_grid(entry, algebra: WStarAlgebra, t: str) -> tuple[GridPointMap, ...
         for i, entry_cfg in enumerate(_expect_list(spec["unitaries"], f"grids[{t!r}].unitaries")):
             ctx = f"grids[{t!r}].unitaries[{i}]"
             if isinstance(entry_cfg, Mapping):
+                _expect_object(entry_cfg, ctx, ("blocks", "perm"))
                 blocks = _decode_block_element(entry_cfg.get("blocks"), algebra, ctx)
                 perm = entry_cfg.get("perm")
                 perm = tuple(_expect_int(p, f"{ctx}.perm") for p in perm) if perm is not None else None
@@ -205,7 +211,7 @@ def _parse_grid(entry, algebra: WStarAlgebra, t: str) -> tuple[GridPointMap, ...
                 raise ConfigError(f"{ctx}: {exc}") from None
             maps.append(GridPointMap.from_automorphism(alpha))
     elif kind == "haar":
-        haar = _expect_mapping(spec["haar"], f"grids[{t!r}].haar")
+        haar = _expect_object(spec["haar"], f"grids[{t!r}].haar", ("count", "seed"))
         count = _expect_int(haar.get("count"), f"grids[{t!r}].haar.count")
         seed = _expect_int(haar.get("seed"), f"grids[{t!r}].haar.seed")
         if count < 1:
@@ -223,10 +229,10 @@ def _parse_grid(entry, algebra: WStarAlgebra, t: str) -> tuple[GridPointMap, ...
 
 
 def _parse_probe(obj, algebra: WStarAlgebra, context: str) -> ElementaryTensor:
-    spec = _expect_mapping(obj, context)
+    spec = _expect_object(obj, context, ("pairs",))
     pairs = []
     for i, pair_cfg in enumerate(_expect_list(spec.get("pairs"), f"{context}.pairs")):
-        pair = _expect_mapping(pair_cfg, f"{context}.pairs[{i}]")
+        pair = _expect_object(pair_cfg, f"{context}.pairs[{i}]", ("element", "density"))
         element = algebra.element(_decode_block_element(pair.get("element"), algebra, f"{context}.pairs[{i}].element"))
         density = NormalFunctional(
             algebra,
@@ -239,7 +245,7 @@ def _parse_probe(obj, algebra: WStarAlgebra, context: str) -> ElementaryTensor:
 
 
 def _parse_reference(obj, algebra: WStarAlgebra, space: GridEvolutionSpace, t: str, context: str) -> GridPointMap:
-    spec = _expect_mapping(obj, context)
+    spec = _expect_object(obj, context, ("grid_index", "named", "unitary"))
     kinds = [k for k in ("grid_index", "named", "unitary") if k in spec]
     if len(kinds) != 1:
         raise ConfigError(f"{context}: exactly one of grid_index/named/unitary is required")
@@ -261,13 +267,14 @@ def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpa
     dyn = _expect_mapping(cfg.get("dynamics"), "dynamics")
     kind = dyn.get("kind")
     if kind == "lagrangian":
+        _expect_object(dyn, "dynamics", ("kind", "terms"))
         terms_cfg = _expect_mapping(dyn.get("terms"), "dynamics.terms")
         times = space.frame.times
         if set(terms_cfg) != set(times):
             raise ConfigError("dynamics.terms must name exactly the frame's time labels")
         probes, post_maps, references = {}, {}, {}
         for t in times:
-            term = _expect_mapping(terms_cfg[t], f"dynamics.terms[{t!r}]")
+            term = _expect_object(terms_cfg[t], f"dynamics.terms[{t!r}]", ("probe", "post_map", "reference"))
             probes[t] = _parse_probe(term.get("probe"), algebra, f"dynamics.terms[{t!r}].probe")
             try:
                 post_maps[t] = resolve_g(term.get("post_map"))
@@ -282,17 +289,18 @@ def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpa
             value = weakstar_pairing(grid_map, probes[t]) - bases[t]
             return post_maps[t](value)
 
-        lagrangian = Lagrangian.from_local(space, term_fn)
         try:
+            lagrangian = Lagrangian.from_local(space, term_fn)
             weight = weight_from_lagrangian(lagrangian)
         except EvogridError as exc:
             raise ConfigError(f"dynamics: {exc}") from None
         return weight, lagrangian
     if kind == "action_weight":
+        _expect_object(dyn, "dynamics", ("kind", "weights"))
         entries = _expect_list(dyn.get("weights"), "dynamics.weights")
         functions = {}
         for i, entry in enumerate(entries):
-            item = _expect_mapping(entry, f"dynamics.weights[{i}]")
+            item = _expect_object(entry, f"dynamics.weights[{i}]", ("times", "values"))
             subset = frozenset(str(t) for t in _expect_list(item.get("times"), f"dynamics.weights[{i}].times"))
             values = _expect_list(item.get("values"), f"dynamics.weights[{i}].values")
             try:
@@ -317,12 +325,12 @@ def _parse_conjugator(cfg: Mapping, dimension: int) -> np.ndarray | None:
     obj = cfg.get("conjugator")
     if obj is None:
         return None
-    spec = _expect_mapping(obj, "conjugator")
+    spec = _expect_object(obj, "conjugator", ("haar", "matrix"))
     kinds = [k for k in ("haar", "matrix") if k in spec]
     if len(kinds) != 1:
         raise ConfigError("conjugator: exactly one of haar/matrix is required")
     if kinds[0] == "haar":
-        haar = _expect_mapping(spec["haar"], "conjugator.haar")
+        haar = _expect_object(spec["haar"], "conjugator.haar", ("seed",))
         seed = _expect_int(haar.get("seed"), "conjugator.haar.seed")
         u = SplitMix64(seed).haar_unitary(dimension)
     else:
@@ -338,14 +346,12 @@ def _parse_conjugator(cfg: Mapping, dimension: int) -> np.ndarray | None:
 
 def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
     """Build the object graph from a config dict; see the module docstring."""
-    cfg = _expect_mapping(cfg, "scenario")
-    known = {
-        "name", "seed", "cap", "tolerances", "algebra", "time_frame",
-        "grids", "dynamics", "conjugator", "witness_threshold",
-    }
-    extra = set(cfg) - known
-    if extra:
-        raise ConfigError(f"scenario: unknown keys {sorted(extra)}")
+    cfg = _expect_object(
+        cfg,
+        "scenario",
+        ("name", "seed", "cap", "tolerances", "algebra", "time_frame",
+         "grids", "dynamics", "conjugator", "witness_threshold"),
+    )
 
     effective = json.loads(canonical_json(dict(cfg)))
     if seed_override is not None:
@@ -364,7 +370,7 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
 
     tolerances = Tolerances.from_config(effective.get("tolerances"))
 
-    algebra_cfg = _expect_mapping(effective.get("algebra"), "algebra")
+    algebra_cfg = _expect_object(effective.get("algebra"), "algebra", ("blocks",))
     blocks = _expect_list(algebra_cfg.get("blocks"), "algebra.blocks")
     try:
         algebra = WStarAlgebra(tuple(_expect_int(b, "algebra.blocks[]") for b in blocks))

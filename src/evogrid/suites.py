@@ -128,32 +128,39 @@ def _nonempty_subsets(scn: Scenario) -> list[frozenset]:
     return [s for s in scn.frame.admissible() if s]
 
 
-def _mask_from_id(bits_id: int, k: int) -> np.ndarray:
-    return ((bits_id >> np.arange(k)) & 1).astype(np.complex128)
+def _bit_rows(ids: Iterable[int], k: int) -> np.ndarray:
+    """Boolean membership rows of subset bitmask ids over k points.
+
+    Bit b of an id (a Python int of any size) lands in column b, so point
+    sets of 64 or more points need no fixed-width integer.
+    """
+    width = (k + 7) // 8
+    raw = b"".join(int(i).to_bytes(width, "little") for i in ids)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    return np.unpackbits(packed, axis=1, count=k, bitorder="little").astype(bool)
 
 
 def _subset_pair_ids(scn: Scenario, label: str, count_points: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Pairs of subset bitmask ids over a point set of size `count_points`."""
+    """Pairs of subsets of a point set of size `count_points`, as bit rows."""
     total = 1 << count_points
     if total <= EXHAUSTIVE_PAIR_LIMIT:
-        ids = np.arange(total, dtype=np.int64)
-        left = np.repeat(ids, total)
-        right = np.tile(ids, total)
-        return left, right, True
+        rows = _bit_rows(range(total), count_points)
+        return np.repeat(rows, total, axis=0), np.tile(rows, (total, 1)), True
     rng = _rng(scn, label)
-    left = np.array([rng.integer(total) for _ in range(SAMPLED_PAIRS)], dtype=np.int64)
-    right = np.array([rng.integer(total) for _ in range(SAMPLED_PAIRS)], dtype=np.int64)
+    left = _bit_rows([rng.integer(total) for _ in range(SAMPLED_PAIRS)], count_points)
+    right = _bit_rows([rng.integer(total) for _ in range(SAMPLED_PAIRS)], count_points)
     return left, right, False
 
 
-def _projection_diagonals(scn: Scenario, subset, ids: np.ndarray) -> np.ndarray:
-    """0/1 diagonals of E(V) over `subset`, one row per subset bitmask id.
+def _projection_diagonals(scn: Scenario, subset, rows: np.ndarray) -> np.ndarray:
+    """0/1 diagonals of E(V) over `subset`, one per membership row.
 
-    Full point x lies in V exactly when bit restricted[x] of the id is set,
-    so a single bit test against the restriction table builds every row.
+    Full point x lies in V exactly when its restriction restricted[x] is a
+    member, so one gather through the restriction table builds every row.
+    The result is C-ordered: BLAS sums in an order that depends on layout.
     """
     restricted = scn.space.restricted_index_array(subset)
-    return (ids[:, None] >> restricted) & 1
+    return rows[:, restricted].astype(np.int64, order="C")
 
 
 def _members_from_id(bits_id: int, k: int) -> list[int]:
@@ -282,7 +289,7 @@ def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
             left, right = left[:500], right[:500]
         # exact 0/1 projection diagonals, one row per pair
         p1, p2, inter, union = (
-            _projection_diagonals(scn, subset, ids) for ids in (left, right, left & right, left | right)
+            _projection_diagonals(scn, subset, rows) for rows in (left, right, left & right, left | right)
         )
         dev = max(dev, float(np.max(np.abs(p1 * p2 - inter))))
         dev = max(dev, float(np.max(np.abs(p1 + p2 - inter - union))))
@@ -379,15 +386,13 @@ def _check_injectivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
     n = space.dimension
     bad = 0
     if n <= 12:
-        seen = {rep.represent(pullback(space.function(space.full, _mask_from_id(i, n)))).diag.tobytes() for i in range(1 << n)}
-        if len(seen) != 1 << n:
-            bad += 1
+        masks = _bit_rows(range(1 << n), n)
     else:
         rng = _rng(scn, "injectivity-full")
-        ids = {rng.integer(1 << min(n, 62)) for _ in range(512)}
-        seen = {rep.represent(pullback(space.function(space.full, _mask_from_id(i, n)))).diag.tobytes() for i in ids}
-        if len(seen) != len(ids):
-            bad += 1
+        masks = _bit_rows({rng.integer(1 << n) for _ in range(512)}, n)
+    seen = {rep.represent(pullback(space.function(space.full, m.astype(np.complex128)))).diag.tobytes() for m in masks}
+    if len(seen) != len(masks):
+        bad += 1
     sub_bad = 0
     for subset in _nonempty_subsets(scn):
         measure = rep.spectral_measure(subset)
@@ -398,7 +403,8 @@ def _check_injectivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
         else:
             rng = _rng(scn, f"injectivity-{sorted(map(str, subset))}")
             ids = sorted({rng.integer(total) for _ in range(512)})
-        images = {integrate(space.function(subset, _mask_from_id(i, k)), measure).diag.tobytes() for i in ids}
+        masks = _bit_rows(ids, k)
+        images = {integrate(space.function(subset, m.astype(np.complex128)), measure).diag.tobytes() for m in masks}
         if len(images) != len(ids):
             sub_bad += 1
     return [
@@ -536,7 +542,7 @@ def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
         # W* D1 (W W* - I) D2 W on exact 0/1 diagonals, so a Frobenius
         # bound per pair covers the whole family in one pass
         if total <= 4096:
-            diags = _projection_diagonals(scn, subset, np.arange(total, dtype=np.int64)).astype(np.float64)
+            diags = _projection_diagonals(scn, subset, _bit_rows(range(total), k)).astype(np.float64)
             dev = max(dev, pairwise_product_bound(diags, gram_defect))
         # direct dense spot checks, the honest slow route
         if n <= DENSE_ROUTE_LIMIT:
@@ -667,7 +673,7 @@ def _check_conjugated_dynamics(scn: Scenario) -> list[tuple[str, str, float, flo
 
 
 def _check_lagrangian_consistency(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    report = verify_lagrangian(scn.lagrangian, tol=scn.tolerances.dynamics, seed=derive_seed(scn.seed, "lagrangian"))
+    report = verify_lagrangian(scn.lagrangian, tol=scn.tolerances.dynamics)
     dev = max(report.restriction_deviation, report.realness_deviation)
     return [("lagrangian-consistency", "D5.1", dev, scn.tolerances.dynamics)]
 
@@ -688,28 +694,22 @@ def _check_action_additivity(scn: Scenario) -> list[tuple[str, str, float, float
 
 
 def _check_action_lipschitz(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    space = scn.space
     frame = scn.frame
     dev = 0.0
     for subset in _nonempty_subsets(scn):
         action = action_from_lagrangian(scn.lagrangian, subset)
         mu = frame.mu(subset)
-        labels = frame.ordered(subset)
-        points = space.enumerate_points(subset)
-        densities = np.array(
-            [[scn.lagrangian.evaluate(subset, p, t) for t in labels] for p in points]
-        )
-        k = len(points)
+        densities = scn.lagrangian.table(subset).real
+        k = len(densities)
         pair_budget = 2000
         if k * k <= pair_budget:
-            pairs = [(i, j) for i in range(k) for j in range(k)]
+            left, right = np.divmod(np.arange(k * k), k)
         else:
             rng = _rng(scn, f"lipschitz-{sorted(map(str, subset))}")
-            pairs = [(rng.integer(k), rng.integer(k)) for _ in range(pair_budget)]
-        for i, j in pairs:
-            gap = abs(action.values[i] - action.values[j])
-            bound = float(np.max(np.abs(densities[i] - densities[j]))) * mu
-            dev = max(dev, max(0.0, float(gap - bound)))
+            left, right = np.array([(rng.integer(k), rng.integer(k)) for _ in range(pair_budget)]).T
+        gap = np.abs(action.values[left] - action.values[right])
+        bound = np.max(np.abs(densities[left] - densities[right]), axis=1) * mu
+        dev = max(dev, max(0.0, float(np.max(gap - bound))))
     return [("action-lipschitz", "P5.2", dev, scn.tolerances.dynamics)]
 
 

@@ -247,7 +247,11 @@ def test_non_real_probe_term_flagged():
     assert verify_lagrangian(lag).realness_deviation > 0
 
 
-@pytest.mark.parametrize("spec", [{"scale": 2}, {"name": "abs", "scale": "x"}], ids=["no-name", "bad-scale"])
+@pytest.mark.parametrize(
+    "spec",
+    [{"scale": 2}, {"name": "abs", "scale": "x"}, {"name": "abs2", "scal": 5}],
+    ids=["no-name", "bad-scale", "unknown-key"],
+)
 def test_malformed_post_map_exits_with_config_error(tmp_path, spec):
     cfg = probe_scenario()
     cfg["dynamics"]["terms"]["1"]["post_map"] = spec

@@ -4,9 +4,14 @@ import pytest
 from evogrid import (
     DataError,
     DomainError,
+    GridEvolutionSpace,
     GridPoint,
+    GridPointMap,
     Lagrangian,
+    TimeFrame,
     action_from_lagrangian,
+    load_scenario,
+    run_suite,
     validate_action_weight,
     verify_lagrangian,
     weight_from_lagrangian,
@@ -47,8 +52,6 @@ def test_empty_subset_action_is_zero(weighted_space):
 
 
 def test_action_rejects_inadmissible_subset(m2, flip):
-    from evogrid import GridEvolutionSpace, GridPointMap, TimeFrame
-
     frame = TimeFrame(
         ("1", "2"),
         (1.0, 1.0),
@@ -69,7 +72,7 @@ def test_local_lagrangian_restriction_consistency(weighted_space):
     assert report.passed
     assert report.restriction_deviation == 0.0
     assert report.realness_deviation == 0.0
-    assert report.evaluations > 0
+    assert report.pairs > 0
 
 
 def test_subset_dependent_evaluator_flagged_frozen(weighted_space):
@@ -88,10 +91,47 @@ def test_complex_density_flagged(weighted_space):
 
 
 def test_non_finite_density_raises(weighted_space):
-    lag = Lagrangian(weighted_space, lambda subset, point, t: float("nan"))
-    point = weighted_space.point_from_index(frozenset({"1"}), 0)
     with pytest.raises(DataError):
-        lag.evaluate({"1"}, point, "1")
+        Lagrangian(weighted_space, lambda subset, point, t: float("nan"))
+
+
+def test_consistency_sweep_finds_a_single_bad_point(m2):
+    # 25**3 full points, and the full-subset density disagrees with its
+    # restriction to {1} at exactly one of them
+    frame = TimeFrame(
+        ("1", "2", "3"),
+        (1.0, 1.0, 1.0),
+        sigma0=(frozenset(), frozenset({"1"}), frozenset({"1", "2", "3"})),
+    )
+    ident = GridPointMap.identity(m2)
+    space = GridEvolutionSpace(frame, ((ident,) * 25,) * 3)
+
+    def evaluator(subset, point, t):
+        return 1.0 if subset == frame.full and point.indices == (24, 24, 24) and t == "1" else 0.0
+
+    report = verify_lagrangian(Lagrangian(space, evaluator), tol=1e-12)
+    assert report.restriction_deviation == 1.0
+    assert report.pairs == 1
+    assert not report.passed
+
+
+def test_probe_terms_run_once_per_grid_entry(monkeypatch):
+    # loading and every suite read the density tables, never the term again
+    calls = []
+    from_local = Lagrangian.from_local.__func__
+
+    def counting_from_local(cls, space, term):
+        def counted(t, index, grid_map):
+            calls.append((t, index))
+            return term(t, index, grid_map)
+
+        return from_local(cls, space, counted)
+
+    monkeypatch.setattr(Lagrangian, "from_local", classmethod(counting_from_local))
+    scn = load_scenario("demo")
+    assert run_suite(scn).overall_pass
+    grid_entries = [(t, i) for t in scn.frame.times for i in range(scn.space.grid_size(t))]
+    assert sorted(calls) == grid_entries
 
 
 def test_evaluate_guards_domain(weighted_space):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -61,6 +62,45 @@ def test_minimal_config_loads():
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError):
         load_scenario(minimal_config(bogus=1))
+
+
+def _demo_with_grid_unitaries(cfg):
+    cfg["grids"]["1"] = {"unitaries": [{"blocks": [encode_matrix(np.eye(2)), encode_matrix(np.eye(3))], "prem": []}]}
+
+
+# one misspelt key per nested scenario object, keyed by where it sits
+MISSPELT_KEYS = {
+    "time_frame": ("demo", ("time_frame",), "sigma", [[], ["1"]]),
+    "algebra": ("demo", ("algebra",), "block", [2]),
+    "grids[t]": ("demo", ("grids", "1"), "seeds", 3),
+    "grids[t].haar": ("demo", ("grids", "1", "haar"), "cont", 3),
+    "grids[t].unitaries[i]": ("demo", None, None, _demo_with_grid_unitaries),
+    "dynamics": ("demo", ("dynamics",), "term", {}),
+    "dynamics.terms[t]": ("demo", ("dynamics", "terms", "1"), "postmap", "abs"),
+    "post_map": ("demo", ("dynamics", "terms", "1"), "post_map", {"name": "abs2", "scal": 5}),
+    "probe": ("demo", ("dynamics", "terms", "1", "probe"), "pair", []),
+    "probe.pairs[i]": ("demo", ("dynamics", "terms", "1", "probe", "pairs", 0), "densty", []),
+    "reference": ("demo", ("dynamics", "terms", "1", "reference"), "grid_idx", 1),
+    "conjugator": ("demo", ("conjugator",), "matrx", []),
+    "conjugator.haar": ("demo", ("conjugator", "haar"), "sed", 1),
+    "dynamics.weights[i]": ("witness", ("dynamics", "weights", 1), "time", ["1"]),
+}
+
+
+@pytest.mark.parametrize("where", list(MISSPELT_KEYS))
+def test_misspelt_nested_key_exits_with_config_error(tmp_path, where):
+    builtin, path, key, value = MISSPELT_KEYS[where]
+    cfg = builtin_scenario(builtin)
+    if path is None:
+        value(cfg)
+    else:
+        node = cfg
+        for step in path:
+            node = node[step]
+        node[key] = value
+    scenario_path = tmp_path / "misspelt.json"
+    scenario_path.write_text(json.dumps(cfg))
+    assert main(["verify", str(scenario_path)]) == 2
 
 
 def test_weights_must_be_decimal_strings():
@@ -153,6 +193,42 @@ def test_run_suite_skips_absent_components():
     scn = load_scenario(minimal_config())
     report = run_suite(scn, ["conjugation", "lagrangian"])
     assert report.records == ()
+
+
+def sixty_four_point_scenario():
+    # two times with 8 Haar maps each: the full subset has 64 points, so
+    # subset ids no longer fit a fixed-width integer
+    cfg = builtin_scenario("demo")
+    term = cfg["dynamics"]["terms"]["1"]
+    cfg["time_frame"] = {"times": ["1", "2"], "weights": {"1": "0.5", "2": "0"}}
+    cfg["grids"] = {t: {"haar": {"count": 8, "seed": 100 + int(t)}} for t in ("1", "2")}
+    cfg["dynamics"]["terms"] = {"1": term, "2": term}
+    del cfg["conjugator"]
+    scn = load_scenario(cfg)
+    assert scn.space.dimension == 64
+    return scn
+
+
+def test_spectral_suite_passes_at_64_points():
+    report = run_suite(sixty_four_point_scenario(), ["spectral"])
+    assert len(report.records) == 14
+    assert report.overall_pass
+
+
+def test_projection_diagonals_match_the_id_bit_test():
+    # point x is in the set of id i exactly when bit restricted[x] of i is
+    # set; rows come out C-ordered, because BLAS sums in layout order
+    from evogrid.suites import _bit_rows, _projection_diagonals
+
+    scn = sixty_four_point_scenario()
+    for subset in scn.frame.admissible():
+        k = scn.space.npoints(subset)
+        restricted = scn.space.restricted_index_array(subset)
+        ids = [0, 1, (1 << k) - 1, (1 << k) // 3, (1 << (k - 1)) + 5]
+        got = _projection_diagonals(scn, subset, _bit_rows(ids, k))
+        expected = np.array([[(i >> int(r)) & 1 for r in restricted] for i in ids], dtype=np.int64)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected)
 
 
 def test_report_body_is_deterministic():
@@ -293,3 +369,14 @@ def test_cli_timings_excluded_from_body(tmp_path):
     assert "timings" in json.loads(lines[-1])
     for line in lines[:-1]:
         assert "timings" not in json.loads(line)
+
+
+# report body of `evogrid verify demo --suite spectral --suite lagrangian`;
+# every value in it is elementwise arithmetic, so no BLAS build can move it
+DEMO_SPECTRAL_LAGRANGIAN_SHA256 = "aeca78c3bd96e20a774e1fc5bd954798a6b9a8fad3ea65464215ef50c6bc4f2e"
+
+
+def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "report.jsonl"
+    assert main(["verify", "demo", "--suite", "spectral", "--suite", "lagrangian", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_SPECTRAL_LAGRANGIAN_SHA256
