@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 at least one check failed, 2 config or schema
 error, 3 representation dimension over the dense cap, 4 domain error
-(unknown time label, inadmissible subset, bad suite name).
+(unknown time label, inadmissible subset, bad suite name), 5 verification
+aborted because a check's deviation is not finite.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .dynamics import evolution_unitary
 from .errors import CapExceededError, ConfigError, DomainError, EvogridError
-from .representation import ConjugatedDiagonalOperator, DiagonalOperator, conjugate
+from .representation import DiagonalOperator, conjugate
 from .scenario import BUILTIN_NAMES, builtin_scenario, canonical_json, load_scenario
 from .suites import SUITE_NAMES, run_suite
 
@@ -80,14 +79,10 @@ def _parse_subsets(raw: str) -> list[list[str]]:
 
 def _operator_payload(op) -> dict:
     if isinstance(op, DiagonalOperator):
-        diag = op.diag
-        return {"kind": "diagonal", "diagonal": [[float(z.real), float(z.imag)] for z in diag]}
-    if isinstance(op, ConjugatedDiagonalOperator):
-        op = op.to_dense()
-    matrix = op.to_dense() if hasattr(op, "to_dense") else np.asarray(op)
+        return {"kind": "diagonal", "diagonal": [[float(z.real), float(z.imag)] for z in op.diag]}
     return {
         "kind": "dense",
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in matrix],
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.to_dense()],
     }
 
 
@@ -162,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except RuntimeError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
-        return 1
+        return 5
 
 
 if __name__ == "__main__":

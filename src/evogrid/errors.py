@@ -4,6 +4,8 @@ The categories matter operationally: the command line maps them onto distinct
 exit codes (config 2, cap 3, domain 4), and the library keeps structural
 mistakes (mismatched shapes, foreign algebras) apart from mathematical
 precondition failures (non-unitary conjugator, overlapping time subsets).
+A check whose deviation is not finite is no input error: the suite runner
+raises RuntimeError and the command line exits 5.
 """
 
 __all__ = [

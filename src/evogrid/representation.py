@@ -11,12 +11,19 @@ vectors it contains.
 Measures over a smaller time subset T arise by pushing the full measure
 forward along restriction: the projection of V, a set of points over T, is
 diagonal with a one at each full point whose restriction lies in V.  The
-spectral integral of a function over T against that measure is a gather
-through the subset's restriction table: each full point takes the value at
-the point of T it restricts to.  Two identities keep that route honest: the
-`spectral-sum` check compares it, bit for bit, with the explicit sum of
-value-scaled atoms, and `factorization` with representing the pullback of
-the function, which broadcasts instead of reading the table.
+library builds every such diagonal one way, by a gather through the
+subset's restriction table: each full point takes the value at the point of
+T it restricts to.  Projections, atoms, the batch `diagonals` of many point
+sets and spectral integrals are all that gather.
+
+`pullback`, and `embed_eta` on top of it, is the independent second route:
+it broadcasts the values over the axes outside T and never reads the table.
+The checks pair the two routes: `factorization` compares integrals with
+represented pullbacks, and `embedding` and `embedding-measure` compare
+embedded functions and projections with integrals and measure diagonals.
+`spectral-sum` pins the gather to the explicit sum of value-scaled atoms,
+and `pushforward` and `matrix-elements` test it against points restricted
+one at a time.
 
 Conjugating everything by a unitary W on the Hilbert space produces unitarily
 equivalent data.  Conjugated measures keep the (W, diagonal rule) pair and
@@ -326,7 +333,8 @@ class SpectralMeasure:
     For the full subset this is the spectral resolution of the diagonal
     representation; for smaller subsets it is the pushforward along
     restriction.  `projection` accepts a set of points over the subset,
-    given as linear indices or GridPoints.
+    given as linear indices or GridPoints; `diagonals` takes many point sets
+    at once as boolean membership rows.
     """
 
     representation: PureRepresentation
@@ -344,10 +352,22 @@ class SpectralMeasure:
     def npoints(self) -> int:
         return self.space.npoints(self.subset)
 
+    def diagonals(self, rows: np.ndarray) -> np.ndarray:
+        """0/1 diagonals of E(V), one per boolean membership row over points(T).
+
+        Full point x lies in V exactly when its restriction restricted[x] is a
+        member, so one gather through the restriction table builds every row.
+        The result is C-ordered: BLAS sums in an order that depends on layout.
+        """
+        rows = np.asarray(rows, dtype=bool)
+        if rows.ndim != 2 or rows.shape[1] != self.npoints:
+            raise StructureError(f"membership rows have shape {rows.shape}, expected (m, {self.npoints})")
+        restricted = self.space.restricted_index_array(self.subset)
+        return rows[:, restricted].astype(np.int64, order="C")
+
     def projection(self, members: Iterable) -> Operator:
         """Projection onto the basis vectors whose restriction lies in V."""
-        diag = pullback(self.space.indicator(self.subset, members)).values
-        return self.representation._wrap(diag)
+        return integrate(self.space.indicator(self.subset, members), self)
 
     def atom(self, index: int) -> Operator:
         return self.projection([index])

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import Automorphism, ElementaryTensor, NormalFunctional, WStarAlgebra, weakstar_pairing
 from .dynamics import ActionWeight, resolve_g
-from .errors import CapExceededError, ConfigError, EvogridError
+from .errors import ConfigError, EvogridError
 from .evolution import GridEvolutionSpace, GridFunction, GridPointMap, TimeFrame, named_contraction
 from .lagrangian import Lagrangian, weight_from_lagrangian
 from .representation import DENSE_CAP_DEFAULT, PureRepresentation, RepresentationSpace, check_unitary
@@ -389,10 +389,7 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
     except EvogridError as exc:
         raise ConfigError(f"grids: {exc}") from None
 
-    try:
-        rep_space = RepresentationSpace(space, cap=cap)
-    except CapExceededError:
-        raise
+    rep_space = RepresentationSpace(space, cap=cap)
     representation = PureRepresentation(rep_space)
 
     weight, lagrangian = _parse_dynamics(effective, algebra, space)

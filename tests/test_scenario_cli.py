@@ -217,18 +217,48 @@ def test_spectral_suite_passes_at_64_points():
 
 def test_projection_diagonals_match_the_id_bit_test():
     # point x is in the set of id i exactly when bit restricted[x] of i is
-    # set; rows come out C-ordered, because BLAS sums in layout order
-    from evogrid.suites import _bit_rows, _projection_diagonals
+    # set; rows come out C-ordered, because BLAS sums in layout order; a
+    # conjugated measure keeps the same diagonal rule
+    from evogrid.representation import conjugate
+    from evogrid.suites import _bit_rows
 
     scn = sixty_four_point_scenario()
-    for subset in scn.frame.admissible():
-        k = scn.space.npoints(subset)
-        restricted = scn.space.restricted_index_array(subset)
-        ids = [0, 1, (1 << k) - 1, (1 << k) // 3, (1 << (k - 1)) + 5]
-        got = _projection_diagonals(scn, subset, _bit_rows(ids, k))
-        expected = np.array([[(i >> int(r)) & 1 for r in restricted] for i in ids], dtype=np.int64)
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, expected)
+    reversal = np.eye(scn.space.dimension)[::-1]
+    for rep in (scn.representation, conjugate(reversal, scn.representation)):
+        for subset in scn.frame.admissible():
+            k = scn.space.npoints(subset)
+            restricted = scn.space.restricted_index_array(subset)
+            ids = [0, 1, (1 << k) - 1, (1 << k) // 3, (1 << (k - 1)) + 5]
+            got = rep.spectral_measure(subset).diagonals(_bit_rows(ids, k))
+            expected = np.array([[(i >> int(r)) & 1 for r in restricted] for i in ids], dtype=np.int64)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, expected)
+
+
+def test_sampled_point_sets_are_the_labeled_draws(monkeypatch):
+    # the 64-point subset is sampled: each check draws the sorted distinct
+    # ids of its labeled substream, so an exact check reading 0.0 still
+    # covers the same sets
+    from evogrid import suites
+    from evogrid.rng import SplitMix64, derive_seed
+
+    scn = sixty_four_point_scenario()
+    full = sorted(map(str, scn.space.full))
+    expected = {f"pushforward-{full}": 256, f"injectivity-{full}": 512, "injectivity-full": 512}
+    drawn = {}
+    point_sets = suites._point_sets
+
+    def spy(scn, label, k, exhaustive, samples):
+        drawn[label] = point_sets(scn, label, k, exhaustive, samples)
+        return drawn[label]
+
+    monkeypatch.setattr(suites, "_point_sets", spy)
+    suites._check_pushforward(scn)
+    suites._check_injectivity(scn)
+    for label, samples in expected.items():
+        rng = SplitMix64(derive_seed(scn.seed, label))
+        ids = sorted({rng.integer(1 << 64) for _ in range(samples)})
+        assert [sum(1 << int(b) for b in np.flatnonzero(row)) for row in drawn[label]] == ids
 
 
 def test_report_body_is_deterministic():
@@ -282,6 +312,16 @@ def test_cli_exit_code_on_bad_json(tmp_path):
 
 def test_cli_exit_code_on_missing_file():
     assert main(["verify", "/definitely/not/here.json"]) == 2
+
+
+def test_cli_exit_code_on_non_finite_deviation(monkeypatch):
+    from evogrid import suites
+
+    def overflowing(scn):
+        return [("overflowing", "S2", float("nan"), 0.0)]
+
+    monkeypatch.setitem(suites._SUITES, "algebra", [overflowing])
+    assert main(["verify", "demo"]) == 5
 
 
 def test_cli_exit_code_on_cap(tmp_path, monkeypatch):
