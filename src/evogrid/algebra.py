@@ -95,22 +95,30 @@ class WStarAlgebra:
         self._own(a)
         return np.concatenate([b.ravel() for b in a.blocks])
 
-    def from_coordinates(self, v: np.ndarray) -> "AlgebraElement":
-        v = np.asarray(v, dtype=np.complex128).ravel()
-        if v.size != self.dimension:
-            raise StructureError(f"coordinate vector has length {v.size}, expected {self.dimension}")
+    def _split(self, v: np.ndarray) -> list[np.ndarray]:
+        """The n x n blocks of a flat vector of length `dimension`, row-major, in order."""
         blocks, k = [], 0
         for n in self.block_dims:
             blocks.append(v[k : k + n * n].reshape(n, n))
             k += n * n
-        return self.element(blocks)
+        return blocks
+
+    def from_coordinates(self, v: np.ndarray) -> "AlgebraElement":
+        v = np.asarray(v, dtype=np.complex128).ravel()
+        if v.size != self.dimension:
+            raise StructureError(f"coordinate vector has length {v.size}, expected {self.dimension}")
+        return self.element(self._split(v))
+
+    def _random_blocks(self, rng: SplitMix64, scale: float) -> list[np.ndarray]:
+        # one draw for all blocks: the same stream as a complex_matrix per block
+        return self._split(rng.complex_matrix(1, self.dimension)[0] * scale)
 
     def random_element(self, rng: SplitMix64, scale: float = 1.0) -> "AlgebraElement":
         """Blocks with independent scaled complex Gaussian entries."""
-        return self.element([rng.complex_matrix(n, n) * scale for n in self.block_dims])
+        return self.element(self._random_blocks(rng, scale))
 
     def random_functional(self, rng: SplitMix64, scale: float = 1.0) -> "NormalFunctional":
-        return NormalFunctional(self, tuple(rng.complex_matrix(n, n) * scale for n in self.block_dims))
+        return NormalFunctional(self, tuple(self._random_blocks(rng, scale)))
 
     def _own(self, a: "AlgebraElement") -> None:
         if a.algebra != self:

@@ -20,7 +20,7 @@ import sys
 from .dynamics import evolution_unitary
 from .errors import CapExceededError, ConfigError, DomainError, EvogridError
 from .representation import DiagonalOperator, conjugate
-from .scenario import BUILTIN_NAMES, builtin_scenario, canonical_json, load_scenario
+from .scenario import BUILTIN_NAMES, builtin_scenario, canonical_json, encode_matrix, load_scenario
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -79,11 +79,8 @@ def _parse_subsets(raw: str) -> list[list[str]]:
 
 def _operator_payload(op) -> dict:
     if isinstance(op, DiagonalOperator):
-        return {"kind": "diagonal", "diagonal": [[float(z.real), float(z.imag)] for z in op.diag]}
-    return {
-        "kind": "dense",
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.to_dense()],
-    }
+        return {"kind": "diagonal", "diagonal": encode_matrix(op.diag)}
+    return {"kind": "dense", "matrix": encode_matrix(op.to_dense())}
 
 
 def _cmd_verify(args) -> int:

@@ -481,7 +481,7 @@ class GridEvolutionSpace:
             phases = np.array([rng.uniform() for _ in range(n)])
             vals = np.exp(2j * np.pi * phases)
         else:
-            vals = np.array([rng.complex_normal() for _ in range(n)])
+            vals = rng.complex_matrix(1, n)[0]
         return self.function(subset, vals)
 
 

@@ -80,7 +80,12 @@ def _frozen_square(m) -> np.ndarray:
 
 def check_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
     u = np.asarray(u)
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
+    gram = u.conj().T @ u - np.eye(u.shape[0])
+    # the Frobenius norm bounds the 2-norm above, so it may accept alone;
+    # only a matrix it cannot accept pays for the SVD
+    if float(np.linalg.norm(gram)) <= tol:
+        return
+    defect = float(np.linalg.norm(gram, 2))
     if defect > tol:
         raise PreconditionError(f"matrix is not unitary within {tol:g} (defect {defect:.3e})")
 

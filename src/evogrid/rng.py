@@ -29,6 +29,22 @@ haar_unitary(n): QR of an n x n complex_normal matrix, with each column of Q
                 multiplied by r_jj / |r_jj| so the R diagonal is positive and
                 the distribution is exactly Haar.
 
+The scalar methods above are the contract; `complex_matrix` (and so
+`haar_unitary`) computes the same bits in vectorized form.  splitmix64 is
+counter-based, draw k after state s is mix(s + k * gamma), so a block of
+raw outputs is one numpy uint64 expression (blocks of 2^16 entries bound
+the working memory), and the state advances by exactly 2 * rows * cols
+steps.  The uniforms, sqrt, products and the division are numpy
+operations, which are correctly rounded IEEE arithmetic.
+`log`, `cos` and `sin` stay on libm through `math`, mapped over the vector:
+numpy's `log` differs from `math.log` in the last bit on about 0.3% of
+inputs, and numpy's float64 `sin`/`cos` dispatch to SIMD kernels that vary
+with the CPU.  The division by sqrt(2) is written out as CPython's complex
+quotient by a real s computes it,
+    re = (x + y * 0.0) / s,  im = (y - x * 0.0) / s,
+which keeps its signed zeros (x = -0.0, y >= +0.0 gives re = +0.0, not the
+-0.0 of x / s) without depending on a Python version's complex rules.
+
 Independent substreams come from `derive_seed(root, label)` which mixes the
 root seed with the FNV-1a hash of a text label through one splitmix64 step.
 """
@@ -50,6 +66,10 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 _TWO_PI = 2.0 * math.pi
+_SQRT2 = math.sqrt(2.0)
+_BLOCK = 1 << 16  # complex normals per vectorized step; bounds the working memory
+# the same constants as numpy scalars, for the array form of the stream
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 
 
 def _mix(z: int) -> int:
@@ -106,11 +126,37 @@ class SplitMix64:
         x, y = self.normal_pair()
         return complex(x, y) / math.sqrt(2.0)
 
+    def _uniforms(self, count: int) -> np.ndarray:
+        """The next `count` uniforms as one array: draw k is mix(state + k gamma)."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _GAMMA_U64
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & MASK64
+        z ^= z >> 30
+        z *= _MIX1_U64
+        z ^= z >> 27
+        z *= _MIX2_U64
+        z ^= z >> 31
+        z >>= 11
+        return z.astype(np.float64) * 2.0**-53
+
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """`rows * cols` complex normals, row-major, bit-identical to
+        that many `complex_normal` calls (see the module docstring)."""
+        n = rows * cols
         out = np.empty((rows, cols), dtype=np.complex128)
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = self.complex_normal()
+        pairs = out.reshape(n).view(np.float64)  # re, im interleaved
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            u = self._uniforms(2 * m)
+            log = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, m)
+            r = np.sqrt(-2.0 * log)
+            theta = (_TWO_PI * u[1::2]).tolist()
+            x = r * np.fromiter(map(math.cos, theta), np.float64, m)
+            y = r * np.fromiter(map(math.sin, theta), np.float64, m)
+            block = pairs[2 * start : 2 * (start + m)]
+            block[0::2] = (x + y * 0.0) / _SQRT2
+            block[1::2] = (y - x * 0.0) / _SQRT2
         return out
 
     def haar_unitary(self, n: int) -> np.ndarray:

@@ -55,8 +55,9 @@ def canonical_json(obj) -> str:
 
 
 def encode_matrix(m) -> list:
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    """A complex array as nested row-major [re, im] pairs of Python floats (-0.0 kept)."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def decode_matrix(obj, context: str) -> np.ndarray:

@@ -72,8 +72,17 @@ def test_conjugate_requires_unitary():
 
 def test_check_unitary_tolerance():
     check_unitary(np.eye(3))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as info:
         check_unitary(1.5 * np.eye(3))
+    assert str(info.value) == "matrix is not unitary within 1e-10 (defect 1.250e+00)"
+
+
+def test_check_unitary_judges_by_the_two_norm():
+    # U*U - I = (2d + d^2) I: 2-norm about 6e-11 <= tol, Frobenius twice that > tol
+    u = (1.0 + 3e-11) * np.eye(4)
+    gram = u.conj().T @ u - np.eye(4)
+    assert np.linalg.norm(gram, 2) <= 1e-10 < np.linalg.norm(gram)
+    check_unitary(u)
 
 
 def test_projection_rank_and_idempotency_guard():

@@ -1,9 +1,16 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evogrid.rng import MASK64, SplitMix64, derive_seed, fnv1a64
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # published splitmix64 outputs for seed 0; any drift here breaks every
 # seeded value in the package, so these are pinned first
@@ -72,6 +79,61 @@ def test_complex_matrix_row_major_order():
     flat = [r2.complex_normal() for _ in range(6)]
     assert m.shape == (2, 3)
     assert list(m.ravel()) == flat
+
+
+# state 0 is reached on the first draw, and mix(0) = 0: the first uniform
+# is exactly 0.0, so r = sqrt(-2 * log(1.0)) = -0.0 and x = -0.0
+ZERO_FIRST_DRAW_SEED = (-0x9E3779B97F4A7C15) & MASK64
+
+
+def test_complex_matrix_bits_equal_scalar_stream():
+    # 4 x 70,000 draws, across a vectorized block boundary; libm log differs
+    # from numpy's on about 0.3% of inputs
+    for seed in (0, 91, 1234567, ZERO_FIRST_DRAW_SEED):
+        vector, scalar = SplitMix64(seed), SplitMix64(seed)
+        drawn = vector.complex_matrix(280, 250)
+        expect = np.array([scalar.complex_normal() for _ in range(70_000)], dtype=np.complex128)
+        assert drawn.ravel().tobytes() == expect.tobytes(), seed
+
+
+def test_complex_matrix_keeps_complex_division_zero_signs():
+    r = SplitMix64(ZERO_FIRST_DRAW_SEED)
+    assert r.uniform() == 0.0
+    x, y = SplitMix64(ZERO_FIRST_DRAW_SEED).normal_pair()
+    assert math.copysign(1.0, x) == -1.0 and math.copysign(1.0, y) == 1.0
+    z = SplitMix64(ZERO_FIRST_DRAW_SEED).complex_matrix(1, 1)[0, 0]
+    # complex division gives (-0.0 + 0.0 * 0.0) / sqrt(2) = +0.0, not x / sqrt(2)
+    assert math.copysign(1.0, z.real) == 1.0
+    assert math.copysign(1.0, z.imag) == 1.0
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (1, 1), (3, 5), (17, 2), (300, 300)])
+def test_complex_matrix_advances_two_uniforms_per_entry(shape):
+    r1, r2 = SplitMix64(44), SplitMix64(44)
+    r1.complex_matrix(*shape)
+    for _ in range(2 * shape[0] * shape[1]):
+        r2.uniform()
+    assert r1.next_uint64() == r2.next_uint64()
+
+
+def test_complex_matrix_512_frozen_digest():
+    m = SplitMix64(91).complex_matrix(512, 512)
+    assert hashlib.sha256(m.tobytes()).hexdigest() == (
+        "9bb231827a00bb4f41166877a2eb81465b68df4a5b18ec56adc59825b6f97664"
+    )
+
+
+def test_haar_unitary_128_frozen_digest_at_one_blas_thread():
+    # QR rounding depends on the BLAS thread count, so pin it in a fresh process
+    code = (
+        "import hashlib; from evogrid.rng import SplitMix64; "
+        "print(hashlib.sha256(SplitMix64(91).haar_unitary(128).tobytes()).hexdigest())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "02915ff8a0104873e9df84aa208ae58f4379d3027c4364c40665954e5c49842a"
 
 
 def test_haar_unitary_is_unitary_and_deterministic():
