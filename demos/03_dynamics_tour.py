@@ -78,7 +78,7 @@ def main() -> None:
     dev = float(np.linalg.norm(u_moved - w.conj().T @ u_plain @ w, 2))
     print(f"U' = W* U W up to {dev:.2e}")
 
-    report = commutant_witness(weight, rep, w, tol=1e-12)
+    report = commutant_witness(weight, rep, moved, tol=1e-12)
     print("\nwithin one representation all evolution unitaries commute:")
     print(f"  max same-representation commutator {report.same_rep_commutator:.2e}")
     print("but the conjugated family need not commute with the original:")
@@ -86,7 +86,7 @@ def main() -> None:
 
     print("\nThe designed witness scenario makes this vivid:")
     wit = load_scenario("witness")
-    wreport = commutant_witness(wit.weight, wit.representation, wit.conjugator, tol=1e-12)
+    wreport = commutant_witness(wit.weight, wit.representation, wit.conjugated, tol=1e-12)
     print(f"  diag(1,-1) against its Hadamard conjugate: commutator norm {wreport.witness:.4f}")
     print("  (the largest possible for unitaries of norm one is 2)")
 

@@ -19,7 +19,7 @@ import sys
 
 from .dynamics import evolution_unitary
 from .errors import CapExceededError, ConfigError, DomainError, EvogridError
-from .representation import DiagonalOperator, conjugate
+from .representation import DiagonalOperator
 from .scenario import BUILTIN_NAMES, builtin_scenario, canonical_json, encode_matrix, load_scenario
 from .suites import SUITE_NAMES, run_suite
 
@@ -100,6 +100,7 @@ def _cmd_verify(args) -> int:
 def _cmd_compute(args) -> int:
     scenario = load_scenario(args.scenario, seed_override=args.seed)
     frame = scenario.frame
+    rep = scenario.conjugated or scenario.representation
     operators = []
     for labels in _parse_subsets(args.subsets):
         for t in labels:
@@ -108,17 +109,13 @@ def _cmd_compute(args) -> int:
         subset = frozenset(labels)
         if not frame.is_admissible(subset):
             raise DomainError(f"subset {sorted(labels)} is not in the admissible family")
-        unitary = evolution_unitary(scenario.weight, subset, scenario.representation)
-        op = unitary.operator
-        if scenario.conjugator is not None:
-            op = conjugate(scenario.conjugator, op)
-        payload = _operator_payload(op)
+        payload = _operator_payload(evolution_unitary(scenario.weight, subset, rep).operator)
         payload["times"] = sorted(labels, key=frame.position)
         operators.append(payload)
     doc = {
         "scenario": scenario.name,
         "fingerprint": scenario.fingerprint,
-        "conjugated": scenario.conjugator is not None,
+        "conjugated": scenario.conjugated is not None,
         "operators": operators,
     }
     _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)

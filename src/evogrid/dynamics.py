@@ -29,14 +29,12 @@ import numpy as np
 from .errors import DomainError, PreconditionError, StructureError
 from .evolution import GridEvolutionSpace, GridFunction
 from .representation import (
+    ConjugatedDiagonalOperator,
     Operator,
     PureRepresentation,
-    check_unitary,
-    conjugate,
     identity_operator,
     integrate,
 )
-from .rng import SplitMix64
 
 __all__ = [
     "ActionWeight",
@@ -125,36 +123,20 @@ class ActionWeightReport:
     null_subset: float
     tolerance: float
     pairs_checked: int
-    sampled: bool
 
     @property
     def passed(self) -> bool:
         return max(self.unimodular, self.cocycle, self.null_subset) <= self.tolerance
 
 
-def validate_action_weight(
-    weight: ActionWeight,
-    tol: float = 1e-12,
-    max_points: int = 10_000,
-    seed: int = 0,
-) -> ActionWeightReport:
+def validate_action_weight(weight: ActionWeight, tol: float = 1e-12) -> ActionWeightReport:
     """Check unimodularity, the null-subset law, and the cocycle law.
 
     The cocycle law is checked for every ordered pair of measure-disjoint
-    admissible subsets, evaluated over all full-set points, or over a seeded
-    sample when the full point set is larger than `max_points`.
+    admissible subsets, evaluated over all full-set points.
     """
     space = weight.space
     frame = space.frame
-    n_full = space.dimension
-    if n_full > max_points:
-        rng = SplitMix64(seed)
-        idx = np.array(sorted(rng.sample_indices(n_full, max_points)), dtype=np.int64)
-        sampled = True
-    else:
-        idx = np.arange(n_full, dtype=np.int64)
-        sampled = False
-
     unimodular = 0.0
     null_subset = 0.0
     pulled: dict[frozenset, np.ndarray] = {}
@@ -163,8 +145,7 @@ def validate_action_weight(
         unimodular = max(unimodular, float(np.max(np.abs(np.abs(f.values) - 1.0))) if f.values.size else 0.0)
         if frame.mu(subset) == 0.0:
             null_subset = max(null_subset, float(np.max(np.abs(f.values - 1.0))))
-        restricted = space.restricted_index_array(subset)[idx]
-        pulled[subset] = f.values[restricted]
+        pulled[subset] = f.values[space.restricted_index_array(subset)]
 
     cocycle = 0.0
     pairs = 0
@@ -177,7 +158,7 @@ def validate_action_weight(
             dev = np.max(np.abs(pulled[union] - pulled[t1] * pulled[t2]))
             cocycle = max(cocycle, float(dev))
             pairs += 1
-    return ActionWeightReport(unimodular, cocycle, null_subset, tol, pairs, sampled)
+    return ActionWeightReport(unimodular, cocycle, null_subset, tol, pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,23 +224,25 @@ class CommutantReport:
 def commutant_witness(
     weight: ActionWeight,
     rep: PureRepresentation,
-    conjugator: np.ndarray,
+    conjugated: PureRepresentation,
     tol: float = 1e-12,
 ) -> CommutantReport:
     """Commutators within one representation versus across a conjugation.
 
-    Within a single representation all evolution unitaries commute; that max
+    `rep` must be unconjugated and `conjugated` conjugated by a unitary W,
+    which that representation checked when it was built.  Within a
+    single representation all evolution unitaries commute; that max
     commutator norm is reported alongside the covariance defect
     ||U'_T - W* U_T W||.  The witness value is the largest commutator norm
     between a unitary of the original representation and one of the
     conjugated representation: a strictly positive value exhibits an
     operator outside the commutant of the conjugated family.
     """
-    check_unitary(np.asarray(conjugator, dtype=np.complex128))
-    rep_conj = conjugate(conjugator, rep)
+    if rep.conjugator is not None or conjugated.conjugator is None:
+        raise StructureError("commutant_witness compares an unconjugated representation with a conjugated one")
     domain = weight.domain()
     plain = {s: evolution_unitary(weight, s, rep).operator for s in domain}
-    twisted = {s: evolution_unitary(weight, s, rep_conj).operator for s in domain}
+    twisted = {s: evolution_unitary(weight, s, conjugated).operator for s in domain}
 
     same = 0.0
     for i, s1 in enumerate(domain):
@@ -268,7 +251,7 @@ def commutant_witness(
 
     covariance = 0.0
     for s in domain:
-        direct = conjugate(conjugator, plain[s])
+        direct = ConjugatedDiagonalOperator(conjugated.conjugator, plain[s].diag)
         covariance = max(covariance, (twisted[s] - direct).norm())
 
     witness = -1.0

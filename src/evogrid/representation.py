@@ -25,9 +25,12 @@ embedded functions and projections with integrals and measure diagonals.
 and `pushforward` and `matrix-elements` test it against points restricted
 one at a time.
 
-Conjugating everything by a unitary W on the Hilbert space produces unitarily
-equivalent data.  Conjugated measures keep the (W, diagonal rule) pair and
-materialize dense matrices only on demand, with a configurable dimension cap.
+Conjugation acts on representations: `conjugate(W, rep)` is the
+representation f -> W* rep(f) W, unitarily equivalent to rep.  W is checked
+for unitarity once, when the conjugated `PureRepresentation` is constructed;
+its measures and operators then carry the (W, diagonal) pair without
+checking W again, and materialize dense matrices only on demand, with a
+configurable dimension cap.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ def _frozen_square(m) -> np.ndarray:
     return a
 
 
-def check_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
+def check_unitary(u: np.ndarray) -> None:
+    tol = 1e-10
     u = np.asarray(u)
     gram = u.conj().T @ u - np.eye(u.shape[0])
     # the Frobenius norm bounds the 2-norm above, so it may accept alone;
@@ -292,7 +296,11 @@ class RepresentationSpace:
 
 @dataclass(frozen=True, eq=False)
 class PureRepresentation:
-    """Diagonal-form representation, optionally conjugated by a unitary."""
+    """Diagonal-form representation, optionally conjugated by a unitary.
+
+    The only place a conjugator is checked for unitarity: everything built
+    from the representation reads the checked matrix.
+    """
 
     rep_space: RepresentationSpace
     conjugator: np.ndarray | None = None
@@ -350,15 +358,11 @@ class SpectralMeasure:
         return self.representation.space
 
     @property
-    def conjugator(self) -> np.ndarray | None:
-        return self.representation.conjugator
-
-    @property
     def npoints(self) -> int:
         return self.space.npoints(self.subset)
 
     def diagonals(self, rows: np.ndarray) -> np.ndarray:
-        """0/1 diagonals of E(V), one per boolean membership row over points(T).
+        """Boolean diagonals of E(V), one per boolean membership row over points(T).
 
         Full point x lies in V exactly when its restriction restricted[x] is a
         member, so one gather through the restriction table builds every row.
@@ -368,7 +372,7 @@ class SpectralMeasure:
         if rows.ndim != 2 or rows.shape[1] != self.npoints:
             raise StructureError(f"membership rows have shape {rows.shape}, expected (m, {self.npoints})")
         restricted = self.space.restricted_index_array(self.subset)
-        return rows[:, restricted].astype(np.int64, order="C")
+        return np.ascontiguousarray(rows[:, restricted])
 
     def projection(self, members: Iterable) -> Operator:
         """Projection onto the basis vectors whose restriction lies in V."""
@@ -412,20 +416,12 @@ def integrate(f: GridFunction, E: SpectralMeasure) -> Operator:
     return E.representation._wrap(diag)
 
 
-def conjugate(u: np.ndarray, obj, tol: float = 1e-10):
-    """Conjugation by a unitary: representations, measures, or operators."""
+def conjugate(u: np.ndarray, rep: PureRepresentation) -> PureRepresentation:
+    """The representation f -> u* rep(f) u; constructing it checks u once."""
+    if not isinstance(rep, PureRepresentation):
+        raise StructureError(f"conjugate acts on representations, not {type(rep).__name__}")
     u = np.asarray(u, dtype=np.complex128)
-    check_unitary(u, tol)
-    if isinstance(obj, PureRepresentation):
-        combined = u if obj.conjugator is None else obj.conjugator @ u
-        return PureRepresentation(obj.rep_space, combined)
-    if isinstance(obj, SpectralMeasure):
-        return SpectralMeasure(conjugate(u, obj.representation, tol), obj.subset)
-    if isinstance(obj, DiagonalOperator):
-        return ConjugatedDiagonalOperator(u, obj.diag)
-    if isinstance(obj, (DenseOperator, ConjugatedDiagonalOperator)):
-        return DenseOperator(u.conj().T @ obj.to_dense() @ u)
-    raise StructureError(f"cannot conjugate object of type {type(obj).__name__}")
+    return PureRepresentation(rep.rep_space, u if rep.conjugator is None else rep.conjugator @ u)
 
 
 def theta_represent(f: GridFunction) -> DiagonalOperator:

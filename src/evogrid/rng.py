@@ -168,19 +168,6 @@ class SplitMix64:
         d[d == 0] = 1.0
         return q * (d / np.abs(d))
 
-    def sample_indices(self, population: int, count: int) -> list[int]:
-        """`count` distinct indices from range(population), order of draw."""
-        if count > population:
-            raise ValueError("cannot sample more indices than the population")
-        chosen: list[int] = []
-        seen = set()
-        while len(chosen) < count:
-            k = self.integer(population)
-            if k not in seen:
-                seen.add(k)
-                chosen.append(k)
-        return chosen
-
     def spawn(self, label: str) -> "SplitMix64":
         """Independent substream named by `label`, seeded off this stream's
         current state transition (does not consume from this stream)."""

@@ -31,7 +31,7 @@ from .dynamics import ActionWeight, resolve_g
 from .errors import ConfigError, EvogridError
 from .evolution import GridEvolutionSpace, GridFunction, GridPointMap, TimeFrame, named_contraction
 from .lagrangian import Lagrangian, weight_from_lagrangian
-from .representation import DENSE_CAP_DEFAULT, PureRepresentation, RepresentationSpace, check_unitary
+from .representation import DENSE_CAP_DEFAULT, PureRepresentation, RepresentationSpace, conjugate
 from .rng import SplitMix64
 
 __all__ = [
@@ -147,7 +147,7 @@ class Scenario:
     space: GridEvolutionSpace
     rep_space: RepresentationSpace
     representation: PureRepresentation
-    conjugator: np.ndarray | None
+    conjugated: PureRepresentation | None
     weight: ActionWeight
     lagrangian: Lagrangian | None
     witness_threshold: float | None
@@ -322,10 +322,11 @@ def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpa
     raise ConfigError("dynamics.kind must be 'lagrangian' or 'action_weight'")
 
 
-def _parse_conjugator(cfg: Mapping, dimension: int) -> np.ndarray | None:
+def _parse_conjugator(cfg: Mapping, representation: PureRepresentation) -> PureRepresentation | None:
     obj = cfg.get("conjugator")
     if obj is None:
         return None
+    dimension = representation.dimension
     spec = _expect_object(obj, "conjugator", ("haar", "matrix"))
     kinds = [k for k in ("haar", "matrix") if k in spec]
     if len(kinds) != 1:
@@ -339,10 +340,9 @@ def _parse_conjugator(cfg: Mapping, dimension: int) -> np.ndarray | None:
         if u.shape != (dimension, dimension):
             raise ConfigError(f"conjugator.matrix must be {dimension}x{dimension}")
     try:
-        check_unitary(u)
+        return conjugate(u, representation)
     except EvogridError as exc:
         raise ConfigError(f"conjugator: {exc}") from None
-    return u
 
 
 def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
@@ -394,7 +394,7 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
     representation = PureRepresentation(rep_space)
 
     weight, lagrangian = _parse_dynamics(effective, algebra, space)
-    conjugator = _parse_conjugator(effective, rep_space.dimension)
+    conjugated = _parse_conjugator(effective, representation)
 
     threshold = effective.get("witness_threshold")
     if threshold is not None:
@@ -413,7 +413,7 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
         space=space,
         rep_space=rep_space,
         representation=representation,
-        conjugator=conjugator,
+        conjugated=conjugated,
         weight=weight,
         lagrangian=lagrangian,
         witness_threshold=threshold,

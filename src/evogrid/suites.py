@@ -43,7 +43,7 @@ from .errors import DomainError
 from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback
 from .lagrangian import action_from_lagrangian, verify_lagrangian
 from .representation import (
-    conjugate,
+    ConjugatedDiagonalOperator,
     embed_eta,
     identity_operator,
     integrate,
@@ -289,8 +289,9 @@ def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
         left, right, _ = _subset_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", k)
         if n > 1024:
             left, right = left[:500], right[:500]
-        # exact 0/1 projection diagonals, one row per pair
-        p1, p2, inter, union = (measure.diagonals(rows) for rows in (left, right, left & right, left | right))
+        # exact 0/1 projection diagonals, one row per pair; int8 holds every
+        # value of both laws, failing diagonals included
+        p1, p2, inter, union = (measure.diagonals(rows).view(np.int8) for rows in (left, right, left & right, left | right))
         dev = max(dev, float(np.max(np.abs(p1 * p2 - inter))))
         dev = max(dev, float(np.max(np.abs(p1 + p2 - inter - union))))
     return [("pvm-axioms", "T3.1", dev, scn.tolerances.exact)]
@@ -313,7 +314,7 @@ def _check_pushforward(scn: Scenario) -> list[tuple[str, str, float, float]]:
         image = np.empty(space.dimension, dtype=np.int64)
         for x in full_points:
             image[space.linear_index(x)] = space.linear_index(space.restrict_point(x, subset))
-        dev = max(dev, float(np.max(np.abs(measure.diagonals(rows) - rows[:, image]))))
+        dev = max(dev, float(np.max(measure.diagonals(rows) != rows[:, image])))
         for b in range(k):
             if projection_rank(measure.atom(b)) != fiber:
                 rank_bad += 1
@@ -475,7 +476,7 @@ def _check_singletons(scn: Scenario) -> list[tuple[str, str, float, float]]:
             swap = np.eye(n, dtype=np.complex128)
             swap[[x, y], [x, y]] = 0.0
             swap[x, y] = swap[y, x] = 1.0
-            moved = conjugate(swap, measure.atom(x))
+            moved = ConjugatedDiagonalOperator(swap, measure.atom(x).diag)
             dev = max(dev, (moved - measure.atom(y)).norm())
         results.append(("singleton-conjugacy", "T3.1", dev, scn.tolerances.conjugated))
     return results
@@ -503,13 +504,12 @@ def pairwise_product_bound(diags: np.ndarray, gram_defect: np.ndarray) -> float:
 
 
 def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    ctx_rep = conjugate(scn.conjugator, scn.representation)
-    w = scn.conjugator
+    w = scn.conjugated.conjugator
     n = scn.rep_space.dimension
     gram_defect = w @ w.conj().T - np.eye(n)
     dev = 0.0
     for subset in scn.frame.admissible():
-        measure = ctx_rep.spectral_measure(subset)
+        measure = scn.conjugated.spectral_measure(subset)
         k = measure.npoints
         dev = max(dev, measure.empty().norm())
         dev = max(dev, (measure.total() - identity_operator(n)).norm())
@@ -534,19 +534,16 @@ def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    rep = scn.representation
-    rep_conj = conjugate(scn.conjugator, rep)
     if space.dimension > DENSE_ROUTE_LIMIT:
         return []  # dense cross route unaffordable; covered by conjugated-pvm bound
     dev = 0.0
     for subset in scn.frame.admissible():
         rng = _rng(scn, f"covariance-{sorted(map(str, subset))}")
-        plain_measure = rep.spectral_measure(subset)
-        conj_measure = rep_conj.spectral_measure(subset)
-        k = plain_measure.npoints
+        conj_measure = scn.conjugated.spectral_measure(subset)
+        k = conj_measure.npoints
         for _ in range(5):
             members = sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})
-            direct = conjugate(scn.conjugator, plain_measure.projection(members)).to_dense()
+            direct = conj_measure.projection(members).to_dense()
             # independent route: dense sum of conjugated atoms
             acc = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
             for b in members:
@@ -556,20 +553,19 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
             lhs = np.zeros_like(acc)
             for b in range(k):
                 lhs += f.values[b] * conj_measure.atom(b).to_dense()
-            rhs = conjugate(scn.conjugator, integrate(f, plain_measure)).to_dense()
+            rhs = integrate(f, conj_measure).to_dense()
             dev = max(dev, float(np.linalg.norm(lhs - rhs, 2)))
     return [("conjugation-covariance", "P3.4", dev, scn.tolerances.conjugated)]
 
 
 def _check_conjugated_trace(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    rep_conj = conjugate(scn.conjugator, scn.representation)
     if space.dimension > DENSE_ROUTE_LIMIT:
         return []
     dev = 0.0
     for subset in _nonempty_subsets(scn):
         rng = _rng(scn, f"conj-trace-{sorted(map(str, subset))}")
-        measure = rep_conj.spectral_measure(subset)
+        measure = scn.conjugated.spectral_measure(subset)
         k = measure.npoints
         fiber = space.dimension // k
         for _ in range(5):
@@ -585,7 +581,7 @@ def _check_conjugated_trace(scn: Scenario) -> list[tuple[str, str, float, float]
 
 
 def _check_action_weight(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    report = validate_action_weight(scn.weight, tol=scn.tolerances.dynamics, seed=derive_seed(scn.seed, "weight"))
+    report = validate_action_weight(scn.weight, tol=scn.tolerances.dynamics)
     dev = max(report.unimodular, report.cocycle, report.null_subset)
     return [("action-weight-laws", "D4.1", dev, scn.tolerances.dynamics)]
 
@@ -629,7 +625,7 @@ def _check_commutation(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 
 def _check_conjugated_dynamics(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    report = commutant_witness(scn.weight, scn.representation, scn.conjugator, tol=scn.tolerances.conjugated)
+    report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=scn.tolerances.conjugated)
     conjugated = max(report.same_rep_commutator, report.covariance)
     if scn.witness_threshold is None:
         # informational: record the witness value, pass unconditionally
@@ -743,16 +739,9 @@ _SUITES: dict[str, list[Callable[[Scenario], list[tuple[str, str, float, float]]
     ],
 }
 
-_NEEDS_CONJUGATOR = {
-    "_check_conjugated_pvm",
-    "_check_conjugation_covariance",
-    "_check_conjugated_trace",
-    "_check_conjugated_dynamics",
-}
-
 
 def _enabled(scn: Scenario, fn: Callable) -> bool:
-    if fn.__name__ in _NEEDS_CONJUGATOR and scn.conjugator is None:
+    if scn.conjugated is None and (fn in _SUITES["conjugation"] or fn is _check_conjugated_dynamics):
         return False
     if fn in _SUITES["lagrangian"] and scn.lagrangian is None:
         return False

@@ -316,12 +316,12 @@ def test_criterion_07_commutation_and_witness(demo):
             same = max(same, (u @ v - v @ u).norm())
     witness_scn = load_scenario("witness")
     report = commutant_witness(
-        witness_scn.weight, witness_scn.representation, witness_scn.conjugator, tol=1e-12
+        witness_scn.weight, witness_scn.representation, witness_scn.conjugated, tol=1e-12
     )
     # dense-matrix oracle for the designed witness: diag(1,-1) against its
     # Hadamard conjugate
     u = np.diag([1.0, -1.0]).astype(np.complex128)
-    h = witness_scn.conjugator
+    h = witness_scn.conjugated.conjugator
     u_conj = h.conj().T @ u @ h
     oracle = float(np.linalg.norm(u @ u_conj - u_conj @ u, 2))
     passed = same < 1e-12 and report.witness > 0.1 and abs(report.witness - oracle) < 1e-12

@@ -15,6 +15,7 @@ from evogrid import (
     action_from_lagrangian,
     check_group_law,
     commutant_witness,
+    conjugate,
     evolution_unitary,
     load_scenario,
     named_contraction,
@@ -108,6 +109,23 @@ def test_non_unimodular_weight_flagged(weighted_space):
     assert not report.passed
 
 
+def test_cocycle_checked_at_every_point_beyond_ten_thousand(m2):
+    # 101 x 101 = 10,201 full points; the only bad cocycle point is index 98
+    from evogrid import GridEvolutionSpace, TimeFrame
+
+    ident = GridPointMap.identity(m2)
+    space = GridEvolutionSpace(TimeFrame(("1", "2"), (1.0, 1.0)), ((ident,) * 101, (ident,) * 101))
+    assert space.dimension == 10_201
+    functions = {s: space.constant(s, 1.0) for s in space.frame.admissible()}
+    values = np.ones(space.dimension, dtype=np.complex128)
+    values[98] = -1.0
+    functions[space.full] = space.function(space.full, values)
+    report = validate_action_weight(ActionWeight(space, functions), tol=1e-12)
+    assert report.unimodular == 0.0
+    assert report.cocycle == 2.0
+    assert not report.passed
+
+
 # -- evolution unitaries ---------------------------------------------------------
 
 
@@ -172,10 +190,15 @@ def test_same_representation_unitaries_commute(weighted_space, rep8):
 def test_conjugation_covariance_of_unitaries(weighted_space, rep8):
     weight = make_weight(weighted_space)
     w = SplitMix64(23).haar_unitary(8)
-    report = commutant_witness(weight, rep8, w, tol=1e-12)
+    moved = conjugate(w, rep8)
+    report = commutant_witness(weight, rep8, moved, tol=1e-12)
     assert report.same_rep_commutator <= 1e-14
     assert report.covariance <= 1e-12
     assert report.passed
+    # the first representation must be the unconjugated one
+    for rep, other in ((moved, moved), (rep8, rep8)):
+        with pytest.raises(StructureError):
+            commutant_witness(weight, rep, other)
 
 
 def test_commutant_witness_frozen_value(m2):
@@ -194,7 +217,7 @@ def test_commutant_witness_frozen_value(m2):
         frozenset({"1"}): space.function({"1"}, [1.0, -1.0]),
     }
     weight = ActionWeight(space, functions)
-    report = commutant_witness(weight, rep, HADAMARD, tol=1e-12)
+    report = commutant_witness(weight, rep, conjugate(HADAMARD, rep), tol=1e-12)
     assert report.witness == pytest.approx(2.0, abs=1e-12)
     assert report.witness_pair == (("1",), ("1",))
     # independent dense oracle for the same commutator

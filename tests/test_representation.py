@@ -9,15 +9,20 @@ from evogrid import (
     DenseOperator,
     DiagonalOperator,
     DomainError,
+    GridEvolutionSpace,
     GridPoint,
+    GridPointMap,
     PreconditionError,
+    PureRepresentation,
     StructureError,
     RepresentationSpace,
+    TimeFrame,
     conjugate,
     embed_eta,
     identity_operator,
     integrate,
     matrix_element,
+    named_contraction,
     projection_rank,
     pullback,
     pushforward,
@@ -64,8 +69,9 @@ def test_conjugated_diagonal_matches_dense_conjugation():
 
 
 def test_conjugate_requires_unitary():
-    with pytest.raises(PreconditionError):
-        conjugate(np.array([[1.0, 0.0], [0.0, 2.0]]), DiagonalOperator(np.ones(2)))
+    # conjugation acts on representations only; operators carry their pair
+    with pytest.raises(StructureError):
+        conjugate(HADAMARD, DiagonalOperator(np.ones(2)))
     with pytest.raises(StructureError):
         ConjugatedDiagonalOperator(HADAMARD, np.ones(3))
 
@@ -362,11 +368,14 @@ def test_distinct_functions_have_distinct_operators(rep4, small_space):
 # -- conjugation --------------------------------------------------------------
 
 
-def test_conjugate_diagonal_operator():
-    d = DiagonalOperator([1.0, -1.0])
-    moved = conjugate(HADAMARD, d)
+def test_conjugate_diagonal_operator(m2):
+    frame = TimeFrame(("1",), (1.0,))
+    space = GridEvolutionSpace(frame, ((GridPointMap.identity(m2), named_contraction("trace_average", m2)),))
+    rep = PureRepresentation(RepresentationSpace(space))
+    f = space.function(space.full, [1.0, -1.0])
+    moved = conjugate(HADAMARD, rep).represent(f)
     assert isinstance(moved, ConjugatedDiagonalOperator)
-    expected = HADAMARD.conj().T @ d.to_dense() @ HADAMARD
+    expected = HADAMARD.conj().T @ rep.represent(f).to_dense() @ HADAMARD
     assert np.allclose(moved.to_dense(), expected, atol=1e-15)
 
 

@@ -148,14 +148,6 @@ def test_haar_unitary_is_unitary_and_deterministic():
     assert np.allclose(np.diagonal(r).imag, 0.0, atol=1e-12)
 
 
-def test_sample_indices_distinct_and_in_range():
-    r = SplitMix64(31)
-    idx = r.sample_indices(10, 10)
-    assert sorted(idx) == list(range(10))
-    with pytest.raises(ValueError):
-        r.sample_indices(3, 4)
-
-
 def test_fnv1a64_known_answers():
     # reference FNV-1a 64-bit values
     assert fnv1a64("") == 0xCBF29CE484222325

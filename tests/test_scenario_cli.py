@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from evogrid import (
 )
 from evogrid.cli import main
 from evogrid.scenario import decode_matrix, encode_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def minimal_config(**overrides):
@@ -55,7 +61,7 @@ def test_minimal_config_loads():
     scn = load_scenario(minimal_config())
     assert scn.name == "tiny"
     assert scn.space.dimension == 2
-    assert scn.conjugator is None
+    assert scn.conjugated is None
     assert scn.lagrangian is None
 
 
@@ -137,11 +143,11 @@ def test_builtin_scenarios_load_and_differ():
     witness = load_scenario("witness")
     assert demo.space.dimension == 12
     assert demo.lagrangian is not None
-    assert demo.conjugator is not None
+    assert demo.conjugated is not None
     assert witness.witness_threshold == 0.1
-    assert witness.conjugator is not None
+    assert witness.conjugated is not None
     assert np.allclose(
-        witness.conjugator @ witness.conjugator.conj().T, np.eye(2), atol=1e-12
+        witness.conjugated.conjugator @ witness.conjugated.conjugator.conj().T, np.eye(2), atol=1e-12
     )
     assert demo.fingerprint != witness.fingerprint
 
@@ -324,6 +330,37 @@ def test_cli_exit_code_on_non_finite_deviation(monkeypatch):
     assert main(["verify", "demo"]) == 5
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [[[1.0, 0.0]]]],
+    ids=["non-unitary", "wrong-size"],
+)
+def test_cli_exit_code_on_bad_conjugator_matrix(tmp_path, matrix):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(minimal_config(conjugator={"matrix": matrix})))
+    assert main(["verify", str(path)]) == 2
+
+
+def test_each_conjugator_is_checked_once(monkeypatch, tmp_path):
+    # the conjugated representation checks W when the scenario builds it;
+    # suites, the commutant witness and compute read it without checking again
+    import evogrid.representation as representation
+
+    calls = []
+    original = representation.check_unitary
+
+    def counting(u):
+        calls.append(np.shape(u))
+        return original(u)
+
+    monkeypatch.setattr(representation, "check_unitary", counting)
+    run_suite(load_scenario("demo"), ["all"])
+    assert calls == [(12, 12)]
+    calls.clear()
+    assert main(["compute", "demo", "--subsets", "1,2;3;-", "--out", str(tmp_path / "ops.json")]) == 0
+    assert calls == [(12, 12)]
+
+
 def test_cli_exit_code_on_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("EVOGRID_DENSE_CAP", "4")
     assert main(["verify", "demo", "--suite", "algebra"]) == 3
@@ -420,3 +457,22 @@ def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
     out = tmp_path / "report.jsonl"
     assert main(["verify", "demo", "--suite", "spectral", "--suite", "lagrangian", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_SPECTRAL_LAGRANGIAN_SHA256
+
+
+# stdout of two commands whose dense conjugated products round differently
+# under another BLAS thread count, so each runs in a fresh one-thread process
+CONJUGATED_OUTPUT_SHA256 = {
+    ("verify", "demo", "--suite", "conjugation", "--suite", "dynamics"):
+        "f4ed342c2bf6320cb577745a1424f3c3032920b3c0d2f7717513f44642b512ec",
+    ("compute", "demo", "--subsets", "1,2;3;-"):
+        "98eededf26b34aff1b8c011983fe2421ce2f2b3b902f3c25217de4764195ed15",
+}
+
+
+@pytest.mark.parametrize("argv", list(CONJUGATED_OUTPUT_SHA256), ids=["verify", "compute"])
+def test_cli_conjugated_output_bytes_are_pinned_at_one_blas_thread(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-m", "evogrid.cli", *argv], env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == CONJUGATED_OUTPUT_SHA256[argv]
