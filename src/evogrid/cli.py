@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+
+import numpy as np
 
 from .dynamics import evolution_unitary
 from .errors import CapExceededError, ConfigError, DomainError, EvogridError
 from .representation import DiagonalOperator
-from .scenario import BUILTIN_NAMES, builtin_scenario, canonical_json, encode_matrix, load_scenario
+from .scenario import BUILTIN_NAMES, builtin_scenario, canonical_json, load_scenario
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -79,8 +82,53 @@ def _parse_subsets(raw: str) -> list[list[str]]:
 
 def _operator_payload(op) -> dict:
     if isinstance(op, DiagonalOperator):
-        return {"kind": "diagonal", "diagonal": encode_matrix(op.diag)}
-    return {"kind": "dense", "matrix": encode_matrix(op.to_dense())}
+        return {"kind": "diagonal", "diagonal": op.diag}
+    return {"kind": "dense", "matrix": op.to_dense()}
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _array_json(a: np.ndarray, level: int) -> str:
+    """A complex array as `encode_matrix` nests it, in `_indented_json`'s layout.
+
+    Every float is formatted by `float.__repr__`, as json does; the texts are
+    then joined innermost first: [re, im] pairs, then each axis of `a`.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    floats = a.view(np.float64).ravel()
+    items = list(map(float.__repr__, floats.tolist()))
+    if not np.isfinite(floats).all():
+        items = [_NON_FINITE.get(text, text) for text in items]
+    inner = "\n" + "  " * (level + a.ndim + 1)
+    sep, close = "," + inner, "\n" + "  " * (level + a.ndim) + "]"
+    items = [f"[{inner}{re}{sep}{im}{close}" for re, im in zip(items[0::2], items[1::2])]
+    for axis in reversed(range(a.ndim)):
+        n, count = a.shape[axis], math.prod(a.shape[:axis])
+        if n == 0:
+            items = ["[]"] * count
+            continue
+        inner = "\n" + "  " * (level + axis + 1)
+        sep, close = "," + inner, "\n" + "  " * (level + axis) + "]"
+        items = ["[" + inner + sep.join(items[i : i + n]) + close for i in range(0, count * n, n)]
+    return items[0]
+
+
+def _indented_json(obj, level: int = 0) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` at nesting `level`, byte for
+    byte, with each ndarray written as its `encode_matrix` lists would be."""
+    if isinstance(obj, np.ndarray):
+        return _array_json(obj, level)
+    if not obj or not isinstance(obj, (dict, list)):
+        return json.dumps(obj)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(key)}: {_indented_json(obj[key], level + 1)}" for key in sorted(obj)]
+        brackets = "{}"
+    else:
+        items = [_indented_json(item, level + 1) for item in obj]
+        brackets = "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
 
 
 def _cmd_verify(args) -> int:
@@ -118,7 +166,7 @@ def _cmd_compute(args) -> int:
         "conjugated": scenario.conjugated is not None,
         "operators": operators,
     }
-    _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+    _emit(_indented_json(doc), args.out)
     return 0
 
 

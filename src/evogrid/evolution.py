@@ -51,6 +51,7 @@ __all__ = [
     "GridEvolutionSpace",
     "GridFunction",
     "pullback",
+    "pullback_rows",
     "named_contraction",
     "contraction_norm_estimate",
 ]
@@ -535,15 +536,27 @@ class GridFunction:
 def pullback(f: GridFunction) -> GridFunction:
     """Extend `f` to the full label set by composing with restriction.
 
-    The value vector is reshaped onto the axes of its subset and broadcast
-    over the remaining axes, so values are copied bit for bit and the sup
-    norm is preserved exactly.
+    The one-row case of `pullback_rows`: values are copied bit for bit and
+    the sup norm is preserved exactly.
     """
-    space = f.space
+    return GridFunction(f.space, f.space.full, pullback_rows(f.space, f.subset, f.values[None])[0])
+
+
+def pullback_rows(space: GridEvolutionSpace, subset, values: np.ndarray) -> np.ndarray:
+    """Pull back an (m, npoints(subset)) block of value rows to (m, N).
+
+    Each row, in linear-index order over the subset, is reshaped onto the
+    subset's axes and broadcast over the remaining axes; the restriction
+    table is never read.  The result is C-ordered with the input's dtype.
+    """
+    values = np.asarray(values)
+    subset = _as_frozenset(subset)
+    if values.ndim != 2 or values.shape[1] != space.npoints(subset):
+        raise StructureError(f"value rows have shape {values.shape}, expected (m, {space.npoints(subset)})")
     full_shape = space.full_shape()
-    axes = space.axes(f.subset)
     shape = [1] * len(full_shape)
-    for ax in axes:
+    for ax in space.axes(subset):
         shape[ax] = full_shape[ax]
-    cube = np.broadcast_to(f.values.reshape(shape), full_shape)
-    return GridFunction(space, space.full, np.ascontiguousarray(cube).ravel())
+    m = values.shape[0]
+    cube = np.broadcast_to(values.reshape(m, *shape), (m, *full_shape))
+    return np.ascontiguousarray(cube).reshape(m, math.prod(full_shape))

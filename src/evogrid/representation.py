@@ -16,9 +16,9 @@ subset's restriction table: each full point takes the value at the point of
 T it restricts to.  Projections, atoms, the batch `diagonals` of many point
 sets and spectral integrals are all that gather.
 
-`pullback`, and `embed_eta` on top of it, is the independent second route:
-it broadcasts the values over the axes outside T and never reads the table.
-The checks pair the two routes: `factorization` compares integrals with
+`pullback_rows`, with `pullback` and `embed_eta` as its one-row cases, is
+the independent second route: it broadcasts the values over the axes
+outside T and never reads the table.  The checks pair the two routes: `factorization` compares integrals with
 represented pullbacks, and `embedding` and `embedding-measure` compare
 embedded functions and projections with integrals and measure diagonals.
 `spectral-sum` pins the gather to the explicit sum of value-scaled atoms,
@@ -41,7 +41,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import CapExceededError, DomainError, PreconditionError, StructureError
-from .evolution import GridEvolutionSpace, GridFunction, GridPoint, pullback
+from .evolution import GridEvolutionSpace, GridFunction, GridPoint, pullback_rows
 
 __all__ = [
     "DENSE_CAP_DEFAULT",
@@ -448,8 +448,7 @@ def embed_eta(rep_space: RepresentationSpace, subset, op: DiagonalOperator) -> D
         raise DomainError("embedding is defined on diagonal operators of the small space")
     if op.dimension != space.npoints(target):
         raise DomainError("operator dimension does not match the subset's point count")
-    f = GridFunction(space, target, op.diag)
-    return DiagonalOperator(pullback(f).values)
+    return DiagonalOperator(pullback_rows(space, target, op.diag[None])[0])
 
 
 def matrix_element(E: SpectralMeasure, x, y, members: Iterable) -> complex:

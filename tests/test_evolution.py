@@ -16,6 +16,7 @@ from evogrid import (
     linear_map_matrix,
     named_contraction,
     pullback,
+    pullback_rows,
 )
 from evogrid.rng import SplitMix64
 
@@ -268,6 +269,26 @@ def test_pullback_agrees_with_pointwise_composition():
         for x in space.enumerate_points(space.full):
             r = space.restrict_point(x, subset)
             assert lifted.values[space.linear_index(x)] == f.values[space.linear_index(r)]
+
+
+def test_pullback_rows_pull_back_each_row():
+    # a block of rows, of any dtype, lifts row by row as pullback does
+    space = make_232_space()
+    rng = SplitMix64(11)
+    for subset in space.frame.admissible():
+        fs = [space.random_function(subset, rng) for _ in range(3)]
+        block = np.array([f.values for f in fs])
+        lifted = pullback_rows(space, subset, block)
+        assert lifted.shape == (3, space.dimension) and lifted.flags.c_contiguous
+        for f, row in zip(fs, lifted):
+            assert np.array_equal(row, pullback(f).values)
+        bits = pullback_rows(space, subset, block.real > 0)
+        assert bits.dtype == bool and np.array_equal(bits, lifted.real > 0)
+        assert pullback_rows(space, subset, block[:0]).shape == (0, space.dimension)
+    with pytest.raises(StructureError):
+        pullback_rows(space, {"1"}, np.zeros((2, space.npoints({"1"}) + 1)))
+    with pytest.raises(StructureError):
+        pullback_rows(space, {"1"}, np.zeros(space.npoints({"1"})))
 
 
 def test_function_value_length_enforced(small_space):

@@ -231,7 +231,7 @@ def test_integrate_matches_manual_sum(rep4, small_space):
 
 
 def test_integrate_and_pullback_routes_check_each_other(monkeypatch):
-    from evogrid import GridEvolutionSpace, GridFunction, load_scenario, representation
+    from evogrid import GridEvolutionSpace, load_scenario, suites
     from evogrid.suites import _check_embedding, _check_embedding_measure, _check_factorization, _check_matrix_elements
 
     checks = (_check_factorization, _check_embedding, _check_embedding_measure, _check_matrix_elements)
@@ -239,15 +239,15 @@ def test_integrate_and_pullback_routes_check_each_other(monkeypatch):
     for check in checks:
         assert check(scn)[0][2] == 0.0
     table = GridEvolutionSpace.restricted_index_array
-    broadcast = representation.pullback
-    # the measure gathers through the restriction table; pullback and
-    # embed_eta broadcast; matrix-elements restricts points one at a time
+    broadcast = suites.pullback_rows
+    # the measure gathers through the restriction table; pullback, embed_eta
+    # and pullback_rows broadcast; matrix-elements restricts points one at a time
     with monkeypatch.context() as m:
         m.setattr(GridEvolutionSpace, "restricted_index_array", lambda self, subset: table(self, subset)[::-1])
         for check in checks:
             assert check(scn)[0][2] > 0.0
     with monkeypatch.context() as m:
-        m.setattr(representation, "pullback", lambda f: GridFunction(f.space, f.space.full, broadcast(f).values[::-1]))
+        m.setattr(suites, "pullback_rows", lambda space, subset, values: broadcast(space, subset, values)[:, ::-1])
         assert _check_embedding_measure(scn)[0][2] > 0.0
 
 

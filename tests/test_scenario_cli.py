@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evogrid import (
     CapExceededError,
@@ -15,10 +18,11 @@ from evogrid import (
     builtin_scenario,
     canonical_json,
     load_scenario,
+    pullback_rows,
     run_suite,
     scenario_from_dict,
 )
-from evogrid.cli import main
+from evogrid.cli import _indented_json, main
 from evogrid.scenario import decode_matrix, encode_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -267,6 +271,25 @@ def test_sampled_point_sets_are_the_labeled_draws(monkeypatch):
         assert [sum(1 << int(b) for b in np.flatnonzero(row)) for row in drawn[label]] == ids
 
 
+def test_embedding_measure_catches_swapped_broadcast_axes(monkeypatch):
+    # the lifted side broadcasts, the measure side gathers; a broadcast that
+    # swaps two grid axes permutes the lifted diagonals and must show
+    from evogrid import suites
+
+    scn = load_scenario("demo")
+    assert suites._check_embedding_measure(scn)[0][2] == 0.0
+
+    def swapped(space, subset, values):
+        rows = pullback_rows(space, subset, values)
+        cube = rows.reshape(len(rows), *space.full_shape())
+        return np.ascontiguousarray(cube.swapaxes(1, 2)).reshape(len(rows), -1)
+
+    monkeypatch.setattr(suites, "pullback_rows", swapped)
+    [(check, _, deviation, tolerance)] = suites._check_embedding_measure(scn)
+    assert check == "embedding-measure"
+    assert deviation > tolerance
+
+
 def test_report_body_is_deterministic():
     scn = load_scenario("demo")
     body1 = run_suite(scn, ["algebra"]).body_lines()
@@ -359,6 +382,7 @@ def test_each_conjugator_is_checked_once(monkeypatch, tmp_path):
     calls.clear()
     assert main(["compute", "demo", "--subsets", "1,2;3;-", "--out", str(tmp_path / "ops.json")]) == 0
     assert calls == [(12, 12)]
+    assert_indented_json((tmp_path / "ops.json").read_text())
 
 
 def test_cli_exit_code_on_cap(tmp_path, monkeypatch):
@@ -390,9 +414,42 @@ def test_cli_exit_code_on_inadmissible_subset(tmp_path):
     assert main(["compute", str(path), "--subsets", "2"]) == 4
 
 
+def assert_indented_json(text: str) -> None:
+    """compute writes exactly what json.dumps(sort_keys=True, indent=2) would."""
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
+
+
+# raw float64 bit patterns, plus the values whose text is easiest to get wrong
+SPECIAL_FLOAT_BITS = np.array(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16, 1e-7, 0.1, 1e22,
+     float("nan"), float("inf"), float("-inf")],
+    dtype=np.float64,
+).view(np.uint64).tolist()
+float_bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(SPECIAL_FLOAT_BITS))
+
+
+@st.composite
+def complex_arrays(draw):
+    shape = draw(st.lists(st.integers(0, 7), min_size=1, max_size=2).map(tuple))
+    bits = draw(st.lists(float_bits, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
+    return np.array(bits, dtype=np.uint64).view(np.complex128).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_arrays())
+def test_array_writer_matches_indented_json_dumps(a):
+    # the same payload at nesting levels 0 to 3, through lists and a dict
+    doc, oracle = a, encode_matrix(a)
+    for wrap in (lambda x: [x], lambda x: {"b": 1, "a": x}, lambda x: [True, x, "s"]):
+        assert _indented_json(doc) == json.dumps(oracle, sort_keys=True, indent=2)
+        doc, oracle = wrap(doc), wrap(oracle)
+    assert _indented_json(doc) == json.dumps(oracle, sort_keys=True, indent=2)
+
+
 def test_cli_compute_satisfies_group_law(tmp_path):
     out = tmp_path / "ops.json"
     assert main(["compute", "demo", "--subsets", "1;2;1,2;-", "--out", str(out)]) == 0
+    assert_indented_json(out.read_text())
     doc = json.loads(out.read_text())
     assert doc["conjugated"] is True
     by_times = {tuple(op["times"]): op for op in doc["operators"]}
@@ -415,6 +472,7 @@ def test_cli_compute_diagonal_without_conjugator(tmp_path):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "ops.json"
     assert main(["compute", str(path), "--subsets", "1", "--out", str(out)]) == 0
+    assert_indented_json(out.read_text())
     doc = json.loads(out.read_text())
     op = doc["operators"][0]
     assert op["kind"] == "diagonal"
@@ -459,20 +517,30 @@ def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_SPECTRAL_LAGRANGIAN_SHA256
 
 
-# stdout of two commands whose dense conjugated products round differently
-# under another BLAS thread count, so each runs in a fresh one-thread process
+# stdout of commands whose dense conjugated products round differently
+# under another BLAS thread count, so each runs in a fresh one-thread process;
+# LADDER_2X8 names the file written from evobench's ladder rung 2x8 (N = 64)
+LADDER_2X8 = "ladder-2x8.json"
 CONJUGATED_OUTPUT_SHA256 = {
     ("verify", "demo", "--suite", "conjugation", "--suite", "dynamics"):
         "f4ed342c2bf6320cb577745a1424f3c3032920b3c0d2f7717513f44642b512ec",
     ("compute", "demo", "--subsets", "1,2;3;-"):
         "98eededf26b34aff1b8c011983fe2421ce2f2b3b902f3c25217de4764195ed15",
+    ("compute", LADDER_2X8, "--subsets", "1,2;1;-"):
+        "70d1b8a55ece3e7f9b73ca3dc10f85a7633e84b3443789c5bf61879fadcf0094",
 }
 
 
-@pytest.mark.parametrize("argv", list(CONJUGATED_OUTPUT_SHA256), ids=["verify", "compute"])
-def test_cli_conjugated_output_bytes_are_pinned_at_one_blas_thread(argv):
+@pytest.mark.parametrize("argv", list(CONJUGATED_OUTPUT_SHA256), ids=["verify", "compute", "compute-ladder-2x8"])
+def test_cli_conjugated_output_bytes_are_pinned_at_one_blas_thread(argv, tmp_path):
+    from evobench.ladder import ladder_config
+
+    (tmp_path / LADDER_2X8).write_text(json.dumps(ladder_config(2, 8), sort_keys=True))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    result = subprocess.run([sys.executable, "-m", "evogrid.cli", *argv], env=env, capture_output=True, timeout=120)
+    result = subprocess.run([sys.executable, "-m", "evogrid.cli", *argv], env=env, capture_output=True, timeout=120,
+                            cwd=tmp_path)
     assert result.returncode == 0, result.stderr
+    if argv[0] == "compute":
+        assert_indented_json(result.stdout.decode("utf-8").removesuffix("\n"))
     assert hashlib.sha256(result.stdout).hexdigest() == CONJUGATED_OUTPUT_SHA256[argv]
