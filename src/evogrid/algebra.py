@@ -215,6 +215,9 @@ class Automorphism:
         if len(mats) != len(dims):
             raise StructureError("one unitary per block is required")
         for u in mats:
+            # a non-finite entry would reach the SVD below, which does not converge
+            if not np.isfinite(u).all():
+                raise StructureError("block matrix has non-finite entries")
             defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2)
             if defect > UNITARY_TOL:
                 raise StructureError(f"block matrix is not unitary (defect {defect:.2e})")

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, StructureError
+from .errors import DataError, DomainError, PreconditionError, StructureError
 from .evolution import GridEvolutionSpace, GridFunction
 from .representation import (
     ConjugatedDiagonalOperator,
@@ -56,6 +56,20 @@ _G_REGISTRY: dict[str, Callable[[complex], float]] = {
     "abs2": lambda z: abs(z) ** 2,
     "re": lambda z: z.real,
 }
+
+
+def nan_max(*values: float) -> float:
+    """The largest value, or NaN when any value is NaN.
+
+    Built-in `max` keeps its running value whenever a comparison with NaN is
+    false, so a NaN deviation after the first vanishes from the maximum.
+    Without NaN this returns exactly what `max` returns.
+    """
+    worst = values[0]
+    for value in values[1:]:
+        if value > worst or value != value:
+            worst = value
+    return worst
 
 
 def resolve_g(spec) -> Callable[[complex], float]:
@@ -101,6 +115,9 @@ class ActionWeight:
         if missing:
             names = sorted(sorted(map(str, s)) for s in missing)
             raise StructureError(f"weight missing admissible subsets: {names}")
+        for subset, f in table.items():
+            if not np.isfinite(f.values).all():
+                raise DataError(f"weight on subset {sorted(map(str, subset))} has non-finite values")
         object.__setattr__(self, "functions", table)
 
     def domain(self) -> tuple[frozenset, ...]:
@@ -142,9 +159,9 @@ def validate_action_weight(weight: ActionWeight, tol: float = 1e-12) -> ActionWe
     pulled: dict[frozenset, np.ndarray] = {}
     for subset in weight.domain():
         f = weight.function(subset)
-        unimodular = max(unimodular, float(np.max(np.abs(np.abs(f.values) - 1.0))) if f.values.size else 0.0)
+        unimodular = nan_max(unimodular, float(np.max(np.abs(np.abs(f.values) - 1.0))) if f.values.size else 0.0)
         if frame.mu(subset) == 0.0:
-            null_subset = max(null_subset, float(np.max(np.abs(f.values - 1.0))))
+            null_subset = nan_max(null_subset, float(np.max(np.abs(f.values - 1.0))))
         pulled[subset] = f.values[space.restricted_index_array(subset)]
 
     cocycle = 0.0
@@ -156,7 +173,7 @@ def validate_action_weight(weight: ActionWeight, tol: float = 1e-12) -> ActionWe
                 continue
             union = t1 | t2
             dev = np.max(np.abs(pulled[union] - pulled[t1] * pulled[t2]))
-            cocycle = max(cocycle, float(dev))
+            cocycle = nan_max(cocycle, float(dev))
             pairs += 1
     return ActionWeightReport(unimodular, cocycle, null_subset, tol, pairs)
 
@@ -236,7 +253,8 @@ def commutant_witness(
     ||U'_T - W* U_T W||.  The witness value is the largest commutator norm
     between a unitary of the original representation and one of the
     conjugated representation: a strictly positive value exhibits an
-    operator outside the commutant of the conjugated family.
+    operator outside the commutant of the conjugated family.  Its pair is
+    the first maximal one with the original subset varying slowest.
     """
     if rep.conjugator is not None or conjugated.conjugator is None:
         raise StructureError("commutant_witness compares an unconjugated representation with a conjugated one")
@@ -247,21 +265,24 @@ def commutant_witness(
     same = 0.0
     for i, s1 in enumerate(domain):
         for s2 in domain[i:]:
-            same = max(same, (plain[s1] @ plain[s2] - plain[s2] @ plain[s1]).norm())
+            same = nan_max(same, (plain[s1] @ plain[s2] - plain[s2] @ plain[s1]).norm())
 
     covariance = 0.0
     for s in domain:
         direct = ConjugatedDiagonalOperator(conjugated.conjugator, plain[s].diag)
-        covariance = max(covariance, (twisted[s] - direct).norm())
+        covariance = nan_max(covariance, (twisted[s] - direct).norm())
 
+    # one twisted dense matrix live at a time; each commutator is the pair of
+    # products DiagonalOperator @ dense and dense @ DiagonalOperator form
     witness = -1.0
-    witness_pair: tuple = ()
-    for s1 in domain:
-        for s2 in domain:
-            value = (plain[s1] @ twisted[s2] - twisted[s2] @ plain[s1]).norm()
-            if value > witness:
-                witness = value
-                witness_pair = (tuple(map(str, weight.space.frame.ordered(s1))),
-                                tuple(map(str, weight.space.frame.ordered(s2))))
+    best = None
+    for i2, s2 in enumerate(domain):
+        t2 = twisted[s2].to_dense()
+        for i1, s1 in enumerate(domain):
+            p1 = np.diag(plain[s1].diag)
+            value = float(np.linalg.norm(p1 @ t2 - t2 @ p1, 2))
+            # keep the first maximal pair in s1-major order
+            if value > witness or (value == witness and (i1, i2) < best):
+                witness, best = value, (i1, i2)
+    witness_pair = () if best is None else tuple(tuple(map(str, weight.space.frame.ordered(domain[i]))) for i in best)
     return CommutantReport(same, covariance, witness, witness_pair, tol)
-

@@ -84,6 +84,9 @@ def _frozen_square(m) -> np.ndarray:
 def check_unitary(u: np.ndarray) -> None:
     tol = 1e-10
     u = np.asarray(u)
+    # a non-finite entry would reach the SVD below, which does not converge
+    if not np.isfinite(u).all():
+        raise PreconditionError("matrix has non-finite entries")
     gram = u.conj().T @ u - np.eye(u.shape[0])
     # the Frobenius norm bounds the 2-norm above, so it may accept alone;
     # only a matrix it cannot accept pays for the SVD

@@ -11,6 +11,12 @@ different BLAS thread count, so their values and the body bytes change with
 it.  Runtimes are recorded per check but kept out of the report body so that
 identical runs produce identical bytes.
 
+Checks build each dense conjugated matrix once: `conjugation-covariance`
+draws all five samples of a subset first, then adds each dense atom, in
+ascending order, into every sample's atom sum and value-weighted sum, the
+same IEEE sums as one sample at a time.  Running maxima go through
+`nan_max`, so a NaN deviation reaches the runner, which aborts.
+
 Check identifiers are stable strings; each record also carries a short law
 tag (T3.2, C3.3, ...) used to group related identities across suites.
 """
@@ -37,6 +43,7 @@ from .dynamics import (
     check_group_law,
     commutant_witness,
     evolution_unitary,
+    nan_max,
     validate_action_weight,
 )
 from .errors import DomainError
@@ -184,7 +191,7 @@ def _check_automorphism_laws(scn: Scenario) -> list[tuple[str, str, float, float
     for k in range(20):
         alpha = Automorphism.haar(scn.algebra, rng)
         report = verify_automorphism(alpha, sample_count=5, seed=derive_seed(scn.seed, f"aut-{k}"), tol=scn.tolerances.unitary)
-        worst = max(worst, report.multiplicative, report.star_preserving, report.unital, report.isometric)
+        worst = nan_max(worst, report.multiplicative, report.star_preserving, report.unital, report.isometric)
     return [("automorphism-laws", "T2.1", worst, scn.tolerances.unitary)]
 
 
@@ -208,10 +215,10 @@ def _check_compose(scn: Scenario) -> list[tuple[str, str, float, float]]:
         left = compose_automorphisms(compose_automorphisms(a1, a2), a3)
         right = compose_automorphisms(a1, compose_automorphisms(a2, a3))
         x = scn.algebra.random_element(rng)
-        dev = max(dev, (left.apply(x) - right.apply(x)).norm())
-        dev = max(dev, (compose_automorphisms(a1, a2).apply(x) - a1.apply(a2.apply(x))).norm())
+        dev = nan_max(dev, (left.apply(x) - right.apply(x)).norm())
+        dev = nan_max(dev, (compose_automorphisms(a1, a2).apply(x) - a1.apply(a2.apply(x))).norm())
         inv = compose_automorphisms(a1, a1.inverse())
-        dev = max(dev, (inv.apply(x) - x).norm())
+        dev = nan_max(dev, (inv.apply(x) - x).norm())
     return [("compose-associativity", "T2.1", dev, scn.tolerances.conjugated)]
 
 
@@ -220,7 +227,7 @@ def _check_cstar_norm(scn: Scenario) -> list[tuple[str, str, float, float]]:
     dev = 0.0
     for _ in range(10):
         a = scn.algebra.random_element(rng)
-        dev = max(dev, abs((a.star() @ a).norm() - a.norm() ** 2))
+        dev = nan_max(dev, abs((a.star() @ a).norm() - a.norm() ** 2))
     return [("cstar-norm", "S2", dev, scn.tolerances.unitary)]
 
 
@@ -233,13 +240,13 @@ def _check_weakstar(scn: Scenario) -> list[tuple[str, str, float, float]]:
         t1 = ElementaryTensor(algebra, ((algebra.random_element(rng), algebra.random_functional(rng)),))
         t2 = ElementaryTensor(algebra, ((algebra.random_element(rng), algebra.random_functional(rng)),))
         joint = weakstar_pairing(alpha, t1 + t2)
-        dev = max(dev, abs(joint - weakstar_pairing(alpha, t1) - weakstar_pairing(alpha, t2)))
+        dev = nan_max(dev, abs(joint - weakstar_pairing(alpha, t1) - weakstar_pairing(alpha, t2)))
         # independent route: trace pairing through coordinate vectors
         m = linear_map_matrix(alpha)
         for a, g in t1.pairs:
             direct = g(alpha.apply(a))
             coords = np.concatenate([d.T.ravel() for d in g.densities]) @ (m @ algebra.coordinates(a))
-            dev = max(dev, abs(direct - coords))
+            dev = nan_max(dev, abs(direct - coords))
     return [("weakstar-pairing", "E2.1", dev, scn.tolerances.conjugated)]
 
 
@@ -250,7 +257,7 @@ def _check_grid_contraction(scn: Scenario) -> list[tuple[str, str, float, float]
             est = contraction_norm_estimate(
                 scn.space.map_at(t, j), seed=derive_seed(scn.seed, f"contraction-{pos}-{j}"), samples=16
             )
-            dev = max(dev, max(0.0, est - 1.0))
+            dev = nan_max(dev, 0.0, est - 1.0)
     return [("grid-contraction", "T2.1", dev, CONTRACTION_TOL)]
 
 
@@ -283,16 +290,16 @@ def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
     for subset in scn.frame.admissible():
         measure = rep.spectral_measure(subset)
         k = measure.npoints
-        dev = max(dev, measure.empty().norm())
-        dev = max(dev, (measure.total() - identity_operator(n)).norm())
+        dev = nan_max(dev, measure.empty().norm())
+        dev = nan_max(dev, (measure.total() - identity_operator(n)).norm())
         left, right, _ = _subset_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", k)
         if n > 1024:
             left, right = left[:500], right[:500]
         # exact 0/1 projection diagonals, one row per pair; int8 holds every
         # value of both laws, failing diagonals included
         p1, p2, inter, union = (measure.diagonals(rows).view(np.int8) for rows in (left, right, left & right, left | right))
-        dev = max(dev, float(np.max(np.abs(p1 * p2 - inter))))
-        dev = max(dev, float(np.max(np.abs(p1 + p2 - inter - union))))
+        dev = nan_max(dev, float(np.max(np.abs(p1 * p2 - inter))))
+        dev = nan_max(dev, float(np.max(np.abs(p1 + p2 - inter - union))))
     return [("pvm-axioms", "T3.1", dev, scn.tolerances.exact)]
 
 
@@ -313,7 +320,7 @@ def _check_pushforward(scn: Scenario) -> list[tuple[str, str, float, float]]:
         image = np.empty(space.dimension, dtype=np.int64)
         for x in full_points:
             image[space.linear_index(x)] = space.linear_index(space.restrict_point(x, subset))
-        dev = max(dev, float(np.max(measure.diagonals(rows) != rows[:, image])))
+        dev = nan_max(dev, float(np.max(measure.diagonals(rows) != rows[:, image])))
         for b in range(k):
             if projection_rank(measure.atom(b)) != fiber:
                 rank_bad += 1
@@ -336,7 +343,7 @@ def _check_spectral_sum(scn: Scenario) -> list[tuple[str, str, float, float]]:
             oracle = np.zeros(space.dimension, dtype=np.complex128)
             for b in range(measure.npoints):
                 oracle += f.values[b] * measure.atom(b).diag
-            dev = max(dev, float(np.max(np.abs(got - oracle))))
+            dev = nan_max(dev, float(np.max(np.abs(got - oracle))))
     return [("spectral-sum", "C3.7", dev, scn.tolerances.exact)]
 
 
@@ -351,7 +358,7 @@ def _check_factorization(scn: Scenario) -> list[tuple[str, str, float, float]]:
             f = space.random_function(subset, rng)
             via_integral = integrate(f, measure).diag
             via_pullback = rep.represent(pullback(f)).diag
-            dev = max(dev, float(np.max(np.abs(via_integral - via_pullback))))
+            dev = nan_max(dev, float(np.max(np.abs(via_integral - via_pullback))))
     return [("factorization", "C3.3", dev, scn.tolerances.exact)]
 
 
@@ -364,10 +371,10 @@ def _check_diagonal_calculus(scn: Scenario) -> list[tuple[str, str, float, float
     for _ in range(10):
         f = space.random_function(space.full, rng)
         g = space.random_function(space.full, rng)
-        dev = max(dev, (rep.represent(f * g) - rep.represent(f) @ rep.represent(g)).norm())
-        dev = max(dev, (rep.represent(f.conjugate()) - rep.represent(f).adjoint()).norm())
+        dev = nan_max(dev, (rep.represent(f * g) - rep.represent(f) @ rep.represent(g)).norm())
+        dev = nan_max(dev, (rep.represent(f.conjugate()) - rep.represent(f).adjoint()).norm())
     one = space.constant(space.full, 1.0)
-    dev = max(dev, (rep.represent(one) - identity_operator(n)).norm())
+    dev = nan_max(dev, (rep.represent(one) - identity_operator(n)).norm())
     return [("diagonal-calculus", "P3.5", dev, scn.tolerances.exact)]
 
 
@@ -377,7 +384,8 @@ def _check_injectivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
     n = space.dimension
     bad = 0
     masks = _point_sets(scn, "injectivity-full", n, 4096, 512)
-    seen = {rep.represent(pullback(space.function(space.full, m.astype(np.complex128)))).diag.tobytes() for m in masks}
+    lifted = pullback_rows(space, space.full, masks.astype(np.complex128))
+    seen = {rep.represent(space.function(space.full, row)).diag.tobytes() for row in lifted}
     if len(seen) != len(masks):
         bad += 1
     sub_bad = 0
@@ -405,10 +413,10 @@ def _check_embedding(scn: Scenario) -> list[tuple[str, str, float, float]]:
             f = space.random_function(subset, rng)
             small = theta_represent(f)
             lifted = embed_eta(scn.rep_space, subset, small)
-            dev = max(dev, float(np.max(np.abs(lifted.diag - integrate(f, measure).diag))))
-            norm_dev = max(norm_dev, abs(lifted.norm() - small.norm()))
+            dev = nan_max(dev, float(np.max(np.abs(lifted.diag - integrate(f, measure).diag))))
+            norm_dev = nan_max(norm_dev, abs(lifted.norm() - small.norm()))
         unit = embed_eta(scn.rep_space, subset, identity_operator(space.npoints(subset)))
-        dev = max(dev, (unit - identity_operator(space.dimension)).norm())
+        dev = nan_max(dev, (unit - identity_operator(space.dimension)).norm())
     return [
         ("embedding", "T3.8", dev, scn.tolerances.exact),
         ("embedding-isometry", "T3.8", norm_dev, scn.tolerances.exact),
@@ -425,7 +433,7 @@ def _check_embedding_measure(scn: Scenario) -> list[tuple[str, str, float, float
         # the lifted indicators broadcast over the other axes; the measure
         # gathers through the restriction table; entries are 0 or 1
         lifted = pullback_rows(scn.space, subset, rows)
-        dev = max(dev, float(np.any(lifted != measure.diagonals(rows))))
+        dev = nan_max(dev, float(np.any(lifted != measure.diagonals(rows))))
     return [("embedding-measure", "C3.9", dev, scn.tolerances.exact)]
 
 
@@ -451,7 +459,7 @@ def _check_matrix_elements(scn: Scenario) -> list[tuple[str, str, float, float]]
                 # oracle: restrict the basis point by hand, not through the table
                 image = space.restrict_point(space.point_from_index(space.full, x), subset)
                 expected = 1.0 if space.linear_index(image) in members else 0.0
-            dev = max(dev, abs(value - expected))
+            dev = nan_max(dev, abs(value - expected))
     return [("matrix-elements", "P3.5", dev, scn.tolerances.exact)]
 
 
@@ -475,7 +483,7 @@ def _check_singletons(scn: Scenario) -> list[tuple[str, str, float, float]]:
             swap[[x, y], [x, y]] = 0.0
             swap[x, y] = swap[y, x] = 1.0
             moved = ConjugatedDiagonalOperator(swap, measure.atom(x).diag)
-            dev = max(dev, (moved - measure.atom(y)).norm())
+            dev = nan_max(dev, (moved - measure.atom(y)).norm())
         results.append(("singleton-conjugacy", "T3.1", dev, scn.tolerances.conjugated))
     return results
 
@@ -497,8 +505,8 @@ def pairwise_product_bound(diags: np.ndarray, gram_defect: np.ndarray) -> float:
     step = 256
     for start in range(0, diags.shape[0], step):
         block = partial[start : start + step] @ diags.T
-        worst = max(worst, float(np.max(block)))
-    return math.sqrt(max(0.0, worst))
+        worst = nan_max(worst, float(np.max(block)))
+    return math.sqrt(nan_max(0.0, worst))
 
 
 def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
@@ -509,15 +517,15 @@ def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
     for subset in scn.frame.admissible():
         measure = scn.conjugated.spectral_measure(subset)
         k = measure.npoints
-        dev = max(dev, measure.empty().norm())
-        dev = max(dev, (measure.total() - identity_operator(n)).norm())
+        dev = nan_max(dev, measure.empty().norm())
+        dev = nan_max(dev, (measure.total() - identity_operator(n)).norm())
         total = 1 << k
         # every pair deviation E'(V1)E'(V2) - E'(V1 n V2) equals
         # W* D1 (W W* - I) D2 W on exact 0/1 diagonals, so a Frobenius
         # bound per pair covers the whole family in one pass
         if total <= 4096:
             diags = measure.diagonals(_bit_rows(range(total), k)).astype(np.float64)
-            dev = max(dev, pairwise_product_bound(diags, gram_defect))
+            dev = nan_max(dev, pairwise_product_bound(diags, gram_defect))
         # direct dense spot checks, the honest slow route
         if n <= DENSE_ROUTE_LIMIT:
             rng = _rng(scn, f"conjugated-pvm-{sorted(map(str, subset))}")
@@ -526,7 +534,7 @@ def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
                 p1 = measure.projection(np.flatnonzero(r1)).to_dense()
                 p2 = measure.projection(np.flatnonzero(r2)).to_dense()
                 inter = measure.projection(np.flatnonzero(r1 & r2)).to_dense()
-                dev = max(dev, float(np.linalg.norm(p1 @ p2 - inter, 2)))
+                dev = nan_max(dev, float(np.linalg.norm(p1 @ p2 - inter, 2)))
     return [("conjugated-pvm", "P3.4", dev, scn.tolerances.conjugated)]
 
 
@@ -534,25 +542,31 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
     space = scn.space
     if space.dimension > DENSE_ROUTE_LIMIT:
         return []  # dense cross route unaffordable; covered by conjugated-pvm bound
+    n = space.dimension
     dev = 0.0
     for subset in scn.frame.admissible():
         rng = _rng(scn, f"covariance-{sorted(map(str, subset))}")
         conj_measure = scn.conjugated.spectral_measure(subset)
         k = conj_measure.npoints
+        samples = []
         for _ in range(5):
             members = sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})
-            direct = conj_measure.projection(members).to_dense()
-            # independent route: dense sum of conjugated atoms
-            acc = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
-            for b in members:
-                acc += conj_measure.atom(b).to_dense()
-            dev = max(dev, float(np.linalg.norm(acc - direct, 2)))
-            f = space.random_function(subset, rng)
-            lhs = np.zeros_like(acc)
-            for b in range(k):
-                lhs += f.values[b] * conj_measure.atom(b).to_dense()
-            rhs = integrate(f, conj_measure).to_dense()
-            dev = max(dev, float(np.linalg.norm(lhs - rhs, 2)))
+            samples.append((members, space.random_function(subset, rng)))
+        # independent route: dense sums of conjugated atoms, each atom built
+        # once and added in ascending order into every sample's two sums
+        accs = [np.zeros((n, n), dtype=np.complex128) for _ in samples]
+        lhss = [np.zeros((n, n), dtype=np.complex128) for _ in samples]
+        for b in range(k):
+            atom = conj_measure.atom(b).to_dense()
+            for (members, f), acc, lhs in zip(samples, accs, lhss):
+                if b in members:
+                    acc += atom
+                lhs += f.values[b] * atom
+        for (members, f), acc, lhs in zip(samples, accs, lhss):
+            acc -= conj_measure.projection(members).to_dense()
+            dev = nan_max(dev, float(np.linalg.norm(acc, 2)))
+            lhs -= integrate(f, conj_measure).to_dense()
+            dev = nan_max(dev, float(np.linalg.norm(lhs, 2)))
     return [("conjugation-covariance", "P3.4", dev, scn.tolerances.conjugated)]
 
 
@@ -569,9 +583,9 @@ def _check_conjugated_trace(scn: Scenario) -> list[tuple[str, str, float, float]
         for _ in range(5):
             members = sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})
             p = measure.projection(members)
-            dev = max(dev, abs(p.trace() - len(members) * fiber))
+            dev = nan_max(dev, abs(p.trace() - len(members) * fiber))
             dense = p.to_dense()
-            dev = max(dev, float(np.linalg.norm(dense @ dense - dense, 2)))
+            dev = nan_max(dev, float(np.linalg.norm(dense @ dense - dense, 2)))
     return [("conjugated-trace", "P3.4", dev, scn.tolerances.conjugated)]
 
 
@@ -580,7 +594,7 @@ def _check_conjugated_trace(scn: Scenario) -> list[tuple[str, str, float, float]
 
 def _check_action_weight(scn: Scenario) -> list[tuple[str, str, float, float]]:
     report = validate_action_weight(scn.weight, tol=scn.tolerances.dynamics)
-    dev = max(report.unimodular, report.cocycle, report.null_subset)
+    dev = nan_max(report.unimodular, report.cocycle, report.null_subset)
     return [("action-weight-laws", "D4.1", dev, scn.tolerances.dynamics)]
 
 
@@ -590,9 +604,9 @@ def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
     null_dev = 0.0
     for subset in scn.frame.admissible():
         u = evolution_unitary(scn.weight, subset, rep)
-        dev = max(dev, u.norm_defect())
+        dev = nan_max(dev, u.norm_defect())
         if scn.frame.mu(subset) == 0.0:
-            null_dev = max(null_dev, (u.operator - identity_operator(scn.rep_space.dimension)).norm())
+            null_dev = nan_max(null_dev, (u.operator - identity_operator(scn.rep_space.dimension)).norm())
     return [
         ("unitary-evolution", "E4.4", dev, scn.tolerances.dynamics),
         ("null-unitary", "P4.2", null_dev, scn.tolerances.exact),
@@ -607,7 +621,7 @@ def _check_group_law_suite(scn: Scenario) -> list[tuple[str, str, float, float]]
         for t2 in domain:
             if scn.frame.mu(t1 & t2) != 0.0:
                 continue
-            dev = max(dev, check_group_law(scn.weight, t1, t2, rep, scn.tolerances.dynamics).deviation)
+            dev = nan_max(dev, check_group_law(scn.weight, t1, t2, rep, scn.tolerances.dynamics).deviation)
     return [("group-law", "P4.2", dev, scn.tolerances.dynamics)]
 
 
@@ -618,13 +632,13 @@ def _check_commutation(scn: Scenario) -> list[tuple[str, str, float, float]]:
     dev = 0.0
     for i, u in enumerate(ops):
         for v in ops[i + 1 :]:
-            dev = max(dev, (u @ v - v @ u).norm())
+            dev = nan_max(dev, (u @ v - v @ u).norm())
     return [("commutation", "S4", dev, scn.tolerances.dynamics)]
 
 
 def _check_conjugated_dynamics(scn: Scenario) -> list[tuple[str, str, float, float]]:
     report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=scn.tolerances.conjugated)
-    conjugated = max(report.same_rep_commutator, report.covariance)
+    conjugated = nan_max(report.same_rep_commutator, report.covariance)
     if scn.witness_threshold is None:
         # informational: record the witness value, pass unconditionally
         witness_dev = 0.0 if report.witness >= 0.0 else 1.0
@@ -642,7 +656,7 @@ def _check_conjugated_dynamics(scn: Scenario) -> list[tuple[str, str, float, flo
 
 def _check_lagrangian_consistency(scn: Scenario) -> list[tuple[str, str, float, float]]:
     report = verify_lagrangian(scn.lagrangian, tol=scn.tolerances.dynamics)
-    dev = max(report.restriction_deviation, report.realness_deviation)
+    dev = nan_max(report.restriction_deviation, report.realness_deviation)
     return [("lagrangian-consistency", "D5.1", dev, scn.tolerances.dynamics)]
 
 
@@ -657,7 +671,7 @@ def _check_action_additivity(scn: Scenario) -> list[tuple[str, str, float, float
             if frame.mu(t1 & t2) != 0.0:
                 continue
             union = t1 | t2
-            dev = max(dev, float(np.max(np.abs(pulled[union] - pulled[t1] - pulled[t2]))))
+            dev = nan_max(dev, float(np.max(np.abs(pulled[union] - pulled[t1] - pulled[t2]))))
     return [("action-additivity", "P5.2", dev, scn.tolerances.dynamics)]
 
 
@@ -677,7 +691,7 @@ def _check_action_lipschitz(scn: Scenario) -> list[tuple[str, str, float, float]
             left, right = np.array([(rng.integer(k), rng.integer(k)) for _ in range(pair_budget)]).T
         gap = np.abs(action.values[left] - action.values[right])
         bound = np.max(np.abs(densities[left] - densities[right]), axis=1) * mu
-        dev = max(dev, max(0.0, float(np.max(gap - bound))))
+        dev = nan_max(dev, 0.0, float(np.max(gap - bound)))
     return [("action-lipschitz", "P5.2", dev, scn.tolerances.dynamics)]
 
 
@@ -687,9 +701,9 @@ def _check_null_action(scn: Scenario) -> list[tuple[str, str, float, float]]:
         if scn.frame.mu(subset) != 0.0:
             continue
         action = action_from_lagrangian(scn.lagrangian, subset)
-        dev = max(dev, float(np.max(np.abs(action.values))))
+        dev = nan_max(dev, float(np.max(np.abs(action.values))))
         u = scn.weight.function(subset)
-        dev = max(dev, float(np.max(np.abs(u.values - 1.0))))
+        dev = nan_max(dev, float(np.max(np.abs(u.values - 1.0))))
     return [("null-action", "P5.2", dev, scn.tolerances.exact)]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from evogrid import (
     ActionWeight,
     ConfigError,
+    DataError,
     DiagonalOperator,
     DomainError,
     GridPointMap,
@@ -126,6 +128,42 @@ def test_cocycle_checked_at_every_point_beyond_ten_thousand(m2):
     assert not report.passed
 
 
+def test_nan_max_lets_nan_through_and_is_max_otherwise():
+    from evogrid.dynamics import nan_max
+
+    nan = float("nan")
+    for values in [(nan, 1.0, 2.0), (0.0, nan, 2.0), (0.0, 2.0, nan)]:
+        assert math.isnan(nan_max(*values))
+    for values in [(0.0, -0.0), (-0.0, 0.0), (1.0, 3.0, 3.0, 2.0), (0.5,)]:
+        got = nan_max(*values)
+        assert got == max(values) and math.copysign(1.0, got) == math.copysign(1.0, max(values))
+
+
+def test_validate_action_weight_reports_a_nan_that_is_not_first(weighted_space):
+    # the table is edited after the weight validated its values; every law
+    # reads the NaN through a running maximum that starts from a finite value
+    weight = make_weight(weighted_space)
+    subsets = weighted_space.frame.admissible()
+    last = subsets[-1]
+    values = weight.function(last).values.copy()
+    values[-1] = float("nan")
+    weight.functions[last] = weighted_space.function(last, values)
+    report = validate_action_weight(weight, tol=1e-12)
+    assert math.isnan(report.unimodular)
+    assert math.isnan(report.cocycle)
+
+
+def test_weight_rejects_non_finite_values(weighted_space):
+    weight = make_weight(weighted_space)
+    tweaked = dict(weight.functions)
+    sub = frozenset({"2"})
+    values = weight.function(sub).values.copy()
+    values[0] = complex(float("inf"), 0.0)
+    tweaked[sub] = weighted_space.function(sub, values)
+    with pytest.raises(DataError):
+        ActionWeight(weighted_space, tweaked)
+
+
 # -- evolution unitaries ---------------------------------------------------------
 
 
@@ -225,6 +263,32 @@ def test_commutant_witness_frozen_value(m2):
     u_conj = HADAMARD.conj().T @ u @ HADAMARD
     oracle = np.linalg.norm(u @ u_conj - u_conj @ u, 2)
     assert report.witness == pytest.approx(oracle, abs=1e-12)
+
+
+def test_witness_pair_is_the_first_maximum_in_s1_major_order(monkeypatch):
+    # two commutators tie exactly, (a, b) and (c, d) with a < c and b > d:
+    # the s1-major first is (a, b), while a scan over s2 first meets (c, d)
+    scn = load_scenario("demo")
+    domain = scn.weight.domain()
+    plain = [evolution_unitary(scn.weight, s, scn.representation).operator for s in domain]
+    twisted = [evolution_unitary(scn.weight, s, scn.conjugated).operator for s in domain]
+    a, b, c, d = 2, 4, 4, 2
+    # the commutators as the operator products form them
+    tied = [(plain[i] @ twisted[j] - twisted[j] @ plain[i]).to_dense() for i, j in ((a, b), (c, d))]
+    assert all(np.linalg.norm(m, 2) > 0.1 for m in tied)
+    keys = {m.tobytes() for m in tied}
+    norm = np.linalg.norm
+
+    def rigged(x, ord=None, **kwargs):
+        if ord == 2 and np.asarray(x).tobytes() in keys:
+            return 10.0
+        return norm(x, ord, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", rigged)
+    report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=1e-9)
+    assert report.witness == 10.0
+    names = [tuple(map(str, scn.frame.ordered(s))) for s in domain]
+    assert report.witness_pair == (names[a], names[b])
 
 
 # -- probe-difference actions ----------------------------------------------------

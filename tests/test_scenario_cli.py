@@ -385,6 +385,66 @@ def test_each_conjugator_is_checked_once(monkeypatch, tmp_path):
     assert_indented_json((tmp_path / "ops.json").read_text())
 
 
+def test_each_conjugated_dense_matrix_is_built_once_per_check(monkeypatch):
+    # conjugation-covariance builds each atom once per subset for all five
+    # samples, plus one projection and one integral per sample; the witness
+    # builds each twisted unitary once, besides the two of its covariance term
+    from evogrid import commutant_witness, suites
+    from evogrid.representation import ConjugatedDiagonalOperator
+
+    scn = load_scenario("demo")
+    subsets = scn.frame.admissible()
+    calls = []
+    original = ConjugatedDiagonalOperator.to_dense
+
+    def counting(self):
+        calls.append(self.dimension)
+        return original(self)
+
+    monkeypatch.setattr(ConjugatedDiagonalOperator, "to_dense", counting)
+    suites._check_conjugation_covariance(scn)
+    assert len(calls) == sum(scn.space.npoints(s) for s in subsets) + 10 * len(subsets)
+    calls.clear()
+    commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=scn.tolerances.conjugated)
+    assert len(calls) == 3 * len(scn.weight.domain())
+
+
+@pytest.mark.parametrize("where", ["conjugator", "weight", "grid"])
+def test_cli_exit_code_on_non_finite_input(tmp_path, where):
+    # a NaN must stop at load; reaching an SVD it makes LAPACK raise
+    nan = float("nan")
+    one = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    broken = [[[nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    if where == "conjugator":
+        cfg = minimal_config(conjugator={"matrix": broken})
+    elif where == "grid":
+        cfg = minimal_config(grids={"1": {"unitaries": [[one], [broken]]}})
+    else:
+        cfg = minimal_config()
+        cfg["dynamics"]["weights"][1]["values"][1] = [nan, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path)]) == 2
+
+
+def test_cli_exit_code_on_a_nan_after_the_first_deviation(monkeypatch):
+    # built-in max keeps its running value against NaN; the suites' maxima
+    # must let it through so that the runner aborts
+    from evogrid import suites
+
+    calls = []
+    original = suites.check_group_law
+
+    def second_is_nan(*args, **kwargs):
+        report = original(*args, **kwargs)
+        calls.append(report)
+        return report if len(calls) != 2 else type(report)(float("nan"), report.tolerance)
+
+    monkeypatch.setattr(suites, "check_group_law", second_is_nan)
+    assert main(["verify", "demo", "--suite", "dynamics"]) == 5
+    assert len(calls) > 2
+
+
 def test_cli_exit_code_on_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("EVOGRID_DENSE_CAP", "4")
     assert main(["verify", "demo", "--suite", "algebra"]) == 3
@@ -519,8 +579,10 @@ def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
 
 # stdout of commands whose dense conjugated products round differently
 # under another BLAS thread count, so each runs in a fresh one-thread process;
-# LADDER_2X8 names the file written from evobench's ladder rung 2x8 (N = 64)
+# LADDER_2X8 and LADDER_3X5 name the files written from evobench's ladder
+# rungs 2x8 (N = 64) and 3x5 (N = 125)
 LADDER_2X8 = "ladder-2x8.json"
+LADDER_3X5 = "ladder-3x5.json"
 CONJUGATED_OUTPUT_SHA256 = {
     ("verify", "demo", "--suite", "conjugation", "--suite", "dynamics"):
         "f4ed342c2bf6320cb577745a1424f3c3032920b3c0d2f7717513f44642b512ec",
@@ -528,14 +590,18 @@ CONJUGATED_OUTPUT_SHA256 = {
         "98eededf26b34aff1b8c011983fe2421ce2f2b3b902f3c25217de4764195ed15",
     ("compute", LADDER_2X8, "--subsets", "1,2;1;-"):
         "70d1b8a55ece3e7f9b73ca3dc10f85a7633e84b3443789c5bf61879fadcf0094",
+    ("verify", LADDER_3X5, "--suite", "conjugation", "--suite", "dynamics"):
+        "bb4bbf14eb501f398ad450d06144a61ffa7691937645509b507080cd293c1ec9",
 }
 
 
-@pytest.mark.parametrize("argv", list(CONJUGATED_OUTPUT_SHA256), ids=["verify", "compute", "compute-ladder-2x8"])
+@pytest.mark.parametrize("argv", list(CONJUGATED_OUTPUT_SHA256),
+                         ids=["verify", "compute", "compute-ladder-2x8", "verify-ladder-3x5"])
 def test_cli_conjugated_output_bytes_are_pinned_at_one_blas_thread(argv, tmp_path):
     from evobench.ladder import ladder_config
 
     (tmp_path / LADDER_2X8).write_text(json.dumps(ladder_config(2, 8), sort_keys=True))
+    (tmp_path / LADDER_3X5).write_text(json.dumps(ladder_config(3, 5), sort_keys=True))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     result = subprocess.run([sys.executable, "-m", "evogrid.cli", *argv], env=env, capture_output=True, timeout=120,
