@@ -19,6 +19,7 @@ from evogrid import (
     commutant_witness,
     conjugate,
     evolution_unitary,
+    identity_operator,
     load_scenario,
     validate_action_weight,
     verify_lagrangian,
@@ -55,12 +56,13 @@ def main() -> None:
     print(f"  trivial on null sets:    {wreport.null_subset:.2e}")
 
     print("\nEvolution unitaries, one per admissible subset of times:")
+    one = identity_operator(space.dimension)
     for subset in sorted(frame.admissible(), key=lambda s: (len(s), sorted(s))):
         u = evolution_unitary(weight, subset, rep)
-        print(f"  U_{fmt(subset):7s} unitarity defect {u.norm_defect():.2e}")
+        print(f"  U_{fmt(subset):7s} unitarity defect ||U*U - I|| = {(u.adjoint() @ u - one).norm():.2e}")
 
     print("\nWeight-zero subsets evolve trivially:")
-    u_null = evolution_unitary(weight, {"3"}, rep).operator.diag
+    u_null = evolution_unitary(weight, {"3"}, rep).diag
     print(f"  U_{{3}} is the identity exactly: {np.array_equal(u_null, np.ones(12))}")
 
     print("\nThe group law on disjoint subsets (here disjoint up to weight zero):")
@@ -73,8 +75,10 @@ def main() -> None:
     print("=" * 72)
     w = SplitMix64(31).haar_unitary(space.dimension)
     moved = conjugate(w, rep)
-    u_plain = evolution_unitary(weight, space.full, rep).operator.to_dense()
-    u_moved = evolution_unitary(weight, space.full, moved).operator.to_dense()
+    # a conjugated unitary is the (W, diagonal) pair with no arithmetic of its
+    # own: products and differences with it go through an explicit to_dense()
+    u_plain = evolution_unitary(weight, space.full, rep).to_dense()
+    u_moved = evolution_unitary(weight, space.full, moved).to_dense()
     dev = float(np.linalg.norm(u_moved - w.conj().T @ u_plain @ w, 2))
     print(f"U' = W* U W up to {dev:.2e}")
 

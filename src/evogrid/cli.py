@@ -157,7 +157,7 @@ def _cmd_compute(args) -> int:
         subset = frozenset(labels)
         if not frame.is_admissible(subset):
             raise DomainError(f"subset {sorted(labels)} is not in the admissible family")
-        payload = _operator_payload(evolution_unitary(scenario.weight, subset, rep).operator)
+        payload = _operator_payload(evolution_unitary(scenario.weight, subset, rep))
         payload["times"] = sorted(labels, key=frame.position)
         operators.append(payload)
     doc = {

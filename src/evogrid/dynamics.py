@@ -32,14 +32,12 @@ from .representation import (
     ConjugatedDiagonalOperator,
     Operator,
     PureRepresentation,
-    identity_operator,
     integrate,
 )
 
 __all__ = [
     "ActionWeight",
     "ActionWeightReport",
-    "EvolutionUnitary",
     "GroupLawReport",
     "CommutantReport",
     "validate_action_weight",
@@ -178,25 +176,11 @@ def validate_action_weight(weight: ActionWeight, tol: float = 1e-12) -> ActionWe
     return ActionWeightReport(unimodular, cocycle, null_subset, tol, pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionUnitary:
-    """The unitary attached to one admissible subset."""
-
-    subset: frozenset
-    operator: Operator
-
-    def norm_defect(self) -> float:
-        """Distance of U*U from the identity."""
-        n = self.operator.dimension
-        return (self.operator.adjoint() @ self.operator - identity_operator(n)).norm()
-
-
-def evolution_unitary(weight: ActionWeight, subset, rep: PureRepresentation) -> EvolutionUnitary:
+def evolution_unitary(weight: ActionWeight, subset, rep: PureRepresentation) -> Operator:
     """Integrate the subset's weight function against its spectral measure."""
     key = frozenset(subset)
     f = weight.function(key)  # raises DomainError off the admissible family
-    op = integrate(f, rep.spectral_measure(key))
-    return EvolutionUnitary(key, op)
+    return integrate(f, rep.spectral_measure(key))
 
 
 @dataclass(frozen=True)
@@ -217,9 +201,9 @@ def check_group_law(
     overlap = weight.space.frame.mu(s1 & s2)
     if overlap != 0.0:
         raise PreconditionError(f"subsets overlap with measure {overlap:g}; the group law does not apply")
-    u1 = evolution_unitary(weight, s1, rep).operator
-    u2 = evolution_unitary(weight, s2, rep).operator
-    u12 = evolution_unitary(weight, s1 | s2, rep).operator
+    u1 = evolution_unitary(weight, s1, rep)
+    u2 = evolution_unitary(weight, s2, rep)
+    u12 = evolution_unitary(weight, s1 | s2, rep)
     return GroupLawReport((u1 @ u2 - u12).norm(), tol)
 
 
@@ -259,25 +243,22 @@ def commutant_witness(
     if rep.conjugator is not None or conjugated.conjugator is None:
         raise StructureError("commutant_witness compares an unconjugated representation with a conjugated one")
     domain = weight.domain()
-    plain = {s: evolution_unitary(weight, s, rep).operator for s in domain}
-    twisted = {s: evolution_unitary(weight, s, conjugated).operator for s in domain}
+    plain = {s: evolution_unitary(weight, s, rep) for s in domain}
 
     same = 0.0
     for i, s1 in enumerate(domain):
         for s2 in domain[i:]:
             same = nan_max(same, (plain[s1] @ plain[s2] - plain[s2] @ plain[s1]).norm())
 
+    # one twisted dense matrix live at a time, read by the covariance term
+    # against the explicitly built W* U_T W and by every commutator with it
     covariance = 0.0
-    for s in domain:
-        direct = ConjugatedDiagonalOperator(conjugated.conjugator, plain[s].diag)
-        covariance = nan_max(covariance, (twisted[s] - direct).norm())
-
-    # one twisted dense matrix live at a time; each commutator is the pair of
-    # products DiagonalOperator @ dense and dense @ DiagonalOperator form
     witness = -1.0
     best = None
     for i2, s2 in enumerate(domain):
-        t2 = twisted[s2].to_dense()
+        t2 = evolution_unitary(weight, s2, conjugated).to_dense()
+        direct = ConjugatedDiagonalOperator(conjugated.conjugator, plain[s2].diag).to_dense()
+        covariance = nan_max(covariance, float(np.linalg.norm(t2 - direct, 2)))
         for i1, s1 in enumerate(domain):
             p1 = np.diag(plain[s1].diag)
             value = float(np.linalg.norm(p1 @ t2 - t2 @ p1, 2))

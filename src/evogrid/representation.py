@@ -29,8 +29,13 @@ Conjugation acts on representations: `conjugate(W, rep)` is the
 representation f -> W* rep(f) W, unitarily equivalent to rep.  W is checked
 for unitarity once, when the conjugated `PureRepresentation` is constructed;
 its measures and operators then carry the (W, diagonal) pair without
-checking W again, and materialize dense matrices only on demand, with a
-configurable dimension cap.
+checking W again, under a configurable dimension cap.
+
+There are two operator kinds.  `DiagonalOperator` is the exact diagonal
+algebra: products, differences and adjoints act on the diagonal entries.
+`ConjugatedDiagonalOperator` is the (W, d) pair with `to_dense`, `norm`,
+`trace` and `entry`, and no arithmetic: mixing the kinds raises TypeError,
+so every dense matrix the library forms is an explicit `to_dense()` call.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .evolution import GridEvolutionSpace, GridFunction, GridPoint, pullback_row
 __all__ = [
     "DENSE_CAP_DEFAULT",
     "DiagonalOperator",
-    "DenseOperator",
     "ConjugatedDiagonalOperator",
     "RepresentationSpace",
     "PureRepresentation",
@@ -64,7 +68,7 @@ __all__ = [
 
 DENSE_CAP_DEFAULT = 4096
 
-Operator = Union["DiagonalOperator", "DenseOperator", "ConjugatedDiagonalOperator"]
+Operator = Union["DiagonalOperator", "ConjugatedDiagonalOperator"]
 
 
 def _frozen_vector(v) -> np.ndarray:
@@ -99,7 +103,13 @@ def check_unitary(u: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalOperator:
-    """Operator that is diagonal in the distinguished basis."""
+    """Operator that is diagonal in the distinguished basis.
+
+    `@` and `-` accept only another diagonal operator; any other operand
+    returns NotImplemented, so Python raises TypeError.  The guard matters:
+    a `ConjugatedDiagonalOperator` also has a `.diag`, and reading it here
+    would silently drop its conjugator.
+    """
 
     diag: np.ndarray
 
@@ -126,80 +136,25 @@ class DiagonalOperator:
     def trace(self) -> complex:
         return complex(np.sum(self.diag))
 
-    def _binary(self, other, op):
-        if isinstance(other, DiagonalOperator):
-            return DiagonalOperator(op(self.diag, other.diag))
-        return DenseOperator(op(self.to_dense(), _dense_of(other)))
+    def __matmul__(self, other) -> "DiagonalOperator":
+        if not isinstance(other, DiagonalOperator):
+            return NotImplemented
+        return DiagonalOperator(self.diag * other.diag)
 
-    def __matmul__(self, other) -> Operator:
-        if isinstance(other, DiagonalOperator):
-            return DiagonalOperator(self.diag * other.diag)
-        return DenseOperator(self.to_dense() @ _dense_of(other))
-
-    def __add__(self, other) -> Operator:
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other) -> Operator:
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, scalar) -> "DiagonalOperator":
-        return DiagonalOperator(self.diag * complex(scalar))
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True, eq=False)
-class DenseOperator:
-    """Operator stored as a full matrix in the distinguished basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_square(self.matrix))
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix
-
-    def norm(self) -> float:
-        """Largest singular value."""
-        return float(np.linalg.norm(self.matrix, 2))
-
-    def adjoint(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.conj().T)
-
-    def entry(self, i: int, j: int) -> complex:
-        return complex(self.matrix[i, j])
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def __matmul__(self, other) -> "DenseOperator":
-        return DenseOperator(self.matrix @ _dense_of(other))
-
-    def __add__(self, other) -> "DenseOperator":
-        return DenseOperator(self.matrix + _dense_of(other))
-
-    def __sub__(self, other) -> "DenseOperator":
-        return DenseOperator(self.matrix - _dense_of(other))
-
-    def __mul__(self, scalar) -> "DenseOperator":
-        return DenseOperator(self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
+    def __sub__(self, other) -> "DiagonalOperator":
+        if not isinstance(other, DiagonalOperator):
+            return NotImplemented
+        return DiagonalOperator(self.diag - other.diag)
 
 
 @dataclass(frozen=True, eq=False)
 class ConjugatedDiagonalOperator:
     """The operator W* diag(d) W, kept as the (W, d) pair until needed.
 
-    Algebraic operations and norms go through the dense form on purpose:
-    identities that are exact for diagonal operators are only required to
-    hold within rounding once a conjugation is involved, and the dense path
-    is what exhibits that rounding honestly.
+    It has no arithmetic.  A check that needs a product or a difference
+    calls `to_dense()` and forms it itself: identities that are exact for
+    diagonal operators hold only within rounding once a conjugation is
+    involved, and the dense form is what exhibits that rounding honestly.
     """
 
     conjugator: np.ndarray
@@ -225,9 +180,6 @@ class ConjugatedDiagonalOperator:
         """Largest singular value of the materialized matrix."""
         return float(np.linalg.norm(self.to_dense(), 2))
 
-    def adjoint(self) -> "ConjugatedDiagonalOperator":
-        return ConjugatedDiagonalOperator(self.conjugator, np.conj(self.diag))
-
     def entry(self, i: int, j: int) -> complex:
         w = self.conjugator
         return complex(np.sum(np.conj(w[:, i]) * self.diag * w[:, j]))
@@ -237,32 +189,12 @@ class ConjugatedDiagonalOperator:
         w = self.conjugator
         return complex(np.sum(self.diag * np.sum(w * np.conj(w), axis=1)))
 
-    def __matmul__(self, other) -> DenseOperator:
-        return DenseOperator(self.to_dense() @ _dense_of(other))
-
-    def __add__(self, other) -> DenseOperator:
-        return DenseOperator(self.to_dense() + _dense_of(other))
-
-    def __sub__(self, other) -> DenseOperator:
-        return DenseOperator(self.to_dense() - _dense_of(other))
-
-    def __mul__(self, scalar) -> "ConjugatedDiagonalOperator":
-        return ConjugatedDiagonalOperator(self.conjugator, self.diag * complex(scalar))
-
-    __rmul__ = __mul__
-
-
-def _dense_of(op) -> np.ndarray:
-    if isinstance(op, (DiagonalOperator, DenseOperator, ConjugatedDiagonalOperator)):
-        return op.to_dense()
-    return np.asarray(op, dtype=np.complex128)
-
 
 def identity_operator(n: int) -> DiagonalOperator:
     return DiagonalOperator(np.ones(n, dtype=np.complex128))
 
 
-def projection_rank(op: Operator, tol: float = 1e-8) -> int:
+def projection_rank(op: DiagonalOperator, tol: float = 1e-8) -> int:
     """Rank of a projection, read off the trace; sanity-checks idempotency."""
     defect = (op @ op - op).norm()
     if defect > tol:

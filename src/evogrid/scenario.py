@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -100,6 +101,17 @@ def _expect_int(obj, context: str) -> int:
     return obj
 
 
+def _finite_number(obj, context: str) -> float:
+    """A finite number; booleans, NaN and infinities are a ConfigError."""
+    try:
+        value = float(obj)
+    except (TypeError, ValueError):
+        value = math.nan
+    if isinstance(obj, bool) or not math.isfinite(value):
+        raise ConfigError(f"{context}: expected a finite number, got {obj!r}")
+    return value
+
+
 def _decode_block_element(obj, algebra: WStarAlgebra, context: str):
     blocks = _expect_list(obj, context)
     if len(blocks) != algebra.nblocks:
@@ -127,10 +139,9 @@ class Tolerances:
         table = _expect_object(obj, "tolerances", ("exact", "conjugated", "unitary", "dynamics"))
         values = {}
         for key, val in table.items():
-            try:
-                values[key] = float(val)
-            except (TypeError, ValueError):
-                raise ConfigError(f"tolerances.{key}: expected a number") from None
+            values[key] = _finite_number(val, f"tolerances.{key}")
+            if values[key] < 0.0:
+                raise ConfigError(f"tolerances.{key}: expected a nonnegative number, got {val!r}")
         return cls(**values)
 
 
@@ -398,10 +409,7 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
 
     threshold = effective.get("witness_threshold")
     if threshold is not None:
-        try:
-            threshold = float(threshold)
-        except (TypeError, ValueError):
-            raise ConfigError("witness_threshold must be a number") from None
+        threshold = _finite_number(threshold, "witness_threshold")
 
     return Scenario(
         name=name,

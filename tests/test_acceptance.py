@@ -262,8 +262,8 @@ def test_criterion_05_conjugation_covariance(demo):
         worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
     # the evolution unitaries transform the same way
     for subset in demo.frame.admissible():
-        u_plain = evolution_unitary(demo.weight, subset, rep).operator.to_dense()
-        u_conj = evolution_unitary(demo.weight, subset, rep_conj).operator.to_dense()
+        u_plain = evolution_unitary(demo.weight, subset, rep).to_dense()
+        u_conj = evolution_unitary(demo.weight, subset, rep_conj).to_dense()
         worst = max(worst, float(np.linalg.norm(u_conj - w.conj().T @ u_plain @ w, 2)))
     passed = worst < 1e-12
     emit(5, passed, f"conjugation covariance: max deviation {worst:.3e}")
@@ -287,8 +287,8 @@ def test_criterion_06_group_law(demo):
             pairs += 1
     explicit = check_group_law(weight, {"1", "3"}, {"2", "3"}, rep, tol=1e-12)
     worst = max(worst, explicit.deviation)
-    u_empty = evolution_unitary(weight, frozenset(), rep).operator.diag
-    u_null = evolution_unitary(weight, {"3"}, rep).operator.diag
+    u_empty = evolution_unitary(weight, frozenset(), rep).diag
+    u_null = evolution_unitary(weight, {"3"}, rep).diag
     exact_identities = np.array_equal(u_empty, np.ones(12, dtype=np.complex128)) and np.array_equal(
         u_null, np.ones(12, dtype=np.complex128)
     )
@@ -303,7 +303,7 @@ def test_criterion_07_commutation_and_witness(demo):
     rep = demo.representation
     weight = demo.weight
     domain = demo.frame.admissible()
-    ops = [evolution_unitary(weight, s, rep).operator for s in domain]
+    ops = [evolution_unitary(weight, s, rep) for s in domain]
     same = 0.0
     for i, u in enumerate(ops):
         for v in ops[i + 1 :]:

@@ -133,6 +133,32 @@ def test_tolerances_parsing():
     assert scn.tolerances.unitary == 1e-8
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (("tolerances", "exact"), float("nan")),
+        (("tolerances", "conjugated"), float("inf")),
+        (("tolerances", "exact"), True),
+        (("tolerances", "unitary"), -1e-9),
+        (("witness_threshold",), float("nan")),
+        (("witness_threshold",), float("-inf")),
+        (("witness_threshold",), True),
+    ],
+    ids=["exact-nan", "conjugated-inf", "exact-bool", "unitary-negative", "threshold-nan", "threshold-ninf", "threshold-bool"],
+)
+def test_unusable_tolerance_exits_with_config_error(tmp_path, key, value):
+    # NaN fails every "deviation <= tol", infinity passes every one, and a
+    # boolean would load as 0.0 or 1.0
+    cfg = builtin_scenario("witness")
+    if len(key) == 2:
+        cfg.setdefault(key[0], {})[key[1]] = value
+    else:
+        cfg[key[0]] = value
+    path = tmp_path / "tolerance.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path)]) == 2
+
+
 def test_fingerprint_tracks_effective_config():
     a = load_scenario(minimal_config())
     b = load_scenario(minimal_config())
@@ -388,7 +414,8 @@ def test_each_conjugator_is_checked_once(monkeypatch, tmp_path):
 def test_each_conjugated_dense_matrix_is_built_once_per_check(monkeypatch):
     # conjugation-covariance builds each atom once per subset for all five
     # samples, plus one projection and one integral per sample; the witness
-    # builds each twisted unitary once, besides the two of its covariance term
+    # builds each twisted unitary once, for its commutators and its covariance
+    # term, and each W* U_T W once for that term
     from evogrid import commutant_witness, suites
     from evogrid.representation import ConjugatedDiagonalOperator
 
@@ -406,7 +433,7 @@ def test_each_conjugated_dense_matrix_is_built_once_per_check(monkeypatch):
     assert len(calls) == sum(scn.space.npoints(s) for s in subsets) + 10 * len(subsets)
     calls.clear()
     commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=scn.tolerances.conjugated)
-    assert len(calls) == 3 * len(scn.weight.domain())
+    assert len(calls) == 2 * len(scn.weight.domain())
 
 
 @pytest.mark.parametrize("where", ["conjugator", "weight", "grid"])
