@@ -27,20 +27,22 @@ one at a time.
 
 Conjugation acts on representations: `conjugate(W, rep)` is the
 representation f -> W* rep(f) W, unitarily equivalent to rep.  W is checked
-for unitarity once, when the conjugated `PureRepresentation` is constructed;
-its measures and operators then carry the (W, diagonal) pair without
-checking W again, under a configurable dimension cap.
+for unitarity once, when the conjugated `PureRepresentation` is constructed,
+which keeps g = ||W W* - I||_F as `gram_defect`; its measures and operators
+then carry the (W, diagonal) pair without checking W again, under a
+configurable dimension cap.
 
 There are two operator kinds.  `DiagonalOperator` is the exact diagonal
 algebra: products, differences and adjoints act on the diagonal entries.
 `ConjugatedDiagonalOperator` is the (W, d) pair with `to_dense`, `norm`,
 `trace` and `entry`, and no arithmetic: mixing the kinds raises TypeError,
 so every dense matrix the library forms is an explicit `to_dense()` call.
+`conjugated_columns` is the route those methods are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 import numpy as np
@@ -85,20 +87,23 @@ def _frozen_square(m) -> np.ndarray:
     return a
 
 
-def check_unitary(u: np.ndarray) -> None:
+def check_unitary(u: np.ndarray) -> float:
+    """Accept u when ||u u* - I||_2 <= 1e-10 and return ||u u* - I||_F."""
     tol = 1e-10
     u = np.asarray(u)
     # a non-finite entry would reach the SVD below, which does not converge
     if not np.isfinite(u).all():
         raise PreconditionError("matrix has non-finite entries")
-    gram = u.conj().T @ u - np.eye(u.shape[0])
+    # for a square u, u u* - I has the singular values of u* u - I
+    gram = u @ u.conj().T - np.eye(u.shape[0])
+    frobenius = float(np.linalg.norm(gram))
     # the Frobenius norm bounds the 2-norm above, so it may accept alone;
     # only a matrix it cannot accept pays for the SVD
-    if float(np.linalg.norm(gram)) <= tol:
-        return
-    defect = float(np.linalg.norm(gram, 2))
-    if defect > tol:
-        raise PreconditionError(f"matrix is not unitary within {tol:g} (defect {defect:.3e})")
+    if frobenius > tol:
+        defect = float(np.linalg.norm(gram, 2))
+        if defect > tol:
+            raise PreconditionError(f"matrix is not unitary within {tol:g} (defect {defect:.3e})")
+    return frobenius
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +156,7 @@ class DiagonalOperator:
 class ConjugatedDiagonalOperator:
     """The operator W* diag(d) W, kept as the (W, d) pair until needed.
 
-    It has no arithmetic.  A check that needs a product or a difference
-    calls `to_dense()` and forms it itself: identities that are exact for
-    diagonal operators hold only within rounding once a conjugation is
-    involved, and the dense form is what exhibits that rounding honestly.
+    It has no arithmetic; a caller that needs the matrix calls `to_dense()`.
     """
 
     conjugator: np.ndarray
@@ -188,6 +190,11 @@ class ConjugatedDiagonalOperator:
         # trace is basis independent but computed from the pair directly
         w = self.conjugator
         return complex(np.sum(self.diag * np.sum(w * np.conj(w), axis=1)))
+
+
+def conjugated_columns(conjugator: np.ndarray, diag: np.ndarray, columns) -> np.ndarray:
+    """Columns of W* diag(d) W formed as W* (d * W e_j) in O(N^2) each, not by `to_dense`."""
+    return conjugator.conj().T @ (diag[:, None] * conjugator[:, columns])
 
 
 def identity_operator(n: int) -> DiagonalOperator:
@@ -234,18 +241,20 @@ class PureRepresentation:
     """Diagonal-form representation, optionally conjugated by a unitary.
 
     The only place a conjugator is checked for unitarity: everything built
-    from the representation reads the checked matrix.
+    from the representation reads the checked matrix, and `gram_defect`
+    keeps that check's ||W W* - I||_F (0.0 without a conjugator).
     """
 
     rep_space: RepresentationSpace
     conjugator: np.ndarray | None = None
+    gram_defect: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.conjugator is not None:
             w = _frozen_square(self.conjugator)
             if w.shape[0] != self.rep_space.dimension:
                 raise StructureError("conjugator dimension does not match the space")
-            check_unitary(w)
+            object.__setattr__(self, "gram_defect", check_unitary(w))
             object.__setattr__(self, "conjugator", w)
 
     @property

@@ -112,6 +112,14 @@ def _finite_number(obj, context: str) -> float:
     return value
 
 
+def _nonnegative_number(obj, context: str) -> float:
+    """A finite number that is not negative; anything else is a ConfigError."""
+    value = _finite_number(obj, context)
+    if value < 0.0:
+        raise ConfigError(f"{context}: expected a nonnegative number, got {obj!r}")
+    return value
+
+
 def _decode_block_element(obj, algebra: WStarAlgebra, context: str):
     blocks = _expect_list(obj, context)
     if len(blocks) != algebra.nblocks:
@@ -137,12 +145,7 @@ class Tolerances:
         if obj is None:
             return cls()
         table = _expect_object(obj, "tolerances", ("exact", "conjugated", "unitary", "dynamics"))
-        values = {}
-        for key, val in table.items():
-            values[key] = _finite_number(val, f"tolerances.{key}")
-            if values[key] < 0.0:
-                raise ConfigError(f"tolerances.{key}: expected a nonnegative number, got {val!r}")
-        return cls(**values)
+        return cls(**{key: _nonnegative_number(val, f"tolerances.{key}") for key, val in table.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,9 +410,10 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
     weight, lagrangian = _parse_dynamics(effective, algebra, space)
     conjugated = _parse_conjugator(effective, representation)
 
+    # every witness value is >= 0, so a negative threshold would pass any conjugator
     threshold = effective.get("witness_threshold")
     if threshold is not None:
-        threshold = _finite_number(threshold, "witness_threshold")
+        threshold = _nonnegative_number(threshold, "witness_threshold")
 
     return Scenario(
         name=name,

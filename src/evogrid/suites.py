@@ -4,18 +4,23 @@ A check computes a max deviation and compares it against a tolerance from
 the scenario; a report is the list of check records plus a summary.  All
 sampling inside checks derives from the scenario seed through labeled
 substreams, and all iteration orders are fixed, so a report body is a pure
-function of the effective config and the BLAS configuration: the dense
-products of the conjugation suite (`conjugated-pvm`,
-`conjugation-covariance`, `conjugated-trace`) round differently under a
-different BLAS thread count, so their values and the body bytes change with
-it.  Runtimes are recorded per check but kept out of the report body so that
-identical runs produce identical bytes.
+function of the effective config and the BLAS configuration: a Haar
+conjugator, and with it every conjugated value, rounds differently under a
+different BLAS thread count.  Runtimes are recorded per check but kept out
+of the report body so that identical runs produce identical bytes.
 
-Checks build each dense conjugated matrix once: `conjugation-covariance`
-draws all five samples of a subset first, then adds each dense atom, in
-ascending order, into every sample's atom sum and value-weighted sum, the
-same IEEE sums as one sample at a time.  Running maxima go through
-`nan_max`, so a NaN deviation reaches the runner, which aborts.
+The conjugation checks read g = ||G||_F of the Gram defect G = W W* - I,
+kept when the conjugator W was checked.  A conjugated projection is
+P = W* D W with an exact 0/1 diagonal D, so each law's defect is an
+expression in G: E'(V1)E'(V2) - E'(V1 n V2) = W* D1 G D2 W and
+P^2 - P = W* D G D W are at most ||W||_2^2 ||G||_2 <= (1 + g) g for every
+pair over every subset, and tr P - rank P = sum_i d_i G_ii.  The bounds are
+exact functions of the computed G; they do not enclose the rounding made
+while forming G or a dense matrix (README, "Report format").
+`conjugation-covariance` compares sampled columns, entries and traces of
+conjugated operators with W* (d * W e_j) formed from the unconjugated
+diagonal d.  Running maxima go through `nan_max`, so a NaN deviation
+reaches the runner, which aborts.
 
 Check identifiers are stable strings; each record also carries a short law
 tag (T3.2, C3.3, ...) used to group related identities across suites.
@@ -40,6 +45,7 @@ from .algebra import (
     weakstar_pairing,
 )
 from .dynamics import (
+    COVARIANCE_COLUMNS,
     check_group_law,
     commutant_witness,
     evolution_unitary,
@@ -50,7 +56,7 @@ from .errors import DomainError
 from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback, pullback_rows
 from .lagrangian import action_from_lagrangian, verify_lagrangian
 from .representation import (
-    ConjugatedDiagonalOperator,
+    conjugated_columns,
     embed_eta,
     identity_operator,
     integrate,
@@ -68,7 +74,6 @@ SUITE_NAMES = ("algebra", "spectral", "conjugation", "dynamics", "lagrangian")
 
 EXHAUSTIVE_PAIR_LIMIT = 64  # subset families up to this size get all ordered pairs
 SAMPLED_PAIRS = 2000
-DENSE_ROUTE_LIMIT = 512  # dense-matrix cross checks only below this dimension
 
 
 @dataclass(frozen=True)
@@ -293,8 +298,6 @@ def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
         dev = nan_max(dev, measure.empty().norm())
         dev = nan_max(dev, (measure.total() - identity_operator(n)).norm())
         left, right, _ = _subset_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", k)
-        if n > 1024:
-            left, right = left[:500], right[:500]
         # exact 0/1 projection diagonals, one row per pair; int8 holds every
         # value of both laws, failing diagonals included
         p1, p2, inter, union = (measure.diagonals(rows).view(np.int8) for rows in (left, right, left & right, left | right))
@@ -472,121 +475,92 @@ def _check_singletons(scn: Scenario) -> list[tuple[str, str, float, float]]:
     for x in range(n):
         if projection_rank(measure.atom(x)) != 1:
             bad += 1
-    results = [("singleton-rank", "T3.1", float(bad), 0.0)]
-    if n <= DENSE_ROUTE_LIMIT:
-        # any two singleton projections are exchanged by a basis swap
-        rng = _rng(scn, "singletons")
-        dev = 0.0
-        for _ in range(10):
-            x, y = rng.integer(n), rng.integer(n)
-            swap = np.eye(n, dtype=np.complex128)
-            swap[[x, y], [x, y]] = 0.0
-            swap[x, y] = swap[y, x] = 1.0
-            moved = ConjugatedDiagonalOperator(swap, measure.atom(x).diag)
-            dev = nan_max(dev, float(np.linalg.norm(moved.to_dense() - measure.atom(y).to_dense(), 2)))
-        results.append(("singleton-conjugacy", "T3.1", dev, scn.tolerances.conjugated))
-    return results
+    # any two singleton projections are exchanged by a basis swap, which
+    # moves a 0/1 diagonal by the index transposition x <-> y
+    rng = _rng(scn, "singletons")
+    dev = 0.0
+    for _ in range(10):
+        x, y = rng.integer(n), rng.integer(n)
+        swap = np.arange(n)
+        swap[[x, y]] = swap[[y, x]]
+        dev = nan_max(dev, float(np.any(measure.atom(x).diag[swap] != measure.atom(y).diag)))
+    return [
+        ("singleton-rank", "T3.1", float(bad), 0.0),
+        ("singleton-conjugacy", "T3.1", dev, scn.tolerances.exact),
+    ]
 
 
 # -- conjugation suite ------------------------------------------------------
 
 
-def pairwise_product_bound(diags: np.ndarray, gram_defect: np.ndarray) -> float:
-    """Upper bound on max over pairs of ||W* D_i (W W* - I) D_j W||.
+def _row_gram(w: np.ndarray) -> np.ndarray:
+    """Diagonal of W W*, the row sums of W times conj(W)."""
+    return np.sum(w * np.conj(w), axis=1)
 
-    For 0/1 diagonals the squared Frobenius norm of D_i G D_j is the
-    quadratic form d_i |G|^2 d_j, so one chunked matrix product bounds every
-    pair's spectral norm at once.  Used by the conjugated-measure checks to
-    cover all subset pairs without forming any dense product.
-    """
-    b = np.abs(gram_defect) ** 2
-    partial = diags @ b
-    worst = 0.0
-    step = 256
-    for start in range(0, diags.shape[0], step):
-        block = partial[start : start + step] @ diags.T
-        worst = nan_max(worst, float(np.max(block)))
-    return math.sqrt(nan_max(0.0, worst))
+
+def _gram_bound(scn: Scenario) -> float:
+    """(1 + g) g >= ||W* D1 G D2 W||_2 for all 0/1 diagonals, as ||W||_2^2 <= 1 + ||G||_2."""
+    g = scn.conjugated.gram_defect
+    return (1.0 + g) * g
 
 
 def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    w = scn.conjugated.conjugator
-    n = scn.rep_space.dimension
-    gram_defect = w @ w.conj().T - np.eye(n)
-    dev = 0.0
+    # E'(V1)E'(V2) - E'(V1 n V2) = W* D1 G D2 W on the exact 0/1 diagonals
+    # the spectral suite checks, and E'(total) - I = W*W - I has the singular
+    # values of G, so one bound covers every pair over every subset; the
+    # empty and total diagonals are checked exactly, 0 or 1
+    dev = _gram_bound(scn)
     for subset in scn.frame.admissible():
         measure = scn.conjugated.spectral_measure(subset)
-        k = measure.npoints
-        dev = nan_max(dev, measure.empty().norm())
-        dev = nan_max(dev, float(np.linalg.norm(measure.total().to_dense() - np.eye(n), 2)))
-        total = 1 << k
-        # every pair deviation E'(V1)E'(V2) - E'(V1 n V2) equals
-        # W* D1 (W W* - I) D2 W on exact 0/1 diagonals, so a Frobenius
-        # bound per pair covers the whole family in one pass
-        if total <= 4096:
-            diags = measure.diagonals(_bit_rows(range(total), k)).astype(np.float64)
-            dev = nan_max(dev, pairwise_product_bound(diags, gram_defect))
-        # direct dense spot checks, the honest slow route
-        if n <= DENSE_ROUTE_LIMIT:
-            rng = _rng(scn, f"conjugated-pvm-{sorted(map(str, subset))}")
-            for _ in range(10):
-                r1, r2 = _bit_rows([rng.integer(total), rng.integer(total)], k)
-                p1 = measure.projection(np.flatnonzero(r1)).to_dense()
-                p2 = measure.projection(np.flatnonzero(r2)).to_dense()
-                inter = measure.projection(np.flatnonzero(r1 & r2)).to_dense()
-                dev = nan_max(dev, float(np.linalg.norm(p1 @ p2 - inter, 2)))
+        dev = nan_max(dev, float(np.any(measure.empty().diag != 0.0) or np.any(measure.total().diag != 1.0)))
     return [("conjugated-pvm", "P3.4", dev, scn.tolerances.conjugated)]
 
 
 def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    if space.dimension > DENSE_ROUTE_LIMIT:
-        return []  # dense cross route unaffordable; covered by conjugated-pvm bound
     n = space.dimension
+    w = scn.conjugated.conjugator
+    row_gram = _row_gram(w)
     dev = 0.0
     for subset in scn.frame.admissible():
         rng = _rng(scn, f"covariance-{sorted(map(str, subset))}")
-        conj_measure = scn.conjugated.spectral_measure(subset)
-        k = conj_measure.npoints
+        plain = scn.representation.spectral_measure(subset)
+        moved = scn.conjugated.spectral_measure(subset)
+        k = moved.npoints
         samples = []
         for _ in range(5):
             members = sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})
             samples.append((members, space.random_function(subset, rng)))
-        # independent route: dense sums of conjugated atoms, each atom built
-        # once and added in ascending order into every sample's two sums
-        accs = [np.zeros((n, n), dtype=np.complex128) for _ in samples]
-        lhss = [np.zeros((n, n), dtype=np.complex128) for _ in samples]
-        for b in range(k):
-            atom = conj_measure.atom(b).to_dense()
-            for (members, f), acc, lhs in zip(samples, accs, lhss):
-                if b in members:
-                    acc += atom
-                lhs += f.values[b] * atom
-        for (members, f), acc, lhs in zip(samples, accs, lhss):
-            acc -= conj_measure.projection(members).to_dense()
-            dev = nan_max(dev, float(np.linalg.norm(acc, 2)))
-            lhs -= integrate(f, conj_measure).to_dense()
-            dev = nan_max(dev, float(np.linalg.norm(lhs, 2)))
+        cols = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
+        rows = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
+        for members, f in samples:
+            for op, d in (
+                (moved.projection(members), plain.projection(members).diag),
+                (integrate(f, moved), integrate(f, plain).diag),
+            ):
+                # independent route: W* (d * W e_j) from the unconjugated diagonal
+                route = conjugated_columns(w, d, cols)
+                dense = op.to_dense()
+                entries = np.array([op.entry(i, j) for i, j in zip(rows, cols)])
+                # the trace route sums in trace()'s order: two orders of a sum
+                # of N terms of size |d| differ by an ulp of N |d|, above the
+                # tolerance at the cap
+                dev = nan_max(
+                    dev,
+                    float(np.max(np.linalg.norm(dense[:, cols] - route, axis=0))),
+                    float(np.max(np.abs(entries - route[rows, np.arange(len(cols))]))),
+                    abs(op.trace() - np.sum(d * row_gram)),
+                )
     return [("conjugation-covariance", "P3.4", dev, scn.tolerances.conjugated)]
 
 
 def _check_conjugated_trace(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    space = scn.space
-    if space.dimension > DENSE_ROUTE_LIMIT:
-        return []
-    dev = 0.0
-    for subset in _nonempty_subsets(scn):
-        rng = _rng(scn, f"conj-trace-{sorted(map(str, subset))}")
-        measure = scn.conjugated.spectral_measure(subset)
-        k = measure.npoints
-        fiber = space.dimension // k
-        for _ in range(5):
-            members = sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})
-            p = measure.projection(members)
-            dev = nan_max(dev, abs(p.trace() - len(members) * fiber))
-            dense = p.to_dense()
-            dev = nan_max(dev, float(np.linalg.norm(dense @ dense - dense, 2)))
-    return [("conjugated-trace", "P3.4", dev, scn.tolerances.conjugated)]
+    # tr P - rank P = sum_i d_i G_ii over a 0/1 diagonal d; its extremes over
+    # every d sum all positive or all negative G_ii, read off W's rows in
+    # O(N^2); P^2 - P = W* D G D W takes the conjugated-pvm bound
+    r = _row_gram(scn.conjugated.conjugator).real - 1.0
+    trace_dev = max(float(np.sum(r[r > 0.0])), -float(np.sum(r[r < 0.0])))
+    return [("conjugated-trace", "P3.4", nan_max(_gram_bound(scn), trace_dev), scn.tolerances.conjugated)]
 
 
 # -- dynamics suite ---------------------------------------------------------

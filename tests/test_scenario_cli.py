@@ -143,12 +143,15 @@ def test_tolerances_parsing():
         (("witness_threshold",), float("nan")),
         (("witness_threshold",), float("-inf")),
         (("witness_threshold",), True),
+        (("witness_threshold",), -1.0),
     ],
-    ids=["exact-nan", "conjugated-inf", "exact-bool", "unitary-negative", "threshold-nan", "threshold-ninf", "threshold-bool"],
+    ids=["exact-nan", "conjugated-inf", "exact-bool", "unitary-negative", "threshold-nan", "threshold-ninf",
+         "threshold-bool", "threshold-negative"],
 )
 def test_unusable_tolerance_exits_with_config_error(tmp_path, key, value):
-    # NaN fails every "deviation <= tol", infinity passes every one, and a
-    # boolean would load as 0.0 or 1.0
+    # NaN fails every "deviation <= tol", infinity passes every one, a
+    # negative threshold passes every witness value, and a boolean would
+    # load as 0.0 or 1.0
     cfg = builtin_scenario("witness")
     if len(key) == 2:
         cfg.setdefault(key[0], {})[key[1]] = value
@@ -412,10 +415,9 @@ def test_each_conjugator_is_checked_once(monkeypatch, tmp_path):
 
 
 def test_each_conjugated_dense_matrix_is_built_once_per_check(monkeypatch):
-    # conjugation-covariance builds each atom once per subset for all five
-    # samples, plus one projection and one integral per sample; the witness
-    # builds each twisted unitary once, for its commutators and its covariance
-    # term, and each W* U_T W once for that term
+    # conjugation-covariance builds one projection and one integral per
+    # sample, five samples per subset; the witness builds each twisted
+    # unitary once, for its commutators and its column covariance term
     from evogrid import commutant_witness, suites
     from evogrid.representation import ConjugatedDiagonalOperator
 
@@ -430,10 +432,10 @@ def test_each_conjugated_dense_matrix_is_built_once_per_check(monkeypatch):
 
     monkeypatch.setattr(ConjugatedDiagonalOperator, "to_dense", counting)
     suites._check_conjugation_covariance(scn)
-    assert len(calls) == sum(scn.space.npoints(s) for s in subsets) + 10 * len(subsets)
+    assert len(calls) == 10 * len(subsets)
     calls.clear()
     commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=scn.tolerances.conjugated)
-    assert len(calls) == 2 * len(scn.weight.domain())
+    assert len(calls) == len(scn.weight.domain())
 
 
 @pytest.mark.parametrize("where", ["conjugator", "weight", "grid"])
@@ -595,7 +597,7 @@ def test_cli_timings_excluded_from_body(tmp_path):
 
 # report body of `evogrid verify demo --suite spectral --suite lagrangian`;
 # every value in it is elementwise arithmetic, so no BLAS build can move it
-DEMO_SPECTRAL_LAGRANGIAN_SHA256 = "aeca78c3bd96e20a774e1fc5bd954798a6b9a8fad3ea65464215ef50c6bc4f2e"
+DEMO_SPECTRAL_LAGRANGIAN_SHA256 = "faeb432e3081d95192580c7ed0bd1ae62465ba3f1f2bd79739a5f10f65995dde"
 
 
 def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
@@ -604,31 +606,39 @@ def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_SPECTRAL_LAGRANGIAN_SHA256
 
 
-# stdout of commands whose dense conjugated products round differently
+# stdout of commands whose conjugated values round differently
 # under another BLAS thread count, so each runs in a fresh one-thread process;
-# LADDER_2X8 and LADDER_3X5 name the files written from evobench's ladder
-# rungs 2x8 (N = 64) and 3x5 (N = 125)
-LADDER_2X8 = "ladder-2x8.json"
-LADDER_3X5 = "ladder-3x5.json"
+# LADDER_2X8, LADDER_3X5 and LADDER_3X8 name the files written from
+# evobench's ladder rungs 2x8 (N = 64), 3x5 (N = 125) and 3x8 (N = 512)
+LADDERS = {"ladder-2x8.json": (2, 8), "ladder-3x5.json": (3, 5), "ladder-3x8.json": (3, 8)}
+LADDER_2X8, LADDER_3X5, LADDER_3X8 = LADDERS
 CONJUGATED_OUTPUT_SHA256 = {
     ("verify", "demo", "--suite", "conjugation", "--suite", "dynamics"):
-        "f4ed342c2bf6320cb577745a1424f3c3032920b3c0d2f7717513f44642b512ec",
+        "e73069444f316362fcd1aecc0305871cc12ae0f4fab3cbc35ffb01fcb665d2d3",
     ("compute", "demo", "--subsets", "1,2;3;-"):
         "98eededf26b34aff1b8c011983fe2421ce2f2b3b902f3c25217de4764195ed15",
     ("compute", LADDER_2X8, "--subsets", "1,2;1;-"):
         "70d1b8a55ece3e7f9b73ca3dc10f85a7633e84b3443789c5bf61879fadcf0094",
     ("verify", LADDER_3X5, "--suite", "conjugation", "--suite", "dynamics"):
-        "bb4bbf14eb501f398ad450d06144a61ffa7691937645509b507080cd293c1ec9",
+        "c61aa7045b66e8c27690f798750126047746f552dc1b9db0e5f2991dde1b4af9",
+    ("verify", LADDER_2X8):
+        "0b84b428355530a0fcc285a5a0d1ae33c6f8bd9d8999ab55e53bd80d7723232d",
+    ("verify", LADDER_3X8, "--suite", "conjugation"):
+        "38c474eab53fb0de1c9d4dcfee6581191304f0d54188298303d33eb3059e68e3",
 }
 
 
-@pytest.mark.parametrize("argv", list(CONJUGATED_OUTPUT_SHA256),
-                         ids=["verify", "compute", "compute-ladder-2x8", "verify-ladder-3x5"])
+def _pin_id(argv):
+    # the command, then the ladder rung it reads, if any
+    return f"{argv[0]}-{argv[1].removesuffix('.json')}" if argv[1] in LADDERS else argv[0]
+
+
+@pytest.mark.parametrize("argv", list(CONJUGATED_OUTPUT_SHA256), ids=_pin_id)
 def test_cli_conjugated_output_bytes_are_pinned_at_one_blas_thread(argv, tmp_path):
     from evobench.ladder import ladder_config
 
-    (tmp_path / LADDER_2X8).write_text(json.dumps(ladder_config(2, 8), sort_keys=True))
-    (tmp_path / LADDER_3X5).write_text(json.dumps(ladder_config(3, 5), sort_keys=True))
+    for name, rung in LADDERS.items():
+        (tmp_path / name).write_text(json.dumps(ladder_config(*rung), sort_keys=True))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     result = subprocess.run([sys.executable, "-m", "evogrid.cli", *argv], env=env, capture_output=True, timeout=120,
