@@ -86,12 +86,16 @@ def main() -> None:
     print("\nwithin one representation all evolution unitaries commute:")
     print(f"  max same-representation commutator {report.same_rep_commutator:.2e}")
     print("but the conjugated family need not commute with the original:")
-    print(f"  witness commutator norm {report.witness:.4f} at subsets {report.witness_pair}")
+    print(f"  largest commutator norm in [witness, witness_upper] = [{report.witness:.4f}, {report.witness_upper:.4f}]")
+    print(f"  (the lower bound is certified; its pair of subsets is {report.witness_pair})")
 
     print("\nThe designed witness scenario makes this vivid:")
     wit = load_scenario("witness")
     wreport = commutant_witness(wit.weight, wit.representation, wit.conjugated, tol=1e-12)
-    print(f"  diag(1,-1) against its Hadamard conjugate: commutator norm {wreport.witness:.4f}")
+    print(
+        f"  diag(1,-1) against its Hadamard conjugate: commutator norm in "
+        f"[{wreport.witness:.4f}, {wreport.witness_upper:.4f}]"
+    )
     print("  (the largest possible for unitaries of norm one is 2)")
 
 

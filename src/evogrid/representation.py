@@ -80,7 +80,14 @@ def _frozen_vector(v) -> np.ndarray:
 
 
 def _frozen_square(m) -> np.ndarray:
-    a = np.array(m, dtype=np.complex128, order="C")
+    # a read-only C-ordered complex128 array over read-only memory is already
+    # frozen and is kept, so every operator of a conjugated representation
+    # shares its conjugator instead of copying N^2 entries
+    base = m
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    frozen = isinstance(m, np.ndarray) and base is None and m.dtype == np.complex128 and m.flags.c_contiguous
+    a = m if frozen else np.array(m, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructureError(f"expected a square matrix, got shape {a.shape}")
     a.setflags(write=False)

@@ -29,12 +29,12 @@ haar_unitary(n): QR of an n x n complex_normal matrix, with each column of Q
                 multiplied by r_jj / |r_jj| so the R diagonal is positive and
                 the distribution is exactly Haar.
 
-The scalar methods above are the contract; `complex_matrix` (and so
-`haar_unitary`) computes the same bits in vectorized form.  splitmix64 is
-counter-based, draw k after state s is mix(s + k * gamma), so a block of
-raw outputs is one numpy uint64 expression (blocks of 2^16 entries bound
-the working memory), and the state advances by exactly 2 * rows * cols
-steps.  The uniforms, sqrt, products and the division are numpy
+The scalar methods above are the contract; `integers` and `complex_matrix`
+(and so `haar_unitary`) compute the same bits in vectorized form.
+splitmix64 is counter-based, draw k after state s is mix(s + k * gamma),
+so a block of raw outputs is one numpy uint64 expression (blocks of 2^16
+entries bound a matrix's working memory), and the state advances by
+exactly `count`, or 2 * rows * cols, steps.  The uniforms, sqrt, products and the division are numpy
 operations, which are correctly rounded IEEE arithmetic.
 `log`, `cos` and `sin` stay on libm through `math`, mapped over the vector:
 numpy's `log` differs from `math.log` in the last bit on about 0.3% of
@@ -126,8 +126,19 @@ class SplitMix64:
         x, y = self.normal_pair()
         return complex(x, y) / math.sqrt(2.0)
 
-    def _uniforms(self, count: int) -> np.ndarray:
-        """The next `count` uniforms as one array: draw k is mix(state + k gamma)."""
+    def integers(self, bound: int, count: int) -> np.ndarray:
+        """`count` integers in [0, bound) as a uint64 array, bit-identical to
+        that many `integer(bound)` calls.  A draw is below 2^64, so a bound
+        of 2^64 or more leaves it as it is."""
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        z = self._raw(count)
+        return z % np.uint64(bound) if bound <= MASK64 else z
+
+    def _raw(self, count: int) -> np.ndarray:
+        """The next `count` raw outputs as one array: draw k is mix(state + k gamma)."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= _GAMMA_U64
         z += np.uint64(self._state)
@@ -137,6 +148,11 @@ class SplitMix64:
         z ^= z >> 27
         z *= _MIX2_U64
         z ^= z >> 31
+        return z
+
+    def _uniforms(self, count: int) -> np.ndarray:
+        """The next `count` uniforms as one array."""
+        z = self._raw(count)
         z >>= 11
         return z.astype(np.float64) * 2.0**-53
 

@@ -15,6 +15,7 @@ from evogrid import (
     PreconditionError,
     StructureError,
     action_from_lagrangian,
+    builtin_scenario,
     check_group_law,
     commutant_witness,
     conjugate,
@@ -23,10 +24,13 @@ from evogrid import (
     load_scenario,
     named_contraction,
     resolve_g,
+    scenario_from_dict,
     validate_action_weight,
     verify_lagrangian,
     weight_from_lagrangian,
 )
+from evobench.ladder import ladder_config
+from evogrid import dynamics
 from evogrid.cli import main
 from evogrid.rng import SplitMix64
 from evogrid.scenario import encode_matrix
@@ -267,32 +271,121 @@ def test_commutant_witness_frozen_value(m2):
 
 
 def test_witness_pair_is_the_first_maximum_in_s1_major_order(monkeypatch):
-    # two commutators tie exactly, (a, b) and (c, d) with a < c and b > d:
+    # two lower bounds tie exactly, (a, b) and (c, d) with a < c and b > d:
     # the s1-major first is (a, b), while a scan over s2 first meets (c, d)
     scn = load_scenario("demo")
     domain = scn.weight.domain()
-    plain = [evolution_unitary(scn.weight, s, scn.representation) for s in domain]
-    twisted = [evolution_unitary(scn.weight, s, scn.conjugated) for s in domain]
+    twisted = [evolution_unitary(scn.weight, s, scn.conjugated).to_dense().tobytes() for s in domain]
     a, b, c, d = 2, 4, 4, 2
-    # the commutators as the witness forms them, with the dense twisted unitary
-    tied = []
-    for i, j in ((a, b), (c, d)):
-        p, t = np.diag(plain[i].diag), twisted[j].to_dense()
-        tied.append(p @ t - t @ p)
-    assert all(np.linalg.norm(m, 2) > 0.1 for m in tied)
-    keys = {m.tobytes() for m in tied}
-    norm = np.linalg.norm
+    rig = {twisted[b]: a, twisted[d]: c}
+    original = dynamics._commutator_lower_bounds
+    seen = []
 
-    def rigged(x, ord=None, **kwargs):
-        if ord == 2 and np.asarray(x).tobytes() in keys:
-            return 10.0
-        return norm(x, ord, **kwargs)
+    def rigged(t, p, start):
+        bounds = original(t, p, start)
+        seen.append(bounds.copy())
+        if t.tobytes() in rig:
+            bounds[rig[t.tobytes()]] = 10.0
+        return bounds
 
-    monkeypatch.setattr(np.linalg, "norm", rigged)
+    monkeypatch.setattr(dynamics, "_commutator_lower_bounds", rigged)
     report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=1e-9)
+    # the route runs once per conjugated unitary, for every original at once
+    assert len(seen) == len(domain) and all(s.shape == (len(domain),) for s in seen)
+    assert seen[b][a] > 0.1 and seen[d][c] > 0.1
     assert report.witness == 10.0
     names = [tuple(map(str, scn.frame.ordered(s))) for s in domain]
     assert report.witness_pair == (names[a], names[b])
+
+
+# -- the witness interval against the exact 2-norm --------------------------------
+
+
+def _interval_scenario(source):
+    if source.startswith("ladder-"):
+        return scenario_from_dict(ladder_config(*map(int, source.removeprefix("ladder-").split("x"))))
+    return load_scenario(source)
+
+
+def _exact_commutator_norms(scn):
+    # the dense SVD route the witness no longer takes: ||P1 T2 - T2 P1||_2
+    # for every pair, indexed [s1, s2]
+    domain = scn.weight.domain()
+    plain = [np.diag(evolution_unitary(scn.weight, s, scn.representation).diag) for s in domain]
+    exact = np.empty((len(domain), len(domain)))
+    for i2, s2 in enumerate(domain):
+        t = evolution_unitary(scn.weight, s2, scn.conjugated).to_dense()
+        for i1, p in enumerate(plain):
+            exact[i1, i2] = np.linalg.norm(p @ t - t @ p, 2)
+    return exact
+
+
+def _bounds(scn):
+    # both bounds for every pair, through the routes the witness takes
+    domain = scn.weight.domain()
+    p = np.stack([evolution_unitary(scn.weight, s, scn.representation).diag for s in domain], axis=1)
+    start = SplitMix64(dynamics._WITNESS_START_SEED).complex_matrix(scn.space.dimension, len(domain))
+    lower, upper = [], []
+    for s2 in domain:
+        t = evolution_unitary(scn.weight, s2, scn.conjugated).to_dense()
+        lower.append(dynamics._commutator_lower_bounds(t, p, start))
+        upper.append(dynamics._commutator_upper_bounds(t, p))
+    return np.array(lower).T, np.array(upper).T
+
+
+@pytest.mark.parametrize("source", ["demo", "witness", "ladder-3x5", "ladder-5x2"])
+def test_witness_interval_encloses_every_exact_commutator_norm(source):
+    scn = _interval_scenario(source)
+    exact = _exact_commutator_norms(scn)
+    lower, upper = _bounds(scn)
+    assert np.all(lower <= exact) and np.all(exact <= upper)
+    report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=1e-12)
+    assert report.witness == lower.max() and report.witness_upper == upper.max()
+    assert 0.85 * exact.max() <= report.witness <= exact.max() <= report.witness_upper
+
+
+def test_witness_takes_no_svd(monkeypatch):
+    scn = load_scenario("demo")
+    norm = np.linalg.norm
+
+    def no_two_norm(x, ord=None, **kwargs):
+        assert ord != 2, "the witness took a spectral norm"
+        return norm(x, ord, **kwargs)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the witness took an SVD")
+
+    monkeypatch.setattr(np.linalg, "norm", no_two_norm)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=1e-12)
+    assert 0.0 < report.witness <= report.witness_upper
+
+
+def _identity_conjugated(source):
+    cfg = builtin_scenario(source)
+    n = load_scenario(source).space.dimension
+    cfg["conjugator"] = {"matrix": encode_matrix(np.eye(n, dtype=np.complex128))}
+    return cfg
+
+
+@pytest.mark.parametrize("source", ["demo", "witness"])
+def test_identity_conjugator_gives_a_zero_witness(source):
+    # every pair commutes: demo's phases round A x to about 1e-16, which the
+    # allowance must absorb, and witness's +-1 phases make A x exactly zero,
+    # which must not divide into NaN
+    scn = scenario_from_dict(_identity_conjugated(source))
+    lower, upper = _bounds(scn)
+    assert np.all(lower == 0.0) and not np.isnan(upper).any()
+    report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=1e-12)
+    assert report.witness == 0.0 and 0.0 <= report.witness_upper < 1e-5
+
+
+def test_identity_conjugated_witness_scenario_fails_its_threshold(tmp_path):
+    path, out = tmp_path / "commuting.json", tmp_path / "report.jsonl"
+    path.write_text(json.dumps(_identity_conjugated("witness")))
+    assert main(["verify", str(path), "--suite", "dynamics", "--out", str(out)]) == 1
+    failed = [r["check"] for r in map(json.loads, out.read_text().splitlines()) if "check" in r and not r["pass"]]
+    assert failed == ["commutant-witness"]
 
 
 # -- probe-difference actions ----------------------------------------------------

@@ -418,3 +418,36 @@ def test_conjugation_preserves_rank_and_trace(rep4):
 def test_conjugate_rejects_non_unitary(rep4):
     with pytest.raises(PreconditionError):
         conjugate(np.diag([2.0, 1.0, 1.0, 1.0]), rep4)
+
+
+def test_conjugated_operators_share_the_checked_conjugator(rep4, small_space):
+    w = SplitMix64(24).haar_unitary(4)
+    moved = conjugate(w, rep4)
+    assert not np.shares_memory(moved.conjugator, w) and not moved.conjugator.flags.writeable
+    subset = small_space.frame.admissible()[-1]
+    f = small_space.random_function(subset, SplitMix64(25))
+    ops = (
+        moved.represent(small_space.constant(small_space.full, 1.0)),
+        integrate(f, moved.spectral_measure(subset)),
+        moved.spectral_measure(subset).projection([0]),
+    )
+    for op in ops:
+        assert np.shares_memory(op.conjugator, moved.conjugator)
+        assert not op.conjugator.flags.writeable
+
+
+def test_a_conjugator_that_is_not_frozen_is_copied():
+    w = SplitMix64(26).haar_unitary(4)
+    d = np.ones(4)
+    # a read-only view of a writeable array could still change under it
+    view = w.view()
+    fortran = np.asfortranarray(w)
+    for a in (view, fortran):
+        a.setflags(write=False)
+    for source in (w, view, fortran):
+        op = ConjugatedDiagonalOperator(source, d)
+        assert not np.shares_memory(op.conjugator, source) and not op.conjugator.flags.writeable
+        assert op.conjugator.flags.c_contiguous and np.array_equal(op.conjugator, w)
+    frozen = w.copy()
+    frozen.setflags(write=False)
+    assert ConjugatedDiagonalOperator(frozen, d).conjugator is frozen

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evogrid.rng import MASK64, SplitMix64, derive_seed, fnv1a64
 
@@ -47,6 +49,29 @@ def test_integer_is_modulo_reduction():
     assert r1.integer(17) == raw % 17
     with pytest.raises(ValueError):
         r1.integer(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=MASK64),
+    st.one_of(st.integers(min_value=1, max_value=2**70), st.sampled_from([1, 2**63, MASK64, 2**64, 2**64 + 1, 2**200])),
+    st.integers(min_value=0, max_value=40),
+)
+def test_integers_equal_the_scalar_stream(seed, bound, count):
+    r1, r2 = SplitMix64(seed), SplitMix64(seed)
+    drawn = r1.integers(bound, count)
+    assert drawn.dtype == np.uint64 and drawn.shape == (count,)
+    assert drawn.tolist() == [r2.integer(bound) for _ in range(count)]
+    # the stream continues where the scalar calls leave it
+    assert r1.next_uint64() == r2.next_uint64()
+
+
+def test_integers_rejects_a_nonpositive_bound_or_count():
+    r = SplitMix64(5)
+    for bound, count in ((0, 3), (-1, 3), (5, -1)):
+        with pytest.raises(ValueError):
+            r.integers(bound, count)
+    assert r.next_uint64() == SplitMix64(5).next_uint64()
 
 
 def test_normal_pair_box_muller_contract():

@@ -625,15 +625,24 @@ CONJUGATED_OUTPUT_SHA256 = {
         "0b84b428355530a0fcc285a5a0d1ae33c6f8bd9d8999ab55e53bd80d7723232d",
     ("verify", LADDER_3X8, "--suite", "conjugation"):
         "38c474eab53fb0de1c9d4dcfee6581191304f0d54188298303d33eb3059e68e3",
+    ("verify", LADDER_3X8, "--suite", "dynamics"):
+        "ee56068934c069f673b13355aa22a7a951bcd5ac8995a38eaff525176cba1d25",
 }
 
 
-def _pin_id(argv):
-    # the command, then the ladder rung it reads, if any
-    return f"{argv[0]}-{argv[1].removesuffix('.json')}" if argv[1] in LADDERS else argv[0]
+def _pin_ids(pins):
+    # the command, then the ladder rung it reads, if any; a later pin of the
+    # same command and rung adds its suites
+    ids = []
+    for argv in pins:
+        pin = f"{argv[0]}-{argv[1].removesuffix('.json')}" if argv[1] in LADDERS else argv[0]
+        if pin in ids:
+            pin += "".join(f"-{b}" for a, b in zip(argv, argv[1:]) if a == "--suite")
+        ids.append(pin)
+    return ids
 
 
-@pytest.mark.parametrize("argv", list(CONJUGATED_OUTPUT_SHA256), ids=_pin_id)
+@pytest.mark.parametrize("argv", list(CONJUGATED_OUTPUT_SHA256), ids=_pin_ids(CONJUGATED_OUTPUT_SHA256))
 def test_cli_conjugated_output_bytes_are_pinned_at_one_blas_thread(argv, tmp_path):
     from evobench.ladder import ladder_config
 
