@@ -62,6 +62,13 @@ def main() -> None:
     dev = (gamma.apply(x) - alpha.apply(beta.apply(x))).norm()
     print(f"\ncomposition acts as alpha(beta(x)): deviation {dev:.2e}")
 
+    # one array per block, with a leading stack axis: here x and x @ x
+    stack = [np.stack([b, b @ b]) for b in x.blocks]
+    images = alpha.apply_blocks(stack)
+    same = all(np.array_equal(image[0], b) for image, b in zip(images, alpha.apply(x).blocks))
+    print(f"apply_blocks maps a stack in one call: block shapes {[i.shape for i in images]}")
+    print(f"  entry 0 equals alpha.apply(x) bit for bit: {same}")
+
     print("\nNot every unit-ball map is an automorphism.")
     trace_avg = named_contraction("trace_average", algebra)
     counterexample = verify_automorphism(trace_avg, sample_count=8, seed=0, tol=1e-10)

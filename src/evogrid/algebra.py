@@ -13,7 +13,13 @@ equal dimension and conjugate each block by a unitary.  They are stored that
 way: a permutation plus one unitary per source block.  General linear maps on
 the algebra (convex mixtures, trace averaging, differences of automorphisms)
 appear elsewhere as dense matrices acting on the coordinate vector; this
-module only needs them to expose `algebra` and `apply`.
+module only needs them to expose `algebra` and `apply_blocks`.
+
+`apply_blocks(blocks)` maps per-block arrays of shape (..., n_i, n_i), with
+any leading stack axes, to the per-block arrays of their images, so one call
+applies a map to a whole stack of elements; `apply(a)` is its one-element
+case.  Every stack entry goes through the same matrix products as a single
+element would, so a stacked image has the bits of the per-element ones.
 
 Duality probes are elementary tensors: finite lists of (element, functional)
 pairs.  Pairing one against a linear map phi gives the scalar
@@ -93,13 +99,18 @@ class WStarAlgebra:
     def coordinates(self, a: "AlgebraElement") -> np.ndarray:
         """Row-major vectorization of the blocks, concatenated in order."""
         self._own(a)
-        return np.concatenate([b.ravel() for b in a.blocks])
+        return self._join(a.blocks)
+
+    def _join(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Coordinates of stacked blocks (..., n, n), along the last axis."""
+        return np.concatenate([b.reshape(*b.shape[:-2], b.shape[-1] ** 2) for b in blocks], axis=-1)
 
     def _split(self, v: np.ndarray) -> list[np.ndarray]:
-        """The n x n blocks of a flat vector of length `dimension`, row-major, in order."""
+        """The n x n blocks of vectors of length `dimension` along the last
+        axis, row-major, in order; leading axes stay stack axes."""
         blocks, k = [], 0
         for n in self.block_dims:
-            blocks.append(v[k : k + n * n].reshape(n, n))
+            blocks.append(v[..., k : k + n * n].reshape(*v.shape[:-1], n, n))
             k += n * n
         return blocks
 
@@ -109,20 +120,27 @@ class WStarAlgebra:
             raise StructureError(f"coordinate vector has length {v.size}, expected {self.dimension}")
         return self.element(self._split(v))
 
-    def _random_blocks(self, rng: SplitMix64, scale: float) -> list[np.ndarray]:
-        # one draw for all blocks: the same stream as a complex_matrix per block
-        return self._split(rng.complex_matrix(1, self.dimension)[0] * scale)
+    def _random_blocks(self, rng: SplitMix64, scale: float, count: int) -> list[np.ndarray]:
+        """Per-block stacks of `count` random elements.  One draw for all of
+        them: the same stream as a complex_matrix per block of each element
+        in turn, so entry k has the bits of the k-th `random_element` call."""
+        return self._split(rng.complex_matrix(count, self.dimension) * scale)
 
     def random_element(self, rng: SplitMix64, scale: float = 1.0) -> "AlgebraElement":
         """Blocks with independent scaled complex Gaussian entries."""
-        return self.element(self._random_blocks(rng, scale))
+        return self.element([b[0] for b in self._random_blocks(rng, scale, 1)])
 
     def random_functional(self, rng: SplitMix64, scale: float = 1.0) -> "NormalFunctional":
-        return NormalFunctional(self, tuple(self._random_blocks(rng, scale)))
+        return NormalFunctional(self, tuple(b[0] for b in self._random_blocks(rng, scale, 1)))
 
     def _own(self, a: "AlgebraElement") -> None:
         if a.algebra != self:
             raise StructureError("element belongs to a different algebra")
+
+    def _own_blocks(self, blocks: Sequence[np.ndarray]) -> None:
+        """Require one stack of n x n blocks per block of this algebra."""
+        if len(blocks) != self.nblocks or any(b.shape[-2:] != (n, n) for b, n in zip(blocks, self.block_dims)):
+            raise StructureError(f"expected stacks of blocks of dimensions {self.block_dims}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +178,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """C*-norm: the largest spectral norm over the blocks."""
-        return max(float(np.linalg.norm(b, 2)) for b in self.blocks)
+        return float(_cstar_norms(self.blocks))
 
     def allclose(self, other: "AlgebraElement", tol: float = 0.0) -> bool:
         self._check_peer(other)
@@ -185,6 +203,12 @@ class NormalFunctional:
     def __call__(self, a: AlgebraElement) -> complex:
         self.algebra._own(a)
         return complex(sum(np.trace(d @ b) for d, b in zip(self.densities, a.blocks)))
+
+
+def _cstar_norms(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """C*-norms of stacked elements: per stack entry, the largest spectral
+    norm over the blocks, from one stacked SVD per block."""
+    return np.max([np.linalg.norm(b, 2, axis=(-2, -1)) for b in blocks], axis=0)
 
 
 def _identity_perm(k: int) -> tuple[int, ...]:
@@ -218,9 +242,13 @@ class Automorphism:
             # a non-finite entry would reach the SVD below, which does not converge
             if not np.isfinite(u).all():
                 raise StructureError("block matrix has non-finite entries")
-            defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2)
-            if defect > UNITARY_TOL:
-                raise StructureError(f"block matrix is not unitary (defect {defect:.2e})")
+            gram = u.conj().T @ u - np.eye(u.shape[0])
+            # the Frobenius norm bounds the 2-norm above, so it may accept
+            # alone; only a matrix it cannot accept pays for the SVD
+            if np.linalg.norm(gram) > UNITARY_TOL:
+                defect = np.linalg.norm(gram, 2)
+                if defect > UNITARY_TOL:
+                    raise StructureError(f"block matrix is not unitary (defect {defect:.2e})")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "unitaries", mats)
 
@@ -239,12 +267,18 @@ class Automorphism:
         """Trivial permutation, independent Haar unitary on every block."""
         return cls.conjugation(algebra, [rng.haar_unitary(n) for n in algebra.block_dims])
 
+    def apply_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Images of stacked blocks (..., n_i, n_i): block i, conjugated by
+        `unitaries[i]`, lands in block `perm[i]`."""
+        self.algebra._own_blocks(blocks)
+        out: list[np.ndarray | None] = [None] * self.algebra.nblocks
+        for i, (u, b) in enumerate(zip(self.unitaries, blocks)):
+            out[self.perm[i]] = u @ b @ u.conj().T
+        return out
+
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         self.algebra._own(a)
-        out: list[np.ndarray | None] = [None] * self.algebra.nblocks
-        for i, (u, b) in enumerate(zip(self.unitaries, a.blocks)):
-            out[self.perm[i]] = u @ b @ u.conj().T
-        return self.algebra.element(out)
+        return self.algebra.element(self.apply_blocks(a.blocks))
 
     def inverse(self) -> "Automorphism":
         k = self.algebra.nblocks
@@ -267,16 +301,15 @@ def compose_automorphisms(alpha: Automorphism, beta: Automorphism) -> Automorphi
 
 
 def linear_map_matrix(phi) -> np.ndarray:
-    """Dense coordinate matrix of any linear map exposing algebra/apply."""
+    """Dense coordinate matrix of any linear map exposing algebra/apply_blocks.
+
+    Column j is the image of the j-th coordinate basis element; the whole
+    basis is applied as one stack.
+    """
     algebra = phi.algebra
-    d = algebra.dimension
-    cols = np.empty((d, d), dtype=np.complex128)
-    basis = np.zeros(d, dtype=np.complex128)
-    for j in range(d):
-        basis[j] = 1.0
-        cols[:, j] = algebra.coordinates(phi.apply(algebra.from_coordinates(basis)))
-        basis[j] = 0.0
-    return cols
+    basis = np.eye(algebra.dimension, dtype=np.complex128)
+    images = algebra._join(phi.apply_blocks(algebra._split(basis)))
+    return np.ascontiguousarray(images.T)
 
 
 @dataclass(frozen=True)
@@ -305,25 +338,46 @@ class AutomorphismReport:
         return tuple(name for name, dev in pairs if dev > self.tolerance)
 
 
+def _star(blocks: np.ndarray) -> np.ndarray:
+    """Adjoints of stacked blocks (..., n, n)."""
+    return np.conj(blocks).swapaxes(-2, -1)
+
+
 def verify_automorphism(phi, sample_count: int = 20, seed: int = 0, tol: float = 1e-10) -> AutomorphismReport:
     """Check the *-automorphism laws on seeded random elements.
 
-    `phi` may be any linear map exposing `algebra` and `apply`; maps that are
-    not automorphisms (e.g. trace averaging) show up as a law failure in the
-    report rather than as an exception.
+    `phi` may be any linear map exposing `algebra` and `apply_blocks`; maps
+    that are not automorphisms (e.g. trace averaging) show up as a law
+    failure in the report rather than as an exception.
+
+    Sample k is the pair (a_k, b_k) of rows 2k and 2k + 1 of one draw of
+    2 * sample_count elements, the stream of that many `random_element`
+    calls.  Per block, a, b, ab, a* and the identity go through `phi` as one
+    stack, and the four laws are judged from one stacked spectral norm.
     """
     algebra = phi.algebra
-    rng = SplitMix64(seed)
-    one = algebra.identity()
-    unital = (phi.apply(one) - one).norm()
-    mult = star = isom = 0.0
-    for _ in range(sample_count):
-        a = algebra.random_element(rng)
-        b = algebra.random_element(rng)
-        mult = max(mult, (phi.apply(a @ b) - phi.apply(a) @ phi.apply(b)).norm())
-        star = max(star, (phi.apply(a.star()) - phi.apply(a).star()).norm())
-        isom = max(isom, abs(phi.apply(a).norm() - a.norm()))
-    return AutomorphismReport(mult, star, unital, isom, tol, sample_count)
+    s = sample_count
+    ones = [np.eye(n, dtype=np.complex128)[None] for n in algebra.block_dims]
+    stacks = []  # per block: a, b, ab and a* (s entries each), then 1
+    for x, one in zip(algebra._random_blocks(SplitMix64(seed), 1.0, 2 * s), ones):
+        a, b = x[0::2], x[1::2]
+        stacks.append(np.concatenate([a, b, a @ b, _star(a), one]))
+    # per block, what the laws take norms of: phi(ab) - phi(a)phi(b),
+    # phi(a*) - phi(a)*, phi(a) and a (s entries each), then phi(1) - 1
+    laws = []
+    for x, y, one in zip(stacks, phi.apply_blocks(stacks), ones):
+        pa, pb, pab, pstar, pone = np.split(y, [s, 2 * s, 3 * s, 4 * s])
+        laws.append(np.concatenate([pab - pa @ pb, pstar - _star(pa), pa, x[:s], pone - one]))
+    norms = _cstar_norms(laws)
+    mult, star, image, source = np.split(norms[:-1], 4)
+    return AutomorphismReport(
+        multiplicative=float(np.max(mult, initial=0.0)),
+        star_preserving=float(np.max(star, initial=0.0)),
+        unital=float(norms[-1]),
+        isometric=float(np.max(np.abs(image - source), initial=0.0)),
+        tolerance=tol,
+        samples=sample_count,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,11 +36,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Automorphism, AlgebraElement, WStarAlgebra, linear_map_matrix
+from .algebra import Automorphism, AlgebraElement, WStarAlgebra, _cstar_norms, linear_map_matrix
 from .errors import DomainError, StructureError
 from .rng import SplitMix64
 
@@ -177,6 +177,9 @@ class GridPointMap:
             m = np.array(self.dense, dtype=np.complex128, order="C")
             if m.shape != (d, d):
                 raise StructureError(f"dense backing must be {d}x{d}, got {m.shape}")
+            # a non-finite entry would reach the SVD of a norm estimate, which does not converge
+            if not np.isfinite(m).all():
+                raise StructureError("dense backing has non-finite entries")
             m.setflags(write=False)
             object.__setattr__(self, "dense", m)
         elif self.automorphism.algebra != self.algebra:
@@ -194,10 +197,18 @@ class GridPointMap:
     def identity(cls, algebra: WStarAlgebra) -> "GridPointMap":
         return cls.from_automorphism(Automorphism.identity(algebra))
 
-    def apply(self, a: AlgebraElement) -> AlgebraElement:
+    def apply_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Images of stacked blocks (..., n_i, n_i); a dense backing maps the
+        coordinates of every stack entry by one matrix-vector product."""
         if self.automorphism is not None:
-            return self.automorphism.apply(a)
-        return self.algebra.from_coordinates(self.dense @ self.algebra.coordinates(a))
+            return self.automorphism.apply_blocks(blocks)
+        self.algebra._own_blocks(blocks)
+        coordinates = self.algebra._join(blocks)
+        return self.algebra._split((self.dense @ coordinates[..., None])[..., 0])
+
+    def apply(self, a: AlgebraElement) -> AlgebraElement:
+        self.algebra._own(a)
+        return self.algebra.element(self.apply_blocks(a.blocks))
 
     def matrix(self) -> np.ndarray:
         if self.dense is not None:
@@ -267,11 +278,11 @@ def contraction_norm_estimate(phi: GridPointMap, seed: int = 0, samples: int = 3
         return 1.0
     algebra = phi.algebra
     rng = SplitMix64(seed)
-    best = phi.apply(algebra.identity()).norm()
-    for _ in range(samples):
-        u = algebra.element([rng.haar_unitary(n) for n in algebra.block_dims])
-        best = max(best, phi.apply(u).norm())
-    return best
+    draws = [[rng.haar_unitary(n) for n in algebra.block_dims] for _ in range(samples)]
+    # per block one stack: the identity, then the drawn tuples in order
+    stacks = [np.stack([np.eye(n, dtype=np.complex128), *(u[i] for u in draws)])
+              for i, n in enumerate(algebra.block_dims)]
+    return float(np.max(_cstar_norms(phi.apply_blocks(stacks))))
 
 
 @dataclass(frozen=True)

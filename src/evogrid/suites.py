@@ -146,10 +146,27 @@ def _nonempty_subsets(scn: Scenario) -> list[frozenset]:
 def _bit_rows(ids: np.ndarray, k: int) -> np.ndarray:
     """Boolean membership rows of subset bitmask ids over k points.
 
-    Bit b of a uint64 id lands in column b; columns from 64 on stay empty.
+    An id is a uint64, or a row of uint64 words, low word first; bit b of
+    word w lands in column 64 w + b.
     """
-    raw = np.asarray(ids, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    words = np.ascontiguousarray(ids, dtype="<u8")
+    raw = words.view(np.uint8).reshape(len(words), -1)
     return np.unpackbits(raw, axis=1, count=k, bitorder="little").astype(bool)
+
+
+def _random_ids(rng: SplitMix64, k: int, count: int) -> np.ndarray:
+    """`count` random subsets of k points as bitmask ids.
+
+    Up to 64 points an id is one `integer(2^k)` draw.  Beyond, it is a row of
+    ceil(k / 64) raw words, low word first, with the bits past point k - 1
+    masked off the top word, so that every point can be drawn.
+    """
+    if k <= 64:
+        return rng.integers(1 << k, count)
+    nwords = -(-k // 64)
+    ids = rng.integers(1 << 64, count * nwords).reshape(count, nwords)
+    ids[:, -1] &= np.uint64((1 << (k - 64 * (nwords - 1))) - 1)
+    return ids
 
 
 def _subset_pair_ids(scn: Scenario, label: str, count_points: int) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -159,8 +176,8 @@ def _subset_pair_ids(scn: Scenario, label: str, count_points: int) -> tuple[np.n
         rows = _bit_rows(np.arange(total, dtype=np.uint64), count_points)
         return np.repeat(rows, total, axis=0), np.tile(rows, (total, 1)), True
     rng = _rng(scn, label)
-    left = _bit_rows(rng.integers(total, SAMPLED_PAIRS), count_points)
-    right = _bit_rows(rng.integers(total, SAMPLED_PAIRS), count_points)
+    left = _bit_rows(_random_ids(rng, count_points, SAMPLED_PAIRS), count_points)
+    right = _bit_rows(_random_ids(rng, count_points, SAMPLED_PAIRS), count_points)
     return left, right, False
 
 
@@ -168,12 +185,16 @@ def _point_sets(scn: Scenario, label: str, k: int, exhaustive: int, samples: int
     """Point sets over k points, as bit rows.
 
     Every set when there are at most `exhaustive` of them; otherwise the
-    sorted distinct ids of `samples` draws from the labeled substream.
+    distinct ids of `samples` draws from the labeled substream, sorted by
+    value (top word first).
     """
     total = 1 << k
     if total <= exhaustive:
         return _bit_rows(np.arange(total, dtype=np.uint64), k)
-    return _bit_rows(np.unique(_rng(scn, label).integers(total, samples)), k)
+    ids = _random_ids(_rng(scn, label), k, samples)
+    if ids.ndim == 1:
+        return _bit_rows(np.unique(ids), k)
+    return _bit_rows(np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
 
 
 def _finite(value: float, check: str) -> float:

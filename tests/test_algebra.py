@@ -4,17 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evogrid import (
+    AlgebraElement,
     Automorphism,
+    AutomorphismReport,
     ElementaryTensor,
+    GridPointMap,
     NormalFunctional,
     StructureError,
     WStarAlgebra,
     compose_automorphisms,
+    contraction_norm_estimate,
     linear_map_matrix,
+    load_scenario,
     named_contraction,
+    run_suite,
     verify_automorphism,
     weakstar_pairing,
 )
+from evogrid import suites
 from evogrid.rng import SplitMix64
 
 from conftest import FLIP
@@ -180,3 +187,157 @@ def test_unitarity_validation_rejects_defective_matrix(m2):
     bad[0, 1] = 1.5
     with pytest.raises(StructureError):
         Automorphism.conjugation(m2, [bad])
+
+
+# -- the stacked route against the per-sample one ------------------------------
+
+
+def _per_sample_verify(phi, sample_count, seed, tol):
+    # the per-sample loop that verify_automorphism replaced, kept as its oracle
+    algebra = phi.algebra
+    rng = SplitMix64(seed)
+    one = algebra.identity()
+    unital = (phi.apply(one) - one).norm()
+    mult = star = isom = 0.0
+    for _ in range(sample_count):
+        a = algebra.random_element(rng)
+        b = algebra.random_element(rng)
+        mult = max(mult, (phi.apply(a @ b) - phi.apply(a) @ phi.apply(b)).norm())
+        star = max(star, (phi.apply(a.star()) - phi.apply(a).star()).norm())
+        isom = max(isom, abs(phi.apply(a).norm() - a.norm()))
+    return AutomorphismReport(mult, star, unital, isom, tol, sample_count)
+
+
+def _column_by_column(phi):
+    # the basis-element loop that linear_map_matrix replaced
+    algebra = phi.algebra
+    d = algebra.dimension
+    cols = np.empty((d, d), dtype=np.complex128)
+    basis = np.zeros(d, dtype=np.complex128)
+    for j in range(d):
+        basis[j] = 1.0
+        cols[:, j] = algebra.coordinates(phi.apply(algebra.from_coordinates(basis)))
+        basis[j] = 0.0
+    return cols
+
+
+def _per_sample_contraction_estimate(phi, seed, samples):
+    algebra = phi.algebra
+    rng = SplitMix64(seed)
+    best = phi.apply(algebra.identity()).norm()
+    for _ in range(samples):
+        u = algebra.element([rng.haar_unitary(n) for n in algebra.block_dims])
+        best = max(best, phi.apply(u).norm())
+    return best
+
+
+M223 = WStarAlgebra((2, 2, 3))
+
+
+def _haar_blocks(seed):
+    rng = SplitMix64(seed)
+    return [rng.haar_unitary(n) for n in M223.block_dims]
+
+
+MAPS_ON_M223 = {
+    "haar": lambda: Automorphism.conjugation(M223, _haar_blocks(21)),
+    "haar-swapped": lambda: Automorphism.conjugation(M223, _haar_blocks(22), perm=(1, 0, 2)),
+    "trace-average": lambda: named_contraction("trace_average", M223),
+    "grid-haar-swapped": lambda: GridPointMap.from_automorphism(MAPS_ON_M223["haar-swapped"]()),
+    "dense-haar-swapped": lambda: GridPointMap.from_matrix(M223, linear_map_matrix(MAPS_ON_M223["haar-swapped"]())),
+    "dense-mixture": lambda: 0.5 * (GridPointMap.from_automorphism(MAPS_ON_M223["haar"]())
+                                    + GridPointMap.from_automorphism(MAPS_ON_M223["haar-swapped"]())),
+}
+
+
+def test_stacked_draw_is_the_stream_of_random_element_calls():
+    stacked, single = SplitMix64(5), SplitMix64(5)
+    blocks = M223._random_blocks(stacked, 1.0, 6)
+    for k in range(6):
+        a = M223.random_element(single)
+        for stack, block in zip(blocks, a.blocks):
+            assert stack[k].tobytes() == block.tobytes()
+    assert stacked.next_uint64() == single.next_uint64()
+
+
+@pytest.mark.parametrize("name", list(MAPS_ON_M223))
+@pytest.mark.parametrize("sample_count", [0, 1, 7])
+def test_verify_automorphism_matches_the_per_sample_oracle(name, sample_count):
+    phi = MAPS_ON_M223[name]()
+    stacked = verify_automorphism(phi, sample_count=sample_count, seed=17, tol=1e-10)
+    assert stacked == _per_sample_verify(phi, sample_count, 17, 1e-10)
+    assert stacked.passed == (name not in ("trace-average", "dense-mixture") or sample_count == 0)
+
+
+@pytest.mark.parametrize("name", list(MAPS_ON_M223))
+def test_linear_map_matrix_matches_the_column_oracle(name):
+    phi = MAPS_ON_M223[name]()
+    m = linear_map_matrix(phi)
+    assert m.flags.c_contiguous
+    assert np.array_equal(m, _column_by_column(phi))
+
+
+@pytest.mark.parametrize("name", ["trace-average", "dense-haar-swapped", "dense-mixture"])
+def test_contraction_estimate_matches_the_per_sample_oracle(name):
+    phi = MAPS_ON_M223[name]()
+    assert contraction_norm_estimate(phi, seed=3, samples=9) == _per_sample_contraction_estimate(phi, 3, 9)
+
+
+@pytest.mark.parametrize("name", ["haar-swapped", "dense-mixture"])
+def test_apply_blocks_maps_each_stack_entry_as_apply_does(name):
+    phi = MAPS_ON_M223[name]()
+    blocks = M223._random_blocks(SplitMix64(8), 1.0, 4)
+    images = phi.apply_blocks([b.reshape(2, 2, *b.shape[1:]) for b in blocks])
+    for k in range(4):
+        image = phi.apply(M223.element([b[k] for b in blocks]))
+        for stack, block in zip(images, image.blocks):
+            assert stack[k // 2, k % 2].tobytes() == block.tobytes()
+    with pytest.raises(StructureError):
+        phi.apply_blocks(blocks[:2])
+    with pytest.raises(StructureError):
+        phi.apply_blocks([blocks[0], blocks[0], blocks[0]])
+
+
+def test_frobenius_screen_defers_to_the_svd(m2):
+    # u* u - I = diag(d, d) with d = 8e-9: the 2-norm 8e-9 passes the 1e-8
+    # bound, the Frobenius norm 1.13e-8 does not, so the SVD must decide
+    spread = np.diag([1.0 + 4e-9, 1.0 + 4e-9]).astype(np.complex128)
+    gram = spread.conj().T @ spread - np.eye(2)
+    assert np.linalg.norm(gram, 2) <= 1e-8 < np.linalg.norm(gram)
+    Automorphism.conjugation(m2, [spread])
+    with pytest.raises(StructureError, match="not unitary"):
+        Automorphism.conjugation(m2, [np.diag([1.0 + 1e-8, 1.0])])
+
+
+# -- algebra checks against mutants ------------------------------------------
+
+
+def _transposed_conjugation(self, blocks):
+    out = [None] * self.algebra.nblocks
+    for i, (u, b) in enumerate(zip(self.unitaries, blocks)):
+        out[self.perm[i]] = u @ b @ u.T
+    return out
+
+
+def _transposed_matrix(original):
+    return lambda phi: original(phi).T
+
+
+def _frobenius_norm(self):
+    return max(float(np.linalg.norm(b)) for b in self.blocks)
+
+
+ALGEBRA_MUTANTS = {
+    "conjugation-by-u-transpose": ((Automorphism, "apply_blocks", _transposed_conjugation), "automorphism-laws"),
+    "transposed-map-matrix": ((suites, "linear_map_matrix", _transposed_matrix(linear_map_matrix)), "weakstar-pairing"),
+    "frobenius-element-norm": ((AlgebraElement, "norm", _frobenius_norm), "cstar-norm"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(ALGEBRA_MUTANTS))
+def test_each_algebra_check_catches_its_mutant(mutant, monkeypatch):
+    patch, caught = ALGEBRA_MUTANTS[mutant]
+    scn = load_scenario("demo")
+    monkeypatch.setattr(*patch)
+    records = {r.check: r for r in run_suite(scn, ["algebra"]).records}
+    assert records[caught].max_deviation > records[caught].tolerance

@@ -99,6 +99,14 @@ def test_map_difference_is_dense_backed(m2, flip):
     assert np.allclose(out.blocks[0], np.diag([-1.0, 1.0]))
 
 
+def test_dense_backing_rejects_non_finite_entries(m2):
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        m = np.eye(m2.dimension, dtype=np.complex128)
+        m[0, 1] = bad
+        with pytest.raises(StructureError, match="non-finite"):
+            GridPointMap.from_matrix(m2, m)
+
+
 def test_contraction_estimate_automorphism_is_exactly_one(flip):
     assert contraction_norm_estimate(GridPointMap.from_automorphism(flip)) == 1.0
 
@@ -119,8 +127,9 @@ def test_trace_average_matrix_matches_its_action(dims):
         def __init__(self, algebra):
             self.algebra = algebra
 
-        def apply(self, a):
-            return self.algebra.element([np.trace(b) / n * np.eye(n) for b, n in zip(a.blocks, self.algebra.block_dims)])
+        def apply_blocks(self, blocks):
+            traces = (np.trace(b, axis1=-2, axis2=-1)[..., None, None] for b in blocks)
+            return [t / n * np.eye(n) for t, n in zip(traces, self.algebra.block_dims)]
 
     algebra = WStarAlgebra(dims)
     reference = linear_map_matrix(TraceAverage(algebra))

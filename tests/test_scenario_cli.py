@@ -300,6 +300,50 @@ def test_sampled_point_sets_are_the_labeled_draws(monkeypatch):
         assert [sum(1 << int(b) for b in np.flatnonzero(row)) for row in drawn[label]] == ids
 
 
+def _ids_of_words(words, k):
+    # ceil(k / 64) raw words per set, low word first, top word masked to k
+    nwords = -(-k // 64)
+    ids = []
+    for i in range(0, len(words), nwords):
+        ids.append(sum(w << (64 * j) for j, w in enumerate(words[i : i + nwords])) & ((1 << k) - 1))
+    return ids
+
+
+def _row_ids(rows):
+    return [sum(1 << int(b) for b in np.flatnonzero(row)) for row in rows]
+
+
+def test_sampled_point_sets_past_64_points_reach_every_point():
+    # rung 3x5 has N = 125 points: a set is two raw words of its labeled
+    # substream, and the sets are the sorted distinct ids
+    from evobench.ladder import ladder_config
+    from evogrid import suites
+    from evogrid.rng import SplitMix64, derive_seed
+
+    scn = scenario_from_dict(ladder_config(3, 5))
+    n = scn.space.dimension
+    rows = suites._point_sets(scn, "injectivity-full", n, 4096, 512)
+    assert rows.shape[1] == n and rows[:, 64:].any(axis=0).all()
+    rng = SplitMix64(derive_seed(scn.seed, "injectivity-full"))
+    assert _row_ids(rows) == sorted(set(_ids_of_words([rng.next_uint64() for _ in range(2 * 512)], n)))
+    left, right, exhaustive = suites._subset_pair_ids(scn, "pvm-full", n)
+    assert not exhaustive and left[:, 64:].any(axis=0).all() and right[:, 64:].any(axis=0).all()
+    rng = SplitMix64(derive_seed(scn.seed, "pvm-full"))
+    words = [rng.next_uint64() for _ in range(4 * len(left))]
+    assert _row_ids(left) + _row_ids(right) == _ids_of_words(words, n)
+
+
+@pytest.mark.parametrize("k", [65, 128, 130])
+def test_multi_word_ids_stay_below_two_to_the_k(k):
+    from evogrid import suites
+    from evogrid.rng import SplitMix64
+
+    ids = suites._random_ids(SplitMix64(k), k, 300)
+    assert ids.shape == (300, -(-k // 64))
+    assert all(sum(int(w) << (64 * j) for j, w in enumerate(row)) < 1 << k for row in ids)
+    assert suites._bit_rows(ids, k)[:, k - 1].any()
+
+
 def test_embedding_measure_catches_swapped_broadcast_axes(monkeypatch):
     # the lifted side broadcasts, the measure side gathers; a broadcast that
     # swaps two grid axes permutes the lifted diagonals and must show
@@ -607,7 +651,8 @@ def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
 
 
 # stdout of commands whose conjugated values round differently
-# under another BLAS thread count, so each runs in a fresh one-thread process;
+# under another BLAS thread count, and of the algebra suite on demo, whose
+# values are BLAS products and SVDs too, so each runs in a fresh one-thread process;
 # LADDER_2X8, LADDER_3X5 and LADDER_3X8 name the files written from
 # evobench's ladder rungs 2x8 (N = 64), 3x5 (N = 125) and 3x8 (N = 512)
 LADDERS = {"ladder-2x8.json": (2, 8), "ladder-3x5.json": (3, 5), "ladder-3x8.json": (3, 8)}
@@ -627,6 +672,8 @@ CONJUGATED_OUTPUT_SHA256 = {
         "38c474eab53fb0de1c9d4dcfee6581191304f0d54188298303d33eb3059e68e3",
     ("verify", LADDER_3X8, "--suite", "dynamics"):
         "ee56068934c069f673b13355aa22a7a951bcd5ac8995a38eaff525176cba1d25",
+    ("verify", "demo", "--suite", "algebra"):
+        "673bea38fa74f33412ba1db581a38270d622627443bbaba533892e73225d5fa7",
 }
 
 
