@@ -243,12 +243,9 @@ class Automorphism:
             if not np.isfinite(u).all():
                 raise StructureError("block matrix has non-finite entries")
             gram = u.conj().T @ u - np.eye(u.shape[0])
-            # the Frobenius norm bounds the 2-norm above, so it may accept
-            # alone; only a matrix it cannot accept pays for the SVD
-            if np.linalg.norm(gram) > UNITARY_TOL:
-                defect = np.linalg.norm(gram, 2)
-                if defect > UNITARY_TOL:
-                    raise StructureError(f"block matrix is not unitary (defect {defect:.2e})")
+            defect = np.linalg.norm(gram, 2)
+            if defect > UNITARY_TOL:
+                raise StructureError(f"block matrix is not unitary (defect {defect:.2e})")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "unitaries", mats)
 

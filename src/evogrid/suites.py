@@ -155,14 +155,11 @@ def _bit_rows(ids: np.ndarray, k: int) -> np.ndarray:
 
 
 def _random_ids(rng: SplitMix64, k: int, count: int) -> np.ndarray:
-    """`count` random subsets of k points as bitmask ids.
+    """`count` random subsets of k points as rows of bitmask words.
 
-    Up to 64 points an id is one `integer(2^k)` draw.  Beyond, it is a row of
-    ceil(k / 64) raw words, low word first, with the bits past point k - 1
-    masked off the top word, so that every point can be drawn.
+    A row is ceil(k / 64) raw words, low word first, with the bits past
+    point k - 1 masked off the top word, so that every point can be drawn.
     """
-    if k <= 64:
-        return rng.integers(1 << k, count)
     nwords = -(-k // 64)
     ids = rng.integers(1 << 64, count * nwords).reshape(count, nwords)
     ids[:, -1] &= np.uint64((1 << (k - 64 * (nwords - 1))) - 1)
@@ -192,8 +189,8 @@ def _point_sets(scn: Scenario, label: str, k: int, exhaustive: int, samples: int
     if total <= exhaustive:
         return _bit_rows(np.arange(total, dtype=np.uint64), k)
     ids = _random_ids(_rng(scn, label), k, samples)
-    if ids.ndim == 1:
-        return _bit_rows(np.unique(ids), k)
+    if ids.shape[1] == 1:
+        return _bit_rows(np.unique(ids[:, 0]), k)
     return _bit_rows(np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
 
 

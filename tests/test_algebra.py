@@ -298,9 +298,9 @@ def test_apply_blocks_maps_each_stack_entry_as_apply_does(name):
         phi.apply_blocks([blocks[0], blocks[0], blocks[0]])
 
 
-def test_frobenius_screen_defers_to_the_svd(m2):
+def test_unitarity_is_judged_in_the_two_norm(m2):
     # u* u - I = diag(d, d) with d = 8e-9: the 2-norm 8e-9 passes the 1e-8
-    # bound, the Frobenius norm 1.13e-8 does not, so the SVD must decide
+    # bound, the Frobenius norm 1.13e-8 would not
     spread = np.diag([1.0 + 4e-9, 1.0 + 4e-9]).astype(np.complex128)
     gram = spread.conj().T @ spread - np.eye(2)
     assert np.linalg.norm(gram, 2) <= 1e-8 < np.linalg.norm(gram)

@@ -333,13 +333,16 @@ def test_sampled_point_sets_past_64_points_reach_every_point():
     assert _row_ids(left) + _row_ids(right) == _ids_of_words(words, n)
 
 
-@pytest.mark.parametrize("k", [65, 128, 130])
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 128, 130])
 def test_multi_word_ids_stay_below_two_to_the_k(k):
     from evogrid import suites
     from evogrid.rng import SplitMix64
 
     ids = suites._random_ids(SplitMix64(k), k, 300)
     assert ids.shape == (300, -(-k // 64))
+    if k <= 64:
+        # one masked word is one integer(2^k) draw
+        assert np.array_equal(ids[:, 0], SplitMix64(k).integers(1 << k, 300))
     assert all(sum(int(w) << (64 * j) for j, w in enumerate(row)) < 1 << k for row in ids)
     assert suites._bit_rows(ids, k)[:, k - 1].any()
 
