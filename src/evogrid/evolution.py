@@ -488,6 +488,12 @@ class GridEvolutionSpace:
         return self.function(s, vals)
 
     def random_function(self, subset, rng: SplitMix64, unimodular: bool = False) -> "GridFunction":
+        """Complex normal values, or unimodular ones from uniform phases.
+
+        The complex values are one row of `rng.complex_matrix`, so the rows of
+        one `complex_matrix(S, npoints(subset))` draw are S calls' values, with
+        the same end state.
+        """
         n = self.npoints(subset)
         if unimodular:
             phases = np.array([rng.uniform() for _ in range(n)])

@@ -14,13 +14,15 @@ diagonal with a one at each full point whose restriction lies in V.  The
 library builds every such diagonal one way, by a gather through the
 subset's restriction table: each full point takes the value at the point of
 T it restricts to.  Projections, atoms, the batch `diagonals` of many point
-sets and spectral integrals are all that gather.
+sets and spectral integrals are all that gather; `integrate_rows` takes a
+block of value rows at once, and `integrate` is its one-row case.
 
 `pullback_rows`, with `pullback` and `embed_eta` as its one-row cases, is
 the independent second route: it broadcasts the values over the axes
-outside T and never reads the table.  The checks pair the two routes: `factorization` compares integrals with
-represented pullbacks, and `embedding` and `embedding-measure` compare
-embedded functions and projections with integrals and measure diagonals.
+outside T and never reads the table.  The checks pair the two routes on
+stacks of sampled rows: `factorization` compares `integrate_rows` with
+`pullback_rows` of the same rows, and `embedding` and `embedding-measure`
+compare lifted rows and projections with integrals and measure diagonals.
 `spectral-sum` pins the gather to the explicit sum of value-scaled atoms,
 and `pushforward` and `matrix-elements` test it against points restricted
 one at a time.
@@ -59,6 +61,7 @@ __all__ = [
     "SpectralMeasure",
     "pushforward",
     "integrate",
+    "integrate_rows",
     "conjugate",
     "embed_eta",
     "matrix_element",
@@ -349,22 +352,33 @@ def pushforward(E: SpectralMeasure, subset) -> SpectralMeasure:
     return SpectralMeasure(E.representation, target)
 
 
-def integrate(f: GridFunction, E: SpectralMeasure) -> Operator:
-    """Spectral integral of f against E, as one gather over the restriction table.
+def integrate_rows(E: SpectralMeasure, values: np.ndarray) -> np.ndarray:
+    """Diagonals of the spectral integrals of an (m, npoints(T)) block of value rows, as (m, N).
 
     The atom b of E is the projection onto the full points restricting to b,
-    so the integral's diagonal at a full point x is f at the restriction of x.
-    Each full point lies in exactly one atom, so the gather equals the sum of
-    value-scaled atoms bit for bit; adding it into zeros keeps that sum's
-    0.0 + (-0.0) = +0.0.  The `spectral-sum` check pins the atom-sum
-    identity and `factorization` the agreement with the pullback route.
+    so an integral's diagonal at a full point x is the row's value at the
+    restriction of x: one gather through the restriction table for the whole
+    block.  Each full point lies in exactly one atom, so the gather equals
+    the sum of value-scaled atoms bit for bit; adding it into zeros keeps
+    that sum's 0.0 + (-0.0) = +0.0.  The result is C-ordered complex128.
+    The `spectral-sum` check pins the atom-sum identity and `factorization`
+    the agreement with `pullback_rows`.
     """
+    values = np.asarray(values)
+    if values.ndim != 2 or values.shape[1] != E.npoints:
+        raise StructureError(f"value rows have shape {values.shape}, expected (m, {E.npoints})")
+    restricted = E.space.restricted_index_array(E.subset)
+    out = np.zeros((values.shape[0], E.space.dimension), dtype=np.complex128)
+    out += values[:, restricted]
+    return out
+
+
+def integrate(f: GridFunction, E: SpectralMeasure) -> Operator:
+    """Spectral integral of f against E: the one-row case of `integrate_rows`,
+    wrapped as an operator of E's representation."""
     if f.subset != E.subset:
         raise DomainError("function and measure live over different subsets")
-    restricted = E.space.restricted_index_array(E.subset)
-    diag = np.zeros(E.space.dimension, dtype=np.complex128)
-    diag += f.values[restricted]
-    return E.representation._wrap(diag)
+    return E.representation._wrap(integrate_rows(E, f.values[None])[0])
 
 
 def conjugate(u: np.ndarray, rep: PureRepresentation) -> PureRepresentation:

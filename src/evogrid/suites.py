@@ -7,7 +7,16 @@ substreams, and all iteration orders are fixed, so a report body is a pure
 function of the effective config and the BLAS configuration: a Haar
 conjugator, and with it every conjugated value, rounds differently under a
 different BLAS thread count.  Runtimes are recorded per check but kept out
-of the report body so that identical runs produce identical bytes.
+of the report body so that identical runs produce identical bytes.  A
+function that judges several checks is timed once and its time is split
+evenly among their records; the timings appendix lists those groups as
+`shared`.
+
+The spectral suite's sampled laws run on stacks: each subset's S random
+functions are the rows of one `complex_matrix(S, npoints)` draw (the bits
+and end state of S `random_function` calls), integrated by one
+`integrate_rows` gather and lifted by one `pullback_rows` broadcast, and
+the injectivity checks count distinct 0/1 diagonals by their packed bytes.
 
 The conjugation checks read g = ||G||_F of the Gram defect G = W W* - I,
 kept when the conjugator W was checked.  A conjugated projection is
@@ -53,17 +62,17 @@ from .dynamics import (
     validate_action_weight,
 )
 from .errors import DomainError
-from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback, pullback_rows
+from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback_rows
 from .lagrangian import action_from_lagrangian, verify_lagrangian
 from .representation import (
     conjugated_columns,
     embed_eta,
     identity_operator,
     integrate,
+    integrate_rows,
     matrix_element,
     projection_rank,
     pushforward,
-    theta_represent,
 )
 from .rng import SplitMix64, derive_seed
 from .scenario import Scenario
@@ -102,6 +111,8 @@ class VerificationReport:
     seed: int
     suites: tuple[str, ...]
     records: tuple[CheckRecord, ...]
+    # checks timed by one call, whose runtimes are that call's time split evenly
+    shared: tuple[tuple[str, ...], ...] = ()
 
     @property
     def overall_pass(self) -> bool:
@@ -128,7 +139,7 @@ class VerificationReport:
         lines = self.body_lines()
         if include_timings:
             timings = {r.check: r.runtime for r in self.records}
-            lines.append(json.dumps({"timings": timings}))
+            lines.append(json.dumps({"timings": timings, "shared": [list(group) for group in self.shared]}))
         return "\n".join(lines) + "\n"
 
 
@@ -347,35 +358,33 @@ def _check_pushforward(scn: Scenario) -> list[tuple[str, str, float, float]]:
     ]
 
 
+def _sampled_rows(scn: Scenario, label: str, subset: frozenset, samples: int) -> np.ndarray:
+    """`samples` random functions over the subset's points, one row each, from one draw."""
+    return _rng(scn, f"{label}-{sorted(map(str, subset))}").complex_matrix(samples, scn.space.npoints(subset))
+
+
 def _check_spectral_sum(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    space = scn.space
     rep = scn.representation
     dev = 0.0
     for subset in scn.frame.admissible():
-        rng = _rng(scn, f"spectral-sum-{sorted(map(str, subset))}")
         measure = rep.spectral_measure(subset)
-        for _ in range(5):
-            f = space.random_function(subset, rng)
-            got = integrate(f, measure).diag
-            oracle = np.zeros(space.dimension, dtype=np.complex128)
-            for b in range(measure.npoints):
-                oracle += f.values[b] * measure.atom(b).diag
-            dev = nan_max(dev, float(np.max(np.abs(got - oracle))))
+        values = _sampled_rows(scn, "spectral-sum", subset, 5)
+        # oracle: the value-scaled atoms summed in ascending b, on every row at once
+        oracle = np.zeros((len(values), scn.space.dimension), dtype=np.complex128)
+        for b in range(measure.npoints):
+            oracle += values[:, b, None] * measure.atom(b).diag
+        dev = nan_max(dev, float(np.max(np.abs(integrate_rows(measure, values) - oracle))))
     return [("spectral-sum", "C3.7", dev, scn.tolerances.exact)]
 
 
 def _check_factorization(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    space = scn.space
     rep = scn.representation
     dev = 0.0
     for subset in scn.frame.admissible():
-        rng = _rng(scn, f"factorization-{sorted(map(str, subset))}")
-        measure = rep.spectral_measure(subset)
-        for _ in range(25):
-            f = space.random_function(subset, rng)
-            via_integral = integrate(f, measure).diag
-            via_pullback = rep.represent(pullback(f)).diag
-            dev = nan_max(dev, float(np.max(np.abs(via_integral - via_pullback))))
+        values = _sampled_rows(scn, "factorization", subset, 25)
+        via_integral = integrate_rows(rep.spectral_measure(subset), values)
+        via_pullback = pullback_rows(scn.space, subset, values)
+        dev = nan_max(dev, float(np.max(np.abs(via_integral - via_pullback))))
     return [("factorization", "C3.3", dev, scn.tolerances.exact)]
 
 
@@ -395,22 +404,24 @@ def _check_diagonal_calculus(scn: Scenario) -> list[tuple[str, str, float, float
     return [("diagonal-calculus", "P3.5", dev, scn.tolerances.exact)]
 
 
+def _distinct_rows(bits: np.ndarray) -> int:
+    """Number of distinct boolean rows, told apart by the bytes of their packed bits."""
+    return len(set(map(bytes, np.packbits(bits, axis=1))))
+
+
 def _check_injectivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
     rep = scn.representation
-    n = space.dimension
-    bad = 0
-    masks = _point_sets(scn, "injectivity-full", n, 4096, 512)
-    lifted = pullback_rows(space, space.full, masks.astype(np.complex128))
-    seen = {rep.represent(space.function(space.full, row)).diag.tobytes() for row in lifted}
-    if len(seen) != len(masks):
-        bad += 1
+    masks = _point_sets(scn, "injectivity-full", space.dimension, 4096, 512)
+    # a function on the full set acts as the diagonal of its pullback there:
+    # distinct 0/1 masks must keep distinct diagonals
+    bad = int(_distinct_rows(pullback_rows(space, space.full, masks)) != len(masks))
     sub_bad = 0
     for subset in _nonempty_subsets(scn):
         measure = rep.spectral_measure(subset)
         rows = _point_sets(scn, f"injectivity-{sorted(map(str, subset))}", measure.npoints, 1024, 512)
         # integrating a 0/1 function gives its projection: count distinct ones
-        if len(np.unique(measure.diagonals(rows), axis=0)) != len(rows):
+        if _distinct_rows(measure.diagonals(rows)) != len(rows):
             sub_bad += 1
     return [
         ("injectivity-full", "C3.6", float(bad), 0.0),
@@ -424,14 +435,13 @@ def _check_embedding(scn: Scenario) -> list[tuple[str, str, float, float]]:
     dev = 0.0
     norm_dev = 0.0
     for subset in scn.frame.admissible():
-        rng = _rng(scn, f"embedding-{sorted(map(str, subset))}")
-        measure = rep.spectral_measure(subset)
-        for _ in range(10):
-            f = space.random_function(subset, rng)
-            small = theta_represent(f)
-            lifted = embed_eta(scn.rep_space, subset, small)
-            dev = nan_max(dev, float(np.max(np.abs(lifted.diag - integrate(f, measure).diag))))
-            norm_dev = nan_max(norm_dev, abs(lifted.norm() - small.norm()))
+        small = _sampled_rows(scn, "embedding", subset, 10)
+        # embed_eta's route on every row at once, against the integrals
+        lifted = pullback_rows(space, subset, small)
+        dev = nan_max(dev, float(np.max(np.abs(lifted - integrate_rows(rep.spectral_measure(subset), small)))))
+        # a diagonal operator's norm is its largest entry modulus
+        norms = np.max(np.abs(lifted), axis=1) - np.max(np.abs(small), axis=1)
+        norm_dev = nan_max(norm_dev, float(np.max(np.abs(norms))))
         unit = embed_eta(scn.rep_space, subset, identity_operator(space.npoints(subset)))
         dev = nan_max(dev, (unit - identity_operator(space.dimension)).norm())
     return [
@@ -755,6 +765,8 @@ def run_suite(scn: Scenario, suites: Iterable[str] = ("all",)) -> VerificationRe
 
     Every enabled check appears exactly once in the report; checks that need
     a conjugator or a Lagrangian are skipped when the scenario has none.
+    The report's `shared` lists the checks judged by one function call, in
+    run order.
     """
     requested = list(suites)
     if "all" in requested:
@@ -765,6 +777,7 @@ def run_suite(scn: Scenario, suites: Iterable[str] = ("all",)) -> VerificationRe
             raise DomainError(f"unknown suite names {unknown}; choose from {list(SUITE_NAMES)}")
         selected = [s for s in SUITE_NAMES if s in requested]
     records: list[CheckRecord] = []
+    shared: list[tuple[str, ...]] = []
     for suite in selected:
         for fn in _SUITES[suite]:
             if not _enabled(scn, fn):
@@ -772,6 +785,8 @@ def run_suite(scn: Scenario, suites: Iterable[str] = ("all",)) -> VerificationRe
             start = time.perf_counter()
             results = fn(scn)
             elapsed = time.perf_counter() - start
+            if len(results) > 1:
+                shared.append(tuple(check for check, *_ in results))
             for check, theorem, deviation, tolerance in results:
                 deviation = _finite(deviation, check)
                 records.append(
@@ -790,4 +805,5 @@ def run_suite(scn: Scenario, suites: Iterable[str] = ("all",)) -> VerificationRe
         seed=scn.seed,
         suites=tuple(selected),
         records=tuple(records),
+        shared=tuple(shared),
     )

@@ -634,12 +634,22 @@ def test_cli_verify_byte_identical_reports(tmp_path):
 
 
 def test_cli_timings_excluded_from_body(tmp_path):
-    out = tmp_path / "t.jsonl"
+    out, plain = tmp_path / "t.jsonl", tmp_path / "plain.jsonl"
     assert main(["verify", "witness", "--suite", "dynamics", "--timings", "--out", str(out)]) == 0
+    assert main(["verify", "witness", "--suite", "dynamics", "--out", str(plain)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert "timings" in json.loads(lines[-1])
+    appendix = json.loads(lines[-1])
+    assert "timings" in appendix
     for line in lines[:-1]:
         assert "timings" not in json.loads(line)
+        assert "shared" not in json.loads(line)
+    assert "\n".join(lines[:-1]) + "\n" == plain.read_text()
+    # one call times each group; its time is split evenly among the records
+    groups = [["unitary-evolution", "null-unitary"], ["conjugated-dynamics", "commutant-witness"]]
+    assert appendix["shared"] == groups
+    for group in groups:
+        assert len({appendix["timings"][check] for check in group}) == 1
+    assert all(isinstance(seconds, float) for seconds in appendix["timings"].values())
 
 
 # report body of `evogrid verify demo --suite spectral --suite lagrangian`;
@@ -656,10 +666,11 @@ def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
 # stdout of commands whose conjugated values round differently
 # under another BLAS thread count, and of the algebra suite on demo, whose
 # values are BLAS products and SVDs too, so each runs in a fresh one-thread process;
-# LADDER_2X8, LADDER_3X5 and LADDER_3X8 name the files written from
-# evobench's ladder rungs 2x8 (N = 64), 3x5 (N = 125) and 3x8 (N = 512)
-LADDERS = {"ladder-2x8.json": (2, 8), "ladder-3x5.json": (3, 5), "ladder-3x8.json": (3, 8)}
-LADDER_2X8, LADDER_3X5, LADDER_3X8 = LADDERS
+# LADDER_2X8, LADDER_3X5, LADDER_3X8 and LADDER_5X2 name the files written from
+# evobench's ladder rungs 2x8 (N = 64), 3x5 (N = 125), 3x8 (N = 512) and
+# 5x2 (N = 32, all suites: the benchmark's geometry-5x2 report)
+LADDERS = {"ladder-2x8.json": (2, 8), "ladder-3x5.json": (3, 5), "ladder-3x8.json": (3, 8), "ladder-5x2.json": (5, 2)}
+LADDER_2X8, LADDER_3X5, LADDER_3X8, LADDER_5X2 = LADDERS
 CONJUGATED_OUTPUT_SHA256 = {
     ("verify", "demo", "--suite", "conjugation", "--suite", "dynamics"):
         "e73069444f316362fcd1aecc0305871cc12ae0f4fab3cbc35ffb01fcb665d2d3",
@@ -677,6 +688,8 @@ CONJUGATED_OUTPUT_SHA256 = {
         "ee56068934c069f673b13355aa22a7a951bcd5ac8995a38eaff525176cba1d25",
     ("verify", "demo", "--suite", "algebra"):
         "673bea38fa74f33412ba1db581a38270d622627443bbaba533892e73225d5fa7",
+    ("verify", LADDER_5X2):
+        "aaeec12ba97ed8bcea9073920c11109de0ba5147c991b40fee4419bf78f4e641",
 }
 
 
