@@ -48,7 +48,7 @@ __all__ = [
     "resolve_g",
 ]
 
-COVARIANCE_COLUMNS = 4  # columns each covariance comparison reads off a dense matrix
+COVARIANCE_COLUMNS = 4  # columns each covariance comparison reads of a conjugated operator
 WITNESS_POWER_STEPS = 8  # power steps on A*A behind each witness lower bound
 _WITNESS_START_SEED = derive_seed(0, "commutant-witness")  # fixed start block of the power steps
 _UNIT_ROUNDOFF = 2.0**-53
@@ -329,12 +329,15 @@ def commutant_witness(
     cols = np.unique(np.linspace(0, rep.dimension - 1, COVARIANCE_COLUMNS).astype(int))
     p = np.stack([plain[s].diag for s in domain], axis=1)
     start = SplitMix64(_WITNESS_START_SEED).complex_matrix(rep.dimension, len(domain))
+    # the route's own W*, formed once from the checked W, not the operators' shared one
+    w = conjugated.conjugator
+    w_star = w.conj().T
     covariance = 0.0
     lower = np.empty((len(domain), len(domain)))  # [s1, s2]
     upper = np.empty_like(lower)
     for i2, s2 in enumerate(domain):
         t2 = evolution_unitary(weight, s2, conjugated).to_dense()
-        route = conjugated_columns(conjugated.conjugator, plain[s2].diag, cols)
+        route = conjugated_columns(w_star, w, plain[s2].diag, cols)
         covariance = nan_max(covariance, float(np.max(np.linalg.norm(t2[:, cols] - route, axis=0))))
         lower[:, i2] = _commutator_lower_bounds(t2, p, start)
         upper[:, i2] = _commutator_upper_bounds(t2, p)

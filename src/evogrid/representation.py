@@ -36,15 +36,21 @@ configurable dimension cap.
 
 There are two operator kinds.  `DiagonalOperator` is the exact diagonal
 algebra: products, differences and adjoints act on the diagonal entries.
-`ConjugatedDiagonalOperator` is the (W, d) pair with `to_dense`, `norm`,
-`trace` and `entry`, and no arithmetic: mixing the kinds raises TypeError,
-so every dense matrix the library forms is an explicit `to_dense()` call.
-`conjugated_columns` is the route those methods are checked against.
+`ConjugatedDiagonalOperator` is the (W, d) pair with `columns`, `to_dense`,
+`norm`, `trace` and `entry`, and no arithmetic: mixing the kinds raises
+TypeError, so every product with W the library forms is an explicit call.
+`columns(cols)` is the one formula, W* (d * W[:, cols]), and `to_dense()`
+is `columns` over every index.  A conjugated representation forms W* and
+the row Gram diag(W W*) once, at first use, and every operator it wraps
+shares them with the frozen W, so `trace()` costs O(N).
+`conjugated_columns` is the route those methods are checked against; it
+takes a W* its caller formed, never the shared one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Union
 
 import numpy as np
@@ -76,10 +82,13 @@ DENSE_CAP_DEFAULT = 4096
 Operator = Union["DiagonalOperator", "ConjugatedDiagonalOperator"]
 
 
-def _frozen_vector(v) -> np.ndarray:
-    a = np.array(v, dtype=np.complex128, order="C").ravel()
+def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _frozen_vector(v) -> np.ndarray:
+    return _frozen(np.array(v, dtype=np.complex128, order="C").ravel())
 
 
 def _frozen_square(m) -> np.ndarray:
@@ -93,8 +102,7 @@ def _frozen_square(m) -> np.ndarray:
     a = m if frozen else np.array(m, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructureError(f"expected a square matrix, got shape {a.shape}")
-    a.setflags(write=False)
-    return a
+    return _frozen(a)
 
 
 def check_unitary(u: np.ndarray) -> float:
@@ -162,15 +170,36 @@ class DiagonalOperator:
         return DiagonalOperator(self.diag - other.diag)
 
 
+class _ConjugatorProducts:
+    """W* and the row Gram diag(W W*) of one frozen conjugator W, each formed
+    at first use and read-only."""
+
+    def __init__(self, conjugator: np.ndarray):
+        self.conjugator = conjugator
+
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        return _frozen(self.conjugator.conj().T)
+
+    @cached_property
+    def row_gram(self) -> np.ndarray:
+        w = self.conjugator
+        return _frozen(np.sum(w * np.conj(w), axis=1))
+
+
 @dataclass(frozen=True, eq=False)
 class ConjugatedDiagonalOperator:
     """The operator W* diag(d) W, kept as the (W, d) pair until needed.
 
-    It has no arithmetic; a caller that needs the matrix calls `to_dense()`.
+    It has no arithmetic; a caller reads the columns it needs with
+    `columns(cols)`, or the whole matrix with `to_dense()`.  `products`
+    holds W* and the row Gram; given one made for this frozen W, the
+    operator shares it, otherwise it makes its own.
     """
 
     conjugator: np.ndarray
     diag: np.ndarray
+    products: _ConjugatorProducts | None = field(default=None, repr=False)
 
     def __post_init__(self):
         w = _frozen_square(self.conjugator)
@@ -179,14 +208,20 @@ class ConjugatedDiagonalOperator:
             raise StructureError("conjugator and diagonal sizes differ")
         object.__setattr__(self, "conjugator", w)
         object.__setattr__(self, "diag", d)
+        if self.products is None or self.products.conjugator is not w:
+            object.__setattr__(self, "products", _ConjugatorProducts(w))
 
     @property
     def dimension(self) -> int:
         return self.diag.size
 
+    def columns(self, cols) -> np.ndarray:
+        """Columns `cols` of W* diag(d) W, as W* (d * W[:, cols]): O(N^2) per column."""
+        return self.products.adjoint @ (self.diag[:, None] * self.conjugator[:, cols])
+
     def to_dense(self) -> np.ndarray:
-        w = self.conjugator
-        return w.conj().T @ (self.diag[:, None] * w)
+        # W[:, :] is a view of W, so this is the product W* (d * W) itself
+        return self.columns(slice(None))
 
     def norm(self) -> float:
         """Largest singular value of the materialized matrix."""
@@ -197,14 +232,13 @@ class ConjugatedDiagonalOperator:
         return complex(np.sum(np.conj(w[:, i]) * self.diag * w[:, j]))
 
     def trace(self) -> complex:
-        # trace is basis independent but computed from the pair directly
-        w = self.conjugator
-        return complex(np.sum(self.diag * np.sum(w * np.conj(w), axis=1)))
+        # trace is basis independent: sum_i d_i (W W*)_ii, from the shared row Gram
+        return complex(np.sum(self.diag * self.products.row_gram))
 
 
-def conjugated_columns(conjugator: np.ndarray, diag: np.ndarray, columns) -> np.ndarray:
-    """Columns of W* diag(d) W formed as W* (d * W e_j) in O(N^2) each, not by `to_dense`."""
-    return conjugator.conj().T @ (diag[:, None] * conjugator[:, columns])
+def conjugated_columns(adjoint: np.ndarray, conjugator: np.ndarray, diag: np.ndarray, columns) -> np.ndarray:
+    """Columns of W* diag(d) W formed as W* (d * W e_j) in O(N^2) each, from the caller's own W*."""
+    return adjoint @ (diag[:, None] * conjugator[:, columns])
 
 
 def identity_operator(n: int) -> DiagonalOperator:
@@ -252,12 +286,15 @@ class PureRepresentation:
 
     The only place a conjugator is checked for unitarity: everything built
     from the representation reads the checked matrix, and `gram_defect`
-    keeps that check's ||W W* - I||_F (0.0 without a conjugator).
+    keeps that check's ||W W* - I||_F (0.0 without a conjugator).  Every
+    operator it wraps shares the frozen W and one `products`, so W* and
+    the row Gram are formed once per representation.
     """
 
     rep_space: RepresentationSpace
     conjugator: np.ndarray | None = None
     gram_defect: float = field(init=False, default=0.0)
+    products: _ConjugatorProducts | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.conjugator is not None:
@@ -266,6 +303,7 @@ class PureRepresentation:
                 raise StructureError("conjugator dimension does not match the space")
             object.__setattr__(self, "gram_defect", check_unitary(w))
             object.__setattr__(self, "conjugator", w)
+            object.__setattr__(self, "products", _ConjugatorProducts(w))
 
     @property
     def space(self) -> GridEvolutionSpace:
@@ -278,7 +316,7 @@ class PureRepresentation:
     def _wrap(self, diag: np.ndarray) -> Operator:
         if self.conjugator is None:
             return DiagonalOperator(diag)
-        return ConjugatedDiagonalOperator(self.conjugator, diag)
+        return ConjugatedDiagonalOperator(self.conjugator, diag, self.products)
 
     def represent(self, f: GridFunction) -> Operator:
         """The action of a function on the full point set, diagonal entry f(x)."""

@@ -15,8 +15,10 @@ evenly among their records; the timings appendix lists those groups as
 The spectral suite's sampled laws run on stacks: each subset's S random
 functions are the rows of one `complex_matrix(S, npoints)` draw (the bits
 and end state of S `random_function` calls), integrated by one
-`integrate_rows` gather and lifted by one `pullback_rows` broadcast, and
-the injectivity checks count distinct 0/1 diagonals by their packed bytes.
+`integrate_rows` gather and lifted by one `pullback_rows` broadcast,
+`matrix-elements` reads a subset's 20 samples off one `diagonals` gather,
+and the injectivity checks count distinct 0/1 diagonals by their packed
+bytes.
 
 The conjugation checks read g = ||G||_F of the Gram defect G = W W* - I,
 kept when the conjugator W was checked.  A conjugated projection is
@@ -26,10 +28,11 @@ P^2 - P = W* D G D W are at most ||W||_2^2 ||G||_2 <= (1 + g) g for every
 pair over every subset, and tr P - rank P = sum_i d_i G_ii.  The bounds are
 exact functions of the computed G; they do not enclose the rounding made
 while forming G or a dense matrix (README, "Report format").
-`conjugation-covariance` compares sampled columns, entries and traces of
-conjugated operators with W* (d * W e_j) formed from the unconjugated
-diagonal d.  Running maxima go through `nan_max`, so a NaN deviation
-reaches the runner, which aborts.
+`conjugation-covariance` compares sampled columns, read with `columns`,
+entries and traces of conjugated operators with W* (d * W e_j) formed from
+the unconjugated diagonal d and the check's own W*; it forms no dense
+matrix.  Running maxima go through `nan_max`, so a NaN deviation reaches
+the runner, which aborts.
 
 Check identifiers are stable strings; each record also carries a short law
 tag (T3.2, C3.3, ...) used to group related identities across suites.
@@ -70,7 +73,6 @@ from .representation import (
     identity_operator,
     integrate,
     integrate_rows,
-    matrix_element,
     projection_rank,
     pushforward,
 )
@@ -473,20 +475,22 @@ def _check_matrix_elements(scn: Scenario) -> list[tuple[str, str, float, float]]
     for subset in _nonempty_subsets(scn):
         measure = rep.spectral_measure(subset)
         k = measure.npoints
-        for _ in range(20):
-            members = set()
+        rows = np.zeros((20, k), dtype=bool)
+        xs = np.empty(20, dtype=np.int64)
+        ys = np.empty_like(xs)
+        for s in range(20):
             for _ in range(rng.integer(k) + 1):
-                members.add(rng.integer(k))
-            x = rng.integer(n)
-            y = rng.integer(n)
-            value = matrix_element(measure, x, y, members)
-            if x != y:
-                expected = 0.0
-            else:
-                # oracle: restrict the basis point by hand, not through the table
-                image = space.restrict_point(space.point_from_index(space.full, x), subset)
-                expected = 1.0 if space.linear_index(image) in members else 0.0
-            dev = nan_max(dev, abs(value - expected))
+                rows[s, rng.integer(k)] = True
+            xs[s], ys[s] = rng.integer(n), rng.integer(n)
+        # <e_x, E(V) e_y> of every sample from one gather: E(V) is diagonal,
+        # so an entry is 0 off the diagonal and entry x of its 0/1 diagonal on it
+        values = (xs == ys) & measure.diagonals(rows)[np.arange(20), xs]
+        # oracle: restrict each diagonal sample's basis point by hand, not through the table
+        expected = np.zeros(20, dtype=bool)
+        for s in np.flatnonzero(xs == ys):
+            image = space.restrict_point(space.point_from_index(space.full, int(xs[s])), subset)
+            expected[s] = rows[s, space.linear_index(image)]
+        dev = nan_max(dev, float(np.any(values != expected)))
     return [("matrix-elements", "P3.5", dev, scn.tolerances.exact)]
 
 
@@ -544,6 +548,9 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
     space = scn.space
     n = space.dimension
     w = scn.conjugated.conjugator
+    # the route's own W* and row Gram, formed once from the checked W and
+    # never read off the operators' shared products
+    w_star = w.conj().T
     row_gram = _row_gram(w)
     dev = 0.0
     for subset in scn.frame.admissible():
@@ -563,15 +570,14 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
                 (integrate(f, moved), integrate(f, plain).diag),
             ):
                 # independent route: W* (d * W e_j) from the unconjugated diagonal
-                route = conjugated_columns(w, d, cols)
-                dense = op.to_dense()
+                route = conjugated_columns(w_star, w, d, cols)
                 entries = np.array([op.entry(i, j) for i, j in zip(rows, cols)])
                 # the trace route sums in trace()'s order: two orders of a sum
                 # of N terms of size |d| differ by an ulp of N |d|, above the
                 # tolerance at the cap
                 dev = nan_max(
                     dev,
-                    float(np.max(np.linalg.norm(dense[:, cols] - route, axis=0))),
+                    float(np.max(np.linalg.norm(op.columns(cols) - route, axis=0))),
                     float(np.max(np.abs(entries - route[rows, np.arange(len(cols))]))),
                     abs(op.trace() - np.sum(d * row_gram)),
                 )

@@ -13,14 +13,18 @@ import pytest
 
 from evobench.ladder import ladder_config
 from evogrid import builtin_scenario, load_scenario, run_suite, scenario_from_dict
-from evogrid.representation import ConjugatedDiagonalOperator, SpectralMeasure
+from evogrid.representation import ConjugatedDiagonalOperator, SpectralMeasure, _ConjugatorProducts
 from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import encode_matrix
 
 
-def _w_d_w_star(self):
+def _w_d_w_star_columns(self, cols):
     w = self.conjugator
-    return w @ (self.diag[:, None] * w.conj().T)
+    return w @ (self.diag[:, None] * w.conj().T[:, cols])
+
+
+def _w_d_w_star(self):
+    return _w_d_w_star_columns(self, slice(None))
 
 
 def _transposed_entry(original):
@@ -43,10 +47,23 @@ def _scaled_conjugator(cfg):
 
 
 MUTANTS = {
-    "to-dense-w-d-w-star": (
-        (ConjugatedDiagonalOperator, "to_dense", _w_d_w_star),
+    # the one formula: covariance reads its columns, the witness its dense T2
+    "columns-w-d-w-star": (
+        (ConjugatedDiagonalOperator, "columns", _w_d_w_star_columns),
         None,
         ("conjugation-covariance", "conjugated-dynamics"),
+    ),
+    "to-dense-w-d-w-star": ((ConjugatedDiagonalOperator, "to_dense", _w_d_w_star), None, ("conjugated-dynamics",)),
+    # the products every operator of a representation shares; the routes form their own
+    "shared-adjoint-transposed": (
+        (_ConjugatorProducts, "adjoint", property(lambda self: self.conjugator.T)),
+        None,
+        ("conjugation-covariance", "conjugated-dynamics"),
+    ),
+    "shared-row-gram-of-moduli": (
+        (_ConjugatorProducts, "row_gram", property(lambda self: np.sum(np.abs(self.conjugator), axis=1))),
+        None,
+        ("conjugation-covariance",),
     ),
     "scaled-conjugator": (None, _scaled_conjugator, ("conjugated-pvm", "conjugated-trace")),
     "transposed-entry": (
@@ -78,9 +95,31 @@ def test_each_conjugation_check_catches_its_mutant(mutant, monkeypatch):
 
 
 def _scenario(source):
-    if source == "ladder-3x5":
-        return scenario_from_dict(ladder_config(3, 5))
+    if source.startswith("ladder-"):
+        return scenario_from_dict(ladder_config(*map(int, source.removeprefix("ladder-").split("x"))))
     return load_scenario(source)
+
+
+# not the witness scenario: at N = 2 a BLAS may round products of
+# different widths differently in the last bit
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-3x5"])
+def test_covariance_columns_are_the_dense_columns_bit_for_bit(source, monkeypatch):
+    from evogrid import suites
+
+    scn = _scenario(source)
+    read = []
+    original = ConjugatedDiagonalOperator.columns
+
+    def spy(self, cols):
+        read.append((self, cols))
+        return original(self, cols)
+
+    monkeypatch.setattr(ConjugatedDiagonalOperator, "columns", spy)
+    suites._check_conjugation_covariance(scn)
+    monkeypatch.undo()
+    assert len(read) == 10 * len(scn.frame.admissible())
+    for op, cols in read:
+        assert op.columns(cols).tobytes() == np.ascontiguousarray(op.to_dense()[:, cols]).tobytes()
 
 
 @pytest.mark.parametrize("source", ["demo", "witness", "ladder-3x5"])

@@ -436,6 +436,36 @@ def test_conjugated_operators_share_the_checked_conjugator(rep4, small_space):
         assert not op.conjugator.flags.writeable
 
 
+def test_conjugated_operators_share_one_adjoint_and_row_gram(rep4, small_space):
+    w = SplitMix64(27).haar_unitary(4)
+    moved = conjugate(w, rep4)
+    # formed at first use, not when the representation is built
+    assert not {"adjoint", "row_gram"} & set(vars(moved.products))
+    subset = small_space.frame.admissible()[-1]
+    measure = moved.spectral_measure(subset)
+    ops = (
+        moved.represent(small_space.constant(small_space.full, 1.0)),
+        integrate(small_space.random_function(subset, SplitMix64(28)), measure),
+        measure.projection([0]),
+        measure.atom(1),
+        moved.spectral_measure().total(),
+    )
+    for op in ops:
+        op.trace()
+        op.columns([0, 2])
+    adjoint, row_gram = moved.products.adjoint, moved.products.row_gram
+    for op in ops:
+        assert op.products.adjoint is adjoint and op.products.row_gram is row_gram
+    assert not adjoint.flags.writeable and not row_gram.flags.writeable
+    # the same expressions as the unshared route, so the same bits
+    assert adjoint.tobytes() == moved.conjugator.conj().T.tobytes()
+    assert row_gram.tobytes() == np.sum(moved.conjugator * np.conj(moved.conjugator), axis=1).tobytes()
+    # products made for another conjugator are not taken over
+    other = conjugate(SplitMix64(29).haar_unitary(4), rep4)
+    op = ConjugatedDiagonalOperator(moved.conjugator, np.ones(4), other.products)
+    assert op.products is not other.products and op.products.conjugator is moved.conjugator
+
+
 def test_a_conjugator_that_is_not_frozen_is_copied():
     w = SplitMix64(26).haar_unitary(4)
     d = np.ones(4)

@@ -21,6 +21,7 @@ from evogrid.representation import (
     embed_eta,
     identity_operator,
     integrate,
+    matrix_element,
     theta_represent,
 )
 from evogrid.rng import SplitMix64
@@ -105,11 +106,38 @@ def _per_sample_embedding(scn):
     ]
 
 
+def _per_sample_matrix_elements(scn):
+    space = scn.space
+    rep = scn.representation
+    rng = _rng(scn, "matrix-elements")
+    n = space.dimension
+    dev = 0.0
+    for subset in _nonempty_subsets(scn):
+        measure = rep.spectral_measure(subset)
+        k = measure.npoints
+        for _ in range(20):
+            members = set()
+            for _ in range(rng.integer(k) + 1):
+                members.add(rng.integer(k))
+            x = rng.integer(n)
+            y = rng.integer(n)
+            value = matrix_element(measure, x, y, members)
+            if x != y:
+                expected = 0.0
+            else:
+                # restrict the basis point by hand, not through the table
+                image = space.restrict_point(space.point_from_index(space.full, x), subset)
+                expected = 1.0 if space.linear_index(image) in members else 0.0
+            dev = nan_max(dev, abs(value - expected))
+    return [("matrix-elements", "P3.5", dev, scn.tolerances.exact)]
+
+
 ORACLES = {
     suites._check_spectral_sum: _per_sample_spectral_sum,
     suites._check_factorization: _per_sample_factorization,
     suites._check_injectivity: _per_sample_injectivity,
     suites._check_embedding: _per_sample_embedding,
+    suites._check_matrix_elements: _per_sample_matrix_elements,
 }
 
 SCENARIOS = {
@@ -139,7 +167,7 @@ def test_stacked_checks_return_the_per_sample_records(source):
 
 # mutants under which the records of both routes are nonzero, keyed by the checks they move
 MOVED_BY = {
-    "reversed-restriction-table": {"factorization", "embedding"},
+    "reversed-restriction-table": {"factorization", "embedding", "matrix-elements"},
     "neighbouring-atom": {"spectral-sum"},
     "doubled-pullback": {"factorization", "embedding", "embedding-isometry"},
 }
@@ -285,6 +313,16 @@ def _diagonals_ignore_last_point(original):
     return mutant
 
 
+def _diagonals_ignore_last_member(original):
+    def mutant(self, rows):
+        rows = np.array(rows, dtype=bool)
+        last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1], axis=1)
+        rows[np.arange(len(rows)), last] = False
+        return original(self, rows)
+
+    return mutant
+
+
 SPECTRAL_MUTANTS = {
     "neighbouring-atom": ([(SpectralMeasure, "atom", _neighbouring_atom)], "spectral-sum"),
     "reversed-restriction-table": (
@@ -298,6 +336,10 @@ SPECTRAL_MUTANTS = {
     "diagonals-ignore-last-point": (
         [(SpectralMeasure, "diagonals", _diagonals_ignore_last_point(SpectralMeasure.diagonals))],
         "injectivity-subsets",
+    ),
+    "diagonals-ignore-last-member": (
+        [(SpectralMeasure, "diagonals", _diagonals_ignore_last_member(SpectralMeasure.diagonals))],
+        "matrix-elements",
     ),
 }
 
