@@ -24,6 +24,7 @@ from evogrid import (
     load_scenario,
     named_contraction,
     resolve_g,
+    run_suite,
     scenario_from_dict,
     validate_action_weight,
     verify_lagrangian,
@@ -386,6 +387,85 @@ def test_identity_conjugated_witness_scenario_fails_its_threshold(tmp_path):
     assert main(["verify", str(path), "--suite", "dynamics", "--out", str(out)]) == 1
     failed = [r["check"] for r in map(json.loads, out.read_text().splitlines()) if "check" in r and not r["pass"]]
     assert failed == ["commutant-witness"]
+
+
+# -- the dynamics checks against mutants -------------------------------------------
+#
+# Each row breaks one law the dynamics checks claim, by a monkeypatch of the
+# library or by an edited config, and names the checks that must then report
+# more than their tolerance.  A row is (config, patch, caught checks).
+
+
+def _weight_times(factor, where):
+    # the weight's function on every subset where `where(frame, subset)` holds, times `factor`
+    original = ActionWeight.function
+
+    def function(self, subset):
+        f = original(self, subset)
+        if not where(self.space.frame, f.subset):
+            return f
+        return f.space.function(f.subset, f.values * factor)
+
+    return function
+
+
+def _order_dependent_product(self, other):
+    # a phase odd in the two factors' traces: u @ v != v @ u, while
+    # u* @ u keeps its value
+    if not isinstance(other, DiagonalOperator):
+        return NotImplemented
+    phase = np.exp(0.1j * (self.trace() - other.trace()).real)
+    return DiagonalOperator(self.diag * other.diag * phase)
+
+
+def _demo():
+    return builtin_scenario("demo")
+
+
+DYNAMICS_MUTANTS = {
+    "weight-off-unit-circle": (
+        _demo,
+        (ActionWeight, "function", _weight_times(1.5, lambda frame, s: True)),
+        ("action-weight-laws", "unitary-evolution", "null-unitary", "group-law"),
+    ),
+    "phase-on-unions": (
+        _demo,
+        (ActionWeight, "function", _weight_times(np.exp(0.1j), lambda frame, s: len(s) >= 2)),
+        ("action-weight-laws", "group-law"),
+    ),
+    "phase-on-null-subsets": (
+        _demo,
+        (ActionWeight, "function", _weight_times(np.exp(0.1j), lambda frame, s: frame.mu(s) == 0.0)),
+        ("action-weight-laws", "null-unitary"),
+    ),
+    "adjoint-without-conjugate": (
+        _demo,
+        (DiagonalOperator, "adjoint", lambda self: DiagonalOperator(self.diag)),
+        ("unitary-evolution",),
+    ),
+    "order-dependent-product": (
+        _demo,
+        (DiagonalOperator, "__matmul__", _order_dependent_product),
+        ("commutation",),
+    ),
+    "identity-conjugator": (lambda: _identity_conjugated("witness"), None, ("commutant-witness",)),
+    "witness-lower-bounds-zero": (
+        lambda: builtin_scenario("witness"),
+        (dynamics, "_commutator_lower_bounds", lambda t, p, start: np.zeros(p.shape[1])),
+        ("commutant-witness",),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(DYNAMICS_MUTANTS))
+def test_each_dynamics_check_catches_its_mutant(mutant, monkeypatch):
+    config, patch, caught = DYNAMICS_MUTANTS[mutant]
+    scn = scenario_from_dict(config())
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    records = {r.check: r for r in run_suite(scn, ["dynamics"]).records}
+    for check in caught:
+        assert records[check].max_deviation > records[check].tolerance, check
 
 
 # -- probe-difference actions ----------------------------------------------------
