@@ -309,9 +309,7 @@ def test_criterion_07_commutation_and_witness(demo):
         for v in ops[i + 1 :]:
             same = max(same, (u @ v - v @ u).norm())
     witness_scn = load_scenario("witness")
-    report = commutant_witness(
-        witness_scn.weight, witness_scn.representation, witness_scn.conjugated, tol=1e-12
-    )
+    report = commutant_witness(witness_scn.weight, witness_scn.representation, witness_scn.conjugated)
     # dense-matrix oracle for the designed witness: diag(1,-1) against its
     # Hadamard conjugate
     u = np.diag([1.0, -1.0]).astype(np.complex128)

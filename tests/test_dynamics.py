@@ -232,14 +232,22 @@ def test_same_representation_unitaries_commute(weighted_space, rep8):
 
 
 def test_conjugation_covariance_of_unitaries(weighted_space, rep8):
+    # the covariance is conjugated-dynamics' own: sampled columns of each
+    # conjugated unitary against W* (u * W e_j), here under the dense oracle
+    # over every column
+    from evogrid import suites
+
+    scn = load_scenario("demo")
+    (check, _, covariance, tol), _ = suites._check_conjugated_dynamics(scn)
+    assert check == "conjugated-dynamics" and covariance <= tol == 1e-12
+    w = scn.conjugated.conjugator
+    for s in scn.weight.domain():
+        u = evolution_unitary(scn.weight, s, scn.representation).diag
+        t = evolution_unitary(scn.weight, s, scn.conjugated).to_dense()
+        assert np.max(np.linalg.norm(t - w.conj().T @ (u[:, None] * w), axis=0)) <= 1e-12
+    # the witness's first representation must be the unconjugated one
     weight = make_weight(weighted_space)
-    w = SplitMix64(23).haar_unitary(8)
-    moved = conjugate(w, rep8)
-    report = commutant_witness(weight, rep8, moved, tol=1e-12)
-    assert report.same_rep_commutator <= 1e-14
-    assert report.covariance <= 1e-12
-    assert report.passed
-    # the first representation must be the unconjugated one
+    moved = conjugate(SplitMix64(23).haar_unitary(8), rep8)
     for rep, other in ((moved, moved), (rep8, rep8)):
         with pytest.raises(StructureError):
             commutant_witness(weight, rep, other)
@@ -261,7 +269,7 @@ def test_commutant_witness_frozen_value(m2):
         frozenset({"1"}): space.function({"1"}, [1.0, -1.0]),
     }
     weight = ActionWeight(space, functions)
-    report = commutant_witness(weight, rep, conjugate(HADAMARD, rep), tol=1e-12)
+    report = commutant_witness(weight, rep, conjugate(HADAMARD, rep))
     assert report.witness == pytest.approx(2.0, abs=1e-12)
     assert report.witness_pair == (("1",), ("1",))
     # independent dense oracle for the same commutator
@@ -290,7 +298,7 @@ def test_witness_pair_is_the_first_maximum_in_s1_major_order(monkeypatch):
         return bounds
 
     monkeypatch.setattr(dynamics, "_commutator_lower_bounds", rigged)
-    report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=1e-9)
+    report = commutant_witness(scn.weight, scn.representation, scn.conjugated)
     # the route runs once per conjugated unitary, for every original at once
     assert len(seen) == len(domain) and all(s.shape == (len(domain),) for s in seen)
     assert seen[b][a] > 0.1 and seen[d][c] > 0.1
@@ -340,7 +348,7 @@ def test_witness_interval_encloses_every_exact_commutator_norm(source):
     exact = _exact_commutator_norms(scn)
     lower, upper = _bounds(scn)
     assert np.all(lower <= exact) and np.all(exact <= upper)
-    report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=1e-12)
+    report = commutant_witness(scn.weight, scn.representation, scn.conjugated)
     assert report.witness == lower.max() and report.witness_upper == upper.max()
     assert 0.85 * exact.max() <= report.witness <= exact.max() <= report.witness_upper
 
@@ -358,8 +366,25 @@ def test_witness_takes_no_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", no_two_norm)
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=1e-12)
+    report = commutant_witness(scn.weight, scn.representation, scn.conjugated)
     assert 0.0 < report.witness <= report.witness_upper
+
+
+@pytest.mark.parametrize("source, calls", [("demo", 0), ("ladder-5x2", 0), ("witness", 1)])
+def test_the_witness_is_formed_only_where_a_threshold_judges_it(source, calls, monkeypatch):
+    from evogrid import suites
+
+    scn = _interval_scenario(source)
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return commutant_witness(*args)
+
+    monkeypatch.setattr(suites, "commutant_witness", spy)
+    records = {r.check: r for r in run_suite(scn, ["all"]).records}
+    assert len(seen) == calls
+    assert records["commutant-witness"].passed
 
 
 def _identity_conjugated(source):
@@ -377,7 +402,7 @@ def test_identity_conjugator_gives_a_zero_witness(source):
     scn = scenario_from_dict(_identity_conjugated(source))
     lower, upper = _bounds(scn)
     assert np.all(lower == 0.0) and not np.isnan(upper).any()
-    report = commutant_witness(scn.weight, scn.representation, scn.conjugated, tol=1e-12)
+    report = commutant_witness(scn.weight, scn.representation, scn.conjugated)
     assert report.witness == 0.0 and 0.0 <= report.witness_upper < 1e-5
 
 
