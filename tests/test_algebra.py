@@ -331,6 +331,11 @@ ALGEBRA_MUTANTS = {
     "conjugation-by-u-transpose": ((Automorphism, "apply_blocks", _transposed_conjugation), "automorphism-laws"),
     "transposed-map-matrix": ((suites, "linear_map_matrix", _transposed_matrix(linear_map_matrix)), "weakstar-pairing"),
     "frobenius-element-norm": ((AlgebraElement, "norm", _frobenius_norm), "cstar-norm"),
+    # an automorphism in place of trace averaging: nothing left to flag
+    "identity-counterexample": (
+        (suites, "named_contraction", lambda name, algebra: Automorphism.identity(algebra)),
+        "automorphism-counterexample",
+    ),
 }
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from evogrid import (
+    ActionWeight,
     DataError,
     DomainError,
     GridEvolutionSpace,
@@ -16,6 +17,7 @@ from evogrid import (
     verify_lagrangian,
     weight_from_lagrangian,
 )
+from evogrid import suites
 
 
 def table_lagrangian(space):
@@ -205,3 +207,65 @@ def test_weight_from_lagrangian_shortcut(weighted_space):
         f = weight.function(subset)
         assert f.space is weighted_space and f.subset == subset
         assert np.max(np.abs(np.abs(f.values) - 1.0)) < 1e-12
+
+
+# -- the lagrangian checks against mutants ---------------------------------------
+#
+# Each row breaks one law the lagrangian checks claim, by a monkeypatch of the
+# library, and names the checks that must then report more than their tolerance.
+
+
+def _table_plus(shift):
+    # every density table plus shift(subset)
+    original = Lagrangian.table
+
+    def table(self, subset):
+        return original(self, subset) + shift(frozenset(subset))
+
+    return table
+
+
+def _action_edited(edit):
+    # the suites' actions, each with its values passed through edit(values)
+    def action(lagrangian, subset):
+        f = action_from_lagrangian(lagrangian, subset)
+        return f.space.function(f.subset, edit(f.values))
+
+    return action
+
+
+def _null_weights_times(factor):
+    original = ActionWeight.function
+
+    def function(self, subset):
+        f = original(self, subset)
+        if self.space.frame.mu(f.subset) != 0.0:
+            return f
+        return f.space.function(f.subset, f.values * factor)
+
+    return function
+
+
+LAGRANGIAN_MUTANTS = {
+    "density-counts-its-subset": (
+        (Lagrangian, "table", _table_plus(len)),
+        ("lagrangian-consistency", "action-additivity"),
+    ),
+    "imaginary-density": ((Lagrangian, "table", _table_plus(lambda s: 0.25j)), ("lagrangian-consistency",)),
+    "action-plus-one": (
+        (suites, "action_from_lagrangian", _action_edited(lambda v: v + 1.0)),
+        ("action-additivity", "null-action"),
+    ),
+    "action-doubled": ((suites, "action_from_lagrangian", _action_edited(lambda v: 2.0 * v)), ("action-lipschitz",)),
+    "phase-on-null-weights": ((ActionWeight, "function", _null_weights_times(np.exp(0.1j))), ("null-action",)),
+}
+
+
+@pytest.mark.parametrize("mutant", list(LAGRANGIAN_MUTANTS))
+def test_each_lagrangian_check_catches_its_mutant(mutant, monkeypatch):
+    patch, caught = LAGRANGIAN_MUTANTS[mutant]
+    scn = load_scenario("demo")
+    monkeypatch.setattr(*patch)
+    records = {r.check: r for r in run_suite(scn, ["lagrangian"]).records}
+    for check in caught:
+        assert records[check].max_deviation > records[check].tolerance, check
