@@ -36,30 +36,31 @@ def main() -> None:
     space = scn.space
     frame = scn.frame
     rep = scn.representation
+    tol = scn.tolerances.dynamics  # what the suites compare these deviations with
 
     print("=" * 72)
     print("From pointwise cost to unitary evolution")
     print("=" * 72)
     table = {t: [0.25 * (j + 1) for j in range(space.grid_size(t))] for t in frame.times}
     lag = Lagrangian.from_table(space, table)
-    report = verify_lagrangian(lag, tol=1e-12)
+    report = verify_lagrangian(lag)
     print("a table Lagrangian (cost per grid choice, per time):")
     for t in frame.times:
         print(f"  time {t} (weight {frame.mu({t})}): costs {table[t]}")
-    print(f"restriction consistency deviation: {report.restriction_deviation}")
+    print(f"restriction consistency deviation: {report.restriction_deviation} <= {tol:.0e}")
 
     weight = weight_from_lagrangian(lag)
-    wreport = validate_action_weight(weight, tol=1e-12)
+    wreport = validate_action_weight(weight)
     print("\nthe induced action weight u = exp(i * action):")
-    print(f"  unimodularity deviation: {wreport.unimodular:.2e}")
-    print(f"  cocycle deviation:       {wreport.cocycle:.2e}")
-    print(f"  trivial on null sets:    {wreport.null_subset:.2e}")
+    print(f"  unimodularity deviation: {wreport.unimodular:.2e} <= {tol:.0e}")
+    print(f"  cocycle deviation:       {wreport.cocycle:.2e} <= {tol:.0e}")
+    print(f"  trivial on null sets:    {wreport.null_subset:.2e} <= {tol:.0e}")
 
     print("\nEvolution unitaries, one per admissible subset of times:")
     one = identity_operator(space.dimension)
     for subset in sorted(frame.admissible(), key=lambda s: (len(s), sorted(s))):
         u = evolution_unitary(weight, subset, rep)
-        print(f"  U_{fmt(subset):7s} unitarity defect ||U*U - I|| = {(u.adjoint() @ u - one).norm():.2e}")
+        print(f"  U_{fmt(subset):7s} unitarity defect ||U*U - I|| = {(u.adjoint() @ u - one).norm():.2e} <= {tol:.0e}")
 
     print("\nWeight-zero subsets evolve trivially:")
     u_null = evolution_unitary(weight, {"3"}, rep).diag
@@ -67,8 +68,8 @@ def main() -> None:
 
     print("\nThe group law on disjoint subsets (here disjoint up to weight zero):")
     for t1, t2 in ((frozenset({'1'}), frozenset({'2'})), (frozenset({'1', '3'}), frozenset({'2', '3'}))):
-        g = check_group_law(weight, t1, t2, rep, tol=1e-12)
-        print(f"  U_{fmt(t1)} U_{fmt(t2)} = U_{fmt(t1 | t2)}  deviation {g.deviation:.2e}")
+        dev = check_group_law(weight, t1, t2, rep)
+        print(f"  U_{fmt(t1)} U_{fmt(t2)} = U_{fmt(t1 | t2)}  deviation {dev:.2e} <= {tol:.0e}")
 
     print("\n" + "=" * 72)
     print("Conjugation: the whole picture transported by one unitary")
@@ -85,7 +86,7 @@ def main() -> None:
     ops = [evolution_unitary(weight, s, rep) for s in frame.admissible()]
     same = max((u @ v - v @ u).norm() for i, u in enumerate(ops) for v in ops[i + 1 :])
     print("\nwithin one representation all evolution unitaries commute:")
-    print(f"  max same-representation commutator {same:.2e}")
+    print(f"  max same-representation commutator {same:.2e} <= {tol:.0e}")
     report = commutant_witness(weight, rep, moved)
     print("but the conjugated family need not commute with the original:")
     print(f"  largest commutator norm in [witness, witness_upper] = [{report.witness:.4f}, {report.witness_upper:.4f}]")

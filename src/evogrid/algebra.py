@@ -21,6 +21,10 @@ applies a map to a whole stack of elements; `apply(a)` is its one-element
 case.  Every stack entry goes through the same matrix products as a single
 element would, so a stacked image has the bits of the per-element ones.
 
+`verify_automorphism` measures the four *-automorphism laws and returns
+their deviations; it judges nothing.  The verification suites compare them
+with the scenario's `tolerances`.
+
 Duality probes are elementary tensors: finite lists of (element, functional)
 pairs.  Pairing one against a linear map phi gives the scalar
 sum_j g_j(phi(a_j)), the value that separates points of the unit ball of
@@ -317,22 +321,7 @@ class AutomorphismReport:
     star_preserving: float
     unital: float
     isometric: float
-    tolerance: float
     samples: int
-
-    @property
-    def passed(self) -> bool:
-        worst = max(self.multiplicative, self.star_preserving, self.unital, self.isometric)
-        return worst <= self.tolerance
-
-    def failing_laws(self) -> tuple[str, ...]:
-        pairs = [
-            ("multiplicative", self.multiplicative),
-            ("star_preserving", self.star_preserving),
-            ("unital", self.unital),
-            ("isometric", self.isometric),
-        ]
-        return tuple(name for name, dev in pairs if dev > self.tolerance)
 
 
 def _star(blocks: np.ndarray) -> np.ndarray:
@@ -340,12 +329,12 @@ def _star(blocks: np.ndarray) -> np.ndarray:
     return np.conj(blocks).swapaxes(-2, -1)
 
 
-def verify_automorphism(phi, sample_count: int = 20, seed: int = 0, tol: float = 1e-10) -> AutomorphismReport:
-    """Check the *-automorphism laws on seeded random elements.
+def verify_automorphism(phi, sample_count: int = 20, seed: int = 0) -> AutomorphismReport:
+    """Measure the *-automorphism laws on seeded random elements.
 
     `phi` may be any linear map exposing `algebra` and `apply_blocks`; maps
-    that are not automorphisms (e.g. trace averaging) show up as a law
-    failure in the report rather than as an exception.
+    that are not automorphisms (e.g. trace averaging) show up as a large
+    deviation in the report rather than as an exception.
 
     Sample k is the pair (a_k, b_k) of rows 2k and 2k + 1 of one draw of
     2 * sample_count elements, the stream of that many `random_element`
@@ -372,7 +361,6 @@ def verify_automorphism(phi, sample_count: int = 20, seed: int = 0, tol: float =
         star_preserving=float(np.max(star, initial=0.0)),
         unital=float(norms[-1]),
         isometric=float(np.max(np.abs(image - source), initial=0.0)),
-        tolerance=tol,
         samples=sample_count,
     )
 

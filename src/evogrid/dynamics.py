@@ -14,6 +14,8 @@ unitaries commute within one representation, and conjugating the
 representation conjugates every U_T along with it.  Each of those statements
 is a check in the verification suites, not an assumption; the covariance
 under conjugation is the suites' `conjugated-dynamics` check.
+`validate_action_weight` and `check_group_law` measure deviations and judge
+nothing; the suites compare them with the scenario's `tolerances`.
 `commutant_witness` bounds the commutators across a conjugation, which a
 scenario judges only when it sets a `witness_threshold`; without one the
 suites form no witness and record an unjudged 0.0.
@@ -38,7 +40,6 @@ from .rng import SplitMix64, derive_seed
 __all__ = [
     "ActionWeight",
     "ActionWeightReport",
-    "GroupLawReport",
     "CommutantReport",
     "validate_action_weight",
     "evolution_unitary",
@@ -140,16 +141,11 @@ class ActionWeightReport:
     unimodular: float
     cocycle: float
     null_subset: float
-    tolerance: float
     pairs_checked: int
 
-    @property
-    def passed(self) -> bool:
-        return max(self.unimodular, self.cocycle, self.null_subset) <= self.tolerance
 
-
-def validate_action_weight(weight: ActionWeight, tol: float = 1e-12) -> ActionWeightReport:
-    """Check unimodularity, the null-subset law, and the cocycle law.
+def validate_action_weight(weight: ActionWeight) -> ActionWeightReport:
+    """Measure unimodularity, the null-subset law, and the cocycle law.
 
     The cocycle law is checked for every ordered pair of measure-disjoint
     admissible subsets, evaluated over all full-set points.
@@ -177,7 +173,7 @@ def validate_action_weight(weight: ActionWeight, tol: float = 1e-12) -> ActionWe
             dev = np.max(np.abs(pulled[union] - pulled[t1] * pulled[t2]))
             cocycle = nan_max(cocycle, float(dev))
             pairs += 1
-    return ActionWeightReport(unimodular, cocycle, null_subset, tol, pairs)
+    return ActionWeightReport(unimodular, cocycle, null_subset, pairs)
 
 
 def evolution_unitary(weight: ActionWeight, subset, rep: PureRepresentation) -> Operator:
@@ -187,19 +183,7 @@ def evolution_unitary(weight: ActionWeight, subset, rep: PureRepresentation) -> 
     return integrate(f, rep.spectral_measure(key))
 
 
-@dataclass(frozen=True)
-class GroupLawReport:
-    deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.tolerance
-
-
-def check_group_law(
-    weight: ActionWeight, t1, t2, rep: PureRepresentation, tol: float = 1e-12
-) -> GroupLawReport:
+def check_group_law(weight: ActionWeight, t1, t2, rep: PureRepresentation) -> float:
     """Norm of U_{T1} U_{T2} - U_{T1 u T2} for measure-disjoint subsets."""
     s1, s2 = frozenset(t1), frozenset(t2)
     overlap = weight.space.frame.mu(s1 & s2)
@@ -208,7 +192,7 @@ def check_group_law(
     u1 = evolution_unitary(weight, s1, rep)
     u2 = evolution_unitary(weight, s2, rep)
     u12 = evolution_unitary(weight, s1 | s2, rep)
-    return GroupLawReport((u1 @ u2 - u12).norm(), tol)
+    return (u1 @ u2 - u12).norm()
 
 
 @dataclass(frozen=True, eq=False)

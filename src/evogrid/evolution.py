@@ -487,20 +487,14 @@ class GridEvolutionSpace:
             vals[i] = 1.0
         return self.function(s, vals)
 
-    def random_function(self, subset, rng: SplitMix64, unimodular: bool = False) -> "GridFunction":
-        """Complex normal values, or unimodular ones from uniform phases.
+    def random_function(self, subset, rng: SplitMix64) -> "GridFunction":
+        """Complex normal values.
 
-        The complex values are one row of `rng.complex_matrix`, so the rows of
-        one `complex_matrix(S, npoints(subset))` draw are S calls' values, with
+        The values are one row of `rng.complex_matrix`, so the rows of one
+        `complex_matrix(S, npoints(subset))` draw are S calls' values, with
         the same end state.
         """
-        n = self.npoints(subset)
-        if unimodular:
-            phases = np.array([rng.uniform() for _ in range(n)])
-            vals = np.exp(2j * np.pi * phases)
-        else:
-            vals = rng.complex_matrix(1, n)[0]
-        return self.function(subset, vals)
+        return self.function(subset, rng.complex_matrix(1, self.npoints(subset))[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,8 @@ subsets gives the cocycle law, and weight-zero subsets contribute exactly
 zero action, hence weight functions exactly one.  A two-point Lipschitz
 estimate bounds action differences by the sup of the density difference
 times the subset measure.  All three statements are suite checks.
+`verify_lagrangian` measures the consistency law and judges nothing; the
+suites compare its deviations with the scenario's `tolerances`.
 
 A Lagrangian is stored extensionally, like an action weight: construction
 calls the evaluator once per (admissible T, point over T, t in T) and keeps
@@ -21,7 +23,7 @@ frame order, which every later consumer reads.  Local Lagrangians, where
 L_{T, alpha}(t) depends only on (t, alpha_t), call their term once per grid
 entry and satisfy the consistency law by construction; the general
 constructor exists so that tests can build counterexamples and watch the
-verifier flag them.
+verifier measure their deviations.
 """
 
 from __future__ import annotations
@@ -144,20 +146,15 @@ def weight_from_lagrangian(lagrangian: Lagrangian) -> ActionWeight:
 
 @dataclass(frozen=True)
 class LagrangianReport:
-    """Outcome of the consistency sweep."""
+    """Max deviations of the consistency sweep."""
 
     restriction_deviation: float
     realness_deviation: float
     pairs: int
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.restriction_deviation, self.realness_deviation) <= self.tolerance
 
 
-def verify_lagrangian(lagrangian: Lagrangian, tol: float = 1e-12) -> LagrangianReport:
-    """Check restriction consistency and realness on every admissible subset.
+def verify_lagrangian(lagrangian: Lagrangian) -> LagrangianReport:
+    """Measure restriction consistency and realness on every admissible subset.
 
     Every admissible pair T' subset of T with T' nonempty is compared on
     every full point through the restriction tables; realness is the largest
@@ -179,4 +176,4 @@ def verify_lagrangian(lagrangian: Lagrangian, tol: float = 1e-12) -> LagrangianR
             restriction = max(restriction, float(np.max(np.abs(pulled[:, columns] - other))))
             pairs += 1
     realness = max(float(np.max(np.abs(lagrangian.table(s).imag), initial=0.0)) for s in domain)
-    return LagrangianReport(restriction, realness, pairs, tol)
+    return LagrangianReport(restriction, realness, pairs)

@@ -183,8 +183,3 @@ class SplitMix64:
         # zero diagonal entries have probability zero; normalize defensively
         d[d == 0] = 1.0
         return q * (d / np.abs(d))
-
-    def spawn(self, label: str) -> "SplitMix64":
-        """Independent substream named by `label`, seeded off this stream's
-        current state transition (does not consume from this stream)."""
-        return SplitMix64(derive_seed(self._state, label))

@@ -1,10 +1,11 @@
 """Verification suites: every structural law as an executable check.
 
 A check computes a max deviation and compares it against a tolerance from
-the scenario; a report is the list of check records plus a summary.  All
-sampling inside checks derives from the scenario seed through labeled
-substreams, and all iteration orders are fixed, so a report body is a pure
-function of the effective config and the BLAS configuration: a Haar
+the scenario; the library's verifiers only measure, and this module is the
+one place that judges.  A report is the list of check records plus a
+summary.  All sampling inside checks derives from the scenario seed through
+labeled substreams, and all iteration orders are fixed, so a report body is
+a pure function of the effective config and the BLAS configuration: a Haar
 conjugator, and with it every conjugated value, rounds differently under a
 different BLAS thread count.  Runtimes are recorded per check but kept out
 of the report body so that identical runs produce identical bytes.  A
@@ -60,13 +61,7 @@ from .algebra import (
     verify_automorphism,
     weakstar_pairing,
 )
-from .dynamics import (
-    check_group_law,
-    commutant_witness,
-    evolution_unitary,
-    nan_max,
-    validate_action_weight,
-)
+from .dynamics import commutant_witness, evolution_unitary, nan_max, validate_action_weight
 from .errors import DomainError
 from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback_rows
 from .lagrangian import action_from_lagrangian, verify_lagrangian
@@ -226,15 +221,18 @@ def _check_automorphism_laws(scn: Scenario) -> list[tuple[str, str, float, float
     worst = 0.0
     for k in range(20):
         alpha = Automorphism.haar(scn.algebra, rng)
-        report = verify_automorphism(alpha, sample_count=5, seed=derive_seed(scn.seed, f"aut-{k}"), tol=scn.tolerances.unitary)
+        report = verify_automorphism(alpha, sample_count=5, seed=derive_seed(scn.seed, f"aut-{k}"))
         worst = nan_max(worst, report.multiplicative, report.star_preserving, report.unital, report.isometric)
     return [("automorphism-laws", "T2.1", worst, scn.tolerances.unitary)]
 
 
 def _check_automorphism_counterexample(scn: Scenario) -> list[tuple[str, str, float, float]]:
     phi = named_contraction("trace_average", scn.algebra)
-    report = verify_automorphism(phi, sample_count=10, seed=derive_seed(scn.seed, "counterexample"), tol=scn.tolerances.unitary)
-    flagged = (not report.passed) and report.multiplicative > 1e-3
+    report = verify_automorphism(phi, sample_count=10, seed=derive_seed(scn.seed, "counterexample"))
+    # built-in max: a NaN multiplicative deviation leaves the map unflagged,
+    # and a NaN in a later law does not hide a failing multiplicative one
+    worst = max(report.multiplicative, report.star_preserving, report.unital, report.isometric)
+    flagged = worst > scn.tolerances.unitary and report.multiplicative > 1e-3
     # single-block scalars make trace averaging the identity; nothing to flag
     if scn.algebra.block_dims == (1,) * scn.algebra.nblocks:
         flagged = True
@@ -601,7 +599,7 @@ def _check_conjugated_trace(scn: Scenario) -> list[tuple[str, str, float, float]
 
 
 def _check_action_weight(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    report = validate_action_weight(scn.weight, tol=scn.tolerances.dynamics)
+    report = validate_action_weight(scn.weight)
     dev = nan_max(report.unimodular, report.cocycle, report.null_subset)
     return [("action-weight-laws", "D4.1", dev, scn.tolerances.dynamics)]
 
@@ -623,14 +621,15 @@ def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 
 def _check_group_law_suite(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rep = scn.representation
-    dev = 0.0
+    # check_group_law's arithmetic on one unitary per subset, built once
     domain = scn.frame.admissible()
+    u = {s: evolution_unitary(scn.weight, s, scn.representation) for s in domain}
+    dev = 0.0
     for t1 in domain:
         for t2 in domain:
             if scn.frame.mu(t1 & t2) != 0.0:
                 continue
-            dev = nan_max(dev, check_group_law(scn.weight, t1, t2, rep, scn.tolerances.dynamics).deviation)
+            dev = nan_max(dev, (u[t1] @ u[t2] - u[t1 | t2]).norm())
     return [("group-law", "P4.2", dev, scn.tolerances.dynamics)]
 
 
@@ -679,7 +678,7 @@ def _check_conjugated_dynamics(scn: Scenario) -> list[tuple[str, str, float, flo
 
 
 def _check_lagrangian_consistency(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    report = verify_lagrangian(scn.lagrangian, tol=scn.tolerances.dynamics)
+    report = verify_lagrangian(scn.lagrangian)
     dev = nan_max(report.restriction_deviation, report.realness_deviation)
     return [("lagrangian-consistency", "D5.1", dev, scn.tolerances.dynamics)]
 

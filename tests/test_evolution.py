@@ -322,8 +322,3 @@ def test_indicator_and_constant(small_space):
     one = small_space.constant(frozenset(), 1.0)
     assert one.values.shape == (1,)
     assert one.sup_norm() == 1.0
-
-
-def test_unimodular_random_function(small_space):
-    f = small_space.random_function(small_space.full, SplitMix64(2), unimodular=True)
-    assert np.allclose(np.abs(f.values), 1.0, atol=1e-12)

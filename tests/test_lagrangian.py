@@ -70,8 +70,8 @@ def test_action_rejects_inadmissible_subset(m2, flip):
 
 def test_local_lagrangian_restriction_consistency(weighted_space):
     lag = table_lagrangian(weighted_space)
-    report = verify_lagrangian(lag, tol=1e-12)
-    assert report.passed
+    report = verify_lagrangian(lag)
+    assert max(report.restriction_deviation, report.realness_deviation) <= 1e-12
     assert report.restriction_deviation == 0.0
     assert report.realness_deviation == 0.0
     assert report.pairs > 0
@@ -81,14 +81,14 @@ def test_subset_dependent_evaluator_flagged_frozen(weighted_space):
     # a density that peeks at the subset cannot restrict consistently;
     # largest mismatch is len({1,2,3}) - len({t'}) = 2
     lag = Lagrangian(weighted_space, lambda subset, point, t: float(len(subset)))
-    report = verify_lagrangian(lag, tol=1e-12)
-    assert not report.passed
+    report = verify_lagrangian(lag)
+    assert not max(report.restriction_deviation, report.realness_deviation) <= 1e-12
     assert report.restriction_deviation == 2.0
 
 
 def test_complex_density_flagged(weighted_space):
     lag = Lagrangian(weighted_space, lambda subset, point, t: 1.0 + 0.25j)
-    report = verify_lagrangian(lag, tol=1e-12)
+    report = verify_lagrangian(lag)
     assert report.realness_deviation == pytest.approx(0.25, abs=1e-15)
 
 
@@ -111,10 +111,10 @@ def test_consistency_sweep_finds_a_single_bad_point(m2):
     def evaluator(subset, point, t):
         return 1.0 if subset == frame.full and point.indices == (24, 24, 24) and t == "1" else 0.0
 
-    report = verify_lagrangian(Lagrangian(space, evaluator), tol=1e-12)
+    report = verify_lagrangian(Lagrangian(space, evaluator))
     assert report.restriction_deviation == 1.0
     assert report.pairs == 1
-    assert not report.passed
+    assert not max(report.restriction_deviation, report.realness_deviation) <= 1e-12
 
 
 def test_probe_terms_run_once_per_grid_entry(monkeypatch):
@@ -195,7 +195,8 @@ def test_weight_from_action_is_exponential(weighted_space):
     for subset in weighted_space.frame.admissible():
         expected = np.exp(1j * action_from_lagrangian(lag, subset).values)
         assert np.array_equal(weight.function(subset).values, expected)
-    assert validate_action_weight(weight, tol=1e-12).passed
+    report = validate_action_weight(weight)
+    assert max(report.unimodular, report.cocycle, report.null_subset) <= 1e-12
 
 
 def test_weight_from_lagrangian_shortcut(weighted_space):

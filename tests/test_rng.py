@@ -187,10 +187,3 @@ def test_derive_seed_stable_and_label_sensitive():
     assert s1 == s2
     assert s1 != s3
     assert 0 <= s1 <= MASK64
-
-
-def test_spawn_does_not_consume_parent_stream():
-    r1, r2 = SplitMix64(6), SplitMix64(6)
-    child = r1.spawn("sub")
-    assert isinstance(child, SplitMix64)
-    assert r1.next_uint64() == r2.next_uint64()

@@ -503,20 +503,21 @@ def test_cli_exit_code_on_non_finite_input(tmp_path, where):
 
 def test_cli_exit_code_on_a_nan_after_the_first_deviation(monkeypatch):
     # built-in max keeps its running value against NaN; the suites' maxima
-    # must let it through so that the runner aborts
-    from evogrid import suites
+    # must let it through so that the runner aborts.  The third operator
+    # norm under the dynamics suite is unitary-evolution's deviation on the
+    # second subset, after a finite one on the first.
+    from evogrid.representation import DiagonalOperator
 
     calls = []
-    original = suites.check_group_law
+    original = DiagonalOperator.norm
 
-    def second_is_nan(*args, **kwargs):
-        report = original(*args, **kwargs)
-        calls.append(report)
-        return report if len(calls) != 2 else type(report)(float("nan"), report.tolerance)
+    def third_is_nan(self):
+        calls.append(original(self))
+        return calls[-1] if len(calls) != 3 else float("nan")
 
-    monkeypatch.setattr(suites, "check_group_law", second_is_nan)
+    monkeypatch.setattr(DiagonalOperator, "norm", third_is_nan)
     assert main(["verify", "demo", "--suite", "dynamics"]) == 5
-    assert len(calls) > 2
+    assert len(calls) > 3
 
 
 def test_cli_exit_code_on_cap(tmp_path, monkeypatch):
