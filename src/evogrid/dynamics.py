@@ -9,8 +9,9 @@ of the union factors pointwise through restriction,
 
 Integrating u_T against the spectral measure over T yields one unitary per
 admissible subset.  The factorization law above turns into the group law
-U_{T1} U_{T2} = U_{T1 u T2} for measure-disjoint subsets, all of these
-unitaries commute within one representation, and conjugating the
+U_{T1} U_{T2} = U_{T1 u T2} for measure-disjoint subsets; the cocycle law
+and the suites' group law range over the frame's `disjoint_pairs()`.  All
+of these unitaries commute within one representation, and conjugating the
 representation conjugates every U_T along with it.  Each of those statements
 is a check in the verification suites, not an assumption; the covariance
 under conjugation is the suites' `conjugated-dynamics` check.
@@ -148,32 +149,26 @@ def validate_action_weight(weight: ActionWeight) -> ActionWeightReport:
     """Measure unimodularity, the null-subset law, and the cocycle law.
 
     The cocycle law is checked for every ordered pair of measure-disjoint
-    admissible subsets, evaluated over all full-set points.
+    admissible subsets, the frame's `disjoint_pairs()`, evaluated over all
+    full-set points.
     """
     space = weight.space
     frame = space.frame
     unimodular = 0.0
     null_subset = 0.0
-    pulled: dict[frozenset, np.ndarray] = {}
+    pulled = []
     for subset in weight.domain():
         f = weight.function(subset)
         unimodular = nan_max(unimodular, float(np.max(np.abs(np.abs(f.values) - 1.0))) if f.values.size else 0.0)
         if frame.mu(subset) == 0.0:
             null_subset = nan_max(null_subset, float(np.max(np.abs(f.values - 1.0))))
-        pulled[subset] = f.values[space.restricted_index_array(subset)]
+        pulled.append(f.values[space.restricted_index_array(subset)])
 
     cocycle = 0.0
-    pairs = 0
-    domain = weight.domain()
-    for t1 in domain:
-        for t2 in domain:
-            if frame.mu(t1 & t2) != 0.0:
-                continue
-            union = t1 | t2
-            dev = np.max(np.abs(pulled[union] - pulled[t1] * pulled[t2]))
-            cocycle = nan_max(cocycle, float(dev))
-            pairs += 1
-    return ActionWeightReport(unimodular, cocycle, null_subset, pairs)
+    pairs = frame.disjoint_pairs()
+    for t1, t2, union in pairs.tolist():
+        cocycle = nan_max(cocycle, float(np.max(np.abs(pulled[union] - pulled[t1] * pulled[t2]))))
+    return ActionWeightReport(unimodular, cocycle, null_subset, len(pairs))
 
 
 def evolution_unitary(weight: ActionWeight, subset, rep: PureRepresentation) -> Operator:

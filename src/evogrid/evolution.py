@@ -21,14 +21,15 @@ restriction are the two moves everything later builds on.
 
 Subset geometry is derived once per space and subset.  A frame maps labels
 to positions through one dict and memoises the frame-ordered labels of each
-subset; a space keeps one record per subset it has been asked about, holding
+subset and, once requested, the measure-disjoint pairs of admissible
+subsets; a space keeps one record per subset it has been asked about, holding
 the ordered labels, axes, shape, point count and, once first requested, the
 restriction table (full-set point index -> restricted point index).  Every
 geometry query reads that record, so a table is built once per space and
 subset and returned read-only: a caller that tries to write into it gets a
 ValueError instead of corrupting later queries.  The records hold at most one
-int64 table of N entries per subset, and they are not dataclass fields, so
-equality, hashing and fingerprints see only the frame and the grids.
+int64 table of N entries per subset.  No record or memo is a dataclass
+field, so equality, hashing and fingerprints see only the frame and grids.
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ class TimeFrame:
         # lookup caches, not fields: equality and hashing ignore them
         object.__setattr__(self, "_positions", {t: i for i, t in enumerate(times)})
         object.__setattr__(self, "_ordered", {})
+        object.__setattr__(self, "_pairs", None)
 
     @property
     def full(self) -> frozenset:
@@ -146,6 +148,29 @@ class TimeFrame:
             family = list(self.sigma0)
         keyed = sorted(family, key=lambda s: (len(s), tuple(sorted(self.position(t) for t in s))))
         return tuple(keyed)
+
+    def disjoint_pairs(self) -> np.ndarray:
+        """(first, second, union) positions into `admissible()` of every ordered
+        pair with mu(first & second) == 0.0, first-subset-major; read-only.
+
+        A sum of nonnegative weights is 0.0 exactly when every term is, so a
+        pair is measure-disjoint when it shares no time of positive weight.
+        """
+        if self._pairs is None:
+            domain = self.admissible()
+            members = np.array([[t in s for t in self.times] for s in domain], dtype=bool)
+            members = members.reshape(len(domain), len(self.times))
+            keys = np.packbits(members, axis=1)
+            heavy = np.packbits(members & (np.array(self.weights) > 0.0), axis=1)
+            table = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()  # one comparable item per subset
+            order = np.argsort(table)
+            # row-major nonzero: first-subset-major, then second
+            first, second = np.nonzero(~np.any(heavy[:, None] & heavy[None], axis=2))
+            union = order[np.searchsorted(table, (keys[first] | keys[second]).view(table.dtype).ravel(), sorter=order)]
+            pairs = np.column_stack((first, second, union))
+            pairs.setflags(write=False)
+            object.__setattr__(self, "_pairs", pairs)
+        return self._pairs
 
     def is_admissible(self, subset) -> bool:
         s = _as_frozenset(subset)

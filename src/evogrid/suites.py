@@ -11,7 +11,9 @@ different BLAS thread count.  Runtimes are recorded per check but kept out
 of the report body so that identical runs produce identical bytes.  A
 function that judges several checks is timed once and its time is split
 evenly among their records; the timings appendix lists those groups as
-`shared`.
+`shared`.  The dynamics and Lagrangian suites each build one family, of
+unconjugated unitaries or of actions, that several laws read; the pair laws
+iterate the frame's `disjoint_pairs()`.
 
 The spectral suite's sampled laws run on stacks: each subset's S random
 functions are the rows of one `complex_matrix(S, npoints)` draw (the bits
@@ -605,48 +607,36 @@ def _check_action_weight(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 
 def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rep = scn.representation
+    # one unconjugated unitary per admissible subset, built once and read by
+    # all four laws
+    domain = scn.frame.admissible()
+    u = [evolution_unitary(scn.weight, s, scn.representation) for s in domain]
     one = identity_operator(scn.rep_space.dimension)
     dev = 0.0
     null_dev = 0.0
-    for subset in scn.frame.admissible():
-        u = evolution_unitary(scn.weight, subset, rep)
-        dev = nan_max(dev, (u.adjoint() @ u - one).norm())
+    for subset, v in zip(domain, u):
+        dev = nan_max(dev, (v.adjoint() @ v - one).norm())
         if scn.frame.mu(subset) == 0.0:
-            null_dev = nan_max(null_dev, (u - one).norm())
-    return [
-        ("unitary-evolution", "E4.4", dev, scn.tolerances.dynamics),
-        ("null-unitary", "P4.2", null_dev, scn.tolerances.exact),
-    ]
-
-
-def _check_group_law_suite(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    # check_group_law's arithmetic on one unitary per subset, built once
-    domain = scn.frame.admissible()
-    u = {s: evolution_unitary(scn.weight, s, scn.representation) for s in domain}
-    dev = 0.0
-    for t1 in domain:
-        for t2 in domain:
-            if scn.frame.mu(t1 & t2) != 0.0:
-                continue
-            dev = nan_max(dev, (u[t1] @ u[t2] - u[t1 | t2]).norm())
-    return [("group-law", "P4.2", dev, scn.tolerances.dynamics)]
-
-
-def _check_commutation(scn: Scenario) -> list[tuple[str, str, float, float]]:
+            null_dev = nan_max(null_dev, (v - one).norm())
+    # check_group_law's arithmetic over the frame's measure-disjoint pairs
+    group_dev = 0.0
+    for t1, t2, union in scn.frame.disjoint_pairs().tolist():
+        group_dev = nan_max(group_dev, (u[t1] @ u[t2] - u[union]).norm())
     # judged at the dynamics tolerance, not `exact`: numpy's vectorized
     # complex multiply is not commutative in the last bit (with numpy 2.4.6
     # on an x86-64 Xeon, x*y != y*x for about 34,000 of 100,000 random
     # unimodular pairs, where Python's scalar multiply gives none), so
     # u @ v - v @ u reads up to 1.11e-16 on diagonals that commute exactly
-    rep = scn.representation
-    domain = scn.frame.admissible()
-    ops = [evolution_unitary(scn.weight, s, rep) for s in domain]
-    dev = 0.0
-    for i, u in enumerate(ops):
-        for v in ops[i + 1 :]:
-            dev = nan_max(dev, (u @ v - v @ u).norm())
-    return [("commutation", "S4", dev, scn.tolerances.dynamics)]
+    commutation = 0.0
+    for i, v in enumerate(u):
+        for w in u[i + 1 :]:
+            commutation = nan_max(commutation, (v @ w - w @ v).norm())
+    return [
+        ("unitary-evolution", "E4.4", dev, scn.tolerances.dynamics),
+        ("null-unitary", "P4.2", null_dev, scn.tolerances.exact),
+        ("group-law", "P4.2", group_dev, scn.tolerances.dynamics),
+        ("commutation", "S4", commutation, scn.tolerances.dynamics),
+    ]
 
 
 def _check_conjugated_dynamics(scn: Scenario) -> list[tuple[str, str, float, float]]:
@@ -683,51 +673,40 @@ def _check_lagrangian_consistency(scn: Scenario) -> list[tuple[str, str, float, 
     return [("lagrangian-consistency", "D5.1", dev, scn.tolerances.dynamics)]
 
 
-def _check_action_additivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
+def _check_actions(scn: Scenario) -> list[tuple[str, str, float, float]]:
+    # one action per admissible subset, built once and read by all three laws
     space = scn.space
     frame = scn.frame
-    actions = {s: action_from_lagrangian(scn.lagrangian, s) for s in frame.admissible()}
-    pulled = {s: actions[s].values[space.restricted_index_array(s)] for s in frame.admissible()}
-    dev = 0.0
-    for t1 in frame.admissible():
-        for t2 in frame.admissible():
-            if frame.mu(t1 & t2) != 0.0:
-                continue
-            union = t1 | t2
-            dev = nan_max(dev, float(np.max(np.abs(pulled[union] - pulled[t1] - pulled[t2]))))
-    return [("action-additivity", "P5.2", dev, scn.tolerances.dynamics)]
-
-
-def _check_action_lipschitz(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    frame = scn.frame
-    dev = 0.0
-    for subset in _nonempty_subsets(scn):
-        action = action_from_lagrangian(scn.lagrangian, subset)
+    domain = frame.admissible()
+    actions = [action_from_lagrangian(scn.lagrangian, s) for s in domain]
+    pulled = [a.values[space.restricted_index_array(s)] for s, a in zip(domain, actions)]
+    additivity = 0.0
+    for t1, t2, union in frame.disjoint_pairs().tolist():
+        additivity = nan_max(additivity, float(np.max(np.abs(pulled[union] - pulled[t1] - pulled[t2]))))
+    lipschitz = 0.0
+    null_dev = 0.0
+    for subset, action in zip(domain, actions):
         mu = frame.mu(subset)
-        densities = scn.lagrangian.table(subset).real
-        k = len(densities)
-        pair_budget = 2000
-        if k * k <= pair_budget:
-            left, right = np.divmod(np.arange(k * k), k)
-        else:
-            rng = _rng(scn, f"lipschitz-{sorted(map(str, subset))}")
-            left, right = rng.integers(k, 2 * pair_budget).reshape(-1, 2).T
-        gap = np.abs(action.values[left] - action.values[right])
-        bound = np.max(np.abs(densities[left] - densities[right]), axis=1) * mu
-        dev = nan_max(dev, 0.0, float(np.max(gap - bound)))
-    return [("action-lipschitz", "P5.2", dev, scn.tolerances.dynamics)]
-
-
-def _check_null_action(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    dev = 0.0
-    for subset in scn.frame.admissible():
-        if scn.frame.mu(subset) != 0.0:
-            continue
-        action = action_from_lagrangian(scn.lagrangian, subset)
-        dev = nan_max(dev, float(np.max(np.abs(action.values))))
-        u = scn.weight.function(subset)
-        dev = nan_max(dev, float(np.max(np.abs(u.values - 1.0))))
-    return [("null-action", "P5.2", dev, scn.tolerances.exact)]
+        if subset:
+            densities = scn.lagrangian.table(subset).real
+            k = len(densities)
+            pair_budget = 2000
+            if k * k <= pair_budget:
+                left, right = np.divmod(np.arange(k * k), k)
+            else:
+                rng = _rng(scn, f"lipschitz-{sorted(map(str, subset))}")
+                left, right = rng.integers(k, 2 * pair_budget).reshape(-1, 2).T
+            gap = np.abs(action.values[left] - action.values[right])
+            bound = np.max(np.abs(densities[left] - densities[right]), axis=1) * mu
+            lipschitz = nan_max(lipschitz, 0.0, float(np.max(gap - bound)))
+        if mu == 0.0:
+            null_dev = nan_max(null_dev, float(np.max(np.abs(action.values))))
+            null_dev = nan_max(null_dev, float(np.max(np.abs(scn.weight.function(subset).values - 1.0))))
+    return [
+        ("action-additivity", "P5.2", additivity, scn.tolerances.dynamics),
+        ("action-lipschitz", "P5.2", lipschitz, scn.tolerances.dynamics),
+        ("null-action", "P5.2", null_dev, scn.tolerances.exact),
+    ]
 
 
 # -- registry and runner ----------------------------------------------------
@@ -762,15 +741,11 @@ _SUITES: dict[str, list[Callable[[Scenario], list[tuple[str, str, float, float]]
     "dynamics": [
         _check_action_weight,
         _check_unitaries,
-        _check_group_law_suite,
-        _check_commutation,
         _check_conjugated_dynamics,
     ],
     "lagrangian": [
         _check_lagrangian_consistency,
-        _check_action_additivity,
-        _check_action_lipschitz,
-        _check_null_action,
+        _check_actions,
     ],
 }
 
@@ -789,7 +764,7 @@ def run_suite(scn: Scenario, suites: Iterable[str] = ("all",)) -> VerificationRe
     Every enabled check appears exactly once in the report; checks that need
     a conjugator or a Lagrangian are skipped when the scenario has none.
     The report's `shared` lists the checks judged by one function call, in
-    run order.
+    run order.  A selection that names no suite raises `DomainError`.
     """
     requested = list(suites)
     if "all" in requested:
@@ -799,6 +774,8 @@ def run_suite(scn: Scenario, suites: Iterable[str] = ("all",)) -> VerificationRe
         if unknown:
             raise DomainError(f"unknown suite names {unknown}; choose from {list(SUITE_NAMES)}")
         selected = [s for s in SUITE_NAMES if s in requested]
+    if not selected:
+        raise DomainError(f"no suite selected; choose from {list(SUITE_NAMES)} or all")
     records: list[CheckRecord] = []
     shared: list[tuple[str, ...]] = []
     for suite in selected:

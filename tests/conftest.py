@@ -15,6 +15,14 @@ from evogrid import (
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
+
+def every_ordered_pair(frame):
+    """A pair table over every ordered pair of admissible subsets, overlapping ones included."""
+    domain = frame.admissible()
+    index = {s: i for i, s in enumerate(domain)}
+    return np.array([(i, j, index[t1 | t2]) for i, t1 in enumerate(domain) for j, t2 in enumerate(domain)])
+
+
 # filled by the acceptance tests; echoed after capture ends so the
 # one-line-per-criterion verdicts always appear in the terminal output
 ACCEPTANCE_LINES: list[str] = []

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from evogrid import (
     DataError,
     DiagonalOperator,
     DomainError,
+    GridEvolutionSpace,
     GridPointMap,
     Lagrangian,
     PreconditionError,
     StructureError,
+    TimeFrame,
     action_from_lagrangian,
     builtin_scenario,
     check_group_law,
@@ -36,7 +39,7 @@ from evogrid.cli import main
 from evogrid.rng import SplitMix64
 from evogrid.scenario import encode_matrix
 
-from conftest import FLIP, HADAMARD
+from conftest import FLIP, HADAMARD, every_ordered_pair
 
 
 def make_weight(space):
@@ -239,6 +242,71 @@ def test_group_law_record_is_the_largest_check_group_law(source):
     ]
     record = {r.check: r for r in run_suite(scn, ["dynamics"]).records}["group-law"]
     assert record.max_deviation.hex() == max(deviations).hex()
+
+
+def _pair_weight(source, m2, flip):
+    # custom frames: times 1, 2, 3 with identity/flip grids over M_2
+    frames = {
+        "sigma0": TimeFrame(
+            ("1", "2", "3"), (0.5, 2.0, 0.0), sigma0=[[], ["1"], ["3"], ["1", "3"], ["1", "2"], ["1", "2", "3"]]
+        ),
+        "two-null-times": TimeFrame(("1", "2", "3"), (0.0, 1.5, 0.0)),
+    }
+    if source not in frames:
+        return _interval_scenario(source).weight
+    grid = (GridPointMap.identity(m2), GridPointMap.from_automorphism(flip))
+    return make_weight(GridEvolutionSpace(frames[source], (grid,) * 3))
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "sigma0", "two-null-times"])
+def test_disjoint_pairs_match_the_mu_loop(source, m2, flip):
+    weight = _pair_weight(source, m2, flip)
+    frame = weight.space.frame
+    twin = TimeFrame(frame.times, frame.weights, frame.sigma0)
+    domain = frame.admissible()
+    index = {s: i for i, s in enumerate(domain)}
+    expected = [
+        (i, j, index[t1 | t2])
+        for i, t1 in enumerate(domain)
+        for j, t2 in enumerate(domain)
+        if frame.mu(t1 & t2) == 0.0
+    ]
+    table = frame.disjoint_pairs()
+    rows = list(map(tuple, table.tolist()))
+    assert table.shape == (len(expected), 3) and rows == expected
+    assert rows == sorted(rows)  # first-subset-major, then second
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert frame.disjoint_pairs() is table
+    # the memo is not a field: a twin that never built it is still equal
+    assert frame == twin and hash(frame) == hash(twin)
+    assert validate_action_weight(weight).pairs_checked == len(table)
+
+
+def test_each_family_is_built_once_per_suite_run(monkeypatch):
+    # rung 5x2 has 32 subsets: one unconjugated unitary each for the four
+    # shared laws, two each for conjugated-dynamics, one action each for the
+    # three shared Lagrangian laws, and one pair table read by three laws
+    from evogrid import suites
+
+    scn = _interval_scenario("ladder-5x2")
+    calls = Counter()
+
+    def counted(fn):
+        def spy(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return spy
+
+    monkeypatch.setattr(suites, "evolution_unitary", counted(evolution_unitary))
+    monkeypatch.setattr(suites, "action_from_lagrangian", counted(action_from_lagrangian))
+    tables = []
+    original = TimeFrame.disjoint_pairs
+    monkeypatch.setattr(TimeFrame, "disjoint_pairs", lambda self: tables.append(original(self)) or tables[-1])
+    run_suite(scn, ["dynamics", "lagrangian"])
+    assert calls == {"evolution_unitary": 96, "action_from_lagrangian": 32}
+    assert len(tables) == 3 and all(table is tables[0] for table in tables)
 
 
 def test_same_representation_unitaries_commute(weighted_space, rep8):
@@ -492,6 +560,11 @@ DYNAMICS_MUTANTS = {
         _demo,
         (DiagonalOperator, "__matmul__", _order_dependent_product),
         ("commutation",),
+    ),
+    "overlapping-pairs": (
+        _demo,
+        (TimeFrame, "disjoint_pairs", every_ordered_pair),
+        ("action-weight-laws", "group-law"),
     ),
     "identity-conjugator": (lambda: _identity_conjugated("witness"), None, ("commutant-witness",)),
     "witness-lower-bounds-zero": (

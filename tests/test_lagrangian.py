@@ -19,6 +19,8 @@ from evogrid import (
 )
 from evogrid import suites
 
+from conftest import every_ordered_pair
+
 
 def table_lagrangian(space):
     return Lagrangian.from_table(
@@ -258,6 +260,7 @@ LAGRANGIAN_MUTANTS = {
         ("action-additivity", "null-action"),
     ),
     "action-doubled": ((suites, "action_from_lagrangian", _action_edited(lambda v: 2.0 * v)), ("action-lipschitz",)),
+    "overlapping-pairs": ((TimeFrame, "disjoint_pairs", every_ordered_pair), ("action-additivity",)),
     "phase-on-null-weights": ((ActionWeight, "function", _null_weights_times(np.exp(0.1j))), ("null-action",)),
 }
 

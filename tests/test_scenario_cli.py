@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from evogrid import (
     CapExceededError,
     ConfigError,
+    DomainError,
     Tolerances,
     builtin_scenario,
     canonical_json,
@@ -529,6 +530,16 @@ def test_cli_exit_code_on_unknown_suite():
     assert main(["verify", "demo", "--suite", "nope"]) == 4
 
 
+@pytest.mark.parametrize("spelling", ["", " , "])
+def test_cli_exit_code_on_an_empty_suite_selection(spelling):
+    assert main(["verify", "demo", "--suite", spelling]) == 4
+
+
+def test_run_suite_rejects_an_empty_selection():
+    with pytest.raises(DomainError, match="no suite selected"):
+        run_suite(load_scenario("demo"), [])
+
+
 def test_cli_exit_code_on_unknown_label():
     assert main(["compute", "demo", "--subsets", "1,9"]) == 4
 
@@ -644,7 +655,10 @@ def test_cli_timings_excluded_from_body(tmp_path):
         assert "shared" not in json.loads(line)
     assert "\n".join(lines[:-1]) + "\n" == plain.read_text()
     # one call times each group; its time is split evenly among the records
-    groups = [["unitary-evolution", "null-unitary"], ["conjugated-dynamics", "commutant-witness"]]
+    groups = [
+        ["unitary-evolution", "null-unitary", "group-law", "commutation"],
+        ["conjugated-dynamics", "commutant-witness"],
+    ]
     assert appendix["shared"] == groups
     for group in groups:
         assert len({appendix["timings"][check] for check in group}) == 1
