@@ -23,6 +23,11 @@ def every_ordered_pair(frame):
     return np.array([(i, j, index[t1 | t2]) for i, t1 in enumerate(domain) for j, t2 in enumerate(domain)])
 
 
+def reversed_table(original):
+    """A restriction-table method whose tables are read back to front."""
+    return lambda self, subset: original(self, subset)[::-1]
+
+
 # filled by the acceptance tests; echoed after capture ends so the
 # one-line-per-criterion verdicts always appear in the terminal output
 ACCEPTANCE_LINES: list[str] = []

@@ -8,6 +8,7 @@ from evogrid import (
     Automorphism,
     AutomorphismReport,
     ElementaryTensor,
+    GridEvolutionSpace,
     GridPointMap,
     NormalFunctional,
     StructureError,
@@ -24,7 +25,7 @@ from evogrid import (
 from evogrid import suites
 from evogrid.rng import SplitMix64
 
-from conftest import FLIP
+from conftest import FLIP, reversed_table
 
 
 def _worst(report):
@@ -340,6 +341,10 @@ ALGEBRA_MUTANTS = {
     "identity-counterexample": (
         (suites, "named_contraction", lambda name, algebra: Automorphism.identity(algebra)),
         "automorphism-counterexample",
+    ),
+    "reversed-restriction-table": (
+        (GridEvolutionSpace, "restricted_index_array", reversed_table(GridEvolutionSpace.restricted_index_array)),
+        "index-roundtrip",
     ),
 }
 

@@ -27,6 +27,8 @@ from evogrid.representation import (
 from evogrid.rng import SplitMix64
 from evogrid.suites import _nonempty_subsets, _point_sets, _rng
 
+from conftest import reversed_table
+
 # -- the per-sample bodies the stacked checks replaced -------------------------
 
 
@@ -147,10 +149,6 @@ SCENARIOS = {
     "ladder-2x8": lambda: scenario_from_dict(ladder_config(2, 8)),
     "ladder-3x5": lambda: scenario_from_dict(ladder_config(3, 5)),
 }
-
-
-def _reversed_table(original):
-    return lambda self, subset: original(self, subset)[::-1]
 
 
 def _records_as_bits(records):
@@ -323,12 +321,12 @@ def _diagonals_ignore_last_member(original):
     return mutant
 
 
+REVERSED_TABLE = (GridEvolutionSpace, "restricted_index_array", reversed_table(GridEvolutionSpace.restricted_index_array))
+
 SPECTRAL_MUTANTS = {
     "neighbouring-atom": ([(SpectralMeasure, "atom", _neighbouring_atom)], "spectral-sum"),
-    "reversed-restriction-table": (
-        [(GridEvolutionSpace, "restricted_index_array", _reversed_table(GridEvolutionSpace.restricted_index_array))],
-        "factorization",
-    ),
+    "reversed-restriction-table": ([REVERSED_TABLE], "factorization"),
+    "reversed-restriction-table-pushforward": ([REVERSED_TABLE], "pushforward"),
     "conjugated-pullback": (_everywhere("pullback_rows", _on_complex_rows(np.conj)), "embedding"),
     "doubled-pullback": (_everywhere("pullback_rows", _on_complex_rows(lambda out: 2.0 * out)), "embedding-isometry"),
     "full-pullback-drops-last-point": (_everywhere("pullback_rows", _full_pullback_drops_last_point),
