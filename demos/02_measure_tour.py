@@ -40,17 +40,18 @@ def main() -> None:
     sizes = [space.grid_size(t) for t in frame.times]
     print(f"grid sizes: {sizes}  ->  {space.dimension} full paths")
 
-    print("\nPaths are mixed-radix tuples; earliest time is most significant.")
-    full = space.full
+    print("\nA path is named by one integer, its mixed-radix index;")
+    print("earliest time is most significant, and np.unravel_index gives the choices.")
+    shape = space.full_shape()
     for index in (0, 5, 10, 11):
-        point = space.point_from_index(full, index)
-        print(f"  index {index:2d}  <->  choices {point.indices}")
+        choices = tuple(int(d) for d in np.unravel_index(index, shape))
+        print(f"  index {index:2d}  <->  choices {choices}")
 
-    print("\nRestriction forgets the times outside a subset:")
+    print("\nRestriction forgets the times outside a subset, one table per subset:")
     sub = frozenset({"1", "3"})
-    point = space.point_from_index(full, 10)
-    restricted = space.restrict_point(point, sub)
-    print(f"  path {point.indices} restricted to {fmt_subset(sub)} is {restricted.indices}")
+    restricted = int(space.restricted_index_array(sub)[10])
+    choices = tuple(int(d) for d in np.unravel_index(restricted, space.shape(sub)))
+    print(f"  path 10 restricted to {fmt_subset(sub)} is partial path {restricted}, choices {choices}")
 
     print("\n" + "=" * 72)
     print("Projection-valued measures: one projection per set of partial paths")
@@ -89,9 +90,8 @@ def main() -> None:
     print(f"  identical arrays: {np.array_equal(via_sum.diag, via_pullback.diag)}")
     print(f"  operator norm equals sup |f|: {via_sum.norm() == f.sup_norm()}")
 
-    x = space.point_from_index(full, 3)
-    in_set = space.linear_index(space.restrict_point(x, sub))
-    amp = matrix_element(measure, x, x, [in_set])
+    in_set = int(space.restricted_index_array(sub)[3])
+    amp = matrix_element(measure, 3, 3, [in_set])
     print(f"  <path 3, E({{its own restriction}}) path 3> = {amp.real:.1f} (and 0 for any disjoint set)")
 
     print("\nDistinct sets always get distinct projections (injectivity):")

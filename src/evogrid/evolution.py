@@ -8,28 +8,31 @@ points stand in for evolutions of the algebra, automorphisms being the main
 case and unit-ball limit points (convex mixtures, trace averaging) the rest.
 
 A point of the space over a subset T of times is a choice of one grid entry
-per time in T.  Points are enumerated in mixed-radix order: times ascend in
-frame order and the earliest time is the most significant digit.  With sizes
-(2, 3, 2) over times (1, 2, 3), the point with per-time indices (1, 2, 0)
-has linear index 1*6 + 2*2 + 0 = 10.  The empty subset has exactly one
-point, the empty tuple, so every construction below degenerates gracefully
-instead of special-casing T = {}.
+per time in T, and it is named by one integer, its linear index in
+mixed-radix order: times ascend in frame order and the earliest time is the
+most significant digit.  With sizes (2, 3, 2) over times (1, 2, 3), the
+point with per-time grid indices (1, 2, 0) has linear index 1*6 + 2*2 + 0 =
+10; the digits of an index are `np.unravel_index(index, space.shape(T))`.
+The empty subset has exactly one point, index 0, so every construction below
+degenerates gracefully instead of special-casing T = {}.
 
 Complex functions on the finite point set over T are stored as value vectors
-in that linear order.  Restriction of points and pullback of functions along
-restriction are the two moves everything later builds on.
+in that linear order.  Restriction of points, read off a restriction table,
+and pullback of functions along restriction are the two moves everything
+later builds on.
 
 Subset geometry is derived once per space and subset.  A frame maps labels
 to positions through one dict and memoises the frame-ordered labels of each
-subset and, once requested, the measure-disjoint pairs of admissible
-subsets; a space keeps one record per subset it has been asked about, holding
-the ordered labels, axes, shape, point count and, once first requested, the
-restriction table (full-set point index -> restricted point index).  Every
-geometry query reads that record, so a table is built once per space and
-subset and returned read-only: a caller that tries to write into it gets a
-ValueError instead of corrupting later queries.  The records hold at most one
-int64 table of N entries per subset.  No record or memo is a dataclass
-field, so equality, hashing and fingerprints see only the frame and grids.
+subset and, once requested, the sorted admissible family and the
+measure-disjoint pairs of admissible subsets; a space keeps one record per
+subset it has been asked about, holding the ordered labels, axes, shape,
+point count and, once first requested, the restriction table (full-set
+point index -> restricted point index).  Every geometry query reads that
+record, so a table is built once per space and subset and returned
+read-only: a caller that tries to write into it gets a ValueError instead of
+corrupting later queries.  The records hold at most one int64 table of N
+entries per subset.  No record or memo is a dataclass field, so equality,
+hashing and fingerprints see only the frame and grids.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .rng import SplitMix64
 __all__ = [
     "TimeFrame",
     "GridPointMap",
-    "GridPoint",
     "GridEvolutionSpace",
     "GridFunction",
     "pullback",
@@ -108,6 +110,8 @@ class TimeFrame:
         # lookup caches, not fields: equality and hashing ignore them
         object.__setattr__(self, "_positions", {t: i for i, t in enumerate(times)})
         object.__setattr__(self, "_ordered", {})
+        object.__setattr__(self, "_family", None if self.sigma0 is None else frozenset(self.sigma0))
+        object.__setattr__(self, "_admissible", None)
         object.__setattr__(self, "_pairs", None)
 
     @property
@@ -137,17 +141,20 @@ class TimeFrame:
         return float(sum(self.weight(t) for t in self.ordered(subset)))
 
     def admissible(self) -> tuple[frozenset, ...]:
-        """The admissible family, in a deterministic (size, position) order."""
-        if self.sigma0 is None:
-            family = [
-                frozenset(c)
-                for r in range(len(self.times) + 1)
-                for c in itertools.combinations(self.times, r)
-            ]
-        else:
-            family = list(self.sigma0)
-        keyed = sorted(family, key=lambda s: (len(s), tuple(sorted(self.position(t) for t in s))))
-        return tuple(keyed)
+        """The admissible family, in a deterministic (size, position) order;
+        built on first use and the same tuple on every later call."""
+        if self._admissible is None:
+            if self.sigma0 is None:
+                family = [
+                    frozenset(c)
+                    for r in range(len(self.times) + 1)
+                    for c in itertools.combinations(self.times, r)
+                ]
+            else:
+                family = list(self.sigma0)
+            keyed = sorted(family, key=lambda s: (len(s), tuple(sorted(self.position(t) for t in s))))
+            object.__setattr__(self, "_admissible", tuple(keyed))
+        return self._admissible
 
     def disjoint_pairs(self) -> np.ndarray:
         """(first, second, union) positions into `admissible()` of every ordered
@@ -174,9 +181,9 @@ class TimeFrame:
 
     def is_admissible(self, subset) -> bool:
         s = _as_frozenset(subset)
-        if self.sigma0 is None:
+        if self._family is None:
             return s <= self.full
-        return s in set(self.sigma0)
+        return s in self._family
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,30 +317,6 @@ def contraction_norm_estimate(phi: GridPointMap, seed: int = 0, samples: int = 3
     return float(np.max(_cstar_norms(phi.apply_blocks(stacks))))
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """Point over a subset of times: labels in frame order plus grid indices."""
-
-    times: tuple
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
-        if len(self.times) != len(self.indices):
-            raise StructureError("one grid index per time label is required")
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-
-    @property
-    def subset(self) -> frozenset:
-        return frozenset(self.times)
-
-    def index_at(self, t) -> int:
-        try:
-            return self.indices[self.times.index(t)]
-        except ValueError:
-            raise DomainError(f"point has no coordinate at time {t!r}") from None
-
-
 class _SubsetGeometry:
     """Ordered labels, axes, shape and point count of one subset of times.
 
@@ -353,7 +336,7 @@ class _SubsetGeometry:
 
 @dataclass(frozen=True, eq=False)
 class GridEvolutionSpace:
-    """Per-time grids of maps over a time frame, with product-point plumbing."""
+    """Per-time grids of maps over a time frame, with subset geometry."""
 
     frame: TimeFrame
     grids: tuple[tuple[GridPointMap, ...], ...]
@@ -420,45 +403,6 @@ class GridEvolutionSpace:
             raise DomainError(f"grid index {index} out of range at time {t!r}")
         return grid[index]
 
-    # -- points ----------------------------------------------------------
-
-    def enumerate_points(self, subset) -> list[GridPoint]:
-        """All points over `subset` in ascending mixed-radix order."""
-        geometry = self._geometry(subset)
-        ranges = [range(size) for size in geometry.shape]
-        return [GridPoint(geometry.labels, idx) for idx in itertools.product(*ranges)]
-
-    def linear_index(self, point: GridPoint) -> int:
-        """Mixed-radix index; earliest time is the most significant digit."""
-        geometry = self._geometry(point.subset)
-        labels = geometry.labels
-        if labels != point.times:
-            point = GridPoint(labels, tuple(point.index_at(t) for t in labels))
-        index = 0
-        for t, i, size in zip(labels, point.indices, geometry.shape):
-            if not 0 <= i < size:
-                raise DomainError(f"grid index {i} out of range at time {t!r}")
-            index = index * size + i
-        return index
-
-    def point_from_index(self, subset, index: int) -> GridPoint:
-        geometry = self._geometry(subset)
-        sizes = geometry.shape
-        if not 0 <= index < geometry.npoints:
-            raise DomainError(f"linear index {index} out of range for subset {geometry.labels}")
-        digits = [0] * len(sizes)
-        for k in range(len(sizes) - 1, -1, -1):
-            index, digits[k] = divmod(index, sizes[k])
-        return GridPoint(geometry.labels, tuple(digits))
-
-    def restrict_point(self, point: GridPoint, subset) -> GridPoint:
-        """Forget the coordinates outside `subset`."""
-        target = _as_frozenset(subset)
-        if not target <= point.subset:
-            raise DomainError("cannot restrict to a subset with extra time labels")
-        labels = self._geometry(target).labels
-        return GridPoint(labels, tuple(point.index_at(t) for t in labels))
-
     def restricted_index_array(self, subset) -> np.ndarray:
         """For each full-set point index, the linear index of its restriction.
 
@@ -492,23 +436,15 @@ class GridEvolutionSpace:
         return self.function(subset, np.full(n, value, dtype=np.complex128))
 
     def indicator(self, subset, members: Iterable) -> "GridFunction":
-        """0/1 function over points(subset) marking `members`.
-
-        Members are linear indices or GridPoints over `subset`; an index out
-        of range or a point over another subset is a DomainError.
-        """
+        """0/1 function over points(subset) marking the linear indices `members`;
+        an index out of range is a DomainError."""
         s = _as_frozenset(subset)
         n = self.npoints(s)
         vals = np.zeros(n, dtype=np.complex128)
         for m in members:
-            if isinstance(m, GridPoint):
-                if m.subset != s:
-                    raise DomainError("point lies over a different subset")
-                i = self.linear_index(m)
-            else:
-                i = int(m)
-                if not 0 <= i < n:
-                    raise DomainError(f"point index {i} outside the subset's point set")
+            i = int(m)
+            if not 0 <= i < n:
+                raise DomainError(f"point index {i} outside the subset's point set")
             vals[i] = 1.0
         return self.function(s, vals)
 

@@ -16,14 +16,17 @@ times the subset measure.  All three statements are suite checks.
 `verify_lagrangian` measures the consistency law and judges nothing; the
 suites compare its deviations with the scenario's `tolerances`.
 
-A Lagrangian is stored extensionally, like an action weight: construction
-calls the evaluator once per (admissible T, point over T, t in T) and keeps
-one read-only complex (npoints(T), |T|) table per admissible T, columns in
-frame order, which every later consumer reads.  Local Lagrangians, where
-L_{T, alpha}(t) depends only on (t, alpha_t), call their term once per grid
-entry and satisfy the consistency law by construction; the general
-constructor exists so that tests can build counterexamples and watch the
-verifier measure their deviations.
+A Lagrangian is stored extensionally, like an action weight: the
+constructor takes one complex (npoints(T), |T|) table per admissible T, one
+row per point in linear-index order and one column per time in frame order,
+checks that every admissible subset has a finite table of that shape, and
+keeps the tables read-only; every later consumer reads them.  Local
+Lagrangians, where L_{T, alpha}(t) depends only on (t, alpha_t), call their
+term once per grid entry and fill column t of each table by gathering those
+values with the digits of the subset's points from `np.unravel_index`, so
+they satisfy the consistency law by construction; explicit tables let tests
+build counterexamples and watch the verifier measure their deviations.  The
+empty subset has one point and a (1, 0) table.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import ActionWeight
-from .errors import DataError, DomainError
-from .evolution import GridEvolutionSpace, GridFunction, GridPoint
+from .errors import DataError, DomainError, StructureError
+from .evolution import GridEvolutionSpace, GridFunction
 
 __all__ = [
     "Lagrangian",
@@ -48,39 +51,50 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Lagrangian:
-    """Density tables of an evaluator (T, point over T, t in T) -> density."""
+    """One density table per admissible subset, stored extensionally."""
 
     space: GridEvolutionSpace
-    evaluator: Callable[[frozenset, GridPoint, object], complex]
+    tables: Mapping[frozenset, np.ndarray]
 
     def __post_init__(self):
         frame = self.space.frame
+        given = {frozenset(k): v for k, v in dict(self.tables).items()}
+        for subset in given:
+            if not frame.is_admissible(subset):
+                raise DomainError(f"density table on inadmissible subset {sorted(map(str, subset))}")
         tables = {}
         for subset in frame.admissible():
-            labels = frame.ordered(subset)
-            points = self.space.enumerate_points(subset)
-            table = np.array(
-                [[complex(self.evaluator(subset, p, t)) for t in labels] for p in points],
-                dtype=np.complex128,
-            )
+            name = sorted(map(str, subset))
+            if subset not in given:
+                raise StructureError(f"density table missing for admissible subset {name}")
+            table = np.array(given[subset], dtype=np.complex128)
+            expected = (self.space.npoints(subset), len(subset))
+            if table.shape != expected:
+                raise StructureError(f"density table of subset {name} has shape {table.shape}, expected {expected}")
             if not np.all(np.isfinite(table)):
-                raise DataError(f"density evaluator returned non-finite values on subset {list(map(str, labels))}")
+                raise DataError(f"density table of subset {name} has non-finite values")
             table.setflags(write=False)
             tables[subset] = table
-        object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "tables", tables)
 
     @classmethod
     def from_local(cls, space: GridEvolutionSpace, term: Callable) -> "Lagrangian":
         """Build from a per-time term(t, grid_index, grid_map) -> real, called once per grid entry."""
+        frame = space.frame
         values = {
-            t: [term(t, index, space.map_at(t, index)) for index in range(space.grid_size(t))]
-            for t in space.frame.times
+            t: np.array([term(t, index, space.map_at(t, index)) for index in range(space.grid_size(t))],
+                        dtype=np.complex128)
+            for t in frame.times
         }
-
-        def evaluator(subset: frozenset, point: GridPoint, t) -> float:
-            return values[t][point.index_at(t)]
-
-        return cls(space, evaluator)
+        tables = {}
+        for subset in frame.admissible():
+            labels = frame.ordered(subset)
+            table = tables[subset] = np.empty((space.npoints(subset), len(labels)), dtype=np.complex128)
+            # one digit array per time of the subset; the empty subset has no column
+            digits = np.unravel_index(np.arange(len(table)), space.shape(subset)) if labels else ()
+            for column, (t, digit) in enumerate(zip(labels, digits)):
+                table[:, column] = values[t][digit]
+        return cls(space, tables)
 
     @classmethod
     def from_table(cls, space: GridEvolutionSpace, table: Mapping) -> "Lagrangian":
@@ -99,18 +113,9 @@ class Lagrangian:
         """Densities over `subset`: one row per point, one column per time in frame order."""
         key = frozenset(subset)
         try:
-            return self._tables[key]
+            return self.tables[key]
         except KeyError:
             raise DomainError(f"subset {sorted(map(str, key))} is not admissible") from None
-
-    def evaluate(self, subset, point: GridPoint, t) -> float:
-        target = frozenset(subset)
-        if point.subset != target:
-            raise DomainError("point lies over a different subset")
-        if t not in target:
-            raise DomainError(f"time {t!r} is not in the evaluated subset")
-        column = self.space.frame.ordered(target).index(t)
-        return float(self.table(target)[self.space.linear_index(point), column].real)
 
 
 def action_from_lagrangian(lagrangian: Lagrangian, subset) -> GridFunction:

@@ -2,11 +2,11 @@
 
 The Hilbert space attached to a grid evolution space is the direct sum of
 one copy of the complex line per full-set grid point, so its dimension N is
-the product of the per-time grid sizes.  In the distinguished basis indexed
-by full-set points, a bounded function f on the full point set acts as the
-diagonal operator with entries f(x); the spectral measure of that action
-assigns to each point subset V the diagonal projection onto the basis
-vectors it contains.
+the product of the per-time grid sizes.  In the distinguished basis, indexed
+by the linear indices of full-set points, a bounded function f on the full
+point set acts as the diagonal operator with entries f(x); the spectral
+measure of that action assigns to each point subset V the diagonal
+projection onto the basis vectors it contains.
 
 Measures over a smaller time subset T arise by pushing the full measure
 forward along restriction: the projection of V, a set of points over T, is
@@ -24,8 +24,8 @@ stacks of sampled rows: `factorization` compares `integrate_rows` with
 `pullback_rows` of the same rows, and `embedding` and `embedding-measure`
 compare lifted rows and projections with integrals and measure diagonals.
 `spectral-sum` pins the gather to the explicit sum of value-scaled atoms,
-and `pushforward` and `matrix-elements` test it against points restricted
-one at a time.
+and `pushforward` and `matrix-elements` test it against an image table
+built from the full points' mixed-radix digits.
 
 Conjugation acts on representations: `conjugate(W, rep)` is the
 representation f -> W* rep(f) W, unitarily equivalent to rep.  W is checked
@@ -56,7 +56,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import CapExceededError, DomainError, PreconditionError, StructureError
-from .evolution import GridEvolutionSpace, GridFunction, GridPoint, pullback_rows
+from .evolution import GridEvolutionSpace, GridFunction, pullback_rows
 
 __all__ = [
     "DENSE_CAP_DEFAULT",
@@ -255,7 +255,7 @@ def projection_rank(op: DiagonalOperator, tol: float = 1e-8) -> int:
 
 @dataclass(frozen=True, eq=False)
 class RepresentationSpace:
-    """Hilbert space data: dimension, basis points, and the dense cap."""
+    """Hilbert space data: the dimension and the dense cap."""
 
     space: GridEvolutionSpace
     cap: int = DENSE_CAP_DEFAULT
@@ -268,16 +268,6 @@ class RepresentationSpace:
     @property
     def dimension(self) -> int:
         return self.space.dimension
-
-    def basis_index(self, x: GridPoint | int) -> int:
-        if isinstance(x, GridPoint):
-            if x.subset != self.space.full:
-                raise DomainError("basis labels are points over the full time set")
-            return self.space.linear_index(x)
-        i = int(x)
-        if not 0 <= i < self.dimension:
-            raise DomainError(f"basis index {i} out of range")
-        return i
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,8 +328,8 @@ class SpectralMeasure:
     For the full subset this is the spectral resolution of the diagonal
     representation; for smaller subsets it is the pushforward along
     restriction.  `projection` accepts a set of points over the subset,
-    given as linear indices or GridPoints; `diagonals` takes many point sets
-    at once as boolean membership rows.
+    given as linear indices; `diagonals` takes many point sets at once as
+    boolean membership rows.
     """
 
     representation: PureRepresentation
@@ -454,9 +444,10 @@ def embed_eta(rep_space: RepresentationSpace, subset, op: DiagonalOperator) -> D
     return DiagonalOperator(pullback_rows(space, target, op.diag[None])[0])
 
 
-def matrix_element(E: SpectralMeasure, x, y, members: Iterable) -> complex:
-    """Entry <basis_x, E(V) basis_y> of a measure projection."""
-    rep_space = E.representation.rep_space
-    i = rep_space.basis_index(x)
-    j = rep_space.basis_index(y)
+def matrix_element(E: SpectralMeasure, x: int, y: int, members: Iterable) -> complex:
+    """Entry <e_x, E(V) e_y> of a measure projection, for basis indices x and y."""
+    i, j = int(x), int(y)
+    for index in (i, j):
+        if not 0 <= index < E.space.dimension:
+            raise DomainError(f"basis index {index} out of range")
     return E.projection(members).entry(i, j)

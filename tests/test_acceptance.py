@@ -121,7 +121,7 @@ def test_criterion_02_pushforward(demo):
     started = time.perf_counter()
     space = demo.space
     full_measure = demo.representation.spectral_measure()
-    full_points = space.enumerate_points(space.full)
+    digits = np.unravel_index(np.arange(space.dimension), space.full_shape())
     fiber_sizes = {t: space.grid_size(t) for t in demo.frame.times}
     worst = 0.0
     rank_failures = 0
@@ -130,12 +130,9 @@ def test_criterion_02_pushforward(demo):
             continue
         measure = pushforward(full_measure, subset)
         k = measure.npoints
-        # restriction map built point by point, independent of the
-        # vectorized index table inside the library
-        restriction = np.array(
-            [space.linear_index(space.restrict_point(x, subset)) for x in full_points],
-            dtype=np.int64,
-        )
+        # restriction map built from every full point's mixed-radix digits,
+        # independent of the place-value index table inside the library
+        restriction = np.ravel_multi_index([digits[ax] for ax in space.axes(subset)], space.shape(subset))
         masks = bit_table(k)
         oracle_rows = masks[:, restriction]
         for v_id in range(1 << k):
@@ -348,12 +345,10 @@ def test_criterion_08_lagrangian_laws(demo):
         if not subset:
             continue
         mu = frame.mu(subset)
-        labels = frame.ordered(subset)
-        points = space.enumerate_points(subset)
-        dens = np.array([[lag.evaluate(subset, p, t) for t in labels] for p in points])
+        dens = lag.table(subset).real
         values = actions[subset].values
-        for i in range(len(points)):
-            for j in range(len(points)):
+        for i in range(len(dens)):
+            for j in range(len(dens)):
                 gap = abs(values[i] - values[j])
                 bound = float(np.max(np.abs(dens[i] - dens[j]))) * mu
                 lipschitz = max(lipschitz, max(0.0, float(gap - bound)))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evobench.ladder import ladder_config
 from evogrid import (
     AlgebraElement,
     Automorphism,
@@ -19,6 +20,7 @@ from evogrid import (
     load_scenario,
     named_contraction,
     run_suite,
+    scenario_from_dict,
     verify_automorphism,
     weakstar_pairing,
 )
@@ -356,3 +358,13 @@ def test_each_algebra_check_catches_its_mutant(mutant, monkeypatch):
     monkeypatch.setattr(*patch)
     records = {r.check: r for r in run_suite(scn, ["algebra"]).records}
     assert records[caught].max_deviation > records[caught].tolerance
+
+
+def test_index_roundtrip_judges_every_table_past_256_points(monkeypatch):
+    # rung 3x8 has N = 512 full points; a reversed restriction table must
+    # fail there as it does on demo
+    scn = scenario_from_dict(ladder_config(3, 8))
+    patch, caught = ALGEBRA_MUTANTS["reversed-restriction-table"]
+    monkeypatch.setattr(*patch)
+    record = {r.check: r for r in run_suite(scn, ["algebra"]).records}[caught]
+    assert record.max_deviation > record.tolerance

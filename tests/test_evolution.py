@@ -7,7 +7,6 @@ from evogrid import (
     Automorphism,
     DomainError,
     GridEvolutionSpace,
-    GridPoint,
     GridPointMap,
     StructureError,
     TimeFrame,
@@ -21,6 +20,13 @@ from evogrid import (
 from evogrid.rng import SplitMix64
 
 from conftest import FLIP
+
+
+def digit_image(space, subset):
+    """Each full point's linear index over `subset`, from its mixed-radix digits."""
+    digits = np.unravel_index(np.arange(space.dimension), space.full_shape())
+    kept = [digits[ax] for ax in space.axes(subset)]
+    return np.ravel_multi_index(kept, space.shape(subset)) if kept else np.zeros(space.dimension, dtype=np.int64)
 
 
 def make_232_space():
@@ -146,28 +152,18 @@ def test_unknown_named_contraction(m2):
 
 def test_mixed_radix_frozen_value():
     space = make_232_space()
-    point = GridPoint(("1", "2", "3"), (1, 2, 0))
-    # earliest time most significant: (1*3 + 2)*2 + 0 = 10
-    assert space.linear_index(point) == 10
-    assert space.point_from_index(space.full, 10) == point
-
-
-def test_enumeration_matches_linear_index():
-    space = make_232_space()
-    for subset in space.frame.admissible():
-        points = space.enumerate_points(subset)
-        assert len(points) == space.npoints(subset)
-        for i, p in enumerate(points):
-            assert space.linear_index(p) == i
-            assert space.point_from_index(subset, i) == p
+    # earliest time most significant: grid indices (1, 2, 0) are (1*3 + 2)*2 + 0 = 10
+    assert np.unravel_index(10, space.full_shape()) == (1, 2, 0)
+    # and the point restricts to (1, 0) over {1, 3}, index 2, and to (2,) over {2}
+    assert space.restricted_index_array({"1", "3"})[10] == 2
+    assert space.restricted_index_array({"2"})[10] == 2
 
 
 def test_empty_subset_has_one_point():
     space = make_232_space()
     assert space.npoints(frozenset()) == 1
-    pts = space.enumerate_points(frozenset())
-    assert pts == [GridPoint((), ())]
-    assert space.linear_index(pts[0]) == 0
+    assert space.shape(frozenset()) == ()
+    assert np.array_equal(space.restricted_index_array(frozenset()), np.zeros(space.dimension))
 
 
 def test_dimension_is_grid_product():
@@ -180,25 +176,30 @@ def test_dimension_is_grid_product():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=11))
 def test_index_roundtrip_property(index):
+    # a restricted index unravels to the full point's digits on the subset's axes
     space = make_232_space()
-    point = space.point_from_index(space.full, index)
-    assert space.linear_index(point) == index
+    digits = np.unravel_index(index, space.full_shape())
+    for subset in space.frame.admissible():
+        restricted = space.restricted_index_array(subset)[index]
+        assert np.unravel_index(restricted, space.shape(subset)) == tuple(digits[ax] for ax in space.axes(subset))
 
 
 def test_restriction_composes():
+    # restricting to {1, 2} and then to {2} is restricting to {2}: the step
+    # from {1, 2} to {2} is one function, the last digit of a {1, 2} point
     space = make_232_space()
-    for x in space.enumerate_points(space.full):
-        mid = space.restrict_point(x, {"1", "2"})
-        assert space.restrict_point(mid, {"2"}) == space.restrict_point(x, {"2"})
+    middle = space.restricted_index_array({"1", "2"})
+    last = space.restricted_index_array({"2"})
+    step = np.full(space.npoints({"1", "2"}), -1)
+    step[middle] = last
+    assert np.array_equal(step[middle], last)
+    assert np.array_equal(step, np.arange(6) % 3)
 
 
 def test_restricted_index_array_matches_pointwise():
     space = make_232_space()
     for subset in space.frame.admissible():
-        table = space.restricted_index_array(subset)
-        for x in space.enumerate_points(space.full):
-            r = space.restrict_point(x, subset)
-            assert table[space.linear_index(x)] == space.linear_index(r)
+        assert np.array_equal(space.restricted_index_array(subset), digit_image(space, subset))
 
 
 def test_restricted_index_array_is_read_only():
@@ -229,6 +230,9 @@ def test_frame_queries_leave_equality_and_hash_alone():
     assert used.position("3") == 2
     assert used.ordered({"3", "1"}) == ("1", "3")
     assert used.ordered({"3", "1"}) == ("1", "3")
+    # the sorted family is built once and the same tuple comes back
+    family = used.admissible()
+    assert used.admissible() is family
     fresh = TimeFrame(("1", "2", "3"), (0.5, 2.0, 0.0))
     assert used == fresh
     assert hash(used) == hash(fresh)
@@ -244,13 +248,6 @@ def test_unknown_labels_still_raise_after_queries():
         frame.ordered({"1", "9"})
     with pytest.raises(DomainError):
         make_232_space().npoints({"9"})
-
-
-def test_restrict_rejects_extra_labels():
-    space = make_232_space()
-    p = space.point_from_index(frozenset({"1"}), 0)
-    with pytest.raises(DomainError):
-        space.restrict_point(p, {"1", "2"})
 
 
 # -- grid functions -----------------------------------------------------------
@@ -275,9 +272,7 @@ def test_pullback_agrees_with_pointwise_composition():
     for subset in space.frame.admissible():
         f = space.random_function(subset, rng)
         lifted = pullback(f)
-        for x in space.enumerate_points(space.full):
-            r = space.restrict_point(x, subset)
-            assert lifted.values[space.linear_index(x)] == f.values[space.linear_index(r)]
+        assert np.array_equal(lifted.values, f.values[digit_image(space, subset)])
 
 
 def test_pullback_rows_pull_back_each_row():
@@ -317,8 +312,6 @@ def test_indicator_and_constant(small_space):
     expected = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128)
     ind = small_space.indicator(small_space.full, [0, 3])
     assert np.array_equal(ind.values, expected)
-    by_point = small_space.indicator(small_space.full, [GridPoint(("1", "2"), (1, 1)), 0])
-    assert np.array_equal(by_point.values, expected)
     one = small_space.constant(frozenset(), 1.0)
     assert one.values.shape == (1,)
     assert one.sup_norm() == 1.0

@@ -1,18 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from evobench.ladder import ladder_config
 from evogrid import (
     ActionWeight,
     DataError,
     DomainError,
     GridEvolutionSpace,
-    GridPoint,
     GridPointMap,
     Lagrangian,
+    StructureError,
     TimeFrame,
     action_from_lagrangian,
     load_scenario,
     run_suite,
+    scenario_from_dict,
     validate_action_weight,
     verify_lagrangian,
     weight_from_lagrangian,
@@ -28,13 +32,17 @@ def table_lagrangian(space):
     )
 
 
+def constant_tables(space, value):
+    """One density table per admissible subset, every entry `value`."""
+    return {s: np.full((space.npoints(s), len(s)), value) for s in space.frame.admissible()}
+
+
 def test_action_weighted_sum_frozen(weighted_space):
     # weights 0.5 and 2.0; densities 3 and -1 at the chosen point:
     # S = 0.5*3 + 2.0*(-1) = -0.5
     lag = table_lagrangian(weighted_space)
     action = action_from_lagrangian(lag, {"1", "2"})
-    point = GridPoint(("1", "2"), (0, 0))
-    k = weighted_space.linear_index(point)
+    k = np.ravel_multi_index((0, 0), weighted_space.shape({"1", "2"}))
     assert action.values[k] == pytest.approx(-0.5, abs=1e-15)
 
 
@@ -82,21 +90,62 @@ def test_local_lagrangian_restriction_consistency(weighted_space):
 def test_subset_dependent_evaluator_flagged_frozen(weighted_space):
     # a density that peeks at the subset cannot restrict consistently;
     # largest mismatch is len({1,2,3}) - len({t'}) = 2
-    lag = Lagrangian(weighted_space, lambda subset, point, t: float(len(subset)))
+    tables = {
+        s: np.full((weighted_space.npoints(s), len(s)), float(len(s))) for s in weighted_space.frame.admissible()
+    }
+    lag = Lagrangian(weighted_space, tables)
     report = verify_lagrangian(lag)
     assert not max(report.restriction_deviation, report.realness_deviation) <= 1e-12
     assert report.restriction_deviation == 2.0
 
 
 def test_complex_density_flagged(weighted_space):
-    lag = Lagrangian(weighted_space, lambda subset, point, t: 1.0 + 0.25j)
+    lag = Lagrangian(weighted_space, constant_tables(weighted_space, 1.0 + 0.25j))
     report = verify_lagrangian(lag)
     assert report.realness_deviation == pytest.approx(0.25, abs=1e-15)
 
 
 def test_non_finite_density_raises(weighted_space):
     with pytest.raises(DataError):
-        Lagrangian(weighted_space, lambda subset, point, t: float("nan"))
+        Lagrangian(weighted_space, constant_tables(weighted_space, float("nan")))
+
+
+def test_missing_subset_is_rejected(weighted_space):
+    tables = constant_tables(weighted_space, 1.0)
+    del tables[frozenset({"2", "3"})]
+    with pytest.raises(StructureError, match="missing"):
+        Lagrangian(weighted_space, tables)
+
+
+def test_wrong_table_shape_is_rejected(weighted_space):
+    tables = constant_tables(weighted_space, 1.0)
+    tables[frozenset({"1", "2"})] = np.ones((4, 1))
+    with pytest.raises(StructureError, match="shape"):
+        Lagrangian(weighted_space, tables)
+    # the empty subset has one point and no time: (1, 0), not (1, 1)
+    tables = constant_tables(weighted_space, 1.0)
+    tables[frozenset()] = np.ones((1, 1))
+    with pytest.raises(StructureError, match="shape"):
+        Lagrangian(weighted_space, tables)
+
+
+def test_inadmissible_subset_is_rejected(m2):
+    frame = TimeFrame(("1", "2"), (1.0, 1.0), sigma0=(frozenset(), frozenset({"1"}), frozenset({"1", "2"})))
+    ident = GridPointMap.identity(m2)
+    space = GridEvolutionSpace(frame, ((ident,), (ident,)))
+    tables = constant_tables(space, 1.0)
+    tables[frozenset({"2"})] = np.ones((1, 1))
+    with pytest.raises(DomainError):
+        Lagrangian(space, tables)
+
+
+def test_tables_are_read_only_copies(weighted_space):
+    given = constant_tables(weighted_space, 1.0)
+    lag = Lagrangian(weighted_space, given)
+    table = lag.table({"1"})
+    assert table.dtype == np.complex128 and not table.flags.writeable
+    given[frozenset({"1"})][0, 0] = 5.0
+    assert lag.table({"1"})[0, 0] == 1.0
 
 
 def test_consistency_sweep_finds_a_single_bad_point(m2):
@@ -109,11 +158,10 @@ def test_consistency_sweep_finds_a_single_bad_point(m2):
     )
     ident = GridPointMap.identity(m2)
     space = GridEvolutionSpace(frame, ((ident,) * 25,) * 3)
+    tables = constant_tables(space, 0.0)
+    tables[frame.full][np.ravel_multi_index((24, 24, 24), space.full_shape()), 0] = 1.0
 
-    def evaluator(subset, point, t):
-        return 1.0 if subset == frame.full and point.indices == (24, 24, 24) and t == "1" else 0.0
-
-    report = verify_lagrangian(Lagrangian(space, evaluator))
+    report = verify_lagrangian(Lagrangian(space, tables))
     assert report.restriction_deviation == 1.0
     assert report.pairs == 1
     assert not max(report.restriction_deviation, report.realness_deviation) <= 1e-12
@@ -138,13 +186,41 @@ def test_probe_terms_run_once_per_grid_entry(monkeypatch):
     assert sorted(calls) == grid_entries
 
 
-def test_evaluate_guards_domain(weighted_space):
-    lag = table_lagrangian(weighted_space)
-    point = weighted_space.point_from_index(frozenset({"1"}), 0)
-    with pytest.raises(DomainError):
-        lag.evaluate({"1"}, point, "2")
-    with pytest.raises(DomainError):
-        lag.evaluate({"2"}, point, "2")
+def per_point_tables(space, term):
+    """The density tables point by point: the per-time term at each point's
+    grid index, points in itertools.product (mixed-radix) order."""
+    frame = space.frame
+    values = {t: [term(t, i, space.map_at(t, i)) for i in range(space.grid_size(t))] for t in frame.times}
+    tables = {}
+    for subset in frame.admissible():
+        labels = frame.ordered(subset)
+        points = itertools.product(*(range(space.grid_size(t)) for t in labels))
+        tables[subset] = np.array(
+            [[complex(values[t][i]) for t, i in zip(labels, point)] for point in points], dtype=np.complex128
+        )
+    return tables
+
+
+LOADERS = {"demo": lambda: load_scenario("demo"), "ladder-5x2": lambda: scenario_from_dict(ladder_config(5, 2))}
+
+
+@pytest.mark.parametrize("source", list(LOADERS))
+def test_from_local_tables_match_the_per_point_oracle(source, monkeypatch):
+    terms = []
+    from_local = Lagrangian.from_local.__func__
+
+    def recording_from_local(cls, space, term):
+        terms.append(term)
+        return from_local(cls, space, term)
+
+    monkeypatch.setattr(Lagrangian, "from_local", classmethod(recording_from_local))
+    scn = LOADERS[source]()
+    (term,) = terms
+    oracle = per_point_tables(scn.space, term)
+    for subset in scn.frame.admissible():
+        table = scn.lagrangian.table(subset)
+        assert table.shape == oracle[subset].shape == (scn.space.npoints(subset), len(subset))
+        assert table.tobytes() == oracle[subset].tobytes()
 
 
 def test_from_table_requires_full_rows(weighted_space):
@@ -178,16 +254,11 @@ def test_action_lipschitz_in_the_density(weighted_space):
             continue
         action = action_from_lagrangian(lag, subset)
         mu = frame.mu(subset)
-        labels = frame.ordered(subset)
-        points = weighted_space.enumerate_points(subset)
-        for i, a in enumerate(points):
-            for j, b in enumerate(points):
+        densities = lag.table(subset).real
+        for i, a in enumerate(densities):
+            for j, b in enumerate(densities):
                 gap = abs(action.values[i] - action.values[j])
-                dens = max(
-                    abs(lag.evaluate(subset, a, t) - lag.evaluate(subset, b, t))
-                    for t in labels
-                )
-                assert gap <= dens * mu + 1e-12
+                assert gap <= np.max(np.abs(a - b)) * mu + 1e-12
 
 
 def test_weight_from_action_is_exponential(weighted_space):

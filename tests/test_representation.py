@@ -9,7 +9,6 @@ from evogrid import (
     DiagonalOperator,
     DomainError,
     GridEvolutionSpace,
-    GridPoint,
     GridPointMap,
     PreconditionError,
     PureRepresentation,
@@ -107,22 +106,6 @@ def test_cap_enforced(small_space):
     RepresentationSpace(small_space, cap=4)
 
 
-def test_basis_index_roundtrip(rep4):
-    points = rep4.space.enumerate_points(rep4.space.full)
-    assert len(points) == 4
-    for i, p in enumerate(points):
-        assert rep4.rep_space.basis_index(p) == i
-        assert rep4.rep_space.basis_index(i) == i
-    with pytest.raises(DomainError):
-        rep4.rep_space.basis_index(4)
-
-
-def test_basis_index_rejects_partial_points(rep4, small_space):
-    p = small_space.point_from_index(frozenset({"1"}), 0)
-    with pytest.raises(DomainError):
-        rep4.rep_space.basis_index(p)
-
-
 # -- diagonal representation --------------------------------------------------
 
 
@@ -176,26 +159,19 @@ def test_measure_axioms_exhaustive(rep4, small_space):
 
 
 def test_measure_projection_matches_preimage_oracle(rep4, small_space):
-    full_points = small_space.enumerate_points(small_space.full)
+    shape = small_space.full_shape()
     for subset in small_space.frame.admissible():
         measure = rep4.spectral_measure(subset)
+        axes = small_space.axes(subset)
         for v in all_subsets(measure.npoints):
             got = measure.projection(v).diag
             oracle = np.zeros(4, dtype=np.complex128)
-            for x in full_points:
-                if small_space.linear_index(small_space.restrict_point(x, subset)) in v:
-                    oracle[small_space.linear_index(x)] = 1.0
+            for x in range(4):
+                # restrict basis point x by its digits, not through the table
+                digits = np.unravel_index(x, shape)
+                if np.ravel_multi_index([digits[ax] for ax in axes], small_space.shape(subset)) in v:
+                    oracle[x] = 1.0
             assert np.array_equal(got, oracle)
-
-
-def test_projection_accepts_grid_points(rep4, small_space):
-    measure = rep4.spectral_measure({"1"})
-    pt = small_space.point_from_index(frozenset({"1"}), 1)
-    by_point = measure.projection([pt]).diag
-    by_index = measure.projection([1]).diag
-    assert np.array_equal(by_point, by_index)
-    with pytest.raises(DomainError):
-        measure.projection([5])
 
 
 def test_pushforward_requires_full_source(rep4):
@@ -242,7 +218,7 @@ def test_integrate_and_pullback_routes_check_each_other(monkeypatch):
     table = GridEvolutionSpace.restricted_index_array
     broadcast = suites.pullback_rows
     # the measure gathers through the restriction table; pullback, embed_eta
-    # and pullback_rows broadcast; matrix-elements restricts points one at a time
+    # and pullback_rows broadcast; matrix-elements restricts by mixed-radix digits
     with monkeypatch.context() as m:
         m.setattr(GridEvolutionSpace, "restricted_index_array", lambda self, subset: table(self, subset)[::-1])
         for check in checks:
@@ -276,6 +252,12 @@ def test_matrix_element_frozen_values(rep4):
     assert matrix_element(measure, 0, 1, [0]) == 0.0
 
 
+@pytest.mark.parametrize("x, y", [(-1, 0), (0, 4), (4, 4)])
+def test_matrix_element_rejects_basis_indices_out_of_range(rep4, x, y):
+    with pytest.raises(DomainError):
+        matrix_element(rep4.spectral_measure(), x, y, [0])
+
+
 # -- small-space action and embedding ----------------------------------------
 
 
@@ -286,10 +268,8 @@ def test_theta_diagonalizes_subset_functions(small_space):
 
 
 def test_theta_projection_variants(small_space):
-    pt = small_space.point_from_index(frozenset({"1"}), 1)
-    by_pt = theta_projection(small_space, {"1"}, [pt])
     by_ix = theta_projection(small_space, {"1"}, [1])
-    assert np.array_equal(by_pt.diag, by_ix.diag)
+    assert np.array_equal(by_ix.diag, np.array([0.0, 1.0], dtype=np.complex128))
     with pytest.raises(DomainError):
         theta_projection(small_space, {"1"}, [2])
 
@@ -303,7 +283,7 @@ def test_theta_projection_variants(small_space):
     ],
     ids=["indicator", "projection", "theta_projection"],
 )
-@pytest.mark.parametrize("member", [-1, 2, GridPoint(("2",), (0,))], ids=["negative", "npoints", "other-subset"])
+@pytest.mark.parametrize("member", [-1, 2], ids=["negative", "npoints"])
 def test_point_set_members_are_validated(rep4, build, member):
     # points({"1"}) has two members, indices 0 and 1
     with pytest.raises(DomainError):
