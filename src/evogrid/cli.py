@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="build evolution operators for time subsets")
     p_compute.add_argument("scenario", help="path to a scenario JSON file or a built-in name")
     p_compute.add_argument("--subsets", required=True,
-                           help="semicolon-separated subsets of time labels, each a comma list; '-' is the empty set")
+                           help="semicolon-separated subsets of time labels, each a comma list of distinct labels; "
+                                "'-' is the empty set")
     p_compute.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_compute.add_argument("--out", default=None, help="write the operator JSON here instead of stdout")
 
@@ -69,13 +70,22 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _parse_subsets(raw: str) -> list[list[str]]:
+    """One label list per `;`-separated group; `-` is the empty set.
+
+    An empty group or label, or a label repeated within a group, is a
+    DomainError: none names the subset it appears to.
+    """
     groups = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
-        if chunk == "" or chunk == "-":
+        if chunk == "-":
             groups.append([])
             continue
-        labels = [part.strip() for part in chunk.split(",") if part.strip()]
+        labels = [part.strip() for part in chunk.split(",")]
+        if "" in labels:
+            raise DomainError(f"empty time label in subset group {chunk!r}; '-' names the empty set")
+        if len(set(labels)) < len(labels):
+            raise DomainError(f"time label repeated in subset group {chunk!r}")
         groups.append(labels)
     return groups
 

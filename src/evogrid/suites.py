@@ -37,12 +37,15 @@ while forming G or a dense matrix (README, "Report format").
 `conjugation-covariance` compares sampled columns, read with `columns`,
 entries and traces of conjugated operators with W* (d * W e_j) formed from
 the unconjugated diagonal d and the check's own W*; it forms no dense
-matrix.  `conjugated-dynamics` is the same covariance for the evolution
-unitaries, on a fixed spread of columns of each conjugated unitary's
-`to_dense()`.  The commutant witness is formed only for a scenario with a
-`witness_threshold`, which judges its certified lower bound; without one,
-`commutant-witness` records an unjudged 0.0.  Running maxima go through
-`nan_max`, so a NaN deviation reaches the runner, which aborts.
+matrix.  A subset's five projections and five integrals are one stack of
+ten diagonals, from one `integrate_rows` gather per measure, so each side
+reads their columns in one W* product of width 40.  `conjugated-dynamics`
+is the same covariance for the evolution unitaries, on a fixed spread of
+columns of each conjugated unitary's `to_dense()`.  The commutant witness
+is formed only for a scenario with a `witness_threshold`, which judges its
+certified lower bound; without one, `commutant-witness` records an
+unjudged 0.0.  Running maxima go through `nan_max`, so a NaN deviation
+reaches the runner, which aborts.
 
 Check identifiers are stable strings; each record also carries a short law
 tag (T3.2, C3.3, ...) used to group related identities across suites.
@@ -71,10 +74,10 @@ from .errors import DomainError
 from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback_rows
 from .lagrangian import action_from_lagrangian, verify_lagrangian
 from .representation import (
+    ConjugatedDiagonalOperator,
     conjugated_columns,
     embed_eta,
     identity_operator,
-    integrate,
     integrate_rows,
     projection_rank,
     pushforward,
@@ -550,7 +553,8 @@ def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
 def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
     n = space.dimension
-    w = scn.conjugated.conjugator
+    rep = scn.conjugated
+    w = rep.conjugator
     # the route's own W* and row Gram, formed once from the checked W and
     # never read off the operators' shared products
     w_star = w.conj().T
@@ -559,31 +563,31 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
     for subset in scn.frame.admissible():
         rng = _rng(scn, f"covariance-{sorted(map(str, subset))}")
         plain = scn.representation.spectral_measure(subset)
-        moved = scn.conjugated.spectral_measure(subset)
+        moved = rep.spectral_measure(subset)
         k = moved.npoints
-        samples = []
-        for _ in range(5):
-            members = sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})
-            samples.append((members, space.random_function(subset, rng)))
+        # five (point set, function) samples, as alternating rows of one
+        # value block: the projection's 0/1 row, then the function's values
+        values = np.zeros((10, k), dtype=np.complex128)
+        for row in range(0, 10, 2):
+            values[row, sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})] = 1.0
+            values[row + 1] = space.random_function(subset, rng).values
         cols = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
         rows = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
-        for members, f in samples:
-            for op, d in (
-                (moved.projection(members), plain.projection(members).diag),
-                (integrate(f, moved), integrate(f, plain).diag),
-            ):
-                # independent route: W* (d * W e_j) from the unconjugated diagonal
-                route = conjugated_columns(w_star, w, d, cols)
-                entries = np.array([op.entry(i, j) for i, j in zip(rows, cols)])
-                # the trace route sums in trace()'s order: two orders of a sum
-                # of N terms of size |d| differ by an ulp of N |d|, above the
-                # tolerance at the cap
-                dev = nan_max(
-                    dev,
-                    float(np.max(np.linalg.norm(op.columns(cols) - route, axis=0))),
-                    float(np.max(np.abs(entries - route[rows, np.arange(len(cols))]))),
-                    abs(op.trace() - np.sum(d * row_gram)),
-                )
+        ops = ConjugatedDiagonalOperator(w, integrate_rows(moved, values), rep.products)
+        d = integrate_rows(plain, values)
+        # independent route: W* (d * W e_j) from the unconjugated diagonals,
+        # all ten operators' columns in one product, as `columns` reads them
+        route = conjugated_columns(w_star, w, d, cols)
+        entries = np.array([ops.entry(i, j) for i, j in zip(rows, cols)]).T
+        # the trace route sums in trace()'s order: two orders of a sum of N
+        # terms of size |d| differ by an ulp of N |d|, above the tolerance
+        # at the cap
+        dev = nan_max(
+            dev,
+            float(np.max(np.linalg.norm(ops.columns(cols) - route, axis=1))),
+            float(np.max(np.abs(entries - route[:, rows, np.arange(len(cols))]))),
+            float(np.max(np.abs(ops.trace() - np.sum(d * row_gram, axis=1)))),
+        )
     return [("conjugation-covariance", "P3.4", dev, scn.tolerances.conjugated)]
 
 

@@ -3,24 +3,35 @@
 Each mutant row breaks one law the conjugation checks claim, by a
 monkeypatch of the library or by an edited config, and names the checks
 that must then report more than their tolerance.  The dense route the
-checks no longer take stays here as the oracle their bounds must cover.
+checks no longer take stays here as the oracle their bounds must cover,
+and the per-operator covariance body as the oracle of the stacked one.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evobench.ladder import ladder_config
 from evogrid import builtin_scenario, load_scenario, run_suite, scenario_from_dict
-from evogrid.representation import ConjugatedDiagonalOperator, SpectralMeasure, _ConjugatorProducts
+from evogrid.dynamics import nan_max
+from evogrid.representation import ConjugatedDiagonalOperator, SpectralMeasure, _ConjugatorProducts, integrate
 from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import encode_matrix
+from evogrid.suites import COVARIANCE_COLUMNS
+
+ROOT = Path(__file__).resolve().parent.parent
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def _w_d_w_star_columns(self, cols):
     w = self.conjugator
-    return w @ (self.diag[:, None] * w.conj().T[:, cols])
+    return w @ (self.diag[..., None] * w.conj().T[:, cols])
 
 
 def _w_d_w_star(self):
@@ -33,6 +44,20 @@ def _transposed_entry(original):
 
 def _conjugated_trace(original):
     return lambda self: original(self).conjugate()
+
+
+def _reversed_stack(original):
+    # a stack's rows back to front; one operator's columns as they are
+    return lambda self, cols: original(self, cols)[::-1] if self.diag.ndim == 2 else original(self, cols)
+
+
+def _first_row_entry(original):
+    # every row of a stack reads the entry of its first row
+    def entry(self, i, j):
+        values = original(self, i, j)
+        return np.full_like(values, values[0]) if self.diag.ndim == 2 else values
+
+    return entry
 
 
 def _neighbouring_atom(self, index):
@@ -73,6 +98,17 @@ MUTANTS = {
     ),
     "conjugated-trace-value": (
         (ConjugatedDiagonalOperator, "trace", _conjugated_trace(ConjugatedDiagonalOperator.trace)),
+        None,
+        ("conjugation-covariance",),
+    ),
+    # the stack the covariance check reads each subset's ten operators as
+    "reversed-stack-columns": (
+        (ConjugatedDiagonalOperator, "columns", _reversed_stack(ConjugatedDiagonalOperator.columns)),
+        None,
+        ("conjugation-covariance",),
+    ),
+    "first-row-stack-entry": (
+        (ConjugatedDiagonalOperator, "entry", _first_row_entry(ConjugatedDiagonalOperator.entry)),
         None,
         ("conjugation-covariance",),
     ),
@@ -117,9 +153,99 @@ def test_covariance_columns_are_the_dense_columns_bit_for_bit(source, monkeypatc
     monkeypatch.setattr(ConjugatedDiagonalOperator, "columns", spy)
     suites._check_conjugation_covariance(scn)
     monkeypatch.undo()
-    assert len(read) == 10 * len(scn.frame.admissible())
-    for op, cols in read:
-        assert op.columns(cols).tobytes() == np.ascontiguousarray(op.to_dense()[:, cols]).tobytes()
+    # one stacked read per subset, each row the columns of its one-row operator
+    assert len(read) == len(scn.frame.admissible())
+    for stack, cols in read:
+        got = stack.columns(cols)
+        assert got.shape == (10, scn.space.dimension, len(cols))
+        for d, columns in zip(stack.diag, got):
+            op = ConjugatedDiagonalOperator(stack.conjugator, d, stack.products)
+            assert columns.tobytes() == np.ascontiguousarray(op.to_dense()[:, cols]).tobytes()
+
+
+def per_operator_covariance(scn) -> float:
+    """The covariance body before the stack: each subset's five projections
+    and five integrals built and read one operator at a time."""
+    space = scn.space
+    n = space.dimension
+    w = scn.conjugated.conjugator
+    w_star = w.conj().T
+    row_gram = np.sum(w * np.conj(w), axis=1)
+    dev = 0.0
+    for subset in scn.frame.admissible():
+        rng = SplitMix64(derive_seed(scn.seed, f"covariance-{sorted(map(str, subset))}"))
+        plain = scn.representation.spectral_measure(subset)
+        moved = scn.conjugated.spectral_measure(subset)
+        k = moved.npoints
+        samples = []
+        for _ in range(5):
+            members = sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})
+            samples.append((members, space.random_function(subset, rng)))
+        cols = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
+        rows = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
+        for members, f in samples:
+            for op, d in (
+                (moved.projection(members), plain.projection(members).diag),
+                (integrate(f, moved), integrate(f, plain).diag),
+            ):
+                route = w_star @ (d[:, None] * w[:, cols])
+                entries = np.array([op.entry(i, j) for i, j in zip(rows, cols)])
+                dev = nan_max(
+                    dev,
+                    float(np.max(np.linalg.norm(op.columns(cols) - route, axis=0))),
+                    float(np.max(np.abs(entries - route[rows, np.arange(len(cols))]))),
+                    abs(op.trace() - np.sum(d * row_gram)),
+                )
+    return dev
+
+
+def _reported_covariance(source) -> tuple[str, str]:
+    # the oracle and the record, as float.hex, in a one-thread process: the
+    # report bytes are pinned only at one BLAS thread
+    scn = _scenario(source)
+    record = {r.check: r for r in run_suite(scn, ["conjugation"]).records}["conjugation-covariance"]
+    return per_operator_covariance(scn).hex(), record.max_deviation.hex()
+
+
+COVARIANCE_SOURCES = ["demo", "witness", "ladder-5x2", "ladder-3x5", "ladder-4x3", "ladder-2x8", "ladder-3x8"]
+
+
+def _in_one_thread(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in ("src", ".", "tests")), **ONE_THREAD)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.fixture(scope="module")
+def reported_covariance():
+    code = (
+        "import json; from test_conjugation import COVARIANCE_SOURCES, _reported_covariance; "
+        "print(json.dumps({s: _reported_covariance(s) for s in COVARIANCE_SOURCES}))"
+    )
+    return json.loads(_in_one_thread(code))
+
+
+@pytest.mark.parametrize("source", COVARIANCE_SOURCES)
+def test_stacked_covariance_reports_the_per_operator_deviation_bit_for_bit(source, reported_covariance):
+    oracle, record = reported_covariance[source]
+    assert record == oracle
+
+
+def test_one_wide_product_is_the_narrow_products_bit_for_bit_at_one_thread():
+    # the stacked covariance check forms ten operators' four columns in one
+    # product of width 40; the report bytes hold only while that equals ten
+    # products of width 4, with W* in the transposed layout the check uses
+    code = """
+import numpy as np
+from evogrid.rng import SplitMix64
+for n in (12, 125, 512):
+    rng = SplitMix64(n)
+    w_star, block = rng.complex_matrix(n, n).conj().T, rng.complex_matrix(n, 40)
+    narrow = [w_star @ np.ascontiguousarray(block[:, c : c + 4]) for c in range(0, 40, 4)]
+    print(n, (w_star @ block).tobytes() == np.concatenate(narrow, axis=1).tobytes())
+"""
+    assert _in_one_thread(code).split() == ["12", "True", "125", "True", "512", "True"]
 
 
 @pytest.mark.parametrize("source", ["demo", "witness", "ladder-3x5"])

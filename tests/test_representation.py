@@ -68,6 +68,24 @@ def test_conjugated_diagonal_matches_dense_conjugation():
     assert op.norm() == pytest.approx(1.0)
 
 
+def test_a_stack_of_diagonals_reads_each_row_as_its_one_row_operator():
+    w = SplitMix64(30).haar_unitary(6)
+    diags = SplitMix64(31).complex_matrix(3, 6)
+    stack = ConjugatedDiagonalOperator(w, diags)
+    cols, got = [4, 0, 4], stack.columns([4, 0, 4])
+    entries, traces = stack.entry(2, 5), stack.trace()
+    assert stack.dimension == 6 and got.shape == (3, 6, 3) and entries.shape == traces.shape == (3,)
+    for r, d in enumerate(diags):
+        op = ConjugatedDiagonalOperator(w, d, stack.products)
+        assert np.allclose(got[r], op.to_dense()[:, cols], atol=1e-14)
+        assert entries[r] == op.entry(2, 5) and traces[r] == op.trace()
+    # the dense matrix and its norm are one operator's
+    with pytest.raises(StructureError):
+        stack.to_dense()
+    with pytest.raises(StructureError):
+        ConjugatedDiagonalOperator(w, np.ones((2, 3, 6)))
+
+
 def test_conjugate_requires_unitary():
     # conjugation acts on representations only; operators carry their pair
     with pytest.raises(StructureError):

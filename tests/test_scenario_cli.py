@@ -544,6 +544,16 @@ def test_cli_exit_code_on_unknown_label():
     assert main(["compute", "demo", "--subsets", "1,9"]) == 4
 
 
+@pytest.mark.parametrize("subsets", ["1,1", "1;2,1,2", "1;", "1;;2", ";", "1,", "1,,2", ""])
+def test_cli_compute_rejects_a_repeated_label_or_an_empty_group(subsets, tmp_path, capsys):
+    # "1,1" would build {1} under the times ["1", "1"], and an empty group
+    # would add the empty set, which only "-" names
+    out = tmp_path / "ops.json"
+    assert main(["compute", "demo", "--subsets", subsets, "--out", str(out)]) == 4
+    assert "domain error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_on_inadmissible_subset(tmp_path):
     cfg = minimal_config()
     cfg["time_frame"]["times"] = ["1", "2"]
