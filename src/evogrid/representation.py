@@ -50,11 +50,14 @@ The d of a conjugated operator may be an (m, N) stack of diagonals: m
 operators sharing one W and one set of products.  `columns` forms all
 m c of their columns in one W* product of width m c, which reads W* once
 instead of m times, and `entry` and `trace` return one value per row;
-`conjugated_columns` takes the same stacks.  One diagonal is the m = 1
-case, and `to_dense` and `norm` read one operator only.  At one BLAS
-thread a product of width m c equals the m products of width c bit for
-bit (a test pins this at N = 12, 125 and 512), so a stacked read leaves
-the report bytes as they were.
+`conjugated_columns` takes the same stacks, m = 0 included.  One diagonal
+is the m = 1 case, and `to_dense` and `norm` read one operator only.  At
+one BLAS thread a product of width m c equals the m products of width c
+bit for bit (a test pins this at N = 12, 125 and 512), so a stacked read
+leaves the report bytes as they were.  The suites read stacks only: the
+covariance checks stack a subset's ten sampled operators, or every
+subset's evolution unitary, and `to_dense` is left to `compute` and the
+commutant witness, which need one operator's whole matrix.
 """
 
 from __future__ import annotations
@@ -204,9 +207,11 @@ class ConjugatedDiagonalOperator:
     `diag` is one diagonal of N entries, or an (m, N) stack of them: m
     operators that share W and `products`, read together.  It has no
     arithmetic; a caller reads the columns it needs with `columns(cols)`,
-    or one operator's whole matrix with `to_dense()`.  `products` holds W*
-    and the row Gram; given one made for this frozen W, the operator
-    shares it, otherwise it makes its own.
+    every row's at once for a stack, as both covariance checks do, or one
+    operator's whole matrix with `to_dense()`, which only `compute` and
+    the commutant witness need.  `products` holds W* and the row Gram;
+    given one made for this frozen W, the operator shares it, otherwise it
+    makes its own.
     """
 
     conjugator: np.ndarray
@@ -268,14 +273,14 @@ def conjugated_columns(adjoint: np.ndarray, conjugator: np.ndarray, diag: np.nda
     """Columns of W* diag(d) W formed as W* (d * W e_j) in O(N^2) each, from the caller's own W*.
 
     An (m, N) stack of diagonals is formed in one product of width m c, its
-    column blocks side by side; the result is (m, N, c), and (N, c) for one
-    diagonal.
+    column blocks side by side; the result is (m, N, c), (0, N, c) for an
+    empty stack, and (N, c) for one diagonal.
     """
     w = conjugator[:, columns]
     rows = np.atleast_2d(diag)
     # the reshape copies the (N, m, c) view into the C order BLAS gets from `columns`
     block = (rows[:, :, None] * w).transpose(1, 0, 2).reshape(len(w), -1)
-    stack = (adjoint @ block).reshape(len(w), len(rows), -1).transpose(1, 0, 2)
+    stack = (adjoint @ block).reshape(len(w), len(rows), w.shape[1]).transpose(1, 0, 2)
     return stack if np.ndim(diag) == 2 else stack[0]
 
 

@@ -13,7 +13,10 @@ function that judges several checks is timed once and its time is split
 evenly among their records; the timings appendix lists those groups as
 `shared`.  The dynamics and Lagrangian suites each build one family, of
 unconjugated unitaries or of actions, that several laws read; the pair laws
-iterate the frame's `disjoint_pairs()`.
+iterate the frame's `disjoint_pairs()`.  The unitaries are one (m, N) stack
+of diagonals, a row per admissible subset, and each unitary law reads its
+rows as one direct-sum `DiagonalOperator`, whose norm is the largest of the
+rows' norms and whose entries are the per-pair arithmetic bit for bit.
 
 The spectral suite's sampled laws run on stacks: each subset's S random
 functions are the rows of one `complex_matrix(S, npoints)` draw (the bits
@@ -40,8 +43,11 @@ the unconjugated diagonal d and the check's own W*; it forms no dense
 matrix.  A subset's five projections and five integrals are one stack of
 ten diagonals, from one `integrate_rows` gather per measure, so each side
 reads their columns in one W* product of width 40.  `conjugated-dynamics`
-is the same covariance for the evolution unitaries, on a fixed spread of
-columns of each conjugated unitary's `to_dense()`.  The commutant witness
+is the same covariance for the evolution unitaries: every subset's
+conjugated unitary is one row of a stack, read on a fixed spread of four
+columns in one W* product of width 4m, against the same product of the
+unconjugated stack and the check's own W*; no check forms a dense matrix.
+The commutant witness
 is formed only for a scenario with a `witness_threshold`, which judges its
 certified lower bound; without one, `commutant-witness` records an
 unjudged 0.0.  Running maxima go through `nan_max`, so a NaN deviation
@@ -75,6 +81,8 @@ from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contrac
 from .lagrangian import action_from_lagrangian, verify_lagrangian
 from .representation import (
     ConjugatedDiagonalOperator,
+    DiagonalOperator,
+    PureRepresentation,
     conjugated_columns,
     embed_eta,
     identity_operator,
@@ -609,31 +617,42 @@ def _check_action_weight(scn: Scenario) -> list[tuple[str, str, float, float]]:
     return [("action-weight-laws", "D4.1", dev, scn.tolerances.dynamics)]
 
 
-def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    # one unconjugated unitary per admissible subset, built once and read by
-    # all four laws
+def _unitary_stack(scn: Scenario, rep: PureRepresentation) -> np.ndarray:
+    """The evolution unitaries' diagonals in `rep`, one row per admissible subset: (m, N)."""
     domain = scn.frame.admissible()
-    u = [evolution_unitary(scn.weight, s, scn.representation) for s in domain]
-    one = identity_operator(scn.rep_space.dimension)
-    dev = 0.0
-    null_dev = 0.0
-    for subset, v in zip(domain, u):
-        dev = nan_max(dev, (v.adjoint() @ v - one).norm())
-        if scn.frame.mu(subset) == 0.0:
-            null_dev = nan_max(null_dev, (v - one).norm())
-    # check_group_law's arithmetic over the frame's measure-disjoint pairs
+    rows = [evolution_unitary(scn.weight, s, rep).diag for s in domain]
+    return np.array(rows, dtype=np.complex128).reshape(len(domain), rep.dimension)
+
+
+def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
+    # one unconjugated unitary per admissible subset, built once as a stack
+    # and read by all four laws as direct sums: rows r make the diagonal
+    # operator (+)_r U_r on m copies of the space, whose norm is the largest
+    # row norm and whose entries are the per-pair arithmetic bit for bit
+    frame = scn.frame
+    u = _unitary_stack(scn, scn.representation)
+    m, n = u.shape
+    stack = DiagonalOperator(u)
+    dev = (stack.adjoint() @ stack - identity_operator(m * n)).norm()
+    null = DiagonalOperator(u[np.array([frame.mu(s) == 0.0 for s in frame.admissible()], dtype=bool)])
+    null_dev = (null - identity_operator(null.dimension)).norm()
+    # check_group_law's arithmetic over the frame's measure-disjoint pairs,
+    # m pairs at a time so that at most m rows of N are live
     group_dev = 0.0
-    for t1, t2, union in scn.frame.disjoint_pairs().tolist():
-        group_dev = nan_max(group_dev, (u[t1] @ u[t2] - u[union]).norm())
+    pairs = frame.disjoint_pairs()
+    for start in range(0, len(pairs), max(m, 1)):
+        t1, t2, union = (DiagonalOperator(u[i]) for i in pairs[start : start + m].T)
+        group_dev = nan_max(group_dev, (t1 @ t2 - union).norm())
     # judged at the dynamics tolerance, not `exact`: numpy's vectorized
     # complex multiply is not commutative in the last bit (with numpy 2.4.6
     # on an x86-64 Xeon, x*y != y*x for about 34,000 of 100,000 random
     # unimodular pairs, where Python's scalar multiply gives none), so
-    # u @ v - v @ u reads up to 1.11e-16 on diagonals that commute exactly
+    # u @ v - v @ u reads up to 1.11e-16 on diagonals that commute exactly;
+    # row i against every later row at once
     commutation = 0.0
-    for i, v in enumerate(u):
-        for w in u[i + 1 :]:
-            commutation = nan_max(commutation, (v @ w - w @ v).norm())
+    for i in range(m - 1):
+        v, w = DiagonalOperator(np.broadcast_to(u[i], (m - i - 1, n))), DiagonalOperator(u[i + 1 :])
+        commutation = nan_max(commutation, (v @ w - w @ v).norm())
     return [
         ("unitary-evolution", "E4.4", dev, scn.tolerances.dynamics),
         ("null-unitary", "P4.2", null_dev, scn.tolerances.exact),
@@ -643,17 +662,17 @@ def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 
 def _check_conjugated_dynamics(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    # covariance of the evolution unitaries: each conjugated U'_T against
-    # W* (u_T * W e_j) over a fixed spread of columns j, from the check's own W*
+    # covariance of the evolution unitaries: every conjugated U'_T, built in
+    # the conjugated representation, as one stack whose columns j over a
+    # fixed spread are read in one `columns` product, against W* (u_T * W e_j)
+    # formed in one product from the unconjugated stack and the check's own W*
     n = scn.rep_space.dimension
     cols = np.unique(np.linspace(0, n - 1, COVARIANCE_COLUMNS).astype(int))
-    w = scn.conjugated.conjugator
-    w_star = w.conj().T
-    covariance = 0.0
-    for subset in scn.weight.domain():
-        twisted = evolution_unitary(scn.weight, subset, scn.conjugated).to_dense()[:, cols]
-        route = conjugated_columns(w_star, w, evolution_unitary(scn.weight, subset, scn.representation).diag, cols)
-        covariance = nan_max(covariance, float(np.max(np.linalg.norm(twisted - route, axis=0))))
+    rep = scn.conjugated
+    w = rep.conjugator
+    twisted = ConjugatedDiagonalOperator(w, _unitary_stack(scn, rep), rep.products)
+    route = conjugated_columns(w.conj().T, w, _unitary_stack(scn, scn.representation), cols)
+    covariance = float(np.max(np.linalg.norm(twisted.columns(cols) - route, axis=1), initial=0.0))
     # without a threshold no witness is formed and the record is an unjudged
     # 0.0; with one, a designed witness scenario must exhibit a commutator
     # above it, judged on the certified lower bound

@@ -2,7 +2,8 @@
 
 Each mutant row breaks one law the conjugation checks claim, by a
 monkeypatch of the library or by an edited config, and names the checks
-that must then report more than their tolerance.  The dense route the
+that must then report more than their tolerance; `to_dense`, which no
+check reads, has its row through `evogrid compute`.  The dense route the
 checks no longer take stays here as the oracle their bounds must cover,
 and the per-operator covariance body as the oracle of the stacked one.
 """
@@ -18,11 +19,12 @@ import numpy as np
 import pytest
 
 from evobench.ladder import ladder_config
-from evogrid import builtin_scenario, load_scenario, run_suite, scenario_from_dict
+from evogrid import builtin_scenario, evolution_unitary, load_scenario, run_suite, scenario_from_dict
+from evogrid.cli import main
 from evogrid.dynamics import nan_max
 from evogrid.representation import ConjugatedDiagonalOperator, SpectralMeasure, _ConjugatorProducts, integrate
 from evogrid.rng import SplitMix64, derive_seed
-from evogrid.scenario import encode_matrix
+from evogrid.scenario import decode_matrix, encode_matrix
 from evogrid.suites import COVARIANCE_COLUMNS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,13 +74,12 @@ def _scaled_conjugator(cfg):
 
 
 MUTANTS = {
-    # the one formula: covariance reads its columns, the witness its dense T2
+    # the one formula: both covariance checks read stacked columns
     "columns-w-d-w-star": (
         (ConjugatedDiagonalOperator, "columns", _w_d_w_star_columns),
         None,
         ("conjugation-covariance", "conjugated-dynamics"),
     ),
-    "to-dense-w-d-w-star": ((ConjugatedDiagonalOperator, "to_dense", _w_d_w_star), None, ("conjugated-dynamics",)),
     # the products every operator of a representation shares; the routes form their own
     "shared-adjoint-transposed": (
         (_ConjugatorProducts, "adjoint", property(lambda self: self.conjugator.T)),
@@ -101,11 +102,12 @@ MUTANTS = {
         None,
         ("conjugation-covariance",),
     ),
-    # the stack the covariance check reads each subset's ten operators as
+    # the stacks the covariance checks read: each subset's ten operators,
+    # and every subset's conjugated evolution unitary
     "reversed-stack-columns": (
         (ConjugatedDiagonalOperator, "columns", _reversed_stack(ConjugatedDiagonalOperator.columns)),
         None,
-        ("conjugation-covariance",),
+        ("conjugation-covariance", "conjugated-dynamics"),
     ),
     "first-row-stack-entry": (
         (ConjugatedDiagonalOperator, "entry", _first_row_entry(ConjugatedDiagonalOperator.entry)),
@@ -128,6 +130,37 @@ def test_each_conjugation_check_catches_its_mutant(mutant, monkeypatch):
     records = {r.check: r for r in run_suite(scn, ["all"]).records}
     for check in caught:
         assert records[check].max_deviation > records[check].tolerance, check
+
+
+# `to_dense` has two callers, `compute` and the witness, which only the
+# `witness` scenario forms and whose Hadamard conjugator is its own W* and
+# W^T; so its row runs through `evogrid compute`, whose dense matrices must
+# be W* diag(u) W
+COMPUTE_MUTANTS = {"to-dense-w-d-w-star": (ConjugatedDiagonalOperator, "to_dense", _w_d_w_star)}
+COMPUTE_SUBSETS = (frozenset({"1", "2"}), frozenset({"3"}), frozenset())
+
+
+def _computed(path):
+    assert main(["compute", "demo", "--subsets", "1,2;3;-", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert [frozenset(op["times"]) for op in doc["operators"]] == list(COMPUTE_SUBSETS)
+    return path.read_bytes(), [decode_matrix(op["matrix"], "matrix") for op in doc["operators"]]
+
+
+@pytest.mark.parametrize("mutant", list(COMPUTE_MUTANTS))
+def test_compute_output_catches_its_mutant(mutant, tmp_path, monkeypatch):
+    scn = load_scenario("demo")
+    w = scn.conjugated.conjugator
+    oracle = [
+        w.conj().T @ (evolution_unitary(scn.weight, s, scn.representation).diag[:, None] * w)
+        for s in COMPUTE_SUBSETS
+    ]
+    clean_bytes, clean = _computed(tmp_path / "clean.json")
+    monkeypatch.setattr(*COMPUTE_MUTANTS[mutant])
+    moved_bytes, moved = _computed(tmp_path / "moved.json")
+    assert moved_bytes != clean_bytes
+    assert max(np.max(np.abs(a - b)) for a, b in zip(clean, oracle)) <= 1e-12
+    assert max(np.max(np.abs(a - b)) for a, b in zip(moved, oracle)) > 1e-12
 
 
 def _scenario(source):

@@ -309,6 +309,116 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     assert len(tables) == 3 and all(table is tables[0] for table in tables)
 
 
+def per_operator_unitary_laws(scn) -> dict[str, float]:
+    """The four unitary laws as the suite judged them before the stack: one
+    operator per subset, and one product per pair of subsets."""
+    frame = scn.frame
+    domain = frame.admissible()
+    u = [evolution_unitary(scn.weight, s, scn.representation) for s in domain]
+    one = identity_operator(scn.rep_space.dimension)
+    dev = null_dev = group_dev = commutation = 0.0
+    for subset, v in zip(domain, u):
+        dev = dynamics.nan_max(dev, (v.adjoint() @ v - one).norm())
+        if frame.mu(subset) == 0.0:
+            null_dev = dynamics.nan_max(null_dev, (v - one).norm())
+    for t1, t2, union in frame.disjoint_pairs().tolist():
+        group = check_group_law(scn.weight, domain[t1], domain[t2], scn.representation)
+        assert group.hex() == (u[t1] @ u[t2] - u[union]).norm().hex()
+        group_dev = dynamics.nan_max(group_dev, group)
+    for i, v in enumerate(u):
+        for w in u[i + 1 :]:
+            commutation = dynamics.nan_max(commutation, (v @ w - w @ v).norm())
+    return {"unitary-evolution": dev, "null-unitary": null_dev, "group-law": group_dev, "commutation": commutation}
+
+
+# demo's frame cut to one subset of positive measure (no null row, pair or
+# commuting pair) and to the empty family (no row at all)
+CUT_FRAMES = {"one-subset": [["1"]], "empty-family": []}
+
+
+def _family_scenario(source):
+    if source not in CUT_FRAMES:
+        return _interval_scenario(source)
+    cfg = builtin_scenario("demo")
+    cfg["time_frame"]["sigma0"] = CUT_FRAMES[source]
+    return scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-4x3", *CUT_FRAMES])
+def test_stacked_unitary_laws_are_the_per_operator_arithmetic_bit_for_bit(source):
+    from evogrid import suites
+
+    scn = _family_scenario(source)
+    stacked = {check: dev.hex() for check, _, dev, _ in suites._check_unitaries(scn)}
+    assert stacked == {check: dev.hex() for check, dev in per_operator_unitary_laws(scn).items()}
+
+
+# the four unitary-law lines of the smallest families as the per-operator
+# body wrote them: `witness` (N = 2, subsets {} and {1}) and the cut frames
+UNITARY_LAW_LINES = {
+    "witness": ["0.0", "0.0", "0.0", "0.0"],
+    "one-subset": ["4.537388229565853e-18", "0.0", "0.0", "0.0"],
+    "empty-family": ["0.0", "0.0", "0.0", "0.0"],
+}
+
+
+@pytest.mark.parametrize("source", list(UNITARY_LAW_LINES))
+def test_smallest_families_keep_their_unitary_law_lines(source):
+    scn = _family_scenario(source)
+    laws = [("unitary-evolution", "E4.4", "1e-12"), ("null-unitary", "P4.2", "0.0"), ("group-law", "P4.2", "1e-12"),
+            ("commutation", "S4", "1e-12")]
+    expected = [
+        f'{{"check": "{check}", "theorem": "{tag}", "max_deviation": {dev}, "tolerance": {tol}, "pass": true}}'
+        for (check, tag, tol), dev in zip(laws, UNITARY_LAW_LINES[source])
+    ]
+    lines = run_suite(scn, ["dynamics"]).body_lines()
+    assert [line for line in lines if json.loads(line).get("check") in {c for c, *_ in laws}] == expected
+
+
+def test_conjugated_dynamics_reads_one_stack_and_forms_no_dense_matrix(monkeypatch):
+    from evogrid import suites
+    from evogrid.representation import ConjugatedDiagonalOperator
+
+    scn = _interval_scenario("ladder-3x5")
+    calls = Counter()
+    for name in ("to_dense", "columns"):
+        original = getattr(ConjugatedDiagonalOperator, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ConjugatedDiagonalOperator, name, spy)
+    (check, _, covariance, _), _ = suites._check_conjugated_dynamics(scn)
+    assert calls == {"columns": 1}
+    assert check == "conjugated-dynamics" and covariance == 0.0
+
+
+@pytest.mark.parametrize("row", [1, 4, -1])
+def test_a_nan_in_one_weight_still_aborts_the_unitary_laws(row, monkeypatch):
+    # the weight validated its values when it was built; a NaN written into
+    # its table afterwards must reach the runner's finiteness guard through
+    # the stacked maxima, as through the per-operator ones; the action-weight
+    # laws, which would report it first, are stubbed out
+    from evogrid import suites
+
+    scn = load_scenario("demo")
+    subset = scn.frame.admissible()[row]
+    values = scn.weight.function(subset).values.copy()
+    values[-1] = float("nan")
+    scn.weight.functions[subset] = scn.space.function(subset, values)
+    records = {check: dev for check, _, dev, _ in suites._check_unitaries(scn)}
+    assert {c for c, d in records.items() if math.isnan(d)} == {
+        c for c, d in per_operator_unitary_laws(scn).items() if math.isnan(d)
+    }
+    assert math.isnan(records["unitary-evolution"])
+    clean = dynamics.ActionWeightReport(0.0, 0.0, 0.0, 0)
+    monkeypatch.setattr(suites, "validate_action_weight", lambda weight: clean)
+    message = "numerical overflow in check 'unitary-evolution': deviation is not finite"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        run_suite(scn, ["dynamics"])
+
+
 def test_same_representation_unitaries_commute(weighted_space, rep8):
     # diagonal products commute up to one ulp of complex-multiply rounding
     weight = make_weight(weighted_space)

@@ -27,7 +27,7 @@ from evogrid import (
     theta_projection,
     theta_represent,
 )
-from evogrid.representation import check_unitary
+from evogrid.representation import check_unitary, conjugated_columns
 from evogrid.rng import SplitMix64
 
 from conftest import HADAMARD
@@ -84,6 +84,14 @@ def test_a_stack_of_diagonals_reads_each_row_as_its_one_row_operator():
         stack.to_dense()
     with pytest.raises(StructureError):
         ConjugatedDiagonalOperator(w, np.ones((2, 3, 6)))
+
+
+def test_an_empty_stack_reads_no_columns():
+    # a frame may admit no subset at all; its stacks have no rows
+    w = SplitMix64(30).haar_unitary(6)
+    empty = np.zeros((0, 6), dtype=np.complex128)
+    got = ConjugatedDiagonalOperator(w, empty).columns([1, 4])
+    assert got.shape == conjugated_columns(w.conj().T, w, empty, [1, 4]).shape == (0, 6, 2)
 
 
 def test_conjugate_requires_unitary():

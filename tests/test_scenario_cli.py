@@ -702,7 +702,7 @@ CONJUGATED_OUTPUT_SHA256 = {
     ("compute", LADDER_2X8, "--subsets", "1,2;1;-"):
         "70d1b8a55ece3e7f9b73ca3dc10f85a7633e84b3443789c5bf61879fadcf0094",
     ("verify", LADDER_3X5, "--suite", "conjugation", "--suite", "dynamics"):
-        "c61aa7045b66e8c27690f798750126047746f552dc1b9db0e5f2991dde1b4af9",
+        "f2645a95d1bf4941381e2428f62c8596569aa5eae619ebbef517360432e81a58",
     ("verify", LADDER_2X8):
         "0b84b428355530a0fcc285a5a0d1ae33c6f8bd9d8999ab55e53bd80d7723232d",
     ("verify", LADDER_3X8, "--suite", "conjugation"):
@@ -714,7 +714,7 @@ CONJUGATED_OUTPUT_SHA256 = {
     ("verify", LADDER_5X2):
         "c3c38137dc9fa427095510da007f7a21704f3ebd95f033829753f303a762c82b",
     ("verify", LADDER_3X5):
-        "6fdc7b0e8847e9e255561ddf5bedd6effb2d6b0f00c980eb2154cb8577e6f188",
+        "ce5c465919b4e25cdfe991433cfe47ff8c909aea16dd25ce4adad0cc774b1a03",
 }
 
 
