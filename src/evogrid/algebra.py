@@ -50,11 +50,23 @@ __all__ = [
     "AutomorphismReport",
     "compose_automorphisms",
     "linear_map_matrix",
+    "unitary_defect",
     "verify_automorphism",
     "weakstar_pairing",
 ]
 
 UNITARY_TOL = 1e-8  # construction-time sanity bound; laws are verified separately
+
+
+def unitary_defect(u: np.ndarray, tol: float) -> tuple[float, float]:
+    """||u u* - I||_F of a square u, and a defect <= tol exactly when ||u u* - I||_2 is: the
+    Frobenius norm if it accepts, as it bounds the 2-norm above, else one SVD, or inf for a
+    Gram that is not finite, on which the SVD would not converge."""
+    gram = u @ u.conj().T - np.eye(u.shape[0])
+    frobenius = float(np.linalg.norm(gram))
+    if frobenius <= tol:
+        return frobenius, frobenius
+    return frobenius, float(np.linalg.norm(gram, 2)) if np.isfinite(frobenius) else np.inf
 
 
 def _frozen_matrix(m, dim: int | None = None) -> np.ndarray:
@@ -243,11 +255,9 @@ class Automorphism:
         if len(mats) != len(dims):
             raise StructureError("one unitary per block is required")
         for u in mats:
-            # a non-finite entry would reach the SVD below, which does not converge
             if not np.isfinite(u).all():
                 raise StructureError("block matrix has non-finite entries")
-            gram = u.conj().T @ u - np.eye(u.shape[0])
-            defect = np.linalg.norm(gram, 2)
+            defect = unitary_defect(u, UNITARY_TOL)[1]
             if defect > UNITARY_TOL:
                 raise StructureError(f"block matrix is not unitary (defect {defect:.2e})")
         object.__setattr__(self, "perm", perm)

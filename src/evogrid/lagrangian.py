@@ -180,5 +180,5 @@ def verify_lagrangian(lagrangian: Lagrangian) -> LagrangianReport:
             other = lagrangian.table(small).real[space.restricted_index_array(small)]
             restriction = max(restriction, float(np.max(np.abs(pulled[:, columns] - other))))
             pairs += 1
-    realness = max(float(np.max(np.abs(lagrangian.table(s).imag), initial=0.0)) for s in domain)
+    realness = max((float(np.max(np.abs(lagrangian.table(s).imag), initial=0.0)) for s in domain), default=0.0)
     return LagrangianReport(restriction, realness, pairs)

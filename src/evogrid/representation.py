@@ -57,7 +57,10 @@ bit for bit (a test pins this at N = 12, 125 and 512), so a stacked read
 leaves the report bytes as they were.  The suites read stacks only: the
 covariance checks stack a subset's ten sampled operators, or every
 subset's evolution unitary, and `to_dense` is left to `compute` and the
-commutant witness, which need one operator's whole matrix.
+commutant witness, which need one operator's whole matrix.  They read a
+measure through `diagonals` and `integrate_rows` only, its atoms as one
+(k, N) boolean table; `projection`, `atom`, `empty`, `total` and
+`projection_rank` build one operator at a time, for library callers.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from .algebra import unitary_defect
 from .errors import CapExceededError, DomainError, PreconditionError, StructureError
 from .evolution import GridEvolutionSpace, GridFunction, pullback_rows
 
@@ -122,18 +126,11 @@ def check_unitary(u: np.ndarray) -> float:
     """Accept u when ||u u* - I||_2 <= 1e-10 and return ||u u* - I||_F."""
     tol = 1e-10
     u = np.asarray(u)
-    # a non-finite entry would reach the SVD below, which does not converge
     if not np.isfinite(u).all():
         raise PreconditionError("matrix has non-finite entries")
-    # for a square u, u u* - I has the singular values of u* u - I
-    gram = u @ u.conj().T - np.eye(u.shape[0])
-    frobenius = float(np.linalg.norm(gram))
-    # the Frobenius norm bounds the 2-norm above, so it may accept alone;
-    # only a matrix it cannot accept pays for the SVD
-    if frobenius > tol:
-        defect = float(np.linalg.norm(gram, 2))
-        if defect > tol:
-            raise PreconditionError(f"matrix is not unitary within {tol:g} (defect {defect:.3e})")
+    frobenius, defect = unitary_defect(u, tol)
+    if defect > tol:
+        raise PreconditionError(f"matrix is not unitary within {tol:g} (defect {defect:.3e})")
     return frobenius
 
 

@@ -24,7 +24,11 @@ and end state of S `random_function` calls), integrated by one
 `integrate_rows` gather and lifted by one `pullback_rows` broadcast,
 `matrix-elements` reads a subset's 20 samples off one `diagonals` gather,
 and the injectivity checks count distinct 0/1 diagonals by their packed
-bytes.  `index-roundtrip`, `pushforward` and `matrix-elements` judge the
+bytes.  Measures are read through those two gathers only: the atoms are
+the rows of one `diagonals(np.eye(k))` table, which give the ranks and,
+cast to complex a row at a time, `spectral-sum`'s oracle with the bits of
+`atom(b).diag`, and the empty and total sets are two rows of one gather.
+`index-roundtrip`, `pushforward` and `matrix-elements` judge the
 restriction table against one oracle image per subset: every full point's
 `np.unravel_index` digits on the subset's axes, raveled again with
 `np.ravel_multi_index`, a route that never reads the library's table.
@@ -39,16 +43,15 @@ exact functions of the computed G; they do not enclose the rounding made
 while forming G or a dense matrix (README, "Report format").
 `conjugation-covariance` compares sampled columns, read with `columns`,
 entries and traces of conjugated operators with W* (d * W e_j) formed from
-the unconjugated diagonal d and the check's own W*; it forms no dense
-matrix.  A subset's five projections and five integrals are one stack of
-ten diagonals, from one `integrate_rows` gather per measure, so each side
-reads their columns in one W* product of width 40.  `conjugated-dynamics`
-is the same covariance for the evolution unitaries: every subset's
-conjugated unitary is one row of a stack, read on a fixed spread of four
-columns in one W* product of width 4m, against the same product of the
-unconjugated stack and the check's own W*; no check forms a dense matrix.
-The commutant witness
-is formed only for a scenario with a `witness_threshold`, which judges its
+the unconjugated diagonal d and the check's own W*.  A subset's five
+projections and five integrals are one stack of ten diagonals, from one
+`integrate_rows` gather per measure, so each side reads their columns in
+one W* product of width 40.  `conjugated-dynamics` is the same covariance
+for the evolution unitaries: every subset's conjugated unitary is one row
+of a stack, read on a fixed spread of four columns in one W* product of
+width 4m, against the same product of the unconjugated stack and the
+check's own W*; no check forms a dense matrix.  The commutant witness is
+formed only for a scenario with a `witness_threshold`, which judges its
 certified lower bound; without one, `commutant-witness` records an
 unjudged 0.0.  Running maxima go through `nan_max`, so a NaN deviation
 reaches the runner, which aborts.
@@ -87,7 +90,6 @@ from .representation import (
     embed_eta,
     identity_operator,
     integrate_rows,
-    projection_rank,
     pushforward,
 )
 from .rng import SplitMix64, derive_seed
@@ -235,6 +237,12 @@ def _restriction_image(space, subset: frozenset) -> np.ndarray:
     return np.ravel_multi_index([digits[ax] for ax in axes], space.shape(subset))
 
 
+def _ends_defect(measure) -> float:
+    """1.0 unless E({}) is 0 and E(points(T)) is I, read as two rows of one gather."""
+    ends = np.array([[False], [True]])
+    return float(np.any(measure.diagonals(ends.repeat(measure.npoints, axis=1)) != ends))
+
+
 def _finite(value: float, check: str) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -336,15 +344,11 @@ def _check_index_roundtrip(scn: Scenario) -> list[tuple[str, str, float, float]]
 
 
 def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rep = scn.representation
     dev = 0.0
-    n = scn.rep_space.dimension
     for subset in scn.frame.admissible():
-        measure = rep.spectral_measure(subset)
-        k = measure.npoints
-        dev = nan_max(dev, measure.empty().norm())
-        dev = nan_max(dev, (measure.total() - identity_operator(n)).norm())
-        left, right = _subset_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", k)
+        measure = scn.representation.spectral_measure(subset)
+        dev = nan_max(dev, _ends_defect(measure))
+        left, right = _subset_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", measure.npoints)
         # exact 0/1 projection diagonals, one row per pair; int8 holds every
         # value of both laws, failing diagonals included
         p1, p2, inter, union = (measure.diagonals(rows).view(np.int8) for rows in (left, right, left & right, left | right))
@@ -355,21 +359,19 @@ def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 def _check_pushforward(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    rep = scn.representation
-    full_measure = rep.spectral_measure()
+    full_measure = scn.representation.spectral_measure()
     dev = 0.0
     rank_bad = 0
     for subset in _nonempty_subsets(scn):
         measure = pushforward(full_measure, subset)
         k = measure.npoints
-        fiber = space.dimension // k
         rows = _point_sets(scn, f"pushforward-{sorted(map(str, subset))}", k, EXHAUSTIVE_PAIR_LIMIT, 256)
         # oracle: read each preimage of V off the digit-built image table
         image = _restriction_image(space, subset)
         dev = nan_max(dev, float(np.max(measure.diagonals(rows) != rows[:, image])))
-        for b in range(k):
-            if projection_rank(measure.atom(b)) != fiber:
-                rank_bad += 1
+        # the atoms are the rows of one gather; a rank is a row's count of ones
+        atoms = measure.diagonals(np.eye(k, dtype=bool))
+        rank_bad += int(np.count_nonzero(atoms.sum(axis=1) != space.dimension // k))
     return [
         ("pushforward", "T3.2", dev, scn.tolerances.exact),
         ("pushforward-rank", "T3.2", float(rank_bad), 0.0),
@@ -382,25 +384,24 @@ def _sampled_rows(scn: Scenario, label: str, subset: frozenset, samples: int) ->
 
 
 def _check_spectral_sum(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rep = scn.representation
     dev = 0.0
     for subset in scn.frame.admissible():
-        measure = rep.spectral_measure(subset)
+        measure = scn.representation.spectral_measure(subset)
         values = _sampled_rows(scn, "spectral-sum", subset, 5)
-        # oracle: the value-scaled atoms summed in ascending b, on every row at once
+        # oracle: the value-scaled atoms summed in ascending b, on every row at once;
+        # each atom row is cast to complex as it is multiplied in, never the whole table
         oracle = np.zeros((len(values), scn.space.dimension), dtype=np.complex128)
-        for b in range(measure.npoints):
-            oracle += values[:, b, None] * measure.atom(b).diag
+        for b, atom in enumerate(measure.diagonals(np.eye(measure.npoints, dtype=bool))):
+            oracle += values[:, b, None] * atom
         dev = nan_max(dev, float(np.max(np.abs(integrate_rows(measure, values) - oracle))))
     return [("spectral-sum", "C3.7", dev, scn.tolerances.exact)]
 
 
 def _check_factorization(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rep = scn.representation
     dev = 0.0
     for subset in scn.frame.admissible():
         values = _sampled_rows(scn, "factorization", subset, 25)
-        via_integral = integrate_rows(rep.spectral_measure(subset), values)
+        via_integral = integrate_rows(scn.representation.spectral_measure(subset), values)
         via_pullback = pullback_rows(scn.space, subset, values)
         dev = nan_max(dev, float(np.max(np.abs(via_integral - via_pullback))))
     return [("factorization", "C3.3", dev, scn.tolerances.exact)]
@@ -429,18 +430,16 @@ def _distinct_rows(bits: np.ndarray) -> int:
 
 def _check_injectivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    rep = scn.representation
     masks = _point_sets(scn, "injectivity-full", space.dimension, 4096, 512)
     # a function on the full set acts as the diagonal of its pullback there:
     # distinct 0/1 masks must keep distinct diagonals
     bad = int(_distinct_rows(pullback_rows(space, space.full, masks)) != len(masks))
     sub_bad = 0
     for subset in _nonempty_subsets(scn):
-        measure = rep.spectral_measure(subset)
+        measure = scn.representation.spectral_measure(subset)
         rows = _point_sets(scn, f"injectivity-{sorted(map(str, subset))}", measure.npoints, 1024, 512)
         # integrating a 0/1 function gives its projection: count distinct ones
-        if _distinct_rows(measure.diagonals(rows)) != len(rows):
-            sub_bad += 1
+        sub_bad += int(_distinct_rows(measure.diagonals(rows)) != len(rows))
     return [
         ("injectivity-full", "C3.6", float(bad), 0.0),
         ("injectivity-subsets", "C3.7", float(sub_bad), 0.0),
@@ -509,14 +508,8 @@ def _check_matrix_elements(scn: Scenario) -> list[tuple[str, str, float, float]]
 
 
 def _check_singletons(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    space = scn.space
-    rep = scn.representation
-    n = space.dimension
-    measure = rep.spectral_measure()
-    bad = 0
-    for x in range(n):
-        if projection_rank(measure.atom(x)) != 1:
-            bad += 1
+    n = scn.space.dimension
+    atoms = scn.representation.spectral_measure().diagonals(np.eye(n, dtype=bool))
     # any two singleton projections are exchanged by a basis swap, which
     # moves a 0/1 diagonal by the index transposition x <-> y
     rng = _rng(scn, "singletons")
@@ -525,9 +518,9 @@ def _check_singletons(scn: Scenario) -> list[tuple[str, str, float, float]]:
         x, y = rng.integer(n), rng.integer(n)
         swap = np.arange(n)
         swap[[x, y]] = swap[[y, x]]
-        dev = nan_max(dev, float(np.any(measure.atom(x).diag[swap] != measure.atom(y).diag)))
+        dev = nan_max(dev, float(np.any(atoms[x][swap] != atoms[y])))
     return [
-        ("singleton-rank", "T3.1", float(bad), 0.0),
+        ("singleton-rank", "T3.1", float(np.count_nonzero(atoms.sum(axis=1) != 1)), 0.0),
         ("singleton-conjugacy", "T3.1", dev, scn.tolerances.exact),
     ]
 
@@ -553,8 +546,7 @@ def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
     # empty and total diagonals are checked exactly, 0 or 1
     dev = _gram_bound(scn)
     for subset in scn.frame.admissible():
-        measure = scn.conjugated.spectral_measure(subset)
-        dev = nan_max(dev, float(np.any(measure.empty().diag != 0.0) or np.any(measure.total().diag != 1.0)))
+        dev = nan_max(dev, _ends_defect(scn.conjugated.spectral_measure(subset)))
     return [("conjugated-pvm", "P3.4", dev, scn.tolerances.conjugated)]
 
 

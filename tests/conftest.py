@@ -28,6 +28,11 @@ def reversed_table(original):
     return lambda self, subset: original(self, subset)[::-1]
 
 
+def neighbouring_members(original):
+    """A `diagonals` method that moves every member to the next point, so atom b reads as atom b + 1."""
+    return lambda self, rows: original(self, np.roll(np.asarray(rows, dtype=bool), 1, axis=1))
+
+
 # filled by the acceptance tests; echoed after capture ends so the
 # one-line-per-criterion verdicts always appear in the terminal output
 ACCEPTANCE_LINES: list[str] = []

@@ -27,6 +27,8 @@ from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import decode_matrix, encode_matrix
 from evogrid.suites import COVARIANCE_COLUMNS
 
+from conftest import neighbouring_members
+
 ROOT = Path(__file__).resolve().parent.parent
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -60,10 +62,6 @@ def _first_row_entry(original):
         return np.full_like(values, values[0]) if self.diag.ndim == 2 else values
 
     return entry
-
-
-def _neighbouring_atom(self, index):
-    return self.projection([(index + 1) % self.npoints])
 
 
 def _scaled_conjugator(cfg):
@@ -114,7 +112,11 @@ MUTANTS = {
         None,
         ("conjugation-covariance",),
     ),
-    "neighbouring-atom": ((SpectralMeasure, "atom", _neighbouring_atom), None, ("singleton-conjugacy",)),
+    "neighbouring-atom": (
+        (SpectralMeasure, "diagonals", neighbouring_members(SpectralMeasure.diagonals)),
+        None,
+        ("singleton-conjugacy",),
+    ),
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evogrid import (
+    Automorphism,
     CapExceededError,
     ConjugatedDiagonalOperator,
     DiagonalOperator,
@@ -15,6 +16,7 @@ from evogrid import (
     StructureError,
     RepresentationSpace,
     TimeFrame,
+    WStarAlgebra,
     conjugate,
     embed_eta,
     identity_operator,
@@ -115,6 +117,17 @@ def test_check_unitary_judges_by_the_two_norm():
     gram = u.conj().T @ u - np.eye(4)
     assert np.linalg.norm(gram, 2) <= 1e-10 < np.linalg.norm(gram)
     check_unitary(u)
+
+
+def test_a_gram_that_overflows_is_not_unitary():
+    # u u* overflows to inf, and inf * 0 to NaN: a NaN norm compares False
+    # with the bound, so neither gate may read it as within tolerance
+    huge = np.diag([1e200, 1.0]).astype(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StructureError, match="not unitary"):
+            Automorphism.conjugation(WStarAlgebra((2,)), [huge])
+        with pytest.raises(PreconditionError, match="not unitary"):
+            check_unitary(huge)
 
 
 def test_projection_rank_and_idempotency_guard():

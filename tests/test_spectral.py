@@ -1,8 +1,8 @@
 """The spectral checks against mutants and against their per-sample bodies.
 
-Each mutant row breaks one law a sampled spectral check claims, by a
-monkeypatch of the library, and names the check that must then report more
-than its tolerance on `demo`.  The per-sample loops that the stacked checks
+Each mutant row breaks a law the spectral checks claim, by a monkeypatch
+of the library, and names the checks that must then report more than their
+tolerance on `demo`.  The per-sample loops that the stacked checks
 replaced stay here as oracles: the stacked checks must return the same
 records, bit for bit, also where a broken restriction table makes the
 deviations nonzero.
@@ -21,13 +21,14 @@ from evogrid.representation import (
     embed_eta,
     identity_operator,
     integrate,
+    integrate_rows,
     matrix_element,
     theta_represent,
 )
 from evogrid.rng import SplitMix64
 from evogrid.suites import _nonempty_subsets, _point_sets, _rng
 
-from conftest import reversed_table
+from conftest import neighbouring_members, reversed_table
 
 # -- the per-sample bodies the stacked checks replaced -------------------------
 
@@ -167,7 +168,7 @@ def test_stacked_checks_return_the_per_sample_records(source):
 # mutants under which the records of both routes are nonzero, keyed by the checks they move
 MOVED_BY = {
     "reversed-restriction-table": {"factorization", "embedding", "matrix-elements"},
-    "neighbouring-atom": {"spectral-sum"},
+    "conjugated-integral-rows": {"spectral-sum", "factorization", "embedding"},
     "doubled-pullback": {"factorization", "embedding", "embedding-isometry"},
 }
 
@@ -275,16 +276,28 @@ def test_sampled_checks_draw_one_matrix_per_subset(monkeypatch):
     assert represented == []
 
 
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2"])
+def test_measures_are_read_through_gathers_only(source, monkeypatch):
+    # atoms, the empty and the total set are rows of `diagonals` gathers:
+    # no check builds a projection operator or reads a rank off its trace
+    scn = SCENARIOS[source]()
+    calls = []
+    for name in ("atom", "projection"):
+        monkeypatch.setattr(SpectralMeasure, name, _counting(calls, getattr(SpectralMeasure, name)))
+    rank = _counting(calls, representation.projection_rank)
+    for module in (representation, suites):
+        if hasattr(module, "projection_rank"):
+            monkeypatch.setattr(module, "projection_rank", rank)
+    run_suite(scn, ["spectral", "conjugation"])
+    assert calls == []
+
+
 # -- spectral checks against mutants ---------------------------------------------
 
 
 def _everywhere(name, value):
     # every module that binds the library function, so that each route reads the mutant
     return [(module, name, value) for module in (evolution, representation, suites) if hasattr(module, name)]
-
-
-def _neighbouring_atom(self, index):
-    return self.projection([(index + 1) % self.npoints])
 
 
 def _on_complex_rows(change):
@@ -294,6 +307,14 @@ def _on_complex_rows(change):
         return change(out) if np.iscomplexobj(out) else out
 
     return mutant
+
+
+def _conjugated_integral_rows(E, values):
+    # 0/1 rows, the projections' route, pass unchanged
+    out = integrate_rows(E, values)
+    moved = ~np.all((values == 0) | (values == 1), axis=1)
+    out[moved] = np.conj(out[moved])
+    return out
 
 
 def _full_pullback_drops_last_point(space, subset, values):
@@ -325,20 +346,27 @@ def _diagonals_ignore_last_member(original):
 REVERSED_TABLE = (GridEvolutionSpace, "restricted_index_array", reversed_table(GridEvolutionSpace.restricted_index_array))
 
 SPECTRAL_MUTANTS = {
-    "neighbouring-atom": ([(SpectralMeasure, "atom", _neighbouring_atom)], "spectral-sum"),
-    "reversed-restriction-table": ([REVERSED_TABLE], "factorization"),
-    "reversed-restriction-table-pushforward": ([REVERSED_TABLE], "pushforward"),
-    "conjugated-pullback": (_everywhere("pullback_rows", _on_complex_rows(np.conj)), "embedding"),
-    "doubled-pullback": (_everywhere("pullback_rows", _on_complex_rows(lambda out: 2.0 * out)), "embedding-isometry"),
+    "neighbouring-atom": (
+        [(SpectralMeasure, "diagonals", neighbouring_members(SpectralMeasure.diagonals))],
+        ("spectral-sum", "singleton-conjugacy"),
+    ),
+    "conjugated-integral-rows": (_everywhere("integrate_rows", _conjugated_integral_rows), ("spectral-sum",)),
+    "reversed-restriction-table": ([REVERSED_TABLE], ("factorization",)),
+    "reversed-restriction-table-pushforward": ([REVERSED_TABLE], ("pushforward",)),
+    "conjugated-pullback": (_everywhere("pullback_rows", _on_complex_rows(np.conj)), ("embedding",)),
+    "doubled-pullback": (_everywhere("pullback_rows", _on_complex_rows(lambda out: 2.0 * out)),
+                         ("embedding-isometry",)),
     "full-pullback-drops-last-point": (_everywhere("pullback_rows", _full_pullback_drops_last_point),
-                                       "injectivity-full"),
+                                       ("injectivity-full",)),
+    # the last point of every subset belongs to no set: the total set, the
+    # last atom and every lifted set holding it lose their last fibre
     "diagonals-ignore-last-point": (
         [(SpectralMeasure, "diagonals", _diagonals_ignore_last_point(SpectralMeasure.diagonals))],
-        "injectivity-subsets",
+        ("injectivity-subsets", "pvm-axioms", "pushforward-rank", "singleton-rank", "embedding-measure"),
     ),
     "diagonals-ignore-last-member": (
         [(SpectralMeasure, "diagonals", _diagonals_ignore_last_member(SpectralMeasure.diagonals))],
-        "matrix-elements",
+        ("matrix-elements",),
     ),
 }
 
@@ -347,11 +375,13 @@ SPECTRAL_MUTANTS = {
 def test_each_spectral_check_catches_its_mutant(mutant, monkeypatch):
     patches, caught = SPECTRAL_MUTANTS[mutant]
     scn = load_scenario("demo")
-    assert {r.check: r for r in run_suite(scn, ["spectral"]).records}[caught].max_deviation == 0.0
+    clean = {r.check: r for r in run_suite(scn, ["spectral"]).records}
+    assert all(clean[check].max_deviation == 0.0 for check in caught)
     for patch in patches:
         monkeypatch.setattr(*patch)
     records = {r.check: r for r in run_suite(scn, ["spectral"]).records}
-    assert records[caught].max_deviation > records[caught].tolerance
+    for check in caught:
+        assert records[check].max_deviation > records[check].tolerance, check
 
 
 def test_spectral_report_lists_the_checks_timed_together():
