@@ -216,6 +216,8 @@ class GridPointMap:
             object.__setattr__(self, "dense", m)
         elif self.automorphism.algebra != self.algebra:
             raise StructureError("automorphism acts on a different algebra")
+        elif self.automorphism.stack:
+            raise StructureError("a grid map is one automorphism, not a stack")
 
     @classmethod
     def from_automorphism(cls, alpha: Automorphism) -> "GridPointMap":
@@ -309,11 +311,9 @@ def contraction_norm_estimate(phi: GridPointMap, seed: int = 0, samples: int = 3
     if phi.automorphism is not None:
         return 1.0
     algebra = phi.algebra
-    rng = SplitMix64(seed)
-    draws = [[rng.haar_unitary(n) for n in algebra.block_dims] for _ in range(samples)]
+    draws = algebra._haar_blocks(SplitMix64(seed), samples)
     # per block one stack: the identity, then the drawn tuples in order
-    stacks = [np.stack([np.eye(n, dtype=np.complex128), *(u[i] for u in draws)])
-              for i, n in enumerate(algebra.block_dims)]
+    stacks = [np.concatenate([np.eye(n, dtype=np.complex128)[None], u]) for n, u in zip(algebra.block_dims, draws)]
     return float(np.max(_cstar_norms(phi.apply_blocks(stacks))))
 
 

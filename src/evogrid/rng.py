@@ -25,12 +25,19 @@ standard_normal: the first component of a fresh normal pair (the second is
                 two uniforms per call).
 complex_normal: (x + i y) / sqrt(2) with (x, y) one normal pair.
 complex_matrix: entries drawn row-major, one complex_normal each.
-haar_unitary(n): QR of an n x n complex_normal matrix, with each column of Q
-                multiplied by r_jj / |r_jj| so the R diagonal is positive and
-                the distribution is exactly Haar.
+haar_qr(g):     per n x n complex_normal matrix of a stack g (..., n, n), its
+                QR with each column of Q multiplied by r_jj / |r_jj| (1 where
+                r_jj = 0) so the R diagonal is positive and the distribution
+                is exactly Haar (Mezzadri, Notices AMS 2007).  numpy runs one
+                LAPACK QR per stack entry, so an entry has the bits of its
+                own unstacked QR.
+haar_unitary(n): haar_qr of one complex_matrix(n, n) draw, the one-entry case
+                of the stacked rule: k Haar unitaries of orders n_1..n_k drawn
+                in turn are one complex_matrix row of n_1^2 + ... + n_k^2
+                entries, split in order and passed to haar_qr as stacks.
 
 The scalar methods above are the contract; `integers` and `complex_matrix`
-(and so `haar_unitary`) compute the same bits in vectorized form.
+(and so `haar_qr`'s inputs) compute the same bits in vectorized form.
 splitmix64 is counter-based, draw k after state s is mix(s + k * gamma),
 so a block of raw outputs is one numpy uint64 expression (blocks of 2^16
 entries bound a matrix's working memory), and the state advances by
@@ -55,7 +62,7 @@ import math
 
 import numpy as np
 
-__all__ = ["SplitMix64", "derive_seed", "fnv1a64"]
+__all__ = ["SplitMix64", "derive_seed", "fnv1a64", "haar_qr"]
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -177,9 +184,14 @@ class SplitMix64:
 
     def haar_unitary(self, n: int) -> np.ndarray:
         """Haar-distributed n x n unitary via phase-normalized QR."""
-        g = self.complex_matrix(n, n)
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r).copy()
-        # zero diagonal entries have probability zero; normalize defensively
-        d[d == 0] = 1.0
-        return q * (d / np.abs(d))
+        return haar_qr(self.complex_matrix(n, n))
+
+
+def haar_qr(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex normal matrices (..., n, n), one per stack
+    entry: the phase-normalized QR of the module docstring."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    # zero diagonal entries have probability zero; normalize defensively
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[..., None, :]

@@ -231,9 +231,10 @@ def _parse_grid(entry, algebra: WStarAlgebra, t: str) -> tuple[GridPointMap, ...
         seed = _expect_int(haar.get("seed"), f"grids[{t!r}].haar.seed")
         if count < 1:
             raise ConfigError(f"grids[{t!r}].haar.count must be at least 1")
-        rng = SplitMix64(seed)
-        for _ in range(count):
-            maps.append(GridPointMap.from_automorphism(Automorphism.haar(algebra, rng)))
+        # one draw for the grid: the stream and bits of `count` Automorphism.haar calls
+        draws = algebra._haar_blocks(SplitMix64(seed), count)
+        for k in range(count):
+            maps.append(GridPointMap.from_automorphism(Automorphism.conjugation(algebra, [u[k] for u in draws])))
     else:
         for name in _expect_list(spec["named"], f"grids[{t!r}].named"):
             try:

@@ -18,6 +18,17 @@ of diagonals, a row per admissible subset, and each unitary law reads its
 rows as one direct-sum `DiagonalOperator`, whose norm is the largest of the
 rows' norms and whose entries are the per-pair arithmetic bit for bit.
 
+The algebra suite draws each check's Haar automorphisms at once: one
+`complex_matrix` of all rounds from the check's substream, in the order the
+per-round `Automorphism.haar` and `random_element` calls took them, and
+one `haar_qr` per block, so the samples have those calls' bits.  The
+automorphisms of a check are one stacked `Automorphism`; its laws are
+judged with stacked products and one stacked spectral norm per block.
+Pairing sums start where `NormalFunctional` and `weakstar_pairing` start
+theirs, from the int 0 and from 0.0 + 0.0j, which turn a -0.0 into +0.0, and
+the scalar tails are the per-sample expressions on Python numbers, so a
+record has the bits of the per-sample loop.
+
 The spectral suite's sampled laws run on stacks: each subset's S random
 functions are the rows of one `complex_matrix(S, npoints)` draw (the bits
 and end state of S `random_function` calls), integrated by one
@@ -72,11 +83,12 @@ import numpy as np
 
 from .algebra import (
     Automorphism,
-    ElementaryTensor,
+    _cstar_norms,
+    _star,
+    _trace_pairings,
     compose_automorphisms,
     linear_map_matrix,
     verify_automorphism,
-    weakstar_pairing,
 )
 from .dynamics import commutant_witness, evolution_unitary, nan_max, validate_action_weight
 from .errors import DomainError
@@ -92,7 +104,7 @@ from .representation import (
     integrate_rows,
     pushforward,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, haar_qr
 from .scenario import Scenario
 
 __all__ = ["CheckRecord", "VerificationReport", "run_suite", "SUITE_NAMES"]
@@ -253,13 +265,29 @@ def _finite(value: float, check: str) -> float:
 # -- algebra suite ----------------------------------------------------------
 
 
+def _haar_rounds(scn: Scenario, label: str, rounds: int, haar: int, elements: int):
+    """`rounds` rounds of `haar` Haar automorphisms, then `elements` random
+    elements or functionals, from one draw of the labeled substream: the
+    stream and bits of the per-round `Automorphism.haar`, `random_element`
+    and `random_functional` calls.  Per block, the unitaries as a stack
+    (rounds, haar, n, n) and the elements as (rounds, elements, n, n)."""
+    algebra = scn.algebra
+    width = haar + elements
+    unitaries, samples = [], []
+    for g in algebra._split(_rng(scn, label).complex_matrix(rounds * width, algebra.dimension)):
+        g = g.reshape(rounds, width, *g.shape[1:])
+        unitaries.append(haar_qr(g[:, :haar]))
+        # random_element scales by 1.0, a complex product that can flip a zero's sign
+        samples.append(g[:, haar:] * 1.0)
+    return unitaries, samples
+
+
 def _check_automorphism_laws(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rng = _rng(scn, "automorphism-laws")
-    worst = 0.0
-    for k in range(20):
-        alpha = Automorphism.haar(scn.algebra, rng)
-        report = verify_automorphism(alpha, sample_count=5, seed=derive_seed(scn.seed, f"aut-{k}"))
-        worst = nan_max(worst, report.multiplicative, report.star_preserving, report.unital, report.isometric)
+    algebra = scn.algebra
+    alphas = Automorphism.conjugation(algebra, algebra._haar_blocks(_rng(scn, "automorphism-laws"), 20))
+    seeds = [derive_seed(scn.seed, f"aut-{k}") for k in range(20)]
+    report = verify_automorphism(alphas, sample_count=5, seed=seeds)
+    worst = nan_max(0.0, report.multiplicative, report.star_preserving, report.unital, report.isometric)
     return [("automorphism-laws", "T2.1", worst, scn.tolerances.unitary)]
 
 
@@ -277,47 +305,48 @@ def _check_automorphism_counterexample(scn: Scenario) -> list[tuple[str, str, fl
 
 
 def _check_compose(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rng = _rng(scn, "compose")
-    dev = 0.0
-    for _ in range(8):
-        a1 = Automorphism.haar(scn.algebra, rng)
-        a2 = Automorphism.haar(scn.algebra, rng)
-        a3 = Automorphism.haar(scn.algebra, rng)
-        left = compose_automorphisms(compose_automorphisms(a1, a2), a3)
-        right = compose_automorphisms(a1, compose_automorphisms(a2, a3))
-        x = scn.algebra.random_element(rng)
-        dev = nan_max(dev, (left.apply(x) - right.apply(x)).norm())
-        dev = nan_max(dev, (compose_automorphisms(a1, a2).apply(x) - a1.apply(a2.apply(x))).norm())
-        inv = compose_automorphisms(a1, a1.inverse())
-        dev = nan_max(dev, (inv.apply(x) - x).norm())
+    algebra = scn.algebra
+    unitaries, samples = _haar_rounds(scn, "compose", 8, 3, 1)
+    a1, a2, a3 = (Automorphism.conjugation(algebra, [u[:, j] for u in unitaries]) for j in range(3))
+    x = [b[:, 0] for b in samples]
+    a12 = compose_automorphisms(a1, a2)
+    left = compose_automorphisms(a12, a3).apply_blocks(x)
+    right = compose_automorphisms(a1, compose_automorphisms(a2, a3)).apply_blocks(x)
+    nested = a1.apply_blocks(a2.apply_blocks(x))
+    undone = compose_automorphisms(a1, a1.inverse()).apply_blocks(x)
+    # per block, over the 8 rounds: ((a1 a2) a3)(x) - (a1 (a2 a3))(x),
+    # (a1 a2)(x) - a1(a2(x)) and (a1 a1^-1)(x) - x
+    defects = [np.concatenate([l - r, c - n, u - b]) for l, r, c, n, u, b
+               in zip(left, right, a12.apply_blocks(x), nested, undone, x)]
+    dev = nan_max(0.0, *_cstar_norms(defects).tolist())
     return [("compose-associativity", "T2.1", dev, scn.tolerances.conjugated)]
 
 
 def _check_cstar_norm(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rng = _rng(scn, "cstar")
-    dev = 0.0
-    for _ in range(10):
-        a = scn.algebra.random_element(rng)
-        dev = nan_max(dev, abs((a.star() @ a).norm() - a.norm() ** 2))
+    a = scn.algebra._random_blocks(_rng(scn, "cstar"), 1.0, 10)
+    # per block a* a, with a* copied C-ordered as AlgebraElement.star copies it, then a
+    norms = _cstar_norms([np.concatenate([np.ascontiguousarray(_star(b)) @ b, b]) for b in a]).tolist()
+    dev = nan_max(0.0, *(abs(p - q**2) for p, q in zip(norms[:10], norms[10:])))
     return [("cstar-norm", "S2", dev, scn.tolerances.unitary)]
 
 
 def _check_weakstar(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rng = _rng(scn, "weakstar")
     algebra = scn.algebra
+    unitaries, samples = _haar_rounds(scn, "weakstar", 10, 1, 4)
+    alpha = Automorphism.conjugation(algebra, [u[:, 0] for u in unitaries])
+    # each round draws its automorphism, then a_1, g_1, a_2 and g_2
+    a1, g1, a2, g2 = ([b[:, j] for b in samples] for j in range(4))
+    v1 = _trace_pairings(g1, alpha.apply_blocks(a1)).tolist()
+    v2 = _trace_pairings(g2, alpha.apply_blocks(a2)).tolist()
+    # independent route: trace pairing through coordinate vectors
+    dual = algebra._join([d.swapaxes(-2, -1) for d in g1])[:, None, :]
+    image = linear_map_matrix(alpha) @ algebra._join(a1)[..., None]
+    coords = (dual @ image)[:, 0, 0]
     dev = 0.0
-    for _ in range(10):
-        alpha = Automorphism.haar(algebra, rng)
-        t1 = ElementaryTensor(algebra, ((algebra.random_element(rng), algebra.random_functional(rng)),))
-        t2 = ElementaryTensor(algebra, ((algebra.random_element(rng), algebra.random_functional(rng)),))
-        joint = weakstar_pairing(alpha, t1 + t2)
-        dev = nan_max(dev, abs(joint - weakstar_pairing(alpha, t1) - weakstar_pairing(alpha, t2)))
-        # independent route: trace pairing through coordinate vectors
-        m = linear_map_matrix(alpha)
-        for a, g in t1.pairs:
-            direct = g(alpha.apply(a))
-            coords = np.concatenate([d.T.ravel() for d in g.densities]) @ (m @ algebra.coordinates(a))
-            dev = nan_max(dev, abs(direct - coords))
+    for x1, x2, c in zip(v1, v2, coords):
+        # weakstar_pairing sums from 0.0 + 0.0j: the joint tensor and each single one
+        joint = 0.0 + 0.0j + x1 + x2
+        dev = nan_max(dev, abs(joint - (0.0 + 0.0j + x1) - (0.0 + 0.0j + x2)), abs(x1 - c))
     return [("weakstar-pairing", "E2.1", dev, scn.tolerances.conjugated)]
 
 

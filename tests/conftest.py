@@ -33,6 +33,20 @@ def neighbouring_members(original):
     return lambda self, rows: original(self, np.roll(np.asarray(rows, dtype=bool), 1, axis=1))
 
 
+def parent_haar_rule(g):
+    """The per-matrix phase-normalized QR that `rng.haar_qr` replaced, kept as its oracle."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))
+
+
+def parent_haar(algebra, rng):
+    """An `Automorphism.haar` draw made as it was before the stacked draw: one
+    complex_matrix and one QR per block, in turn."""
+    return Automorphism.conjugation(algebra, [parent_haar_rule(rng.complex_matrix(n, n)) for n in algebra.block_dims])
+
+
 # filled by the acceptance tests; echoed after capture ends so the
 # one-line-per-criterion verdicts always appear in the terminal output
 ACCEPTANCE_LINES: list[str] = []

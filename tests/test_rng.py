@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evogrid.rng import MASK64, SplitMix64, derive_seed, fnv1a64
+from evogrid.rng import MASK64, SplitMix64, derive_seed, fnv1a64, haar_qr
+
+from conftest import parent_haar_rule
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -171,6 +173,27 @@ def test_haar_unitary_is_unitary_and_deterministic():
     r = u1.conj().T @ g
     assert np.all(np.diagonal(r).real > 0)
     assert np.allclose(np.diagonal(r).imag, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_haar_qr_of_a_stack_is_the_per_matrix_rule_bit_for_bit(n):
+    g = SplitMix64(60 + n).complex_matrix(6, n * n).reshape(6, n, n)
+    g[2] = 0.0  # every R diagonal entry zero: the guard replaces each phase by 1
+    g[3] = -0.0
+    g[4, :, 0] = 0.0  # a zero first column: only r_11 is zero
+    stacked = haar_qr(g)
+    for k in range(6):
+        assert stacked[k].tobytes() == parent_haar_rule(g[k]).tobytes(), k
+    assert np.array_equal(stacked[2], np.eye(n)) and np.array_equal(stacked[3], np.eye(n))
+    assert np.isfinite(stacked).all()
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_haar_unitary_is_the_one_entry_case_of_the_stacked_rule(n):
+    for seed in (7, ZERO_FIRST_DRAW_SEED):
+        r1, r2 = SplitMix64(seed), SplitMix64(seed)
+        assert r1.haar_unitary(n).tobytes() == parent_haar_rule(r2.complex_matrix(n, n)).tobytes()
+        assert r1.next_uint64() == r2.next_uint64()
 
 
 def test_fnv1a64_known_answers():
