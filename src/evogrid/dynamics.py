@@ -15,8 +15,8 @@ of these unitaries commute within one representation, and conjugating the
 representation conjugates every U_T along with it.  Each of those statements
 is a check in the verification suites, not an assumption; the covariance
 under conjugation is the suites' `conjugated-dynamics` check.
-`validate_action_weight` and `check_group_law` measure deviations and judge
-nothing; the suites compare them with the scenario's `tolerances`.
+`validate_action_weight` measures deviations and judges nothing; the suites
+compare them with the scenario's `tolerances`.
 `commutant_witness` bounds the commutators across a conjugation, which a
 scenario judges only when it sets a `witness_threshold`; without one the
 suites form no witness and record an unjudged 0.0.
@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DataError, DomainError, PreconditionError, StructureError
+from .errors import DataError, DomainError, StructureError
 from .evolution import GridEvolutionSpace, GridFunction
 from .representation import Operator, PureRepresentation, integrate
 from .rng import SplitMix64, derive_seed
@@ -44,7 +44,6 @@ __all__ = [
     "CommutantReport",
     "validate_action_weight",
     "evolution_unitary",
-    "check_group_law",
     "commutant_witness",
     "resolve_g",
 ]
@@ -93,7 +92,7 @@ def resolve_g(spec) -> Callable[[complex], float]:
         try:
             scale = float(spec.get("scale", 1.0))
             offset = float(spec.get("offset", 0.0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DomainError(f"post-map scale and offset must be numbers, got {dict(spec)!r}") from None
         return lambda z: scale * base(z) + offset
     raise DomainError(f"cannot interpret post-map spec {spec!r}")
@@ -176,18 +175,6 @@ def evolution_unitary(weight: ActionWeight, subset, rep: PureRepresentation) -> 
     key = frozenset(subset)
     f = weight.function(key)  # raises DomainError off the admissible family
     return integrate(f, rep.spectral_measure(key))
-
-
-def check_group_law(weight: ActionWeight, t1, t2, rep: PureRepresentation) -> float:
-    """Norm of U_{T1} U_{T2} - U_{T1 u T2} for measure-disjoint subsets."""
-    s1, s2 = frozenset(t1), frozenset(t2)
-    overlap = weight.space.frame.mu(s1 & s2)
-    if overlap != 0.0:
-        raise PreconditionError(f"subsets overlap with measure {overlap:g}; the group law does not apply")
-    u1 = evolution_unitary(weight, s1, rep)
-    u2 = evolution_unitary(weight, s2, rep)
-    u12 = evolution_unitary(weight, s1 | s2, rep)
-    return (u1 @ u2 - u12).norm()
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 The categories matter operationally: the command line maps them onto distinct
 exit codes (config 2, cap 3, domain 4), and the library keeps structural
 mistakes (mismatched shapes, foreign algebras) apart from mathematical
-precondition failures (non-unitary conjugator, overlapping time subsets).
+precondition failures (non-unitary conjugator, an operator that is no projection).
 A check whose deviation is not finite is no input error: the suite runner
 raises RuntimeError and the command line exits 5.
 """
@@ -34,7 +34,7 @@ class DomainError(EvogridError):
 
 class PreconditionError(EvogridError):
     """A mathematical precondition fails (non-unitary conjugator,
-    time subsets overlapping with positive measure)."""
+    an operator that is not a projection)."""
 
 
 class DataError(EvogridError):

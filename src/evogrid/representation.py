@@ -80,6 +80,7 @@ __all__ = [
     "DiagonalOperator",
     "ConjugatedDiagonalOperator",
     "RepresentationSpace",
+    "check_cap",
     "PureRepresentation",
     "SpectralMeasure",
     "pushforward",
@@ -293,6 +294,12 @@ def projection_rank(op: DiagonalOperator, tol: float = 1e-8) -> int:
     return int(round(op.trace().real))
 
 
+def check_cap(dimension: int, cap: int) -> None:
+    """CapExceededError when a representation of `dimension` basis paths would exceed `cap`."""
+    if dimension > cap:
+        raise CapExceededError(f"representation dimension {dimension} exceeds the cap {cap}")
+
+
 @dataclass(frozen=True, eq=False)
 class RepresentationSpace:
     """Hilbert space data: the dimension and the dense cap."""
@@ -301,9 +308,7 @@ class RepresentationSpace:
     cap: int = DENSE_CAP_DEFAULT
 
     def __post_init__(self):
-        n = self.space.dimension
-        if n > self.cap:
-            raise CapExceededError(f"representation dimension {n} exceeds the cap {self.cap}")
+        check_cap(self.space.dimension, self.cap)
 
     @property
     def dimension(self) -> int:

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Mapping
@@ -32,7 +33,7 @@ from .dynamics import ActionWeight, resolve_g
 from .errors import ConfigError, EvogridError
 from .evolution import GridEvolutionSpace, GridFunction, GridPointMap, TimeFrame, named_contraction
 from .lagrangian import Lagrangian, weight_from_lagrangian
-from .representation import DENSE_CAP_DEFAULT, PureRepresentation, RepresentationSpace, conjugate
+from .representation import DENSE_CAP_DEFAULT, PureRepresentation, RepresentationSpace, check_cap, conjugate
 from .rng import SplitMix64
 
 __all__ = [
@@ -61,17 +62,49 @@ def encode_matrix(m) -> list:
     return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
-def decode_matrix(obj, context: str) -> np.ndarray:
+def _number(obj, message: str) -> float:
+    """float(obj), which keeps -0.0; what float() refuses or overflows on is ConfigError(message)."""
     try:
-        rows = []
-        for row in obj:
-            rows.append([complex(float(entry[0]), float(entry[1])) for entry in row])
-        a = np.array(rows, dtype=np.complex128)
-    except (TypeError, ValueError, IndexError):
-        raise ConfigError(f"{context}: matrices are row-major arrays of [re, im] pairs") from None
+        return float(obj)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(message) from None
+
+
+def _pairs(obj, message: str) -> list[complex]:
+    """One complex per [re, im] entry of the list `obj`; anything else is ConfigError(message)."""
+    if not isinstance(obj, list) or not all(isinstance(entry, list) and len(entry) == 2 for entry in obj):
+        raise ConfigError(message)
+    return [complex(_number(re, message), _number(im, message)) for re, im in obj]
+
+
+def decode_matrix(obj, context: str) -> np.ndarray:
+    message = f"{context}: matrices are row-major arrays of [re, im] pairs"
+    try:
+        a = np.array([_pairs(row, message) for row in obj], dtype=np.complex128)
+    except (TypeError, ValueError):  # not a list of rows, or rows of different lengths
+        raise ConfigError(message) from None
     if a.ndim != 2:
         raise ConfigError(f"{context}: expected a two-dimensional matrix")
     return a
+
+
+@contextmanager
+def _as_config_error(context: str):
+    """Re-raise a library error from the block as ConfigError(f"{context}: {exc}"); a ConfigError passes."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except EvogridError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
+def _one_of(obj, keys: tuple, context: str) -> str:
+    """The one key of `keys` that the mapping `obj` holds; other keys, none or several are a ConfigError."""
+    present = [k for k in keys if k in _expect_object(obj, context, keys)]
+    if len(present) != 1:
+        raise ConfigError(f"{context}: exactly one of {'/'.join(keys)} is required")
+    return present[0]
 
 
 def _expect_mapping(obj, context: str) -> Mapping:
@@ -102,13 +135,11 @@ def _expect_int(obj, context: str) -> int:
 
 
 def _finite_number(obj, context: str) -> float:
-    """A finite number; booleans, NaN and infinities are a ConfigError."""
-    try:
-        value = float(obj)
-    except (TypeError, ValueError):
-        value = math.nan
+    """A finite number; booleans, NaN, infinities and integers past float range are a ConfigError."""
+    message = f"{context}: expected a finite number, got {obj!r}"
+    value = _number(obj, message)
     if isinstance(obj, bool) or not math.isfinite(value):
-        raise ConfigError(f"{context}: expected a finite number, got {obj!r}")
+        raise ConfigError(message)
     return value
 
 
@@ -196,51 +227,50 @@ def _parse_frame(cfg: Mapping) -> TimeFrame:
     else:
         subsets = _expect_list(sigma_cfg, "time_frame.sigma0")
         sigma0 = tuple(frozenset(str(t) for t in _expect_list(s, "time_frame.sigma0[]")) for s in subsets)
-    try:
+    with _as_config_error("time_frame"):
         return TimeFrame(times, tuple(weights), sigma0)
-    except EvogridError as exc:
-        raise ConfigError(f"time_frame: {exc}") from None
 
 
-def _parse_grid(entry, algebra: WStarAlgebra, t: str) -> tuple[GridPointMap, ...]:
-    spec = _expect_object(entry, f"grids[{t!r}]", ("unitaries", "haar", "named"))
-    kinds = [k for k in ("unitaries", "haar", "named") if k in spec]
-    if len(kinds) != 1:
-        raise ConfigError(f"grids[{t!r}]: exactly one of unitaries/haar/named is required")
-    kind = kinds[0]
-    maps: list[GridPointMap] = []
-    if kind == "unitaries":
-        for i, entry_cfg in enumerate(_expect_list(spec["unitaries"], f"grids[{t!r}].unitaries")):
-            ctx = f"grids[{t!r}].unitaries[{i}]"
-            if isinstance(entry_cfg, Mapping):
-                _expect_object(entry_cfg, ctx, ("blocks", "perm"))
-                blocks = _decode_block_element(entry_cfg.get("blocks"), algebra, ctx)
-                perm = entry_cfg.get("perm")
-                perm = tuple(_expect_int(p, f"{ctx}.perm") for p in perm) if perm is not None else None
-            else:
-                blocks = _decode_block_element(entry_cfg, algebra, ctx)
-                perm = None
-            try:
-                alpha = Automorphism.conjugation(algebra, blocks, perm)
-            except EvogridError as exc:
-                raise ConfigError(f"{ctx}: {exc}") from None
-            maps.append(GridPointMap.from_automorphism(alpha))
-    elif kind == "haar":
-        haar = _expect_object(spec["haar"], f"grids[{t!r}].haar", ("count", "seed"))
-        count = _expect_int(haar.get("count"), f"grids[{t!r}].haar.count")
-        seed = _expect_int(haar.get("seed"), f"grids[{t!r}].haar.seed")
-        if count < 1:
-            raise ConfigError(f"grids[{t!r}].haar.count must be at least 1")
+def _grid_plan(entry, t: str) -> tuple[str, object, int]:
+    """A grid's kind, its checked spec (the list, or the haar seed) and its number of maps; nothing is drawn."""
+    context = f"grids[{t!r}]"
+    kind = _one_of(entry, ("unitaries", "haar", "named"), context)
+    if kind != "haar":
+        items = _expect_list(entry[kind], f"{context}.{kind}")
+        return kind, items, len(items)
+    haar = _expect_object(entry["haar"], f"{context}.haar", ("count", "seed"))
+    count = _expect_int(haar.get("count"), f"{context}.haar.count")
+    seed = _expect_int(haar.get("seed"), f"{context}.haar.seed")
+    if count < 1:
+        raise ConfigError(f"{context}.haar.count must be at least 1")
+    return kind, seed, count
+
+
+def _build_grid(plan: tuple[str, object, int], algebra: WStarAlgebra, t: str) -> tuple[GridPointMap, ...]:
+    kind, spec, count = plan
+    context = f"grids[{t!r}].{kind}"
+    if kind == "haar":
         # one draw for the grid: the stream and bits of `count` Automorphism.haar calls
-        draws = algebra._haar_blocks(SplitMix64(seed), count)
-        for k in range(count):
-            maps.append(GridPointMap.from_automorphism(Automorphism.conjugation(algebra, [u[k] for u in draws])))
-    else:
-        for name in _expect_list(spec["named"], f"grids[{t!r}].named"):
-            try:
-                maps.append(named_contraction(str(name), algebra))
-            except EvogridError as exc:
-                raise ConfigError(f"grids[{t!r}].named: {exc}") from None
+        draws = algebra._haar_blocks(SplitMix64(spec), count)
+        automorphisms = (Automorphism.conjugation(algebra, [u[k] for u in draws]) for k in range(count))
+        return tuple(map(GridPointMap.from_automorphism, automorphisms))
+    if kind == "named":
+        with _as_config_error(context):
+            return tuple(named_contraction(str(name), algebra) for name in spec)
+    maps = []
+    for i, entry_cfg in enumerate(spec):
+        ctx = f"{context}[{i}]"
+        if isinstance(entry_cfg, Mapping):
+            _expect_object(entry_cfg, ctx, ("blocks", "perm"))
+            blocks = _decode_block_element(entry_cfg.get("blocks"), algebra, ctx)
+            perm = entry_cfg.get("perm")
+            if perm is not None:
+                perm = tuple(_expect_int(p, f"{ctx}.perm") for p in _expect_list(perm, f"{ctx}.perm"))
+        else:
+            blocks = _decode_block_element(entry_cfg, algebra, ctx)
+            perm = None
+        with _as_config_error(ctx):
+            maps.append(GridPointMap.from_automorphism(Automorphism.conjugation(algebra, blocks, perm)))
     return tuple(maps)
 
 
@@ -261,22 +291,14 @@ def _parse_probe(obj, algebra: WStarAlgebra, context: str) -> ElementaryTensor:
 
 
 def _parse_reference(obj, algebra: WStarAlgebra, space: GridEvolutionSpace, t: str, context: str) -> GridPointMap:
-    spec = _expect_object(obj, context, ("grid_index", "named", "unitary"))
-    kinds = [k for k in ("grid_index", "named", "unitary") if k in spec]
-    if len(kinds) != 1:
-        raise ConfigError(f"{context}: exactly one of grid_index/named/unitary is required")
-    kind = kinds[0]
-    try:
+    kind = _one_of(obj, ("grid_index", "named", "unitary"), context)
+    with _as_config_error(context):
         if kind == "grid_index":
-            return space.map_at(t, _expect_int(spec["grid_index"], f"{context}.grid_index"))
+            return space.map_at(t, _expect_int(obj["grid_index"], f"{context}.grid_index"))
         if kind == "named":
-            return named_contraction(str(spec["named"]), algebra)
-        blocks = _decode_block_element(spec["unitary"], algebra, f"{context}.unitary")
+            return named_contraction(str(obj["named"]), algebra)
+        blocks = _decode_block_element(obj["unitary"], algebra, f"{context}.unitary")
         return GridPointMap.from_automorphism(Automorphism.conjugation(algebra, blocks))
-    except ConfigError:
-        raise
-    except EvogridError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
 
 
 def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpace):
@@ -292,10 +314,8 @@ def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpa
         for t in times:
             term = _expect_object(terms_cfg[t], f"dynamics.terms[{t!r}]", ("probe", "post_map", "reference"))
             probes[t] = _parse_probe(term.get("probe"), algebra, f"dynamics.terms[{t!r}].probe")
-            try:
+            with _as_config_error(f"dynamics.terms[{t!r}].post_map"):
                 post_maps[t] = resolve_g(term.get("post_map"))
-            except EvogridError as exc:
-                raise ConfigError(f"dynamics.terms[{t!r}].post_map: {exc}") from None
             references[t] = _parse_reference(
                 term.get("reference"), algebra, space, t, f"dynamics.terms[{t!r}].reference"
             )
@@ -305,12 +325,9 @@ def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpa
             value = weakstar_pairing(grid_map, probes[t]) - bases[t]
             return post_maps[t](value)
 
-        try:
+        with _as_config_error("dynamics"):
             lagrangian = Lagrangian.from_local(space, term_fn)
-            weight = weight_from_lagrangian(lagrangian)
-        except EvogridError as exc:
-            raise ConfigError(f"dynamics: {exc}") from None
-        return weight, lagrangian
+            return weight_from_lagrangian(lagrangian), lagrangian
     if kind == "action_weight":
         _expect_object(dyn, "dynamics", ("kind", "weights"))
         entries = _expect_list(dyn.get("weights"), "dynamics.weights")
@@ -318,22 +335,14 @@ def _parse_dynamics(cfg: Mapping, algebra: WStarAlgebra, space: GridEvolutionSpa
         for i, entry in enumerate(entries):
             item = _expect_object(entry, f"dynamics.weights[{i}]", ("times", "values"))
             subset = frozenset(str(t) for t in _expect_list(item.get("times"), f"dynamics.weights[{i}].times"))
-            values = _expect_list(item.get("values"), f"dynamics.weights[{i}].values")
-            try:
-                vec = np.array([complex(float(v[0]), float(v[1])) for v in values], dtype=np.complex128)
-            except (TypeError, ValueError, IndexError):
-                raise ConfigError(f"dynamics.weights[{i}].values: expected [re, im] pairs") from None
+            context = f"dynamics.weights[{i}].values"
+            values = _pairs(_expect_list(item.get("values"), context), f"{context}: expected [re, im] pairs")
             if subset in functions:
                 raise ConfigError(f"dynamics.weights[{i}]: duplicate subset")
-            try:
-                functions[subset] = GridFunction(space, subset, vec)
-            except EvogridError as exc:
-                raise ConfigError(f"dynamics.weights[{i}]: {exc}") from None
-        try:
-            weight = ActionWeight(space, functions)
-        except EvogridError as exc:
-            raise ConfigError(f"dynamics.weights: {exc}") from None
-        return weight, None
+            with _as_config_error(f"dynamics.weights[{i}]"):
+                functions[subset] = GridFunction(space, subset, np.array(values, dtype=np.complex128))
+        with _as_config_error("dynamics.weights"):
+            return ActionWeight(space, functions), None
     raise ConfigError("dynamics.kind must be 'lagrangian' or 'action_weight'")
 
 
@@ -342,22 +351,16 @@ def _parse_conjugator(cfg: Mapping, representation: PureRepresentation) -> PureR
     if obj is None:
         return None
     dimension = representation.dimension
-    spec = _expect_object(obj, "conjugator", ("haar", "matrix"))
-    kinds = [k for k in ("haar", "matrix") if k in spec]
-    if len(kinds) != 1:
-        raise ConfigError("conjugator: exactly one of haar/matrix is required")
-    if kinds[0] == "haar":
-        haar = _expect_object(spec["haar"], "conjugator.haar", ("seed",))
+    if _one_of(obj, ("haar", "matrix"), "conjugator") == "haar":
+        haar = _expect_object(obj["haar"], "conjugator.haar", ("seed",))
         seed = _expect_int(haar.get("seed"), "conjugator.haar.seed")
         u = SplitMix64(seed).haar_unitary(dimension)
     else:
-        u = decode_matrix(spec["matrix"], "conjugator.matrix")
+        u = decode_matrix(obj["matrix"], "conjugator.matrix")
         if u.shape != (dimension, dimension):
             raise ConfigError(f"conjugator.matrix must be {dimension}x{dimension}")
-    try:
+    with _as_config_error("conjugator"):
         return conjugate(u, representation)
-    except EvogridError as exc:
-        raise ConfigError(f"conjugator: {exc}") from None
 
 
 def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
@@ -375,8 +378,7 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
     name = str(effective.get("name", "scenario"))
     seed = _expect_int(effective.get("seed", 0), "seed")
 
-    cap = effective.get("cap", DENSE_CAP_DEFAULT)
-    cap = _expect_int(cap, "cap")
+    cap = _expect_int(effective.get("cap", DENSE_CAP_DEFAULT), "cap")
     env_cap = os.environ.get(CAP_ENV_VAR)
     if env_cap is not None:
         try:
@@ -388,22 +390,20 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
 
     algebra_cfg = _expect_object(effective.get("algebra"), "algebra", ("blocks",))
     blocks = _expect_list(algebra_cfg.get("blocks"), "algebra.blocks")
-    try:
+    with _as_config_error("algebra"):
         algebra = WStarAlgebra(tuple(_expect_int(b, "algebra.blocks[]") for b in blocks))
-    except EvogridError as exc:
-        raise ConfigError(f"algebra: {exc}") from None
 
     frame = _parse_frame(effective)
 
     grids_cfg = _expect_mapping(effective.get("grids"), "grids")
     if set(grids_cfg) != set(frame.times):
         raise ConfigError("grids must name exactly the frame's time labels")
-    try:
-        space = GridEvolutionSpace(frame, tuple(_parse_grid(grids_cfg[t], algebra, t) for t in frame.times))
-    except ConfigError:
-        raise
-    except EvogridError as exc:
-        raise ConfigError(f"grids: {exc}") from None
+    plans = [_grid_plan(grids_cfg[t], t) for t in frame.times]
+    # the dimension is the product of the grid sizes: check it before any map
+    # is drawn; an empty grid is rejected below and hides no other grid's size
+    check_cap(math.prod(max(size, 1) for _, _, size in plans), cap)
+    with _as_config_error("grids"):
+        space = GridEvolutionSpace(frame, tuple(_build_grid(plan, algebra, t) for plan, t in zip(plans, frame.times)))
 
     rep_space = RepresentationSpace(space, cap=cap)
     representation = PureRepresentation(rep_space)
@@ -447,7 +447,7 @@ def load_scenario(source, seed_override: int | None = None) -> Scenario:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from None
     return scenario_from_dict(cfg, seed_override)
 

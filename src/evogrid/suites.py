@@ -657,7 +657,7 @@ def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
     dev = (stack.adjoint() @ stack - identity_operator(m * n)).norm()
     null = DiagonalOperator(u[np.array([frame.mu(s) == 0.0 for s in frame.admissible()], dtype=bool)])
     null_dev = (null - identity_operator(null.dimension)).norm()
-    # check_group_law's arithmetic over the frame's measure-disjoint pairs,
+    # the norm of U_T1 U_T2 - U_(T1 u T2) over the frame's measure-disjoint pairs,
     # m pairs at a time so that at most m rows of N are live
     group_dev = 0.0
     pairs = frame.disjoint_pairs()

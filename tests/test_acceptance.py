@@ -20,7 +20,6 @@ from evogrid import (
     RepresentationSpace,
     TimeFrame,
     WStarAlgebra,
-    check_group_law,
     commutant_witness,
     evolution_unitary,
     integrate,
@@ -271,6 +270,11 @@ def test_criterion_06_group_law(demo):
     rep = demo.representation
     weight = demo.weight
     frame = demo.frame
+
+    def group_law(t1, t2):
+        u1, u2, u12 = (evolution_unitary(weight, s, rep) for s in (t1, t2, frozenset(t1) | frozenset(t2)))
+        return (u1 @ u2 - u12).norm()
+
     worst = 0.0
     pairs = 0
     null_pair_seen = False
@@ -280,9 +284,9 @@ def test_criterion_06_group_law(demo):
                 continue
             if t1 & t2:
                 null_pair_seen = True  # overlap carried by the weight-0 time
-            worst = max(worst, check_group_law(weight, t1, t2, rep))
+            worst = max(worst, group_law(t1, t2))
             pairs += 1
-    worst = max(worst, check_group_law(weight, {"1", "3"}, {"2", "3"}, rep))
+    worst = max(worst, group_law({"1", "3"}, {"2", "3"}))
     u_empty = evolution_unitary(weight, frozenset(), rep).diag
     u_null = evolution_unitary(weight, {"3"}, rep).diag
     exact_identities = np.array_equal(u_empty, np.ones(12, dtype=np.complex128)) and np.array_equal(

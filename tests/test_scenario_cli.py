@@ -527,6 +527,109 @@ def test_cli_exit_code_on_cap(tmp_path, monkeypatch):
     assert main(["verify", "demo", "--suite", "algebra"]) == 3
 
 
+@pytest.mark.parametrize("count", [5000, 10**400], ids=["5000", "1e400"])
+def test_an_over_cap_grid_exits_3_before_any_draw(count, tmp_path, monkeypatch, capsys):
+    from evogrid import algebra, rng
+
+    calls = []
+    for module in (algebra, rng):
+        monkeypatch.setattr(module, "haar_qr", lambda g, original=module.haar_qr: calls.append(g.shape) or original(g))
+    cfg = builtin_scenario("demo")
+    cfg["grids"]["1"]["haar"]["count"] = count
+    path = tmp_path / "over-cap.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path)]) == 3
+    assert calls == []
+    assert capsys.readouterr().err == f"cap exceeded: representation dimension {6 * count} exceeds the cap 4096\n"
+
+
+BEYOND_FLOAT = "1" + "0" * 400  # an integer literal that float() overflows on
+PAST_DIGIT_LIMIT = "1" + "0" * 5000  # past Python's 4,300-digit limit for int parsing
+IDENTITY_BLOCKS = json.dumps([encode_matrix(np.eye(2)), encode_matrix(np.eye(3))])
+
+# builtin, path to a node, and the JSON text that replaces it
+MALFORMED_INPUTS = {
+    "tolerance-beyond-float": ("witness", ("tolerances",), '{"exact": %s}' % BEYOND_FLOAT),
+    "threshold-beyond-float": ("witness", ("witness_threshold",), BEYOND_FLOAT),
+    "conjugator-entry-beyond-float": ("witness", ("conjugator", "matrix", 0, 0, 0), BEYOND_FLOAT),
+    "probe-entry-beyond-float": (
+        "demo", ("dynamics", "terms", "1", "probe", "pairs", 0, "element", 0, 0, 0, 1), BEYOND_FLOAT
+    ),
+    "weight-value-beyond-float": ("witness", ("dynamics", "weights", 1, "values", 0, 0), BEYOND_FLOAT),
+    "post-map-scale-beyond-float": (
+        "demo", ("dynamics", "terms", "1", "post_map"), '{"name": "abs2", "scale": %s}' % BEYOND_FLOAT
+    ),
+    "integer-past-digit-limit": ("witness", ("seed",), PAST_DIGIT_LIMIT),
+    "pair-of-three-numbers": ("witness", ("conjugator", "matrix", 0, 0), "[0.7071067811865476, 0.0, 5.0]"),
+    "perm-not-a-list": ("demo", ("grids", "1"), '{"unitaries": [{"blocks": %s, "perm": 5}]}' % IDENTITY_BLOCKS),
+    "not-utf-8": ("witness", ("name",), '"t\xe9moin"'),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_one_config_error_line(case, tmp_path, capsys):
+    builtin, where, text = MALFORMED_INPUTS[case]
+    cfg = builtin_scenario(builtin)
+    node = cfg
+    for step in where[:-1]:
+        node = node[step]
+    node[where[-1]] = "@@"
+    path = tmp_path / "malformed.json"
+    # Latin-1 keeps json.dumps' ASCII as it is and writes "\xe9" as one byte that is not UTF-8
+    path.write_bytes(json.dumps(cfg).replace('"@@"', text).encode("latin-1"))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+# JSON-like values: numbers past float range, NaN and infinities, strings
+# (some of which float() reads), and lists and dicts nested a few levels
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**400), 10**400), st.integers(-3, 3), st.floats(),
+    st.text(max_size=3), st.sampled_from(["1e400", "-0.0", "nan", " 2 ", "1_0"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+# matrix-shaped lists with entries of one to three scalars, so that many decode
+matrix_like = st.lists(st.lists(st.lists(json_scalars, min_size=1, max_size=3), min_size=1, max_size=2),
+                       min_size=1, max_size=2)
+
+
+def _pair_bits(rows) -> bytes:
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in rows], dtype=np.complex128).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(json_values, matrix_like))
+def test_decoders_decode_or_raise_config_error(value):
+    # each decoder either decodes, keeping the bits float() gives, or raises ConfigError
+    from evogrid import scenario
+
+    try:
+        decoded = decode_matrix(value, "m")
+    except ConfigError:
+        pass
+    else:
+        assert decoded.tobytes() == _pair_bits(value)
+    try:
+        pairs = scenario._pairs(value, "values")
+    except ConfigError:
+        pass
+    else:
+        assert np.array(pairs, dtype=np.complex128).tobytes() == _pair_bits([value])
+    try:
+        number = scenario._finite_number(value, "x")
+    except ConfigError:
+        pass
+    else:
+        assert not isinstance(value, bool) and math.isfinite(number)
+        assert np.float64(number).tobytes() == np.float64(float(value)).tobytes()
+
+
 def test_cli_exit_code_on_unknown_suite():
     assert main(["verify", "demo", "--suite", "nope"]) == 4
 

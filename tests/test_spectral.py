@@ -14,7 +14,7 @@ import pytest
 from evobench.ladder import ladder_config
 from evogrid import evolution, load_scenario, representation, run_suite, scenario_from_dict, suites
 from evogrid.dynamics import nan_max
-from evogrid.evolution import GridEvolutionSpace, pullback, pullback_rows
+from evogrid.evolution import GridEvolutionSpace, GridFunction, pullback, pullback_rows
 from evogrid.representation import (
     PureRepresentation,
     SpectralMeasure,
@@ -343,6 +343,14 @@ def _diagonals_ignore_last_member(original):
     return mutant
 
 
+def _conjugating_right_factor(original):
+    # f * g multiplies by conj(g) when g is a GridFunction; scalars pass unchanged
+    def mutant(self, other):
+        return original(self, other.conjugate() if isinstance(other, GridFunction) else other)
+
+    return mutant
+
+
 REVERSED_TABLE = (GridEvolutionSpace, "restricted_index_array", reversed_table(GridEvolutionSpace.restricted_index_array))
 
 SPECTRAL_MUTANTS = {
@@ -367,6 +375,10 @@ SPECTRAL_MUTANTS = {
     "diagonals-ignore-last-member": (
         [(SpectralMeasure, "diagonals", _diagonals_ignore_last_member(SpectralMeasure.diagonals))],
         ("matrix-elements",),
+    ),
+    "conjugating-product": (
+        [(GridFunction, "__mul__", _conjugating_right_factor(GridFunction.__mul__))],
+        ("diagonal-calculus",),
     ),
 }
 
