@@ -6,9 +6,10 @@ Subcommands:
   demo     print a built-in scenario config as JSON
 
 Exit codes: 0 success, 1 at least one check failed, 2 config or schema
-error, 3 representation dimension over the dense cap, 4 domain error
-(unknown time label, inadmissible subset, bad suite name), 5 verification
-aborted because a check's deviation is not finite.
+error, 3 representation dimension or algebra coordinate dimension over the
+dense cap, 4 domain error (unknown time label, inadmissible subset, bad
+suite name), 5 verification aborted because a check's deviation is not
+finite.
 """
 
 from __future__ import annotations

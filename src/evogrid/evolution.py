@@ -25,9 +25,9 @@ Subset geometry is derived once per space and subset.  A frame maps labels
 to positions through one dict and memoises the frame-ordered labels of each
 subset and, once requested, the sorted admissible family and the
 measure-disjoint pairs of admissible subsets; a space keeps one record per
-subset it has been asked about, holding the ordered labels, axes, shape,
-point count and, once first requested, the restriction table (full-set
-point index -> restricted point index).  Every geometry query reads that
+subset it has been asked about, holding the axes, shape, point count
+and, once first requested, the restriction table (full-set point index ->
+restricted point index).  Every geometry query reads that
 record, so a table is built once per space and subset and returned
 read-only: a caller that tries to write into it gets a ValueError instead of
 corrupting later queries.  The records hold at most one int64 table of N
@@ -318,16 +318,15 @@ def contraction_norm_estimate(phi: GridPointMap, seed: int = 0, samples: int = 3
 
 
 class _SubsetGeometry:
-    """Ordered labels, axes, shape and point count of one subset of times.
+    """Axes, shape and point count of one subset of times.
 
     `restricted` stays None until `GridEvolutionSpace.restricted_index_array`
     first builds the subset's read-only restriction table.
     """
 
-    __slots__ = ("labels", "axes", "shape", "npoints", "restricted")
+    __slots__ = ("axes", "shape", "npoints", "restricted")
 
-    def __init__(self, labels: tuple, axes: tuple[int, ...], shape: tuple[int, ...]):
-        self.labels = labels
+    def __init__(self, axes: tuple[int, ...], shape: tuple[int, ...]):
         self.axes = axes
         self.shape = shape
         self.npoints = math.prod(shape)
@@ -371,10 +370,9 @@ class GridEvolutionSpace:
         s = _as_frozenset(subset)
         geometry = self._geometries.get(s)
         if geometry is None:
-            labels = self.frame.ordered(s)
-            axes = tuple(self.frame.position(t) for t in labels)
+            axes = tuple(self.frame.position(t) for t in self.frame.ordered(s))
             shape = tuple(len(self.grids[i]) for i in axes)
-            geometry = self._geometries[s] = _SubsetGeometry(labels, axes, shape)
+            geometry = self._geometries[s] = _SubsetGeometry(axes, shape)
         return geometry
 
     def axes(self, subset) -> tuple[int, ...]:

@@ -30,37 +30,39 @@ built from the full points' mixed-radix digits.
 Conjugation acts on representations: `conjugate(W, rep)` is the
 representation f -> W* rep(f) W, unitarily equivalent to rep.  W is checked
 for unitarity once, when the conjugated `PureRepresentation` is constructed,
-which keeps g = ||W W* - I||_F as `gram_defect`; its measures and operators
-then carry the (W, diagonal) pair without checking W again, under a
-configurable dimension cap.
+which keeps g = ||W W* - I||_F as `gram_defect` and forms W*
+(`conjugator_adjoint`) and the row Gram diag(W W*) (`row_gram`) read-only
+at first use; its measures and operators read all three there without
+checking W again, under a configurable dimension cap.
 
 There are two operator kinds.  `DiagonalOperator` is the exact diagonal
 algebra: products, differences and adjoints act on the diagonal entries.
-`ConjugatedDiagonalOperator` is the (W, d) pair with `columns`, `to_dense`,
-`norm`, `trace` and `entry`, and no arithmetic: mixing the kinds raises
-TypeError, so every product with W the library forms is an explicit call.
-`columns(cols)` is the one formula, W* (d * W[:, cols]), and `to_dense()`
-is `columns` over every index.  A conjugated representation forms W* and
-the row Gram diag(W W*) once, at first use, and every operator it wraps
-shares them with the frozen W, so `trace()` costs O(N).
-`conjugated_columns` is the route those methods are checked against; it
-takes a W* its caller formed, never the shared one.
+`ConjugatedDiagonalOperator` is the (conjugated representation, d) pair
+with `columns`, `to_dense`, `norm`, `trace` and `entry`, and no
+arithmetic: mixing the kinds raises TypeError, so every product with W the
+library forms is an explicit call.  Only a conjugated representation can
+hold one, so its W is always a checked one.  `columns(cols)` is the one
+formula, W* (d * W[:, cols]), and `to_dense()` is `columns` over every
+index; `trace()` reads the row Gram in O(N).  `conjugated_columns` is the
+route those methods are checked against; it takes a W* its caller formed,
+never the representation's.
 
 The d of a conjugated operator may be an (m, N) stack of diagonals: m
-operators sharing one W and one set of products.  `columns` forms all
-m c of their columns in one W* product of width m c, which reads W* once
-instead of m times, and `entry` and `trace` return one value per row;
+operators of one representation.  `columns` forms all m c of their
+columns in one W* product of width m c, which reads W* once instead of m
+times, and `entry` and `trace` return one value per row;
 `conjugated_columns` takes the same stacks, m = 0 included.  One diagonal
 is the m = 1 case, and `to_dense` and `norm` read one operator only.  At
 one BLAS thread a product of width m c equals the m products of width c
 bit for bit (a test pins this at N = 12, 125 and 512), so a stacked read
 leaves the report bytes as they were.  The suites read stacks only: the
-covariance checks stack a subset's ten sampled operators, or every
-subset's evolution unitary, and `to_dense` is left to `compute` and the
-commutant witness, which need one operator's whole matrix.  They read a
-measure through `diagonals` and `integrate_rows` only, its atoms as one
-(k, N) boolean table; `projection`, `atom`, `empty`, `total` and
-`projection_rank` build one operator at a time, for library callers.
+covariance checks wrap the plain diagonals they gathered, which are the
+conjugated measure's bits, as `diagonals` and `integrate_rows` never read
+the representation, and `to_dense` is left to `compute` and the commutant
+witness, which need one operator's whole matrix.  They read a measure
+through those two gathers only, its atoms as one (k, N) boolean table;
+`projection`, `atom`, `empty`, `total` and `projection_rank` build one
+operator at a time, for library callers.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .algebra import unitary_defect
+from .algebra import _frozen_matrix, unitary_defect
 from .errors import CapExceededError, DomainError, PreconditionError, StructureError
 from .evolution import GridEvolutionSpace, GridFunction, pullback_rows
 
@@ -107,20 +109,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _frozen_vector(v) -> np.ndarray:
     return _frozen(np.array(v, dtype=np.complex128, order="C").ravel())
-
-
-def _frozen_square(m) -> np.ndarray:
-    # a read-only C-ordered complex128 array over read-only memory is already
-    # frozen and is kept, so every operator of a conjugated representation
-    # shares its conjugator instead of copying N^2 entries
-    base = m
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    frozen = isinstance(m, np.ndarray) and base is None and m.dtype == np.complex128 and m.flags.c_contiguous
-    a = m if frozen else np.array(m, dtype=np.complex128, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise StructureError(f"expected a square matrix, got shape {a.shape}")
-    return _frozen(a)
 
 
 def check_unitary(u: np.ndarray) -> float:
@@ -181,50 +169,34 @@ class DiagonalOperator:
         return DiagonalOperator(self.diag - other.diag)
 
 
-class _ConjugatorProducts:
-    """W* and the row Gram diag(W W*) of one frozen conjugator W, each formed
-    at first use and read-only."""
-
-    def __init__(self, conjugator: np.ndarray):
-        self.conjugator = conjugator
-
-    @cached_property
-    def adjoint(self) -> np.ndarray:
-        return _frozen(self.conjugator.conj().T)
-
-    @cached_property
-    def row_gram(self) -> np.ndarray:
-        w = self.conjugator
-        return _frozen(np.sum(w * np.conj(w), axis=1))
-
-
 @dataclass(frozen=True, eq=False)
 class ConjugatedDiagonalOperator:
-    """The operator W* diag(d) W, kept as the (W, d) pair until needed.
+    """The operator W* diag(d) W of a conjugated representation, kept as the
+    (representation, d) pair until needed.
 
     `diag` is one diagonal of N entries, or an (m, N) stack of them: m
-    operators that share W and `products`, read together.  It has no
-    arithmetic; a caller reads the columns it needs with `columns(cols)`,
-    every row's at once for a stack, as both covariance checks do, or one
-    operator's whole matrix with `to_dense()`, which only `compute` and
-    the commutant witness need.  `products` holds W* and the row Gram;
-    given one made for this frozen W, the operator shares it, otherwise it
-    makes its own.
+    operators read together.  W, W* and the row Gram are the
+    representation's.  It has no arithmetic; a caller reads the columns it
+    needs with `columns(cols)`, every row's at once for a stack, as both
+    covariance checks do, or one operator's whole matrix with `to_dense()`,
+    which only `compute` and the commutant witness need.
     """
 
-    conjugator: np.ndarray
+    representation: PureRepresentation
     diag: np.ndarray
-    products: _ConjugatorProducts | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        w = _frozen_square(self.conjugator)
+        rep = self.representation
+        if not isinstance(rep, PureRepresentation) or rep.conjugator is None:
+            raise StructureError("a conjugated operator is built on a conjugated representation")
         d = _frozen(np.array(self.diag, dtype=np.complex128, order="C"))
-        if d.ndim not in (1, 2) or d.shape[-1] != w.shape[0]:
-            raise StructureError(f"diagonal of shape {d.shape} does not fit a conjugator of size {w.shape[0]}")
-        object.__setattr__(self, "conjugator", w)
+        if d.ndim not in (1, 2) or d.shape[-1] != rep.dimension:
+            raise StructureError(f"diagonal of shape {d.shape} does not fit a conjugator of size {rep.dimension}")
         object.__setattr__(self, "diag", d)
-        if self.products is None or self.products.conjugator is not w:
-            object.__setattr__(self, "products", _ConjugatorProducts(w))
+
+    @property
+    def conjugator(self) -> np.ndarray:
+        return self.representation.conjugator
 
     @property
     def dimension(self) -> int:
@@ -245,7 +217,8 @@ class ConjugatedDiagonalOperator:
         w = self.conjugator[:, cols]
         # C order, as BLAS may round a product in another layout differently
         block = np.multiply(self.diag.reshape(-1, n).T[:, :, None], w[:, None, :], order="C")
-        stack = (self.products.adjoint @ block.reshape(n, -1)).reshape(block.shape).transpose(1, 0, 2)
+        product = self.representation.conjugator_adjoint @ block.reshape(n, -1)
+        stack = product.reshape(block.shape).transpose(1, 0, 2)
         return stack if self.diag.ndim == 2 else stack[0]
 
     def to_dense(self) -> np.ndarray:
@@ -263,8 +236,8 @@ class ConjugatedDiagonalOperator:
         return self._per_row(np.sum(np.conj(w[:, i]) * self.diag * w[:, j], axis=-1))
 
     def trace(self) -> complex | np.ndarray:
-        # trace is basis independent: sum_i d_i (W W*)_ii, from the shared row Gram
-        return self._per_row(np.sum(self.diag * self.products.row_gram, axis=-1))
+        # trace is basis independent: sum_i d_i (W W*)_ii, from the representation's row Gram
+        return self._per_row(np.sum(self.diag * self.representation.row_gram, axis=-1))
 
 
 def conjugated_columns(adjoint: np.ndarray, conjugator: np.ndarray, diag: np.ndarray, columns) -> np.ndarray:
@@ -294,10 +267,12 @@ def projection_rank(op: DiagonalOperator, tol: float = 1e-8) -> int:
     return int(round(op.trace().real))
 
 
-def check_cap(dimension: int, cap: int) -> None:
-    """CapExceededError when a representation of `dimension` basis paths would exceed `cap`."""
+def check_cap(dimension: int, cap: int, what: str = "representation dimension") -> None:
+    """CapExceededError when `dimension`, a representation's basis paths by default, would exceed `cap`."""
     if dimension > cap:
-        raise CapExceededError(f"representation dimension {dimension} exceeds the cap {cap}")
+        # past Python's int-to-str digit limit a dimension is named by its bit length
+        size = str(dimension) if dimension.bit_length() <= 4096 else f"of {dimension.bit_length()} bits"
+        raise CapExceededError(f"{what} {size} exceeds the cap {cap}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,23 +297,32 @@ class PureRepresentation:
     The only place a conjugator is checked for unitarity: everything built
     from the representation reads the checked matrix, and `gram_defect`
     keeps that check's ||W W* - I||_F (0.0 without a conjugator).  Every
-    operator it wraps shares the frozen W and one `products`, so W* and
-    the row Gram are formed once per representation.
+    operator it wraps reads W* and the row Gram here, so each is formed
+    once per representation, at first use.
     """
 
     rep_space: RepresentationSpace
     conjugator: np.ndarray | None = None
     gram_defect: float = field(init=False, default=0.0)
-    products: _ConjugatorProducts | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.conjugator is not None:
-            w = _frozen_square(self.conjugator)
+            w = _frozen_matrix(self.conjugator)
             if w.shape[0] != self.rep_space.dimension:
                 raise StructureError("conjugator dimension does not match the space")
             object.__setattr__(self, "gram_defect", check_unitary(w))
             object.__setattr__(self, "conjugator", w)
-            object.__setattr__(self, "products", _ConjugatorProducts(w))
+
+    @cached_property
+    def conjugator_adjoint(self) -> np.ndarray:
+        """W*, formed at first use and read-only."""
+        return _frozen(self.conjugator.conj().T)
+
+    @cached_property
+    def row_gram(self) -> np.ndarray:
+        """The row Gram diag(W W*), the row sums of W times conj(W), formed at first use and read-only."""
+        w = self.conjugator
+        return _frozen(np.sum(w * np.conj(w), axis=1))
 
     @property
     def space(self) -> GridEvolutionSpace:
@@ -351,7 +335,7 @@ class PureRepresentation:
     def _wrap(self, diag: np.ndarray) -> Operator:
         if self.conjugator is None:
             return DiagonalOperator(diag)
-        return ConjugatedDiagonalOperator(self.conjugator, diag, self.products)
+        return ConjugatedDiagonalOperator(self, diag)
 
     def represent(self, f: GridFunction) -> Operator:
         """The action of a function on the full point set, diagonal entry f(x)."""

@@ -392,6 +392,9 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
     blocks = _expect_list(algebra_cfg.get("blocks"), "algebra.blocks")
     with _as_config_error("algebra"):
         algebra = WStarAlgebra(tuple(_expect_int(b, "algebra.blocks[]") for b in blocks))
+    # the algebra suite holds d x d coordinate maps, d = sum n_i^2: bound d
+    # before any frame, grid or probe is built
+    check_cap(algebra.dimension, cap, "algebra coordinate dimension")
 
     frame = _parse_frame(effective)
 

@@ -55,13 +55,17 @@ while forming G or a dense matrix (README, "Report format").
 `conjugation-covariance` compares sampled columns, read with `columns`,
 entries and traces of conjugated operators with W* (d * W e_j) formed from
 the unconjugated diagonal d and the check's own W*.  A subset's five
-projections and five integrals are one stack of ten diagonals, from one
-`integrate_rows` gather per measure, so each side reads their columns in
-one W* product of width 40.  `conjugated-dynamics` is the same covariance
-for the evolution unitaries: every subset's conjugated unitary is one row
-of a stack, read on a fixed spread of four columns in one W* product of
-width 4m, against the same product of the unconjugated stack and the
-check's own W*; no check forms a dense matrix.  The commutant witness is
+projections and five integrals are one stack d of ten diagonals, from one
+`integrate_rows` gather through the plain measure, and the conjugated
+operators are that d wrapped in the conjugated representation, which
+holds the W* and row Gram they read: the conjugated measure's gather never
+reads the representation, so it would give the same bits.  Each side
+reads their columns in one W* product of width 40.
+`conjugated-dynamics` is the same covariance for the evolution unitaries:
+the unconjugated stack, a row per subset, wrapped the same way and read
+on a fixed spread of four columns in one W* product of width 4m, against
+the same product of that stack and the check's own W*; no check forms a
+dense matrix.  The commutant witness is
 formed only for a scenario with a `witness_threshold`, which judges its
 certified lower bound; without one, `commutant-witness` records an
 unjudged 0.0.  Running maxima go through `nan_max`, so a NaN deviation
@@ -97,7 +101,6 @@ from .lagrangian import action_from_lagrangian, verify_lagrangian
 from .representation import (
     ConjugatedDiagonalOperator,
     DiagonalOperator,
-    PureRepresentation,
     conjugated_columns,
     embed_eta,
     identity_operator,
@@ -585,15 +588,14 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
     rep = scn.conjugated
     w = rep.conjugator
     # the route's own W* and row Gram, formed once from the checked W and
-    # never read off the operators' shared products
+    # never read off the representation's
     w_star = w.conj().T
     row_gram = _row_gram(w)
     dev = 0.0
     for subset in scn.frame.admissible():
         rng = _rng(scn, f"covariance-{sorted(map(str, subset))}")
         plain = scn.representation.spectral_measure(subset)
-        moved = rep.spectral_measure(subset)
-        k = moved.npoints
+        k = plain.npoints
         # five (point set, function) samples, as alternating rows of one
         # value block: the projection's 0/1 row, then the function's values
         values = np.zeros((10, k), dtype=np.complex128)
@@ -602,8 +604,9 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
             values[row + 1] = space.random_function(subset, rng).values
         cols = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
         rows = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
-        ops = ConjugatedDiagonalOperator(w, integrate_rows(moved, values), rep.products)
+        # one gather: the conjugated measure's diagonals are the plain ones
         d = integrate_rows(plain, values)
+        ops = ConjugatedDiagonalOperator(rep, d)
         # independent route: W* (d * W e_j) from the unconjugated diagonals,
         # all ten operators' columns in one product, as `columns` reads them
         route = conjugated_columns(w_star, w, d, cols)
@@ -638,11 +641,11 @@ def _check_action_weight(scn: Scenario) -> list[tuple[str, str, float, float]]:
     return [("action-weight-laws", "D4.1", dev, scn.tolerances.dynamics)]
 
 
-def _unitary_stack(scn: Scenario, rep: PureRepresentation) -> np.ndarray:
-    """The evolution unitaries' diagonals in `rep`, one row per admissible subset: (m, N)."""
+def _unitary_stack(scn: Scenario) -> np.ndarray:
+    """The unconjugated evolution unitaries' diagonals, one row per admissible subset: (m, N)."""
     domain = scn.frame.admissible()
-    rows = [evolution_unitary(scn.weight, s, rep).diag for s in domain]
-    return np.array(rows, dtype=np.complex128).reshape(len(domain), rep.dimension)
+    rows = [evolution_unitary(scn.weight, s, scn.representation).diag for s in domain]
+    return np.array(rows, dtype=np.complex128).reshape(len(domain), scn.rep_space.dimension)
 
 
 def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
@@ -651,7 +654,7 @@ def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
     # operator (+)_r U_r on m copies of the space, whose norm is the largest
     # row norm and whose entries are the per-pair arithmetic bit for bit
     frame = scn.frame
-    u = _unitary_stack(scn, scn.representation)
+    u = _unitary_stack(scn)
     m, n = u.shape
     stack = DiagonalOperator(u)
     dev = (stack.adjoint() @ stack - identity_operator(m * n)).norm()
@@ -683,16 +686,18 @@ def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 
 def _check_conjugated_dynamics(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    # covariance of the evolution unitaries: every conjugated U'_T, built in
-    # the conjugated representation, as one stack whose columns j over a
-    # fixed spread are read in one `columns` product, against W* (u_T * W e_j)
-    # formed in one product from the unconjugated stack and the check's own W*
+    # covariance of the evolution unitaries: every conjugated U'_T, the
+    # unconjugated stack u wrapped in the conjugated representation, whose
+    # columns j over a fixed spread are read in one `columns` product,
+    # against W* (u_T * W e_j) formed in one product from the same stack
+    # and the check's own W*
     n = scn.rep_space.dimension
     cols = np.unique(np.linspace(0, n - 1, COVARIANCE_COLUMNS).astype(int))
     rep = scn.conjugated
     w = rep.conjugator
-    twisted = ConjugatedDiagonalOperator(w, _unitary_stack(scn, rep), rep.products)
-    route = conjugated_columns(w.conj().T, w, _unitary_stack(scn, scn.representation), cols)
+    u = _unitary_stack(scn)
+    twisted = ConjugatedDiagonalOperator(rep, u)
+    route = conjugated_columns(w.conj().T, w, u, cols)
     covariance = float(np.max(np.linalg.norm(twisted.columns(cols) - route, axis=1), initial=0.0))
     # without a threshold no witness is formed and the record is an unjudged
     # 0.0; with one, a designed witness scenario must exhibit a commutator

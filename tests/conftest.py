@@ -16,6 +16,14 @@ FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
+def conjugated_rep(w):
+    """The representation conjugated by w over one time whose grid repeats
+    the identity of M_2 len(w) times, so that N = len(w)."""
+    m2 = WStarAlgebra((2,))
+    space = GridEvolutionSpace(TimeFrame(("1",), (1.0,)), ((GridPointMap.identity(m2),) * len(w),))
+    return PureRepresentation(RepresentationSpace(space), w)
+
+
 def every_ordered_pair(frame):
     """A pair table over every ordered pair of admissible subsets, overlapping ones included."""
     domain = frame.admissible()

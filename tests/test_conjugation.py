@@ -22,7 +22,7 @@ from evobench.ladder import ladder_config
 from evogrid import builtin_scenario, evolution_unitary, load_scenario, run_suite, scenario_from_dict
 from evogrid.cli import main
 from evogrid.dynamics import nan_max
-from evogrid.representation import ConjugatedDiagonalOperator, SpectralMeasure, _ConjugatorProducts, integrate
+from evogrid.representation import ConjugatedDiagonalOperator, PureRepresentation, SpectralMeasure, integrate
 from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import decode_matrix, encode_matrix
 from evogrid.suites import COVARIANCE_COLUMNS
@@ -78,14 +78,14 @@ MUTANTS = {
         None,
         ("conjugation-covariance", "conjugated-dynamics"),
     ),
-    # the products every operator of a representation shares; the routes form their own
+    # the W* and row Gram a representation holds for its operators; the routes form their own
     "shared-adjoint-transposed": (
-        (_ConjugatorProducts, "adjoint", property(lambda self: self.conjugator.T)),
+        (PureRepresentation, "conjugator_adjoint", property(lambda self: self.conjugator.T)),
         None,
         ("conjugation-covariance", "conjugated-dynamics"),
     ),
     "shared-row-gram-of-moduli": (
-        (_ConjugatorProducts, "row_gram", property(lambda self: np.sum(np.abs(self.conjugator), axis=1))),
+        (PureRepresentation, "row_gram", property(lambda self: np.sum(np.abs(self.conjugator), axis=1))),
         None,
         ("conjugation-covariance",),
     ),
@@ -194,8 +194,28 @@ def test_covariance_columns_are_the_dense_columns_bit_for_bit(source, monkeypatc
         got = stack.columns(cols)
         assert got.shape == (10, scn.space.dimension, len(cols))
         for d, columns in zip(stack.diag, got):
-            op = ConjugatedDiagonalOperator(stack.conjugator, d, stack.products)
+            op = ConjugatedDiagonalOperator(stack.representation, d)
             assert columns.tobytes() == np.ascontiguousarray(op.to_dense()[:, cols]).tobytes()
+
+
+@pytest.mark.parametrize("source, gathers", [("demo", 8), ("ladder-5x2", 32)])
+def test_the_conjugation_suite_gathers_each_subset_once(source, gathers, monkeypatch):
+    # the covariance check wraps the diagonals it integrates through the
+    # plain measure; it does not gather them again through the conjugated one
+    from evogrid import suites
+
+    scn = _scenario(source)
+    calls = []
+    original = suites.integrate_rows
+
+    def spy(measure, values):
+        calls.append(measure)
+        return original(measure, values)
+
+    monkeypatch.setattr(suites, "integrate_rows", spy)
+    run_suite(scn, ["conjugation"])
+    assert len(calls) == len(scn.frame.admissible()) == gathers
+    assert all(measure.representation is scn.representation for measure in calls)
 
 
 def per_operator_covariance(scn) -> float:

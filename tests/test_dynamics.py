@@ -283,8 +283,9 @@ def test_disjoint_pairs_match_the_mu_loop(source, m2, flip):
 
 def test_each_family_is_built_once_per_suite_run(monkeypatch):
     # rung 5x2 has 32 subsets: one unconjugated unitary each for the four
-    # shared laws, two each for conjugated-dynamics, one action each for the
-    # three shared Lagrangian laws, and one pair table read by three laws
+    # shared laws and one each for conjugated-dynamics, which wraps its
+    # unconjugated stack in the conjugated representation, one action each
+    # for the three shared Lagrangian laws, and one pair table read by three laws
     from evogrid import suites
 
     scn = _interval_scenario("ladder-5x2")
@@ -303,7 +304,7 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     original = TimeFrame.disjoint_pairs
     monkeypatch.setattr(TimeFrame, "disjoint_pairs", lambda self: tables.append(original(self)) or tables[-1])
     run_suite(scn, ["dynamics", "lagrangian"])
-    assert calls == {"evolution_unitary": 96, "action_from_lagrangian": 32}
+    assert calls == {"evolution_unitary": 64, "action_from_lagrangian": 32}
     assert len(tables) == 3 and all(table is tables[0] for table in tables)
 
 

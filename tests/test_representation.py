@@ -32,7 +32,7 @@ from evogrid import (
 from evogrid.representation import check_unitary, conjugated_columns
 from evogrid.rng import SplitMix64
 
-from conftest import HADAMARD
+from conftest import HADAMARD, conjugated_rep
 
 
 # -- operator types -----------------------------------------------------------
@@ -53,14 +53,14 @@ def test_diagonal_operator_basics():
 def test_mixed_operator_kinds_raise_type_error(op, diagonal_first):
     # a conjugated operator also has a .diag; reading it would drop the conjugator
     d = DiagonalOperator([1.0, 2.0])
-    c = ConjugatedDiagonalOperator(HADAMARD, [1.0, -1.0])
+    c = ConjugatedDiagonalOperator(conjugated_rep(HADAMARD), [1.0, -1.0])
     with pytest.raises(TypeError):
         op(d, c) if diagonal_first else op(c, d)
 
 
 def test_conjugated_diagonal_matches_dense_conjugation():
     diag = np.array([1.0, -1.0], dtype=np.complex128)
-    op = ConjugatedDiagonalOperator(HADAMARD, diag)
+    op = ConjugatedDiagonalOperator(conjugated_rep(HADAMARD), diag)
     expected = HADAMARD.conj().T @ np.diag(diag) @ HADAMARD
     assert np.allclose(op.to_dense(), expected, atol=1e-15)
     # H diag(1,-1) H is the basis flip; entries are known exactly
@@ -73,26 +73,26 @@ def test_conjugated_diagonal_matches_dense_conjugation():
 def test_a_stack_of_diagonals_reads_each_row_as_its_one_row_operator():
     w = SplitMix64(30).haar_unitary(6)
     diags = SplitMix64(31).complex_matrix(3, 6)
-    stack = ConjugatedDiagonalOperator(w, diags)
+    stack = ConjugatedDiagonalOperator(conjugated_rep(w), diags)
     cols, got = [4, 0, 4], stack.columns([4, 0, 4])
     entries, traces = stack.entry(2, 5), stack.trace()
     assert stack.dimension == 6 and got.shape == (3, 6, 3) and entries.shape == traces.shape == (3,)
     for r, d in enumerate(diags):
-        op = ConjugatedDiagonalOperator(w, d, stack.products)
+        op = ConjugatedDiagonalOperator(stack.representation, d)
         assert np.allclose(got[r], op.to_dense()[:, cols], atol=1e-14)
         assert entries[r] == op.entry(2, 5) and traces[r] == op.trace()
     # the dense matrix and its norm are one operator's
     with pytest.raises(StructureError):
         stack.to_dense()
     with pytest.raises(StructureError):
-        ConjugatedDiagonalOperator(w, np.ones((2, 3, 6)))
+        ConjugatedDiagonalOperator(stack.representation, np.ones((2, 3, 6)))
 
 
 def test_an_empty_stack_reads_no_columns():
     # a frame may admit no subset at all; its stacks have no rows
     w = SplitMix64(30).haar_unitary(6)
     empty = np.zeros((0, 6), dtype=np.complex128)
-    got = ConjugatedDiagonalOperator(w, empty).columns([1, 4])
+    got = ConjugatedDiagonalOperator(conjugated_rep(w), empty).columns([1, 4])
     assert got.shape == conjugated_columns(w.conj().T, w, empty, [1, 4]).shape == (0, 6, 2)
 
 
@@ -101,7 +101,14 @@ def test_conjugate_requires_unitary():
     with pytest.raises(StructureError):
         conjugate(HADAMARD, DiagonalOperator(np.ones(2)))
     with pytest.raises(StructureError):
-        ConjugatedDiagonalOperator(HADAMARD, np.ones(3))
+        ConjugatedDiagonalOperator(conjugated_rep(HADAMARD), np.ones(3))
+
+
+def test_a_conjugated_operator_is_built_on_a_conjugated_representation(rep4):
+    # the representation checked W; neither a plain one nor a raw W will do
+    for holder, n in ((rep4, 4), (HADAMARD, 2)):
+        with pytest.raises(StructureError, match="conjugated representation"):
+            ConjugatedDiagonalOperator(holder, np.ones(n))
 
 
 def test_check_unitary_tolerance():
@@ -365,7 +372,7 @@ def test_embedding_intertwines_spectral_data(rep4, small_space):
 
 def test_embedding_rejects_dense_input(rep4):
     with pytest.raises(DomainError):
-        embed_eta(rep4.rep_space, {"1"}, ConjugatedDiagonalOperator(HADAMARD, np.ones(2)))
+        embed_eta(rep4.rep_space, {"1"}, ConjugatedDiagonalOperator(conjugated_rep(HADAMARD), np.ones(2)))
     with pytest.raises(DomainError):
         embed_eta(rep4.rep_space, {"1"}, DiagonalOperator(np.ones(3)))
 
@@ -459,7 +466,7 @@ def test_conjugated_operators_share_one_adjoint_and_row_gram(rep4, small_space):
     w = SplitMix64(27).haar_unitary(4)
     moved = conjugate(w, rep4)
     # formed at first use, not when the representation is built
-    assert not {"adjoint", "row_gram"} & set(vars(moved.products))
+    assert not {"conjugator_adjoint", "row_gram"} & set(vars(moved))
     subset = small_space.frame.admissible()[-1]
     measure = moved.spectral_measure(subset)
     ops = (
@@ -469,34 +476,29 @@ def test_conjugated_operators_share_one_adjoint_and_row_gram(rep4, small_space):
         measure.atom(1),
         moved.spectral_measure().total(),
     )
+    ops[0].trace()
+    assert set(vars(moved)) >= {"row_gram"} and "conjugator_adjoint" not in vars(moved)
+    ops[0].columns([0, 2])
+    adjoint, row_gram = moved.conjugator_adjoint, moved.row_gram
     for op in ops:
         op.trace()
         op.columns([0, 2])
-    adjoint, row_gram = moved.products.adjoint, moved.products.row_gram
-    for op in ops:
-        assert op.products.adjoint is adjoint and op.products.row_gram is row_gram
+        assert op.representation is moved
+    assert moved.conjugator_adjoint is adjoint and moved.row_gram is row_gram
     assert not adjoint.flags.writeable and not row_gram.flags.writeable
     # the same expressions as the unshared route, so the same bits
     assert adjoint.tobytes() == moved.conjugator.conj().T.tobytes()
     assert row_gram.tobytes() == np.sum(moved.conjugator * np.conj(moved.conjugator), axis=1).tobytes()
-    # products made for another conjugator are not taken over
-    other = conjugate(SplitMix64(29).haar_unitary(4), rep4)
-    op = ConjugatedDiagonalOperator(moved.conjugator, np.ones(4), other.products)
-    assert op.products is not other.products and op.products.conjugator is moved.conjugator
 
 
-def test_a_conjugator_that_is_not_frozen_is_copied():
+def test_a_conjugator_that_is_not_frozen_is_copied(small_space):
     w = SplitMix64(26).haar_unitary(4)
-    d = np.ones(4)
     # a read-only view of a writeable array could still change under it
     view = w.view()
     fortran = np.asfortranarray(w)
     for a in (view, fortran):
         a.setflags(write=False)
     for source in (w, view, fortran):
-        op = ConjugatedDiagonalOperator(source, d)
-        assert not np.shares_memory(op.conjugator, source) and not op.conjugator.flags.writeable
-        assert op.conjugator.flags.c_contiguous and np.array_equal(op.conjugator, w)
-    frozen = w.copy()
-    frozen.setflags(write=False)
-    assert ConjugatedDiagonalOperator(frozen, d).conjugator is frozen
+        rep = PureRepresentation(RepresentationSpace(small_space), source)
+        assert not np.shares_memory(rep.conjugator, source) and not rep.conjugator.flags.writeable
+        assert rep.conjugator.flags.c_contiguous and np.array_equal(rep.conjugator, w)

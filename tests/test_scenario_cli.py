@@ -543,6 +543,39 @@ def test_an_over_cap_grid_exits_3_before_any_draw(count, tmp_path, monkeypatch, 
     assert capsys.readouterr().err == f"cap exceeded: representation dimension {6 * count} exceeds the cap 4096\n"
 
 
+@pytest.mark.parametrize(
+    "blocks, cap, code", [([5], 16, 3), ([4], 16, 0), ([10**400], None, 3), ([10**2200], None, 3)],
+    ids=["d25-cap16", "d16-cap16", "1e400", "past-digit-limit"],
+)
+def test_the_cap_bounds_the_algebra_coordinate_dimension(blocks, cap, code, tmp_path, capsys):
+    # d = sum n_i^2 is checked as soon as the algebra is parsed: witness has
+    # N = 2 basis paths, so only the algebra can exceed the cap
+    cfg = builtin_scenario("witness")
+    cfg["algebra"]["blocks"] = blocks
+    if cap is not None:
+        cfg["cap"] = cap
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path), "--out", str(tmp_path / "report.jsonl")]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        d = blocks[0] ** 2
+        size = str(d) if d.bit_length() <= 4096 else f"of {d.bit_length()} bits"
+        assert err == f"cap exceeded: algebra coordinate dimension {size} exceeds the cap {cap or 4096}\n"
+
+
+def test_a_grid_product_past_the_digit_limit_exits_3(tmp_path, capsys):
+    # N has more digits than Python converts to a string; the message names its bit length
+    cfg = builtin_scenario("demo")
+    for t in ("1", "2"):
+        cfg["grids"][t]["haar"]["count"] = 10**3000
+    path = tmp_path / "over-cap.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path)]) == 3
+    bits = (2 * 10**6000).bit_length()
+    assert capsys.readouterr().err == f"cap exceeded: representation dimension of {bits} bits exceeds the cap 4096\n"
+
+
 BEYOND_FLOAT = "1" + "0" * 400  # an integer literal that float() overflows on
 PAST_DIGIT_LIMIT = "1" + "0" * 5000  # past Python's 4,300-digit limit for int parsing
 IDENTITY_BLOCKS = json.dumps([encode_matrix(np.eye(2)), encode_matrix(np.eye(3))])
@@ -829,15 +862,20 @@ CONJUGATED_OUTPUT_SHA256 = {
         "c3c38137dc9fa427095510da007f7a21704f3ebd95f033829753f303a762c82b",
     ("verify", LADDER_3X5):
         "ce5c465919b4e25cdfe991433cfe47ff8c909aea16dd25ce4adad0cc774b1a03",
+    # the one built-in report that forms the commutant witness, and so reads
+    # dense conjugated operators built through a representation
+    ("verify", "witness"):
+        "a47b504f9fe64e855f63aeba16a0d91623c55e1d092a4634715151a2121b7aab",
 }
 
 
 def _pin_ids(pins):
-    # the command, then the ladder rung it reads, if any; a later pin of the
-    # same command and rung adds its suites, or "all" when it names none
+    # the command, then the ladder rung or the scenario other than demo it
+    # reads, if any; a later pin of the same command and rung adds its
+    # suites, or "all" when it names none
     ids = []
     for argv in pins:
-        pin = f"{argv[0]}-{argv[1].removesuffix('.json')}" if argv[1] in LADDERS else argv[0]
+        pin = f"{argv[0]}-{argv[1].removesuffix('.json')}" if argv[1] != "demo" else argv[0]
         if pin in ids:
             pin += "".join(f"-{b}" for a, b in zip(argv, argv[1:]) if a == "--suite") or "-all"
         ids.append(pin)
