@@ -17,9 +17,9 @@ k-th automorphism.  Haar automorphisms are drawn as such stacks
 (`WStarAlgebra._haar_blocks`): one complex_matrix draw of m rows, one
 phase-normalized QR per block (`rng.haar_qr`), the bits and stream end
 state of m `Automorphism.haar` calls, which is its one-entry case.  General linear maps on
-the algebra (convex mixtures, trace averaging, differences of automorphisms)
-appear elsewhere as dense matrices acting on the coordinate vector; this
-module only needs them to expose `algebra` and `apply_blocks`.
+the algebra (convex mixtures, trace averaging) appear elsewhere as dense
+matrices acting on the coordinate vector; this module only needs them to
+expose `algebra` and `apply_blocks`.
 
 `apply_blocks(blocks)` maps per-block arrays of shape (..., n_i, n_i), with
 any leading stack axes, to the per-block arrays of their images, so one call
@@ -135,17 +135,6 @@ class WStarAlgebra:
         mats = tuple(_frozen_matrix(b, n) for b, n in zip(blocks, self.block_dims))
         return AlgebraElement(self, mats)
 
-    def zero(self) -> "AlgebraElement":
-        return self.element([np.zeros((n, n)) for n in self.block_dims])
-
-    def identity(self) -> "AlgebraElement":
-        return self.element([np.eye(n) for n in self.block_dims])
-
-    def coordinates(self, a: "AlgebraElement") -> np.ndarray:
-        """Row-major vectorization of the blocks, concatenated in order."""
-        self._own(a)
-        return self._join(a.blocks)
-
     def _join(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         """Coordinates of stacked blocks (..., n, n), along the last axis."""
         return np.concatenate([b.reshape(*b.shape[:-2], b.shape[-1] ** 2) for b in blocks], axis=-1)
@@ -158,12 +147,6 @@ class WStarAlgebra:
             blocks.append(v[..., k : k + n * n].reshape(*v.shape[:-1], n, n))
             k += n * n
         return blocks
-
-    def from_coordinates(self, v: np.ndarray) -> "AlgebraElement":
-        v = np.asarray(v, dtype=np.complex128).ravel()
-        if v.size != self.dimension:
-            raise StructureError(f"coordinate vector has length {v.size}, expected {self.dimension}")
-        return self.element(self._split(v))
 
     def _random_blocks(self, rng: SplitMix64, scale: float, count: int) -> list[np.ndarray]:
         """Per-block stacks of `count` random elements.  One draw for all of
@@ -181,9 +164,6 @@ class WStarAlgebra:
     def random_element(self, rng: SplitMix64, scale: float = 1.0) -> "AlgebraElement":
         """Blocks with independent scaled complex Gaussian entries."""
         return self.element([b[0] for b in self._random_blocks(rng, scale, 1)])
-
-    def random_functional(self, rng: SplitMix64, scale: float = 1.0) -> "NormalFunctional":
-        return NormalFunctional(self, tuple(b[0] for b in self._random_blocks(rng, scale, 1)))
 
     def _own(self, a: "AlgebraElement") -> None:
         if a.algebra != self:
@@ -206,18 +186,9 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
             raise StructureError("operands live in different algebras")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_peer(other)
-        return self.algebra.element([x + y for x, y in zip(self.blocks, other.blocks)])
-
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_peer(other)
         return self.algebra.element([x - y for x, y in zip(self.blocks, other.blocks)])
-
-    def __mul__(self, scalar) -> "AlgebraElement":
-        return self.algebra.element([b * complex(scalar) for b in self.blocks])
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Algebra product, blockwise matrix multiplication."""
@@ -231,10 +202,6 @@ class AlgebraElement:
     def norm(self) -> float:
         """C*-norm: the largest spectral norm over the blocks."""
         return float(_cstar_norms(self.blocks))
-
-    def allclose(self, other: "AlgebraElement", tol: float = 0.0) -> bool:
-        self._check_peer(other)
-        return (self - other).norm() <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,18 +410,6 @@ class ElementaryTensor:
         for a, g in self.pairs:
             if a.algebra != self.algebra or g.algebra != self.algebra:
                 raise StructureError("tensor pairs must live in the declared algebra")
-
-    def __add__(self, other: "ElementaryTensor") -> "ElementaryTensor":
-        if other.algebra != self.algebra:
-            raise StructureError("cannot add tensors over different algebras")
-        return ElementaryTensor(self.algebra, self.pairs + other.pairs)
-
-    def __mul__(self, scalar) -> "ElementaryTensor":
-        z = complex(scalar)
-        scaled = tuple((a * z, g) for a, g in self.pairs)
-        return ElementaryTensor(self.algebra, scaled)
-
-    __rmul__ = __mul__
 
 
 def weakstar_pairing(phi, tensor: ElementaryTensor) -> complex:

@@ -6,10 +6,10 @@ Subcommands:
   demo     print a built-in scenario config as JSON
 
 Exit codes: 0 success, 1 at least one check failed, 2 config or schema
-error, 3 representation dimension or algebra coordinate dimension over the
-dense cap, 4 domain error (unknown time label, inadmissible subset, bad
-suite name), 5 verification aborted because a check's deviation is not
-finite.
+error, or an `--out` path that cannot be written, 3 representation
+dimension or algebra coordinate dimension over the dense cap, 4 domain
+error (unknown time label, inadmissible subset, bad suite name), 5
+verification aborted because a check's deviation is not finite.
 """
 
 from __future__ import annotations
@@ -198,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_demo(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # load_scenario reports its own as ConfigError, so this is the output's
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -40,11 +40,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Automorphism, AlgebraElement, WStarAlgebra, _cstar_norms, linear_map_matrix
+from .algebra import Automorphism, AlgebraElement, WStarAlgebra, _cstar_norms
 from .errors import DomainError, StructureError
 from .rng import SplitMix64
 
@@ -191,10 +191,7 @@ class GridPointMap:
     """A linear map on the algebra used as a grid entry.
 
     Backed either by an automorphism (applied blockwise, exactly norm one)
-    or by a dense matrix on coordinate vectors.  Arithmetic on maps (needed
-    when probes are evaluated at differences like alpha - tau) produces
-    dense-backed maps; those may leave the unit ball, and only maps placed
-    in a grid are held to the contraction invariant.
+    or by a dense matrix on coordinate vectors.
     """
 
     algebra: WStarAlgebra
@@ -243,28 +240,6 @@ class GridPointMap:
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         self.algebra._own(a)
         return self.algebra.element(self.apply_blocks(a.blocks))
-
-    def matrix(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        return linear_map_matrix(self.automorphism)
-
-    def _peer(self, other: "GridPointMap") -> None:
-        if not isinstance(other, GridPointMap) or other.algebra != self.algebra:
-            raise StructureError("grid maps act on different algebras")
-
-    def __sub__(self, other: "GridPointMap") -> "GridPointMap":
-        self._peer(other)
-        return GridPointMap.from_matrix(self.algebra, self.matrix() - other.matrix())
-
-    def __add__(self, other: "GridPointMap") -> "GridPointMap":
-        self._peer(other)
-        return GridPointMap.from_matrix(self.algebra, self.matrix() + other.matrix())
-
-    def __mul__(self, scalar) -> "GridPointMap":
-        return GridPointMap.from_matrix(self.algebra, self.matrix() * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 def _trace_average_matrix(algebra: WStarAlgebra) -> np.ndarray:
@@ -356,10 +331,6 @@ class GridEvolutionSpace:
         object.__setattr__(self, "_geometries", {})
 
     @property
-    def algebra(self) -> WStarAlgebra:
-        return self.grids[0][0].algebra
-
-    @property
     def full(self) -> frozenset:
         return self.frame.full
 
@@ -433,19 +404,6 @@ class GridEvolutionSpace:
         n = self.npoints(subset)
         return self.function(subset, np.full(n, value, dtype=np.complex128))
 
-    def indicator(self, subset, members: Iterable) -> "GridFunction":
-        """0/1 function over points(subset) marking the linear indices `members`;
-        an index out of range is a DomainError."""
-        s = _as_frozenset(subset)
-        n = self.npoints(s)
-        vals = np.zeros(n, dtype=np.complex128)
-        for m in members:
-            i = int(m)
-            if not 0 <= i < n:
-                raise DomainError(f"point index {i} outside the subset's point set")
-            vals[i] = 1.0
-        return self.function(s, vals)
-
     def random_function(self, subset, rng: SplitMix64) -> "GridFunction":
         """Complex normal values.
 
@@ -482,14 +440,6 @@ class GridFunction:
     def _peer(self, other: "GridFunction") -> None:
         if other.space is not self.space or other.subset != self.subset:
             raise StructureError("grid functions live over different point sets")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._peer(other)
-        return GridFunction(self.space, self.subset, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._peer(other)
-        return GridFunction(self.space, self.subset, self.values - other.values)
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):

@@ -13,9 +13,9 @@ forward along restriction: the projection of V, a set of points over T, is
 diagonal with a one at each full point whose restriction lies in V.  The
 library builds every such diagonal one way, by a gather through the
 subset's restriction table: each full point takes the value at the point of
-T it restricts to.  Projections, atoms, the batch `diagonals` of many point
-sets and spectral integrals are all that gather; `integrate_rows` takes a
-block of value rows at once, and `integrate` is its one-row case.
+T it restricts to.  Spectral integrals and the batch `diagonals` of many
+point sets are that gather; `integrate` is the one-row case of
+`integrate_rows`, and `projection` (so `atom`) the one-row case of `diagonals`.
 
 `pullback_rows`, with `pullback` and `embed_eta` as its one-row cases, is
 the independent second route: it broadcasts the values over the axes
@@ -38,7 +38,7 @@ checking W again, under a configurable dimension cap.
 There are two operator kinds.  `DiagonalOperator` is the exact diagonal
 algebra: products, differences and adjoints act on the diagonal entries.
 `ConjugatedDiagonalOperator` is the (conjugated representation, d) pair
-with `columns`, `to_dense`, `norm`, `trace` and `entry`, and no
+with `columns`, `to_dense`, `trace` and `entry`, and no
 arithmetic: mixing the kinds raises TypeError, so every product with W the
 library forms is an explicit call.  Only a conjugated representation can
 hold one, so its W is always a checked one.  `columns(cols)` is the one
@@ -52,7 +52,7 @@ operators of one representation.  `columns` forms all m c of their
 columns in one W* product of width m c, which reads W* once instead of m
 times, and `entry` and `trace` return one value per row;
 `conjugated_columns` takes the same stacks, m = 0 included.  One diagonal
-is the m = 1 case, and `to_dense` and `norm` read one operator only.  At
+is the m = 1 case, and `to_dense` reads one operator only.  At
 one BLAS thread a product of width m c equals the m products of width c
 bit for bit (a test pins this at N = 12, 125 and 512), so a stacked read
 leaves the report bytes as they were.  The suites read stacks only: the
@@ -227,10 +227,6 @@ class ConjugatedDiagonalOperator:
         # W[:, :] is a view of W, so this is the product W* (d * W) itself
         return self.columns(slice(None))
 
-    def norm(self) -> float:
-        """Largest singular value of the materialized matrix."""
-        return float(np.linalg.norm(self.to_dense(), 2))
-
     def entry(self, i: int, j: int) -> complex | np.ndarray:
         w = self.conjugator
         return self._per_row(np.sum(np.conj(w[:, i]) * self.diag * w[:, j], axis=-1))
@@ -253,6 +249,16 @@ def conjugated_columns(adjoint: np.ndarray, conjugator: np.ndarray, diag: np.nda
     block = (rows[:, :, None] * w).transpose(1, 0, 2).reshape(len(w), -1)
     stack = (adjoint @ block).reshape(len(w), len(rows), w.shape[1]).transpose(1, 0, 2)
     return stack if np.ndim(diag) == 2 else stack[0]
+
+
+def _member_row(npoints: int, members: Iterable) -> np.ndarray:
+    """Boolean row over `npoints` points marking the linear indices `members`; one out of range is a DomainError."""
+    row = np.zeros(npoints, dtype=bool)
+    for i in map(int, members):
+        if not 0 <= i < npoints:
+            raise DomainError(f"point index {i} outside the subset's point set")
+        row[i] = True
+    return row
 
 
 def identity_operator(n: int) -> DiagonalOperator:
@@ -386,8 +392,8 @@ class SpectralMeasure:
         return np.ascontiguousarray(rows[:, restricted])
 
     def projection(self, members: Iterable) -> Operator:
-        """Projection onto the basis vectors whose restriction lies in V."""
-        return integrate(self.space.indicator(self.subset, members), self)
+        """Projection onto the basis vectors restricting into V (linear indices): the one-row case of `diagonals`."""
+        return self.representation._wrap(self.diagonals(_member_row(self.npoints, members)[None])[0])
 
     def atom(self, index: int) -> Operator:
         return self.projection([index])
@@ -453,7 +459,7 @@ def theta_represent(f: GridFunction) -> DiagonalOperator:
 
 def theta_projection(space: GridEvolutionSpace, subset, members: Iterable) -> DiagonalOperator:
     """Spectral projection of the small-space action for V subset points(T)."""
-    return DiagonalOperator(space.indicator(subset, members).values)
+    return DiagonalOperator(_member_row(space.npoints(subset), members))
 
 
 def embed_eta(rep_space: RepresentationSpace, subset, op: DiagonalOperator) -> DiagonalOperator:

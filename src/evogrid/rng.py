@@ -36,8 +36,8 @@ haar_unitary(n): haar_qr of one complex_matrix(n, n) draw, the one-entry case
                 in turn are one complex_matrix row of n_1^2 + ... + n_k^2
                 entries, split in order and passed to haar_qr as stacks.
 
-The scalar methods above are the contract; `integers` and `complex_matrix`
-(and so `haar_qr`'s inputs) compute the same bits in vectorized form.
+These rules are the contract; `tests/test_rng.py` draws them a scalar at a
+time as the oracle that `integers` and `complex_matrix` match bit for bit.
 splitmix64 is counter-based, draw k after state s is mix(s + k * gamma),
 so a block of raw outputs is one numpy uint64 expression (blocks of 2^16
 entries bound a matrix's working memory), and the state advances by
@@ -110,28 +110,11 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & MASK64
         return _mix(self._state)
 
-    def uniform(self) -> float:
-        return (self.next_uint64() >> 11) * 2.0**-53
-
     def integer(self, bound: int) -> int:
         """An integer in [0, bound) by modulo reduction."""
         if bound <= 0:
             raise ValueError("bound must be positive")
         return self.next_uint64() % bound
-
-    def normal_pair(self) -> tuple[float, float]:
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(1.0 - u1))
-        theta = _TWO_PI * u2
-        return r * math.cos(theta), r * math.sin(theta)
-
-    def standard_normal(self) -> float:
-        return self.normal_pair()[0]
-
-    def complex_normal(self) -> complex:
-        x, y = self.normal_pair()
-        return complex(x, y) / math.sqrt(2.0)
 
     def integers(self, bound: int, count: int) -> np.ndarray:
         """`count` integers in [0, bound) as a uint64 array, bit-identical to

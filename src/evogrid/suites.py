@@ -271,8 +271,8 @@ def _finite(value: float, check: str) -> float:
 def _haar_rounds(scn: Scenario, label: str, rounds: int, haar: int, elements: int):
     """`rounds` rounds of `haar` Haar automorphisms, then `elements` random
     elements or functionals, from one draw of the labeled substream: the
-    stream and bits of the per-round `Automorphism.haar`, `random_element`
-    and `random_functional` calls.  Per block, the unitaries as a stack
+    stream and bits of the per-round `Automorphism.haar` and `random_element`
+    calls.  Per block, the unitaries as a stack
     (rounds, haar, n, n) and the elements as (rounds, elements, n, n)."""
     algebra = scn.algebra
     width = haar + elements

@@ -75,8 +75,8 @@ def test_norm_is_max_block_spectral_norm(m23):
 def test_coordinates_roundtrip(m23):
     rng = SplitMix64(2)
     a = m23.random_element(rng)
-    again = m23.from_coordinates(m23.coordinates(a))
-    assert a.allclose(again, tol=0.0)
+    again = m23._split(m23._join(a.blocks))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks, again))
 
 
 def test_functional_is_trace_pairing(m23):
@@ -135,7 +135,7 @@ def test_linear_map_matrix_reproduces_apply(m23):
     alpha = Automorphism.haar(m23, rng)
     m = linear_map_matrix(alpha)
     x = m23.random_element(rng)
-    assert np.allclose(m @ m23.coordinates(x), m23.coordinates(alpha.apply(x)), atol=1e-12)
+    assert np.allclose(m @ m23._join(x.blocks), m23._join(alpha.apply(x).blocks), atol=1e-12)
 
 
 def test_trace_average_multiplicativity_defect_frozen(m2):
@@ -167,20 +167,12 @@ def test_weakstar_pairing_difference_frozen_value(m2, flip):
     assert weakstar_pairing(flip, tensor) - weakstar_pairing(ident, tensor) == pytest.approx(-1.0, abs=1e-14)
 
 
-def test_tensor_addition_extends_pairs(m2, flip):
+def test_pairing_sums_over_a_tensor_s_pairs(m2, flip):
     a = m2.element([np.diag([1.0, 0.0])])
     g = NormalFunctional(m2, (np.diag([1.0, 0.0]),))
     t = ElementaryTensor(m2, ((a, g),))
-    s = t + t
-    assert len(s.pairs) == 2
+    s = ElementaryTensor(m2, t.pairs + t.pairs)
     assert weakstar_pairing(flip, s) == pytest.approx(2 * weakstar_pairing(flip, t), abs=1e-14)
-
-
-def test_tensor_scalar_multiplication(m2, flip):
-    a = m2.element([np.diag([4.0, -2.0])])
-    g = NormalFunctional(m2, (np.diag([0.5, 0.5]),))
-    t = ElementaryTensor(m2, ((a, g),))
-    assert weakstar_pairing(flip, t * 3.0) == pytest.approx(3 * weakstar_pairing(flip, t), abs=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,11 +210,15 @@ def test_surplus_unitaries_are_rejected_not_dropped(m23):
 # -- the stacked route against the per-sample one ------------------------------
 
 
+def _identity_element(algebra):
+    return algebra.element([np.eye(n) for n in algebra.block_dims])
+
+
 def _per_sample_verify(phi, sample_count, seed):
     # the per-sample loop that verify_automorphism replaced, kept as its oracle
     algebra = phi.algebra
     rng = SplitMix64(seed)
-    one = algebra.identity()
+    one = _identity_element(algebra)
     unital = (phi.apply(one) - one).norm()
     mult = star = isom = 0.0
     for _ in range(sample_count):
@@ -242,7 +238,7 @@ def _column_by_column(phi):
     basis = np.zeros(d, dtype=np.complex128)
     for j in range(d):
         basis[j] = 1.0
-        cols[:, j] = algebra.coordinates(phi.apply(algebra.from_coordinates(basis)))
+        cols[:, j] = algebra._join(phi.apply(algebra.element(algebra._split(basis))).blocks)
         basis[j] = 0.0
     return cols
 
@@ -250,7 +246,7 @@ def _column_by_column(phi):
 def _per_sample_contraction_estimate(phi, seed, samples):
     algebra = phi.algebra
     rng = SplitMix64(seed)
-    best = phi.apply(algebra.identity()).norm()
+    best = phi.apply(_identity_element(algebra)).norm()
     for _ in range(samples):
         u = algebra.element(parent_haar(algebra, rng).unitaries)
         best = max(best, phi.apply(u).norm())
@@ -271,8 +267,9 @@ MAPS_ON_M223 = {
     "trace-average": lambda: named_contraction("trace_average", M223),
     "grid-haar-swapped": lambda: GridPointMap.from_automorphism(MAPS_ON_M223["haar-swapped"]()),
     "dense-haar-swapped": lambda: GridPointMap.from_matrix(M223, linear_map_matrix(MAPS_ON_M223["haar-swapped"]())),
-    "dense-mixture": lambda: 0.5 * (GridPointMap.from_automorphism(MAPS_ON_M223["haar"]())
-                                    + GridPointMap.from_automorphism(MAPS_ON_M223["haar-swapped"]())),
+    "dense-mixture": lambda: GridPointMap.from_matrix(M223, (
+        linear_map_matrix(MAPS_ON_M223["haar"]()) + linear_map_matrix(MAPS_ON_M223["haar-swapped"]())
+    ) * complex(0.5)),
 }
 
 
@@ -553,14 +550,16 @@ def _parent_weakstar(scn):
     dev = 0.0
     for _ in range(10):
         alpha = parent_haar(algebra, rng)
-        t1 = ElementaryTensor(algebra, ((algebra.random_element(rng), algebra.random_functional(rng)),))
-        t2 = ElementaryTensor(algebra, ((algebra.random_element(rng), algebra.random_functional(rng)),))
-        joint = weakstar_pairing(alpha, t1 + t2)
+        # each tensor draws its element, then its functional: an element draw's blocks as densities
+        a1, g1, a2, g2 = (algebra.random_element(rng) for _ in range(4))
+        t1 = ElementaryTensor(algebra, ((a1, NormalFunctional(algebra, g1.blocks)),))
+        t2 = ElementaryTensor(algebra, ((a2, NormalFunctional(algebra, g2.blocks)),))
+        joint = weakstar_pairing(alpha, ElementaryTensor(algebra, t1.pairs + t2.pairs))
         dev = nan_max(dev, abs(joint - weakstar_pairing(alpha, t1) - weakstar_pairing(alpha, t2)))
         m = linear_map_matrix(alpha)
         for a, g in t1.pairs:
             direct = g(alpha.apply(a))
-            coords = np.concatenate([d.T.ravel() for d in g.densities]) @ (m @ algebra.coordinates(a))
+            coords = np.concatenate([d.T.ravel() for d in g.densities]) @ (m @ algebra._join(a.blocks))
             dev = nan_max(dev, abs(direct - coords))
     return dev
 

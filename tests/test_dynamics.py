@@ -747,3 +747,18 @@ def test_malformed_post_map_exits_with_config_error(tmp_path, spec):
     path = tmp_path / "probe.json"
     path.write_text(json.dumps(cfg))
     assert main(["verify", str(path)]) == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="large action weights: the cocycle-type laws round at about |S|·u against the absolute "
+    "dynamics tolerance of 1e-12 (README, Large action weights)",
+)
+def test_a_lawful_scenario_with_a_large_time_weight_verifies():
+    # rung 2x2 with a last weight of 1e6: action-weight-laws, group-law and
+    # action-additivity each read 1.38e-11
+    cfg = ladder_config(2, 2)
+    cfg["time_frame"]["weights"] = {"1": "0.5", "2": "1e6"}
+    failed = [r.check for r in run_suite(scenario_from_dict(cfg), ["all"]).records if not r.passed]
+    assert failed == []

@@ -717,6 +717,17 @@ def test_cli_exit_code_on_inadmissible_subset(tmp_path):
     assert main(["compute", str(path), "--subsets", "2"]) == 4
 
 
+@pytest.mark.parametrize(
+    "command", [["verify", "witness"], ["compute", "witness", "--subsets", "1"], ["demo", "witness"]],
+    ids=["verify", "compute", "demo"],
+)
+@pytest.mark.parametrize("target", ["missing-directory/out.json", "."], ids=["missing-directory", "a-directory"])
+def test_an_unwritable_out_path_exits_2_with_one_line(command, target, tmp_path, capsys):
+    assert main([*command, "--out", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1, err
+
+
 def assert_indented_json(text: str) -> None:
     """compute writes exactly what json.dumps(sort_keys=True, indent=2) would."""
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
