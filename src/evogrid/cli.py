@@ -7,9 +7,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 at least one check failed, 2 config or schema
 error, or an `--out` path that cannot be written, 3 representation
-dimension or algebra coordinate dimension over the dense cap, 4 domain
-error (unknown time label, inadmissible subset, bad suite name), 5
-verification aborted because a check's deviation is not finite.
+dimension, algebra coordinate dimension or admissible family size over
+the dense cap, 4 domain error (unknown time label, inadmissible subset,
+bad suite name), 5 verification aborted because a check's deviation is
+not finite.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ of the union factors pointwise through restriction,
 Integrating u_T against the spectral measure over T yields one unitary per
 admissible subset.  The factorization law above turns into the group law
 U_{T1} U_{T2} = U_{T1 u T2} for measure-disjoint subsets; the cocycle law
-and the suites' group law range over the frame's `disjoint_pairs()`.  All
+and the suites' group law range over the frame's `disjoint_pairs()`, each
+as one `_pair_max` over a stack with a row per admissible subset.  All
 of these unitaries commute within one representation, and conjugating the
 representation conjugates every U_T along with it.  Each of those statements
 is a check in the verification suites, not an assumption; the covariance
@@ -72,6 +73,20 @@ def nan_max(*values: float) -> float:
     for value in values[1:]:
         if value > worst or value != value:
             worst = value
+    return worst
+
+
+def _pair_max(stack: np.ndarray, table: np.ndarray, law: Callable[..., np.ndarray]) -> float:
+    """The largest modulus of law(stack[i], stack[j], ...) over the rows (i, j, ...) of `table`, 0.0 for none.
+
+    Rows are read len(stack) at a time, so an operand holds at most as many
+    rows as the stack; a maximum does not depend on that order, and a NaN
+    reaches it through `nan_max`.
+    """
+    worst = 0.0
+    step = max(len(stack), 1)
+    for start in range(0, len(table), step):
+        worst = nan_max(worst, float(np.max(np.abs(law(*stack[table[start : start + step].T])))))
     return worst
 
 
@@ -147,26 +162,20 @@ class ActionWeightReport:
 def validate_action_weight(weight: ActionWeight) -> ActionWeightReport:
     """Measure unimodularity, the null-subset law, and the cocycle law.
 
-    The cocycle law is checked for every ordered pair of measure-disjoint
-    admissible subsets, the frame's `disjoint_pairs()`, evaluated over all
-    full-set points.
+    Every law reads the weights pulled back to the full set, one stack row
+    per admissible subset; the cocycle law is checked on every full-set point
+    for every pair of the frame's `disjoint_pairs()`.
     """
     space = weight.space
     frame = space.frame
-    unimodular = 0.0
-    null_subset = 0.0
-    pulled = []
-    for subset in weight.domain():
-        f = weight.function(subset)
-        unimodular = nan_max(unimodular, float(np.max(np.abs(np.abs(f.values) - 1.0))) if f.values.size else 0.0)
-        if frame.mu(subset) == 0.0:
-            null_subset = nan_max(null_subset, float(np.max(np.abs(f.values - 1.0))))
-        pulled.append(f.values[space.restricted_index_array(subset)])
-
-    cocycle = 0.0
+    domain = weight.domain()
+    # one pulled-back row per subset; restriction is onto, so a row holds every value of its function
+    stack = np.array([weight.function(s).values[space.restricted_index_array(s)] for s in domain])
+    null = np.array([frame.mu(s) == 0.0 for s in domain], dtype=bool)
+    unimodular = float(np.max(np.abs(np.abs(stack) - 1.0), initial=0.0))
+    null_subset = float(np.max(np.abs(stack[null] - 1.0), initial=0.0))
     pairs = frame.disjoint_pairs()
-    for t1, t2, union in pairs.tolist():
-        cocycle = nan_max(cocycle, float(np.max(np.abs(pulled[union] - pulled[t1] * pulled[t2]))))
+    cocycle = _pair_max(stack, pairs, lambda t1, t2, union: union - t1 * t2)
     return ActionWeightReport(unimodular, cocycle, null_subset, len(pairs))
 
 

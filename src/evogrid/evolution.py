@@ -24,7 +24,8 @@ later builds on.
 Subset geometry is derived once per space and subset.  A frame maps labels
 to positions through one dict and memoises the frame-ordered labels of each
 subset and, once requested, the sorted admissible family and the
-measure-disjoint pairs of admissible subsets; a space keeps one record per
+measure-disjoint pairs of admissible subsets; the nested pairs are built
+on each call, from the same packed membership rows; a space keeps one record per
 subset it has been asked about, holding the axes, shape, point count
 and, once first requested, the restriction table (full-set point index ->
 restricted point index).  Every geometry query reads that
@@ -156,6 +157,14 @@ class TimeFrame:
             object.__setattr__(self, "_admissible", tuple(keyed))
         return self._admissible
 
+    def _member_pairs(self, related: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The family's packed membership rows, a bit per time in frame order, and (first, second)
+        positions into `admissible()`, first-major, of every pair whose rows `related` accepts in every byte."""
+        domain = self.admissible()
+        members = np.array([[t in s for t in self.times] for s in domain], dtype=bool)
+        keys = np.packbits(members.reshape(len(domain), len(self.times)), axis=1)
+        return keys, *np.nonzero(np.all(related(keys[:, None], keys[None]), axis=2))
+
     def disjoint_pairs(self) -> np.ndarray:
         """(first, second, union) positions into `admissible()` of every ordered
         pair with mu(first & second) == 0.0, first-subset-major; read-only.
@@ -164,20 +173,22 @@ class TimeFrame:
         pair is measure-disjoint when it shares no time of positive weight.
         """
         if self._pairs is None:
-            domain = self.admissible()
-            members = np.array([[t in s for t in self.times] for s in domain], dtype=bool)
-            members = members.reshape(len(domain), len(self.times))
-            keys = np.packbits(members, axis=1)
-            heavy = np.packbits(members & (np.array(self.weights) > 0.0), axis=1)
+            heavy = np.packbits(np.array(self.weights) > 0.0)
+            keys, first, second = self._member_pairs(lambda a, b: (a & b & heavy) == 0)
             table = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()  # one comparable item per subset
             order = np.argsort(table)
-            # row-major nonzero: first-subset-major, then second
-            first, second = np.nonzero(~np.any(heavy[:, None] & heavy[None], axis=2))
             union = order[np.searchsorted(table, (keys[first] | keys[second]).view(table.dtype).ravel(), sorter=order)]
             pairs = np.column_stack((first, second, union))
             pairs.setflags(write=False)
             object.__setattr__(self, "_pairs", pairs)
         return self._pairs
+
+    def nested_pairs(self) -> np.ndarray:
+        """(superset, subset) positions into `admissible()` of every pair whose subset
+        is nonempty and proper, superset-major; built on each call, as one law reads it."""
+        keys, big, small = self._member_pairs(lambda a, b: (b & ~a) == 0)
+        keep = (big != small) & keys[small].any(axis=1)
+        return np.column_stack((big[keep], small[keep]))
 
     def is_admissible(self, subset) -> bool:
         s = _as_frozenset(subset)

@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import ActionWeight
+from .dynamics import ActionWeight, _pair_max
 from .errors import DataError, DomainError, StructureError
 from .evolution import GridEvolutionSpace, GridFunction
 
@@ -161,24 +161,26 @@ class LagrangianReport:
 def verify_lagrangian(lagrangian: Lagrangian) -> LagrangianReport:
     """Measure restriction consistency and realness on every admissible subset.
 
-    Every admissible pair T' subset of T with T' nonempty is compared on
-    every full point through the restriction tables; realness is the largest
-    imaginary part in any table.
+    Every pair T' < T of the frame's `nested_pairs()` is compared on every
+    full point: each table is pulled back once, a stack row per (subset,
+    time) column, and one `_pair_max` reads (superset row, subset row) for
+    each time of T'.  Realness is the largest imaginary part in any table.
     """
     space = lagrangian.space
     frame = space.frame
     domain = frame.admissible()
-    restriction = 0.0
-    pairs = 0
-    for big in domain:
-        labels = frame.ordered(big)
-        pulled = lagrangian.table(big).real[space.restricted_index_array(big)]
-        for small in domain:
-            if not (small < big and small):
-                continue
-            columns = [labels.index(t) for t in frame.ordered(small)]
-            other = lagrangian.table(small).real[space.restricted_index_array(small)]
-            restriction = max(restriction, float(np.max(np.abs(pulled[:, columns] - other))))
-            pairs += 1
-    realness = max((float(np.max(np.abs(lagrangian.table(s).imag), initial=0.0)) for s in domain), default=0.0)
-    return LagrangianReport(restriction, realness, pairs)
+    member = np.zeros((len(domain), len(frame.times)), dtype=bool)
+    columns = [np.empty((0, space.dimension))]
+    realness = 0.0
+    for i, subset in enumerate(domain):
+        table = lagrangian.table(subset)
+        member[i, list(space.axes(subset))] = True
+        columns.append(table.real[space.restricted_index_array(subset)].T)
+        realness = max(realness, float(np.max(np.abs(table.imag), initial=0.0)))
+    # slot[i, p]: the stack row of subset i's time at frame position p, as the columns were stacked
+    slot = np.cumsum(member).reshape(member.shape) - 1
+    big, small = frame.nested_pairs().T
+    pair, time = np.nonzero(member[small])
+    shared = np.column_stack((slot[big[pair], time], slot[small[pair], time]))
+    restriction = _pair_max(np.concatenate(columns), shared, np.subtract)
+    return LagrangianReport(restriction, realness, len(big))

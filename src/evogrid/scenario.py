@@ -200,7 +200,7 @@ class Scenario:
     fingerprint: str
 
 
-def _parse_frame(cfg: Mapping) -> TimeFrame:
+def _parse_frame(cfg: Mapping, cap: int) -> TimeFrame:
     frame_cfg = _expect_object(cfg.get("time_frame"), "time_frame", ("times", "weights", "sigma0"))
     raw_times = _expect_list(frame_cfg.get("times"), "time_frame.times")
     times = tuple(str(t) for t in raw_times)
@@ -227,6 +227,8 @@ def _parse_frame(cfg: Mapping) -> TimeFrame:
     else:
         subsets = _expect_list(sigma_cfg, "time_frame.sigma0")
         sigma0 = tuple(frozenset(str(t) for t in _expect_list(s, "time_frame.sigma0[]")) for s in subsets)
+    # pair tables are m x m: bound m before the family is enumerated or checked for union closure
+    check_cap(2 ** len(times) if sigma0 is None else len(sigma0), cap, "admissible family size")
     with _as_config_error("time_frame"):
         return TimeFrame(times, tuple(weights), sigma0)
 
@@ -396,7 +398,7 @@ def scenario_from_dict(cfg: dict, seed_override: int | None = None) -> Scenario:
     # before any frame, grid or probe is built
     check_cap(algebra.dimension, cap, "algebra coordinate dimension")
 
-    frame = _parse_frame(effective)
+    frame = _parse_frame(effective, cap)
 
     grids_cfg = _expect_mapping(effective.get("grids"), "grids")
     if set(grids_cfg) != set(frame.times):

@@ -12,11 +12,12 @@ of the report body so that identical runs produce identical bytes.  A
 function that judges several checks is timed once and its time is split
 evenly among their records; the timings appendix lists those groups as
 `shared`.  The dynamics and Lagrangian suites each build one family, of
-unconjugated unitaries or of actions, that several laws read; the pair laws
-iterate the frame's `disjoint_pairs()`.  The unitaries are one (m, N) stack
-of diagonals, a row per admissible subset, and each unitary law reads its
-rows as one direct-sum `DiagonalOperator`, whose norm is the largest of the
-rows' norms and whose entries are the per-pair arithmetic bit for bit.
+unconjugated unitaries or of actions, as one (m, N) stack with a row per
+admissible subset that several laws read.  `group-law` and
+`action-additivity` are one `_pair_max` each over that stack and the frame's
+`disjoint_pairs()`; the other unitary laws read the stack as one direct-sum
+`DiagonalOperator`, whose norm is the largest of the rows' norms.  Every
+entry is the per-pair arithmetic bit for bit.
 
 The algebra suite draws each check's Haar automorphisms at once: one
 `complex_matrix` of all rounds from the check's substream, in the order the
@@ -94,7 +95,7 @@ from .algebra import (
     linear_map_matrix,
     verify_automorphism,
 )
-from .dynamics import commutant_witness, evolution_unitary, nan_max, validate_action_weight
+from .dynamics import _pair_max, commutant_witness, evolution_unitary, nan_max, validate_action_weight
 from .errors import DomainError
 from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback_rows
 from .lagrangian import action_from_lagrangian, verify_lagrangian
@@ -442,12 +443,12 @@ def _check_factorization(scn: Scenario) -> list[tuple[str, str, float, float]]:
 def _check_diagonal_calculus(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
     rep = scn.representation
-    rng = _rng(scn, "diagonal-calculus")
     n = scn.rep_space.dimension
+    # ten (f, g) pairs, f from row 2k and g from row 2k + 1 of one draw: the
+    # bits and end state of twenty alternating `random_function` calls
+    rows = [space.function(space.full, row) for row in _rng(scn, "diagonal-calculus").complex_matrix(20, n)]
     dev = 0.0
-    for _ in range(10):
-        f = space.random_function(space.full, rng)
-        g = space.random_function(space.full, rng)
+    for f, g in zip(rows[0::2], rows[1::2]):
         dev = nan_max(dev, (rep.represent(f * g) - rep.represent(f) @ rep.represent(g)).norm())
         dev = nan_max(dev, (rep.represent(f.conjugate()) - rep.represent(f).adjoint()).norm())
     one = space.constant(space.full, 1.0)
@@ -649,10 +650,9 @@ def _unitary_stack(scn: Scenario) -> np.ndarray:
 
 
 def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    # one unconjugated unitary per admissible subset, built once as a stack
-    # and read by all four laws as direct sums: rows r make the diagonal
-    # operator (+)_r U_r on m copies of the space, whose norm is the largest
-    # row norm and whose entries are the per-pair arithmetic bit for bit
+    # one unconjugated unitary per admissible subset, built once as a stack and
+    # read by all four laws, three as direct sums: rows r make the diagonal
+    # operator (+)_r U_r on m copies of the space, whose norm is the largest row norm
     frame = scn.frame
     u = _unitary_stack(scn)
     m, n = u.shape
@@ -660,13 +660,8 @@ def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
     dev = (stack.adjoint() @ stack - identity_operator(m * n)).norm()
     null = DiagonalOperator(u[np.array([frame.mu(s) == 0.0 for s in frame.admissible()], dtype=bool)])
     null_dev = (null - identity_operator(null.dimension)).norm()
-    # the norm of U_T1 U_T2 - U_(T1 u T2) over the frame's measure-disjoint pairs,
-    # m pairs at a time so that at most m rows of N are live
-    group_dev = 0.0
-    pairs = frame.disjoint_pairs()
-    for start in range(0, len(pairs), max(m, 1)):
-        t1, t2, union = (DiagonalOperator(u[i]) for i in pairs[start : start + m].T)
-        group_dev = nan_max(group_dev, (t1 @ t2 - union).norm())
+    # the norm of U_T1 U_T2 - U_(T1 u T2) over the frame's measure-disjoint pairs
+    group_dev = _pair_max(u, frame.disjoint_pairs(), lambda t1, t2, union: t1 * t2 - union)
     # judged at the dynamics tolerance, not `exact`: numpy's vectorized
     # complex multiply is not commutative in the last bit (with numpy 2.4.6
     # on an x86-64 Xeon, x*y != y*x for about 34,000 of 100,000 random
@@ -727,10 +722,8 @@ def _check_actions(scn: Scenario) -> list[tuple[str, str, float, float]]:
     frame = scn.frame
     domain = frame.admissible()
     actions = [action_from_lagrangian(scn.lagrangian, s) for s in domain]
-    pulled = [a.values[space.restricted_index_array(s)] for s, a in zip(domain, actions)]
-    additivity = 0.0
-    for t1, t2, union in frame.disjoint_pairs().tolist():
-        additivity = nan_max(additivity, float(np.max(np.abs(pulled[union] - pulled[t1] - pulled[t2]))))
+    pulled = np.array([a.values[space.restricted_index_array(s)] for s, a in zip(domain, actions)])
+    additivity = _pair_max(pulled, frame.disjoint_pairs(), lambda t1, t2, union: union - t1 - t2)
     lipschitz = 0.0
     null_dev = 0.0
     for subset, action in zip(domain, actions):

@@ -285,7 +285,8 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     # rung 5x2 has 32 subsets: one unconjugated unitary each for the four
     # shared laws and one each for conjugated-dynamics, which wraps its
     # unconjugated stack in the conjugated representation, one action each
-    # for the three shared Lagrangian laws, and one pair table read by three laws
+    # for the three shared Lagrangian laws, one disjoint pair table read by
+    # three laws and one nested pair table read by the restriction law
     from evogrid import suites
 
     scn = _interval_scenario("ladder-5x2")
@@ -303,9 +304,21 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     tables = []
     original = TimeFrame.disjoint_pairs
     monkeypatch.setattr(TimeFrame, "disjoint_pairs", lambda self: tables.append(original(self)) or tables[-1])
+    nested, builds = [], []
+    original_nested, member_pairs = TimeFrame.nested_pairs, TimeFrame._member_pairs
+    monkeypatch.setattr(TimeFrame, "nested_pairs", lambda self: nested.append(original_nested(self)) or nested[-1])
+    monkeypatch.setattr(TimeFrame, "_member_pairs", lambda self, related: builds.append(1) or member_pairs(self, related))
     run_suite(scn, ["dynamics", "lagrangian"])
     assert calls == {"evolution_unitary": 64, "action_from_lagrangian": 32}
     assert len(tables) == 3 and all(table is tables[0] for table in tables)
+    assert len(nested) == 1
+    assert len(builds) == 2  # one membership pass per pair table
+    # the restriction law pulls each density table once
+    pulled = Counter()
+    table = Lagrangian.table
+    monkeypatch.setattr(Lagrangian, "table", lambda self, subset: pulled.update([frozenset(subset)]) or table(self, subset))
+    verify_lagrangian(scn.lagrangian)
+    assert pulled == Counter(scn.frame.admissible())
 
 
 def per_operator_unitary_laws(scn) -> dict[str, float]:
@@ -348,6 +361,66 @@ def test_stacked_unitary_laws_are_the_per_operator_arithmetic_bit_for_bit(source
     scn = _family_scenario(source)
     stacked = {check: dev.hex() for check, _, dev, _ in suites._check_unitaries(scn)}
     assert stacked == {check: dev.hex() for check, dev in per_operator_unitary_laws(scn).items()}
+
+
+def per_pair_restriction(lagrangian) -> tuple[str, int]:
+    """The restriction law over every nonempty T' < T, one pair at a time, and its pair count."""
+    space = lagrangian.space
+    frame = space.frame
+    domain = frame.admissible()
+    restriction, pairs = 0.0, 0
+    for big in domain:
+        labels = frame.ordered(big)
+        pulled = lagrangian.table(big).real[space.restricted_index_array(big)]
+        for small in domain:
+            if not (small < big and small):
+                continue
+            columns = [labels.index(t) for t in frame.ordered(small)]
+            other = lagrangian.table(small).real[space.restricted_index_array(small)]
+            restriction = max(restriction, float(np.max(np.abs(pulled[:, columns] - other))))
+            pairs += 1
+    return restriction.hex(), pairs
+
+
+def per_pair_family_laws(scn) -> dict:
+    """The cocycle, additivity and restriction laws as the library judged them
+    one pair at a time."""
+    space, frame = scn.space, scn.frame
+    domain = frame.admissible()
+    weights = [scn.weight.function(s).values[space.restricted_index_array(s)] for s in domain]
+    actions = [action_from_lagrangian(scn.lagrangian, s).values[space.restricted_index_array(s)] for s in domain]
+    cocycle = additivity = 0.0
+    for t1, t2, union in frame.disjoint_pairs().tolist():
+        cocycle = dynamics.nan_max(cocycle, float(np.max(np.abs(weights[union] - weights[t1] * weights[t2]))))
+        additivity = dynamics.nan_max(additivity, float(np.max(np.abs(actions[union] - actions[t1] - actions[t2]))))
+    return {"cocycle": cocycle.hex(), "additivity": additivity.hex(), "restriction": per_pair_restriction(scn.lagrangian)}
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-8x1", *CUT_FRAMES])
+def test_pair_laws_are_the_per_pair_arithmetic_bit_for_bit(source):
+    from evogrid import suites
+
+    scn = _family_scenario(source)
+    report = verify_lagrangian(scn.lagrangian)
+    additivity = {check: dev for check, _, dev, _ in suites._check_actions(scn)}["action-additivity"]
+    assert per_pair_family_laws(scn) == {
+        "cocycle": validate_action_weight(scn.weight).cocycle.hex(),
+        "additivity": additivity.hex(),
+        "restriction": (report.restriction_deviation.hex(), report.pairs),
+    }
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "one-subset"])
+def test_restriction_law_is_the_per_pair_arithmetic_on_inconsistent_tables(source):
+    # a local Lagrangian is consistent by construction and reads 0.0; random
+    # tables put a different value at every (subset, point, time)
+    space = _family_scenario(source).space
+    rng = np.random.default_rng(7)
+    tables = {s: rng.normal(size=(space.npoints(s), len(s))) for s in space.frame.admissible()}
+    lagrangian = Lagrangian(space, tables)
+    report = verify_lagrangian(lagrangian)
+    assert per_pair_restriction(lagrangian) == (report.restriction_deviation.hex(), report.pairs)
+    assert report.restriction_deviation > 0.0 or report.pairs == 0
 
 
 # the four unitary-law lines of the smallest families as the per-operator

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -576,6 +578,35 @@ def test_a_grid_product_past_the_digit_limit_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == f"cap exceeded: representation dimension of {bits} bits exceeds the cap 4096\n"
 
 
+@pytest.mark.parametrize("times", [13, 16])
+def test_an_over_cap_family_exits_3_at_once(times, tmp_path, capsys):
+    # one-entry grids keep N = 1 while "all" admits 2^T subsets, whose pair
+    # tables would be 2^T x 2^T: the family size is bounded before it is built
+    from evobench.ladder import ladder_config
+
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(ladder_config(times, 1)))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"cap exceeded: admissible family size {2**times} exceeds the cap 4096\n"
+
+
+@pytest.mark.parametrize("cap, code", [(15, 3), (16, 0)])
+def test_the_cap_bounds_a_listed_family(cap, code, tmp_path, capsys):
+    # rung 4x1 (N = 1, d = 13) with its 16 subsets listed: the list's length is bounded
+    from evobench.ladder import ladder_config
+
+    cfg = ladder_config(4, 1)
+    cfg["cap"] = cap
+    cfg["time_frame"]["sigma0"] = [list(s) for r in range(5) for s in itertools.combinations("1234", r)]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path), "--out", str(tmp_path / "report.jsonl")]) == code
+    if code == 3:
+        assert capsys.readouterr().err == f"cap exceeded: admissible family size 16 exceeds the cap {cap}\n"
+
+
 BEYOND_FLOAT = "1" + "0" * 400  # an integer literal that float() overflows on
 PAST_DIGIT_LIMIT = "1" + "0" * 5000  # past Python's 4,300-digit limit for int parsing
 IDENTITY_BLOCKS = json.dumps([encode_matrix(np.eye(2)), encode_matrix(np.eye(3))])
@@ -847,11 +878,13 @@ def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
 # stdout of commands whose conjugated values round differently
 # under another BLAS thread count, and of the algebra suite on demo, whose
 # values are BLAS products and SVDs too, so each runs in a fresh one-thread process;
-# LADDER_2X8, LADDER_3X5, LADDER_3X8 and LADDER_5X2 name the files written from
-# evobench's ladder rungs 2x8 (N = 64), 3x5 (N = 125), 3x8 (N = 512) and
-# 5x2 (N = 32, all suites: the benchmark's geometry-5x2 report)
-LADDERS = {"ladder-2x8.json": (2, 8), "ladder-3x5.json": (3, 5), "ladder-3x8.json": (3, 8), "ladder-5x2.json": (5, 2)}
-LADDER_2X8, LADDER_3X5, LADDER_3X8, LADDER_5X2 = LADDERS
+# LADDER_2X8, LADDER_3X5, LADDER_3X8, LADDER_5X2 and LADDER_8X1 name the files
+# written from evobench's ladder rungs 2x8 (N = 64), 3x5 (N = 125), 3x8
+# (N = 512), 5x2 (N = 32, all suites: the benchmark's geometry-5x2 report)
+# and 8x1 (N = 1, 256 subsets and 8,748 disjoint pairs: the largest family pinned)
+LADDERS = {"ladder-2x8.json": (2, 8), "ladder-3x5.json": (3, 5), "ladder-3x8.json": (3, 8), "ladder-5x2.json": (5, 2),
+           "ladder-8x1.json": (8, 1)}
+LADDER_2X8, LADDER_3X5, LADDER_3X8, LADDER_5X2, LADDER_8X1 = LADDERS
 CONJUGATED_OUTPUT_SHA256 = {
     ("verify", "demo", "--suite", "conjugation", "--suite", "dynamics"):
         "e73069444f316362fcd1aecc0305871cc12ae0f4fab3cbc35ffb01fcb665d2d3",
@@ -873,6 +906,8 @@ CONJUGATED_OUTPUT_SHA256 = {
         "c3c38137dc9fa427095510da007f7a21704f3ebd95f033829753f303a762c82b",
     ("verify", LADDER_3X5):
         "ce5c465919b4e25cdfe991433cfe47ff8c909aea16dd25ce4adad0cc774b1a03",
+    ("verify", LADDER_8X1, "--suite", "dynamics", "--suite", "lagrangian"):
+        "c237ed1e85936cf254c45572896fabf4a1c31cba19dfe7133d586e619a52407c",
     # the one built-in report that forms the commutant witness, and so reads
     # dense conjugated operators built through a representation
     ("verify", "witness"):
