@@ -7,12 +7,13 @@ of the union factors pointwise through restriction,
 
     u_{T1 u T2}(x|_{T1 u T2}) = u_{T1}(x|_{T1}) * u_{T2}(x|_{T2}).
 
-Integrating u_T against the spectral measure over T yields one unitary per
-admissible subset.  The factorization law above turns into the group law
-U_{T1} U_{T2} = U_{T1 u T2} for measure-disjoint subsets; the cocycle law
-and the suites' group law range over the frame's `disjoint_pairs()`, each
-as one `_pair_max` over a stack with a row per admissible subset.  All
-of these unitaries commute within one representation, and conjugating the
+Integrating u_T against the spectral measure over T yields one unitary U_T
+per admissible subset, whose diagonal is u_T pulled back along restriction.
+A weight keeps those diagonals as its `stack`, which every law below reads;
+`evolution_unitary` integrates one subset.  The factorization
+law above turns into the group law U_{T1} U_{T2} = U_{T1 u T2} for
+measure-disjoint subsets; both range over the frame's `disjoint_pairs()`.
+All of these unitaries commute within one representation, and conjugating the
 representation conjugates every U_T along with it.  Each of those statements
 is a check in the verification suites, not an assumption; the covariance
 under conjugation is the suites' `conjugated-dynamics` check.
@@ -30,13 +31,14 @@ f_t an elementary tensor and tau_t a reference grid map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import DataError, DomainError, StructureError
 from .evolution import GridEvolutionSpace, GridFunction
-from .representation import Operator, PureRepresentation, integrate
+from .representation import ConjugatedDiagonalOperator, Operator, PureRepresentation, _frozen, integrate
 from .rng import SplitMix64, derive_seed
 
 __all__ = [
@@ -148,6 +150,17 @@ class ActionWeight:
         except KeyError:
             raise DomainError(f"subset {sorted(map(str, key))} is not admissible") from None
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """Read-only (m, N) diagonals of U_T, a row per subset of `domain()`, formed at first read: row T
+        is u_T, read through `function` and gathered along restriction into zeros as `integrate_rows`
+        does, with the bits of `evolution_unitary(self, T, rep).diag`."""
+        space, domain = self.space, self.domain()
+        stack = np.zeros((len(domain), space.dimension), dtype=np.complex128)
+        for row, subset in zip(stack, domain):
+            row += self.function(subset).values[space.restricted_index_array(subset)]
+        return _frozen(stack)
+
 
 @dataclass(frozen=True)
 class ActionWeightReport:
@@ -162,18 +175,13 @@ class ActionWeightReport:
 def validate_action_weight(weight: ActionWeight) -> ActionWeightReport:
     """Measure unimodularity, the null-subset law, and the cocycle law.
 
-    Every law reads the weights pulled back to the full set, one stack row
-    per admissible subset; the cocycle law is checked on every full-set point
-    for every pair of the frame's `disjoint_pairs()`.
+    Every law reads the weight's `stack`, whose row holds every value of its
+    function, as restriction is onto; the cocycle law is checked on every
+    full-set point for every pair of the frame's `disjoint_pairs()`.
     """
-    space = weight.space
-    frame = space.frame
-    domain = weight.domain()
-    # one pulled-back row per subset; restriction is onto, so a row holds every value of its function
-    stack = np.array([weight.function(s).values[space.restricted_index_array(s)] for s in domain])
-    null = np.array([frame.mu(s) == 0.0 for s in domain], dtype=bool)
+    stack, frame = weight.stack, weight.space.frame
     unimodular = float(np.max(np.abs(np.abs(stack) - 1.0), initial=0.0))
-    null_subset = float(np.max(np.abs(stack[null] - 1.0), initial=0.0))
+    null_subset = float(np.max(np.abs(stack[frame.null_subsets()] - 1.0), initial=0.0))
     pairs = frame.disjoint_pairs()
     cocycle = _pair_max(stack, pairs, lambda t1, t2, union: union - t1 * t2)
     return ActionWeightReport(unimodular, cocycle, null_subset, len(pairs))
@@ -268,22 +276,25 @@ def commutant_witness(
     the largest commutator norm between a unitary of the original
     representation and one of the conjugated representation: a strictly
     positive lower bound exhibits an operator outside the commutant of the
-    conjugated family.  Each conjugated unitary is built dense once; the
+    conjugated family.  Both sides read `weight.stack`: each conjugated
+    unitary is its row wrapped in `conjugated` and built dense once; the
     bounds for every original unitary come from batched products with it
     (`_commutator_lower_bounds`, `_commutator_upper_bounds`).  The witness
     pair is the first maximal lower bound with the original subset varying
-    slowest.
+    slowest.  Without subsets there is no commutator: 0.0, 0.0 and ().
     """
     if rep.conjugator is not None or conjugated.conjugator is None:
         raise StructureError("commutant_witness compares an unconjugated representation with a conjugated one")
-    domain = weight.domain()
-    p = np.stack([evolution_unitary(weight, s, rep).diag for s in domain], axis=1)
+    domain, stack = weight.domain(), weight.stack
+    if not domain:
+        return CommutantReport(0.0, 0.0, ())
+    p = np.ascontiguousarray(stack.T)  # C order: the upper bounds view it as float64 pairs
     start = SplitMix64(_WITNESS_START_SEED).complex_matrix(rep.dimension, len(domain))
     lower = np.empty((len(domain), len(domain)))  # [s1, s2]
     upper = np.empty_like(lower)
     # one twisted dense matrix live at a time, read by the bounds of every commutator with it
-    for i2, s2 in enumerate(domain):
-        t2 = evolution_unitary(weight, s2, conjugated).to_dense()
+    for i2, row in enumerate(stack):
+        t2 = ConjugatedDiagonalOperator(conjugated, row).to_dense()
         lower[:, i2] = _commutator_lower_bounds(t2, p, start)
         upper[:, i2] = _commutator_upper_bounds(t2, p)
     # argmax of the row-major table: the first maximum in s1-major order

@@ -22,18 +22,17 @@ and pullback of functions along restriction are the two moves everything
 later builds on.
 
 Subset geometry is derived once per space and subset.  A frame maps labels
-to positions through one dict and memoises the frame-ordered labels of each
-subset and, once requested, the sorted admissible family and the
-measure-disjoint pairs of admissible subsets; the nested pairs are built
-on each call, from the same packed membership rows; a space keeps one record per
-subset it has been asked about, holding the axes, shape, point count
-and, once first requested, the restriction table (full-set point index ->
-restricted point index).  Every geometry query reads that
-record, so a table is built once per space and subset and returned
-read-only: a caller that tries to write into it gets a ValueError instead of
-corrupting later queries.  The records hold at most one int64 table of N
-entries per subset.  No record or memo is a dataclass field, so equality,
-hashing and fingerprints see only the frame and grids.
+to positions through one dict, memoises the frame-ordered labels of each
+subset and the measure-disjoint pairs, and builds with itself the sorted
+admissible family, its packed membership rows and a byte trie from a row
+to its position; the loader bounds the family by the cap first.  The union
+closure of a listed family, both pair tables and the measure-zero mask are
+array work on those rows.  A space keeps one record per subset it has
+been asked about, holding the axes, shape, point count and, once first
+requested, the read-only restriction table (full-set point index ->
+restricted point index) that every geometry query reads.  No record or
+memo is a dataclass field, so equality, hashing and fingerprints see only
+the frame and grids.
 """
 
 from __future__ import annotations
@@ -100,20 +99,34 @@ class TimeFrame:
             for s in family:
                 if not s <= known:
                     raise DomainError(f"admissible subset {sorted(map(str, s))} uses unknown time labels")
-            fam_set = set(family)
-            if len(fam_set) != len(family):
+            if len(set(family)) != len(family):
                 raise StructureError("admissible family contains duplicates")
-            for s1 in family:
-                for s2 in family:
-                    if s1 | s2 not in fam_set:
-                        raise StructureError("admissible family is not closed under unions")
             object.__setattr__(self, "sigma0", family)
         # lookup caches, not fields: equality and hashing ignore them
         object.__setattr__(self, "_positions", {t: i for i, t in enumerate(times)})
         object.__setattr__(self, "_ordered", {})
-        object.__setattr__(self, "_family", None if self.sigma0 is None else frozenset(self.sigma0))
-        object.__setattr__(self, "_admissible", None)
         object.__setattr__(self, "_pairs", None)
+        # the family in (size, position) order, its packed membership rows (a bit per time in frame
+        # order) and their byte trie, whose level j holds the sorted codes 256 * (code of a row's first
+        # j bytes) + byte j
+        every = (frozenset(c) for r in range(len(times) + 1) for c in itertools.combinations(times, r))
+        family = every if self.sigma0 is None else self.sigma0
+        keyed = tuple(sorted(family, key=lambda s: (len(s), tuple(sorted(self.position(t) for t in s)))))
+        members = np.array([[t in s for t in times] for s in keyed], dtype=bool)
+        rows = np.packbits(members.reshape(len(keyed), len(times)), axis=1)
+        rows.setflags(write=False)
+        code, levels = np.zeros(len(rows), dtype=np.int64), []
+        for column in rows.T:
+            prefixes, code = np.unique(code * 256 + column, return_inverse=True)
+            levels.append(np.append(prefixes, np.iinfo(np.int64).max))  # a sentinel no code reaches
+        object.__setattr__(self, "_admissible", keyed)
+        object.__setattr__(self, "_family", frozenset(keyed))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_trie", (levels, np.append(np.argsort(code), len(rows))))
+        if self.sigma0 is not None:
+            for row in rows:  # one subset's unions with every subset at a time
+                if np.any(self._find(row | rows) == len(rows)):
+                    raise StructureError("admissible family is not closed under unions")
 
     @property
     def full(self) -> frozenset:
@@ -142,28 +155,18 @@ class TimeFrame:
         return float(sum(self.weight(t) for t in self.ordered(subset)))
 
     def admissible(self) -> tuple[frozenset, ...]:
-        """The admissible family, in a deterministic (size, position) order;
-        built on first use and the same tuple on every later call."""
-        if self._admissible is None:
-            if self.sigma0 is None:
-                family = [
-                    frozenset(c)
-                    for r in range(len(self.times) + 1)
-                    for c in itertools.combinations(self.times, r)
-                ]
-            else:
-                family = list(self.sigma0)
-            keyed = sorted(family, key=lambda s: (len(s), tuple(sorted(self.position(t) for t in s))))
-            object.__setattr__(self, "_admissible", tuple(keyed))
+        """The admissible family in a deterministic (size, position) order, built with the frame."""
         return self._admissible
 
-    def _member_pairs(self, related: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The family's packed membership rows, a bit per time in frame order, and (first, second)
-        positions into `admissible()`, first-major, of every pair whose rows `related` accepts in every byte."""
-        domain = self.admissible()
-        members = np.array([[t in s for t in self.times] for s in domain], dtype=bool)
-        keys = np.packbits(members.reshape(len(domain), len(self.times)), axis=1)
-        return keys, *np.nonzero(np.all(related(keys[:, None], keys[None]), axis=2))
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """The position in `admissible()` of each packed membership row, len(admissible()) for one outside it."""
+        levels, positions = self._trie
+        code = np.zeros(len(rows), dtype=np.int64)
+        for prefixes, column in zip(levels, rows.T):
+            key = code * 256 + column
+            at = np.searchsorted(prefixes, key)
+            code = np.where(prefixes[at] == key, at, -1)  # then keys are negative: a missed row stays missed
+        return positions[code]
 
     def disjoint_pairs(self) -> np.ndarray:
         """(first, second, union) positions into `admissible()` of every ordered
@@ -173,12 +176,9 @@ class TimeFrame:
         pair is measure-disjoint when it shares no time of positive weight.
         """
         if self._pairs is None:
-            heavy = np.packbits(np.array(self.weights) > 0.0)
-            keys, first, second = self._member_pairs(lambda a, b: (a & b & heavy) == 0)
-            table = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()  # one comparable item per subset
-            order = np.argsort(table)
-            union = order[np.searchsorted(table, (keys[first] | keys[second]).view(table.dtype).ravel(), sorter=order)]
-            pairs = np.column_stack((first, second, union))
+            rows, heavy = self._rows, np.packbits(np.array(self.weights) > 0.0)
+            first, second = np.nonzero(np.all((rows[:, None] & rows[None] & heavy) == 0, axis=2))
+            pairs = np.column_stack((first, second, self._find(rows[first] | rows[second])))
             pairs.setflags(write=False)
             object.__setattr__(self, "_pairs", pairs)
         return self._pairs
@@ -186,15 +186,17 @@ class TimeFrame:
     def nested_pairs(self) -> np.ndarray:
         """(superset, subset) positions into `admissible()` of every pair whose subset
         is nonempty and proper, superset-major; built on each call, as one law reads it."""
-        keys, big, small = self._member_pairs(lambda a, b: (b & ~a) == 0)
-        keep = (big != small) & keys[small].any(axis=1)
+        rows = self._rows
+        big, small = np.nonzero(np.all((rows[None] & ~rows[:, None]) == 0, axis=2))
+        keep = (big != small) & rows[small].any(axis=1)
         return np.column_stack((big[keep], small[keep]))
 
+    def null_subsets(self) -> np.ndarray:
+        """Mask over `admissible()` of mu(subset) == 0.0: no time of positive weight, as in `disjoint_pairs`."""
+        return ~np.any(self._rows & np.packbits(np.array(self.weights) > 0.0), axis=1)
+
     def is_admissible(self, subset) -> bool:
-        s = _as_frozenset(subset)
-        if self._family is None:
-            return s <= self.full
-        return s in self._family
+        return _as_frozenset(subset) in self._family
 
 
 @dataclass(frozen=True, eq=False)

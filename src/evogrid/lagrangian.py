@@ -168,15 +168,13 @@ def verify_lagrangian(lagrangian: Lagrangian) -> LagrangianReport:
     """
     space = lagrangian.space
     frame = space.frame
-    domain = frame.admissible()
-    member = np.zeros((len(domain), len(frame.times)), dtype=bool)
     columns = [np.empty((0, space.dimension))]
     realness = 0.0
-    for i, subset in enumerate(domain):
+    for subset in frame.admissible():
         table = lagrangian.table(subset)
-        member[i, list(space.axes(subset))] = True
         columns.append(table.real[space.restricted_index_array(subset)].T)
         realness = max(realness, float(np.max(np.abs(table.imag), initial=0.0)))
+    member = np.unpackbits(frame._rows, axis=1, count=len(frame.times)).view(bool)
     # slot[i, p]: the stack row of subset i's time at frame position p, as the columns were stacked
     slot = np.cumsum(member).reshape(member.shape) - 1
     big, small = frame.nested_pairs().T

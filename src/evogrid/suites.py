@@ -11,9 +11,9 @@ different BLAS thread count.  Runtimes are recorded per check but kept out
 of the report body so that identical runs produce identical bytes.  A
 function that judges several checks is timed once and its time is split
 evenly among their records; the timings appendix lists those groups as
-`shared`.  The dynamics and Lagrangian suites each build one family, of
-unconjugated unitaries or of actions, as one (m, N) stack with a row per
-admissible subset that several laws read.  `group-law` and
+`shared`.  The dynamics suite reads the weight's `stack` of unconjugated
+unitaries and the Lagrangian suite builds one of actions: (m, N) stacks
+with a row per admissible subset that several laws read.  `group-law` and
 `action-additivity` are one `_pair_max` each over that stack and the frame's
 `disjoint_pairs()`; the other unitary laws read the stack as one direct-sum
 `DiagonalOperator`, whose norm is the largest of the rows' norms.  Every
@@ -63,7 +63,7 @@ holds the W* and row Gram they read: the conjugated measure's gather never
 reads the representation, so it would give the same bits.  Each side
 reads their columns in one W* product of width 40.
 `conjugated-dynamics` is the same covariance for the evolution unitaries:
-the unconjugated stack, a row per subset, wrapped the same way and read
+the weight's stack, a row per subset, wrapped the same way and read
 on a fixed spread of four columns in one W* product of width 4m, against
 the same product of that stack and the check's own W*; no check forms a
 dense matrix.  The commutant witness is
@@ -95,7 +95,8 @@ from .algebra import (
     linear_map_matrix,
     verify_automorphism,
 )
-from .dynamics import _pair_max, commutant_witness, evolution_unitary, nan_max, validate_action_weight
+# no check calls evolution_unitary; evobench/test_evobench.py reads this binding as its `from` import example
+from .dynamics import _pair_max, commutant_witness, evolution_unitary, nan_max, validate_action_weight  # noqa: F401
 from .errors import DomainError
 from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback_rows
 from .lagrangian import action_from_lagrangian, verify_lagrangian
@@ -642,23 +643,13 @@ def _check_action_weight(scn: Scenario) -> list[tuple[str, str, float, float]]:
     return [("action-weight-laws", "D4.1", dev, scn.tolerances.dynamics)]
 
 
-def _unitary_stack(scn: Scenario) -> np.ndarray:
-    """The unconjugated evolution unitaries' diagonals, one row per admissible subset: (m, N)."""
-    domain = scn.frame.admissible()
-    rows = [evolution_unitary(scn.weight, s, scn.representation).diag for s in domain]
-    return np.array(rows, dtype=np.complex128).reshape(len(domain), scn.rep_space.dimension)
-
-
 def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    # one unconjugated unitary per admissible subset, built once as a stack and
-    # read by all four laws, three as direct sums: rows r make the diagonal
-    # operator (+)_r U_r on m copies of the space, whose norm is the largest row norm
     frame = scn.frame
-    u = _unitary_stack(scn)
+    u = scn.weight.stack
     m, n = u.shape
     stack = DiagonalOperator(u)
     dev = (stack.adjoint() @ stack - identity_operator(m * n)).norm()
-    null = DiagonalOperator(u[np.array([frame.mu(s) == 0.0 for s in frame.admissible()], dtype=bool)])
+    null = DiagonalOperator(u[frame.null_subsets()])
     null_dev = (null - identity_operator(null.dimension)).norm()
     # the norm of U_T1 U_T2 - U_(T1 u T2) over the frame's measure-disjoint pairs
     group_dev = _pair_max(u, frame.disjoint_pairs(), lambda t1, t2, union: t1 * t2 - union)
@@ -681,22 +672,14 @@ def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 
 def _check_conjugated_dynamics(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    # covariance of the evolution unitaries: every conjugated U'_T, the
-    # unconjugated stack u wrapped in the conjugated representation, whose
-    # columns j over a fixed spread are read in one `columns` product,
-    # against W* (u_T * W e_j) formed in one product from the same stack
-    # and the check's own W*
     n = scn.rep_space.dimension
     cols = np.unique(np.linspace(0, n - 1, COVARIANCE_COLUMNS).astype(int))
     rep = scn.conjugated
     w = rep.conjugator
-    u = _unitary_stack(scn)
+    u = scn.weight.stack
     twisted = ConjugatedDiagonalOperator(rep, u)
     route = conjugated_columns(w.conj().T, w, u, cols)
     covariance = float(np.max(np.linalg.norm(twisted.columns(cols) - route, axis=1), initial=0.0))
-    # without a threshold no witness is formed and the record is an unjudged
-    # 0.0; with one, a designed witness scenario must exhibit a commutator
-    # above it, judged on the certified lower bound
     witness_dev = 0.0
     if scn.witness_threshold is not None:
         report = commutant_witness(scn.weight, scn.representation, scn.conjugated)
@@ -725,9 +708,7 @@ def _check_actions(scn: Scenario) -> list[tuple[str, str, float, float]]:
     pulled = np.array([a.values[space.restricted_index_array(s)] for s, a in zip(domain, actions)])
     additivity = _pair_max(pulled, frame.disjoint_pairs(), lambda t1, t2, union: union - t1 - t2)
     lipschitz = 0.0
-    null_dev = 0.0
     for subset, action in zip(domain, actions):
-        mu = frame.mu(subset)
         if subset:
             densities = scn.lagrangian.table(subset).real
             k = len(densities)
@@ -738,11 +719,11 @@ def _check_actions(scn: Scenario) -> list[tuple[str, str, float, float]]:
                 rng = _rng(scn, f"lipschitz-{sorted(map(str, subset))}")
                 left, right = rng.integers(k, 2 * pair_budget).reshape(-1, 2).T
             gap = np.abs(action.values[left] - action.values[right])
-            bound = np.max(np.abs(densities[left] - densities[right]), axis=1) * mu
+            bound = np.max(np.abs(densities[left] - densities[right]), axis=1) * frame.mu(subset)
             lipschitz = nan_max(lipschitz, 0.0, float(np.max(gap - bound)))
-        if mu == 0.0:
-            null_dev = nan_max(null_dev, float(np.max(np.abs(action.values))))
-            null_dev = nan_max(null_dev, float(np.max(np.abs(scn.weight.function(subset).values - 1.0))))
+    null = frame.null_subsets()
+    null_dev = nan_max(float(np.max(np.abs(pulled[null]), initial=0.0)),
+                       float(np.max(np.abs(scn.weight.stack[null] - 1.0), initial=0.0)))
     return [
         ("action-additivity", "P5.2", additivity, scn.tolerances.dynamics),
         ("action-lipschitz", "P5.2", lipschitz, scn.tolerances.dynamics),

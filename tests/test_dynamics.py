@@ -279,16 +279,21 @@ def test_disjoint_pairs_match_the_mu_loop(source, m2, flip):
     # the memo is not a field: a twin that never built it is still equal
     assert frame == twin and hash(frame) == hash(twin)
     assert validate_action_weight(weight).pairs_checked == len(table)
+    assert frame.null_subsets().tolist() == [frame.mu(s) == 0.0 for s in domain]
 
 
 def test_each_family_is_built_once_per_suite_run(monkeypatch):
-    # rung 5x2 has 32 subsets: one unconjugated unitary each for the four
-    # shared laws and one each for conjugated-dynamics, which wraps its
-    # unconjugated stack in the conjugated representation, one action each
-    # for the three shared Lagrangian laws, one disjoint pair table read by
-    # three laws and one nested pair table read by the restriction law
+    # rung 5x2 has 32 subsets: one weight read each, for the one stack of
+    # unconjugated unitaries that the cocycle, the four unitary laws,
+    # conjugated-dynamics and null-action read, and no evolution_unitary call;
+    # one action each for the three shared Lagrangian laws, one disjoint pair
+    # table read by three laws, one nested pair table read by the restriction
+    # law, and one packing of the frame's membership rows for all of them
     from evogrid import suites
 
+    packed = []
+    packbits = np.packbits
+    monkeypatch.setattr(np, "packbits", lambda a, *args, **kw: packed.append(np.shape(a)) or packbits(a, *args, **kw))
     scn = _interval_scenario("ladder-5x2")
     calls = Counter()
 
@@ -299,26 +304,44 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
 
         return spy
 
-    monkeypatch.setattr(suites, "evolution_unitary", counted(evolution_unitary))
+    for module in (suites, dynamics):
+        monkeypatch.setattr(module, "evolution_unitary", counted(evolution_unitary))
     monkeypatch.setattr(suites, "action_from_lagrangian", counted(action_from_lagrangian))
+    monkeypatch.setattr(ActionWeight, "function", counted(ActionWeight.function))
     tables = []
     original = TimeFrame.disjoint_pairs
     monkeypatch.setattr(TimeFrame, "disjoint_pairs", lambda self: tables.append(original(self)) or tables[-1])
-    nested, builds = [], []
-    original_nested, member_pairs = TimeFrame.nested_pairs, TimeFrame._member_pairs
+    nested = []
+    original_nested = TimeFrame.nested_pairs
     monkeypatch.setattr(TimeFrame, "nested_pairs", lambda self: nested.append(original_nested(self)) or nested[-1])
-    monkeypatch.setattr(TimeFrame, "_member_pairs", lambda self, related: builds.append(1) or member_pairs(self, related))
     run_suite(scn, ["dynamics", "lagrangian"])
-    assert calls == {"evolution_unitary": 64, "action_from_lagrangian": 32}
+    assert calls == {"function": 32, "action_from_lagrangian": 32}
     assert len(tables) == 3 and all(table is tables[0] for table in tables)
     assert len(nested) == 1
-    assert len(builds) == 2  # one membership pass per pair table
     # the restriction law pulls each density table once
     pulled = Counter()
     table = Lagrangian.table
     monkeypatch.setattr(Lagrangian, "table", lambda self, subset: pulled.update([frozenset(subset)]) or table(self, subset))
     verify_lagrangian(scn.lagrangian)
     assert pulled == Counter(scn.frame.admissible())
+    assert packed.count((32, 5)) == 1
+
+
+def test_the_witness_reads_the_stack_the_unitary_laws_read(monkeypatch):
+    from evogrid import suites
+
+    scn = load_scenario("witness")
+    stack, reads, functions = ActionWeight.stack, [], Counter()
+    monkeypatch.setattr(ActionWeight, "stack", property(lambda self: reads.append(stack.__get__(self)) or reads[-1]))
+    function = ActionWeight.function
+    monkeypatch.setattr(ActionWeight, "function", lambda self, s: functions.update([s]) or function(self, s))
+    seen = []
+    monkeypatch.setattr(suites, "commutant_witness", lambda *args: seen.append(len(reads)) or commutant_witness(*args))
+    records = {r.check: r for r in run_suite(scn, ["dynamics"]).records}
+    assert records["commutant-witness"].passed and seen == [3]
+    # read by the cocycle, the unitary laws, conjugated-dynamics and the witness
+    assert len(reads) == 4 and all(read is reads[0] for read in reads)
+    assert functions == Counter(scn.frame.admissible())
 
 
 def per_operator_unitary_laws(scn) -> dict[str, float]:
@@ -361,6 +384,19 @@ def test_stacked_unitary_laws_are_the_per_operator_arithmetic_bit_for_bit(source
     scn = _family_scenario(source)
     stacked = {check: dev.hex() for check, _, dev, _ in suites._check_unitaries(scn)}
     assert stacked == {check: dev.hex() for check, dev in per_operator_unitary_laws(scn).items()}
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", *CUT_FRAMES])
+def test_each_stack_row_is_its_evolution_unitary_bit_for_bit(source):
+    scn = _family_scenario(source)
+    weight = scn.weight
+    assert "stack" not in vars(weight)  # formed at first read, not at load
+    stack = weight.stack
+    assert stack.shape == (len(weight.domain()), scn.space.dimension) and stack.dtype == np.complex128
+    assert not stack.flags.writeable and weight.stack is stack
+    for row, subset in zip(stack, weight.domain()):
+        for rep in (scn.representation, scn.conjugated):
+            assert row.tobytes() == evolution_unitary(weight, subset, rep).diag.tobytes()
 
 
 def per_pair_restriction(lagrangian) -> tuple[str, int]:

@@ -82,6 +82,61 @@ def test_admissible_family_must_be_union_closed():
     assert len(frame.admissible()) == 4
 
 
+def closure_by_pairs(family) -> str | None:
+    """The union-closure check as an m^2 loop over frozensets: None, or its StructureError text."""
+    present = set(family)
+    for s1 in family:
+        for s2 in family:
+            if s1 | s2 not in present:
+                return "admissible family is not closed under unions"
+    return None
+
+
+def _closure_cases():
+    """Listed families: the empty family, one subset, and over 3, 9 and 70 times
+    random generators, their union closure and that closure without one union."""
+    rng = np.random.default_rng(11)
+    cases = [(("1",), ()), (("1", "2"), (frozenset({"2"}),))]
+    for count in (3, 9, 70):
+        times = tuple(str(i) for i in range(count))
+        for _ in range(4):
+            generators = {frozenset(t for t in times if rng.random() < 0.3) for _ in range(rng.integers(1, 6))}
+            closed = set(generators)
+            while len(closed) < len(grown := closed | {a | b for a in closed for b in closed}):
+                closed = grown
+            unions = sorted((s for s in closed if s not in generators), key=sorted)
+            cases += [(times, tuple(generators)), (times, tuple(closed))]
+            cases += [(times, tuple(closed - {union})) for union in unions[:1]]
+    return cases
+
+
+@pytest.mark.parametrize("times, family", _closure_cases())
+def test_union_closure_agrees_with_the_pair_loop(times, family):
+    expected = closure_by_pairs(family)
+    if expected is None:
+        frame = TimeFrame(times, (1.0,) * len(times), family)
+        assert set(frame.admissible()) == set(family)
+        # the row lookup: a member's position, len(family) for every prefix of the times outside it
+        probes = list(family) + [frozenset(times[:k]) for k in range(len(times) + 1)]
+        rows = np.packbits([[t in s for t in times] for s in probes], axis=1)
+        position = {s: i for i, s in enumerate(frame.admissible())}
+        assert frame._find(rows).tolist() == [position.get(s, len(family)) for s in probes]
+    else:
+        with pytest.raises(StructureError, match=f"^{expected}$"):
+            TimeFrame(times, (1.0,) * len(times), family)
+
+
+def test_listed_family_of_every_subset_is_the_all_family():
+    # 4,096 subsets, listed largest first: the same order and pair tables as "all"
+    times = tuple(str(i) for i in range(1, 13))
+    weights = (0.5,) * 11 + (0.0,)
+    every = TimeFrame(times, weights)
+    listed = TimeFrame(times, weights, every.admissible()[::-1])
+    assert listed.admissible() == every.admissible()
+    assert np.array_equal(listed.disjoint_pairs(), every.disjoint_pairs())
+    assert np.array_equal(listed.nested_pairs(), every.nested_pairs())
+
+
 def test_admissible_rejects_unknown_labels():
     with pytest.raises(DomainError):
         TimeFrame(("1",), (1.0,), sigma0=(frozenset({"9"}),))

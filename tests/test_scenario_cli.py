@@ -704,13 +704,21 @@ def test_cli_exit_code_on_an_empty_suite_selection(spelling):
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_every_suite_passes_demo_on_an_empty_family(suite, tmp_path):
-    # no admissible subset at all: every law holds vacuously, with 0.0 records
-    cfg = builtin_scenario("demo")
-    cfg["time_frame"]["sigma0"] = []
-    path = tmp_path / "empty-family.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["verify", str(path), "--suite", suite]) == 0
+def test_every_suite_on_an_empty_family(suite, tmp_path):
+    # no admissible subset at all: every law holds vacuously, with 0.0
+    # records; on witness there is no commutator to bound, so its threshold
+    # fails commutant-witness and nothing else
+    for source in ("demo", "witness"):
+        cfg = builtin_scenario(source)
+        cfg["time_frame"]["sigma0"] = []
+        if source == "witness":
+            cfg["dynamics"]["weights"] = []
+        path, out = tmp_path / f"{source}.json", tmp_path / f"{source}.jsonl"
+        path.write_text(json.dumps(cfg))
+        code = main(["verify", str(path), "--suite", suite, "--out", str(out)])
+        failed = [r["check"] for r in map(json.loads, out.read_text().splitlines()) if "check" in r and not r["pass"]]
+        expected = ["commutant-witness"] if (source, suite) == ("witness", "dynamics") else []
+        assert (code, failed) == (1 if expected else 0, expected)
 
 
 def test_run_suite_rejects_an_empty_selection():
