@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("scenario", help="path to a scenario JSON file or a built-in name")
     p_compute.add_argument("--subsets", required=True,
                            help="semicolon-separated subsets of time labels, each a comma list of distinct labels; "
-                                "'-' is the empty set")
+                                "'-' is the empty set (write --subsets=-;1 when the list starts with it)")
     p_compute.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_compute.add_argument("--out", default=None, help="write the operator JSON here instead of stdout")
 
@@ -61,14 +62,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write each text chunk as it comes; stdout gets a final newline."""
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in chunks:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _parse_subsets(raw: str) -> list[list[str]]:
@@ -100,47 +104,74 @@ def _operator_payload(op) -> dict:
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# floats formatted per chunk: the writer holds one chunk's text at a time
+_CHUNK_FLOATS = 1 << 14
 
-def _array_json(a: np.ndarray, level: int) -> str:
-    """A complex array as `encode_matrix` nests it, in `_indented_json`'s layout.
 
-    Every float is formatted by `float.__repr__`, as json does; the texts are
-    then joined innermost first: [re, im] pairs, then each axis of `a`.
+def _array_chunks(a: np.ndarray, level: int) -> Iterator[str]:
+    """A complex array as `encode_matrix` nests it, in `_json_chunks`' layout.
+
+    The text between two consecutive floats depends only on how many
+    trailing axes of the float array wrap there: `seps[k]` for k axes, and
+    `seps[depth]` after the last float. A block is the leading-axis slices
+    that fit in `_CHUNK_FLOATS` floats; its separators are one periodic
+    table, built once. An array whose slice does not fit, or that holds no
+    float, is written as the list of its slices. Each float is formatted by
+    `float.__repr__`, as json does.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
-    floats = a.view(np.float64).ravel()
-    items = list(map(float.__repr__, floats.tolist()))
-    if not np.isfinite(floats).all():
-        items = [_NON_FINITE.get(text, text) for text in items]
-    inner = "\n" + "  " * (level + a.ndim + 1)
-    sep, close = "," + inner, "\n" + "  " * (level + a.ndim) + "]"
-    items = [f"[{inner}{re}{sep}{im}{close}" for re, im in zip(items[0::2], items[1::2])]
-    for axis in reversed(range(a.ndim)):
-        n, count = a.shape[axis], math.prod(a.shape[:axis])
-        if n == 0:
-            items = ["[]"] * count
-            continue
-        inner = "\n" + "  " * (level + axis + 1)
-        sep, close = "," + inner, "\n" + "  " * (level + axis) + "]"
-        items = ["[" + inner + sep.join(items[i : i + n]) + close for i in range(0, count * n, n)]
-    return items[0]
+    if a.size == 0 or 2 * a[0].size > _CHUNK_FLOATS:
+        yield from _json_chunks(list(a), level)
+        return
+    shape = a.shape + (2,)
+    depth = len(shape)
+    pad = ["\n" + "  " * (level + d) for d in range(depth + 1)]
+    opens = ["".join("[" + pad[d + 1] for d in range(depth - k, depth)) for k in range(depth + 1)]
+    closes = ["".join(pad[depth - 1 - j] + "]" for j in range(k)) for k in range(depth + 1)]
+    seps = [closes[k] + "," + pad[depth - k] + opens[k] for k in range(depth)] + [closes[depth]]
+    table = []  # the separators within one leading-axis slice, then the one after it
+    for ax in reversed(range(1, depth)):
+        table = (table + [seps[depth - 1 - ax]]) * shape[ax]
+        table.pop()
+    table = (table + [seps[depth - 1]]) * min(shape[0], _CHUNK_FLOATS // math.prod(shape[1:]))
+    full = [None] * (2 * len(table))
+    full[1::2] = table
+    flat = a.reshape(-1).view(np.float64)
+    yield opens[depth]
+    for lo in range(0, flat.size, len(table)):
+        block = flat[lo : lo + len(table)]
+        texts = list(map(float.__repr__, block.tolist()))
+        if not np.isfinite(block).all():
+            texts = [_NON_FINITE.get(text, text) for text in texts]
+        parts = full
+        if len(texts) < len(table):
+            parts = [None] * (2 * len(texts))
+            parts[1::2] = table[: len(texts)]
+        parts[::2] = texts
+        if lo + len(texts) == flat.size:
+            parts[-1] = seps[depth]
+        yield "".join(parts)
 
 
-def _indented_json(obj, level: int = 0) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)` at nesting `level`, byte for
-    byte, with each ndarray written as its `encode_matrix` lists would be."""
+def _json_chunks(obj, level: int = 0) -> Iterator[str]:
+    """`json.dumps(obj, sort_keys=True, indent=2)` at nesting `level` as text
+    chunks, byte for byte, with each ndarray written as its `encode_matrix`
+    lists would be."""
     if isinstance(obj, np.ndarray):
-        return _array_json(obj, level)
+        yield from _array_chunks(obj, level)
+        return
     if not obj or not isinstance(obj, (dict, list)):
-        return json.dumps(obj)
+        yield json.dumps(obj)
+        return
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, dict):
-        items = [f"{json.dumps(key)}: {_indented_json(obj[key], level + 1)}" for key in sorted(obj)]
-        brackets = "{}"
+        items, brackets = [(json.dumps(key) + ": ", obj[key]) for key in sorted(obj)], "{}"
     else:
-        items = [_indented_json(item, level + 1) for item in obj]
-        brackets = "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+        items, brackets = [("", item) for item in obj], "[]"
+    for i, (head, value) in enumerate(items):
+        yield (brackets[0] if i == 0 else ",") + inner + head
+        yield from _json_chunks(value, level + 1)
+    yield "\n" + "  " * level + brackets[1]
 
 
 def _cmd_verify(args) -> int:
@@ -150,7 +181,7 @@ def _cmd_verify(args) -> int:
     for entry in suites:
         flat.extend(s.strip() for s in entry.split(",") if s.strip())
     report = run_suite(scenario, flat)
-    _emit(report.to_jsonl(include_timings=args.timings), args.out)
+    _emit([report.to_jsonl(include_timings=args.timings)], args.out)
     failed = [r.check for r in report.records if not r.passed]
     status = "pass" if report.overall_pass else "FAIL: " + ", ".join(failed)
     print(f"{len(report.records)} checks, {len(failed)} failed ({status})", file=sys.stderr)
@@ -178,13 +209,13 @@ def _cmd_compute(args) -> int:
         "conjugated": scenario.conjugated is not None,
         "operators": operators,
     }
-    _emit(_indented_json(doc), args.out)
+    _emit(_json_chunks(doc), args.out)
     return 0
 
 
 def _cmd_demo(args) -> int:
     cfg = builtin_scenario(args.name)
-    _emit(canonical_json(cfg), args.out)
+    _emit([canonical_json(cfg)], args.out)
     return 0
 
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,18 @@ from evogrid import (
     named_contraction,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+
+
+def one_thread_env(*paths: str) -> dict[str, str]:
+    """The environment of a subprocess that imports from `paths` under the
+    repo root (`src` when none is named) at one BLAS and OpenMP thread, the
+    only count at which BLAS-rounded values are pinned."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in paths or ("src",)),
+                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
 def conjugated_rep(w):

@@ -1,8 +1,6 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +32,8 @@ from evogrid.algebra import _trace_pairings, unitary_defect
 from evogrid.dynamics import nan_max
 from evogrid.rng import SplitMix64, derive_seed
 
-from conftest import FLIP, parent_haar, reversed_table
+from conftest import FLIP, one_thread_env, parent_haar, reversed_table
 from test_rng import ZERO_FIRST_DRAW_SEED
-
-ROOT = Path(__file__).resolve().parents[1]
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def _worst(report):
@@ -606,8 +601,8 @@ def checks_against_parents():
         "import json; from test_algebra import ORACLE_SOURCES, _checks_against_parents; "
         "print(json.dumps({s: _checks_against_parents(s) for s in ORACLE_SOURCES}))"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in ("src", ".", "tests")), **ONE_THREAD)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-c", code], env=one_thread_env("src", ".", "tests"), capture_output=True,
+                            text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 

@@ -10,10 +10,8 @@ and the per-operator covariance body as the oracle of the stacked one.
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +25,7 @@ from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import decode_matrix, encode_matrix
 from evogrid.suites import COVARIANCE_COLUMNS
 
-from conftest import neighbouring_members
-
-ROOT = Path(__file__).resolve().parent.parent
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+from conftest import neighbouring_members, one_thread_env
 
 
 def _w_d_w_star_columns(self, cols):
@@ -266,8 +261,8 @@ COVARIANCE_SOURCES = ["demo", "witness", "ladder-5x2", "ladder-3x5", "ladder-4x3
 
 
 def _in_one_thread(code: str) -> str:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in ("src", ".", "tests")), **ONE_THREAD)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-c", code], env=one_thread_env("src", ".", "tests"), capture_output=True,
+                            text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     return result.stdout
 

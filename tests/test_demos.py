@@ -2,7 +2,6 @@
 its pinned text, and README's example config and quick start run."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +10,10 @@ import pytest
 
 from evogrid.cli import main
 
+from conftest import one_thread_env
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # sha256 prefixes of each tour's stdout at one BLAS thread, the only count
 # at which the conjugated values a tour prints are pinned
@@ -30,9 +30,8 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ONE_THREAD)
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120
+        [sys.executable, str(demo)], cwd=ROOT, env=one_thread_env(), capture_output=True, timeout=120
     )
     assert result.returncode == 0, result.stderr.decode()
     assert hashlib.sha256(result.stdout).hexdigest()[:16] == DEMO_STDOUT_SHA256[demo.name]

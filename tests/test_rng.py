@@ -1,9 +1,7 @@
 import hashlib
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +10,7 @@ from hypothesis import strategies as st
 
 from evogrid.rng import MASK64, SplitMix64, derive_seed, fnv1a64, haar_qr
 
-from conftest import parent_haar_rule
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import one_thread_env, parent_haar_rule
 
 
 # The scalar draws of the rng module docstring, one call per number: the
@@ -164,9 +160,8 @@ def test_haar_unitary_128_frozen_digest_at_one_blas_thread():
         "import hashlib; from evogrid.rng import SplitMix64; "
         "print(hashlib.sha256(SplitMix64(91).haar_unitary(128).tobytes()).hexdigest())"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code], env=one_thread_env(), capture_output=True, text=True,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "02915ff8a0104873e9df84aa208ae58f4379d3027c4364c40665954e5c49842a"
 

@@ -2,11 +2,9 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +23,11 @@ from evogrid import (
     run_suite,
     scenario_from_dict,
 )
-from evogrid.cli import _indented_json, main
+from evogrid.cli import _CHUNK_FLOATS, _json_chunks, main
 from evogrid.suites import SUITE_NAMES
 from evogrid.scenario import decode_matrix, encode_matrix
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import one_thread_env
 
 
 def minimal_config(**overrides):
@@ -730,6 +728,17 @@ def test_cli_exit_code_on_unknown_label():
     assert main(["compute", "demo", "--subsets", "1,9"]) == 4
 
 
+def test_cli_compute_takes_a_group_list_that_starts_with_the_empty_set(tmp_path, capsys):
+    # argparse reads a separate value that starts with "-" as an option, so
+    # such a list is passed in the --subsets= form
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "demo", "--subsets", "-;1"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    out = tmp_path / "ops.json"
+    assert main(["compute", "demo", "--subsets=-;1", "--out", str(out)]) == 0
+    assert [tuple(op["times"]) for op in json.loads(out.read_text())["operators"]] == [(), ("1",)]
+
+
 @pytest.mark.parametrize("subsets", ["1,1", "1;2,1,2", "1;", "1;;2", ";", "1,", "1,,2", ""])
 def test_cli_compute_rejects_a_repeated_label_or_an_empty_group(subsets, tmp_path, capsys):
     # "1,1" would build {1} under the times ["1", "1"], and an empty group
@@ -781,9 +790,19 @@ SPECIAL_FLOAT_BITS = np.array(
 float_bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(SPECIAL_FLOAT_BITS))
 
 
+def assert_writer_matches_json_dumps(a: np.ndarray) -> None:
+    """The chunks of `a`, at nesting levels 0 to 3 through lists and a dict,
+    join to json.dumps of its `encode_matrix` lists."""
+    doc, oracle = a, encode_matrix(a)
+    for wrap in (lambda x: [x], lambda x: {"b": 1, "a": x}, lambda x: [True, x, "s"]):
+        assert "".join(_json_chunks(doc)) == json.dumps(oracle, sort_keys=True, indent=2)
+        doc, oracle = wrap(doc), wrap(oracle)
+    assert "".join(_json_chunks(doc)) == json.dumps(oracle, sort_keys=True, indent=2)
+
+
 @st.composite
 def complex_arrays(draw):
-    shape = draw(st.lists(st.integers(0, 7), min_size=1, max_size=2).map(tuple))
+    shape = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3).map(tuple))
     bits = draw(st.lists(float_bits, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
     return np.array(bits, dtype=np.uint64).view(np.complex128).reshape(shape)
 
@@ -791,12 +810,44 @@ def complex_arrays(draw):
 @settings(max_examples=200, deadline=None)
 @given(complex_arrays())
 def test_array_writer_matches_indented_json_dumps(a):
-    # the same payload at nesting levels 0 to 3, through lists and a dict
-    doc, oracle = a, encode_matrix(a)
-    for wrap in (lambda x: [x], lambda x: {"b": 1, "a": x}, lambda x: [True, x, "s"]):
-        assert _indented_json(doc) == json.dumps(oracle, sort_keys=True, indent=2)
-        doc, oracle = wrap(doc), wrap(oracle)
-    assert _indented_json(doc) == json.dumps(oracle, sort_keys=True, indent=2)
+    assert_writer_matches_json_dumps(a)
+
+
+# a chunk formats at most _CHUNK_FLOATS floats, two per complex entry: the
+# first shape is one axis longer than a chunk, the second has leading-axis
+# slices longer than a chunk, the third such slices on its middle axis
+@pytest.mark.parametrize(
+    "shape", [(3 * _CHUNK_FLOATS // 2 + 3,), (3, _CHUNK_FLOATS // 2 + 5), (2, 2, _CHUNK_FLOATS // 2 + 1)],
+    ids=["1d", "2d", "3d"],
+)
+def test_array_writer_matches_json_dumps_across_chunks(shape):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert 2 * a.size >= 3 * _CHUNK_FLOATS
+    flat = a.reshape(-1)  # a view: a non-finite value and -0.0 past the first chunk
+    flat[_CHUNK_FLOATS // 2 + 1] = complex(float("nan"), -0.0)
+    flat[-2] = complex(-0.0, float("-inf"))
+    flat[-1] = complex(float("inf"), 0.0)
+    # chunks do not depend on the nesting level, so one level is enough here
+    oracle = json.dumps({"a": [encode_matrix(a)], "b": 1}, sort_keys=True, indent=2)
+    assert "".join(_json_chunks({"a": [a], "b": 1})) == oracle
+
+
+# an empty axis at every position of one to three axes
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (0, 2, 2), (2, 0, 2), (2, 2, 0)], ids=str)
+def test_array_writer_matches_json_dumps_on_empty_axes(shape):
+    assert_writer_matches_json_dumps(np.zeros(shape, dtype=np.complex128))
+
+
+def test_array_writer_holds_one_chunk_of_float_text_at_a_time():
+    # a 512 x 512 payload is some 24 MB of text; no chunk may hold more than
+    # _CHUNK_FLOATS floats, each under 64 characters with its separator
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
+    doc = {"operators": [{"kind": "dense", "matrix": a, "times": ["1"]}]}
+    lengths = [len(chunk) for chunk in _json_chunks(doc)]
+    assert max(lengths) <= 64 * _CHUNK_FLOATS
+    assert sum(lengths) > 10 * max(lengths)
 
 
 def test_cli_compute_satisfies_group_law(tmp_path):
@@ -942,10 +993,8 @@ def test_cli_conjugated_output_bytes_are_pinned_at_one_blas_thread(argv, tmp_pat
 
     for name, rung in LADDERS.items():
         (tmp_path / name).write_text(json.dumps(ladder_config(*rung), sort_keys=True))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    result = subprocess.run([sys.executable, "-m", "evogrid.cli", *argv], env=env, capture_output=True, timeout=120,
-                            cwd=tmp_path)
+    result = subprocess.run([sys.executable, "-m", "evogrid.cli", *argv], env=one_thread_env(), capture_output=True,
+                            timeout=120, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     if argv[0] == "compute":
         assert_indented_json(result.stdout.decode("utf-8").removesuffix("\n"))
