@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructureError
-from .rng import SplitMix64, haar_qr
+from .rng import SplitMix64, haar_qr, normals, raw_streams
 
 __all__ = [
     "WStarAlgebra",
@@ -366,19 +366,22 @@ def verify_automorphism(phi, sample_count: int = 20, seed: int | Sequence[int] =
 
     Sample k of a seed is the pair (a_k, b_k) of rows 2k and 2k + 1 of one
     draw of 2 * sample_count elements, the stream of that many
-    `random_element` calls.  A stack of m automorphisms takes m seeds and
-    judges entry k on the samples of seed k; the report holds each law's
-    largest deviation over the stack.  Per
-    block, a, b, ab, a* and the identity go through `phi` as one stack, and
-    the four laws are judged from one stacked spectral norm.
+    `random_element` calls, and the draws of all seeds are one read of their
+    substreams.  A stack of m automorphisms takes m seeds and judges entry k
+    on the samples of seed k; the report holds each law's largest deviation
+    over the stack.  Per block, a, b, ab, a* and the identity go through
+    `phi` as one stack, and the four laws are judged from one stacked
+    spectral norm.
     """
     algebra = phi.algebra
     s = sample_count
     seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
-    draws = [algebra._random_blocks(SplitMix64(k), 1.0, 2 * s) for k in seeds]
+    z = np.empty((len(seeds), 2 * s, algebra.dimension), dtype=np.complex128)
+    normals(raw_streams(seeds, [4 * s * algebra.dimension] * len(seeds)), z.reshape(-1))
     stacks = []  # per block: a, b, ab and a* (s entries each), then 1; axis 1 is the seed
-    for i, n in enumerate(algebra.block_dims):
-        x = np.stack([blocks[i] for blocks in draws], axis=1)
+    # random_element's scale of 1.0, a complex product that can flip a zero's sign
+    for n, blocks in zip(algebra.block_dims, algebra._split(z * 1.0)):
+        x = np.ascontiguousarray(blocks.swapaxes(0, 1))
         a, b = x[0::2], x[1::2]
         one = np.broadcast_to(np.eye(n, dtype=np.complex128), (1, *x.shape[1:]))
         stacks.append(np.concatenate([a, b, a @ b, _star(a), one]))

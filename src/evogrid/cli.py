@@ -156,22 +156,25 @@ def _array_chunks(a: np.ndarray, level: int) -> Iterator[str]:
 def _json_chunks(obj, level: int = 0) -> Iterator[str]:
     """`json.dumps(obj, sort_keys=True, indent=2)` at nesting `level` as text
     chunks, byte for byte, with each ndarray written as its `encode_matrix`
-    lists would be."""
+    lists would be, and an iterator as the list of its items, each taken
+    only once the text before it has been yielded."""
     if isinstance(obj, np.ndarray):
         yield from _array_chunks(obj, level)
         return
-    if not obj or not isinstance(obj, (dict, list)):
+    if isinstance(obj, dict):
+        items, brackets = ((json.dumps(key) + ": ", obj[key]) for key in sorted(obj)), "{}"
+    elif isinstance(obj, (list, Iterator)):
+        items, brackets = (("", item) for item in obj), "[]"
+    else:
         yield json.dumps(obj)
         return
     inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict):
-        items, brackets = [(json.dumps(key) + ": ", obj[key]) for key in sorted(obj)], "{}"
-    else:
-        items, brackets = [("", item) for item in obj], "[]"
-    for i, (head, value) in enumerate(items):
-        yield (brackets[0] if i == 0 else ",") + inner + head
+    empty = True
+    for head, value in items:
+        yield (brackets[0] if empty else ",") + inner + head
+        empty = False
         yield from _json_chunks(value, level + 1)
-    yield "\n" + "  " * level + brackets[1]
+    yield brackets if empty else "\n" + "  " * level + brackets[1]
 
 
 def _cmd_verify(args) -> int:
@@ -192,22 +195,25 @@ def _cmd_compute(args) -> int:
     scenario = load_scenario(args.scenario, seed_override=args.seed)
     frame = scenario.frame
     rep = scenario.conjugated or scenario.representation
-    operators = []
-    for labels in _parse_subsets(args.subsets):
+    groups = _parse_subsets(args.subsets)
+    for labels in groups:
         for t in labels:
             if t not in frame.times:
                 raise DomainError(f"unknown time label {t!r}; frame has {list(frame.times)}")
-        subset = frozenset(labels)
-        if not frame.is_admissible(subset):
+        if not frame.is_admissible(frozenset(labels)):
             raise DomainError(f"subset {sorted(labels)} is not in the admissible family")
-        payload = _operator_payload(evolution_unitary(scenario.weight, subset, rep))
+
+    def operator(labels: list[str]) -> dict:
+        payload = _operator_payload(evolution_unitary(scenario.weight, frozenset(labels), rep))
         payload["times"] = sorted(labels, key=frame.position)
-        operators.append(payload)
+        return payload
+
     doc = {
         "scenario": scenario.name,
         "fingerprint": scenario.fingerprint,
         "conjugated": scenario.conjugated is not None,
-        "operators": operators,
+        # built one at a time, as the writer reaches each
+        "operators": map(operator, groups),
     }
     _emit(_json_chunks(doc), args.out)
     return 0

@@ -36,12 +36,17 @@ haar_unitary(n): haar_qr of one complex_matrix(n, n) draw, the one-entry case
                 in turn are one complex_matrix row of n_1^2 + ... + n_k^2
                 entries, split in order and passed to haar_qr as stacks.
 
-These rules are the contract; `tests/test_rng.py` draws them a scalar at a
-time as the oracle that `integers` and `complex_matrix` match bit for bit.
-splitmix64 is counter-based, draw k after state s is mix(s + k * gamma),
-so a block of raw outputs is one numpy uint64 expression (blocks of 2^16
-entries bound a matrix's working memory), and the state advances by
-exactly `count`, or 2 * rows * cols, steps.  The uniforms, sqrt, products and the division are numpy
+These rules are the contract; the tests draw them a scalar at a time as
+the oracle that the vectorized draws match bit for bit.  splitmix64 is
+counter-based, word k of seed s is mix(s + k * gamma), so the raw words of
+one seed or of many (`raw_streams`) are one numpy uint64 expression, mixed
+in blocks of 2^17 words, and a state advances by exactly `count`, or
+2 * rows * cols, steps.  `normals` maps raw words, two per entry, to
+complex normals; `complex_matrix` runs it on its own words.  A sampler
+whose draw counts depend on earlier draws reads the largest count and walks
+the words in the scalar draws' order; words past the last one it uses are
+dropped, or read again as a later `start` of the same substream.
+The uniforms, sqrt, products and the division are numpy
 operations, which are correctly rounded IEEE arithmetic.
 `log`, `cos` and `sin` stay on libm through `math`, mapped over the vector:
 numpy's `log` differs from `math.log` in the last bit on about 0.3% of
@@ -62,7 +67,7 @@ import math
 
 import numpy as np
 
-__all__ = ["SplitMix64", "derive_seed", "fnv1a64", "haar_qr"]
+__all__ = ["SplitMix64", "derive_seed", "fnv1a64", "haar_qr", "normals", "raw_streams"]
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -98,6 +103,45 @@ def derive_seed(root: int, label: str) -> int:
     return _mix((int(root) ^ fnv1a64(label)) & MASK64)
 
 
+def raw_streams(seeds: list[int], counts: list[int], start: int = 0) -> np.ndarray:
+    """Raw words start .. start + counts[i] - 1 of each `SplitMix64(seeds[i])`,
+    in the order of the seeds, as one uint64 array: at position p, in the run
+    of seed s from offset o, the word is mix(s + (start - o + p + 1) gamma)."""
+    if any(c < 0 for c in counts):
+        raise ValueError("count must be nonnegative")
+    out = np.arange(1, sum(counts) + 1, dtype=np.uint64)
+    out *= _GAMMA_U64
+    lo = 0
+    for seed, count in zip(seeds, counts):
+        out[lo : lo + count] += np.uint64((int(seed) + (start - lo) * _GAMMA) & MASK64)
+        lo += count
+    for lo in range(0, len(out), 2 * _BLOCK):
+        z = out[lo : lo + 2 * _BLOCK]
+        z ^= z >> 30
+        z *= _MIX1_U64
+        z ^= z >> 27
+        z *= _MIX2_U64
+        z ^= z >> 31
+    return out
+
+
+def normals(words: np.ndarray, out: np.ndarray) -> None:
+    """Write to the complex vector `out` the complex normals of `words`, two
+    raw words per entry: entry i is the `complex_normal` of the uniforms of
+    words 2i and 2i + 1 (see the module docstring)."""
+    m = len(out)
+    # the uniforms of the even words, then of the odd ones: no array of all
+    # of them is held beside `words`
+    log = np.fromiter(map(math.log, (1.0 - (words[0::2] >> 11) * 2.0**-53).tolist()), np.float64, m)
+    r = np.sqrt(-2.0 * log)
+    theta = (_TWO_PI * ((words[1::2] >> 11) * 2.0**-53)).tolist()
+    x = r * np.fromiter(map(math.cos, theta), np.float64, m)
+    y = r * np.fromiter(map(math.sin, theta), np.float64, m)
+    pairs = out.view(np.float64)  # re, im interleaved
+    pairs[0::2] = (x + y * 0.0) / _SQRT2
+    pairs[1::2] = (y - x * 0.0) / _SQRT2
+
+
 class SplitMix64:
     """splitmix64 stream with the derived draws documented in the module."""
 
@@ -110,15 +154,9 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & MASK64
         return _mix(self._state)
 
-    def integer(self, bound: int) -> int:
-        """An integer in [0, bound) by modulo reduction."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_uint64() % bound
-
     def integers(self, bound: int, count: int) -> np.ndarray:
         """`count` integers in [0, bound) as a uint64 array, bit-identical to
-        that many `integer(bound)` calls.  A draw is below 2^64, so a bound
+        that many `integer(bound)` draws.  A draw is below 2^64, so a bound
         of 2^64 or more leaves it as it is."""
         if bound <= 0:
             raise ValueError("bound must be positive")
@@ -126,43 +164,20 @@ class SplitMix64:
         return z % np.uint64(bound) if bound <= MASK64 else z
 
     def _raw(self, count: int) -> np.ndarray:
-        """The next `count` raw outputs as one array: draw k is mix(state + k gamma)."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= _GAMMA_U64
-        z += np.uint64(self._state)
+        """The next `count` raw outputs as one array."""
+        z = raw_streams([self._state], [count])
         self._state = (self._state + count * _GAMMA) & MASK64
-        z ^= z >> 30
-        z *= _MIX1_U64
-        z ^= z >> 27
-        z *= _MIX2_U64
-        z ^= z >> 31
         return z
-
-    def _uniforms(self, count: int) -> np.ndarray:
-        """The next `count` uniforms as one array."""
-        z = self._raw(count)
-        z >>= 11
-        return z.astype(np.float64) * 2.0**-53
 
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
         """`rows * cols` complex normals, row-major, bit-identical to
-        that many `complex_normal` calls (see the module docstring)."""
+        that many `complex_normal` draws (see the module docstring)."""
         n = rows * cols
         out = np.empty((rows, cols), dtype=np.complex128)
-        pairs = out.reshape(n).view(np.float64)  # re, im interleaved
+        flat = out.reshape(n)
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            u = self._uniforms(2 * m)
-            log = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, m)
-            r = np.sqrt(-2.0 * log)
-            theta = (_TWO_PI * u[1::2]).tolist()
-            x = r * np.fromiter(map(math.cos, theta), np.float64, m)
-            y = r * np.fromiter(map(math.sin, theta), np.float64, m)
-            block = pairs[2 * start : 2 * (start + m)]
-            block[0::2] = (x + y * 0.0) / _SQRT2
-            block[1::2] = (y - x * 0.0) / _SQRT2
+            normals(self._raw(2 * m), flat[start : start + m])
         return out
 
     def haar_unitary(self, n: int) -> np.ndarray:

@@ -13,11 +13,13 @@ function that judges several checks is timed once and its time is split
 evenly among their records; the timings appendix lists those groups as
 `shared`.  The dynamics suite reads the weight's `stack` of unconjugated
 unitaries and the Lagrangian suite builds one of actions: (m, N) stacks
-with a row per admissible subset that several laws read.  `group-law` and
-`action-additivity` are one `_pair_max` each over that stack and the frame's
-`disjoint_pairs()`; the other unitary laws read the stack as one direct-sum
-`DiagonalOperator`, whose norm is the largest of the rows' norms.  Every
-entry is the per-pair arithmetic bit for bit.
+with a row per admissible subset that several laws read.  The cocycle law
+of `validate_action_weight`, which `group-law` reports, and
+`action-additivity` are one `_pair_max` each over that stack and the
+frame's `disjoint_pairs()`; `null-unitary` reports its null-subset law, and
+the other unitary laws read the stack as one direct-sum `DiagonalOperator`,
+whose norm is the largest of the rows' norms.  Every entry is the per-pair
+arithmetic bit for bit.
 
 The algebra suite draws each check's Haar automorphisms at once: one
 `complex_matrix` of all rounds from the check's substream, in the order the
@@ -30,16 +32,22 @@ theirs, from the int 0 and from 0.0 + 0.0j, which turn a -0.0 into +0.0, and
 the scalar tails are the per-sample expressions on Python numbers, so a
 record has the bits of the per-sample loop.
 
-The spectral suite's sampled laws run on stacks: each subset's S random
-functions are the rows of one `complex_matrix(S, npoints)` draw (the bits
-and end state of S `random_function` calls), integrated by one
-`integrate_rows` gather and lifted by one `pullback_rows` broadcast,
-`matrix-elements` reads a subset's 20 samples off one `diagonals` gather,
-and the injectivity checks count distinct 0/1 diagonals by their packed
-bytes.  Measures are read through those two gathers only: the atoms are
-the rows of one `diagonals(np.eye(k))` table, which give the ranks and,
-cast to complex a row at a time, `spectral-sum`'s oracle with the bits of
-`atom(b).diag`, and the empty and total sets are two rows of one gather.
+A check that samples from a labeled substream per subset reads them all
+at once (`rng.raw_streams`), and a draw whose count depends on an earlier
+draw is read at its largest count and walked in the scalar draws' order.
+The spectral suite's sampled laws run on stacks: every subset's S random
+functions come from one read and one `normals` call per run of
+`READ_NORMALS` values (one run unless the family is large), with the bits
+of a `complex_matrix(S, npoints)` per subset (and so of S
+`random_function` calls), integrated by one `integrate_rows` gather and
+lifted by one `pullback_rows` broadcast.  `matrix-elements` reads its one
+substream a subset at a time, from the first word left unused, and a
+subset's 20 samples off one `diagonals` gather, and the injectivity checks
+count distinct 0/1 diagonals by their packed bytes.  Measures are read
+through those two gathers only: the atoms are the rows of one
+`diagonals(np.eye(k))` table, which give the ranks and, cast to complex a
+row at a time, `spectral-sum`'s oracle with the bits of `atom(b).diag`,
+and the empty and total sets are two rows of one gather.
 `index-roundtrip`, `pushforward` and `matrix-elements` judge the
 restriction table against one oracle image per subset: every full point's
 `np.unravel_index` digits on the subset's axes, raveled again with
@@ -55,13 +63,14 @@ exact functions of the computed G; they do not enclose the rounding made
 while forming G or a dense matrix (README, "Report format").
 `conjugation-covariance` compares sampled columns, read with `columns`,
 entries and traces of conjugated operators with W* (d * W e_j) formed from
-the unconjugated diagonal d and the check's own W*.  A subset's five
-projections and five integrals are one stack d of ten diagonals, from one
-`integrate_rows` gather through the plain measure, and the conjugated
-operators are that d wrapped in the conjugated representation, which
-holds the W* and row Gram they read: the conjugated measure's gather never
-reads the representation, so it would give the same bits.  Each side
-reads their columns in one W* product of width 40.
+the unconjugated diagonal d and the check's own W*.  Every subset's
+samples come from one read and their functions from one `normals` call.
+A subset's five projections and five integrals are one stack d of ten
+diagonals, from one `integrate_rows` gather through the plain measure, and
+the conjugated operators are that d wrapped in the conjugated
+representation, which holds the W* and row Gram they read: the conjugated
+measure's gather never reads the representation, so it would give the
+same bits.  Each side reads their columns in one W* product of width 40.
 `conjugated-dynamics` is the same covariance for the evolution unitaries:
 the weight's stack, a row per subset, wrapped the same way and read
 on a fixed spread of four columns in one W* product of width 4m, against
@@ -82,7 +91,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -109,7 +118,7 @@ from .representation import (
     integrate_rows,
     pushforward,
 )
-from .rng import SplitMix64, derive_seed, haar_qr
+from .rng import SplitMix64, derive_seed, haar_qr, normals, raw_streams
 from .scenario import Scenario
 
 __all__ = ["CheckRecord", "VerificationReport", "run_suite", "SUITE_NAMES"]
@@ -119,6 +128,7 @@ SUITE_NAMES = ("algebra", "spectral", "conjugation", "dynamics", "lagrangian")
 EXHAUSTIVE_PAIR_LIMIT = 64  # subset families up to this size get all ordered pairs
 SAMPLED_PAIRS = 2000
 COVARIANCE_COLUMNS = 4  # columns each covariance comparison reads of a conjugated operator
+READ_NORMALS = 1 << 16  # sampled functions are read for subsets that start within one run of this many values
 
 
 @dataclass(frozen=True)
@@ -412,16 +422,26 @@ def _check_pushforward(scn: Scenario) -> list[tuple[str, str, float, float]]:
     ]
 
 
-def _sampled_rows(scn: Scenario, label: str, subset: frozenset, samples: int) -> np.ndarray:
-    """`samples` random functions over the subset's points, one row each, from one draw."""
-    return _rng(scn, f"{label}-{sorted(map(str, subset))}").complex_matrix(samples, scn.space.npoints(subset))
+def _sampled_rows(scn: Scenario, label: str, samples: int) -> Iterator[np.ndarray]:
+    """Per admissible subset, in order, `samples` random functions over its
+    points, one row each: its substream's `complex_matrix(samples, k)`.  One
+    read serves every subset whose values start in the same run of
+    `READ_NORMALS`, so a family is one read unless its values are many."""
+    subsets = scn.frame.admissible()
+    sizes = [samples * scn.space.npoints(s) for s in subsets]
+    cuts = (np.flatnonzero(np.diff(np.cumsum([0, *sizes[:-1]]) // READ_NORMALS)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(subsets)]):
+        part = sizes[lo:hi]
+        values = np.empty(sum(part), dtype=np.complex128)
+        seeds = [derive_seed(scn.seed, f"{label}-{sorted(map(str, s))}") for s in subsets[lo:hi]]
+        normals(raw_streams(seeds, [2 * size for size in part]), values)
+        yield from (rows.reshape(samples, -1) for rows in np.split(values, np.cumsum(part)[:-1]))
 
 
 def _check_spectral_sum(scn: Scenario) -> list[tuple[str, str, float, float]]:
     dev = 0.0
-    for subset in scn.frame.admissible():
+    for subset, values in zip(scn.frame.admissible(), _sampled_rows(scn, "spectral-sum", 5)):
         measure = scn.representation.spectral_measure(subset)
-        values = _sampled_rows(scn, "spectral-sum", subset, 5)
         # oracle: the value-scaled atoms summed in ascending b, on every row at once;
         # each atom row is cast to complex as it is multiplied in, never the whole table
         oracle = np.zeros((len(values), scn.space.dimension), dtype=np.complex128)
@@ -433,8 +453,7 @@ def _check_spectral_sum(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 def _check_factorization(scn: Scenario) -> list[tuple[str, str, float, float]]:
     dev = 0.0
-    for subset in scn.frame.admissible():
-        values = _sampled_rows(scn, "factorization", subset, 25)
+    for subset, values in zip(scn.frame.admissible(), _sampled_rows(scn, "factorization", 25)):
         via_integral = integrate_rows(scn.representation.spectral_measure(subset), values)
         via_pullback = pullback_rows(scn.space, subset, values)
         dev = nan_max(dev, float(np.max(np.abs(via_integral - via_pullback))))
@@ -485,8 +504,7 @@ def _check_embedding(scn: Scenario) -> list[tuple[str, str, float, float]]:
     rep = scn.representation
     dev = 0.0
     norm_dev = 0.0
-    for subset in scn.frame.admissible():
-        small = _sampled_rows(scn, "embedding", subset, 10)
+    for subset, small in zip(scn.frame.admissible(), _sampled_rows(scn, "embedding", 10)):
         # embed_eta's route on every row at once, against the integrals
         lifted = pullback_rows(space, subset, small)
         dev = nan_max(dev, float(np.max(np.abs(lifted - integrate_rows(rep.spectral_measure(subset), small)))))
@@ -518,7 +536,7 @@ def _check_embedding_measure(scn: Scenario) -> list[tuple[str, str, float, float
 def _check_matrix_elements(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
     rep = scn.representation
-    rng = _rng(scn, "matrix-elements")
+    seed, cursor = derive_seed(scn.seed, "matrix-elements"), 0
     n = space.dimension
     dev = 0.0
     for subset in _nonempty_subsets(scn):
@@ -527,10 +545,16 @@ def _check_matrix_elements(scn: Scenario) -> list[tuple[str, str, float, float]]
         rows = np.zeros((20, k), dtype=bool)
         xs = np.empty(20, dtype=np.int64)
         ys = np.empty_like(xs)
+        # one substream for the whole check, read on from its first unused
+        # word: a sample is a count c, c members, x and y
+        words = raw_streams([seed], [20 * (k + 3)], cursor)
+        at = 0
         for s in range(20):
-            for _ in range(rng.integer(k) + 1):
-                rows[s, rng.integer(k)] = True
-            xs[s], ys[s] = rng.integer(n), rng.integer(n)
+            count = int(words[at]) % k + 1
+            rows[s, words[at + 1 : at + 1 + count] % np.uint64(k)] = True
+            xs[s], ys[s] = words[at + 1 + count : at + 3 + count] % np.uint64(n)
+            at += count + 3
+        cursor += at
         # <e_x, E(V) e_y> of every sample from one gather: E(V) is diagonal,
         # so an entry is 0 off the diagonal and entry x of its 0/1 diagonal on it
         values = (xs == ys) & measure.diagonals(rows)[np.arange(20), xs]
@@ -546,10 +570,9 @@ def _check_singletons(scn: Scenario) -> list[tuple[str, str, float, float]]:
     atoms = scn.representation.spectral_measure().diagonals(np.eye(n, dtype=bool))
     # any two singleton projections are exchanged by a basis swap, which
     # moves a 0/1 diagonal by the index transposition x <-> y
-    rng = _rng(scn, "singletons")
+    draws = _rng(scn, "singletons").integers(n, 20).tolist()
     dev = 0.0
-    for _ in range(10):
-        x, y = rng.integer(n), rng.integer(n)
+    for x, y in zip(draws[0::2], draws[1::2]):
         swap = np.arange(n)
         swap[[x, y]] = swap[[y, x]]
         dev = nan_max(dev, float(np.any(atoms[x][swap] != atoms[y])))
@@ -593,19 +616,34 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
     # never read off the representation's
     w_star = w.conj().T
     row_gram = _row_gram(w)
-    dev = 0.0
-    for subset in scn.frame.admissible():
-        rng = _rng(scn, f"covariance-{sorted(map(str, subset))}")
-        plain = scn.representation.spectral_measure(subset)
-        k = plain.npoints
-        # five (point set, function) samples, as alternating rows of one
-        # value block: the projection's 0/1 row, then the function's values
+    subsets = scn.frame.admissible()
+    sizes = [space.npoints(s) for s in subsets]
+    # a subset's substream holds five (point set, function) samples, each a
+    # count c, c members and the function's 2k words, then the columns and
+    # the rows: all substreams are read at c = k in one read
+    reads = [5 * (3 * k + 1) + 2 * COVARIANCE_COLUMNS for k in sizes]
+    words = raw_streams([derive_seed(scn.seed, f"covariance-{sorted(map(str, s))}") for s in subsets], reads)
+    # a subset's samples are alternating rows of one value block: the
+    # projection's 0/1 row, then the function's values, which one `normals`
+    # call draws for every subset from the words marked as theirs
+    blocks, picks = [], []
+    drawn = np.zeros(len(words), dtype=bool)
+    for k, at in zip(sizes, np.cumsum([0, *reads]).tolist()):
         values = np.zeros((10, k), dtype=np.complex128)
         for row in range(0, 10, 2):
-            values[row, sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})] = 1.0
-            values[row + 1] = space.random_function(subset, rng).values
-        cols = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
-        rows = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
+            count = int(words[at]) % k + 1
+            values[row, words[at + 1 : at + 1 + count] % np.uint64(k)] = 1.0
+            at += 1 + count + 2 * k
+            drawn[at - 2 * k : at] = True
+        blocks.append(values)
+        picks.append((words[at : at + 2 * COVARIANCE_COLUMNS] % np.uint64(n)).tolist())
+    functions = np.empty(5 * sum(sizes), dtype=np.complex128)
+    normals(words[drawn], functions)
+    dev = 0.0
+    for subset, values, sampled, pick in zip(subsets, blocks, np.split(functions, 5 * np.cumsum(sizes)[:-1]), picks):
+        values[1::2] = sampled.reshape(5, -1)
+        cols, rows = pick[:COVARIANCE_COLUMNS], pick[COVARIANCE_COLUMNS:]
+        plain = scn.representation.spectral_measure(subset)
         # one gather: the conjugated measure's diagonals are the plain ones
         d = integrate_rows(plain, values)
         ops = ConjugatedDiagonalOperator(rep, d)
@@ -637,22 +675,14 @@ def _check_conjugated_trace(scn: Scenario) -> list[tuple[str, str, float, float]
 # -- dynamics suite ---------------------------------------------------------
 
 
-def _check_action_weight(scn: Scenario) -> list[tuple[str, str, float, float]]:
+def _check_weight_laws(scn: Scenario) -> list[tuple[str, str, float, float]]:
+    # `group-law` is the cocycle law's pair walk, as |t1 t2 - u| = |u - t1 t2|,
+    # and `null-unitary` its null-subset law, as U_T - I has the diagonal u_T - 1
     report = validate_action_weight(scn.weight)
-    dev = nan_max(report.unimodular, report.cocycle, report.null_subset)
-    return [("action-weight-laws", "D4.1", dev, scn.tolerances.dynamics)]
-
-
-def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    frame = scn.frame
     u = scn.weight.stack
     m, n = u.shape
     stack = DiagonalOperator(u)
     dev = (stack.adjoint() @ stack - identity_operator(m * n)).norm()
-    null = DiagonalOperator(u[frame.null_subsets()])
-    null_dev = (null - identity_operator(null.dimension)).norm()
-    # the norm of U_T1 U_T2 - U_(T1 u T2) over the frame's measure-disjoint pairs
-    group_dev = _pair_max(u, frame.disjoint_pairs(), lambda t1, t2, union: t1 * t2 - union)
     # judged at the dynamics tolerance, not `exact`: numpy's vectorized
     # complex multiply is not commutative in the last bit (with numpy 2.4.6
     # on an x86-64 Xeon, x*y != y*x for about 34,000 of 100,000 random
@@ -663,10 +693,12 @@ def _check_unitaries(scn: Scenario) -> list[tuple[str, str, float, float]]:
     for i in range(m - 1):
         v, w = DiagonalOperator(np.broadcast_to(u[i], (m - i - 1, n))), DiagonalOperator(u[i + 1 :])
         commutation = nan_max(commutation, (v @ w - w @ v).norm())
+    laws = nan_max(report.unimodular, report.cocycle, report.null_subset)
     return [
+        ("action-weight-laws", "D4.1", laws, scn.tolerances.dynamics),
         ("unitary-evolution", "E4.4", dev, scn.tolerances.dynamics),
-        ("null-unitary", "P4.2", null_dev, scn.tolerances.exact),
-        ("group-law", "P4.2", group_dev, scn.tolerances.dynamics),
+        ("null-unitary", "P4.2", report.null_subset, scn.tolerances.exact),
+        ("group-law", "P4.2", report.cocycle, scn.tolerances.dynamics),
         ("commutation", "S4", commutation, scn.tolerances.dynamics),
     ]
 
@@ -761,8 +793,7 @@ _SUITES: dict[str, list[Callable[[Scenario], list[tuple[str, str, float, float]]
         _check_conjugated_trace,
     ],
     "dynamics": [
-        _check_action_weight,
-        _check_unitaries,
+        _check_weight_laws,
         _check_conjugated_dynamics,
     ],
     "lagrangian": [

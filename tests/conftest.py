@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -14,11 +15,42 @@ from evogrid import (
     WStarAlgebra,
     named_contraction,
 )
+from evogrid.rng import SplitMix64
 
 ROOT = Path(__file__).resolve().parents[1]
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+
+
+# The scalar draws of the rng module docstring, one call per number: the
+# oracle that the vectorized draws and the sampled checks match bit for bit.
+def integer(r: SplitMix64, bound: int) -> int:
+    """An integer in [0, bound) by modulo reduction."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    return r.next_uint64() % bound
+
+
+def uniform(r: SplitMix64) -> float:
+    return (r.next_uint64() >> 11) * 2.0**-53
+
+
+def normal_pair(r: SplitMix64) -> tuple[float, float]:
+    u1 = uniform(r)
+    u2 = uniform(r)
+    radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+    theta = 2.0 * math.pi * u2
+    return radius * math.cos(theta), radius * math.sin(theta)
+
+
+def standard_normal(r: SplitMix64) -> float:
+    return normal_pair(r)[0]
+
+
+def complex_normal(r: SplitMix64) -> complex:
+    x, y = normal_pair(r)
+    return complex(x, y) / math.sqrt(2.0)
 
 
 def one_thread_env(*paths: str) -> dict[str, str]:

@@ -37,8 +37,8 @@ from evogrid.cli import main as cli_main
 from evogrid.lagrangian import action_from_lagrangian
 from evogrid.rng import SplitMix64, derive_seed
 
-
 import conftest
+from conftest import integer
 
 
 def emit(criterion: int, passed: bool, detail: str) -> None:
@@ -82,7 +82,7 @@ def test_criterion_01_pvm_axioms(demo):
         rows = projection_diagonals(demo, subset)
         # the rows really are the measure's projections
         for _ in range(32):
-            v_id = rng.integer(total)
+            v_id = integer(rng, total)
             members = [b for b in range(k) if (v_id >> b) & 1]
             assert np.array_equal(measure.projection(members).diag.real, rows[v_id])
         # exhaustive pairs, chunked: max |E(V1)E(V2) - E(V1 n V2)| entrywise;
@@ -103,7 +103,7 @@ def test_criterion_01_pvm_axioms(demo):
             block = partial[start : start + 256] @ rows.T
             worst_conj = max(worst_conj, float(np.sqrt(max(0.0, np.max(block)))))
         for _ in range(25):
-            i1, i2 = rng.integer(total), rng.integer(total)
+            i1, i2 = integer(rng, total), integer(rng, total)
             p1 = w.conj().T @ (rows[i1][:, None] * w)
             p2 = w.conj().T @ (rows[i2][:, None] * w)
             inter = w.conj().T @ (rows[i1 & i2][:, None] * w)
@@ -244,7 +244,7 @@ def test_criterion_05_conjugation_covariance(demo):
         moved = rep_conj.spectral_measure(subset)
         k = plain.npoints
         for _ in range(20):
-            v_id = rng.integer(1 << k)
+            v_id = integer(rng, 1 << k)
             members = [b for b in range(k) if (v_id >> b) & 1]
             # independent route: accumulate conjugated atoms densely
             acc = np.zeros((space.dimension, space.dimension), dtype=np.complex128)

@@ -577,7 +577,7 @@ PARENT_CHECKS = {
     "weakstar-pairing": _parent_weakstar,
     "grid-contraction": _parent_grid_contraction,
 }
-ORACLE_SOURCES = ["demo", "witness", "ladder-5x2"] + [f"demo@{seed}" for seed in range(5)]
+ORACLE_SOURCES = ["demo", "witness", "ladder-5x2", "ladder-3x5", "ladder-8x1"] + [f"demo@{seed}" for seed in range(5)]
 
 
 def _oracle_scenario(source):
@@ -638,3 +638,17 @@ def test_the_algebra_suite_draws_each_check_s_haar_samples_at_once(monkeypatch):
         "cstar-norm": 0, "weakstar-pairing": 1, "grid-contraction": 1, "index-roundtrip": 0,
     }
     assert calls["haar_unitary"] == 0
+
+
+def test_verify_automorphism_reads_every_seed_s_samples_at_once(monkeypatch):
+    # automorphism-laws judges 20 automorphisms, each on 5 sample pairs of its
+    # own seed: one read of the 20 substreams, 4 * 5 * dim words each
+    from evogrid import algebra
+
+    scn = load_scenario("demo")
+    reads = []
+    original = algebra.raw_streams
+    monkeypatch.setattr(algebra, "raw_streams",
+                        lambda seeds, counts, start=0: reads.append(list(counts)) or original(seeds, counts, start))
+    suites._check_automorphism_laws(scn)
+    assert reads == [[4 * 5 * scn.algebra.dimension] * 20]

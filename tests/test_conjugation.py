@@ -25,7 +25,7 @@ from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import decode_matrix, encode_matrix
 from evogrid.suites import COVARIANCE_COLUMNS
 
-from conftest import neighbouring_members, one_thread_env
+from conftest import integer, neighbouring_members, one_thread_env
 
 
 def _w_d_w_star_columns(self, cols):
@@ -229,10 +229,10 @@ def per_operator_covariance(scn) -> float:
         k = moved.npoints
         samples = []
         for _ in range(5):
-            members = sorted({rng.integer(k) for _ in range(rng.integer(k) + 1)})
+            members = sorted({integer(rng, k) for _ in range(integer(rng, k) + 1)})
             samples.append((members, space.random_function(subset, rng)))
-        cols = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
-        rows = [rng.integer(n) for _ in range(COVARIANCE_COLUMNS)]
+        cols = [integer(rng, n) for _ in range(COVARIANCE_COLUMNS)]
+        rows = [integer(rng, n) for _ in range(COVARIANCE_COLUMNS)]
         for members, f in samples:
             for op, d in (
                 (moved.projection(members), plain.projection(members).diag),
@@ -257,7 +257,7 @@ def _reported_covariance(source) -> tuple[str, str]:
     return per_operator_covariance(scn).hex(), record.max_deviation.hex()
 
 
-COVARIANCE_SOURCES = ["demo", "witness", "ladder-5x2", "ladder-3x5", "ladder-4x3", "ladder-2x8", "ladder-3x8"]
+COVARIANCE_SOURCES = ["demo", "witness", "ladder-5x2", "ladder-3x5", "ladder-4x3", "ladder-2x8", "ladder-3x8", "ladder-8x1"]
 
 
 def _in_one_thread(code: str) -> str:
@@ -312,7 +312,7 @@ def test_dense_route_stays_under_the_gram_bounds(source):
         measure = scn.conjugated.spectral_measure(subset)
         k = measure.npoints
         for _ in range(10):
-            v1, v2 = rng.integer(1 << k), rng.integer(1 << k)
+            v1, v2 = integer(rng, 1 << k), integer(rng, 1 << k)
             m1, m2, both = ([b for b in range(k) if (v >> b) & 1] for v in (v1, v2, v1 & v2))
             p1, p2, inter = (measure.projection(m).to_dense() for m in (m1, m2, both))
             pair = max(pair, float(np.linalg.norm(p1 @ p2 - inter, 2)))

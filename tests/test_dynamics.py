@@ -287,7 +287,8 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     # unconjugated unitaries that the cocycle, the four unitary laws,
     # conjugated-dynamics and null-action read, and no evolution_unitary call;
     # one action each for the three shared Lagrangian laws, one disjoint pair
-    # table read by three laws, one nested pair table read by the restriction
+    # table read by two pair walks (the cocycle law's, which group-law shares,
+    # and action-additivity's), one nested pair table read by the restriction
     # law, and one packing of the frame's membership rows for all of them
     from evogrid import suites
 
@@ -316,7 +317,7 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     monkeypatch.setattr(TimeFrame, "nested_pairs", lambda self: nested.append(original_nested(self)) or nested[-1])
     run_suite(scn, ["dynamics", "lagrangian"])
     assert calls == {"function": 32, "action_from_lagrangian": 32}
-    assert len(tables) == 3 and all(table is tables[0] for table in tables)
+    assert len(tables) == 2 and all(table is tables[0] for table in tables)
     assert len(nested) == 1
     # the restriction law pulls each density table once
     pulled = Counter()
@@ -382,7 +383,7 @@ def test_stacked_unitary_laws_are_the_per_operator_arithmetic_bit_for_bit(source
     from evogrid import suites
 
     scn = _family_scenario(source)
-    stacked = {check: dev.hex() for check, _, dev, _ in suites._check_unitaries(scn)}
+    stacked = {check: dev.hex() for check, _, dev, _ in suites._check_weight_laws(scn) if check != "action-weight-laws"}
     assert stacked == {check: dev.hex() for check, dev in per_operator_unitary_laws(scn).items()}
 
 
@@ -513,7 +514,7 @@ def test_a_nan_in_one_weight_still_aborts_the_unitary_laws(row, monkeypatch):
     values = scn.weight.function(subset).values.copy()
     values[-1] = float("nan")
     scn.weight.functions[subset] = scn.space.function(subset, values)
-    records = {check: dev for check, _, dev, _ in suites._check_unitaries(scn)}
+    records = {check: dev for check, _, dev, _ in suites._check_weight_laws(scn) if check != "action-weight-laws"}
     assert {c for c, d in records.items() if math.isnan(d)} == {
         c for c, d in per_operator_unitary_laws(scn).items() if math.isnan(d)
     }

@@ -8,32 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evogrid.rng import MASK64, SplitMix64, derive_seed, fnv1a64, haar_qr
+from evogrid.rng import _BLOCK, MASK64, SplitMix64, derive_seed, fnv1a64, haar_qr, normals, raw_streams
 
-from conftest import one_thread_env, parent_haar_rule
-
-
-# The scalar draws of the rng module docstring, one call per number: the
-# oracle that `complex_matrix` matches bit for bit.
-def uniform(r: SplitMix64) -> float:
-    return (r.next_uint64() >> 11) * 2.0**-53
-
-
-def normal_pair(r: SplitMix64) -> tuple[float, float]:
-    u1 = uniform(r)
-    u2 = uniform(r)
-    radius = math.sqrt(-2.0 * math.log(1.0 - u1))
-    theta = 2.0 * math.pi * u2
-    return radius * math.cos(theta), radius * math.sin(theta)
-
-
-def standard_normal(r: SplitMix64) -> float:
-    return normal_pair(r)[0]
-
-
-def complex_normal(r: SplitMix64) -> complex:
-    x, y = normal_pair(r)
-    return complex(x, y) / math.sqrt(2.0)
+from conftest import complex_normal, integer, normal_pair, one_thread_env, parent_haar_rule, standard_normal, uniform
 
 
 # published splitmix64 outputs for seed 0; any drift here breaks every
@@ -68,9 +45,9 @@ def test_uniform_matches_bit_contract():
 def test_integer_is_modulo_reduction():
     r1, r2 = SplitMix64(5), SplitMix64(5)
     raw = r2.next_uint64()
-    assert r1.integer(17) == raw % 17
+    assert integer(r1, 17) == raw % 17
     with pytest.raises(ValueError):
-        r1.integer(0)
+        integer(r1, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -83,7 +60,7 @@ def test_integers_equal_the_scalar_stream(seed, bound, count):
     r1, r2 = SplitMix64(seed), SplitMix64(seed)
     drawn = r1.integers(bound, count)
     assert drawn.dtype == np.uint64 and drawn.shape == (count,)
-    assert drawn.tolist() == [r2.integer(bound) for _ in range(count)]
+    assert drawn.tolist() == [integer(r2, bound) for _ in range(count)]
     # the stream continues where the scalar calls leave it
     assert r1.next_uint64() == r2.next_uint64()
 
@@ -136,6 +113,56 @@ def test_complex_matrix_keeps_complex_division_zero_signs():
     # complex division gives (-0.0 + 0.0 * 0.0) / sqrt(2) = +0.0, not x / sqrt(2)
     assert math.copysign(1.0, z.real) == 1.0
     assert math.copysign(1.0, z.imag) == 1.0
+
+
+@pytest.mark.parametrize("counts", [[], [0], [1], [0, 1, 0], [2 * _BLOCK + 3], [5, 2 * _BLOCK - 1, 0, 7]])
+@pytest.mark.parametrize("start", [0, 1, 2 * _BLOCK])
+def test_raw_streams_are_each_seed_s_own_words(counts, start):
+    seeds = [(0, 91, ZERO_FIRST_DRAW_SEED, 1234567)[i % 4] + i for i in range(len(counts))]
+    words = raw_streams(seeds, counts, start)
+    assert words.dtype == np.uint64 and words.shape == (sum(counts),)
+    expected = []
+    for seed, count in zip(seeds, counts):
+        r = SplitMix64(seed)
+        r._raw(start)
+        expected.append(r._raw(count))
+    assert words.tobytes() == np.concatenate([np.empty(0, np.uint64), *expected]).tobytes()
+    # the scalar stream, for the short reads
+    if sum(counts) < 100:
+        scalar = []
+        for seed, count in zip(seeds, counts):
+            r = SplitMix64(seed)
+            for _ in range(start):
+                r.next_uint64()
+            scalar += [r.next_uint64() for _ in range(count)]
+        assert words.tolist() == scalar
+
+
+def test_raw_streams_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        raw_streams([1, 2], [3, -1])
+
+
+@pytest.mark.parametrize("seed", [0, 91, ZERO_FIRST_DRAW_SEED])
+@pytest.mark.parametrize("count", [0, 1, 7, _BLOCK + 5])
+def test_normals_are_complex_matrix_bit_for_bit(seed, count):
+    out = np.empty(count, dtype=np.complex128)
+    normals(SplitMix64(seed)._raw(2 * count), out)
+    assert out.tobytes() == SplitMix64(seed).complex_matrix(1, count).tobytes()
+    if seed == ZERO_FIRST_DRAW_SEED and count:
+        # the first entry keeps complex division's +0.0 real part
+        assert out[0].real == 0.0 and math.copysign(1.0, out[0].real) == 1.0
+
+
+def test_normals_read_two_words_per_entry_across_substreams():
+    seeds, counts = [3, ZERO_FIRST_DRAW_SEED, 5], [1, 3, 2]
+    out = np.empty(sum(counts), dtype=np.complex128)
+    normals(raw_streams(seeds, [2 * c for c in counts]), out)
+    expect = []
+    for seed, count in zip(seeds, counts):
+        r = SplitMix64(seed)
+        expect += [complex_normal(r) for _ in range(count)]
+    assert out.tobytes() == np.array(expect, dtype=np.complex128).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (3, 5), (17, 2), (300, 300)])

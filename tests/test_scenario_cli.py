@@ -27,7 +27,7 @@ from evogrid.cli import _CHUNK_FLOATS, _json_chunks, main
 from evogrid.suites import SUITE_NAMES
 from evogrid.scenario import decode_matrix, encode_matrix
 
-from conftest import one_thread_env
+from conftest import integer, one_thread_env
 
 
 def minimal_config(**overrides):
@@ -298,7 +298,7 @@ def test_sampled_point_sets_are_the_labeled_draws(monkeypatch):
     suites._check_injectivity(scn)
     for label, samples in expected.items():
         rng = SplitMix64(derive_seed(scn.seed, label))
-        ids = sorted({rng.integer(1 << 64) for _ in range(samples)})
+        ids = sorted({integer(rng, 1 << 64) for _ in range(samples)})
         assert [sum(1 << int(b) for b in np.flatnonzero(row)) for row in drawn[label]] == ids
 
 
@@ -870,6 +870,34 @@ def test_cli_compute_satisfies_group_law(tmp_path):
     assert np.allclose(empty, np.eye(12), atol=1e-12)
 
 
+def test_cli_compute_builds_each_operator_after_the_last_is_written(monkeypatch):
+    # every group is validated first; then operator k is built only once
+    # operator k - 1's text, through its closing brace, has been written,
+    # so one operator is held at a time
+    from evogrid import cli
+
+    written, built = [], []
+    build = cli.evolution_unitary
+
+    def spy(weight, subset, rep):
+        built.append("".join(written))
+        return build(weight, subset, rep)
+
+    class Sink:
+        def write(self, text):
+            written.append(text)
+
+    monkeypatch.setattr(cli, "evolution_unitary", spy)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["compute", "demo", "--subsets", "1;2;1,2;9"]) == 4
+    assert built == [] and written == []
+    assert main(["compute", "demo", "--subsets", "1;2;1,2;1"]) == 0
+    assert [text.count('"times"') for text in built] == [0, 1, 2, 3]
+    assert all(text.endswith("}") for text in built[1:])
+    doc = json.loads("".join(written))
+    assert [op["times"] for op in doc["operators"]] == [["1"], ["2"], ["1", "2"], ["1"]]
+
+
 def test_cli_compute_diagonal_without_conjugator(tmp_path):
     cfg = minimal_config()
     path = tmp_path / "tiny.json"
@@ -914,7 +942,7 @@ def test_cli_timings_excluded_from_body(tmp_path):
     assert "\n".join(lines[:-1]) + "\n" == plain.read_text()
     # one call times each group; its time is split evenly among the records
     groups = [
-        ["unitary-evolution", "null-unitary", "group-law", "commutation"],
+        ["action-weight-laws", "unitary-evolution", "null-unitary", "group-law", "commutation"],
         ["conjugated-dynamics", "commutant-witness"],
     ]
     assert appendix["shared"] == groups

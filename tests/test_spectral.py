@@ -28,7 +28,7 @@ from evogrid.representation import (
 from evogrid.rng import SplitMix64
 from evogrid.suites import _nonempty_subsets, _point_sets, _rng
 
-from conftest import neighbouring_members, reversed_table
+from conftest import integer, neighbouring_members, reversed_table
 
 # -- the per-sample bodies the stacked checks replaced -------------------------
 
@@ -120,10 +120,10 @@ def _per_sample_matrix_elements(scn):
         k = measure.npoints
         for _ in range(20):
             members = set()
-            for _ in range(rng.integer(k) + 1):
-                members.add(rng.integer(k))
-            x = rng.integer(n)
-            y = rng.integer(n)
+            for _ in range(integer(rng, k) + 1):
+                members.add(integer(rng, k))
+            x = integer(rng, n)
+            y = integer(rng, n)
             value = matrix_element(measure, x, y, members)
             if x != y:
                 expected = 0.0
@@ -136,12 +136,29 @@ def _per_sample_matrix_elements(scn):
     return [("matrix-elements", "P3.5", dev, scn.tolerances.exact)]
 
 
+def _per_sample_singletons(scn):
+    n = scn.space.dimension
+    atoms = scn.representation.spectral_measure().diagonals(np.eye(n, dtype=bool))
+    rng = _rng(scn, "singletons")
+    dev = 0.0
+    for _ in range(10):
+        x, y = integer(rng, n), integer(rng, n)
+        swap = np.arange(n)
+        swap[[x, y]] = swap[[y, x]]
+        dev = nan_max(dev, float(np.any(atoms[x][swap] != atoms[y])))
+    return [
+        ("singleton-rank", "T3.1", float(np.count_nonzero(atoms.sum(axis=1) != 1)), 0.0),
+        ("singleton-conjugacy", "T3.1", dev, scn.tolerances.exact),
+    ]
+
+
 ORACLES = {
     suites._check_spectral_sum: _per_sample_spectral_sum,
     suites._check_factorization: _per_sample_factorization,
     suites._check_injectivity: _per_sample_injectivity,
     suites._check_embedding: _per_sample_embedding,
     suites._check_matrix_elements: _per_sample_matrix_elements,
+    suites._check_singletons: _per_sample_singletons,
 }
 
 SCENARIOS = {
@@ -150,6 +167,7 @@ SCENARIOS = {
     "ladder-5x2": lambda: scenario_from_dict(ladder_config(5, 2)),
     "ladder-2x8": lambda: scenario_from_dict(ladder_config(2, 8)),
     "ladder-3x5": lambda: scenario_from_dict(ladder_config(3, 5)),
+    "ladder-8x1": lambda: scenario_from_dict(ladder_config(8, 1)),
 }
 
 
@@ -167,7 +185,7 @@ def test_stacked_checks_return_the_per_sample_records(source):
 
 # mutants under which the records of both routes are nonzero, keyed by the checks they move
 MOVED_BY = {
-    "reversed-restriction-table": {"factorization", "embedding", "matrix-elements"},
+    "reversed-restriction-table": {"factorization", "embedding", "matrix-elements", "singleton-conjugacy"},
     "conjugated-integral-rows": {"spectral-sum", "factorization", "embedding"},
     "doubled-pullback": {"factorization", "embedding", "embedding-isometry"},
 }
@@ -259,21 +277,85 @@ def _counting(calls, original):
     return spy
 
 
-def test_sampled_checks_draw_one_matrix_per_subset(monkeypatch):
+def test_sampled_checks_read_their_substreams_at_once(monkeypatch):
+    # one `raw_streams` read of every subset's substream per check, and no
+    # per-subset `complex_matrix` or scalar draw; matrix-elements reads its one
+    # substream a subset at a time, from the first word the last subset left
     scn = load_scenario("demo")
     subsets = scn.frame.admissible()
-    draws, functions, represented = [], [], []
+    n = scn.space.dimension
+    reads, draws, functions, represented = [], [], [], []
+    original = suites.raw_streams
+    monkeypatch.setattr(suites, "raw_streams",
+                        lambda seeds, counts, start=0: reads.append((list(counts), start)) or original(seeds, counts, start))
     monkeypatch.setattr(SplitMix64, "complex_matrix", _counting(draws, SplitMix64.complex_matrix))
+    monkeypatch.setattr(SplitMix64, "integers", _counting(draws, SplitMix64.integers))
     monkeypatch.setattr(GridEvolutionSpace, "random_function", _counting(functions, GridEvolutionSpace.random_function))
     monkeypatch.setattr(PureRepresentation, "represent", _counting(represented, PureRepresentation.represent))
     for check, samples in ((suites._check_spectral_sum, 5), (suites._check_factorization, 25),
                            (suites._check_embedding, 10)):
-        draws.clear()
+        reads.clear()
         check(scn)
-        assert draws == [(samples, scn.space.npoints(s)) for s in subsets], check.__name__
-    assert functions == []
+        assert reads == [([2 * samples * scn.space.npoints(s) for s in subsets], 0)], check.__name__
+    reads.clear()
+    suites._check_conjugation_covariance(scn)
+    assert reads == [([5 * (3 * scn.space.npoints(s) + 1) + 8 for s in subsets], 0)]
+    reads.clear()
+    suites._check_matrix_elements(scn)
+    sizes = [scn.space.npoints(s) for s in _nonempty_subsets(scn)]
+    assert [counts for counts, _ in reads] == [[20 * (k + 3)] for k in sizes]
+    starts = [start for _, start in reads]
+    # a sample takes its count, one to k members, x and y
+    assert starts[0] == 0 and all(20 * 4 <= b - a <= 20 * (k + 3) for a, b, k in zip(starts, starts[1:], sizes))
+    assert draws == [] and functions == []
+    suites._check_singletons(scn)
+    assert draws == [(n, 20)]
     suites._check_injectivity(scn)
     assert represented == []
+
+
+@pytest.mark.parametrize("budget", [suites.READ_NORMALS, 1000, 1])
+def test_sampled_rows_are_each_subset_s_own_draw_in_bounded_reads(budget, monkeypatch):
+    # subsets whose values start within one run of `budget` share a read; the
+    # rows are each subset's own complex_matrix draw whatever the runs
+    scn = SCENARIOS["ladder-5x2"]()
+    subsets = scn.frame.admissible()
+    sizes = [25 * scn.space.npoints(s) for s in subsets]
+    reads, default = [], suites.READ_NORMALS
+    original = suites.raw_streams
+    monkeypatch.setattr(suites, "READ_NORMALS", budget)
+    monkeypatch.setattr(suites, "raw_streams", lambda seeds, counts, start=0: reads.append(counts) or original(seeds, counts))
+    rows = list(suites._sampled_rows(scn, "factorization", 25))
+    assert len(rows) == len(subsets)
+    for subset, got in zip(subsets, rows):
+        want = _rng(scn, f"factorization-{sorted(map(str, subset))}").complex_matrix(25, scn.space.npoints(subset))
+        assert got.tobytes() == want.tobytes()
+    assert len(reads) == len(set((np.cumsum([0, *sizes[:-1]]) // budget).tolist()))
+    assert (len(reads) == 1) == (budget == default)
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-3x5"])
+def test_matrix_elements_reads_the_per_sample_members(source, monkeypatch):
+    # the stacked check's membership rows, in `diagonals` call order, are the
+    # member sets of the scalar draws: a sample shifted by one word moves them
+    scn = SCENARIOS[source]()
+    rng = _rng(scn, "matrix-elements")
+    n = scn.space.dimension
+    expected = []
+    for subset in _nonempty_subsets(scn):
+        k = scn.space.npoints(subset)
+        rows = np.zeros((20, k), dtype=bool)
+        for s in range(20):
+            for _ in range(integer(rng, k) + 1):
+                rows[s, integer(rng, k)] = True
+            integer(rng, n), integer(rng, n)
+        expected.append(rows)
+    seen = []
+    diagonals = SpectralMeasure.diagonals
+    monkeypatch.setattr(SpectralMeasure, "diagonals", lambda self, rows: seen.append(rows) or diagonals(self, rows))
+    suites._check_matrix_elements(scn)
+    assert len(seen) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
 
 
 @pytest.mark.parametrize("source", ["demo", "ladder-5x2"])
