@@ -153,12 +153,12 @@ class ActionWeight:
     @cached_property
     def stack(self) -> np.ndarray:
         """Read-only (m, N) diagonals of U_T, a row per subset of `domain()`, formed at first read: row T
-        is u_T, read through `function` and gathered along restriction into zeros as `integrate_rows`
-        does, with the bits of `evolution_unitary(self, T, rep).diag`."""
+        is u_T, read through `function` and gathered through T's row of the space's `restriction_table()`
+        into zeros as `integrate_rows` does, with the bits of `evolution_unitary(self, T, rep).diag`."""
         space, domain = self.space, self.domain()
         stack = np.zeros((len(domain), space.dimension), dtype=np.complex128)
-        for row, subset in zip(stack, domain):
-            row += self.function(subset).values[space.restricted_index_array(subset)]
+        for row, subset, restricted in zip(stack, domain, space.restriction_table()):
+            row += self.function(subset).values[restricted]
         return _frozen(stack)
 
 

@@ -27,12 +27,14 @@ subset and the measure-disjoint pairs, and builds with itself the sorted
 admissible family, its packed membership rows and a byte trie from a row
 to its position; the loader bounds the family by the cap first.  The union
 closure of a listed family, both pair tables and the measure-zero mask are
-array work on those rows.  A space keeps one record per subset it has
-been asked about, holding the axes, shape, point count and, once first
-requested, the read-only restriction table (full-set point index ->
-restricted point index) that every geometry query reads.  No record or
-memo is a dataclass field, so equality, hashing and fingerprints see only
-the frame and grids.
+array work on those rows.  A space keeps the axes, shape and point count
+of each subset it has been asked about, and builds on first read one
+read-only (m, N) restriction table of the family: row i maps each full-set
+point index to the linear index of its restriction to `admissible()[i]`,
+below k <= N, so uint16 holds it up to N = 2^16.  A subset outside the
+family gets its row built alone, uncached.  No record, table or memo is a
+dataclass field, so equality, hashing and fingerprints see only the frame
+and grids.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class TimeFrame:
             prefixes, code = np.unique(code * 256 + column, return_inverse=True)
             levels.append(np.append(prefixes, np.iinfo(np.int64).max))  # a sentinel no code reaches
         object.__setattr__(self, "_admissible", keyed)
-        object.__setattr__(self, "_family", frozenset(keyed))
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(keyed)})
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_trie", (levels, np.append(np.argsort(code), len(rows))))
         if self.sigma0 is not None:
@@ -196,7 +198,7 @@ class TimeFrame:
         return ~np.any(self._rows & np.packbits(np.array(self.weights) > 0.0), axis=1)
 
     def is_admissible(self, subset) -> bool:
-        return _as_frozenset(subset) in self._family
+        return _as_frozenset(subset) in self._index
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,22 +307,6 @@ def contraction_norm_estimate(phi: GridPointMap, seed: int = 0, samples: int = 3
     return float(np.max(_cstar_norms(phi.apply_blocks(stacks))))
 
 
-class _SubsetGeometry:
-    """Axes, shape and point count of one subset of times.
-
-    `restricted` stays None until `GridEvolutionSpace.restricted_index_array`
-    first builds the subset's read-only restriction table.
-    """
-
-    __slots__ = ("axes", "shape", "npoints", "restricted")
-
-    def __init__(self, axes: tuple[int, ...], shape: tuple[int, ...]):
-        self.axes = axes
-        self.shape = shape
-        self.npoints = math.prod(shape)
-        self.restricted: np.ndarray | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class GridEvolutionSpace:
     """Per-time grids of maps over a time frame, with subset geometry."""
@@ -341,7 +327,9 @@ class GridEvolutionSpace:
         if len(algebras) != 1:
             raise StructureError("all grid maps must act on the same algebra")
         object.__setattr__(self, "grids", aligned)
+        object.__setattr__(self, "_full_shape", tuple(len(g) for g in aligned))
         object.__setattr__(self, "_geometries", {})
+        object.__setattr__(self, "_table", None)
 
     @property
     def full(self) -> frozenset:
@@ -349,32 +337,32 @@ class GridEvolutionSpace:
 
     # -- subset geometry -------------------------------------------------
 
-    def _geometry(self, subset) -> _SubsetGeometry:
-        """The subset's geometry record, built on first use; validates labels."""
+    def _geometry(self, subset) -> tuple:
+        """The subset's (axes, shape, point count) record, built on first use; validates labels."""
         s = _as_frozenset(subset)
         geometry = self._geometries.get(s)
         if geometry is None:
             axes = tuple(self.frame.position(t) for t in self.frame.ordered(s))
             shape = tuple(len(self.grids[i]) for i in axes)
-            geometry = self._geometries[s] = _SubsetGeometry(axes, shape)
+            geometry = self._geometries[s] = (axes, shape, math.prod(shape))
         return geometry
 
     def axes(self, subset) -> tuple[int, ...]:
-        return self._geometry(subset).axes
+        return self._geometry(subset)[0]
 
     def shape(self, subset) -> tuple[int, ...]:
-        return self._geometry(subset).shape
+        return self._geometry(subset)[1]
 
     def npoints(self, subset) -> int:
-        return self._geometry(subset).npoints
+        return self._geometry(subset)[2]
 
     def full_shape(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.grids)
+        return self._full_shape
 
     @property
     def dimension(self) -> int:
         """Number of points over the full label set."""
-        return math.prod(self.full_shape())
+        return math.prod(self._full_shape)
 
     def grid_size(self, t) -> int:
         return len(self.grids[self.frame.position(t)])
@@ -385,28 +373,41 @@ class GridEvolutionSpace:
             raise DomainError(f"grid index {index} out of range at time {t!r}")
         return grid[index]
 
-    def restricted_index_array(self, subset) -> np.ndarray:
-        """For each full-set point index, the linear index of its restriction.
+    def restriction_table(self) -> np.ndarray:
+        """The family's read-only (m, N) restriction table, built on first read:
+        row i holds, for each full-set point index, the linear index of its
+        restriction to `frame.admissible()[i]`."""
+        if self._table is None:
+            members = np.unpackbits(self.frame._rows, axis=1, count=len(self.grids)).view(bool)
+            object.__setattr__(self, "_table", self._restriction_rows(members))
+        return self._table
 
-        Computed once per subset by placing each retained digit's place value
-        along its own axis of the full mixed-radix grid and summing with
-        broadcasting; the cached table is read-only.
-        """
-        geometry = self._geometry(subset)
-        if geometry.restricted is None:
-            full_shape = self.full_shape()
-            out = np.zeros(full_shape, dtype=np.int64)
-            place = 1
-            for ax in reversed(geometry.axes):
-                size = full_shape[ax]
-                shape = [1] * len(full_shape)
-                shape[ax] = size
-                out += (np.arange(size, dtype=np.int64) * place).reshape(shape)
-                place *= size
-            table = out.ravel()
-            table.setflags(write=False)
-            geometry.restricted = table
-        return geometry.restricted
+    def restricted_index_array(self, subset) -> np.ndarray:
+        """For each full-set point index, the linear index of its restriction:
+        the subset's row of `restriction_table()`, or for a subset outside the
+        family its row built alone, uncached."""
+        s = _as_frozenset(subset)
+        i = self.frame._index.get(s)
+        if i is not None:
+            return self.restriction_table()[i]
+        members = np.zeros((1, len(self.grids)), dtype=bool)
+        members[0, list(self.axes(s))] = True
+        return self._restriction_rows(members)[0]
+
+    def _restriction_rows(self, members: np.ndarray) -> np.ndarray:
+        """Read-only restriction rows of the subsets with boolean membership rows
+        `members` over the times: per axis, its place value (the product of the
+        retained sizes after it) times each full point's digit, from
+        `np.indices`; every partial sum is below k, so none overflows."""
+        sizes = np.where(members, self._full_shape, 1)
+        place = np.cumprod(sizes[:, ::-1], axis=1)[:, ::-1] // sizes * members
+        dtype = np.uint16 if self.dimension <= 1 << 16 else np.int64
+        out = np.zeros((len(members), self.dimension), dtype=dtype)
+        digits = np.indices(self._full_shape, dtype).reshape(len(self.grids), -1)
+        for column, digit in zip(place.T.astype(dtype), digits):
+            out += column[:, None] * digit
+        out.setflags(write=False)
+        return out
 
     # -- functions on point sets ------------------------------------------
 

@@ -170,9 +170,9 @@ def verify_lagrangian(lagrangian: Lagrangian) -> LagrangianReport:
     frame = space.frame
     columns = [np.empty((0, space.dimension))]
     realness = 0.0
-    for subset in frame.admissible():
+    for subset, restricted in zip(frame.admissible(), space.restriction_table()):
         table = lagrangian.table(subset)
-        columns.append(table.real[space.restricted_index_array(subset)].T)
+        columns.append(table.real[restricted].T)
         realness = max(realness, float(np.max(np.abs(table.imag), initial=0.0)))
     member = np.unpackbits(frame._rows, axis=1, count=len(frame.times)).view(bool)
     # slot[i, p]: the stack row of subset i's time at frame position p, as the columns were stacked

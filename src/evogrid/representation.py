@@ -12,8 +12,8 @@ Measures over a smaller time subset T arise by pushing the full measure
 forward along restriction: the projection of V, a set of points over T, is
 diagonal with a one at each full point whose restriction lies in V.  The
 library builds every such diagonal one way, by a gather through the
-subset's restriction table: each full point takes the value at the point of
-T it restricts to.  Spectral integrals and the batch `diagonals` of many
+subset's row of the space's restriction table: each full point takes the
+value at the point of T it restricts to.  Spectral integrals and the batch `diagonals` of many
 point sets are that gather; `integrate` is the one-row case of
 `integrate_rows`, and `projection` (so `atom`) the one-row case of `diagonals`.
 

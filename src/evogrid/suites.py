@@ -33,25 +33,25 @@ the scalar tails are the per-sample expressions on Python numbers, so a
 record has the bits of the per-sample loop.
 
 A check that samples from a labeled substream per subset reads them all
-at once (`rng.raw_streams`), and a draw whose count depends on an earlier
-draw is read at its largest count and walked in the scalar draws' order.
-The spectral suite's sampled laws run on stacks: every subset's S random
-functions come from one read and one `normals` call per run of
-`READ_NORMALS` values (one run unless the family is large), with the bits
-of a `complex_matrix(S, npoints)` per subset (and so of S
-`random_function` calls), integrated by one `integrate_rows` gather and
-lifted by one `pullback_rows` broadcast.  `matrix-elements` reads its one
-substream a subset at a time, from the first word left unused, and a
-subset's 20 samples off one `diagonals` gather, and the injectivity checks
-count distinct 0/1 diagonals by their packed bytes.  Measures are read
-through those two gathers only: the atoms are the rows of one
-`diagonals(np.eye(k))` table, which give the ranks and, cast to complex a
-row at a time, `spectral-sum`'s oracle with the bits of `atom(b).diag`,
-and the empty and total sets are two rows of one gather.
-`index-roundtrip`, `pushforward` and `matrix-elements` judge the
-restriction table against one oracle image per subset: every full point's
-`np.unravel_index` digits on the subset's axes, raveled again with
-`np.ravel_multi_index`, a route that never reads the library's table.
+at once (`rng.raw_streams`), in runs of the subsets whose draws start within
+2 `READ_NORMALS` words of each other (one run unless the family is large),
+and a draw whose count depends on an earlier draw is read at its largest
+count and walked in the scalar draws' order.  So `pvm-axioms` reads both
+pair halves of every sampled subset, `pushforward`, `injectivity-subsets`
+and `embedding-measure` their point sets, and `spectral-sum`,
+`factorization` and `embedding` their S random functions, with one
+`normals` call per run and the bits of a `complex_matrix(S, npoints)` per
+subset.  `matrix-elements` reads its one substream once, up to 20 (k + 3)
+words per subset, and parses each subset's words as Python ints.  Measures
+are read through two gathers, `diagonals` and `integrate_rows`, each
+through the subset's row of the space's restriction table: the atoms are
+the rows of one `diagonals(np.eye(k))` table, which give the ranks and,
+cast to complex a row at a time, `spectral-sum`'s oracle with the bits of
+`atom(b).diag`, and the empty and total sets are two rows of one gather.
+`index-roundtrip` compares every row of the table, and `pushforward` and
+`matrix-elements` the gathers, with an oracle image: `np.unravel_index`
+digits raveled again by `np.ravel_multi_index`, never reading the table.
+The injectivity checks count distinct 0/1 diagonals with `np.unique`.
 
 The conjugation checks read g = ||G||_F of the Gram defect G = W W* - I,
 kept when the conjugator W was checked.  A conjugated projection is
@@ -91,6 +91,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate, compress, pairwise
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -128,7 +129,7 @@ SUITE_NAMES = ("algebra", "spectral", "conjugation", "dynamics", "lagrangian")
 EXHAUSTIVE_PAIR_LIMIT = 64  # subset families up to this size get all ordered pairs
 SAMPLED_PAIRS = 2000
 COVARIANCE_COLUMNS = 4  # columns each covariance comparison reads of a conjugated operator
-READ_NORMALS = 1 << 16  # sampled functions are read for subsets that start within one run of this many values
+READ_NORMALS = 1 << 16  # a read covers the draws that start within 2 READ_NORMALS words, this many normals' words
 
 
 @dataclass(frozen=True)
@@ -200,6 +201,21 @@ def _nonempty_subsets(scn: Scenario) -> list[frozenset]:
     return [s for s in scn.frame.admissible() if s]
 
 
+def _labels(prefix: str, subsets) -> list[str]:
+    """The substream label of each subset under a check's prefix."""
+    return [f"{prefix}-{sorted(map(str, s))}" for s in subsets]
+
+
+def _reads(scn: Scenario, labels: list[str], counts: list[int]) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """The first counts[i] raw words of each labeled substream, in order, one
+    read per run of the substreams that start within 2 READ_NORMALS words of
+    each other: per run, its words and its counts."""
+    runs = [start // (2 * READ_NORMALS) for start in accumulate(counts, initial=0)]
+    cuts = [i for i in range(1, len(counts)) if runs[i] != runs[i - 1]]
+    for lo, hi in zip([0, *cuts], [*cuts, len(counts)]):
+        yield raw_streams([derive_seed(scn.seed, label) for label in labels[lo:hi]], counts[lo:hi]), counts[lo:hi]
+
+
 def _bit_rows(ids: np.ndarray, k: int) -> np.ndarray:
     """Boolean membership rows of subset bitmask ids over k points.
 
@@ -208,59 +224,67 @@ def _bit_rows(ids: np.ndarray, k: int) -> np.ndarray:
     """
     words = np.ascontiguousarray(ids, dtype="<u8")
     raw = words.view(np.uint8).reshape(len(words), -1)
-    return np.unpackbits(raw, axis=1, count=k, bitorder="little").astype(bool)
+    return np.unpackbits(raw, axis=1, count=k, bitorder="little").view(bool)
 
 
-def _random_ids(rng: SplitMix64, k: int, count: int) -> np.ndarray:
-    """`count` random subsets of k points as rows of bitmask words.
-
-    A row is ceil(k / 64) raw words, low word first, with the bits past
-    point k - 1 masked off the top word, so that every point can be drawn.
-    """
-    nwords = -(-k // 64)
-    ids = rng.integers(1 << 64, count * nwords).reshape(count, nwords)
-    ids[:, -1] &= np.uint64((1 << (k - 64 * (nwords - 1))) - 1)
+def _random_ids(words: np.ndarray, k: int) -> np.ndarray:
+    """Raw words as random subsets of k points, in place: rows of ceil(k / 64)
+    words, low word first, with the bits past point k - 1 masked off the top
+    word, so that every point can be drawn."""
+    ids = words.reshape(-1, -(-k // 64))
+    ids[:, -1] &= np.uint64((1 << (k - 64 * (ids.shape[1] - 1))) - 1)
     return ids
 
 
-def _subset_pair_ids(scn: Scenario, label: str, count_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of subsets of a point set of size `count_points`, as bit rows."""
-    total = 1 << count_points
-    if total <= EXHAUSTIVE_PAIR_LIMIT:
-        rows = _bit_rows(np.arange(total, dtype=np.uint64), count_points)
-        return np.repeat(rows, total, axis=0), np.tile(rows, (total, 1))
-    rng = _rng(scn, label)
-    left = _bit_rows(_random_ids(rng, count_points, SAMPLED_PAIRS), count_points)
-    right = _bit_rows(_random_ids(rng, count_points, SAMPLED_PAIRS), count_points)
-    return left, right
+def _sampled_ids(scn: Scenario, labels: list[str], subsets, exhaustive: int, count: int) -> Iterator[tuple]:
+    """Per subset of times, its point count k and None when its k points
+    have at most `exhaustive` sets, else the ids of `count` random sets of
+    them drawn from the subset's labeled substream; every drawn substream
+    comes from one read."""
+    sizes = [scn.space.npoints(s) for s in subsets]
+    drawn = [1 << k > exhaustive for k in sizes]
+    reads = _reads(scn, list(compress(labels, drawn)), [count * -(-k // 64) for k in compress(sizes, drawn)])
+    streams = (run[a:b] for run, part in reads for a, b in pairwise(accumulate(part, initial=0)))
+    for k, sampled in zip(sizes, drawn):
+        yield k, _random_ids(next(streams), k) if sampled else None
 
 
-def _point_sets(scn: Scenario, label: str, k: int, exhaustive: int, samples: int) -> np.ndarray:
-    """Point sets over k points, as bit rows.
+def _subset_pairs(scn: Scenario, labels: list[str], subsets) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per subset of times, pairs of subsets of its k points as two stacks of
+    bit rows: every ordered pair when there are at most EXHAUSTIVE_PAIR_LIMIT
+    subsets, else SAMPLED_PAIRS left sets drawn before as many right ones."""
+    for k, ids in _sampled_ids(scn, labels, subsets, EXHAUSTIVE_PAIR_LIMIT, 2 * SAMPLED_PAIRS):
+        if ids is None:
+            rows = _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
+            yield np.repeat(rows, 1 << k, axis=0), np.tile(rows, (1 << k, 1))
+        else:
+            yield tuple(_bit_rows(ids, k).reshape(2, SAMPLED_PAIRS, k))
 
-    Every set when there are at most `exhaustive` of them; otherwise the
-    distinct ids of `samples` draws from the labeled substream, sorted by
-    value (top word first).
+
+def _point_sets(scn: Scenario, labels: list[str], subsets, exhaustive: int, samples: int) -> Iterator[np.ndarray]:
+    """Per subset of times, point sets over its k points as bit rows: every
+    set when there are at most `exhaustive` of them; otherwise the distinct
+    ids of `samples` draws from the labeled substream, sorted by value (top
+    word first)."""
+    for k, ids in _sampled_ids(scn, labels, subsets, exhaustive, samples):
+        if ids is None:
+            yield _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
+        else:
+            yield _bit_rows(np.unique(ids[:, 0]) if ids.shape[1] == 1 else np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
+
+
+def _restriction_image(space, subset: frozenset, points: np.ndarray | None = None) -> np.ndarray:
+    """Oracle restriction of the full points `points`, every one by default:
+    each point's `np.unravel_index` digits on the subset's axes, raveled over
+    the subset's shape; all 0 over T = {}.
+
+    It never reads the library's restriction table, whose place values it checks.
     """
-    total = 1 << k
-    if total <= exhaustive:
-        return _bit_rows(np.arange(total, dtype=np.uint64), k)
-    ids = _random_ids(_rng(scn, label), k, samples)
-    if ids.shape[1] == 1:
-        return _bit_rows(np.unique(ids[:, 0]), k)
-    return _bit_rows(np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
-
-
-def _restriction_image(space, subset: frozenset) -> np.ndarray:
-    """Oracle restriction table: each full point's `np.unravel_index` digits on
-    the subset's axes, raveled over the subset's shape; all 0 over T = {}.
-
-    It never reads `restricted_index_array`, whose place values it checks.
-    """
+    points = np.arange(space.dimension) if points is None else points
     axes = space.axes(subset)
     if not axes:
-        return np.zeros(space.dimension, dtype=np.int64)
-    digits = np.unravel_index(np.arange(space.dimension), space.full_shape())
+        return np.zeros(len(points), dtype=np.int64)
+    digits = np.unravel_index(points, space.full_shape())
     return np.ravel_multi_index([digits[ax] for ax in axes], space.shape(subset))
 
 
@@ -378,9 +402,10 @@ def _check_grid_contraction(scn: Scenario) -> list[tuple[str, str, float, float]
 
 def _check_index_roundtrip(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    bad = 0
-    for subset in scn.frame.admissible():
-        bad += int(np.count_nonzero(space.restricted_index_array(subset) != _restriction_image(space, subset)))
+    # every row of the family's table against its oracle row, one row at a
+    # time: a whole (m, N) int64 image would be 134 MB at m = N = 4096
+    rows = zip(space.restriction_table(), scn.frame.admissible())
+    bad = sum(int(np.count_nonzero(row != _restriction_image(space, s))) for row, s in rows)
     return [("index-roundtrip", "S2", float(bad), 0.0)]
 
 
@@ -388,11 +413,11 @@ def _check_index_roundtrip(scn: Scenario) -> list[tuple[str, str, float, float]]
 
 
 def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
+    subsets = scn.frame.admissible()
     dev = 0.0
-    for subset in scn.frame.admissible():
+    for subset, (left, right) in zip(subsets, _subset_pairs(scn, _labels("pvm", subsets), subsets)):
         measure = scn.representation.spectral_measure(subset)
         dev = nan_max(dev, _ends_defect(measure))
-        left, right = _subset_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", measure.npoints)
         # exact 0/1 projection diagonals, one row per pair; int8 holds every
         # value of both laws, failing diagonals included
         p1, p2, inter, union = (measure.diagonals(rows).view(np.int8) for rows in (left, right, left & right, left | right))
@@ -404,12 +429,13 @@ def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
 def _check_pushforward(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
     full_measure = scn.representation.spectral_measure()
+    subsets = _nonempty_subsets(scn)
     dev = 0.0
     rank_bad = 0
-    for subset in _nonempty_subsets(scn):
+    point_sets = _point_sets(scn, _labels("pushforward", subsets), subsets, EXHAUSTIVE_PAIR_LIMIT, 256)
+    for subset, rows in zip(subsets, point_sets):
         measure = pushforward(full_measure, subset)
         k = measure.npoints
-        rows = _point_sets(scn, f"pushforward-{sorted(map(str, subset))}", k, EXHAUSTIVE_PAIR_LIMIT, 256)
         # oracle: read each preimage of V off the digit-built image table
         image = _restriction_image(space, subset)
         dev = nan_max(dev, float(np.max(measure.diagonals(rows) != rows[:, image])))
@@ -424,18 +450,13 @@ def _check_pushforward(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 def _sampled_rows(scn: Scenario, label: str, samples: int) -> Iterator[np.ndarray]:
     """Per admissible subset, in order, `samples` random functions over its
-    points, one row each: its substream's `complex_matrix(samples, k)`.  One
-    read serves every subset whose values start in the same run of
-    `READ_NORMALS`, so a family is one read unless its values are many."""
+    points, one row each: its substream's `complex_matrix(samples, k)`, one
+    read and one `normals` call per run (`_reads`)."""
     subsets = scn.frame.admissible()
-    sizes = [samples * scn.space.npoints(s) for s in subsets]
-    cuts = (np.flatnonzero(np.diff(np.cumsum([0, *sizes[:-1]]) // READ_NORMALS)) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(subsets)]):
-        part = sizes[lo:hi]
-        values = np.empty(sum(part), dtype=np.complex128)
-        seeds = [derive_seed(scn.seed, f"{label}-{sorted(map(str, s))}") for s in subsets[lo:hi]]
-        normals(raw_streams(seeds, [2 * size for size in part]), values)
-        yield from (rows.reshape(samples, -1) for rows in np.split(values, np.cumsum(part)[:-1]))
+    for words, part in _reads(scn, _labels(label, subsets), [2 * samples * scn.space.npoints(s) for s in subsets]):
+        values = np.empty(len(words) // 2, dtype=np.complex128)
+        normals(words, values)
+        yield from (rows.reshape(samples, -1) for rows in np.split(values, np.cumsum(part)[:-1] // 2))
 
 
 def _check_spectral_sum(scn: Scenario) -> list[tuple[str, str, float, float]]:
@@ -477,20 +498,21 @@ def _check_diagonal_calculus(scn: Scenario) -> list[tuple[str, str, float, float
 
 
 def _distinct_rows(bits: np.ndarray) -> int:
-    """Number of distinct boolean rows, told apart by the bytes of their packed bits."""
-    return len(set(map(bytes, np.packbits(bits, axis=1))))
+    """Number of distinct boolean rows, told apart by their packed bits, each packed row one void item."""
+    packed = np.packbits(bits, axis=1)
+    return len(np.unique(packed.view(np.dtype((np.void, packed.shape[1])))))
 
 
 def _check_injectivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    masks = _point_sets(scn, "injectivity-full", space.dimension, 4096, 512)
+    masks = next(_point_sets(scn, ["injectivity-full"], [space.full], 4096, 512))
     # a function on the full set acts as the diagonal of its pullback there:
     # distinct 0/1 masks must keep distinct diagonals
     bad = int(_distinct_rows(pullback_rows(space, space.full, masks)) != len(masks))
+    subsets = _nonempty_subsets(scn)
     sub_bad = 0
-    for subset in _nonempty_subsets(scn):
+    for subset, rows in zip(subsets, _point_sets(scn, _labels("injectivity", subsets), subsets, 1024, 512)):
         measure = scn.representation.spectral_measure(subset)
-        rows = _point_sets(scn, f"injectivity-{sorted(map(str, subset))}", measure.npoints, 1024, 512)
         # integrating a 0/1 function gives its projection: count distinct ones
         sub_bad += int(_distinct_rows(measure.diagonals(rows)) != len(rows))
     return [
@@ -521,11 +543,11 @@ def _check_embedding(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 def _check_embedding_measure(scn: Scenario) -> list[tuple[str, str, float, float]]:
     rep = scn.representation
+    subsets = _nonempty_subsets(scn)
+    point_sets = _point_sets(scn, _labels("embedding-measure", subsets), subsets, EXHAUSTIVE_PAIR_LIMIT, 256)
     dev = 0.0
-    for subset in _nonempty_subsets(scn):
+    for subset, rows in zip(subsets, point_sets):
         measure = rep.spectral_measure(subset)
-        label = f"embedding-measure-{sorted(map(str, subset))}"
-        rows = _point_sets(scn, label, measure.npoints, EXHAUSTIVE_PAIR_LIMIT, 256)
         # the lifted indicators broadcast over the other axes; the measure
         # gathers through the restriction table; entries are 0 or 1
         lifted = pullback_rows(scn.space, subset, rows)
@@ -536,31 +558,34 @@ def _check_embedding_measure(scn: Scenario) -> list[tuple[str, str, float, float
 def _check_matrix_elements(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
     rep = scn.representation
-    seed, cursor = derive_seed(scn.seed, "matrix-elements"), 0
     n = space.dimension
+    subsets = _nonempty_subsets(scn)
+    sizes = [space.npoints(s) for s in subsets]
+    # one substream for the whole check, read once up to 20 (k + 3) words per
+    # subset: a sample is a count c, c members, x and y, and a subset parses
+    # its words as Python ints from the first word the last one left unused
+    stream = raw_streams([derive_seed(scn.seed, "matrix-elements")], [sum(20 * (k + 3) for k in sizes)])
+    at = 0
     dev = 0.0
-    for subset in _nonempty_subsets(scn):
-        measure = rep.spectral_measure(subset)
-        k = measure.npoints
-        rows = np.zeros((20, k), dtype=bool)
-        xs = np.empty(20, dtype=np.int64)
-        ys = np.empty_like(xs)
-        # one substream for the whole check, read on from its first unused
-        # word: a sample is a count c, c members, x and y
-        words = raw_streams([seed], [20 * (k + 3)], cursor)
-        at = 0
+    for subset, k in zip(subsets, sizes):
+        words, used = stream[at : at + 20 * (k + 3)].tolist(), 0
+        cells, xs, ys = [], [], []
         for s in range(20):
-            count = int(words[at]) % k + 1
-            rows[s, words[at + 1 : at + 1 + count] % np.uint64(k)] = True
-            xs[s], ys[s] = words[at + 1 + count : at + 3 + count] % np.uint64(n)
-            at += count + 3
-        cursor += at
+            count = words[used] % k + 1
+            cells += [s * k + w % k for w in words[used + 1 : used + 1 + count]]
+            xs.append(words[used + 1 + count] % n)
+            ys.append(words[used + 2 + count] % n)
+            used += count + 3
+        at += used
+        rows = np.zeros((20, k), dtype=bool)
+        rows.flat[cells] = True
+        xs, ys = np.array(xs), np.array(ys)
         # <e_x, E(V) e_y> of every sample from one gather: E(V) is diagonal,
         # so an entry is 0 off the diagonal and entry x of its 0/1 diagonal on it
-        values = (xs == ys) & measure.diagonals(rows)[np.arange(20), xs]
+        values = (xs == ys) & rep.spectral_measure(subset).diagonals(rows)[np.arange(20), xs]
         # oracle: each diagonal sample's basis point restricted through the
         # digit-built image table, not through the library's table
-        expected = (xs == ys) & rows[np.arange(20), _restriction_image(space, subset)[xs]]
+        expected = (xs == ys) & rows[np.arange(20), _restriction_image(space, subset, xs)]
         dev = nan_max(dev, float(np.any(values != expected)))
     return [("matrix-elements", "P3.5", dev, scn.tolerances.exact)]
 
@@ -737,7 +762,7 @@ def _check_actions(scn: Scenario) -> list[tuple[str, str, float, float]]:
     frame = scn.frame
     domain = frame.admissible()
     actions = [action_from_lagrangian(scn.lagrangian, s) for s in domain]
-    pulled = np.array([a.values[space.restricted_index_array(s)] for s, a in zip(domain, actions)])
+    pulled = np.array([a.values[restricted] for restricted, a in zip(space.restriction_table(), actions)])
     additivity = _pair_max(pulled, frame.disjoint_pairs(), lambda t1, t2, union: union - t1 - t2)
     lipschitz = 0.0
     for subset, action in zip(domain, actions):

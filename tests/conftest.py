@@ -77,8 +77,22 @@ def every_ordered_pair(frame):
 
 
 def reversed_table(original):
-    """A restriction-table method whose tables are read back to front."""
-    return lambda self, subset: original(self, subset)[::-1]
+    """A restriction-table method whose rows are read back to front."""
+    return lambda self, *args: original(self, *args)[..., ::-1]
+
+
+def swapped_table_rows(original):
+    """A `restriction_table` method that exchanges the rows of the first two
+    admissible subsets with equal point counts, so that each indexes in range
+    but the table is out of step with `admissible()`."""
+    def mutant(self):
+        table = original(self).copy()
+        sizes = [self.npoints(s) for s in self.frame.admissible()]
+        i, j = next((i, j) for j in range(len(sizes)) for i in range(j) if sizes[i] == sizes[j])
+        table[[i, j]] = table[[j, i]]
+        return table
+
+    return mutant
 
 
 def neighbouring_members(original):

@@ -32,7 +32,7 @@ from evogrid.algebra import _trace_pairings, unitary_defect
 from evogrid.dynamics import nan_max
 from evogrid.rng import SplitMix64, derive_seed
 
-from conftest import FLIP, one_thread_env, parent_haar, reversed_table
+from conftest import FLIP, one_thread_env, parent_haar, reversed_table, swapped_table_rows
 from test_rng import ZERO_FIRST_DRAW_SEED
 
 
@@ -477,7 +477,11 @@ ALGEBRA_MUTANTS = {
         "automorphism-counterexample",
     ),
     "reversed-restriction-table": (
-        (GridEvolutionSpace, "restricted_index_array", reversed_table(GridEvolutionSpace.restricted_index_array)),
+        (GridEvolutionSpace, "restriction_table", reversed_table(GridEvolutionSpace.restriction_table)),
+        "index-roundtrip",
+    ),
+    "swapped-table-rows": (
+        (GridEvolutionSpace, "restriction_table", swapped_table_rows(GridEvolutionSpace.restriction_table)),
         "index-roundtrip",
     ),
 }

@@ -255,7 +255,10 @@ def test_restricted_index_array_is_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = 5
-    assert space.restricted_index_array({"1", "3"}) is table
+    # a row of the one family table, built once
+    assert space.restriction_table() is space.restriction_table()
+    assert np.shares_memory(table, space.restriction_table())
+    assert not space.restriction_table().flags.writeable
     assert table[0] == 0
 
 

@@ -289,9 +289,10 @@ def test_sampled_point_sets_are_the_labeled_draws(monkeypatch):
     drawn = {}
     point_sets = suites._point_sets
 
-    def spy(scn, label, k, exhaustive, samples):
-        drawn[label] = point_sets(scn, label, k, exhaustive, samples)
-        return drawn[label]
+    def spy(scn, labels, subsets, exhaustive, samples):
+        rows = list(point_sets(scn, labels, subsets, exhaustive, samples))
+        drawn.update(zip(labels, rows))
+        return iter(rows)
 
     monkeypatch.setattr(suites, "_point_sets", spy)
     suites._check_pushforward(scn)
@@ -324,11 +325,11 @@ def test_sampled_point_sets_past_64_points_reach_every_point():
 
     scn = scenario_from_dict(ladder_config(3, 5))
     n = scn.space.dimension
-    rows = suites._point_sets(scn, "injectivity-full", n, 4096, 512)
+    rows = next(suites._point_sets(scn, ["injectivity-full"], [scn.space.full], 4096, 512))
     assert rows.shape[1] == n and rows[:, 64:].any(axis=0).all()
     rng = SplitMix64(derive_seed(scn.seed, "injectivity-full"))
     assert _row_ids(rows) == sorted(set(_ids_of_words([rng.next_uint64() for _ in range(2 * 512)], n)))
-    left, right = suites._subset_pair_ids(scn, "pvm-full", n)
+    left, right = next(suites._subset_pairs(scn, ["pvm-full"], [scn.space.full]))
     assert len(left) == suites.SAMPLED_PAIRS and left[:, 64:].any(axis=0).all() and right[:, 64:].any(axis=0).all()
     rng = SplitMix64(derive_seed(scn.seed, "pvm-full"))
     words = [rng.next_uint64() for _ in range(4 * len(left))]
@@ -340,7 +341,7 @@ def test_multi_word_ids_stay_below_two_to_the_k(k):
     from evogrid import suites
     from evogrid.rng import SplitMix64
 
-    ids = suites._random_ids(SplitMix64(k), k, 300)
+    ids = suites._random_ids(SplitMix64(k).integers(1 << 64, 300 * -(-k // 64)), k)
     assert ids.shape == (300, -(-k // 64))
     if k <= 64:
         # one masked word is one integer(2^k) draw

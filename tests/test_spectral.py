@@ -3,9 +3,10 @@
 Each mutant row breaks a law the spectral checks claim, by a monkeypatch
 of the library, and names the checks that must then report more than their
 tolerance on `demo`.  The per-sample loops that the stacked checks
-replaced stay here as oracles: the stacked checks must return the same
-records, bit for bit, also where a broken restriction table makes the
-deviations nonzero.
+replaced, and the per-subset bodies that drew through one `_rng` per
+subset before each check read its substreams at once, stay here as
+oracles: the checks must return the same records, bit for bit, also where
+a broken restriction table makes the deviations nonzero.
 """
 
 import numpy as np
@@ -26,11 +27,88 @@ from evogrid.representation import (
     theta_represent,
 )
 from evogrid.rng import SplitMix64
-from evogrid.suites import _nonempty_subsets, _point_sets, _rng
+from evogrid.suites import EXHAUSTIVE_PAIR_LIMIT, SAMPLED_PAIRS, _bit_rows, _ends_defect, _nonempty_subsets, _rng
 
-from conftest import integer, neighbouring_members, reversed_table
+from conftest import integer, neighbouring_members, reversed_table, swapped_table_rows
 
 # -- the per-sample bodies the stacked checks replaced -------------------------
+
+
+def _parent_random_ids(rng, k, count):
+    # ceil(k / 64) raw words per set from the subset's own stream, top word masked to k
+    nwords = -(-k // 64)
+    ids = rng.integers(1 << 64, count * nwords).reshape(count, nwords)
+    ids[:, -1] &= np.uint64((1 << (k - 64 * (nwords - 1))) - 1)
+    return ids
+
+
+def _parent_point_sets(scn, label, k, exhaustive, samples):
+    # every set, or the sorted distinct ids of one `_rng` draw per subset
+    if 1 << k <= exhaustive:
+        return _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
+    ids = _parent_random_ids(_rng(scn, label), k, samples)
+    if ids.shape[1] == 1:
+        return _bit_rows(np.unique(ids[:, 0]), k)
+    return _bit_rows(np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
+
+
+def _parent_pair_ids(scn, label, k):
+    total = 1 << k
+    if total <= EXHAUSTIVE_PAIR_LIMIT:
+        rows = _bit_rows(np.arange(total, dtype=np.uint64), k)
+        return np.repeat(rows, total, axis=0), np.tile(rows, (total, 1))
+    rng = _rng(scn, label)
+    left = _bit_rows(_parent_random_ids(rng, k, SAMPLED_PAIRS), k)
+    return left, _bit_rows(_parent_random_ids(rng, k, SAMPLED_PAIRS), k)
+
+
+def _digit_image(space, subset):
+    axes = space.axes(subset)
+    if not axes:
+        return np.zeros(space.dimension, dtype=np.int64)
+    digits = np.unravel_index(np.arange(space.dimension), space.full_shape())
+    return np.ravel_multi_index([digits[ax] for ax in axes], space.shape(subset))
+
+
+def _per_subset_pvm_axioms(scn):
+    dev = 0.0
+    for subset in scn.frame.admissible():
+        measure = scn.representation.spectral_measure(subset)
+        dev = nan_max(dev, _ends_defect(measure))
+        left, right = _parent_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", measure.npoints)
+        p1, p2, inter, union = (measure.diagonals(rows).view(np.int8) for rows in (left, right, left & right, left | right))
+        dev = nan_max(dev, float(np.max(np.abs(p1 * p2 - inter))))
+        dev = nan_max(dev, float(np.max(np.abs(p1 + p2 - inter - union))))
+    return [("pvm-axioms", "T3.1", dev, scn.tolerances.exact)]
+
+
+def _per_subset_pushforward(scn):
+    space = scn.space
+    full_measure = scn.representation.spectral_measure()
+    dev = 0.0
+    rank_bad = 0
+    for subset in _nonempty_subsets(scn):
+        measure = representation.pushforward(full_measure, subset)
+        k = measure.npoints
+        rows = _parent_point_sets(scn, f"pushforward-{sorted(map(str, subset))}", k, EXHAUSTIVE_PAIR_LIMIT, 256)
+        dev = nan_max(dev, float(np.max(measure.diagonals(rows) != rows[:, _digit_image(space, subset)])))
+        atoms = measure.diagonals(np.eye(k, dtype=bool))
+        rank_bad += int(np.count_nonzero(atoms.sum(axis=1) != space.dimension // k))
+    return [
+        ("pushforward", "T3.2", dev, scn.tolerances.exact),
+        ("pushforward-rank", "T3.2", float(rank_bad), 0.0),
+    ]
+
+
+def _per_subset_embedding_measure(scn):
+    rep = scn.representation
+    dev = 0.0
+    for subset in _nonempty_subsets(scn):
+        measure = rep.spectral_measure(subset)
+        label = f"embedding-measure-{sorted(map(str, subset))}"
+        rows = _parent_point_sets(scn, label, measure.npoints, EXHAUSTIVE_PAIR_LIMIT, 256)
+        dev = nan_max(dev, float(np.any(pullback_rows(scn.space, subset, rows) != measure.diagonals(rows))))
+    return [("embedding-measure", "C3.9", dev, scn.tolerances.exact)]
 
 
 def _per_sample_spectral_sum(scn):
@@ -70,7 +148,7 @@ def _per_sample_injectivity(scn):
     rep = scn.representation
     n = space.dimension
     bad = 0
-    masks = _point_sets(scn, "injectivity-full", n, 4096, 512)
+    masks = _parent_point_sets(scn, "injectivity-full", n, 4096, 512)
     lifted = pullback_rows(space, space.full, masks.astype(np.complex128))
     seen = {rep.represent(space.function(space.full, row)).diag.tobytes() for row in lifted}
     if len(seen) != len(masks):
@@ -78,7 +156,7 @@ def _per_sample_injectivity(scn):
     sub_bad = 0
     for subset in _nonempty_subsets(scn):
         measure = rep.spectral_measure(subset)
-        rows = _point_sets(scn, f"injectivity-{sorted(map(str, subset))}", measure.npoints, 1024, 512)
+        rows = _parent_point_sets(scn, f"injectivity-{sorted(map(str, subset))}", measure.npoints, 1024, 512)
         if len(np.unique(measure.diagonals(rows), axis=0)) != len(rows):
             sub_bad += 1
     return [
@@ -153,6 +231,9 @@ def _per_sample_singletons(scn):
 
 
 ORACLES = {
+    suites._check_pvm_axioms: _per_subset_pvm_axioms,
+    suites._check_pushforward: _per_subset_pushforward,
+    suites._check_embedding_measure: _per_subset_embedding_measure,
     suites._check_spectral_sum: _per_sample_spectral_sum,
     suites._check_factorization: _per_sample_factorization,
     suites._check_injectivity: _per_sample_injectivity,
@@ -161,6 +242,18 @@ ORACLES = {
     suites._check_singletons: _per_sample_singletons,
 }
 
+
+def _with_grid_sizes(config, sizes):
+    for grid, size in zip(config["grids"].values(), sizes):
+        grid["haar"]["count"] = size
+    return config
+
+
+def _listed(config, family):
+    config["time_frame"]["sigma0"] = family
+    return config
+
+
 SCENARIOS = {
     "demo": lambda: load_scenario("demo"),
     "witness": lambda: load_scenario("witness"),
@@ -168,6 +261,9 @@ SCENARIOS = {
     "ladder-2x8": lambda: scenario_from_dict(ladder_config(2, 8)),
     "ladder-3x5": lambda: scenario_from_dict(ladder_config(3, 5)),
     "ladder-8x1": lambda: scenario_from_dict(ladder_config(8, 1)),
+    # subsets of one size with different point counts, and a listed family without the full set
+    "ladder-2-3-2": lambda: scenario_from_dict(_with_grid_sizes(ladder_config(3, 2), (2, 3, 2))),
+    "listed-3": lambda: scenario_from_dict(_listed(ladder_config(3, 2), [[], ["1"], ["2"], ["1", "2"]])),
 }
 
 
@@ -183,15 +279,17 @@ def test_stacked_checks_return_the_per_sample_records(source):
         assert _records_as_bits(check(scn)) == _records_as_bits(oracle(scn)), check.__name__
 
 
-# mutants under which the records of both routes are nonzero, keyed by the checks they move
+# mutants under which the records of both routes are nonzero, keyed by the checks they move on demo
 MOVED_BY = {
-    "reversed-restriction-table": {"factorization", "embedding", "matrix-elements", "singleton-conjugacy"},
+    "reversed-restriction-table": {"pushforward", "factorization", "embedding", "embedding-measure",
+                                   "matrix-elements", "singleton-conjugacy"},
+    "swapped-table-rows": {"pushforward", "factorization", "embedding", "embedding-measure", "matrix-elements"},
     "conjugated-integral-rows": {"spectral-sum", "factorization", "embedding"},
     "doubled-pullback": {"factorization", "embedding", "embedding-isometry"},
 }
 
 
-@pytest.mark.parametrize("source", ["demo", "ladder-5x2"])
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-3x5", "ladder-8x1"])
 @pytest.mark.parametrize("mutant", list(MOVED_BY))
 def test_stacked_checks_match_the_per_sample_records_under_a_mutant(mutant, source, monkeypatch):
     # e.g. the gather reads a reversed table and the broadcast does not, so
@@ -204,7 +302,10 @@ def test_stacked_checks_match_the_per_sample_records_under_a_mutant(mutant, sour
         records = check(scn)
         assert _records_as_bits(records) == _records_as_bits(oracle(scn)), check.__name__
         nonzero |= {name for name, _, dev, _ in records if dev > 0.0}
-    assert nonzero == MOVED_BY[mutant]
+    # elsewhere a mutant moves some of demo's checks: at N = 1 every table row
+    # is [0], and matrix-elements moves only where a sample lands on the diagonal
+    assert nonzero == MOVED_BY[mutant] if source == "demo" else nonzero <= MOVED_BY[mutant]
+    assert nonzero or scn.space.dimension == 1
 
 
 # -- the stacked draw and the stacked integral ---------------------------------
@@ -266,6 +367,37 @@ def test_integrate_rows_rejects_rows_of_the_wrong_length():
         representation.integrate_rows(measure, np.zeros(measure.npoints))
 
 
+# -- the family's restriction table ----------------------------------------------
+
+
+@pytest.mark.parametrize("source", ["ladder-2-3-2", "listed-3"])
+def test_the_family_table_has_a_row_per_subset_and_the_scenario_verifies(source):
+    scn = SCENARIOS[source]()
+    space = scn.space
+    subsets = scn.frame.admissible()
+    assert space._table is None  # built on first read, not at load
+    assert run_suite(scn).overall_pass
+    table = space.restriction_table()
+    assert table.dtype == np.uint16 and table.shape == (len(subsets), space.dimension)
+    for subset, row in zip(subsets, table):
+        assert np.array_equal(row, _digit_image(space, subset))
+    if source == "ladder-2-3-2":
+        # one-time subsets of one size with different point counts
+        assert sorted(space.npoints(s) for s in subsets if len(s) == 1) == [2, 2, 3]
+
+
+def test_a_subset_off_the_listed_family_gets_its_row_built_alone():
+    scn = SCENARIOS["listed-3"]()
+    space = scn.space
+    assert len(scn.frame.admissible()) == 4 and not scn.frame.is_admissible(space.full)
+    full = space.restricted_index_array(space.full)
+    assert np.array_equal(full, np.arange(space.dimension))
+    assert not full.flags.writeable
+    # uncached: the family table keeps its m rows, and the row is built again
+    assert len(space.restriction_table()) == 4 and not np.shares_memory(full, space.restriction_table())
+    assert space.restricted_index_array(space.full) is not full
+
+
 # -- call counts -----------------------------------------------------------------
 
 
@@ -277,12 +409,22 @@ def _counting(calls, original):
     return spy
 
 
-def test_sampled_checks_read_their_substreams_at_once(monkeypatch):
-    # one `raw_streams` read of every subset's substream per check, and no
-    # per-subset `complex_matrix` or scalar draw; matrix-elements reads its one
-    # substream a subset at a time, from the first word the last subset left
-    scn = load_scenario("demo")
-    subsets = scn.frame.admissible()
+def _drawn_words(sizes, exhaustive, count):
+    # the words a point-set draw reads: `count` sets of ceil(k / 64) words per sampled k
+    return [count * -(-k // 64) for k in sizes if 1 << k > exhaustive]
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-8x1"])
+def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
+    # one `raw_streams` read of every subset's substream per check, so that
+    # the number of reads does not grow with the family (5x2 samples the
+    # point sets of 16 subsets, demo of one), and no per-subset
+    # `complex_matrix` or scalar draw; a check with nothing to sample reads
+    # nothing, and matrix-elements reads its one substream once, up to
+    # 20 (k + 3) words per subset
+    scn = SCENARIOS[source]()
+    sizes = [scn.space.npoints(s) for s in scn.frame.admissible()]
+    nonempty = [scn.space.npoints(s) for s in _nonempty_subsets(scn)]
     n = scn.space.dimension
     reads, draws, functions, represented = [], [], [], []
     original = suites.raw_streams
@@ -292,26 +434,25 @@ def test_sampled_checks_read_their_substreams_at_once(monkeypatch):
     monkeypatch.setattr(SplitMix64, "integers", _counting(draws, SplitMix64.integers))
     monkeypatch.setattr(GridEvolutionSpace, "random_function", _counting(functions, GridEvolutionSpace.random_function))
     monkeypatch.setattr(PureRepresentation, "represent", _counting(represented, PureRepresentation.represent))
-    for check, samples in ((suites._check_spectral_sum, 5), (suites._check_factorization, 25),
-                           (suites._check_embedding, 10)):
+    expected = {
+        suites._check_spectral_sum: [[10 * k for k in sizes]],
+        suites._check_factorization: [[50 * k for k in sizes]],
+        suites._check_embedding: [[20 * k for k in sizes]],
+        suites._check_conjugation_covariance: [[5 * (3 * k + 1) + 8 for k in sizes]],
+        suites._check_pvm_axioms: [_drawn_words(sizes, 64, 2 * suites.SAMPLED_PAIRS)],
+        suites._check_pushforward: [_drawn_words(nonempty, 64, 256)],
+        suites._check_embedding_measure: [_drawn_words(nonempty, 64, 256)],
+        # the full set's masks, then every subset's point sets
+        suites._check_injectivity: [_drawn_words([n], 4096, 512), _drawn_words(nonempty, 1024, 512)],
+        suites._check_matrix_elements: [[sum(20 * (k + 3) for k in nonempty)]],
+    }
+    for check, counts in expected.items():
         reads.clear()
         check(scn)
-        assert reads == [([2 * samples * scn.space.npoints(s) for s in subsets], 0)], check.__name__
-    reads.clear()
-    suites._check_conjugation_covariance(scn)
-    assert reads == [([5 * (3 * scn.space.npoints(s) + 1) + 8 for s in subsets], 0)]
-    reads.clear()
-    suites._check_matrix_elements(scn)
-    sizes = [scn.space.npoints(s) for s in _nonempty_subsets(scn)]
-    assert [counts for counts, _ in reads] == [[20 * (k + 3)] for k in sizes]
-    starts = [start for _, start in reads]
-    # a sample takes its count, one to k members, x and y
-    assert starts[0] == 0 and all(20 * 4 <= b - a <= 20 * (k + 3) for a, b, k in zip(starts, starts[1:], sizes))
-    assert draws == [] and functions == []
+        assert reads == [(c, 0) for c in counts if c], check.__name__
+    assert draws == [] and functions == [] and represented == []
     suites._check_singletons(scn)
     assert draws == [(n, 20)]
-    suites._check_injectivity(scn)
-    assert represented == []
 
 
 @pytest.mark.parametrize("budget", [suites.READ_NORMALS, 1000, 1])
@@ -433,7 +574,7 @@ def _conjugating_right_factor(original):
     return mutant
 
 
-REVERSED_TABLE = (GridEvolutionSpace, "restricted_index_array", reversed_table(GridEvolutionSpace.restricted_index_array))
+REVERSED_TABLE = (GridEvolutionSpace, "restriction_table", reversed_table(GridEvolutionSpace.restriction_table))
 
 SPECTRAL_MUTANTS = {
     "neighbouring-atom": (
@@ -443,6 +584,12 @@ SPECTRAL_MUTANTS = {
     "conjugated-integral-rows": (_everywhere("integrate_rows", _conjugated_integral_rows), ("spectral-sum",)),
     "reversed-restriction-table": ([REVERSED_TABLE], ("factorization",)),
     "reversed-restriction-table-pushforward": ([REVERSED_TABLE], ("pushforward",)),
+    # two rows of one point count exchanged: every index is in range, but the
+    # gathers read another subset's restriction
+    "swapped-table-rows": (
+        [(GridEvolutionSpace, "restriction_table", swapped_table_rows(GridEvolutionSpace.restriction_table))],
+        ("pushforward", "factorization", "embedding", "embedding-measure", "matrix-elements"),
+    ),
     "conjugated-pullback": (_everywhere("pullback_rows", _on_complex_rows(np.conj)), ("embedding",)),
     "doubled-pullback": (_everywhere("pullback_rows", _on_complex_rows(lambda out: 2.0 * out)),
                          ("embedding-isometry",)),
