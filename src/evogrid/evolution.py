@@ -398,14 +398,13 @@ class GridEvolutionSpace:
         """Read-only restriction rows of the subsets with boolean membership rows
         `members` over the times: per axis, its place value (the product of the
         retained sizes after it) times each full point's digit, from
-        `np.indices`; every partial sum is below k, so none overflows."""
+        `np.indices`, summed by one `einsum` into the rows with no (m, N)
+        temporary; every partial sum is below k, so none overflows."""
         sizes = np.where(members, self._full_shape, 1)
         place = np.cumprod(sizes[:, ::-1], axis=1)[:, ::-1] // sizes * members
         dtype = np.uint16 if self.dimension <= 1 << 16 else np.int64
-        out = np.zeros((len(members), self.dimension), dtype=dtype)
         digits = np.indices(self._full_shape, dtype).reshape(len(self.grids), -1)
-        for column, digit in zip(place.T.astype(dtype), digits):
-            out += column[:, None] * digit
+        out = np.einsum("ia,an->in", place.astype(dtype), digits)
         out.setflags(write=False)
         return out
 

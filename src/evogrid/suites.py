@@ -36,13 +36,14 @@ A check that samples from a labeled substream per subset reads them all
 at once (`rng.raw_streams`), in runs of the subsets whose draws start within
 2 `READ_NORMALS` words of each other (one run unless the family is large),
 and a draw whose count depends on an earlier draw is read at its largest
-count and walked in the scalar draws' order.  So `pvm-axioms` reads both
-pair halves of every sampled subset, `pushforward`, `injectivity-subsets`
-and `embedding-measure` their point sets, and `spectral-sum`,
-`factorization` and `embedding` their S random functions, with one
-`normals` call per run and the bits of a `complex_matrix(S, npoints)` per
-subset.  `matrix-elements` reads its one substream once, up to 20 (k + 3)
-words per subset, and parses each subset's words as Python ints.  Measures
+count and walked in the scalar draws' order.  So `pushforward`,
+`injectivity-subsets` and `embedding-measure` read their point sets, and
+`spectral-sum`, `factorization` and `embedding` their S random functions,
+with one `normals` call per run and the bits of a `complex_matrix(S,
+npoints)` per subset.  `pvm-axioms` reads both pair halves of a subset at
+once, a subset at a time.  `matrix-elements` reads its one substream from a
+cursor, up to 20 (k + 3) words per subset, in windows of at most
+2 `READ_NORMALS` words, and parses each subset's words as Python ints.  Measures
 are read through two gathers, `diagonals` and `integrate_rows`, each
 through the subset's row of the space's restriction table: the atoms are
 the rows of one `diagonals(np.eye(k))` table, which give the ranks and,
@@ -236,41 +237,33 @@ def _random_ids(words: np.ndarray, k: int) -> np.ndarray:
     return ids
 
 
-def _sampled_ids(scn: Scenario, labels: list[str], subsets, exhaustive: int, count: int) -> Iterator[tuple]:
-    """Per subset of times, its point count k and None when its k points
-    have at most `exhaustive` sets, else the ids of `count` random sets of
-    them drawn from the subset's labeled substream; every drawn substream
-    comes from one read."""
-    sizes = [scn.space.npoints(s) for s in subsets]
-    drawn = [1 << k > exhaustive for k in sizes]
-    reads = _reads(scn, list(compress(labels, drawn)), [count * -(-k // 64) for k in compress(sizes, drawn)])
-    streams = (run[a:b] for run, part in reads for a, b in pairwise(accumulate(part, initial=0)))
-    for k, sampled in zip(sizes, drawn):
-        yield k, _random_ids(next(streams), k) if sampled else None
-
-
-def _subset_pairs(scn: Scenario, labels: list[str], subsets) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per subset of times, pairs of subsets of its k points as two stacks of
-    bit rows: every ordered pair when there are at most EXHAUSTIVE_PAIR_LIMIT
-    subsets, else SAMPLED_PAIRS left sets drawn before as many right ones."""
-    for k, ids in _sampled_ids(scn, labels, subsets, EXHAUSTIVE_PAIR_LIMIT, 2 * SAMPLED_PAIRS):
-        if ids is None:
-            rows = _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
-            yield np.repeat(rows, 1 << k, axis=0), np.tile(rows, (1 << k, 1))
-        else:
-            yield tuple(_bit_rows(ids, k).reshape(2, SAMPLED_PAIRS, k))
+def _subset_pair_ids(scn: Scenario, label: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of subsets of k points as two stacks of bit rows: every ordered
+    pair when there are at most EXHAUSTIVE_PAIR_LIMIT subsets, else
+    SAMPLED_PAIRS left sets drawn before as many right ones, in one read of
+    the labeled substream."""
+    if 1 << k <= EXHAUSTIVE_PAIR_LIMIT:
+        rows = _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
+        return np.repeat(rows, 1 << k, axis=0), np.tile(rows, (1 << k, 1))
+    words = raw_streams([derive_seed(scn.seed, label)], [2 * SAMPLED_PAIRS * -(-k // 64)])
+    return tuple(_bit_rows(_random_ids(words, k), k).reshape(2, SAMPLED_PAIRS, k))
 
 
 def _point_sets(scn: Scenario, labels: list[str], subsets, exhaustive: int, samples: int) -> Iterator[np.ndarray]:
     """Per subset of times, point sets over its k points as bit rows: every
     set when there are at most `exhaustive` of them; otherwise the distinct
-    ids of `samples` draws from the labeled substream, sorted by value (top
-    word first)."""
-    for k, ids in _sampled_ids(scn, labels, subsets, exhaustive, samples):
-        if ids is None:
+    ids of `samples` draws from the subset's labeled substream, sorted by
+    value (top word first), every drawn substream from one read (`_reads`)."""
+    sizes = [scn.space.npoints(s) for s in subsets]
+    drawn = [1 << k > exhaustive for k in sizes]
+    reads = _reads(scn, list(compress(labels, drawn)), [samples * -(-k // 64) for k in compress(sizes, drawn)])
+    streams = (run[a:b] for run, part in reads for a, b in pairwise(accumulate(part, initial=0)))
+    for k, sampled in zip(sizes, drawn):
+        if not sampled:
             yield _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
-        else:
-            yield _bit_rows(np.unique(ids[:, 0]) if ids.shape[1] == 1 else np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
+            continue
+        ids = _random_ids(next(streams), k)
+        yield _bit_rows(np.unique(ids[:, 0]) if ids.shape[1] == 1 else np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
 
 
 def _restriction_image(space, subset: frozenset, points: np.ndarray | None = None) -> np.ndarray:
@@ -413,11 +406,13 @@ def _check_index_roundtrip(scn: Scenario) -> list[tuple[str, str, float, float]]
 
 
 def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    subsets = scn.frame.admissible()
     dev = 0.0
-    for subset, (left, right) in zip(subsets, _subset_pairs(scn, _labels("pvm", subsets), subsets)):
+    for subset in scn.frame.admissible():
         measure = scn.representation.spectral_measure(subset)
         dev = nan_max(dev, _ends_defect(measure))
+        # a read per subset: one read of the family's pairs would hold them
+        # all at once, 512 KiB on 5x2, for no measurable gain
+        left, right = _subset_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", measure.npoints)
         # exact 0/1 projection diagonals, one row per pair; int8 holds every
         # value of both laws, failing diagonals included
         p1, p2, inter, union = (measure.diagonals(rows).view(np.int8) for rows in (left, right, left & right, left | right))
@@ -561,14 +556,20 @@ def _check_matrix_elements(scn: Scenario) -> list[tuple[str, str, float, float]]
     n = space.dimension
     subsets = _nonempty_subsets(scn)
     sizes = [space.npoints(s) for s in subsets]
-    # one substream for the whole check, read once up to 20 (k + 3) words per
-    # subset: a sample is a count c, c members, x and y, and a subset parses
-    # its words as Python ints from the first word the last one left unused
-    stream = raw_streams([derive_seed(scn.seed, "matrix-elements")], [sum(20 * (k + 3) for k in sizes)])
-    at = 0
+    bounds = [20 * (k + 3) for k in sizes]
+    # one substream for the whole check: a sample is a count c, c members, x
+    # and y, so a subset takes at most 20 (k + 3) words, parsed as Python ints
+    # from the first word the last subset left unused.  The words are read
+    # from that cursor in windows of at most 2 READ_NORMALS words (one window
+    # unless the family is large), read again when a subset's bound passes
+    # the window's end
+    seed, window, start, at = derive_seed(scn.seed, "matrix-elements"), np.empty(0, np.uint64), 0, 0
     dev = 0.0
-    for subset, k in zip(subsets, sizes):
-        words, used = stream[at : at + 20 * (k + 3)].tolist(), 0
+    for subset, k, bound, rest in zip(subsets, sizes, bounds, list(accumulate(bounds[::-1]))[::-1]):
+        if at + bound > len(window):
+            start, at = start + at, 0
+            window = raw_streams([seed], [max(bound, min(2 * READ_NORMALS, rest))], start)
+        words, used = window[at : at + bound].tolist(), 0
         cells, xs, ys = [], [], []
         for s in range(20):
             count = words[used] % k + 1

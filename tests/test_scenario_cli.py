@@ -329,7 +329,7 @@ def test_sampled_point_sets_past_64_points_reach_every_point():
     assert rows.shape[1] == n and rows[:, 64:].any(axis=0).all()
     rng = SplitMix64(derive_seed(scn.seed, "injectivity-full"))
     assert _row_ids(rows) == sorted(set(_ids_of_words([rng.next_uint64() for _ in range(2 * 512)], n)))
-    left, right = next(suites._subset_pairs(scn, ["pvm-full"], [scn.space.full]))
+    left, right = suites._subset_pair_ids(scn, "pvm-full", n)
     assert len(left) == suites.SAMPLED_PAIRS and left[:, 64:].any(axis=0).all() and right[:, 64:].any(axis=0).all()
     rng = SplitMix64(derive_seed(scn.seed, "pvm-full"))
     words = [rng.next_uint64() for _ in range(4 * len(left))]

@@ -62,14 +62,6 @@ def _parent_pair_ids(scn, label, k):
     return left, _bit_rows(_parent_random_ids(rng, k, SAMPLED_PAIRS), k)
 
 
-def _digit_image(space, subset):
-    axes = space.axes(subset)
-    if not axes:
-        return np.zeros(space.dimension, dtype=np.int64)
-    digits = np.unravel_index(np.arange(space.dimension), space.full_shape())
-    return np.ravel_multi_index([digits[ax] for ax in axes], space.shape(subset))
-
-
 def _per_subset_pvm_axioms(scn):
     dev = 0.0
     for subset in scn.frame.admissible():
@@ -91,7 +83,7 @@ def _per_subset_pushforward(scn):
         measure = representation.pushforward(full_measure, subset)
         k = measure.npoints
         rows = _parent_point_sets(scn, f"pushforward-{sorted(map(str, subset))}", k, EXHAUSTIVE_PAIR_LIMIT, 256)
-        dev = nan_max(dev, float(np.max(measure.diagonals(rows) != rows[:, _digit_image(space, subset)])))
+        dev = nan_max(dev, float(np.max(measure.diagonals(rows) != rows[:, suites._restriction_image(space, subset)])))
         atoms = measure.diagonals(np.eye(k, dtype=bool))
         rank_bad += int(np.count_nonzero(atoms.sum(axis=1) != space.dimension // k))
     return [
@@ -279,17 +271,32 @@ def test_stacked_checks_return_the_per_sample_records(source):
         assert _records_as_bits(check(scn)) == _records_as_bits(oracle(scn)), check.__name__
 
 
-# mutants under which the records of both routes are nonzero, keyed by the checks they move on demo
+# mutants under which the records of both routes are nonzero, keyed by the
+# checks they move on each source.  At N = 1 (8x1) every table row is [0], so
+# a broken table moves nothing; matrix-elements moves only where a diagonal
+# sample (x = y) reads a changed entry, which 3x5's 140 samples of N = 125
+# points and 5x2's swapped rows never do
+MUTANT_SOURCES = ("demo", "ladder-5x2", "ladder-3x5", "ladder-8x1")
+TABLE_MOVES = {"pushforward", "factorization", "embedding", "embedding-measure"}
 MOVED_BY = {
-    "reversed-restriction-table": {"pushforward", "factorization", "embedding", "embedding-measure",
-                                   "matrix-elements", "singleton-conjugacy"},
-    "swapped-table-rows": {"pushforward", "factorization", "embedding", "embedding-measure", "matrix-elements"},
-    "conjugated-integral-rows": {"spectral-sum", "factorization", "embedding"},
-    "doubled-pullback": {"factorization", "embedding", "embedding-isometry"},
+    "reversed-restriction-table": {
+        "demo": TABLE_MOVES | {"matrix-elements", "singleton-conjugacy"},
+        "ladder-5x2": TABLE_MOVES | {"matrix-elements", "singleton-conjugacy"},
+        "ladder-3x5": TABLE_MOVES | {"singleton-conjugacy"},
+        "ladder-8x1": set(),
+    },
+    "swapped-table-rows": {
+        "demo": TABLE_MOVES | {"matrix-elements"},
+        "ladder-5x2": TABLE_MOVES,
+        "ladder-3x5": TABLE_MOVES,
+        "ladder-8x1": set(),
+    },
+    "conjugated-integral-rows": dict.fromkeys(MUTANT_SOURCES, {"spectral-sum", "factorization", "embedding"}),
+    "doubled-pullback": dict.fromkeys(MUTANT_SOURCES, {"factorization", "embedding", "embedding-isometry"}),
 }
 
 
-@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-3x5", "ladder-8x1"])
+@pytest.mark.parametrize("source", MUTANT_SOURCES)
 @pytest.mark.parametrize("mutant", list(MOVED_BY))
 def test_stacked_checks_match_the_per_sample_records_under_a_mutant(mutant, source, monkeypatch):
     # e.g. the gather reads a reversed table and the broadcast does not, so
@@ -302,10 +309,7 @@ def test_stacked_checks_match_the_per_sample_records_under_a_mutant(mutant, sour
         records = check(scn)
         assert _records_as_bits(records) == _records_as_bits(oracle(scn)), check.__name__
         nonzero |= {name for name, _, dev, _ in records if dev > 0.0}
-    # elsewhere a mutant moves some of demo's checks: at N = 1 every table row
-    # is [0], and matrix-elements moves only where a sample lands on the diagonal
-    assert nonzero == MOVED_BY[mutant] if source == "demo" else nonzero <= MOVED_BY[mutant]
-    assert nonzero or scn.space.dimension == 1
+    assert nonzero == MOVED_BY[mutant][source]
 
 
 # -- the stacked draw and the stacked integral ---------------------------------
@@ -380,7 +384,7 @@ def test_the_family_table_has_a_row_per_subset_and_the_scenario_verifies(source)
     table = space.restriction_table()
     assert table.dtype == np.uint16 and table.shape == (len(subsets), space.dimension)
     for subset, row in zip(subsets, table):
-        assert np.array_equal(row, _digit_image(space, subset))
+        assert np.array_equal(row, suites._restriction_image(space, subset))
     if source == "ladder-2-3-2":
         # one-time subsets of one size with different point counts
         assert sorted(space.npoints(s) for s in subsets if len(s) == 1) == [2, 2, 3]
@@ -421,7 +425,8 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
     # point sets of 16 subsets, demo of one), and no per-subset
     # `complex_matrix` or scalar draw; a check with nothing to sample reads
     # nothing, and matrix-elements reads its one substream once, up to
-    # 20 (k + 3) words per subset
+    # 20 (k + 3) words per subset.  pvm-axioms alone reads a subset at a
+    # time, both pair halves at once, so that it holds one subset's pairs
     scn = SCENARIOS[source]()
     sizes = [scn.space.npoints(s) for s in scn.frame.admissible()]
     nonempty = [scn.space.npoints(s) for s in _nonempty_subsets(scn)]
@@ -439,7 +444,7 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
         suites._check_factorization: [[50 * k for k in sizes]],
         suites._check_embedding: [[20 * k for k in sizes]],
         suites._check_conjugation_covariance: [[5 * (3 * k + 1) + 8 for k in sizes]],
-        suites._check_pvm_axioms: [_drawn_words(sizes, 64, 2 * suites.SAMPLED_PAIRS)],
+        suites._check_pvm_axioms: [[c] for c in _drawn_words(sizes, 64, 2 * suites.SAMPLED_PAIRS)],
         suites._check_pushforward: [_drawn_words(nonempty, 64, 256)],
         suites._check_embedding_measure: [_drawn_words(nonempty, 64, 256)],
         # the full set's masks, then every subset's point sets
@@ -473,6 +478,25 @@ def test_sampled_rows_are_each_subset_s_own_draw_in_bounded_reads(budget, monkey
         assert got.tobytes() == want.tobytes()
     assert len(reads) == len(set((np.cumsum([0, *sizes[:-1]]) // budget).tolist()))
     assert (len(reads) == 1) == (budget == default)
+
+
+@pytest.mark.parametrize("budget", [suites.READ_NORMALS, 100, 1])
+def test_matrix_elements_reads_its_substream_in_bounded_windows(budget, monkeypatch):
+    # the windows start at the cursor the last subset left, hold at most
+    # 2 budget words or one subset's bound, and give the per-sample records
+    scn = SCENARIOS["ladder-5x2"]()
+    bounds = [20 * (scn.space.npoints(s) + 3) for s in _nonempty_subsets(scn)]
+    reads, default = [], suites.READ_NORMALS
+    original = suites.raw_streams
+    monkeypatch.setattr(suites, "READ_NORMALS", budget)
+    monkeypatch.setattr(suites, "raw_streams",
+                        lambda seeds, counts, start=0: reads.append((counts[0], start)) or original(seeds, counts, start))
+    assert _records_as_bits(suites._check_matrix_elements(scn)) == _records_as_bits(_per_sample_matrix_elements(scn))
+    assert all(count <= max(2 * budget, max(bounds)) for count, _ in reads)
+    assert [start for _, start in reads] == sorted({start for _, start in reads})
+    assert (len(reads) == 1) == (budget == default)
+    if budget == 1:
+        assert len(reads) == len(bounds)
 
 
 @pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-3x5"])
