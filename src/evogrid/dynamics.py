@@ -30,6 +30,7 @@ f_t an elementary tensor and tau_t a reference grid map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -54,6 +55,7 @@ __all__ = [
 WITNESS_POWER_STEPS = 8  # power steps on A*A behind each witness lower bound
 _WITNESS_START_SEED = derive_seed(0, "commutant-witness")  # fixed start block of the power steps
 _UNIT_ROUNDOFF = 2.0**-53
+PAIR_ENTRIES = 1 << 16  # stack entries each `_pair_max` operand holds at most, 1 MiB of complex128
 
 # real-valued post-maps applied to probe values; fixed, because a scenario's
 # fingerprint records only the name
@@ -81,12 +83,12 @@ def nan_max(*values: float) -> float:
 def _pair_max(stack: np.ndarray, table: np.ndarray, law: Callable[..., np.ndarray]) -> float:
     """The largest modulus of law(stack[i], stack[j], ...) over the rows (i, j, ...) of `table`, 0.0 for none.
 
-    Rows are read len(stack) at a time, so an operand holds at most as many
-    rows as the stack; a maximum does not depend on that order, and a NaN
-    reaches it through `nan_max`.
+    Pairs are read in chunks of at most PAIR_ENTRIES stack entries per
+    operand (one row's worth when a row is larger); a maximum does not
+    depend on the chunking, and a NaN reaches it through `nan_max`.
     """
     worst = 0.0
-    step = max(len(stack), 1)
+    step = max(PAIR_ENTRIES // max(math.prod(stack.shape[1:]), 1), 1)
     for start in range(0, len(table), step):
         worst = nan_max(worst, float(np.max(np.abs(law(*stack[table[start : start + step].T])))))
     return worst

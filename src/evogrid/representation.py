@@ -388,8 +388,7 @@ class SpectralMeasure:
         rows = np.asarray(rows, dtype=bool)
         if rows.ndim != 2 or rows.shape[1] != self.npoints:
             raise StructureError(f"membership rows have shape {rows.shape}, expected (m, {self.npoints})")
-        restricted = self.space.restricted_index_array(self.subset)
-        return np.ascontiguousarray(rows[:, restricted])
+        return np.take(rows, self.space.restricted_index_array(self.subset), axis=1)
 
     def projection(self, members: Iterable) -> Operator:
         """Projection onto the basis vectors restricting into V (linear indices): the one-row case of `diagonals`."""
@@ -432,7 +431,7 @@ def integrate_rows(E: SpectralMeasure, values: np.ndarray) -> np.ndarray:
         raise StructureError(f"value rows have shape {values.shape}, expected (m, {E.npoints})")
     restricted = E.space.restricted_index_array(E.subset)
     out = np.zeros((values.shape[0], E.space.dimension), dtype=np.complex128)
-    out += values[:, restricted]
+    out += np.take(values, restricted, axis=1)
     return out
 
 

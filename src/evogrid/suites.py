@@ -18,8 +18,9 @@ of `validate_action_weight`, which `group-law` reports, and
 `action-additivity` are one `_pair_max` each over that stack and the
 frame's `disjoint_pairs()`; `null-unitary` reports its null-subset law, and
 the other unitary laws read the stack as one direct-sum `DiagonalOperator`,
-whose norm is the largest of the rows' norms.  Every entry is the per-pair
-arithmetic bit for bit.
+whose norm is the largest of the rows' norms: `commutation` is one product
+of the neighbour stacks u[:-1] and u[1:], the m - 1 pairs (i, i + 1).
+Every entry is the per-pair arithmetic bit for bit.
 
 The algebra suite draws each check's Haar automorphisms at once: one
 `complex_matrix` of all rounds from the check's substream, in the order the
@@ -40,15 +41,17 @@ count and walked in the scalar draws' order.  So `pushforward`,
 `injectivity-subsets` and `embedding-measure` read their point sets, and
 `spectral-sum`, `factorization` and `embedding` their S random functions,
 with one `normals` call per run and the bits of a `complex_matrix(S,
-npoints)` per subset.  `pvm-axioms` reads both pair halves of a subset at
-once, a subset at a time.  `matrix-elements` reads its one substream from a
+npoints)` per subset.  `matrix-elements` reads its one substream from a
 cursor, up to 20 (k + 3) words per subset, in windows of at most
 2 `READ_NORMALS` words, and parses each subset's words as Python ints.  Measures
 are read through two gathers, `diagonals` and `integrate_rows`, each
 through the subset's row of the space's restriction table: the atoms are
-the rows of one `diagonals(np.eye(k))` table, which give the ranks and,
-cast to complex a row at a time, `spectral-sum`'s oracle with the bits of
-`atom(b).diag`, and the empty and total sets are two rows of one gather.
+the rows of one `diagonals(np.eye(k))` table, which give the ranks,
+`pvm-axioms`' pair laws over every pair of atoms (each column holds exactly
+one 1), and, cast to complex a row at a time, `spectral-sum`'s oracle with
+the bits of `atom(b).diag`; the empty and total sets are two rows of one
+gather.  A gather selects columns row by row, which keeps every other pair
+law, so `pvm-axioms` samples no pairs and reads no substream.
 `index-roundtrip` compares every row of the table, and `pushforward` and
 `matrix-elements` the gathers, with an oracle image: `np.unravel_index`
 digits raveled again by `np.ravel_multi_index`, never reading the table.
@@ -127,8 +130,7 @@ __all__ = ["CheckRecord", "VerificationReport", "run_suite", "SUITE_NAMES"]
 
 SUITE_NAMES = ("algebra", "spectral", "conjugation", "dynamics", "lagrangian")
 
-EXHAUSTIVE_PAIR_LIMIT = 64  # subset families up to this size get all ordered pairs
-SAMPLED_PAIRS = 2000
+EXHAUSTIVE_SETS = 64  # `pushforward` and `embedding-measure` read every point set of a subset with at most this many
 COVARIANCE_COLUMNS = 4  # columns each covariance comparison reads of a conjugated operator
 READ_NORMALS = 1 << 16  # a read covers the draws that start within 2 READ_NORMALS words, this many normals' words
 
@@ -235,18 +237,6 @@ def _random_ids(words: np.ndarray, k: int) -> np.ndarray:
     ids = words.reshape(-1, -(-k // 64))
     ids[:, -1] &= np.uint64((1 << (k - 64 * (ids.shape[1] - 1))) - 1)
     return ids
-
-
-def _subset_pair_ids(scn: Scenario, label: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of subsets of k points as two stacks of bit rows: every ordered
-    pair when there are at most EXHAUSTIVE_PAIR_LIMIT subsets, else
-    SAMPLED_PAIRS left sets drawn before as many right ones, in one read of
-    the labeled substream."""
-    if 1 << k <= EXHAUSTIVE_PAIR_LIMIT:
-        rows = _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
-        return np.repeat(rows, 1 << k, axis=0), np.tile(rows, (1 << k, 1))
-    words = raw_streams([derive_seed(scn.seed, label)], [2 * SAMPLED_PAIRS * -(-k // 64)])
-    return tuple(_bit_rows(_random_ids(words, k), k).reshape(2, SAMPLED_PAIRS, k))
 
 
 def _point_sets(scn: Scenario, labels: list[str], subsets, exhaustive: int, samples: int) -> Iterator[np.ndarray]:
@@ -409,15 +399,12 @@ def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
     dev = 0.0
     for subset in scn.frame.admissible():
         measure = scn.representation.spectral_measure(subset)
-        dev = nan_max(dev, _ends_defect(measure))
-        # a read per subset: one read of the family's pairs would hold them
-        # all at once, 512 KiB on 5x2, for no measurable gain
-        left, right = _subset_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", measure.npoints)
-        # exact 0/1 projection diagonals, one row per pair; int8 holds every
-        # value of both laws, failing diagonals included
-        p1, p2, inter, union = (measure.diagonals(rows).view(np.int8) for rows in (left, right, left & right, left | right))
-        dev = nan_max(dev, float(np.max(np.abs(p1 * p2 - inter))))
-        dev = nan_max(dev, float(np.max(np.abs(p1 + p2 - inter - union))))
+        # the atoms as rows of one gather: |column sum - 1| is the entry
+        # deviation of sum_b E(b) = I and, where a sum passes 1, of
+        # E(b)E(b') = 0; a gather that selects columns row by row keeps the
+        # other pair laws
+        atoms = measure.diagonals(np.eye(measure.npoints, dtype=bool))
+        dev = nan_max(dev, _ends_defect(measure), float(np.max(np.abs(np.count_nonzero(atoms, axis=0) - 1))))
     return [("pvm-axioms", "T3.1", dev, scn.tolerances.exact)]
 
 
@@ -427,7 +414,7 @@ def _check_pushforward(scn: Scenario) -> list[tuple[str, str, float, float]]:
     subsets = _nonempty_subsets(scn)
     dev = 0.0
     rank_bad = 0
-    point_sets = _point_sets(scn, _labels("pushforward", subsets), subsets, EXHAUSTIVE_PAIR_LIMIT, 256)
+    point_sets = _point_sets(scn, _labels("pushforward", subsets), subsets, EXHAUSTIVE_SETS, 256)
     for subset, rows in zip(subsets, point_sets):
         measure = pushforward(full_measure, subset)
         k = measure.npoints
@@ -539,7 +526,7 @@ def _check_embedding(scn: Scenario) -> list[tuple[str, str, float, float]]:
 def _check_embedding_measure(scn: Scenario) -> list[tuple[str, str, float, float]]:
     rep = scn.representation
     subsets = _nonempty_subsets(scn)
-    point_sets = _point_sets(scn, _labels("embedding-measure", subsets), subsets, EXHAUSTIVE_PAIR_LIMIT, 256)
+    point_sets = _point_sets(scn, _labels("embedding-measure", subsets), subsets, EXHAUSTIVE_SETS, 256)
     dev = 0.0
     for subset, rows in zip(subsets, point_sets):
         measure = rep.spectral_measure(subset)
@@ -709,16 +696,16 @@ def _check_weight_laws(scn: Scenario) -> list[tuple[str, str, float, float]]:
     m, n = u.shape
     stack = DiagonalOperator(u)
     dev = (stack.adjoint() @ stack - identity_operator(m * n)).norm()
-    # judged at the dynamics tolerance, not `exact`: numpy's vectorized
+    # the m - 1 neighbouring pairs (i, i + 1), one product of two stacks; not
+    # the stack against its own roll, whose operands share one trace, so a
+    # product whose phase depends on its operands' traces would commute.
+    # Judged at the dynamics tolerance, not `exact`: numpy's vectorized
     # complex multiply is not commutative in the last bit (with numpy 2.4.6
     # on an x86-64 Xeon, x*y != y*x for about 34,000 of 100,000 random
     # unimodular pairs, where Python's scalar multiply gives none), so
-    # u @ v - v @ u reads up to 1.11e-16 on diagonals that commute exactly;
-    # row i against every later row at once
-    commutation = 0.0
-    for i in range(m - 1):
-        v, w = DiagonalOperator(np.broadcast_to(u[i], (m - i - 1, n))), DiagonalOperator(u[i + 1 :])
-        commutation = nan_max(commutation, (v @ w - w @ v).norm())
+    # u @ v - v @ u reads up to 1.11e-16 on diagonals that commute exactly
+    v, w = DiagonalOperator(u[:-1]), DiagonalOperator(u[1:])
+    commutation = (v @ w - w @ v).norm()
     laws = nan_max(report.unimodular, report.cocycle, report.null_subset)
     return [
         ("action-weight-laws", "D4.1", laws, scn.tolerances.dynamics),

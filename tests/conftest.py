@@ -95,6 +95,16 @@ def swapped_table_rows(original):
     return mutant
 
 
+def last_point_ignored(original):
+    """A `diagonals` method under which the last point of every subset belongs to no set."""
+    def mutant(self, rows):
+        rows = np.array(rows, dtype=bool)
+        rows[:, -1] = False
+        return original(self, rows)
+
+    return mutant
+
+
 def neighbouring_members(original):
     """A `diagonals` method that moves every member to the next point, so atom b reads as atom b + 1."""
     return lambda self, rows: original(self, np.roll(np.asarray(rows, dtype=bool), 1, axis=1))

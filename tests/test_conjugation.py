@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from evobench.ladder import ladder_config
-from evogrid import builtin_scenario, evolution_unitary, load_scenario, run_suite, scenario_from_dict
+from evogrid import builtin_scenario, evolution_unitary, load_scenario, run_suite, scenario_from_dict, suites
 from evogrid.cli import main
 from evogrid.dynamics import nan_max
 from evogrid.representation import ConjugatedDiagonalOperator, PureRepresentation, SpectralMeasure, integrate
@@ -25,7 +25,7 @@ from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import decode_matrix, encode_matrix
 from evogrid.suites import COVARIANCE_COLUMNS
 
-from conftest import integer, neighbouring_members, one_thread_env
+from conftest import integer, last_point_ignored, neighbouring_members, one_thread_env
 
 
 def _w_d_w_star_columns(self, cols):
@@ -112,7 +112,23 @@ MUTANTS = {
         None,
         ("singleton-conjugacy",),
     ),
+    # the last point of every subset belongs to no set: the conjugated total set loses its last fibre
+    "diagonals-ignore-last-point": (
+        (SpectralMeasure, "diagonals", last_point_ignored(SpectralMeasure.diagonals)),
+        None,
+        ("conjugated-pvm",),
+    ),
+    # the Gram diagonal the checks form themselves, as row sums of |W|
+    "row-gram-of-moduli": (
+        (suites, "_row_gram", lambda w: np.sum(np.abs(w), axis=1)),
+        None,
+        ("conjugated-trace", "conjugation-covariance"),
+    ),
 }
+
+# the rows that tell conjugated-pvm from conjugated-trace leave the check of
+# the pair they do not list at its clean value
+KEEPS_CLEAN = {"diagonals-ignore-last-point": "conjugated-trace", "row-gram-of-moduli": "conjugated-pvm"}
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
@@ -122,11 +138,15 @@ def test_each_conjugation_check_catches_its_mutant(mutant, monkeypatch):
     if edit is not None:
         cfg = edit(cfg)
     scn = scenario_from_dict(cfg)
+    clean = {r.check: r for r in run_suite(scn, ["conjugation"]).records} if mutant in KEEPS_CLEAN else {}
     if patch is not None:
         monkeypatch.setattr(*patch)
     records = {r.check: r for r in run_suite(scn, ["all"]).records}
     for check in caught:
         assert records[check].max_deviation > records[check].tolerance, check
+    if mutant in KEEPS_CLEAN:
+        kept = KEEPS_CLEAN[mutant]
+        assert records[kept].max_deviation == clean[kept].max_deviation and records[kept].passed
 
 
 # `to_dense` has two callers, `compute` and the witness, which only the

@@ -1,6 +1,8 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -346,8 +348,8 @@ def test_the_witness_reads_the_stack_the_unitary_laws_read(monkeypatch):
 
 
 def per_operator_unitary_laws(scn) -> dict[str, float]:
-    """The four unitary laws as the suite judged them before the stack: one
-    operator per subset, and one product per pair of subsets."""
+    """The four unitary laws one operator per subset: the group law over the
+    disjoint pairs, and commutation over the neighbouring pairs (i, i + 1)."""
     frame = scn.frame
     domain = frame.admissible()
     u = [evolution_unitary(scn.weight, s, scn.representation) for s in domain]
@@ -359,9 +361,8 @@ def per_operator_unitary_laws(scn) -> dict[str, float]:
             null_dev = dynamics.nan_max(null_dev, (v - one).norm())
     for t1, t2, union in frame.disjoint_pairs().tolist():
         group_dev = dynamics.nan_max(group_dev, (u[t1] @ u[t2] - u[union]).norm())
-    for i, v in enumerate(u):
-        for w in u[i + 1 :]:
-            commutation = dynamics.nan_max(commutation, (v @ w - w @ v).norm())
+    for v, w in pairwise(u):
+        commutation = dynamics.nan_max(commutation, (v @ w - w @ v).norm())
     return {"unitary-evolution": dev, "null-unitary": null_dev, "group-law": group_dev, "commutation": commutation}
 
 
@@ -431,6 +432,38 @@ def per_pair_family_laws(scn) -> dict:
         cocycle = dynamics.nan_max(cocycle, float(np.max(np.abs(weights[union] - weights[t1] * weights[t2]))))
         additivity = dynamics.nan_max(additivity, float(np.max(np.abs(actions[union] - actions[t1] - actions[t2]))))
     return {"cocycle": cocycle.hex(), "additivity": additivity.hex(), "restriction": per_pair_restriction(scn.lagrangian)}
+
+
+@pytest.mark.parametrize("budget", [1, 7, dynamics.PAIR_ENTRIES])
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-8x1"])
+def test_pair_max_does_not_depend_on_its_chunks(source, budget, monkeypatch):
+    scn = _family_scenario(source)
+    whole = validate_action_weight(scn.weight).cocycle.hex()
+    monkeypatch.setattr(dynamics, "PAIR_ENTRIES", budget)
+    assert validate_action_weight(scn.weight).cocycle.hex() == whole
+    # a NaN in the last chunk, after finite ones, reaches the maximum
+    stack = np.zeros((4, 3), dtype=np.complex128)
+    stack[-1, -1] = np.nan
+    assert math.isnan(dynamics._pair_max(stack, np.array([[0, 1], [1, 2], [2, 3]]), np.subtract))
+
+
+def test_pair_max_operands_hold_at_most_the_entry_budget():
+    # every ordered pair of a (64, 4096) stack: chunks of len(stack) rows
+    # would make each operand 4 MiB, the budget keeps each to PAIR_ENTRIES
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(64, 4096)) + 1j * rng.normal(size=(64, 4096))
+    table = np.argwhere(np.ones((64, 64), dtype=bool))
+    sizes = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dynamics._pair_max(stack, table, lambda a, b: sizes.extend((a.size, b.size)) or a - b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 2 * len(table) * 4096 // dynamics.PAIR_ENTRIES and max(sizes) == dynamics.PAIR_ENTRIES
+    # both operands from one gather, their difference, and its real moduli
+    assert peak <= 3.5 * dynamics.PAIR_ENTRIES * stack.itemsize + 64 * 1024
 
 
 @pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-8x1", *CUT_FRAMES])

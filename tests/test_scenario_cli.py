@@ -329,11 +329,6 @@ def test_sampled_point_sets_past_64_points_reach_every_point():
     assert rows.shape[1] == n and rows[:, 64:].any(axis=0).all()
     rng = SplitMix64(derive_seed(scn.seed, "injectivity-full"))
     assert _row_ids(rows) == sorted(set(_ids_of_words([rng.next_uint64() for _ in range(2 * 512)], n)))
-    left, right = suites._subset_pair_ids(scn, "pvm-full", n)
-    assert len(left) == suites.SAMPLED_PAIRS and left[:, 64:].any(axis=0).all() and right[:, 64:].any(axis=0).all()
-    rng = SplitMix64(derive_seed(scn.seed, "pvm-full"))
-    words = [rng.next_uint64() for _ in range(4 * len(left))]
-    assert _row_ids(left) + _row_ids(right) == _ids_of_words(words, n)
 
 
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 128, 130])
@@ -507,8 +502,8 @@ def test_cli_exit_code_on_non_finite_input(tmp_path, where):
 def test_cli_exit_code_on_a_nan_after_the_first_deviation(monkeypatch):
     # built-in max keeps its running value against NaN; the suites' maxima
     # must let it through so that the runner aborts.  The third operator
-    # norm under the dynamics suite is unitary-evolution's deviation on the
-    # second subset, after a finite one on the first.
+    # norm under the spectral suite is diagonal-calculus's product law on
+    # its second pair, after finite deviations on the first.
     from evogrid.representation import DiagonalOperator
 
     calls = []
@@ -519,7 +514,7 @@ def test_cli_exit_code_on_a_nan_after_the_first_deviation(monkeypatch):
         return calls[-1] if len(calls) != 3 else float("nan")
 
     monkeypatch.setattr(DiagonalOperator, "norm", third_is_nan)
-    assert main(["verify", "demo", "--suite", "dynamics"]) == 5
+    assert main(["verify", "demo", "--suite", "spectral"]) == 5
     assert len(calls) > 3
 
 
@@ -950,6 +945,18 @@ def test_cli_timings_excluded_from_body(tmp_path):
     for group in groups:
         assert len({appendix["timings"][check] for check in group}) == 1
     assert all(isinstance(seconds, float) for seconds in appendix["timings"].values())
+
+
+def test_demo_reports_the_benchmark_check_ids_suite_by_suite_in_order():
+    # the benchmark's gate fails a report that lacks any id of its table
+    from evobench.ladder import SUITE_CHECKS
+
+    scn = load_scenario("demo")
+    for suite, checks in SUITE_CHECKS.items():
+        assert tuple(r.check for r in run_suite(scn, [suite]).records) == checks, suite
+    report = run_suite(scn, ["all"])
+    assert report.suites == tuple(SUITE_CHECKS)
+    assert [r.check for r in report.records] == [check for checks in SUITE_CHECKS.values() for check in checks]
 
 
 # report body of `evogrid verify demo --suite spectral --suite lagrangian`;

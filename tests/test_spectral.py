@@ -27,9 +27,9 @@ from evogrid.representation import (
     theta_represent,
 )
 from evogrid.rng import SplitMix64
-from evogrid.suites import EXHAUSTIVE_PAIR_LIMIT, SAMPLED_PAIRS, _bit_rows, _ends_defect, _nonempty_subsets, _rng
+from evogrid.suites import EXHAUSTIVE_SETS, _bit_rows, _nonempty_subsets, _rng
 
-from conftest import integer, neighbouring_members, reversed_table, swapped_table_rows
+from conftest import integer, last_point_ignored, neighbouring_members, reversed_table, swapped_table_rows
 
 # -- the per-sample bodies the stacked checks replaced -------------------------
 
@@ -52,28 +52,6 @@ def _parent_point_sets(scn, label, k, exhaustive, samples):
     return _bit_rows(np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
 
 
-def _parent_pair_ids(scn, label, k):
-    total = 1 << k
-    if total <= EXHAUSTIVE_PAIR_LIMIT:
-        rows = _bit_rows(np.arange(total, dtype=np.uint64), k)
-        return np.repeat(rows, total, axis=0), np.tile(rows, (total, 1))
-    rng = _rng(scn, label)
-    left = _bit_rows(_parent_random_ids(rng, k, SAMPLED_PAIRS), k)
-    return left, _bit_rows(_parent_random_ids(rng, k, SAMPLED_PAIRS), k)
-
-
-def _per_subset_pvm_axioms(scn):
-    dev = 0.0
-    for subset in scn.frame.admissible():
-        measure = scn.representation.spectral_measure(subset)
-        dev = nan_max(dev, _ends_defect(measure))
-        left, right = _parent_pair_ids(scn, f"pvm-{sorted(map(str, subset))}", measure.npoints)
-        p1, p2, inter, union = (measure.diagonals(rows).view(np.int8) for rows in (left, right, left & right, left | right))
-        dev = nan_max(dev, float(np.max(np.abs(p1 * p2 - inter))))
-        dev = nan_max(dev, float(np.max(np.abs(p1 + p2 - inter - union))))
-    return [("pvm-axioms", "T3.1", dev, scn.tolerances.exact)]
-
-
 def _per_subset_pushforward(scn):
     space = scn.space
     full_measure = scn.representation.spectral_measure()
@@ -82,7 +60,7 @@ def _per_subset_pushforward(scn):
     for subset in _nonempty_subsets(scn):
         measure = representation.pushforward(full_measure, subset)
         k = measure.npoints
-        rows = _parent_point_sets(scn, f"pushforward-{sorted(map(str, subset))}", k, EXHAUSTIVE_PAIR_LIMIT, 256)
+        rows = _parent_point_sets(scn, f"pushforward-{sorted(map(str, subset))}", k, EXHAUSTIVE_SETS, 256)
         dev = nan_max(dev, float(np.max(measure.diagonals(rows) != rows[:, suites._restriction_image(space, subset)])))
         atoms = measure.diagonals(np.eye(k, dtype=bool))
         rank_bad += int(np.count_nonzero(atoms.sum(axis=1) != space.dimension // k))
@@ -98,7 +76,7 @@ def _per_subset_embedding_measure(scn):
     for subset in _nonempty_subsets(scn):
         measure = rep.spectral_measure(subset)
         label = f"embedding-measure-{sorted(map(str, subset))}"
-        rows = _parent_point_sets(scn, label, measure.npoints, EXHAUSTIVE_PAIR_LIMIT, 256)
+        rows = _parent_point_sets(scn, label, measure.npoints, EXHAUSTIVE_SETS, 256)
         dev = nan_max(dev, float(np.any(pullback_rows(scn.space, subset, rows) != measure.diagonals(rows))))
     return [("embedding-measure", "C3.9", dev, scn.tolerances.exact)]
 
@@ -223,7 +201,6 @@ def _per_sample_singletons(scn):
 
 
 ORACLES = {
-    suites._check_pvm_axioms: _per_subset_pvm_axioms,
     suites._check_pushforward: _per_subset_pushforward,
     suites._check_embedding_measure: _per_subset_embedding_measure,
     suites._check_spectral_sum: _per_sample_spectral_sum,
@@ -425,8 +402,8 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
     # point sets of 16 subsets, demo of one), and no per-subset
     # `complex_matrix` or scalar draw; a check with nothing to sample reads
     # nothing, and matrix-elements reads its one substream once, up to
-    # 20 (k + 3) words per subset.  pvm-axioms alone reads a subset at a
-    # time, both pair halves at once, so that it holds one subset's pairs
+    # 20 (k + 3) words per subset.  pvm-axioms samples nothing: it judges
+    # every pair of atoms, so it reads no substream
     scn = SCENARIOS[source]()
     sizes = [scn.space.npoints(s) for s in scn.frame.admissible()]
     nonempty = [scn.space.npoints(s) for s in _nonempty_subsets(scn)]
@@ -444,7 +421,7 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
         suites._check_factorization: [[50 * k for k in sizes]],
         suites._check_embedding: [[20 * k for k in sizes]],
         suites._check_conjugation_covariance: [[5 * (3 * k + 1) + 8 for k in sizes]],
-        suites._check_pvm_axioms: [[c] for c in _drawn_words(sizes, 64, 2 * suites.SAMPLED_PAIRS)],
+        suites._check_pvm_axioms: [],
         suites._check_pushforward: [_drawn_words(nonempty, 64, 256)],
         suites._check_embedding_measure: [_drawn_words(nonempty, 64, 256)],
         # the full set's masks, then every subset's point sets
@@ -571,15 +548,6 @@ def _full_pullback_drops_last_point(space, subset, values):
     return out
 
 
-def _diagonals_ignore_last_point(original):
-    def mutant(self, rows):
-        rows = np.array(rows, dtype=bool)
-        rows[:, -1] = False
-        return original(self, rows)
-
-    return mutant
-
-
 def _diagonals_ignore_last_member(original):
     def mutant(self, rows):
         rows = np.array(rows, dtype=bool)
@@ -622,7 +590,7 @@ SPECTRAL_MUTANTS = {
     # the last point of every subset belongs to no set: the total set, the
     # last atom and every lifted set holding it lose their last fibre
     "diagonals-ignore-last-point": (
-        [(SpectralMeasure, "diagonals", _diagonals_ignore_last_point(SpectralMeasure.diagonals))],
+        [(SpectralMeasure, "diagonals", last_point_ignored(SpectralMeasure.diagonals))],
         ("injectivity-subsets", "pvm-axioms", "pushforward-rank", "singleton-rank", "embedding-measure"),
     ),
     "diagonals-ignore-last-member": (
@@ -647,6 +615,26 @@ def test_each_spectral_check_catches_its_mutant(mutant, monkeypatch):
     records = {r.check: r for r in run_suite(scn, ["spectral"]).records}
     for check in caught:
         assert records[check].max_deviation > records[check].tolerance, check
+
+
+def _row_mixing(original):
+    # row i of every gather ORed with row i - 1, cyclically: each row still
+    # selects columns, but reads its neighbour's members too
+    def mutant(self, rows):
+        out = original(self, rows)
+        return out | np.roll(out, 1, axis=0)
+
+    return mutant
+
+
+@pytest.mark.parametrize("source", MUTANT_SOURCES)
+def test_pvm_axioms_catch_a_gather_that_mixes_rows(source, monkeypatch):
+    # the fault left to the pair laws by a gather that selects columns row by
+    # row; at N = 1 (8x1) every subset has one atom, and the ends catch it
+    scn = SCENARIOS[source]()
+    assert suites._check_pvm_axioms(scn)[0][2] == 0.0
+    monkeypatch.setattr(SpectralMeasure, "diagonals", _row_mixing(SpectralMeasure.diagonals))
+    assert suites._check_pvm_axioms(scn)[0][2] > scn.tolerances.exact
 
 
 def test_spectral_report_lists_the_checks_timed_together():
