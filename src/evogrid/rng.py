@@ -45,7 +45,7 @@ in blocks of 2^17 words, and a state advances by exactly `count`, or
 complex normals; `complex_matrix` runs it on its own words.  A sampler
 whose draw counts depend on earlier draws reads the largest count and walks
 the words in the scalar draws' order; words past the last one it uses are
-dropped, or read again as a later `start` of the same substream.
+dropped.
 The uniforms, sqrt, products and the division are numpy
 operations, which are correctly rounded IEEE arithmetic.
 `log`, `cos` and `sin` stay on libm through `math`, mapped over the vector:
@@ -103,17 +103,17 @@ def derive_seed(root: int, label: str) -> int:
     return _mix((int(root) ^ fnv1a64(label)) & MASK64)
 
 
-def raw_streams(seeds: list[int], counts: list[int], start: int = 0) -> np.ndarray:
-    """Raw words start .. start + counts[i] - 1 of each `SplitMix64(seeds[i])`,
-    in the order of the seeds, as one uint64 array: at position p, in the run
-    of seed s from offset o, the word is mix(s + (start - o + p + 1) gamma)."""
+def raw_streams(seeds: list[int], counts: list[int]) -> np.ndarray:
+    """The first counts[i] raw words of each `SplitMix64(seeds[i])`, in the
+    order of the seeds, as one uint64 array: at position p, in the run of
+    seed s from offset o, the word is mix(s + (p - o + 1) gamma)."""
     if any(c < 0 for c in counts):
         raise ValueError("count must be nonnegative")
     out = np.arange(1, sum(counts) + 1, dtype=np.uint64)
     out *= _GAMMA_U64
     lo = 0
     for seed, count in zip(seeds, counts):
-        out[lo : lo + count] += np.uint64((int(seed) + (start - lo) * _GAMMA) & MASK64)
+        out[lo : lo + count] += np.uint64((int(seed) - lo * _GAMMA) & MASK64)
         lo += count
     for lo in range(0, len(out), 2 * _BLOCK):
         z = out[lo : lo + 2 * _BLOCK]

@@ -34,16 +34,16 @@ the scalar tails are the per-sample expressions on Python numbers, so a
 record has the bits of the per-sample loop.
 
 A check that samples from a labeled substream per subset reads them all
-at once (`rng.raw_streams`), in runs of the subsets whose draws start within
-2 `READ_NORMALS` words of each other (one run unless the family is large),
-and a draw whose count depends on an earlier draw is read at its largest
-count and walked in the scalar draws' order.  So `pushforward`,
-`injectivity-subsets` and `embedding-measure` read their point sets, and
-`spectral-sum`, `factorization` and `embedding` their S random functions,
-with one `normals` call per run and the bits of a `complex_matrix(S,
-npoints)` per subset.  `matrix-elements` reads its one substream from a
-cursor, up to 20 (k + 3) words per subset, in windows of at most
-2 `READ_NORMALS` words, and parses each subset's words as Python ints.  Measures
+at once through `_reads`, the one caller of `rng.raw_streams`, in runs of
+the subsets whose draws start within 2 `READ_NORMALS` words of each other
+(one run unless the family is large), and a draw whose count depends on an
+earlier draw is read at its largest count and walked in the scalar draws'
+order.  So `pushforward`, `injectivity-subsets` and `embedding-measure`
+read their point sets, and `spectral-sum`, `factorization` and `embedding`
+their S random functions, with one `normals` call per run and the bits of
+a `complex_matrix(S, npoints)` per subset.  `matrix-elements` parses each
+subset's words as Python ints: 20 samples of a count c, c members and a
+basis point x, each read as the diagonal entry (x, x).  Measures
 are read through two gathers, `diagonals` and `integrate_rows`, each
 through the subset's row of the space's restriction table: the atoms are
 the rows of one `diagonals(np.eye(k))` table, which give the ranks,
@@ -68,7 +68,7 @@ while forming G or a dense matrix (README, "Report format").
 `conjugation-covariance` compares sampled columns, read with `columns`,
 entries and traces of conjugated operators with W* (d * W e_j) formed from
 the unconjugated diagonal d and the check's own W*.  Every subset's
-samples come from one read and their functions from one `normals` call.
+samples are read at once and their functions drawn by one `normals` call.
 A subset's five projections and five integrals are one stack d of ten
 diagonals, from one `integrate_rows` gather through the plain measure, and
 the conjugated operators are that d wrapped in the conjugated
@@ -133,6 +133,7 @@ SUITE_NAMES = ("algebra", "spectral", "conjugation", "dynamics", "lagrangian")
 EXHAUSTIVE_SETS = 64  # `pushforward` and `embedding-measure` read every point set of a subset with at most this many
 COVARIANCE_COLUMNS = 4  # columns each covariance comparison reads of a conjugated operator
 READ_NORMALS = 1 << 16  # a read covers the draws that start within 2 READ_NORMALS words, this many normals' words
+LIPSCHITZ_PAIRS = 2000  # `action-lipschitz` samples this many point pairs of a subset with more
 
 
 @dataclass(frozen=True)
@@ -239,15 +240,21 @@ def _random_ids(words: np.ndarray, k: int) -> np.ndarray:
     return ids
 
 
+def _streams(scn: Scenario, labels: list[str], counts: list[int]) -> Iterator[np.ndarray]:
+    """The first counts[i] raw words of each labeled substream, in order, read
+    in `_reads`' runs."""
+    for run, part in _reads(scn, labels, counts):
+        yield from (run[a:b] for a, b in pairwise(accumulate(part, initial=0)))
+
+
 def _point_sets(scn: Scenario, labels: list[str], subsets, exhaustive: int, samples: int) -> Iterator[np.ndarray]:
     """Per subset of times, point sets over its k points as bit rows: every
     set when there are at most `exhaustive` of them; otherwise the distinct
     ids of `samples` draws from the subset's labeled substream, sorted by
-    value (top word first), every drawn substream from one read (`_reads`)."""
+    value (top word first), every drawn substream read at once (`_streams`)."""
     sizes = [scn.space.npoints(s) for s in subsets]
     drawn = [1 << k > exhaustive for k in sizes]
-    reads = _reads(scn, list(compress(labels, drawn)), [samples * -(-k // 64) for k in compress(sizes, drawn)])
-    streams = (run[a:b] for run, part in reads for a, b in pairwise(accumulate(part, initial=0)))
+    streams = _streams(scn, list(compress(labels, drawn)), [samples * -(-k // 64) for k in compress(sizes, drawn)])
     for k, sampled in zip(sizes, drawn):
         if not sampled:
             yield _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
@@ -543,37 +550,26 @@ def _check_matrix_elements(scn: Scenario) -> list[tuple[str, str, float, float]]
     n = space.dimension
     subsets = _nonempty_subsets(scn)
     sizes = [space.npoints(s) for s in subsets]
-    bounds = [20 * (k + 3) for k in sizes]
-    # one substream for the whole check: a sample is a count c, c members, x
-    # and y, so a subset takes at most 20 (k + 3) words, parsed as Python ints
-    # from the first word the last subset left unused.  The words are read
-    # from that cursor in windows of at most 2 READ_NORMALS words (one window
-    # unless the family is large), read again when a subset's bound passes
-    # the window's end
-    seed, window, start, at = derive_seed(scn.seed, "matrix-elements"), np.empty(0, np.uint64), 0, 0
+    # a subset's substream holds 20 samples, each a count c, c members and a
+    # basis point x, so at most 20 (k + 2) words, parsed as Python ints
+    streams = _streams(scn, _labels("matrix-elements", subsets), [20 * (k + 2) for k in sizes])
     dev = 0.0
-    for subset, k, bound, rest in zip(subsets, sizes, bounds, list(accumulate(bounds[::-1]))[::-1]):
-        if at + bound > len(window):
-            start, at = start + at, 0
-            window = raw_streams([seed], [max(bound, min(2 * READ_NORMALS, rest))], start)
-        words, used = window[at : at + bound].tolist(), 0
-        cells, xs, ys = [], [], []
+    for subset, k, words in zip(subsets, sizes, streams):
+        words, used = words.tolist(), 0
+        cells, xs = [], []
         for s in range(20):
             count = words[used] % k + 1
             cells += [s * k + w % k for w in words[used + 1 : used + 1 + count]]
             xs.append(words[used + 1 + count] % n)
-            ys.append(words[used + 2 + count] % n)
-            used += count + 3
-        at += used
+            used += count + 2
         rows = np.zeros((20, k), dtype=bool)
         rows.flat[cells] = True
-        xs, ys = np.array(xs), np.array(ys)
-        # <e_x, E(V) e_y> of every sample from one gather: E(V) is diagonal,
-        # so an entry is 0 off the diagonal and entry x of its 0/1 diagonal on it
-        values = (xs == ys) & rep.spectral_measure(subset).diagonals(rows)[np.arange(20), xs]
-        # oracle: each diagonal sample's basis point restricted through the
-        # digit-built image table, not through the library's table
-        expected = (xs == ys) & rows[np.arange(20), _restriction_image(space, subset, xs)]
+        # <e_x, E(V) e_x> of every sample from one gather: E(V) is a 0/1
+        # diagonal, so the entry is its entry x
+        values = rep.spectral_measure(subset).diagonals(rows)[np.arange(20), xs]
+        # oracle: each sample's basis point restricted through the digit-built
+        # image table, not through the library's table
+        expected = rows[np.arange(20), _restriction_image(space, subset, np.array(xs))]
         dev = nan_max(dev, float(np.any(values != expected)))
     return [("matrix-elements", "P3.5", dev, scn.tolerances.exact)]
 
@@ -633,25 +629,24 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
     sizes = [space.npoints(s) for s in subsets]
     # a subset's substream holds five (point set, function) samples, each a
     # count c, c members and the function's 2k words, then the columns and
-    # the rows: all substreams are read at c = k in one read
+    # the rows: every substream is read at c = k (`_streams`)
     reads = [5 * (3 * k + 1) + 2 * COVARIANCE_COLUMNS for k in sizes]
-    words = raw_streams([derive_seed(scn.seed, f"covariance-{sorted(map(str, s))}") for s in subsets], reads)
     # a subset's samples are alternating rows of one value block: the
     # projection's 0/1 row, then the function's values, which one `normals`
-    # call draws for every subset from the words marked as theirs
-    blocks, picks = [], []
-    drawn = np.zeros(len(words), dtype=bool)
-    for k, at in zip(sizes, np.cumsum([0, *reads]).tolist()):
+    # call draws for every subset from the word slices collected as theirs
+    blocks, picks, drawn = [], [], [np.empty(0, np.uint64)]
+    for k, words in zip(sizes, _streams(scn, _labels("covariance", subsets), reads)):
         values = np.zeros((10, k), dtype=np.complex128)
+        at = 0
         for row in range(0, 10, 2):
             count = int(words[at]) % k + 1
             values[row, words[at + 1 : at + 1 + count] % np.uint64(k)] = 1.0
             at += 1 + count + 2 * k
-            drawn[at - 2 * k : at] = True
+            drawn.append(words[at - 2 * k : at])
         blocks.append(values)
         picks.append((words[at : at + 2 * COVARIANCE_COLUMNS] % np.uint64(n)).tolist())
     functions = np.empty(5 * sum(sizes), dtype=np.complex128)
-    normals(words[drawn], functions)
+    normals(np.concatenate(drawn), functions)
     dev = 0.0
     for subset, values, sampled, pick in zip(subsets, blocks, np.split(functions, 5 * np.cumsum(sizes)[:-1]), picks):
         values[1::2] = sampled.reshape(5, -1)
@@ -752,17 +747,19 @@ def _check_actions(scn: Scenario) -> list[tuple[str, str, float, float]]:
     actions = [action_from_lagrangian(scn.lagrangian, s) for s in domain]
     pulled = np.array([a.values[restricted] for restricted, a in zip(space.restriction_table(), actions)])
     additivity = _pair_max(pulled, frame.disjoint_pairs(), lambda t1, t2, union: union - t1 - t2)
+    # a subset of k points is judged on its k^2 point pairs, or on
+    # LIPSCHITZ_PAIRS pairs from its substream, its raw words mod k
+    sampled = [s for s in domain if s and space.npoints(s) ** 2 > LIPSCHITZ_PAIRS]
+    streams = _streams(scn, _labels("lipschitz", sampled), [2 * LIPSCHITZ_PAIRS] * len(sampled))
     lipschitz = 0.0
     for subset, action in zip(domain, actions):
         if subset:
             densities = scn.lagrangian.table(subset).real
             k = len(densities)
-            pair_budget = 2000
-            if k * k <= pair_budget:
+            if k * k <= LIPSCHITZ_PAIRS:
                 left, right = np.divmod(np.arange(k * k), k)
             else:
-                rng = _rng(scn, f"lipschitz-{sorted(map(str, subset))}")
-                left, right = rng.integers(k, 2 * pair_budget).reshape(-1, 2).T
+                left, right = (next(streams) % np.uint64(k)).reshape(-1, 2).T
             gap = np.abs(action.values[left] - action.values[right])
             bound = np.max(np.abs(densities[left] - densities[right]), axis=1) * frame.mu(subset)
             lipschitz = nan_max(lipschitz, 0.0, float(np.max(gap - bound)))

@@ -9,11 +9,13 @@ oracles: the checks must return the same records, bit for bit, also where
 a broken restriction table makes the deviations nonzero.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from evobench.ladder import ladder_config
-from evogrid import evolution, load_scenario, representation, run_suite, scenario_from_dict, suites
+from evogrid import builtin_scenario, evolution, load_scenario, representation, run_suite, scenario_from_dict, suites
 from evogrid.dynamics import nan_max
 from evogrid.evolution import GridEvolutionSpace, GridFunction, pullback, pullback_rows
 from evogrid.representation import (
@@ -160,10 +162,10 @@ def _per_sample_embedding(scn):
 def _per_sample_matrix_elements(scn):
     space = scn.space
     rep = scn.representation
-    rng = _rng(scn, "matrix-elements")
     n = space.dimension
     dev = 0.0
     for subset in _nonempty_subsets(scn):
+        rng = _rng(scn, f"matrix-elements-{sorted(map(str, subset))}")
         measure = rep.spectral_measure(subset)
         k = measure.npoints
         for _ in range(20):
@@ -171,15 +173,11 @@ def _per_sample_matrix_elements(scn):
             for _ in range(integer(rng, k) + 1):
                 members.add(integer(rng, k))
             x = integer(rng, n)
-            y = integer(rng, n)
-            value = matrix_element(measure, x, y, members)
-            if x != y:
-                expected = 0.0
-            else:
-                # restrict the basis point by its digits, not through the table
-                digits = np.unravel_index(x, space.full_shape())
-                image = np.ravel_multi_index([digits[ax] for ax in space.axes(subset)], space.shape(subset))
-                expected = 1.0 if image in members else 0.0
+            value = matrix_element(measure, x, x, members)
+            # restrict the basis point by its digits, not through the table
+            digits = np.unravel_index(x, space.full_shape())
+            image = np.ravel_multi_index([digits[ax] for ax in space.axes(subset)], space.shape(subset))
+            expected = 1.0 if image in members else 0.0
             dev = nan_max(dev, abs(value - expected))
     return [("matrix-elements", "P3.5", dev, scn.tolerances.exact)]
 
@@ -250,20 +248,20 @@ def test_stacked_checks_return_the_per_sample_records(source):
 
 # mutants under which the records of both routes are nonzero, keyed by the
 # checks they move on each source.  At N = 1 (8x1) every table row is [0], so
-# a broken table moves nothing; matrix-elements moves only where a diagonal
-# sample (x = y) reads a changed entry, which 3x5's 140 samples of N = 125
-# points and 5x2's swapped rows never do
+# a broken table moves nothing; every matrix-elements sample reads a diagonal
+# entry, so a broken table moves it wherever a sampled point's restriction
+# changes membership
 MUTANT_SOURCES = ("demo", "ladder-5x2", "ladder-3x5", "ladder-8x1")
-TABLE_MOVES = {"pushforward", "factorization", "embedding", "embedding-measure"}
+TABLE_MOVES = {"pushforward", "factorization", "embedding", "embedding-measure", "matrix-elements"}
 MOVED_BY = {
     "reversed-restriction-table": {
-        "demo": TABLE_MOVES | {"matrix-elements", "singleton-conjugacy"},
-        "ladder-5x2": TABLE_MOVES | {"matrix-elements", "singleton-conjugacy"},
+        "demo": TABLE_MOVES | {"singleton-conjugacy"},
+        "ladder-5x2": TABLE_MOVES | {"singleton-conjugacy"},
         "ladder-3x5": TABLE_MOVES | {"singleton-conjugacy"},
         "ladder-8x1": set(),
     },
     "swapped-table-rows": {
-        "demo": TABLE_MOVES | {"matrix-elements"},
+        "demo": TABLE_MOVES,
         "ladder-5x2": TABLE_MOVES,
         "ladder-3x5": TABLE_MOVES,
         "ladder-8x1": set(),
@@ -401,9 +399,9 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
     # the number of reads does not grow with the family (5x2 samples the
     # point sets of 16 subsets, demo of one), and no per-subset
     # `complex_matrix` or scalar draw; a check with nothing to sample reads
-    # nothing, and matrix-elements reads its one substream once, up to
-    # 20 (k + 3) words per subset.  pvm-axioms samples nothing: it judges
-    # every pair of atoms, so it reads no substream
+    # nothing, and matrix-elements reads up to 20 (k + 2) words per subset.
+    # pvm-axioms samples nothing: it judges every pair of atoms, so it reads
+    # no substream
     scn = SCENARIOS[source]()
     sizes = [scn.space.npoints(s) for s in scn.frame.admissible()]
     nonempty = [scn.space.npoints(s) for s in _nonempty_subsets(scn)]
@@ -411,7 +409,7 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
     reads, draws, functions, represented = [], [], [], []
     original = suites.raw_streams
     monkeypatch.setattr(suites, "raw_streams",
-                        lambda seeds, counts, start=0: reads.append((list(counts), start)) or original(seeds, counts, start))
+                        lambda seeds, counts: reads.append(list(counts)) or original(seeds, counts))
     monkeypatch.setattr(SplitMix64, "complex_matrix", _counting(draws, SplitMix64.complex_matrix))
     monkeypatch.setattr(SplitMix64, "integers", _counting(draws, SplitMix64.integers))
     monkeypatch.setattr(GridEvolutionSpace, "random_function", _counting(functions, GridEvolutionSpace.random_function))
@@ -426,12 +424,12 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
         suites._check_embedding_measure: [_drawn_words(nonempty, 64, 256)],
         # the full set's masks, then every subset's point sets
         suites._check_injectivity: [_drawn_words([n], 4096, 512), _drawn_words(nonempty, 1024, 512)],
-        suites._check_matrix_elements: [[sum(20 * (k + 3) for k in nonempty)]],
+        suites._check_matrix_elements: [[20 * (k + 2) for k in nonempty]],
     }
     for check, counts in expected.items():
         reads.clear()
         check(scn)
-        assert reads == [(c, 0) for c in counts if c], check.__name__
+        assert reads == [c for c in counts if c], check.__name__
     assert draws == [] and functions == [] and represented == []
     suites._check_singletons(scn)
     assert draws == [(n, 20)]
@@ -447,7 +445,7 @@ def test_sampled_rows_are_each_subset_s_own_draw_in_bounded_reads(budget, monkey
     reads, default = [], suites.READ_NORMALS
     original = suites.raw_streams
     monkeypatch.setattr(suites, "READ_NORMALS", budget)
-    monkeypatch.setattr(suites, "raw_streams", lambda seeds, counts, start=0: reads.append(counts) or original(seeds, counts))
+    monkeypatch.setattr(suites, "raw_streams", lambda seeds, counts: reads.append(counts) or original(seeds, counts))
     rows = list(suites._sampled_rows(scn, "factorization", 25))
     assert len(rows) == len(subsets)
     for subset, got in zip(subsets, rows):
@@ -457,23 +455,74 @@ def test_sampled_rows_are_each_subset_s_own_draw_in_bounded_reads(budget, monkey
     assert (len(reads) == 1) == (budget == default)
 
 
-@pytest.mark.parametrize("budget", [suites.READ_NORMALS, 100, 1])
-def test_matrix_elements_reads_its_substream_in_bounded_windows(budget, monkeypatch):
-    # the windows start at the cursor the last subset left, hold at most
-    # 2 budget words or one subset's bound, and give the per-sample records
-    scn = SCENARIOS["ladder-5x2"]()
-    bounds = [20 * (scn.space.npoints(s) + 3) for s in _nonempty_subsets(scn)]
-    reads, default = [], suites.READ_NORMALS
+def _empty_family():
+    config = builtin_scenario("demo")
+    config["time_frame"]["sigma0"] = []
+    return scenario_from_dict(config)
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-8x1", "listed-3", "empty-family"])
+def test_every_substream_read_goes_through_reads(source, monkeypatch):
+    # one reader for per-subset draws: no check reads raw words on its own
+    scn = _empty_family() if source == "empty-family" else SCENARIOS[source]()
+    callers = []
     original = suites.raw_streams
-    monkeypatch.setattr(suites, "READ_NORMALS", budget)
-    monkeypatch.setattr(suites, "raw_streams",
-                        lambda seeds, counts, start=0: reads.append((counts[0], start)) or original(seeds, counts, start))
-    assert _records_as_bits(suites._check_matrix_elements(scn)) == _records_as_bits(_per_sample_matrix_elements(scn))
-    assert all(count <= max(2 * budget, max(bounds)) for count, _ in reads)
-    assert [start for _, start in reads] == sorted({start for _, start in reads})
-    assert (len(reads) == 1) == (budget == default)
-    if budget == 1:
-        assert len(reads) == len(bounds)
+
+    def spy(seeds, counts):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(seeds, counts)
+
+    monkeypatch.setattr(suites, "raw_streams", spy)
+    run_suite(scn, ["all"])
+    assert set(callers) <= {"_reads"}
+    assert callers or source == "empty-family"
+
+
+def _per_subset_lipschitz(scn):
+    # the Lipschitz law with one `_rng` draw of its sampled pairs per subset
+    frame = scn.frame
+    dev = 0.0
+    for subset in frame.admissible():
+        if subset:
+            densities = scn.lagrangian.table(subset).real
+            values = suites.action_from_lagrangian(scn.lagrangian, subset).values
+            k = len(densities)
+            if k * k <= suites.LIPSCHITZ_PAIRS:
+                left, right = np.divmod(np.arange(k * k), k)
+            else:
+                rng = _rng(scn, f"lipschitz-{sorted(map(str, subset))}")
+                left, right = rng.integers(k, 2 * suites.LIPSCHITZ_PAIRS).reshape(-1, 2).T
+            gap = np.abs(values[left] - values[right])
+            bound = np.max(np.abs(densities[left] - densities[right]), axis=1) * frame.mu(subset)
+            dev = nan_max(dev, 0.0, float(np.max(gap - bound)))
+    return dev
+
+
+@pytest.mark.parametrize("rung", ["demo", "5x2", "4x3", "6x3"])
+def test_covariance_and_lipschitz_records_do_not_depend_on_the_runs(rung, monkeypatch):
+    # the runs change how the substreams are read, never their words; 4x3 and
+    # 6x3 sample their Lipschitz pairs.  Stretching the actions of the sampled
+    # subsets, and only theirs, by a factor that grows along the points makes
+    # the Lipschitz excess a function of which pairs were drawn
+    scn = load_scenario(rung) if rung == "demo" else scenario_from_dict(ladder_config(*map(int, rung.split("x"))))
+    sampled = any(scn.space.npoints(s) ** 2 > suites.LIPSCHITZ_PAIRS for s in scn.frame.admissible())
+    action = suites.action_from_lagrangian
+
+    def stretched(lagrangian, subset):
+        f = action(lagrangian, subset)
+        k = len(f.values)
+        return f.space.function(f.subset, f.values * (2.0 + np.arange(k) / k)) if k * k > suites.LIPSCHITZ_PAIRS else f
+
+    monkeypatch.setattr(suites, "action_from_lagrangian", stretched)
+    records = []
+    for budget in (suites.READ_NORMALS, 100, 1):
+        monkeypatch.setattr(suites, "READ_NORMALS", budget)
+        covariance = suites._check_conjugation_covariance(scn)
+        lipschitz = [r for r in suites._check_actions(scn) if r[0] == "action-lipschitz"]
+        records.append(_records_as_bits(covariance + lipschitz))
+    assert records[0] == records[1] == records[2]
+    assert lipschitz[0][2] == _per_subset_lipschitz(scn)
+    assert (lipschitz[0][2] > 0.0) == sampled == (rung in ("4x3", "6x3"))
 
 
 @pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-3x5"])
@@ -481,16 +530,16 @@ def test_matrix_elements_reads_the_per_sample_members(source, monkeypatch):
     # the stacked check's membership rows, in `diagonals` call order, are the
     # member sets of the scalar draws: a sample shifted by one word moves them
     scn = SCENARIOS[source]()
-    rng = _rng(scn, "matrix-elements")
     n = scn.space.dimension
     expected = []
     for subset in _nonempty_subsets(scn):
+        rng = _rng(scn, f"matrix-elements-{sorted(map(str, subset))}")
         k = scn.space.npoints(subset)
         rows = np.zeros((20, k), dtype=bool)
         for s in range(20):
             for _ in range(integer(rng, k) + 1):
                 rows[s, integer(rng, k)] = True
-            integer(rng, n), integer(rng, n)
+            integer(rng, n)
         expected.append(rows)
     seen = []
     diagonals = SpectralMeasure.diagonals
