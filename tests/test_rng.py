@@ -116,19 +116,24 @@ def test_complex_matrix_keeps_complex_division_zero_signs():
 
 
 @pytest.mark.parametrize("counts", [[], [0], [1], [0, 1, 0], [2 * _BLOCK + 3], [5, 2 * _BLOCK - 1, 0, 7]])
-def test_raw_streams_are_each_seed_s_own_words(counts):
+@pytest.mark.parametrize("start", [0, 1, 2 * _BLOCK])
+def test_raw_streams_are_each_seed_s_own_words(counts, start):
+    # a leading run of `start` words of another seed puts the runs under test
+    # at an offset in the array, past a block when it is 2 _BLOCK: each run
+    # is still its seed's words from the first one
     seeds = [(0, 91, ZERO_FIRST_DRAW_SEED, 1234567)[i % 4] + i for i in range(len(counts))]
-    words = raw_streams(seeds, counts)
-    assert words.dtype == np.uint64 and words.shape == (sum(counts),)
+    words = raw_streams([7, *seeds], [start, *counts])
+    assert words.dtype == np.uint64 and words.shape == (start + sum(counts),)
+    assert words[:start].tobytes() == SplitMix64(7)._raw(start).tobytes()
     expected = [SplitMix64(seed)._raw(count) for seed, count in zip(seeds, counts)]
-    assert words.tobytes() == np.concatenate([np.empty(0, np.uint64), *expected]).tobytes()
+    assert words[start:].tobytes() == np.concatenate([np.empty(0, np.uint64), *expected]).tobytes()
     # the scalar stream, for the short reads
     if sum(counts) < 100:
         scalar = []
         for seed, count in zip(seeds, counts):
             r = SplitMix64(seed)
             scalar += [r.next_uint64() for _ in range(count)]
-        assert words.tolist() == scalar
+        assert words[start:].tolist() == scalar
 
 
 def test_raw_streams_rejects_a_negative_count():

@@ -455,6 +455,25 @@ def test_sampled_rows_are_each_subset_s_own_draw_in_bounded_reads(budget, monkey
     assert (len(reads) == 1) == (budget == default)
 
 
+@pytest.mark.parametrize("budget", [suites.READ_NORMALS, 100, 1])
+def test_matrix_elements_reads_its_substream_in_bounded_windows(budget, monkeypatch):
+    # the per-subset substreams are read in `_reads`' runs: a run's substreams
+    # all start within 2 budget words of its first, and the records are the
+    # per-sample ones whatever the runs
+    scn = SCENARIOS["ladder-5x2"]()
+    bounds = [20 * (scn.space.npoints(s) + 2) for s in _nonempty_subsets(scn)]
+    reads, default = [], suites.READ_NORMALS
+    original = suites.raw_streams
+    monkeypatch.setattr(suites, "READ_NORMALS", budget)
+    monkeypatch.setattr(suites, "raw_streams", lambda seeds, counts: reads.append(counts) or original(seeds, counts))
+    assert _records_as_bits(suites._check_matrix_elements(scn)) == _records_as_bits(_per_sample_matrix_elements(scn))
+    assert [c for counts in reads for c in counts] == bounds
+    assert all(sum(counts[:-1]) < 2 * budget for counts in reads)
+    assert (len(reads) == 1) == (budget == default)
+    if budget == 1:
+        assert len(reads) == len(bounds)
+
+
 def _empty_family():
     config = builtin_scenario("demo")
     config["time_frame"]["sigma0"] = []
