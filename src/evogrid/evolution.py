@@ -24,17 +24,16 @@ later builds on.
 Subset geometry is derived once per space and subset.  A frame maps labels
 to positions through one dict, memoises the frame-ordered labels of each
 subset and the measure-disjoint pairs, and builds with itself the sorted
-admissible family, its packed membership rows and a byte trie from a row
-to its position; the loader bounds the family by the cap first.  The union
-closure of a listed family, both pair tables and the measure-zero mask are
-array work on those rows.  A space keeps the axes, shape and point count
-of each subset it has been asked about, and builds on first read one
-read-only (m, N) restriction table of the family: row i maps each full-set
-point index to the linear index of its restriction to `admissible()[i]`,
-below k <= N, so uint16 holds it up to N = 2^16.  A subset outside the
-family gets its row built alone, uncached.  No record, table or memo is a
-dataclass field, so equality, hashing and fingerprints see only the frame
-and grids.
+admissible family and its read-only (m, T) boolean membership table; the
+loader bounds the family by the cap first.  Both pair tables are boolean
+matrix products over that table; packed rows and a byte trie serve only
+the lookup of a union's position.  A space keeps the axes, shape and point
+count of each subset it has been asked about, and builds from that table
+on first read one read-only (m, N) restriction table: row i maps each
+full-set point index to the linear index of its restriction to
+`admissible()[i]`, below k <= N, so uint16 holds it up to N = 2^16; a row
+outside the family is built alone, uncached.  No record, table or memo is a
+dataclass field: equality, hashing and fingerprints see only frame and grids.
 """
 
 from __future__ import annotations
@@ -108,21 +107,21 @@ class TimeFrame:
         object.__setattr__(self, "_positions", {t: i for i, t in enumerate(times)})
         object.__setattr__(self, "_ordered", {})
         object.__setattr__(self, "_pairs", None)
-        # the family in (size, position) order, its packed membership rows (a bit per time in frame
-        # order) and their byte trie, whose level j holds the sorted codes 256 * (code of a row's first
-        # j bytes) + byte j
+        # the family in (size, position) order, its membership table (a column per time in frame order) and,
+        # for `_find` alone, its packed rows and their byte trie: level j holds 256 * (code of j bytes) + byte j
         every = (frozenset(c) for r in range(len(times) + 1) for c in itertools.combinations(times, r))
         family = every if self.sigma0 is None else self.sigma0
         keyed = tuple(sorted(family, key=lambda s: (len(s), tuple(sorted(self.position(t) for t in s)))))
-        members = np.array([[t in s for t in times] for s in keyed], dtype=bool)
-        rows = np.packbits(members.reshape(len(keyed), len(times)), axis=1)
-        rows.setflags(write=False)
+        members = np.array([[t in s for t in times] for s in keyed], dtype=bool).reshape(len(keyed), len(times))
+        members.setflags(write=False)
+        rows = np.packbits(members, axis=1)
         code, levels = np.zeros(len(rows), dtype=np.int64), []
         for column in rows.T:
             prefixes, code = np.unique(code * 256 + column, return_inverse=True)
             levels.append(np.append(prefixes, np.iinfo(np.int64).max))  # a sentinel no code reaches
         object.__setattr__(self, "_admissible", keyed)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(keyed)})
+        object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_trie", (levels, np.append(np.argsort(code), len(rows))))
         if self.sigma0 is not None:
@@ -160,6 +159,10 @@ class TimeFrame:
         """The admissible family in a deterministic (size, position) order, built with the frame."""
         return self._admissible
 
+    def members(self) -> np.ndarray:
+        """The read-only (m, T) membership table: row i marks the times of `admissible()[i]`, in frame order."""
+        return self._members
+
     def _find(self, rows: np.ndarray) -> np.ndarray:
         """The position in `admissible()` of each packed membership row, len(admissible()) for one outside it."""
         levels, positions = self._trie
@@ -178,8 +181,8 @@ class TimeFrame:
         pair is measure-disjoint when it shares no time of positive weight.
         """
         if self._pairs is None:
-            rows, heavy = self._rows, np.packbits(np.array(self.weights) > 0.0)
-            first, second = np.nonzero(np.all((rows[:, None] & rows[None] & heavy) == 0, axis=2))
+            heavy, rows = self._members[:, np.array(self.weights) > 0.0], self._rows
+            first, second = np.nonzero(~(heavy @ heavy.T))
             pairs = np.column_stack((first, second, self._find(rows[first] | rows[second])))
             pairs.setflags(write=False)
             object.__setattr__(self, "_pairs", pairs)
@@ -188,14 +191,14 @@ class TimeFrame:
     def nested_pairs(self) -> np.ndarray:
         """(superset, subset) positions into `admissible()` of every pair whose subset
         is nonempty and proper, superset-major; built on each call, as one law reads it."""
-        rows = self._rows
-        big, small = np.nonzero(np.all((rows[None] & ~rows[:, None]) == 0, axis=2))
-        keep = (big != small) & rows[small].any(axis=1)
+        members = self._members
+        big, small = np.nonzero(~(~members @ members.T))
+        keep = (big != small) & members.any(axis=1)[small]
         return np.column_stack((big[keep], small[keep]))
 
     def null_subsets(self) -> np.ndarray:
         """Mask over `admissible()` of mu(subset) == 0.0: no time of positive weight, as in `disjoint_pairs`."""
-        return ~np.any(self._rows & np.packbits(np.array(self.weights) > 0.0), axis=1)
+        return ~self._members[:, np.array(self.weights) > 0.0].any(axis=1)
 
     def is_admissible(self, subset) -> bool:
         return _as_frozenset(subset) in self._index
@@ -378,8 +381,7 @@ class GridEvolutionSpace:
         row i holds, for each full-set point index, the linear index of its
         restriction to `frame.admissible()[i]`."""
         if self._table is None:
-            members = np.unpackbits(self.frame._rows, axis=1, count=len(self.grids)).view(bool)
-            object.__setattr__(self, "_table", self._restriction_rows(members))
+            object.__setattr__(self, "_table", self._restriction_rows(self.frame.members()))
         return self._table
 
     def restricted_index_array(self, subset) -> np.ndarray:
@@ -390,9 +392,7 @@ class GridEvolutionSpace:
         i = self.frame._index.get(s)
         if i is not None:
             return self.restriction_table()[i]
-        members = np.zeros((1, len(self.grids)), dtype=bool)
-        members[0, list(self.axes(s))] = True
-        return self._restriction_rows(members)[0]
+        return self._restriction_rows(np.isin(np.arange(len(self.grids)), self.axes(s))[None])[0]
 
     def _restriction_rows(self, members: np.ndarray) -> np.ndarray:
         """Read-only restriction rows of the subsets with boolean membership rows

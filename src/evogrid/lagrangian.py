@@ -174,7 +174,7 @@ def verify_lagrangian(lagrangian: Lagrangian) -> LagrangianReport:
         table = lagrangian.table(subset)
         columns.append(table.real[restricted].T)
         realness = max(realness, float(np.max(np.abs(table.imag), initial=0.0)))
-    member = np.unpackbits(frame._rows, axis=1, count=len(frame.times)).view(bool)
+    member = frame.members()
     # slot[i, p]: the stack row of subset i's time at frame position p, as the columns were stacked
     slot = np.cumsum(member).reshape(member.shape) - 1
     big, small = frame.nested_pairs().T

@@ -291,12 +291,15 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     # one action each for the three shared Lagrangian laws, one disjoint pair
     # table read by two pair walks (the cocycle law's, which group-law shares,
     # and action-additivity's), one nested pair table read by the restriction
-    # law, and one packing of the frame's membership rows for all of them
+    # law, and one packing of the frame's membership rows, for the union
+    # lookup; the restriction table and the law read the boolean table, so
+    # nothing unpacks those rows
     from evogrid import suites
 
-    packed = []
-    packbits = np.packbits
+    packed, unpacked = [], []
+    packbits, unpackbits = np.packbits, np.unpackbits
     monkeypatch.setattr(np, "packbits", lambda a, *args, **kw: packed.append(np.shape(a)) or packbits(a, *args, **kw))
+    monkeypatch.setattr(np, "unpackbits", lambda a, *a2, **kw: unpacked.append(np.shape(a)) or unpackbits(a, *a2, **kw))
     scn = _interval_scenario("ladder-5x2")
     calls = Counter()
 
@@ -328,6 +331,7 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     verify_lagrangian(scn.lagrangian)
     assert pulled == Counter(scn.frame.admissible())
     assert packed.count((32, 5)) == 1
+    assert (32, 1) not in unpacked
 
 
 def test_the_witness_reads_the_stack_the_unitary_laws_read(monkeypatch):

@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,9 @@ from evogrid import (
     pullback,
     pullback_rows,
 )
+from evobench.ladder import ladder_config
 from evogrid.rng import SplitMix64
+from evogrid.scenario import load_scenario, scenario_from_dict
 
 from conftest import FLIP
 
@@ -135,6 +140,52 @@ def test_listed_family_of_every_subset_is_the_all_family():
     assert listed.admissible() == every.admissible()
     assert np.array_equal(listed.disjoint_pairs(), every.disjoint_pairs())
     assert np.array_equal(listed.nested_pairs(), every.nested_pairs())
+
+
+def _nested_frames():
+    """Frames whose nested pairs the oracle checks: demo, rung 5x2, a listed
+    family that leaves a time out, and every closed family of `_closure_cases()`."""
+    frames = [
+        pytest.param(lambda: load_scenario("demo").frame, id="demo"),
+        pytest.param(lambda: scenario_from_dict(ladder_config(5, 2)).frame, id="ladder-5x2"),
+        pytest.param(lambda: TimeFrame(("1", "2", "3"), (1.0,) * 3, [set(), {"1"}, {"2"}, {"1", "2"}]), id="listed"),
+    ]
+    for k, (times, family) in enumerate(_closure_cases()):
+        if closure_by_pairs(family) is None:
+            build = partial(TimeFrame, times, (1.0,) * len(times), family)
+            frames.append(pytest.param(build, id=f"closed-{k}-over-{len(times)}"))
+    return frames
+
+
+@pytest.mark.parametrize("build", _nested_frames())
+def test_nested_pairs_match_the_subset_loop(build):
+    frame = build()
+    domain = frame.admissible()
+    expected = [(i, j) for i, big in enumerate(domain) for j, small in enumerate(domain) if small and small < big]
+    table = frame.nested_pairs()
+    assert table.shape == (len(expected), 2) and list(map(tuple, table.tolist())) == expected
+    # the membership table the pair tables are products of
+    members = frame.members()
+    assert members.shape == (len(domain), len(frame.times)) and members.dtype == bool
+    assert not members.flags.writeable
+    assert [frozenset(t for t, x in zip(frame.times, row) if x) for row in members] == list(domain)
+
+
+def test_pair_tables_trace_at_most_two_m_squared_bytes():
+    # the 12-time "all" frame, m = 4,096: each table beside its output holds
+    # at most two m x m boolean products, not an (m, m, ceil(T/8)) byte relation
+    times = tuple(str(i) for i in range(1, 13))
+    for name in ("disjoint_pairs", "nested_pairs"):
+        frame = TimeFrame(times, (0.5,) * 11 + (0.0,))
+        m = len(frame.admissible())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = getattr(frame, name)()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * m * m + table.nbytes, name
 
 
 def test_admissible_rejects_unknown_labels():
