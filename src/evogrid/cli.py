@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .dynamics import evolution_unitary
 from .errors import CapExceededError, ConfigError, DomainError, EvogridError
+from .floattext import FloatJoiner
 from .representation import DiagonalOperator
 from .scenario import BUILTIN_NAMES, builtin_scenario, canonical_json, load_scenario
 from .suites import SUITE_NAMES, run_suite
@@ -102,8 +102,6 @@ def _operator_payload(op) -> dict:
     return {"kind": "dense", "matrix": op.to_dense()}
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
 # floats formatted per chunk: the writer holds one chunk's text at a time
 _CHUNK_FLOATS = 1 << 14
 
@@ -111,16 +109,15 @@ _CHUNK_FLOATS = 1 << 14
 def _array_chunks(a: np.ndarray, level: int) -> Iterator[str]:
     """A complex array as `encode_matrix` nests it, in `_json_chunks`' layout.
 
-    The text between two consecutive floats depends only on how many
-    trailing axes of the float array wrap there: `seps[k]` for k axes, and
-    `seps[depth]` after the last float. A block is the leading-axis slices
-    that fit in `_CHUNK_FLOATS` floats; its separators are one periodic
-    table, built once. An array whose slice does not fit, or that holds no
-    float, is written as the list of its slices. Each float is formatted by
-    `float.__repr__`, as json does.
+    The text after a float depends only on how many trailing axes of the
+    float array wrap there: `seps[k]` for k axes, which is `seps[depth]`, the
+    closing brackets, after the last float.  Each chunk of `_CHUNK_FLOATS`
+    floats is formatted by one `floattext.FloatJoiner`, repr's text for each
+    float.  An array that holds no float is written as the list of its
+    slices.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
-    if a.size == 0 or 2 * a[0].size > _CHUNK_FLOATS:
+    if a.size == 0:
         yield from _json_chunks(list(a), level)
         return
     shape = a.shape + (2,)
@@ -129,28 +126,15 @@ def _array_chunks(a: np.ndarray, level: int) -> Iterator[str]:
     opens = ["".join("[" + pad[d + 1] for d in range(depth - k, depth)) for k in range(depth + 1)]
     closes = ["".join(pad[depth - 1 - j] + "]" for j in range(k)) for k in range(depth + 1)]
     seps = [closes[k] + "," + pad[depth - k] + opens[k] for k in range(depth)] + [closes[depth]]
-    table = []  # the separators within one leading-axis slice, then the one after it
-    for ax in reversed(range(1, depth)):
-        table = (table + [seps[depth - 1 - ax]]) * shape[ax]
-        table.pop()
-    table = (table + [seps[depth - 1]]) * min(shape[0], _CHUNK_FLOATS // math.prod(shape[1:]))
-    full = [None] * (2 * len(table))
-    full[1::2] = table
+    wraps = np.cumprod(shape[::-1])  # float counts of the trailing 1, 2, ..., depth axes
     flat = a.reshape(-1).view(np.float64)
+    join = FloatJoiner(seps)
     yield opens[depth]
-    for lo in range(0, flat.size, len(table)):
-        block = flat[lo : lo + len(table)]
-        texts = list(map(float.__repr__, block.tolist()))
-        if not np.isfinite(block).all():
-            texts = [_NON_FINITE.get(text, text) for text in texts]
-        parts = full
-        if len(texts) < len(table):
-            parts = [None] * (2 * len(texts))
-            parts[1::2] = table[: len(texts)]
-        parts[::2] = texts
-        if lo + len(texts) == flat.size:
-            parts[-1] = seps[depth]
-        yield "".join(parts)
+    for lo in range(0, flat.size, _CHUNK_FLOATS):
+        block = flat[lo : lo + _CHUNK_FLOATS]
+        after = np.arange(lo + 1, lo + 1 + block.size)
+        # a float's separator is the count of trailing axes that wrap after it
+        yield join(block, sum(after % w == 0 for w in wraps))
 
 
 def _json_chunks(obj, level: int = 0) -> Iterator[str]:

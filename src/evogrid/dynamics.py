@@ -80,15 +80,21 @@ def nan_max(*values: float) -> float:
     return worst
 
 
+def _chunk_rows(stack: np.ndarray) -> int:
+    """Stack rows per chunk: at most PAIR_ENTRIES entries, one row when a row is larger."""
+    return max(PAIR_ENTRIES // max(math.prod(stack.shape[1:]), 1), 1)
+
+
 def _pair_max(stack: np.ndarray, table: np.ndarray, law: Callable[..., np.ndarray]) -> float:
     """The largest modulus of law(stack[i], stack[j], ...) over the rows (i, j, ...) of `table`, 0.0 for none.
 
-    Pairs are read in chunks of at most PAIR_ENTRIES stack entries per
-    operand (one row's worth when a row is larger); a maximum does not
-    depend on the chunking, and a NaN reaches it through `nan_max`.
+    The table is read `_chunk_rows(stack)` rows at a time, so each operand
+    holds at most PAIR_ENTRIES stack entries (one row's worth when a row is
+    larger); a maximum does not depend on the chunking, and a NaN reaches it
+    through `nan_max`.
     """
     worst = 0.0
-    step = max(PAIR_ENTRIES // max(math.prod(stack.shape[1:]), 1), 1)
+    step = _chunk_rows(stack)
     for start in range(0, len(table), step):
         worst = nan_max(worst, float(np.max(np.abs(law(*stack[table[start : start + step].T])))))
     return worst
@@ -182,7 +188,7 @@ def validate_action_weight(weight: ActionWeight) -> ActionWeightReport:
     full-set point for every pair of the frame's `disjoint_pairs()`.
     """
     stack, frame = weight.stack, weight.space.frame
-    unimodular = float(np.max(np.abs(np.abs(stack) - 1.0), initial=0.0))
+    unimodular = _pair_max(stack, np.arange(len(stack))[:, None], lambda rows: np.abs(rows) - 1.0)
     null_subset = float(np.max(np.abs(stack[frame.null_subsets()] - 1.0), initial=0.0))
     pairs = frame.disjoint_pairs()
     cocycle = _pair_max(stack, pairs, lambda t1, t2, union: union - t1 * t2)

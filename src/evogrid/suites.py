@@ -110,7 +110,7 @@ from .algebra import (
     verify_automorphism,
 )
 # no check calls evolution_unitary; evobench/test_evobench.py reads this binding as its `from` import example
-from .dynamics import _pair_max, commutant_witness, evolution_unitary, nan_max, validate_action_weight  # noqa: F401
+from .dynamics import _chunk_rows, _pair_max, commutant_witness, evolution_unitary, nan_max, validate_action_weight  # noqa: F401
 from .errors import DomainError
 from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback_rows
 from .lagrangian import action_from_lagrangian, verify_lagrangian
@@ -688,19 +688,25 @@ def _check_weight_laws(scn: Scenario) -> list[tuple[str, str, float, float]]:
     # and `null-unitary` its null-subset law, as U_T - I has the diagonal u_T - 1
     report = validate_action_weight(scn.weight)
     u = scn.weight.stack
-    m, n = u.shape
-    stack = DiagonalOperator(u)
-    dev = (stack.adjoint() @ stack - identity_operator(m * n)).norm()
-    # the m - 1 neighbouring pairs (i, i + 1), one product of two stacks; not
-    # the stack against its own roll, whose operands share one trace, so a
+    m = len(u)
+    # both laws over row chunks of at most PAIR_ENTRIES stack entries, each
+    # chunk one diagonal operator. `commutation` takes the neighbouring pairs
+    # (i, i + 1) of the chunk's rows, one product of two stacks; not the
+    # stack against its own roll, whose operands share one trace, so a
     # product whose phase depends on its operands' traces would commute.
     # Judged at the dynamics tolerance, not `exact`: numpy's vectorized
     # complex multiply is not commutative in the last bit (with numpy 2.4.6
     # on an x86-64 Xeon, x*y != y*x for about 34,000 of 100,000 random
     # unimodular pairs, where Python's scalar multiply gives none), so
     # u @ v - v @ u reads up to 1.11e-16 on diagonals that commute exactly
-    v, w = DiagonalOperator(u[:-1]), DiagonalOperator(u[1:])
-    commutation = (v @ w - w @ v).norm()
+    dev = commutation = 0.0
+    step = _chunk_rows(u)
+    for lo in range(0, m, step):
+        block = DiagonalOperator(u[lo : lo + step])
+        dev = nan_max(dev, (block.adjoint() @ block - identity_operator(block.dimension)).norm())
+        hi = min(lo + step, m - 1)
+        v, w = DiagonalOperator(u[lo:hi]), DiagonalOperator(u[lo + 1 : hi + 1])
+        commutation = nan_max(commutation, (v @ w - w @ v).norm())
     laws = nan_max(report.unimodular, report.cocycle, report.null_subset)
     return [
         ("action-weight-laws", "D4.1", laws, scn.tolerances.dynamics),

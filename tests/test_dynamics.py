@@ -470,6 +470,29 @@ def test_pair_max_operands_hold_at_most_the_entry_budget():
     assert peak <= 3.5 * dynamics.PAIR_ENTRIES * stack.itemsize + 64 * 1024
 
 
+def test_weight_laws_hold_a_few_chunks_of_the_entry_budget(monkeypatch):
+    # rung 8x2 without a conjugator: m = N = 256, a 1 MiB stack, whose
+    # direct sums over the whole stack peaked at about seven stacks (7 MiB);
+    # at a 64 KiB budget every law holds a few chunks at a time
+    from evogrid import suites
+
+    cfg = ladder_config(8, 2)
+    del cfg["conjugator"]
+    scn = scenario_from_dict(cfg)
+    whole = [dev.hex() for _, _, dev, _ in suites._check_weight_laws(scn)]
+    monkeypatch.setattr(dynamics, "PAIR_ENTRIES", 1 << 12)
+    assert scn.weight.stack.size == 16 * dynamics.PAIR_ENTRIES
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        chunked = [dev.hex() for _, _, dev, _ in suites._check_weight_laws(scn)]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert chunked == whole
+    assert peak <= 8 * dynamics.PAIR_ENTRIES * scn.weight.stack.itemsize + 64 * 1024
+
+
 @pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-8x1", *CUT_FRAMES])
 def test_pair_laws_are_the_per_pair_arithmetic_bit_for_bit(source):
     from evogrid import suites
