@@ -125,8 +125,8 @@ class TimeFrame:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_trie", (levels, np.append(np.argsort(code), len(rows))))
         if self.sigma0 is not None:
-            for row in rows:  # one subset's unions with every subset at a time
-                if np.any(self._find(row | rows) == len(rows)):
+            for i, row in enumerate(rows):  # unions with every later subset: union is symmetric, row | row is row
+                if np.any(self._find(row | rows[i + 1 :]) == len(rows)):
                     raise StructureError("admissible family is not closed under unions")
 
     @property

@@ -24,8 +24,9 @@ stacks of sampled rows: `factorization` compares `integrate_rows` with
 `pullback_rows` of the same rows, and `embedding` and `embedding-measure`
 compare lifted rows and projections with integrals and measure diagonals.
 `spectral-sum` pins the gather to the explicit sum of value-scaled atoms,
-and `pushforward` and `matrix-elements` test it against an image table
-built from the full points' mixed-radix digits.
+read off the atom that holds each full point, and `pushforward` and
+`matrix-elements` test it against an image table built from the full
+points' mixed-radix digits.
 
 Conjugation acts on representations: `conjugate(W, rep)` is the
 representation f -> W* rep(f) W, unitarily equivalent to rep.  W is checked
@@ -107,10 +108,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frozen_vector(v) -> np.ndarray:
-    return _frozen(np.array(v, dtype=np.complex128, order="C").ravel())
-
-
 def check_unitary(u: np.ndarray) -> float:
     """Accept u when ||u u* - I||_2 <= 1e-10 and return ||u u* - I||_F."""
     tol = 1e-10
@@ -136,7 +133,15 @@ class DiagonalOperator:
     diag: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "diag", _frozen_vector(self.diag))
+        # a copy of the caller's array; a fresh result takes `_fresh` instead
+        object.__setattr__(self, "diag", _frozen(np.array(self.diag, dtype=np.complex128, order="C").ravel()))
+
+    @classmethod
+    def _fresh(cls, diag: np.ndarray) -> "DiagonalOperator":
+        """Wrap a complex128 vector that no caller holds, frozen in place, not copied."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "diag", _frozen(diag))
+        return op
 
     @property
     def dimension(self) -> int:
@@ -150,7 +155,7 @@ class DiagonalOperator:
         return float(np.max(np.abs(self.diag))) if self.diag.size else 0.0
 
     def adjoint(self) -> "DiagonalOperator":
-        return DiagonalOperator(np.conj(self.diag))
+        return DiagonalOperator._fresh(np.conj(self.diag))
 
     def entry(self, i: int, j: int) -> complex:
         return complex(self.diag[i]) if i == j else 0.0 + 0.0j
@@ -161,12 +166,12 @@ class DiagonalOperator:
     def __matmul__(self, other) -> "DiagonalOperator":
         if not isinstance(other, DiagonalOperator):
             return NotImplemented
-        return DiagonalOperator(self.diag * other.diag)
+        return DiagonalOperator._fresh(self.diag * other.diag)
 
     def __sub__(self, other) -> "DiagonalOperator":
         if not isinstance(other, DiagonalOperator):
             return NotImplemented
-        return DiagonalOperator(self.diag - other.diag)
+        return DiagonalOperator._fresh(self.diag - other.diag)
 
 
 @dataclass(frozen=True, eq=False)

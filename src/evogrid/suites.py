@@ -45,13 +45,16 @@ a `complex_matrix(S, npoints)` per subset.  `matrix-elements` parses each
 subset's words as Python ints: 20 samples of a count c, c members and a
 basis point x, each read as the diagonal entry (x, x).  Measures
 are read through two gathers, `diagonals` and `integrate_rows`, each
-through the subset's row of the space's restriction table: the atoms are
-the rows of one `diagonals(np.eye(k))` table, which give the ranks,
-`pvm-axioms`' pair laws over every pair of atoms (each column holds exactly
-one 1), and, cast to complex a row at a time, `spectral-sum`'s oracle with
-the bits of `atom(b).diag`; the empty and total sets are two rows of one
-gather.  A gather selects columns row by row, which keeps every other pair
-law, so `pvm-axioms` samples no pairs and reads no substream.
+through the subset's row of the space's restriction table.  One walk of
+the family judges `pvm-axioms`, `pushforward`, `pushforward-rank` and
+`spectral-sum` on each subset's atoms, the rows of one `diagonals(np.eye(k))`
+table: its row sums are the ranks, each column must hold exactly one 1
+(`pvm-axioms`' pair laws over every pair of atoms), and `spectral-sum`'s
+oracle takes each full point's value from the atom holding it, the bits of
+the ascending-b sum of value-scaled atoms, which a column in no atom or in
+several (a broken measure) takes itself.  The empty and total sets are two
+rows of one gather.  A gather selects columns row by row, which keeps every
+other pair law, so `pvm-axioms` samples no pairs and reads no substream.
 `index-roundtrip` compares every row of the table, and `pushforward` and
 `matrix-elements` the gathers, with an oracle image: `np.unravel_index`
 digits raveled again by `np.ravel_multi_index`, never reading the table.
@@ -402,41 +405,6 @@ def _check_index_roundtrip(scn: Scenario) -> list[tuple[str, str, float, float]]
 # -- spectral suite ---------------------------------------------------------
 
 
-def _check_pvm_axioms(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    dev = 0.0
-    for subset in scn.frame.admissible():
-        measure = scn.representation.spectral_measure(subset)
-        # the atoms as rows of one gather: |column sum - 1| is the entry
-        # deviation of sum_b E(b) = I and, where a sum passes 1, of
-        # E(b)E(b') = 0; a gather that selects columns row by row keeps the
-        # other pair laws
-        atoms = measure.diagonals(np.eye(measure.npoints, dtype=bool))
-        dev = nan_max(dev, _ends_defect(measure), float(np.max(np.abs(np.count_nonzero(atoms, axis=0) - 1))))
-    return [("pvm-axioms", "T3.1", dev, scn.tolerances.exact)]
-
-
-def _check_pushforward(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    space = scn.space
-    full_measure = scn.representation.spectral_measure()
-    subsets = _nonempty_subsets(scn)
-    dev = 0.0
-    rank_bad = 0
-    point_sets = _point_sets(scn, _labels("pushforward", subsets), subsets, EXHAUSTIVE_SETS, 256)
-    for subset, rows in zip(subsets, point_sets):
-        measure = pushforward(full_measure, subset)
-        k = measure.npoints
-        # oracle: read each preimage of V off the digit-built image table
-        image = _restriction_image(space, subset)
-        dev = nan_max(dev, float(np.max(measure.diagonals(rows) != rows[:, image])))
-        # the atoms are the rows of one gather; a rank is a row's count of ones
-        atoms = measure.diagonals(np.eye(k, dtype=bool))
-        rank_bad += int(np.count_nonzero(atoms.sum(axis=1) != space.dimension // k))
-    return [
-        ("pushforward", "T3.2", dev, scn.tolerances.exact),
-        ("pushforward-rank", "T3.2", float(rank_bad), 0.0),
-    ]
-
-
 def _sampled_rows(scn: Scenario, label: str, samples: int) -> Iterator[np.ndarray]:
     """Per admissible subset, in order, `samples` random functions over its
     points, one row each: its substream's `complex_matrix(samples, k)`, one
@@ -448,17 +416,40 @@ def _sampled_rows(scn: Scenario, label: str, samples: int) -> Iterator[np.ndarra
         yield from (rows.reshape(samples, -1) for rows in np.split(values, np.cumsum(part)[:-1] // 2))
 
 
-def _check_spectral_sum(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    dev = 0.0
-    for subset, values in zip(scn.frame.admissible(), _sampled_rows(scn, "spectral-sum", 5)):
-        measure = scn.representation.spectral_measure(subset)
-        # oracle: the value-scaled atoms summed in ascending b, on every row at once;
-        # each atom row is cast to complex as it is multiplied in, never the whole table
-        oracle = np.zeros((len(values), scn.space.dimension), dtype=np.complex128)
-        for b, atom in enumerate(measure.diagonals(np.eye(measure.npoints, dtype=bool))):
-            oracle += values[:, b, None] * atom
-        dev = nan_max(dev, float(np.max(np.abs(integrate_rows(measure, values) - oracle))))
-    return [("spectral-sum", "C3.7", dev, scn.tolerances.exact)]
+def _check_atoms(scn: Scenario) -> list[tuple[str, str, float, float]]:
+    space = scn.space
+    full_measure = scn.representation.spectral_measure()
+    subsets = scn.frame.admissible()
+    nonempty = _nonempty_subsets(scn)
+    point_sets = _point_sets(scn, _labels("pushforward", nonempty), nonempty, EXHAUSTIVE_SETS, 256)
+    pvm = push = spectral = 0.0
+    rank_bad = 0
+    for subset, values in zip(subsets, _sampled_rows(scn, "spectral-sum", 5)):
+        measure = pushforward(full_measure, subset)
+        k = measure.npoints
+        atoms = measure.diagonals(np.eye(k, dtype=bool))
+        # |column sum - 1| is the entry deviation of sum_b E(b) = I and, where
+        # a sum passes 1, of E(b)E(b') = 0
+        count = np.count_nonzero(atoms, axis=0)
+        pvm = nan_max(pvm, _ends_defect(measure), float(np.max(np.abs(count - 1))))
+        if subset:
+            # oracle: read each preimage of V off the digit-built image table
+            rows = next(point_sets)
+            push = nan_max(push, float(np.max(measure.diagonals(rows) != rows[:, _restriction_image(space, subset)])))
+            rank_bad += int(np.count_nonzero(atoms.sum(axis=1) != space.dimension // k))
+        # oracle: each full point's value from its one atom; a column in no
+        # atom or in several takes the value-scaled atoms summed from 0 in ascending b
+        oracle = values[:, np.argmax(atoms, axis=0)]
+        stray = np.flatnonzero(count != 1)
+        if len(stray):
+            oracle[:, stray] = sum(values[:, b, None] * atom for b, atom in enumerate(atoms[:, stray]))
+        spectral = nan_max(spectral, float(np.max(np.abs(integrate_rows(measure, values) - oracle))))
+    return [
+        ("pvm-axioms", "T3.1", pvm, scn.tolerances.exact),
+        ("pushforward", "T3.2", push, scn.tolerances.exact),
+        ("pushforward-rank", "T3.2", float(rank_bad), 0.0),
+        ("spectral-sum", "C3.7", spectral, scn.tolerances.exact),
+    ]
 
 
 def _check_factorization(scn: Scenario) -> list[tuple[str, str, float, float]]:
@@ -792,9 +783,7 @@ _SUITES: dict[str, list[Callable[[Scenario], list[tuple[str, str, float, float]]
         _check_index_roundtrip,
     ],
     "spectral": [
-        _check_pvm_axioms,
-        _check_pushforward,
-        _check_spectral_sum,
+        _check_atoms,
         _check_factorization,
         _check_diagonal_calculus,
         _check_injectivity,

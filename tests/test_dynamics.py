@@ -473,7 +473,8 @@ def test_pair_max_operands_hold_at_most_the_entry_budget():
 def test_weight_laws_hold_a_few_chunks_of_the_entry_budget(monkeypatch):
     # rung 8x2 without a conjugator: m = N = 256, a 1 MiB stack, whose
     # direct sums over the whole stack peaked at about seven stacks (7 MiB);
-    # at a 64 KiB budget every law holds a few chunks at a time
+    # at a 64 KiB budget every law holds a few chunks at a time, about six,
+    # as each diagonal product, difference and adjoint is wrapped uncopied
     from evogrid import suites
 
     cfg = ladder_config(8, 2)
@@ -490,7 +491,7 @@ def test_weight_laws_hold_a_few_chunks_of_the_entry_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert chunked == whole
-    assert peak <= 8 * dynamics.PAIR_ENTRIES * scn.weight.stack.itemsize + 64 * 1024
+    assert peak <= 6.5 * dynamics.PAIR_ENTRIES * scn.weight.stack.itemsize + 64 * 1024
 
 
 @pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-8x1", *CUT_FRAMES])

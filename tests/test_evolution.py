@@ -98,8 +98,9 @@ def closure_by_pairs(family) -> str | None:
 
 
 def _closure_cases():
-    """Listed families: the empty family, one subset, and over 3, 9 and 70 times
-    random generators, their union closure and that closure without one union."""
+    """Listed families: the empty family, one subset, over 3, 9 and 70 times
+    random generators, their union closure and that closure without one union,
+    and a family that misses only the union of its last two subsets."""
     rng = np.random.default_rng(11)
     cases = [(("1",), ()), (("1", "2"), (frozenset({"2"}),))]
     for count in (3, 9, 70):
@@ -112,6 +113,8 @@ def _closure_cases():
             unions = sorted((s for s in closed if s not in generators), key=sorted)
             cases += [(times, tuple(generators)), (times, tuple(closed))]
             cases += [(times, tuple(closed - {union})) for union in unions[:1]]
+    # the only missing union is of the last two rows in `admissible()` order, listed first
+    cases.append((("1", "2", "3"), (frozenset({"1", "3"}), frozenset({"1", "2"}), frozenset({"1"}))))
     return cases
 
 

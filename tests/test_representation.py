@@ -46,6 +46,14 @@ def test_diagonal_operator_basics():
     assert d.entry(0, 1) == 0.0
     assert np.array_equal((d @ d).diag, np.array([1.0, 4.0, -9.0 + 0.0j]))
     assert np.array_equal(d.adjoint().diag, np.conj(d.diag))
+    # the constructor copies a caller's array; a product, difference or
+    # adjoint wraps its fresh result without a second copy, frozen in place
+    entries = np.array([1.0, -2.0, 3.0j])
+    d = DiagonalOperator(entries)
+    assert not np.shares_memory(d.diag, entries) and not d.diag.flags.writeable
+    for result in (d @ d, d - d, d.adjoint()):
+        assert type(result) is DiagonalOperator and result.diag.dtype == np.complex128
+        assert not result.diag.flags.writeable and not np.shares_memory(result.diag, d.diag)
 
 
 @pytest.mark.parametrize("op", [lambda a, b: a @ b, lambda a, b: a - b], ids=["matmul", "sub"])

@@ -295,7 +295,7 @@ def test_sampled_point_sets_are_the_labeled_draws(monkeypatch):
         return iter(rows)
 
     monkeypatch.setattr(suites, "_point_sets", spy)
-    suites._check_pushforward(scn)
+    suites._check_atoms(scn)
     suites._check_injectivity(scn)
     for label, samples in expected.items():
         rng = SplitMix64(derive_seed(scn.seed, label))
@@ -973,13 +973,14 @@ def test_cli_spectral_and_lagrangian_report_bytes_are_pinned(tmp_path):
 # stdout of commands whose conjugated values round differently
 # under another BLAS thread count, and of the algebra suite on demo, whose
 # values are BLAS products and SVDs too, so each runs in a fresh one-thread process;
-# LADDER_2X8, LADDER_3X5, LADDER_3X8, LADDER_5X2 and LADDER_8X1 name the files
-# written from evobench's ladder rungs 2x8 (N = 64), 3x5 (N = 125), 3x8
-# (N = 512), 5x2 (N = 32, all suites: the benchmark's geometry-5x2 report)
-# and 8x1 (N = 1, 256 subsets and 8,748 disjoint pairs: the largest family pinned)
+# LADDER_2X8, LADDER_3X5, LADDER_3X8, LADDER_5X2, LADDER_8X1 and LADDER_4X3
+# name the files written from evobench's ladder rungs 2x8 (N = 64), 3x5
+# (N = 125), 3x8 (N = 512), 5x2 (N = 32, all suites: the benchmark's
+# geometry-5x2 report), 8x1 (N = 1, 256 subsets and 8,748 disjoint pairs:
+# the largest family pinned, and every subset has one atom) and 4x3 (N = 81)
 LADDERS = {"ladder-2x8.json": (2, 8), "ladder-3x5.json": (3, 5), "ladder-3x8.json": (3, 8), "ladder-5x2.json": (5, 2),
-           "ladder-8x1.json": (8, 1)}
-LADDER_2X8, LADDER_3X5, LADDER_3X8, LADDER_5X2, LADDER_8X1 = LADDERS
+           "ladder-8x1.json": (8, 1), "ladder-4x3.json": (4, 3)}
+LADDER_2X8, LADDER_3X5, LADDER_3X8, LADDER_5X2, LADDER_8X1, LADDER_4X3 = LADDERS
 CONJUGATED_OUTPUT_SHA256 = {
     ("verify", "demo", "--suite", "conjugation", "--suite", "dynamics"):
         "e73069444f316362fcd1aecc0305871cc12ae0f4fab3cbc35ffb01fcb665d2d3",
@@ -1003,6 +1004,10 @@ CONJUGATED_OUTPUT_SHA256 = {
         "ce5c465919b4e25cdfe991433cfe47ff8c909aea16dd25ce4adad0cc774b1a03",
     ("verify", LADDER_8X1, "--suite", "dynamics", "--suite", "lagrangian"):
         "c237ed1e85936cf254c45572896fabf4a1c31cba19dfe7133d586e619a52407c",
+    ("verify", LADDER_8X1):
+        "b4d6788a5f5cf642de86251d0415c23f7d8c6626b2c867ae3978871a9967ded7",
+    ("verify", LADDER_4X3):
+        "9d22b9f416eaa37d7471388d8d4f6bb38951b25418aa92f616edd59da535881b",
     # the one built-in report that forms the commutant witness, and so reads
     # dense conjugated operators built through a representation
     ("verify", "witness"):

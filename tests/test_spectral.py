@@ -10,6 +10,7 @@ a broken restriction table makes the deviations nonzero.
 """
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -54,6 +55,32 @@ def _parent_point_sets(scn, label, k, exhaustive, samples):
     return _bit_rows(np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
 
 
+def _atoms_one_by_one(measure):
+    """The atoms atom(b), then E({}) and E(points(T)), as complex diagonals: one projection each."""
+    return [measure.atom(b).diag for b in range(measure.npoints)], (measure.empty().diag, measure.total().diag)
+
+
+def _atoms_in_two_gathers(measure):
+    """The same diagonals as rows of two gathers, of the identity table and of
+    the (empty, total) pair, each row cast to complex: a fault that mixes the
+    rows of a gather shows here, and not in atom(b)."""
+    k = measure.npoints
+    atoms = measure.diagonals(np.eye(k, dtype=bool)).astype(np.complex128)
+    return list(atoms), tuple(measure.diagonals(np.array([[False], [True]]).repeat(k, axis=1)).astype(np.complex128))
+
+
+def _per_subset_pvm_axioms(scn, read=_atoms_one_by_one):
+    # E({}) = 0, E(points(T)) = I, E(b) E(b') = 0 for b != b' and sum_b E(b) = I, entry by entry
+    dev = 0.0
+    for subset in scn.frame.admissible():
+        atoms, (empty, total) = read(scn.representation.spectral_measure(subset))
+        ends = float(np.any(empty != 0.0) or np.any(total != 1.0))
+        overlap = max((float(np.max(np.abs(a * np.array(atoms[b + 1 :])))) for b, a in enumerate(atoms[:-1])),
+                      default=0.0)
+        dev = nan_max(dev, ends, overlap, float(np.max(np.abs(sum(atoms) - 1.0))))
+    return [("pvm-axioms", "T3.1", dev, scn.tolerances.exact)]
+
+
 def _per_subset_pushforward(scn):
     space = scn.space
     full_measure = scn.representation.spectral_measure()
@@ -83,21 +110,27 @@ def _per_subset_embedding_measure(scn):
     return [("embedding-measure", "C3.9", dev, scn.tolerances.exact)]
 
 
-def _per_sample_spectral_sum(scn):
+def _per_sample_spectral_sum(scn, read=_atoms_one_by_one):
     space = scn.space
     rep = scn.representation
     dev = 0.0
     for subset in scn.frame.admissible():
         rng = _rng(scn, f"spectral-sum-{sorted(map(str, subset))}")
         measure = rep.spectral_measure(subset)
+        atoms, _ = read(measure)
         for _ in range(5):
             f = space.random_function(subset, rng)
             got = integrate(f, measure).diag
             oracle = np.zeros(space.dimension, dtype=np.complex128)
             for b in range(measure.npoints):
-                oracle += f.values[b] * measure.atom(b).diag
+                oracle += f.values[b] * atoms[b]
             dev = nan_max(dev, float(np.max(np.abs(got - oracle))))
     return [("spectral-sum", "C3.7", dev, scn.tolerances.exact)]
+
+
+def _per_subset_atoms(scn, read=_atoms_one_by_one):
+    # the four records of the one atom pass, in report order
+    return _per_subset_pvm_axioms(scn, read) + _per_subset_pushforward(scn) + _per_sample_spectral_sum(scn, read)
 
 
 def _per_sample_factorization(scn):
@@ -199,9 +232,8 @@ def _per_sample_singletons(scn):
 
 
 ORACLES = {
-    suites._check_pushforward: _per_subset_pushforward,
+    suites._check_atoms: _per_subset_atoms,
     suites._check_embedding_measure: _per_subset_embedding_measure,
-    suites._check_spectral_sum: _per_sample_spectral_sum,
     suites._check_factorization: _per_sample_factorization,
     suites._check_injectivity: _per_sample_injectivity,
     suites._check_embedding: _per_sample_embedding,
@@ -400,8 +432,8 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
     # point sets of 16 subsets, demo of one), and no per-subset
     # `complex_matrix` or scalar draw; a check with nothing to sample reads
     # nothing, and matrix-elements reads up to 20 (k + 2) words per subset.
-    # pvm-axioms samples nothing: it judges every pair of atoms, so it reads
-    # no substream
+    # The atom pass reads spectral-sum's functions, then pushforward's point
+    # sets; its pvm-axioms samples nothing, as it judges every pair of atoms
     scn = SCENARIOS[source]()
     sizes = [scn.space.npoints(s) for s in scn.frame.admissible()]
     nonempty = [scn.space.npoints(s) for s in _nonempty_subsets(scn)]
@@ -415,12 +447,10 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
     monkeypatch.setattr(GridEvolutionSpace, "random_function", _counting(functions, GridEvolutionSpace.random_function))
     monkeypatch.setattr(PureRepresentation, "represent", _counting(represented, PureRepresentation.represent))
     expected = {
-        suites._check_spectral_sum: [[10 * k for k in sizes]],
+        suites._check_atoms: [[10 * k for k in sizes], _drawn_words(nonempty, 64, 256)],
         suites._check_factorization: [[50 * k for k in sizes]],
         suites._check_embedding: [[20 * k for k in sizes]],
         suites._check_conjugation_covariance: [[5 * (3 * k + 1) + 8 for k in sizes]],
-        suites._check_pvm_axioms: [],
-        suites._check_pushforward: [_drawn_words(nonempty, 64, 256)],
         suites._check_embedding_measure: [_drawn_words(nonempty, 64, 256)],
         # the full set's masks, then every subset's point sets
         suites._check_injectivity: [_drawn_words([n], 4096, 512), _drawn_words(nonempty, 1024, 512)],
@@ -700,16 +730,58 @@ def test_pvm_axioms_catch_a_gather_that_mixes_rows(source, monkeypatch):
     # the fault left to the pair laws by a gather that selects columns row by
     # row; at N = 1 (8x1) every subset has one atom, and the ends catch it
     scn = SCENARIOS[source]()
-    assert suites._check_pvm_axioms(scn)[0][2] == 0.0
+    assert suites._check_atoms(scn)[0][2] == 0.0
     monkeypatch.setattr(SpectralMeasure, "diagonals", _row_mixing(SpectralMeasure.diagonals))
-    assert suites._check_pvm_axioms(scn)[0][2] > scn.tolerances.exact
+    assert suites._check_atoms(scn)[0][2] > scn.tolerances.exact
+
+
+BROKEN_MEASURES = {
+    "row-mixing": _row_mixing(SpectralMeasure.diagonals),
+    "diagonals-ignore-last-point": last_point_ignored(SpectralMeasure.diagonals),
+}
+
+
+@pytest.mark.parametrize("source", MUTANT_SOURCES)
+@pytest.mark.parametrize("mutant", list(BROKEN_MEASURES))
+def test_atom_records_match_their_oracles_where_points_lie_in_no_atom_or_several(mutant, source, monkeypatch):
+    # a column of the atom table in no atom or in several takes the explicit
+    # ascending-b sum: all four records keep the oracles' bits.  A gather that
+    # mixes rows shows only to oracles that read the same gathers; one that
+    # drops a point also to atom(b)
+    scn = SCENARIOS[source]()
+    monkeypatch.setattr(SpectralMeasure, "diagonals", BROKEN_MEASURES[mutant])
+    got = suites._check_atoms(scn)
+    assert got[0][2] > scn.tolerances.exact  # some column is in no atom or in several
+    assert _records_as_bits(got) == _records_as_bits(_per_subset_atoms(scn, _atoms_in_two_gathers))
+    if mutant == "diagonals-ignore-last-point":
+        assert _records_as_bits(got) == _records_as_bits(_per_subset_atoms(scn))
 
 
 def test_spectral_report_lists_the_checks_timed_together():
     report = run_suite(load_scenario("demo"), ["spectral"])
     assert report.shared == (
-        ("pushforward", "pushforward-rank"),
+        ("pvm-axioms", "pushforward", "pushforward-rank", "spectral-sum"),
         ("injectivity-full", "injectivity-subsets"),
         ("embedding", "embedding-isometry"),
         ("singleton-rank", "singleton-conjugacy"),
     )
+
+
+def _is_identity(rows):
+    rows = np.asarray(rows)
+    return rows.ndim == 2 and rows.shape[0] == rows.shape[1] and np.array_equal(rows, np.eye(len(rows), dtype=bool))
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-8x1", "listed-3"])
+def test_each_atom_table_is_gathered_once_per_spectral_run(source, monkeypatch):
+    # one identity-table gather per admissible subset, read by pvm-axioms,
+    # pushforward-rank and spectral-sum, and the full measure's one in
+    # `singletons`; listed-3 leaves the full set out of its family
+    scn = SCENARIOS[source]()
+    seen = []
+    diagonals = SpectralMeasure.diagonals
+    monkeypatch.setattr(SpectralMeasure, "diagonals",
+                        lambda self, rows: seen.append((self.subset, _is_identity(rows))) or diagonals(self, rows))
+    run_suite(scn, ["spectral"])
+    gathered = Counter(subset for subset, identity in seen if identity)
+    assert gathered == Counter(scn.frame.admissible()) + Counter([scn.space.full])
