@@ -13,10 +13,11 @@ equal dimension and conjugate each block by a unitary.  They are stored that
 way: a permutation plus one unitary per source block.  A stack of m
 automorphisms with one permutation holds an (m, n_i, n_i) stack of unitaries
 per block; entry k of the stack axis, just before the matrix axes, is the
-k-th automorphism.  Haar automorphisms are drawn as such stacks
-(`WStarAlgebra._haar_blocks`): one complex_matrix draw of m rows, one
-phase-normalized QR per block (`rng.haar_qr`), the bits and stream end
-state of m `Automorphism.haar` calls, which is its one-entry case.  General linear maps on
+k-th automorphism, and `entries()` splits a checked stack into its m
+automorphisms without checking them again.  Haar automorphisms are drawn as
+such stacks (`WStarAlgebra._haar_blocks`): one complex_matrix draw of m
+rows, one phase-normalized QR per block (`rng.haar_qr`), the bits and stream
+end state of m `Automorphism.haar` calls, which is its one-entry case.  General linear maps on
 the algebra (convex mixtures, trace averaging) appear elsewhere as dense
 matrices acting on the coordinate vector; this module only needs them to
 expose `algebra` and `apply_blocks`.
@@ -297,6 +298,19 @@ class Automorphism:
         """Trivial permutation, independent Haar unitary on every block: the
         one-entry case of `WStarAlgebra._haar_blocks`."""
         return cls.conjugation(algebra, [u[0] for u in algebra._haar_blocks(rng, 1)])
+
+    def entries(self) -> tuple["Automorphism", ...]:
+        """The automorphisms of a stack, in order: entry k holds read-only views of
+        entry k of the unitary stacks and shares `perm`.  The stack checked every
+        entry when it was built, so no entry is checked again."""
+        out = []
+        for k in range(self.stack[0]):
+            alpha = object.__new__(Automorphism)
+            object.__setattr__(alpha, "algebra", self.algebra)
+            object.__setattr__(alpha, "unitaries", tuple(u[k] for u in self.unitaries))
+            object.__setattr__(alpha, "perm", self.perm)
+            out.append(alpha)
+        return tuple(out)
 
     def apply_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Images of stacked blocks (..., n_i, n_i): block i, conjugated by

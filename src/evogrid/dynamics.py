@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DataError, DomainError, StructureError
-from .evolution import GridEvolutionSpace, GridFunction
+from .evolution import GridEvolutionSpace, GridFunction, pullback_family
 from .representation import ConjugatedDiagonalOperator, Operator, PureRepresentation, _frozen, integrate
 from .rng import SplitMix64, derive_seed
 
@@ -123,50 +123,68 @@ def resolve_g(spec) -> Callable[[complex], float]:
     raise DomainError(f"cannot interpret post-map spec {spec!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ActionWeight:
-    """One unimodular function per admissible subset, stored extensionally."""
+    """One unimodular function per admissible subset, stored extensionally in one flat table.
+
+    `values` is a read-only flat family table (`GridEvolutionSpace.family_offsets`):
+    u_T for each T of `domain()` in turn, one complex value per point in
+    linear-index order, and `function(T)` wraps T's slice.  The constructor
+    takes one `GridFunction` per admissible subset, checks the family and
+    flattens them; `weight_from_lagrangian` hands over its table as it is.
+    Both reach one storage path that checks the values are finite.
+    """
 
     space: GridEvolutionSpace
-    functions: Mapping[frozenset, GridFunction]
+    values: np.ndarray
 
-    def __post_init__(self):
-        frame = self.space.frame
-        table = {frozenset(k): v for k, v in dict(self.functions).items()}
-        admissible = set(frame.admissible())
+    def __init__(self, space: GridEvolutionSpace, functions: Mapping[frozenset, GridFunction]):
+        frame = space.frame
+        table = {frozenset(k): v for k, v in dict(functions).items()}
         for subset, f in table.items():
-            if subset not in admissible:
+            if not frame.is_admissible(subset):
                 raise DomainError(f"weight defined on inadmissible subset {sorted(map(str, subset))}")
-            if f.space is not self.space or f.subset != subset:
+            if f.space is not space or f.subset != subset:
                 raise StructureError("weight function does not match its subset")
-        missing = admissible - set(table)
+        missing = set(frame.admissible()) - set(table)
         if missing:
             names = sorted(sorted(map(str, s)) for s in missing)
             raise StructureError(f"weight missing admissible subsets: {names}")
-        for subset, f in table.items():
-            if not np.isfinite(f.values).all():
-                raise DataError(f"weight on subset {sorted(map(str, subset))} has non-finite values")
-        object.__setattr__(self, "functions", table)
+        self._adopt(space, np.concatenate([np.empty(0, np.complex128), *(table[s].values for s in frame.admissible())]))
+
+    @classmethod
+    def _stored(cls, space: GridEvolutionSpace, values: np.ndarray) -> "ActionWeight":
+        """A weight over a flat family table of complex values that no caller holds, kept, not copied."""
+        weight = object.__new__(cls)
+        weight._adopt(space, values)
+        return weight
+
+    def _adopt(self, space: GridEvolutionSpace, values: np.ndarray) -> None:
+        """The one storage path: check the table is finite, naming the first subset
+        whose function is not, and keep it read-only."""
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            subset, _ = space.locate(bad[0])
+            raise DataError(f"weight on subset {sorted(map(str, subset))} has non-finite values")
+        values.setflags(write=False)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", values)
 
     def domain(self) -> tuple[frozenset, ...]:
         return self.space.frame.admissible()
 
     def function(self, subset) -> GridFunction:
-        key = frozenset(subset)
-        try:
-            return self.functions[key]
-        except KeyError:
-            raise DomainError(f"subset {sorted(map(str, key))} is not admissible") from None
+        i = self.space.frame.index(subset)  # raises DomainError off the admissible family
+        lo, hi = self.space.family_offsets()[i : i + 2]
+        return GridFunction(self.space, self.domain()[i], self.values[lo:hi])
 
     @cached_property
     def stack(self) -> np.ndarray:
-        """Read-only (m, N) diagonals of U_T, a row per subset of `domain()`, formed at first read: row T
-        is u_T, read through `function` and gathered through T's row of the space's `restriction_table()`
-        into zeros as `integrate_rows` does, with the bits of `evolution_unitary(self, T, rep).diag`."""
-        space, domain = self.space, self.domain()
-        stack = np.zeros((len(domain), space.dimension), dtype=np.complex128)
-        for row, subset, restricted in zip(stack, domain, space.restriction_table()):
-            row += self.function(subset).values[restricted]
+        """Read-only (m, N) diagonals of U_T, a row per subset of `domain()`, formed at first read:
+        `values` gathered through the restriction table by `pullback_family`, then added to
+        zeros as `integrate_rows` does, with the bits of `evolution_unitary(self, T, rep).diag`."""
+        stack = pullback_family(self.space, self.values)
+        stack += 0.0  # as a sum into zeros: -0.0 becomes +0.0
         return _frozen(stack)
 
 
@@ -197,9 +215,8 @@ def validate_action_weight(weight: ActionWeight) -> ActionWeightReport:
 
 def evolution_unitary(weight: ActionWeight, subset, rep: PureRepresentation) -> Operator:
     """Integrate the subset's weight function against its spectral measure."""
-    key = frozenset(subset)
-    f = weight.function(key)  # raises DomainError off the admissible family
-    return integrate(f, rep.spectral_measure(key))
+    f = weight.function(subset)  # raises DomainError off the admissible family
+    return integrate(f, rep.spectral_measure(f.subset))
 
 
 @dataclass(frozen=True, eq=False)

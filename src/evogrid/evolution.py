@@ -32,8 +32,14 @@ count of each subset it has been asked about, and builds from that table
 on first read one read-only (m, N) restriction table: row i maps each
 full-set point index to the linear index of its restriction to
 `admissible()[i]`, below k <= N, so uint16 holds it up to N = 2^16; a row
-outside the family is built alone, uncached.  No record, table or memo is a
-dataclass field: equality, hashing and fingerprints see only frame and grids.
+outside the family is built alone, uncached.  A flat family table holds one
+value per point of every admissible subset, the subsets in `admissible()`
+order and each one's points in linear order; the space builds its (m + 1,)
+`family_offsets()` once, `locate` names the subset and point of a flat
+index, and `pullback_family` reads such a table through the restriction
+table, a chunk of rows at a time, into the (m, N) stack of pulled-back
+rows.  No record, table or memo is a dataclass field: equality, hashing and
+fingerprints see only frame and grids.
 """
 
 from __future__ import annotations
@@ -56,11 +62,13 @@ __all__ = [
     "GridFunction",
     "pullback",
     "pullback_rows",
+    "pullback_family",
     "named_contraction",
     "contraction_norm_estimate",
 ]
 
 CONTRACTION_TOL = 1e-10  # slack allowed on the unit-ball membership check
+_GATHER_ENTRIES = 1 << 16  # flat indices each `pullback_family` chunk forms at most, 512 KiB of int64
 
 
 def _as_frozenset(subset) -> frozenset:
@@ -203,6 +211,14 @@ class TimeFrame:
     def is_admissible(self, subset) -> bool:
         return _as_frozenset(subset) in self._index
 
+    def index(self, subset) -> int:
+        """The position of `subset` in `admissible()`; DomainError for a subset outside the family."""
+        s = _as_frozenset(subset)
+        try:
+            return self._index[s]
+        except KeyError:
+            raise DomainError(f"subset {sorted(map(str, s))} is not admissible") from None
+
 
 @dataclass(frozen=True, eq=False)
 class GridPointMap:
@@ -333,6 +349,7 @@ class GridEvolutionSpace:
         object.__setattr__(self, "_full_shape", tuple(len(g) for g in aligned))
         object.__setattr__(self, "_geometries", {})
         object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_offsets", None)
 
     @property
     def full(self) -> frozenset:
@@ -383,6 +400,26 @@ class GridEvolutionSpace:
         if self._table is None:
             object.__setattr__(self, "_table", self._restriction_rows(self.frame.members()))
         return self._table
+
+    def family_offsets(self) -> np.ndarray:
+        """The read-only (m + 1,) offsets of a flat family table, built on first read:
+        the values of `frame.admissible()[i]`, one per point in linear-index order,
+        sit at [offsets[i], offsets[i + 1])."""
+        if self._offsets is None:
+            npoints = np.where(self.frame.members(), self._full_shape, 1).prod(axis=1)
+            offsets = np.concatenate(([0], np.cumsum(npoints)))
+            offsets.setflags(write=False)
+            object.__setattr__(self, "_offsets", offsets)
+        return self._offsets
+
+    def locate(self, at: int, offsets: np.ndarray | None = None) -> tuple[frozenset, int]:
+        """The admissible subset whose slice of a flat table holds flat index `at`, and
+        `at`'s place within that slice.  The slices are those of `family_offsets()`, or
+        of the given (m + 1,) `offsets` of another table with one slice per subset in
+        `admissible()` order."""
+        offsets = self.family_offsets() if offsets is None else offsets
+        i = int(np.searchsorted(offsets, at, side="right")) - 1
+        return self.frame.admissible()[i], int(at - offsets[i])
 
     def restricted_index_array(self, subset) -> np.ndarray:
         """For each full-set point index, the linear index of its restriction:
@@ -473,6 +510,23 @@ def pullback(f: GridFunction) -> GridFunction:
     the sup norm is preserved exactly.
     """
     return GridFunction(f.space, f.space.full, pullback_rows(f.space, f.subset, f.values[None])[0])
+
+
+def pullback_family(space: GridEvolutionSpace, values: np.ndarray) -> np.ndarray:
+    """Pull back a flat family table (`family_offsets`) to the (m, N) stack of its rows.
+
+    Row i holds the value of `frame.admissible()[i]` at the restriction of
+    each full-set point, read through its row of the restriction table and
+    copied bit for bit.  The rows are gathered in chunks whose flat indices
+    hold at most _GATHER_ENTRIES entries (one row's when a row is larger), so
+    no (m, N) index array sits beside the stack.
+    """
+    table, starts = space.restriction_table(), space.family_offsets()[:-1, None]
+    stack = np.empty(table.shape, dtype=values.dtype)
+    step = max(_GATHER_ENTRIES // max(space.dimension, 1), 1)
+    for lo in range(0, len(table), step):
+        np.take(values, starts[lo : lo + step] + table[lo : lo + step], out=stack[lo : lo + step])
+    return stack
 
 
 def pullback_rows(space: GridEvolutionSpace, subset, values: np.ndarray) -> np.ndarray:

@@ -16,23 +16,37 @@ times the subset measure.  All three statements are suite checks.
 `verify_lagrangian` measures the consistency law and judges nothing; the
 suites compare its deviations with the scenario's `tolerances`.
 
-A Lagrangian is stored extensionally, like an action weight: the
-constructor takes one complex (npoints(T), |T|) table per admissible T, one
-row per point in linear-index order and one column per time in frame order,
-checks that every admissible subset has a finite table of that shape, and
-keeps the tables read-only; every later consumer reads them.  Local
-Lagrangians, where L_{T, alpha}(t) depends only on (t, alpha_t), call their
-term once per grid entry and fill column t of each table by gathering those
-values with the digits of the subset's points from `np.unravel_index`, so
-they satisfy the consistency law by construction; explicit tables let tests
-build counterexamples and watch the verifier measure their deviations.  The
-empty subset has one point and a (1, 0) table.
+A Lagrangian is stored extensionally, like an action weight, in one
+read-only flat buffer of densities: for each admissible T in `admissible()`
+order, its complex (npoints(T), |T|) table in row-major order, one row per
+point in linear-index order and one column per time in frame order, so
+`table(T)` is a C-contiguous view.  The constructor takes one table per
+admissible T, checks that every admissible subset has a table of that shape
+and flattens them; local Lagrangians fill the buffer directly, and both
+reach one storage path that checks it is finite.  Local Lagrangians, where
+L_{T, alpha}(t) depends only on (t, alpha_t), call their term once per grid
+entry and write time t's values with one scatter into t's column of every
+subset holding it, by each point's digit along t's axis, the mixed-radix
+digit `np.unravel_index` gives, so they satisfy the consistency law by
+construction; explicit tables let tests build counterexamples and watch the
+verifier measure their deviations.  The empty subset has one point and a
+(1, 0) table.
+
+The actions of all admissible subsets are one flat family table
+(`GridEvolutionSpace.family_offsets`), `Lagrangian.actions`, formed at
+first read by one running sum over the times in frame order: time t adds
+weight(t) times its density to the action of every point of every subset
+holding t, which for each point is its subset's frame-ordered sum into
+zeros.
+`weight_from_lagrangian` exponentiates that table once, and the suites'
+action laws read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,52 +63,95 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+def _density_offsets(space: GridEvolutionSpace) -> np.ndarray:
+    """(m + 1,) offsets of each admissible subset's (npoints, |T|) table in a flat density buffer."""
+    extents = np.diff(space.family_offsets()) * space.frame.members().sum(axis=1)
+    return np.concatenate(([0], np.cumsum(extents)))
+
+
+def _time_columns(space: GridEvolutionSpace) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per time in frame order, over every point of every admissible subset holding it
+    (subsets in family order, points in linear order): the point's place in a flat
+    family table, the place of its density at that time in a flat density buffer,
+    and its digit along the time's axis, (index // place value) % size.  Each time's
+    arrays are formed from its per-subset values, repeated once per point."""
+    holds = np.ascontiguousarray(space.frame.members().T)  # [time, subset]
+    sizes = space.full_shape()
+    retained = np.where(holds, np.array(sizes)[:, None], 1)
+    starts = _density_offsets(space)[:-1] + np.cumsum(holds, axis=0) - 1  # where column t of T starts
+    place = np.cumprod(retained[::-1], axis=0)[::-1] // retained  # the retained sizes after each axis
+    points, widths = space.family_offsets(), holds.sum(axis=0)  # widths: |T|, each table's column count
+    npoints = np.diff(points)
+    for t, size in enumerate(sizes):
+        subset = np.flatnonzero(holds[t])
+        n = npoints[subset]
+        point = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        yield (
+            np.repeat(points[subset], n) + point,
+            np.repeat(starts[t, subset], n) + point * np.repeat(widths[subset], n),
+            point // np.repeat(place[t, subset], n) % size,
+        )
+
+
+def _require_finite_actions(space: GridEvolutionSpace, actions: np.ndarray, first: int = 0) -> None:
+    """DataError naming the first non-finite action of a family table's slice starting at `first`."""
+    bad = np.flatnonzero(~np.isfinite(actions))
+    if bad.size:
+        subset, point = space.locate(first + int(bad[0]))
+        labels = list(map(str, space.frame.ordered(subset)))
+        raise DataError(f"action is non-finite at point index {point} of subset {labels}")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Lagrangian:
-    """One density table per admissible subset, stored extensionally."""
+    """One density table per admissible subset, stored extensionally in one flat buffer (module docstring)."""
 
     space: GridEvolutionSpace
-    tables: Mapping[frozenset, np.ndarray]
+    densities: np.ndarray
 
-    def __post_init__(self):
-        frame = self.space.frame
-        given = {frozenset(k): v for k, v in dict(self.tables).items()}
+    def __init__(self, space: GridEvolutionSpace, tables: Mapping[frozenset, np.ndarray]):
+        frame = space.frame
+        given = {frozenset(k): v for k, v in dict(tables).items()}
         for subset in given:
             if not frame.is_admissible(subset):
                 raise DomainError(f"density table on inadmissible subset {sorted(map(str, subset))}")
-        tables = {}
+        flat = [np.empty(0, dtype=np.complex128)]
         for subset in frame.admissible():
             name = sorted(map(str, subset))
             if subset not in given:
                 raise StructureError(f"density table missing for admissible subset {name}")
-            table = np.array(given[subset], dtype=np.complex128)
-            expected = (self.space.npoints(subset), len(subset))
+            table = np.asarray(given[subset], dtype=np.complex128)
+            expected = (space.npoints(subset), len(subset))
             if table.shape != expected:
                 raise StructureError(f"density table of subset {name} has shape {table.shape}, expected {expected}")
-            if not np.all(np.isfinite(table)):
-                raise DataError(f"density table of subset {name} has non-finite values")
-            table.setflags(write=False)
-            tables[subset] = table
-        object.__setattr__(self, "tables", tables)
+            flat.append(table.ravel())
+        self._adopt(space, np.concatenate(flat))
+
+    def _adopt(self, space: GridEvolutionSpace, densities: np.ndarray) -> None:
+        """The one storage path: check the flat buffer is finite, naming the first subset
+        whose table is not, and keep it read-only."""
+        offsets = _density_offsets(space)
+        bad = np.flatnonzero(~np.isfinite(densities))
+        if bad.size:
+            subset, _ = space.locate(bad[0], offsets)
+            raise DataError(f"density table of subset {sorted(map(str, subset))} has non-finite values")
+        densities.setflags(write=False)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "densities", densities)
+        object.__setattr__(self, "_offsets", offsets.tolist())
 
     @classmethod
     def from_local(cls, space: GridEvolutionSpace, term: Callable) -> "Lagrangian":
         """Build from a per-time term(t, grid_index, grid_map) -> real, called once per grid entry."""
-        frame = space.frame
-        values = {
-            t: np.array([term(t, index, space.map_at(t, index)) for index in range(space.grid_size(t))],
-                        dtype=np.complex128)
-            for t in frame.times
-        }
-        tables = {}
-        for subset in frame.admissible():
-            labels = frame.ordered(subset)
-            table = tables[subset] = np.empty((space.npoints(subset), len(labels)), dtype=np.complex128)
-            # one digit array per time of the subset; the empty subset has no column
-            digits = np.unravel_index(np.arange(len(table)), space.shape(subset)) if labels else ()
-            for column, (t, digit) in enumerate(zip(labels, digits)):
-                table[:, column] = values[t][digit]
-        return cls(space, tables)
+        columns = _time_columns(space)
+        densities = np.empty(_density_offsets(space)[-1], dtype=np.complex128)
+        for t, (_, entries, digits) in zip(space.frame.times, columns):
+            values = np.array([term(t, index, space.map_at(t, index)) for index in range(space.grid_size(t))],
+                              dtype=np.complex128)
+            densities[entries] = values[digits]
+        lagrangian = object.__new__(cls)
+        lagrangian._adopt(space, densities)
+        return lagrangian
 
     @classmethod
     def from_table(cls, space: GridEvolutionSpace, table: Mapping) -> "Lagrangian":
@@ -112,41 +169,48 @@ class Lagrangian:
     def table(self, subset) -> np.ndarray:
         """Densities over `subset`: one row per point, one column per time in frame order."""
         key = frozenset(subset)
-        try:
-            return self.tables[key]
-        except KeyError:
-            raise DomainError(f"subset {sorted(map(str, key))} is not admissible") from None
+        i = self.space.frame.index(key)
+        return self.densities[self._offsets[i] : self._offsets[i + 1]].reshape(self.space.npoints(key), len(key))
+
+    @cached_property
+    def actions(self) -> np.ndarray:
+        """The read-only flat family table of actions (module docstring), formed at first
+        read: each time adds weight(t) * density into the points holding it, in frame
+        order, so a point's action is its subset's running sum into zeros bit for bit;
+        weight-zero times add exactly zero, as the float product 0.0 * x is exact.  A
+        non-finite action is left for its reader to report."""
+        space, real = self.space, self.densities.real
+        actions = np.zeros(space.family_offsets()[-1])
+        for weight, (points, entries, _) in zip(space.frame.weights, _time_columns(space)):
+            actions[points] += weight * real[entries]
+        actions.setflags(write=False)
+        return actions
 
 
 def action_from_lagrangian(lagrangian: Lagrangian, subset) -> GridFunction:
-    """S_T(alpha) = sum over t in T of weight(t) * L_{T, alpha}(t).
+    """S_T(alpha) = sum over t in T of weight(t) * L_{T, alpha}(t), T's slice of `Lagrangian.actions`.
 
-    Columns are added into zeros in frame order, bit for bit a running sum.
-    The empty subset gets the empty sum, identically zero; weight-zero times
-    contribute exactly zero because the float product 0.0 * x is exact.
+    The empty subset gets the empty sum, identically zero.  A non-finite
+    action raises DataError naming the subset and the first such point.
     """
     space = lagrangian.space
-    frame = space.frame
-    target = frozenset(subset)
-    densities = lagrangian.table(target).real
-    labels = frame.ordered(target)
-    values = np.zeros(space.npoints(target), dtype=np.float64)
-    for j, t in enumerate(labels):
-        values += frame.weight(t) * densities[:, j]
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise DataError(f"action is non-finite at point index {bad[0]} of subset {list(map(str, labels))}")
-    return GridFunction(space, target, values)
+    i = space.frame.index(subset)
+    lo, hi = space.family_offsets()[i : i + 2]
+    values = lagrangian.actions[lo:hi]
+    _require_finite_actions(space, values, lo)
+    return GridFunction(space, space.frame.admissible()[i], values)
 
 
 def weight_from_lagrangian(lagrangian: Lagrangian) -> ActionWeight:
-    """Exponentiate: u_T = exp(i S_T), one unimodular function per admissible subset."""
+    """Exponentiate: u_T = exp(i S_T) for every admissible subset, one `exp` of `Lagrangian.actions`.
+
+    A non-finite action raises DataError naming the first subset, in family
+    order, that has one, and its first such point.
+    """
     space = lagrangian.space
-    functions = {
-        subset: GridFunction(space, subset, np.exp(1j * action_from_lagrangian(lagrangian, subset).values))
-        for subset in space.frame.admissible()
-    }
-    return ActionWeight(space, functions)
+    actions = lagrangian.actions
+    _require_finite_actions(space, actions)
+    return ActionWeight._stored(space, np.exp(1j * actions))
 
 
 @dataclass(frozen=True)

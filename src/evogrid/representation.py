@@ -232,9 +232,19 @@ class ConjugatedDiagonalOperator:
         # W[:, :] is a view of W, so this is the product W* (d * W) itself
         return self.columns(slice(None))
 
-    def entry(self, i: int, j: int) -> complex | np.ndarray:
+    def entry(self, i, j) -> complex | np.ndarray:
+        """Entry (i, j), the sum over k of conj(W[k, i]) d_k W[k, j]: one complex, one per row
+        of a stack.  Equal-length index arrays i and j read one entry per pair, an array of
+        (pairs,) or (pairs, m), and scalar indices are the one-pair case.  The product is
+        formed from C-contiguous operands and summed over its contiguous last axis, so a
+        value's bits do not depend on the pairs read with it."""
         w = self.conjugator
-        return self._per_row(np.sum(np.conj(w[:, i]) * self.diag * w[:, j], axis=-1))
+        pairs_i, pairs_j = np.atleast_1d(i), np.atleast_1d(j)
+        axes = (slice(None),) + (None,) * (self.diag.ndim - 1)  # a stack axis before the sum's
+        left = np.conj(w[:, pairs_i].T, order="C")[axes]
+        right = np.ascontiguousarray(w[:, pairs_j].T)[axes]
+        values = np.sum(left * self.diag * right, axis=-1)
+        return values if np.ndim(i) else self._per_row(values[0])
 
     def trace(self) -> complex | np.ndarray:
         # trace is basis independent: sum_i d_i (W W*)_ii, from the representation's row Gram

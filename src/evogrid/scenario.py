@@ -252,10 +252,10 @@ def _build_grid(plan: tuple[str, object, int], algebra: WStarAlgebra, t: str) ->
     kind, spec, count = plan
     context = f"grids[{t!r}].{kind}"
     if kind == "haar":
-        # one draw for the grid: the stream and bits of `count` Automorphism.haar calls
-        draws = algebra._haar_blocks(SplitMix64(spec), count)
-        automorphisms = (Automorphism.conjugation(algebra, [u[k] for u in draws]) for k in range(count))
-        return tuple(map(GridPointMap.from_automorphism, automorphisms))
+        # one draw for the grid, the stream and bits of `count` Automorphism.haar calls,
+        # checked as one stack: each entry's unitarity defect has the bits of its own check
+        stack = Automorphism.conjugation(algebra, algebra._haar_blocks(SplitMix64(spec), count))
+        return tuple(map(GridPointMap.from_automorphism, stack.entries()))
     if kind == "named":
         with _as_config_error(context):
             return tuple(named_contraction(str(name), algebra) for name in spec)

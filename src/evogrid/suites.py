@@ -12,8 +12,9 @@ of the report body so that identical runs produce identical bytes.  A
 function that judges several checks is timed once and its time is split
 evenly among their records; the timings appendix lists those groups as
 `shared`.  The dynamics suite reads the weight's `stack` of unconjugated
-unitaries and the Lagrangian suite builds one of actions: (m, N) stacks
-with a row per admissible subset that several laws read.  The cocycle law
+unitaries and the Lagrangian suite pulls back the Lagrangian's table of
+actions, which built the weight at load: (m, N) stacks with a row per
+admissible subset that several laws read.  The cocycle law
 of `validate_action_weight`, which `group-law` reports, and
 `action-additivity` are one `_pair_max` each over that stack and the
 frame's `disjoint_pairs()`; `null-unitary` reports its null-subset law, and
@@ -69,7 +70,8 @@ pair over every subset, and tr P - rank P = sum_i d_i G_ii.  The bounds are
 exact functions of the computed G; they do not enclose the rounding made
 while forming G or a dense matrix (README, "Report format").
 `conjugation-covariance` compares sampled columns, read with `columns`,
-entries and traces of conjugated operators with W* (d * W e_j) formed from
+entries, read with one `entry` call on index arrays, and traces of
+conjugated operators with W* (d * W e_j) formed from
 the unconjugated diagonal d and the check's own W*.  Every subset's
 samples are read at once and their functions drawn by one `normals` call.
 A subset's five projections and five integrals are one stack d of ten
@@ -115,8 +117,8 @@ from .algebra import (
 # no check calls evolution_unitary; evobench/test_evobench.py reads this binding as its `from` import example
 from .dynamics import _chunk_rows, _pair_max, commutant_witness, evolution_unitary, nan_max, validate_action_weight  # noqa: F401
 from .errors import DomainError
-from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback_rows
-from .lagrangian import action_from_lagrangian, verify_lagrangian
+from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback_family, pullback_rows
+from .lagrangian import verify_lagrangian
 from .representation import (
     ConjugatedDiagonalOperator,
     DiagonalOperator,
@@ -649,7 +651,7 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
         # independent route: W* (d * W e_j) from the unconjugated diagonals,
         # all ten operators' columns in one product, as `columns` reads them
         route = conjugated_columns(w_star, w, d, cols)
-        entries = np.array([ops.entry(i, j) for i, j in zip(rows, cols)]).T
+        entries = ops.entry(rows, cols).T
         # the trace route sums in trace()'s order: two orders of a sum of N
         # terms of size |d| differ by an ulp of N |d|, above the tolerance
         # at the cap
@@ -737,27 +739,29 @@ def _check_lagrangian_consistency(scn: Scenario) -> list[tuple[str, str, float, 
 
 
 def _check_actions(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    # one action per admissible subset, built once and read by all three laws
+    # the Lagrangian's one table of actions, which built the weight at load, read by all three laws
     space = scn.space
     frame = scn.frame
     domain = frame.admissible()
-    actions = [action_from_lagrangian(scn.lagrangian, s) for s in domain]
-    pulled = np.array([a.values[restricted] for restricted, a in zip(space.restriction_table(), actions)])
+    actions = scn.lagrangian.actions
+    pulled = pullback_family(space, actions)
     additivity = _pair_max(pulled, frame.disjoint_pairs(), lambda t1, t2, union: union - t1 - t2)
     # a subset of k points is judged on its k^2 point pairs, or on
     # LIPSCHITZ_PAIRS pairs from its substream, its raw words mod k
     sampled = [s for s in domain if s and space.npoints(s) ** 2 > LIPSCHITZ_PAIRS]
     streams = _streams(scn, _labels("lipschitz", sampled), [2 * LIPSCHITZ_PAIRS] * len(sampled))
     lipschitz = 0.0
-    for subset, action in zip(domain, actions):
+    offsets = space.family_offsets().tolist()
+    for subset, lo, hi in zip(domain, offsets, offsets[1:]):
         if subset:
             densities = scn.lagrangian.table(subset).real
+            values = actions[lo:hi]
             k = len(densities)
             if k * k <= LIPSCHITZ_PAIRS:
                 left, right = np.divmod(np.arange(k * k), k)
             else:
                 left, right = (next(streams) % np.uint64(k)).reshape(-1, 2).T
-            gap = np.abs(action.values[left] - action.values[right])
+            gap = np.abs(values[left] - values[right])
             bound = np.max(np.abs(densities[left] - densities[right]), axis=1) * frame.mu(subset)
             lipschitz = nan_max(lipschitz, 0.0, float(np.max(gap - bound)))
     null = frame.null_subsets()

@@ -378,6 +378,42 @@ def test_the_stacked_unitarity_gate_decides_as_the_per_matrix_gate():
     )
 
 
+def test_a_checked_stack_splits_into_its_automorphisms_unchecked(monkeypatch):
+    draws = M223._haar_blocks(SplitMix64(3), 4)
+    stack = Automorphism.conjugation(M223, draws, perm=(1, 0, 2))
+    singles = [Automorphism.conjugation(M223, [u[k] for u in draws], perm=(1, 0, 2)) for k in range(4)]
+    checked = []
+    post_init = Automorphism.__post_init__
+    monkeypatch.setattr(Automorphism, "__post_init__", lambda self: checked.append(self) or post_init(self))
+    entries = stack.entries()
+    assert checked == [] and len(entries) == 4
+    x = M223.random_element(SplitMix64(4))
+    for alpha, single in zip(entries, singles):
+        assert alpha.stack == () and alpha.perm == (1, 0, 2) and alpha.algebra == M223
+        for u, v in zip(alpha.unitaries, single.unitaries):
+            assert u.tobytes() == v.tobytes() and u.flags.c_contiguous and not u.flags.writeable
+        for a, b in zip(alpha.apply(x).blocks, single.apply(x).blocks):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_a_haar_grid_is_checked_once_per_time(monkeypatch):
+    # rung 12x1 draws twelve haar grids of one map: one stacked check each,
+    # and the same maps, bit for bit, as one check per map
+    checked = []
+    post_init = Automorphism.__post_init__
+    monkeypatch.setattr(Automorphism, "__post_init__", lambda self: checked.append(self.stack) or post_init(self))
+    scn = scenario_from_dict(ladder_config(12, 1))
+    assert checked == [(1,)] * 12
+    five = scenario_from_dict(ladder_config(5, 2))
+    assert checked[12:] == [(2,)] * 5
+    for i, grid in enumerate(five.space.grids):
+        draws = five.algebra._haar_blocks(SplitMix64(100 + i + 1), 2)  # time label i + 1's grid seed
+        for k, grid_map in enumerate(grid):
+            for u, v in zip(grid_map.automorphism.unitaries, draws):
+                assert u.tobytes() == v[k].tobytes()
+    assert len(scn.space.grids) == 12
+
+
 def test_a_stack_of_automorphisms_acts_as_its_entries_bit_for_bit():
     rng = SplitMix64(31)
     alpha = Automorphism.conjugation(M223, M223._haar_blocks(rng, 4), perm=(1, 0, 2))

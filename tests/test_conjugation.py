@@ -25,7 +25,7 @@ from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import decode_matrix, encode_matrix
 from evogrid.suites import COVARIANCE_COLUMNS
 
-from conftest import integer, last_point_ignored, neighbouring_members, one_thread_env
+from conftest import conjugated_rep, integer, last_point_ignored, neighbouring_members, one_thread_env
 
 
 def _w_d_w_star_columns(self, cols):
@@ -51,10 +51,11 @@ def _reversed_stack(original):
 
 
 def _first_row_entry(original):
-    # every row of a stack reads the entry of its first row
+    # every row of a stack reads the entry of its first row, for each (i, j) pair;
+    # the stack's rows are the last axis of an entry
     def entry(self, i, j):
         values = original(self, i, j)
-        return np.full_like(values, values[0]) if self.diag.ndim == 2 else values
+        return np.broadcast_to(values[..., :1], values.shape).copy() if self.diag.ndim == 2 else values
 
     return entry
 
@@ -275,6 +276,36 @@ def _reported_covariance(source) -> tuple[str, str]:
     scn = _scenario(source)
     record = {r.check: r for r in run_suite(scn, ["conjugation"]).records}["conjugation-covariance"]
     return per_operator_covariance(scn).hex(), record.max_deviation.hex()
+
+
+@pytest.mark.parametrize("n", [1, 32, 125, 512])
+def test_entry_reads_index_arrays_with_the_bits_of_its_scalar_calls(n):
+    rep = conjugated_rep(SplitMix64(5).haar_unitary(n))
+    rng = SplitMix64(6)
+    stack = rng.complex_matrix(10, n)
+    rows, cols = rng.integers(n, COVARIANCE_COLUMNS).tolist(), rng.integers(n, COVARIANCE_COLUMNS).tolist()
+    w = rep.conjugator
+    for diag in (stack, stack[3]):
+        op = ConjugatedDiagonalOperator(rep, diag)
+        # the scalar formula of one entry, one (10, N) or (N,) product summed over its rows
+        formula = np.array([np.sum(np.conj(w[:, i]) * diag * w[:, j], axis=-1) for i, j in zip(rows, cols)])
+        scalar = np.array([op.entry(i, j) for i, j in zip(rows, cols)])
+        assert scalar.tobytes() == formula.tobytes()
+        for i, j in ((rows, cols), (np.array(rows), np.array(cols))):
+            pairs = op.entry(i, j)
+            assert pairs.shape == scalar.shape == (COVARIANCE_COLUMNS, *diag.shape[:-1])
+            assert pairs.tobytes() == scalar.tobytes()
+        # a value's bits do not depend on the pairs read with it
+        assert op.entry(rows[1:2], cols[1:2]).tobytes() == scalar[1:2].tobytes()
+
+
+def test_covariance_reads_each_subsets_entries_in_one_call(monkeypatch):
+    scn = load_scenario("demo")
+    calls = []
+    entry = ConjugatedDiagonalOperator.entry
+    monkeypatch.setattr(ConjugatedDiagonalOperator, "entry", lambda self, i, j: calls.append(len(i)) or entry(self, i, j))
+    suites._check_conjugation_covariance(scn)
+    assert calls == [COVARIANCE_COLUMNS] * len(scn.frame.admissible())
 
 
 COVARIANCE_SOURCES = ["demo", "witness", "ladder-5x2", "ladder-3x5", "ladder-4x3", "ladder-2x8", "ladder-3x8", "ladder-8x1"]

@@ -65,7 +65,7 @@ def test_resolve_g_forms():
 
 def test_weight_requires_every_admissible_subset(weighted_space):
     weight = make_weight(weighted_space)
-    partial = {s: f for s, f in weight.functions.items() if s != frozenset({"1"})}
+    partial = {s: weight.function(s) for s in weight.domain() if s != frozenset({"1"})}
     with pytest.raises(StructureError):
         ActionWeight(weighted_space, partial)
 
@@ -81,7 +81,7 @@ def test_weight_rejects_inadmissible_subsets(m2, flip):
     ident = GridPointMap.identity(m2)
     space = GridEvolutionSpace(frame, ((ident, GridPointMap.from_automorphism(flip)), (ident,)))
     weight = make_weight(space)
-    bad = dict(weight.functions)
+    bad = {s: weight.function(s) for s in weight.domain()}
     bad[frozenset({"2"})] = space.constant({"2"}, 1.0)
     with pytest.raises(DomainError):
         ActionWeight(space, bad)
@@ -104,7 +104,7 @@ def test_weight_from_lagrangian_satisfies_all_laws(weighted_space):
 
 def test_perturbed_cocycle_deviation_frozen(weighted_space):
     weight = make_weight(weighted_space)
-    tweaked = dict(weight.functions)
+    tweaked = {s: weight.function(s) for s in weight.domain()}
     sub = frozenset({"1"})
     values = weight.function(sub).values.copy()
     values *= np.exp(0.1j)
@@ -117,7 +117,7 @@ def test_perturbed_cocycle_deviation_frozen(weighted_space):
 
 def test_non_unimodular_weight_flagged(weighted_space):
     weight = make_weight(weighted_space)
-    tweaked = dict(weight.functions)
+    tweaked = {s: weight.function(s) for s in weight.domain()}
     sub = frozenset({"2"})
     tweaked[sub] = weighted_space.function(sub, weight.function(sub).values * 1.5)
     report = validate_action_weight(ActionWeight(weighted_space, tweaked))
@@ -153,15 +153,20 @@ def test_nan_max_lets_nan_through_and_is_max_otherwise():
         assert got == max(values) and math.copysign(1.0, got) == math.copysign(1.0, max(values))
 
 
+def write_last_value(weight, subset, value):
+    """Set the last value of `subset`'s function in the weight's flat table, after the
+    weight validated its values and before its stack is formed."""
+    values = weight.values.copy()
+    values[weight.space.family_offsets()[weight.space.frame.index(subset) + 1] - 1] = value
+    object.__setattr__(weight, "values", values)
+
+
 def test_validate_action_weight_reports_a_nan_that_is_not_first(weighted_space):
     # the table is edited after the weight validated its values; every law
     # reads the NaN through a running maximum that starts from a finite value
     weight = make_weight(weighted_space)
     subsets = weighted_space.frame.admissible()
-    last = subsets[-1]
-    values = weight.function(last).values.copy()
-    values[-1] = float("nan")
-    weight.functions[last] = weighted_space.function(last, values)
+    write_last_value(weight, subsets[-1], float("nan"))
     report = validate_action_weight(weight)
     assert math.isnan(report.unimodular)
     assert math.isnan(report.cocycle)
@@ -169,7 +174,7 @@ def test_validate_action_weight_reports_a_nan_that_is_not_first(weighted_space):
 
 def test_weight_rejects_non_finite_values(weighted_space):
     weight = make_weight(weighted_space)
-    tweaked = dict(weight.functions)
+    tweaked = {s: weight.function(s) for s in weight.domain()}
     sub = frozenset({"2"})
     values = weight.function(sub).values.copy()
     values[0] = complex(float("inf"), 0.0)
@@ -285,15 +290,18 @@ def test_disjoint_pairs_match_the_mu_loop(source, m2, flip):
 
 
 def test_each_family_is_built_once_per_suite_run(monkeypatch):
-    # rung 5x2 has 32 subsets: one weight read each, for the one stack of
+    # rung 5x2 has 32 subsets: no per-subset weight or action read and no
+    # evolution_unitary call, but one family gather each for the one stack of
     # unconjugated unitaries that the cocycle, the four unitary laws,
-    # conjugated-dynamics and null-action read, and no evolution_unitary call;
-    # one action each for the three shared Lagrangian laws, one disjoint pair
+    # conjugated-dynamics and null-action read, and for the one stack of the
+    # actions that load built for the weight, which the three shared
+    # Lagrangian laws read; one disjoint pair
     # table read by two pair walks (the cocycle law's, which group-law shares,
     # and action-additivity's), one nested pair table read by the restriction
     # law, and one packing of the frame's membership rows, for the union
     # lookup; the restriction table and the law read the boolean table, so
     # nothing unpacks those rows
+    from evogrid import lagrangian as lagrangian_module
     from evogrid import suites
 
     packed, unpacked = [], []
@@ -312,7 +320,8 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
 
     for module in (suites, dynamics):
         monkeypatch.setattr(module, "evolution_unitary", counted(evolution_unitary))
-    monkeypatch.setattr(suites, "action_from_lagrangian", counted(action_from_lagrangian))
+        monkeypatch.setattr(module, "pullback_family", counted(module.pullback_family))
+    monkeypatch.setattr(lagrangian_module, "action_from_lagrangian", counted(action_from_lagrangian))
     monkeypatch.setattr(ActionWeight, "function", counted(ActionWeight.function))
     tables = []
     original = TimeFrame.disjoint_pairs
@@ -321,7 +330,7 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     original_nested = TimeFrame.nested_pairs
     monkeypatch.setattr(TimeFrame, "nested_pairs", lambda self: nested.append(original_nested(self)) or nested[-1])
     run_suite(scn, ["dynamics", "lagrangian"])
-    assert calls == {"function": 32, "action_from_lagrangian": 32}
+    assert calls == {"pullback_family": 2}
     assert len(tables) == 2 and all(table is tables[0] for table in tables)
     assert len(nested) == 1
     # the restriction law pulls each density table once
@@ -348,7 +357,8 @@ def test_the_witness_reads_the_stack_the_unitary_laws_read(monkeypatch):
     assert records["commutant-witness"].passed and seen == [3]
     # read by the cocycle, the unitary laws, conjugated-dynamics and the witness
     assert len(reads) == 4 and all(read is reads[0] for read in reads)
-    assert functions == Counter(scn.frame.admissible())
+    # the stack is one gather of the weight's flat table: no function is read
+    assert functions == Counter()
 
 
 def per_operator_unitary_laws(scn) -> dict[str, float]:
@@ -571,10 +581,7 @@ def test_a_nan_in_one_weight_still_aborts_the_unitary_laws(row, monkeypatch):
     from evogrid import suites
 
     scn = load_scenario("demo")
-    subset = scn.frame.admissible()[row]
-    values = scn.weight.function(subset).values.copy()
-    values[-1] = float("nan")
-    scn.weight.functions[subset] = scn.space.function(subset, values)
+    write_last_value(scn.weight, scn.frame.admissible()[row], float("nan"))
     records = {check: dev for check, _, dev, _ in suites._check_weight_laws(scn) if check != "action-weight-laws"}
     assert {c for c, d in records.items() if math.isnan(d)} == {
         c for c, d in per_operator_unitary_laws(scn).items() if math.isnan(d)
@@ -788,16 +795,16 @@ def test_identity_conjugated_witness_scenario_fails_its_threshold(tmp_path):
 
 
 def _weight_times(factor, where):
-    # the weight's function on every subset where `where(frame, subset)` holds, times `factor`
-    original = ActionWeight.function
+    # the weight's function on every subset where `where(frame, subset)` holds, times `factor`:
+    # its row of the stack, which every dynamics law reads
+    original = ActionWeight.stack
 
-    def function(self, subset):
-        f = original(self, subset)
-        if not where(self.space.frame, f.subset):
-            return f
-        return f.space.function(f.subset, f.values * factor)
+    def stack(self):
+        frame = self.space.frame
+        rows = np.array([where(frame, s) for s in self.domain()], dtype=bool)
+        return np.where(rows[:, None], original.func(self) * factor, original.func(self))
 
-    return function
+    return property(stack)
 
 
 def _order_dependent_product(self, other):
@@ -816,17 +823,17 @@ def _demo():
 DYNAMICS_MUTANTS = {
     "weight-off-unit-circle": (
         _demo,
-        (ActionWeight, "function", _weight_times(1.5, lambda frame, s: True)),
+        (ActionWeight, "stack", _weight_times(1.5, lambda frame, s: True)),
         ("action-weight-laws", "unitary-evolution", "null-unitary", "group-law"),
     ),
     "phase-on-unions": (
         _demo,
-        (ActionWeight, "function", _weight_times(np.exp(0.1j), lambda frame, s: len(s) >= 2)),
+        (ActionWeight, "stack", _weight_times(np.exp(0.1j), lambda frame, s: len(s) >= 2)),
         ("action-weight-laws", "group-law"),
     ),
     "phase-on-null-subsets": (
         _demo,
-        (ActionWeight, "function", _weight_times(np.exp(0.1j), lambda frame, s: frame.mu(s) == 0.0)),
+        (ActionWeight, "stack", _weight_times(np.exp(0.1j), lambda frame, s: frame.mu(s) == 0.0)),
         ("action-weight-laws", "null-unitary"),
     ),
     "adjoint-without-conjugate": (

@@ -18,9 +18,11 @@ from evogrid import (
     linear_map_matrix,
     named_contraction,
     pullback,
+    pullback_family,
     pullback_rows,
 )
 from evobench.ladder import ladder_config
+from evogrid import evolution
 from evogrid.rng import SplitMix64
 from evogrid.scenario import load_scenario, scenario_from_dict
 
@@ -377,6 +379,32 @@ def test_pullback_agrees_with_pointwise_composition():
         f = space.random_function(subset, rng)
         lifted = pullback(f)
         assert np.array_equal(lifted.values, f.values[digit_image(space, subset)])
+
+
+@pytest.mark.parametrize("budget", [1, 7, 1 << 12, evolution._GATHER_ENTRIES])
+def test_pullback_family_gathers_each_row_in_bounded_chunks(budget, monkeypatch):
+    # rung 8x2 without a conjugator, m = N = 256: row i is subset i's slice
+    # of the flat table read through its restriction row, and each chunk's
+    # flat indices hold at most the budget (one row's N when a row is
+    # larger), so no (m, N) int64 index array sits beside the stack
+    cfg = ladder_config(8, 2)
+    del cfg["conjugator"]
+    space = scenario_from_dict(cfg).space
+    offsets, table = space.family_offsets(), space.restriction_table()
+    values = SplitMix64(3).complex_matrix(1, int(offsets[-1]))[0]
+    monkeypatch.setattr(evolution, "_GATHER_ENTRIES", budget)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stack = pullback_family(space, values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    expected = np.array([values[lo:hi][row] for lo, hi, row in zip(offsets, offsets[1:], table)])
+    assert stack.shape == (len(space.frame.admissible()), space.dimension)
+    assert stack.tobytes() == expected.tobytes()
+    # the stack, a chunk's int64 indices and the gather's complex buffer
+    assert peak <= stack.nbytes + max(budget, space.dimension) * (8 + 16) + 64 * 1024
 
 
 def test_pullback_rows_pull_back_each_row():

@@ -14,6 +14,7 @@ from evogrid import (
     StructureError,
     TimeFrame,
     action_from_lagrangian,
+    builtin_scenario,
     load_scenario,
     run_suite,
     scenario_from_dict,
@@ -21,7 +22,6 @@ from evogrid import (
     verify_lagrangian,
     weight_from_lagrangian,
 )
-from evogrid import suites
 
 from conftest import every_ordered_pair
 
@@ -223,6 +223,180 @@ def test_from_local_tables_match_the_per_point_oracle(source, monkeypatch):
         assert table.tobytes() == oracle[subset].tobytes()
 
 
+# -- the family builds against the per-subset bodies they replaced ----------------
+#
+# The oracles below are the per-subset bodies of `Lagrangian.from_local`,
+# `action_from_lagrangian`, `weight_from_lagrangian` and `ActionWeight.stack`
+# from before the family builds: one table, action, weight and stack row per
+# subset, in `admissible()` order.
+
+
+def oracle_tables(space, term):
+    """Per subset: columns gathered from the per-time term values by `np.unravel_index` digits."""
+    frame = space.frame
+    values = {
+        t: np.array([term(t, index, space.map_at(t, index)) for index in range(space.grid_size(t))],
+                    dtype=np.complex128)
+        for t in frame.times
+    }
+    tables = {}
+    for subset in frame.admissible():
+        labels = frame.ordered(subset)
+        table = tables[subset] = np.empty((space.npoints(subset), len(labels)), dtype=np.complex128)
+        digits = np.unravel_index(np.arange(len(table)), space.shape(subset)) if labels else ()
+        for column, (t, digit) in enumerate(zip(labels, digits)):
+            table[:, column] = values[t][digit]
+    return tables
+
+
+def oracle_density_error(tables):
+    """The parent constructor's message for the first subset whose table is not finite, or None."""
+    for subset, table in tables.items():
+        if not np.all(np.isfinite(table)):
+            return f"density table of subset {sorted(map(str, subset))} has non-finite values"
+    return None
+
+
+def oracle_action(space, table, subset):
+    """Columns added into zeros in frame order; DataError at the first non-finite point."""
+    frame = space.frame
+    densities = table.real
+    labels = frame.ordered(subset)
+    values = np.zeros(space.npoints(subset), dtype=np.float64)
+    for j, t in enumerate(labels):
+        values += frame.weight(t) * densities[:, j]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DataError(f"action is non-finite at point index {bad[0]} of subset {list(map(str, labels))}")
+    return values
+
+
+def oracle_stack(space, weights):
+    """Row T is u_T gathered through T's restriction row into zeros."""
+    domain = space.frame.admissible()
+    stack = np.zeros((len(domain), space.dimension), dtype=np.complex128)
+    for row, subset, restricted in zip(stack, domain, space.restriction_table()):
+        row += weights[subset][restricted]
+    return stack
+
+
+def _demo_with(sigma0):
+    cfg = builtin_scenario("demo")
+    cfg["time_frame"]["sigma0"] = sigma0
+    return cfg
+
+
+ORACLE_SOURCES = {
+    "demo": lambda: builtin_scenario("demo"),
+    "witness": lambda: builtin_scenario("witness"),
+    "ladder-5x2": lambda: ladder_config(5, 2),
+    "ladder-3x5": lambda: ladder_config(3, 5),
+    "ladder-8x1": lambda: ladder_config(8, 1),
+    "listed": lambda: _demo_with([["1", "2", "3"], [], ["3"], ["1"], ["1", "3"]]),
+    "no-subset": lambda: _demo_with([]),
+    "empty-subset": lambda: _demo_with([[]]),
+}
+
+
+def _recorded_load(cfg, monkeypatch):
+    """The scenario and the terms its loader handed to `Lagrangian.from_local`."""
+    terms = []
+    from_local = Lagrangian.from_local.__func__
+
+    def recording_from_local(cls, space, term):
+        terms.append(term)
+        return from_local(cls, space, term)
+
+    monkeypatch.setattr(Lagrangian, "from_local", classmethod(recording_from_local))
+    return scenario_from_dict(cfg), terms
+
+
+@pytest.mark.parametrize("source", list(ORACLE_SOURCES))
+def test_family_builds_match_the_per_subset_oracles_bit_for_bit(source, monkeypatch):
+    cfg = ORACLE_SOURCES[source]()
+    scn, terms = _recorded_load(cfg, monkeypatch)
+    space, domain = scn.space, scn.frame.admissible()
+    if scn.lagrangian is None:  # witness: the weight's functions come from the config
+        assert terms == []
+        weights = {
+            frozenset(entry["times"]): np.array([complex(*pair) for pair in entry["values"]])
+            for entry in cfg["dynamics"]["weights"]
+        }
+    else:
+        (term,) = terms
+        tables = oracle_tables(space, term)
+        actions = {s: oracle_action(space, tables[s], s) for s in domain}
+        weights = {s: np.exp(1j * actions[s]) for s in domain}
+        for subset in domain:
+            table = scn.lagrangian.table(subset)
+            assert table.shape == tables[subset].shape and table.flags.c_contiguous and not table.flags.writeable
+            assert table.tobytes() == tables[subset].tobytes()
+            assert action_from_lagrangian(scn.lagrangian, subset).values.tobytes() == actions[subset].tobytes()
+        if frozenset() in domain:
+            assert scn.lagrangian.table(frozenset()).shape == (1, 0)
+    for subset in domain:
+        assert scn.weight.function(subset).values.tobytes() == weights[subset].astype(np.complex128).tobytes()
+    stack = oracle_stack(space, weights)
+    assert scn.weight.stack.shape == stack.shape == (len(domain), space.dimension)
+    assert scn.weight.stack.tobytes() == stack.tobytes()
+
+
+def test_loading_calls_no_per_subset_action(monkeypatch):
+    from evogrid import lagrangian as lagrangian_module
+
+    calls = []
+    original = lagrangian_module.action_from_lagrangian
+    monkeypatch.setattr(lagrangian_module, "action_from_lagrangian", lambda *args: calls.append(args) or original(*args))
+    scn = scenario_from_dict(ladder_config(12, 1))
+    assert calls == [] and len(scn.frame.admissible()) == 4096
+    assert "actions" in vars(scn.lagrangian)  # formed once, for the weight, and kept for the action laws
+
+
+def _message(error, call):
+    with pytest.raises(error) as caught:
+        call()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("bad", [(("2", 1),), (("3", 0), ("1", 1)), (("1", 0), ("1", 1), ("2", 0))])
+def test_a_non_finite_density_names_the_parent_first_subset(weighted_space, bad):
+    values = {"1": [3.0, 5.0], "2": [-1.0, 4.0], "3": [0.5, 0.25]}
+    for t, index in bad:
+        values[t][index] = float("inf") if index else float("nan")
+    tables = oracle_tables(weighted_space, lambda t, index, _map: values[t][index])
+    expected = oracle_density_error(tables)
+    assert expected is not None
+    assert _message(DataError, lambda: Lagrangian.from_table(weighted_space, values)) == expected
+    assert _message(DataError, lambda: Lagrangian(weighted_space, tables)) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "values",
+    [
+        # time 2 alone overflows at its second point
+        {"1": [3.0, 5.0], "2": [-1.0, 1e308], "3": [0.5, 0.25]},
+        # every singleton is finite; {1, 2} overflows at its last point only
+        {"1": [3.0, 1.7e308], "2": [-1.0, 8e307], "3": [0.5, 0.25]},
+        {"1": [3.0, -1.7e308], "2": [-8e307, -1.0], "3": [0.5, 0.25]},
+    ],
+)
+def test_a_non_finite_action_names_the_parent_first_subset_and_point(weighted_space, values):
+    lag = Lagrangian.from_table(weighted_space, values)
+    tables = {s: lag.table(s) for s in weighted_space.frame.admissible()}
+    messages = []
+    for subset in weighted_space.frame.admissible():
+        try:
+            oracle_action(weighted_space, tables[subset], subset)
+        except DataError as exc:
+            messages.append(str(exc))
+            assert _message(DataError, lambda: action_from_lagrangian(lag, subset)) == messages[-1]
+        else:
+            action_from_lagrangian(lag, subset)
+    assert messages
+    assert _message(DataError, lambda: weight_from_lagrangian(lag)) == messages[0]
+
+
 def test_from_table_requires_full_rows(weighted_space):
     with pytest.raises(DomainError):
         Lagrangian.from_table(weighted_space, {"1": [1.0, 2.0], "2": [1.0, 2.0]})
@@ -276,7 +450,7 @@ def test_weight_from_lagrangian_shortcut(weighted_space):
     # one unimodular function per admissible subset, each over its own subset
     lag = table_lagrangian(weighted_space)
     weight = weight_from_lagrangian(lag)
-    assert set(weight.functions) == set(weighted_space.frame.admissible())
+    assert weight.domain() == weighted_space.frame.admissible()
     for subset in weighted_space.frame.admissible():
         f = weight.function(subset)
         assert f.space is weighted_space and f.subset == subset
@@ -286,61 +460,59 @@ def test_weight_from_lagrangian_shortcut(weighted_space):
 # -- the lagrangian checks against mutants ---------------------------------------
 #
 # Each row breaks one law the lagrangian checks claim, by a monkeypatch of the
-# library, and names the checks that must then report more than their tolerance.
+# library made before the scenario loads, and names the checks that must then
+# report more than their tolerance.
 
 
-def _table_plus(shift):
-    # every density table plus shift(subset)
-    original = Lagrangian.table
+def _local_plus(shift):
+    # every local Lagrangian's density tables plus shift(subset), stored through the table constructor
+    original = Lagrangian.from_local.__func__
 
-    def table(self, subset):
-        return original(self, subset) + shift(frozenset(subset))
+    def from_local(cls, space, term):
+        lagrangian = original(cls, space, term)
+        return cls(space, {s: lagrangian.table(s) + shift(s) for s in space.frame.admissible()})
 
-    return table
+    return classmethod(from_local)
 
 
-def _action_edited(edit):
-    # the suites' actions, each with its values passed through edit(values)
-    def action(lagrangian, subset):
-        f = action_from_lagrangian(lagrangian, subset)
-        return f.space.function(f.subset, edit(f.values))
-
-    return action
+def _actions_edited(edit):
+    # the Lagrangian's table of actions, which the weight and the action laws read, passed through edit(values)
+    original = Lagrangian.actions
+    return property(lambda self: edit(original.func(self)))
 
 
 def _null_weights_times(factor):
-    original = ActionWeight.function
+    # the weight's stack rows on weight-zero subsets, times factor
+    original = ActionWeight.stack
 
-    def function(self, subset):
-        f = original(self, subset)
-        if self.space.frame.mu(f.subset) != 0.0:
-            return f
-        return f.space.function(f.subset, f.values * factor)
+    def stack(self):
+        null = self.space.frame.null_subsets()[:, None]
+        return np.where(null, original.func(self) * factor, original.func(self))
 
-    return function
+    return property(stack)
 
 
 LAGRANGIAN_MUTANTS = {
     "density-counts-its-subset": (
-        (Lagrangian, "table", _table_plus(len)),
+        (Lagrangian, "from_local", _local_plus(len)),
         ("lagrangian-consistency", "action-additivity"),
     ),
-    "imaginary-density": ((Lagrangian, "table", _table_plus(lambda s: 0.25j)), ("lagrangian-consistency",)),
+    "imaginary-density": ((Lagrangian, "from_local", _local_plus(lambda s: 0.25j)), ("lagrangian-consistency",)),
     "action-plus-one": (
-        (suites, "action_from_lagrangian", _action_edited(lambda v: v + 1.0)),
+        (Lagrangian, "actions", _actions_edited(lambda v: v + 1.0)),
         ("action-additivity", "null-action"),
     ),
-    "action-doubled": ((suites, "action_from_lagrangian", _action_edited(lambda v: 2.0 * v)), ("action-lipschitz",)),
+    "action-doubled": ((Lagrangian, "actions", _actions_edited(lambda v: 2.0 * v)), ("action-lipschitz",)),
     "overlapping-pairs": ((TimeFrame, "disjoint_pairs", every_ordered_pair), ("action-additivity",)),
-    "phase-on-null-weights": ((ActionWeight, "function", _null_weights_times(np.exp(0.1j))), ("null-action",)),
+    "phase-on-null-weights": ((ActionWeight, "stack", _null_weights_times(np.exp(0.1j))), ("null-action",)),
 }
 
 
 @pytest.mark.parametrize("mutant", list(LAGRANGIAN_MUTANTS))
 def test_each_lagrangian_check_catches_its_mutant(mutant, monkeypatch):
     patch, caught = LAGRANGIAN_MUTANTS[mutant]
-    scn = load_scenario("demo")
     monkeypatch.setattr(*patch)
+    scn = load_scenario("demo")
     records = {r.check: r for r in run_suite(scn, ["lagrangian"]).records}
     for check in caught:
         assert records[check].max_deviation > records[check].tolerance, check

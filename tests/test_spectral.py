@@ -19,6 +19,7 @@ from evobench.ladder import ladder_config
 from evogrid import builtin_scenario, evolution, load_scenario, representation, run_suite, scenario_from_dict, suites
 from evogrid.dynamics import nan_max
 from evogrid.evolution import GridEvolutionSpace, GridFunction, pullback, pullback_rows
+from evogrid.lagrangian import Lagrangian, action_from_lagrangian
 from evogrid.representation import (
     PureRepresentation,
     SpectralMeasure,
@@ -534,7 +535,7 @@ def _per_subset_lipschitz(scn):
     for subset in frame.admissible():
         if subset:
             densities = scn.lagrangian.table(subset).real
-            values = suites.action_from_lagrangian(scn.lagrangian, subset).values
+            values = action_from_lagrangian(scn.lagrangian, subset).values
             k = len(densities)
             if k * k <= suites.LIPSCHITZ_PAIRS:
                 left, right = np.divmod(np.arange(k * k), k)
@@ -555,14 +556,18 @@ def test_covariance_and_lipschitz_records_do_not_depend_on_the_runs(rung, monkey
     # the Lipschitz excess a function of which pairs were drawn
     scn = load_scenario(rung) if rung == "demo" else scenario_from_dict(ladder_config(*map(int, rung.split("x"))))
     sampled = any(scn.space.npoints(s) ** 2 > suites.LIPSCHITZ_PAIRS for s in scn.frame.admissible())
-    action = suites.action_from_lagrangian
+    original = Lagrangian.actions
 
-    def stretched(lagrangian, subset):
-        f = action(lagrangian, subset)
-        k = len(f.values)
-        return f.space.function(f.subset, f.values * (2.0 + np.arange(k) / k)) if k * k > suites.LIPSCHITZ_PAIRS else f
+    def stretched(self):
+        actions = original.func(self).copy()
+        offsets = self.space.family_offsets().tolist()
+        for lo, hi in zip(offsets, offsets[1:]):
+            k = hi - lo
+            if k * k > suites.LIPSCHITZ_PAIRS:
+                actions[lo:hi] *= 2.0 + np.arange(k) / k
+        return actions
 
-    monkeypatch.setattr(suites, "action_from_lagrangian", stretched)
+    monkeypatch.setattr(Lagrangian, "actions", property(stretched))
     records = []
     for budget in (suites.READ_NORMALS, 100, 1):
         monkeypatch.setattr(suites, "READ_NORMALS", budget)
