@@ -117,10 +117,21 @@ class TimeFrame:
         object.__setattr__(self, "_pairs", None)
         # the family in (size, position) order, its membership table (a column per time in frame order) and,
         # for `_find` alone, its packed rows and their byte trie: level j holds 256 * (code of j bytes) + byte j
-        every = (frozenset(c) for r in range(len(times) + 1) for c in itertools.combinations(times, r))
-        family = every if self.sigma0 is None else self.sigma0
-        keyed = tuple(sorted(family, key=lambda s: (len(s), tuple(sorted(self.position(t) for t in s)))))
-        members = np.array([[t in s for t in times] for s in keyed], dtype=bool).reshape(len(keyed), len(times))
+        if self.sigma0 is None:
+            # combinations of the frame-ordered times come in (size, position) order, a size at a time
+            sizes = range(len(times) + 1)
+            keyed = tuple(frozenset(c) for r in sizes for c in itertools.combinations(times, r))
+            members = np.zeros((len(keyed), len(times)), dtype=bool)
+            start = 0
+            for r in sizes:
+                count = math.comb(len(times), r)
+                chosen = itertools.chain.from_iterable(itertools.combinations(range(len(times)), r))
+                columns = np.fromiter(chosen, dtype=np.intp, count=count * r).reshape(count, r)
+                members[np.arange(start, start + count)[:, None], columns] = True
+                start += count
+        else:
+            keyed = tuple(sorted(self.sigma0, key=lambda s: (len(s), tuple(sorted(self.position(t) for t in s)))))
+            members = np.array([[t in s for t in times] for s in keyed], dtype=bool).reshape(len(keyed), len(times))
         members.setflags(write=False)
         rows = np.packbits(members, axis=1)
         code, levels = np.zeros(len(rows), dtype=np.int64), []

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import partial
 
@@ -76,6 +77,19 @@ def test_admissible_family_defaults_to_all_subsets():
     assert fam[0] == frozenset()
     assert fam[-1] == frozenset({"1", "2"})
     assert frame.is_admissible({"2"})
+
+
+@pytest.mark.parametrize("times", [("b", "a"), ("3", "1", "2"), ("z", "b", "y", "a", "x", "c")])
+def test_all_subsets_come_in_size_then_frame_position_order(times):
+    # labels out of lexical order: the family is ordered by frame position
+    frame = TimeFrame(times, (1.0,) * len(times))
+    subsets = [frozenset(c) for r in range(len(times) + 1) for c in itertools.combinations(sorted(times), r)]
+    order = sorted(subsets, key=lambda s: (len(s), sorted(times.index(t) for t in s)))
+    assert frame.admissible() == tuple(order)
+    assert frame.members().tolist() == [[t in s for t in times] for s in order]
+    listed = TimeFrame(times, (1.0,) * len(times), sigma0=order[::-1])
+    assert listed.admissible() == frame.admissible()
+    assert np.array_equal(listed.members(), frame.members())
 
 
 def test_admissible_family_must_be_union_closed():

@@ -988,6 +988,9 @@ CONJUGATED_OUTPUT_SHA256 = {
         "98eededf26b34aff1b8c011983fe2421ce2f2b3b902f3c25217de4764195ed15",
     ("compute", LADDER_2X8, "--subsets", "1,2;1;-"):
         "70d1b8a55ece3e7f9b73ca3dc10f85a7633e84b3443789c5bf61879fadcf0094",
+    # the benchmark's compute workload: 524,288 floats, many chunks and passes
+    ("compute", LADDER_3X8, "--subsets", "1,2"):
+        "de5b87a4c407052aa022b2ffbd87d7b0b8a7d14618db89e0aba378980978f57c",
     ("verify", LADDER_3X5, "--suite", "conjugation", "--suite", "dynamics"):
         "f2645a95d1bf4941381e2428f62c8596569aa5eae619ebbef517360432e81a58",
     ("verify", LADDER_2X8):
