@@ -16,6 +16,7 @@ not finite.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from collections.abc import Iterable, Iterator
@@ -126,15 +127,23 @@ def _array_chunks(a: np.ndarray, level: int) -> Iterator[str]:
     opens = ["".join("[" + pad[d + 1] for d in range(depth - k, depth)) for k in range(depth + 1)]
     closes = ["".join(pad[depth - 1 - j] + "]" for j in range(k)) for k in range(depth + 1)]
     seps = [closes[k] + "," + pad[depth - k] + opens[k] for k in range(depth)] + [closes[depth]]
-    wraps = np.cumprod(shape[::-1])  # float counts of the trailing 1, 2, ..., depth axes
+    wraps = np.cumprod(shape[::-1]).tolist()  # float counts of the trailing 1, 2, ..., depth axes
     flat = a.reshape(-1).view(np.float64)
     join = FloatJoiner(seps)
+    # a float's separator is the count of trailing axes that wrap after it;
+    # chunks start at multiples of _CHUNK_FLOATS, so the wraps dividing it
+    # fall at the same places in every chunk, one table, and the others
+    # (every wrap after the first that does not divide) are added per chunk
+    periodic = [w for w in wraps if _CHUNK_FLOATS % w == 0]
+    after = np.arange(1, _CHUNK_FLOATS + 1)
+    table = sum((after % w == 0 for w in periodic), np.zeros(_CHUNK_FLOATS, dtype=np.intp))
     yield opens[depth]
     for lo in range(0, flat.size, _CHUNK_FLOATS):
         block = flat[lo : lo + _CHUNK_FLOATS]
-        after = np.arange(lo + 1, lo + 1 + block.size)
-        # a float's separator is the count of trailing axes that wrap after it
-        yield join(block, sum(after % w == 0 for w in wraps))
+        kinds = table[: block.size].copy()
+        for w in wraps[len(periodic) :]:
+            kinds[-(lo + 1) % w :: w] += 1
+        yield join(block, kinds)
 
 
 def _json_chunks(obj, level: int = 0) -> Iterator[str]:
@@ -175,7 +184,30 @@ def _cmd_verify(args) -> int:
     return 0 if report.overall_pass else 1
 
 
+# glibc's malloc starts serving blocks from the brk heap instead of their own
+# mappings once a mapped block is freed: it raises its mmap threshold to that
+# block's size (up to 32 MiB) and its trim threshold to twice that.  After the
+# first operator text of tens of MiB is freed, the next one grows on the heap,
+# which then holds its freed copies, and the process's peak RSS depends on
+# what else was allocated in between: 157-160 or about 182 MiB for the same
+# rung 3x8 compute run captured in memory.  Fixed thresholds keep every block
+# of 8 MiB or more in a mapping of its own, returned to the system when freed.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
+_MMAP_THRESHOLD = 8 << 20
+
+
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds; no-op without `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library by name
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def _cmd_compute(args) -> int:
+    _fix_malloc_thresholds()
     scenario = load_scenario(args.scenario, seed_override=args.seed)
     frame = scenario.frame
     rep = scenario.conjugated or scenario.representation

@@ -115,7 +115,9 @@ def _digit_text(digits: np.ndarray) -> np.ndarray:
     low = (digits - high * _E8).astype(np.uint32)
     top = (high // _E8).astype(np.uint32)
     high = (high - top * _E8).astype(np.uint32)
-    groups = np.stack([top, high // 10_000, high % 10_000, low // 10_000, low % 10_000], axis=1)
+    # x - (x // 10^4) 10^4, as numpy's fast path covers floor division, not %
+    upper, lower = high // 10_000, low // 10_000
+    groups = np.stack([top, upper, high - upper * 10_000, lower, low - lower * 10_000], axis=1)
     return _DIGITS4.take(groups).view(np.uint8)
 
 

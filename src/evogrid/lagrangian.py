@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .dynamics import ActionWeight, _pair_max
+from .dynamics import ActionWeight, _chunk_rows, _pair_max
 from .errors import DataError, DomainError, StructureError
 from .evolution import GridEvolutionSpace, GridFunction
 
@@ -222,27 +222,68 @@ class LagrangianReport:
     pairs: int
 
 
+def _restriction_range(lagrangian: Lagrangian) -> float:
+    """The largest range, max - min, of L_T(t)(x|T) over the admissible T holding t,
+    over every time t and full point x: `verify_lagrangian`'s certificate.
+
+    Per time, the subsets holding it are read in chunks of at most PAIR_ENTRIES
+    values, each row gathered from the flat density buffer through the subset's
+    row of the restriction table, and folded into a running max and min per full
+    point, so memory stays O(N) beside one chunk and time O(sum |T| N).
+    """
+    space = lagrangian.space
+    holds = space.frame.members().T  # [time, subset]
+    # where column t of each subset's table starts in the buffer, and each table's row width |T|
+    starts = _density_offsets(space)[:-1] + np.cumsum(holds, axis=0) - 1
+    widths = holds.sum(axis=0)
+    table, real = space.restriction_table(), lagrangian.densities.real
+    step = _chunk_rows(np.empty((0, space.dimension)))  # rows of N values
+    spread = 0.0
+    for t, holding in enumerate(holds):
+        subsets = np.flatnonzero(holding)
+        # a time no subset holds leaves -inf - inf, no range
+        high, low = np.full(space.dimension, -np.inf), np.full(space.dimension, np.inf)
+        for lo in range(0, len(subsets), step):
+            rows = subsets[lo : lo + step]
+            values = real[starts[t, rows, None] + table[rows] * widths[rows, None]]
+            np.maximum(high, values.max(axis=0), out=high)
+            np.minimum(low, values.min(axis=0), out=low)
+        spread = max(spread, float(np.max(high - low)))
+    return spread
+
+
 def verify_lagrangian(lagrangian: Lagrangian) -> LagrangianReport:
     """Measure restriction consistency and realness on every admissible subset.
 
-    Every pair T' < T of the frame's `nested_pairs()` is compared on every
-    full point: each table is pulled back once, a stack row per (subset,
+    The restriction law's maximum D is over every pair T' < T of the frame's
+    `nested_pairs()`, every time t of T' and every full point x, of
+    |L_T(t)(x|T) - L_T'(t)(x|T')|.  It is first bounded by a range certificate
+    (`_restriction_range`): R, the largest max - min of L_S(t)(x|S) over the
+    admissible S holding t, for fixed t and x.  D <= R, as both subsets of a
+    nested pair hold t.  R <= 2 D: for any two S1, S2 holding t, the family is
+    closed under unions, so S1 u S2 is admissible and nested over both (or
+    equal to one), and |L_S1 - L_S2| <= |L_S1 - L_S1uS2| + |L_S1uS2 - L_S2| <= 2 D.
+    So R is 0.0 exactly when D is, and then no pair is walked.  Otherwise the
+    exact walk runs: each table is pulled back once, a stack row per (subset,
     time) column, and one `_pair_max` reads (superset row, subset row) for
-    each time of T'.  Realness is the largest imaginary part in any table.
+    each time of T'.  The pair count is read off the boolean containment
+    product either way.  Realness is the largest imaginary part in any table.
     """
     space = lagrangian.space
     frame = space.frame
-    columns = [np.empty((0, space.dimension))]
-    realness = 0.0
-    for subset, restricted in zip(frame.admissible(), space.restriction_table()):
-        table = lagrangian.table(subset)
-        columns.append(table.real[restricted].T)
-        realness = max(realness, float(np.max(np.abs(table.imag), initial=0.0)))
     member = frame.members()
+    nonempty = member.any(axis=1)
+    # (superset, subset) with the subset nonempty: all but the pairs whose subset has a time outside the superset
+    pairs = int(np.count_nonzero(nonempty)) * (len(member) - 1) - int(np.count_nonzero(~member @ member[nonempty].T))
+    realness = float(np.max(np.abs(lagrangian.densities.imag), initial=0.0))
+    if _restriction_range(lagrangian) == 0.0:
+        return LagrangianReport(0.0, realness, pairs)
+    columns = [np.empty((0, space.dimension))]
+    for subset, restricted in zip(frame.admissible(), space.restriction_table()):
+        columns.append(lagrangian.table(subset).real[restricted].T)
     # slot[i, p]: the stack row of subset i's time at frame position p, as the columns were stacked
     slot = np.cumsum(member).reshape(member.shape) - 1
     big, small = frame.nested_pairs().T
     pair, time = np.nonzero(member[small])
     shared = np.column_stack((slot[big[pair], time], slot[small[pair], time]))
-    restriction = _pair_max(np.concatenate(columns), shared, np.subtract)
-    return LagrangianReport(restriction, realness, len(big))
+    return LagrangianReport(_pair_max(np.concatenate(columns), shared, np.subtract), realness, pairs)

@@ -52,7 +52,10 @@ The d of a conjugated operator may be an (m, N) stack of diagonals: m
 operators of one representation.  `columns` forms all m c of their
 columns in one W* product of width m c, which reads W* once instead of m
 times, and `entry` and `trace` return one value per row;
-`conjugated_columns` takes the same stacks, m = 0 included.  One diagonal
+`conjugated_columns` takes the same stacks, m = 0 included.  The columns
+of `columns` and `conjugated_columns`, and the pairs of `entry`, are one
+list for every row or an (m, c) array, a list per row, so rows of
+different subsets share one product.  One diagonal
 is the m = 1 case, and `to_dense` reads one operator only.  At
 one BLAS thread a product of width m c equals the m products of width c
 bit for bit (a test pins this at N = 12, 125 and 512), so a stacked read
@@ -216,12 +219,11 @@ class ConjugatedDiagonalOperator:
 
         A stack of m diagonals is read in one W* product of width m c, whose
         columns are row-major over (row, column); the result is (m, N, c),
-        and (N, c) for one diagonal.
+        and (N, c) for one diagonal.  `cols` is one list of c columns, or
+        for a stack an (m, c) array of them, one list per row.
         """
         n = self.dimension
-        w = self.conjugator[:, cols]
-        # C order, as BLAS may round a product in another layout differently
-        block = np.multiply(self.diag.reshape(-1, n).T[:, :, None], w[:, None, :], order="C")
+        block = _scaled_columns(self.conjugator, self.diag.reshape(-1, n), cols)
         product = self.representation.conjugator_adjoint @ block.reshape(n, -1)
         stack = product.reshape(block.shape).transpose(1, 0, 2)
         return stack if self.diag.ndim == 2 else stack[0]
@@ -235,15 +237,26 @@ class ConjugatedDiagonalOperator:
     def entry(self, i, j) -> complex | np.ndarray:
         """Entry (i, j), the sum over k of conj(W[k, i]) d_k W[k, j]: one complex, one per row
         of a stack.  Equal-length index arrays i and j read one entry per pair, an array of
-        (pairs,) or (pairs, m), and scalar indices are the one-pair case.  The product is
+        (pairs,) or (pairs, m), and scalar indices are the one-pair case; for a stack, (m,
+        pairs) index arrays read one pair list per row, an (m, pairs) array.  The product is
         formed from C-contiguous operands and summed over its contiguous last axis, so a
         value's bits do not depend on the pairs read with it."""
-        w = self.conjugator
+        columns = self.conjugator.T  # a gather of its rows is C-ordered
         pairs_i, pairs_j = np.atleast_1d(i), np.atleast_1d(j)
+        if pairs_i.ndim == 2:
+            # one (m, N) product per pair position, each row's pair against its
+            # own diagonal, formed in place: a (m, pairs, N) product would hold
+            # twice the memory for the same bits
+            values = np.empty(pairs_i.shape, dtype=np.complex128)
+            for q, (left, right) in enumerate(zip(pairs_i.T, pairs_j.T)):
+                terms = columns[left]
+                np.conj(terms, out=terms)
+                terms *= self.diag
+                terms *= columns[right]
+                values[:, q] = np.sum(terms, axis=-1)
+            return values
         axes = (slice(None),) + (None,) * (self.diag.ndim - 1)  # a stack axis before the sum's
-        left = np.conj(w[:, pairs_i].T, order="C")[axes]
-        right = np.ascontiguousarray(w[:, pairs_j].T)[axes]
-        values = np.sum(left * self.diag * right, axis=-1)
+        values = np.sum(np.conj(columns[pairs_i])[axes] * self.diag * columns[pairs_j][axes], axis=-1)
         return values if np.ndim(i) else self._per_row(values[0])
 
     def trace(self) -> complex | np.ndarray:
@@ -256,14 +269,28 @@ def conjugated_columns(adjoint: np.ndarray, conjugator: np.ndarray, diag: np.nda
 
     An (m, N) stack of diagonals is formed in one product of width m c, its
     column blocks side by side; the result is (m, N, c), (0, N, c) for an
-    empty stack, and (N, c) for one diagonal.
+    empty stack, and (N, c) for one diagonal.  `columns` is one list of c
+    columns, or for a stack an (m, c) array of them, one list per row.
     """
-    w = conjugator[:, columns]
-    rows = np.atleast_2d(diag)
-    # the reshape copies the (N, m, c) view into the C order BLAS gets from `columns`
-    block = (rows[:, :, None] * w).transpose(1, 0, 2).reshape(len(w), -1)
-    stack = (adjoint @ block).reshape(len(w), len(rows), w.shape[1]).transpose(1, 0, 2)
+    block = _scaled_columns(conjugator, np.atleast_2d(diag), columns)
+    stack = (adjoint @ block.reshape(len(block), -1)).reshape(block.shape).transpose(1, 0, 2)
     return stack if np.ndim(diag) == 2 else stack[0]
+
+
+def _scaled_columns(conjugator: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
+    """The (N, m, c) block of d_r * W[:, cols] for an (m, N) stack of diagonals d_r, whose
+    reshape to (N, m c) is the right operand of both column products.
+
+    `cols` is one list of c columns, or an (m, c) array of them, one list per row.  The
+    columns are gathered into a fresh C-ordered block, as BLAS may round a product in
+    another layout differently, and scaled there in place, d before W as the per-column
+    product d * W[:, j] takes them: numpy's complex multiply is not commutative in the
+    last bit.
+    """
+    block = conjugator[:, cols]
+    if block.ndim == 2:
+        block = np.repeat(block[:, None, :], len(rows), axis=1)
+    return np.multiply(rows.T[:, :, None], block, out=block)
 
 
 def _member_row(npoints: int, members: Iterable) -> np.ndarray:

@@ -70,16 +70,22 @@ pair over every subset, and tr P - rank P = sum_i d_i G_ii.  The bounds are
 exact functions of the computed G; they do not enclose the rounding made
 while forming G or a dense matrix (README, "Report format").
 `conjugation-covariance` compares sampled columns, read with `columns`,
-entries, read with one `entry` call on index arrays, and traces of
-conjugated operators with W* (d * W e_j) formed from
-the unconjugated diagonal d and the check's own W*.  Every subset's
-samples are read at once and their functions drawn by one `normals` call.
-A subset's five projections and five integrals are one stack d of ten
-diagonals, from one `integrate_rows` gather through the plain measure, and
-the conjugated operators are that d wrapped in the conjugated
+entries, read with `entry` on index arrays, and traces of conjugated
+operators with W* (d * W e_j) formed from the unconjugated diagonal d and
+the check's own W*.  Every subset's samples are read at once, parsed one
+sample row at a time across all subsets with array operations, and their
+functions drawn by one `normals` call.  A subset's five projections and
+five integrals are ten diagonals, gathered for a chunk of subsets in one
+take through their rows of the restriction table, added into zeros as
+`integrate_rows` adds its gather through the plain measure; the
+conjugated operators are that (10 c, N) stack wrapped in the conjugated
 representation, which holds the W* and row Gram they read: the conjugated
 measure's gather never reads the representation, so it would give the
-same bits.  Each side reads their columns in one W* product of width 40.
+same bits.  Each stack row reads its subset's columns and entries, so each
+side reads the chunk's columns in one W* product of width 40 c.  A chunk
+holds the subsets whose diagonals fit in PAIR_ENTRIES entries, at least
+one: the whole family up to 10 m N <= 2^16 (every benchmark workload, and
+12 one-point times), one subset at N = 4,096.
 `conjugated-dynamics` is the same covariance for the evolution unitaries:
 the weight's stack, a row per subset, wrapped the same way and read
 on a fixed spread of four columns in one W* product of width 4m, against
@@ -609,6 +615,11 @@ def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
     return [("conjugated-pvm", "P3.4", dev, scn.tolerances.conjugated)]
 
 
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions starts[i] + j for j < lengths[i], i ascending, in one array."""
+    return np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(np.sum(lengths))
+
+
 def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
     n = space.dimension
@@ -619,46 +630,65 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
     w_star = w.conj().T
     row_gram = _row_gram(w)
     subsets = scn.frame.admissible()
-    sizes = [space.npoints(s) for s in subsets]
+    offsets = space.family_offsets()
+    first, k = offsets[:-1], np.diff(offsets)
+    m, points = len(k), int(offsets[-1])
     # a subset's substream holds five (point set, function) samples, each a
     # count c, c members and the function's 2k words, then the columns and
-    # the rows: every substream is read at c = k (`_streams`)
-    reads = [5 * (3 * k + 1) + 2 * COVARIANCE_COLUMNS for k in sizes]
-    # a subset's samples are alternating rows of one value block: the
-    # projection's 0/1 row, then the function's values, which one `normals`
-    # call draws for every subset from the word slices collected as theirs
-    blocks, picks, drawn = [], [], [np.empty(0, np.uint64)]
-    for k, words in zip(sizes, _streams(scn, _labels("covariance", subsets), reads)):
-        values = np.zeros((10, k), dtype=np.complex128)
-        at = 0
-        for row in range(0, 10, 2):
-            count = int(words[at]) % k + 1
-            values[row, words[at + 1 : at + 1 + count] % np.uint64(k)] = 1.0
-            at += 1 + count + 2 * k
-            drawn.append(words[at - 2 * k : at])
-        blocks.append(values)
-        picks.append((words[at : at + 2 * COVARIANCE_COLUMNS] % np.uint64(n)).tolist())
-    functions = np.empty(5 * sum(sizes), dtype=np.complex128)
-    normals(np.concatenate(drawn), functions)
+    # the rows: every substream is read at c = k, all as one flat array
+    reads = 5 * (3 * k + 1) + 2 * COVARIANCE_COLUMNS
+    words = np.concatenate([run for run, _ in _reads(scn, _labels("covariance", subsets), reads.tolist())])
+    at = np.cumsum(reads) - reads  # every subset's next word
+    # the samples are alternating rows of one (10, points) block over the
+    # flat family table: the projection's 0/1 row, then the function's
+    # values, which one `normals` call draws from the words of every
+    # subset's functions, subset by subset
+    values = np.zeros((10, points), dtype=np.complex128)
+    drawn, k_words = [], k.astype(np.uint64)
+    for row in range(0, 10, 2):
+        count = (words[at] % k_words).astype(np.int64) + 1
+        members = words[_ragged(at + 1, count)] % np.repeat(k_words, count)
+        values[row, np.repeat(first, count) + members.astype(np.int64)] = 1.0
+        at = at + 1 + count + 2 * k
+        drawn.append(at - 2 * k)
+    functions = np.empty(5 * points, dtype=np.complex128)
+    normals(words[_ragged(np.column_stack(drawn).ravel(), np.repeat(2 * k, 5))], functions)
+    owner = np.repeat(np.arange(m), k)
+    # a subset's functions are its five rows of k values, at 5 first + r k
+    values[1::2] = functions[np.arange(points) + 4 * first[owner] + np.arange(5)[:, None] * k[owner]]
+    picks = (words[at[:, None] + np.arange(2 * COVARIANCE_COLUMNS)] % np.uint64(n)).astype(np.intp)
+    flat, table = values.ravel(), space.restriction_table()
     dev = 0.0
-    for subset, values, sampled, pick in zip(subsets, blocks, np.split(functions, 5 * np.cumsum(sizes)[:-1]), picks):
-        values[1::2] = sampled.reshape(5, -1)
-        cols, rows = pick[:COVARIANCE_COLUMNS], pick[COVARIANCE_COLUMNS:]
-        plain = scn.representation.spectral_measure(subset)
-        # one gather: the conjugated measure's diagonals are the plain ones
-        d = integrate_rows(plain, values)
+    # chunks of subsets whose ten diagonals hold at most PAIR_ENTRIES entries
+    step = _chunk_rows(np.empty((0, 10, n)))
+    for lo in range(0, m, step):
+        # the chunk's ten diagonals per subset, one gather through each
+        # subset's restriction row added into zeros, as `integrate_rows`
+        # gathers them through the plain measure: the conjugated measure's
+        # gather never reads the representation, so it would give the same bits
+        gather = (first[lo : lo + step, None] + table[lo : lo + step])[:, None, :] + points * np.arange(10)[:, None]
+        d = np.zeros(gather.shape, dtype=np.complex128)
+        d += np.take(flat, gather)
+        d = d.reshape(-1, n)
+        # each subset's columns and rows, for each of its ten rows
+        cols, rows = np.split(np.repeat(picks[lo : lo + step], 10, axis=0), 2, axis=1)
         ops = ConjugatedDiagonalOperator(rep, d)
         # independent route: W* (d * W e_j) from the unconjugated diagonals,
-        # all ten operators' columns in one product, as `columns` reads them
+        # all the chunk's columns in one product, as `columns` reads them
         route = conjugated_columns(w_star, w, d, cols)
-        entries = ops.entry(rows, cols).T
+        entry_gap = ops.entry(rows, cols) - route[np.arange(len(d))[:, None], rows, np.arange(COVARIANCE_COLUMNS)]
+        # the columns' gap formed in place and the route let go, so that at
+        # most three blocks of the chunk's columns are held at once
+        gap = ops.columns(cols)
+        gap -= route
+        del route
         # the trace route sums in trace()'s order: two orders of a sum of N
         # terms of size |d| differ by an ulp of N |d|, above the tolerance
         # at the cap
         dev = nan_max(
             dev,
-            float(np.max(np.linalg.norm(ops.columns(cols) - route, axis=1))),
-            float(np.max(np.abs(entries - route[:, rows, np.arange(len(cols))]))),
+            float(np.max(np.linalg.norm(gap, axis=1))),
+            float(np.max(np.abs(entry_gap))),
             float(np.max(np.abs(ops.trace() - np.sum(d * row_gram, axis=1)))),
         )
     return [("conjugation-covariance", "P3.4", dev, scn.tolerances.conjugated)]

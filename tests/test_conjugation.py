@@ -20,7 +20,7 @@ from evobench.ladder import ladder_config
 from evogrid import builtin_scenario, evolution_unitary, load_scenario, run_suite, scenario_from_dict, suites
 from evogrid.cli import main
 from evogrid.dynamics import nan_max
-from evogrid.representation import ConjugatedDiagonalOperator, PureRepresentation, SpectralMeasure, integrate
+from evogrid.representation import ConjugatedDiagonalOperator, PureRepresentation, SpectralMeasure, integrate, integrate_rows
 from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import decode_matrix, encode_matrix
 from evogrid.suites import COVARIANCE_COLUMNS
@@ -29,8 +29,9 @@ from conftest import conjugated_rep, integer, last_point_ignored, neighbouring_m
 
 
 def _w_d_w_star_columns(self, cols):
+    # W diag(d) W* in place of W* diag(d) W, for one column list or one list per stack row
     w = self.conjugator
-    return w @ (self.diag[..., None] * w.conj().T[:, cols])
+    return w @ (self.diag[..., None] * np.swapaxes(w.conj()[cols], -1, -2))
 
 
 def _w_d_w_star(self):
@@ -51,11 +52,11 @@ def _reversed_stack(original):
 
 
 def _first_row_entry(original):
-    # every row of a stack reads the entry of its first row, for each (i, j) pair;
-    # the stack's rows are the last axis of an entry
+    # every row of a stack reads the entry of its first row, for each of its (i, j) pairs,
+    # whether the rows share one pair list or each has its own
     def entry(self, i, j):
-        values = original(self, i, j)
-        return np.broadcast_to(values[..., :1], values.shape).copy() if self.diag.ndim == 2 else values
+        first = np.broadcast_to(self.diag[:1], self.diag.shape) if self.diag.ndim == 2 else self.diag
+        return original(ConjugatedDiagonalOperator(self.representation, first), i, j)
 
     return entry
 
@@ -204,57 +205,74 @@ def test_covariance_columns_are_the_dense_columns_bit_for_bit(source, monkeypatc
     monkeypatch.setattr(ConjugatedDiagonalOperator, "columns", spy)
     suites._check_conjugation_covariance(scn)
     monkeypatch.undo()
-    # one stacked read per subset, each row the columns of its one-row operator
-    assert len(read) == len(scn.frame.admissible())
-    for stack, cols in read:
-        got = stack.columns(cols)
-        assert got.shape == (10, scn.space.dimension, len(cols))
-        for d, columns in zip(stack.diag, got):
-            op = ConjugatedDiagonalOperator(stack.representation, d)
-            assert columns.tobytes() == np.ascontiguousarray(op.to_dense()[:, cols]).tobytes()
+    # one stacked read of the whole family, ten rows per subset, each row the
+    # columns of its one-row operator at its own column list
+    assert len(read) == 1
+    stack, cols = read[0]
+    got = stack.columns(cols)
+    assert got.shape == (10 * len(scn.frame.admissible()), scn.space.dimension, COVARIANCE_COLUMNS)
+    assert cols.shape == (len(got), COVARIANCE_COLUMNS)
+    for d, row_cols, columns in zip(stack.diag, cols, got):
+        op = ConjugatedDiagonalOperator(stack.representation, d)
+        assert columns.tobytes() == np.ascontiguousarray(op.to_dense()[:, row_cols]).tobytes()
 
 
-@pytest.mark.parametrize("source, gathers", [("demo", 8), ("ladder-5x2", 32)])
-def test_the_conjugation_suite_gathers_each_subset_once(source, gathers, monkeypatch):
-    # the covariance check wraps the diagonals it integrates through the
-    # plain measure; it does not gather them again through the conjugated one
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-3x5"])
+def test_the_covariance_stack_is_each_subsets_plain_gather_bit_for_bit(source, monkeypatch):
+    # the covariance check gathers the ten diagonals of every subset of a
+    # chunk in one take, through no measure; each subset's rows are what
+    # `integrate_rows` gathers from its sampled values through the plain
+    # measure, the conjugated measure's bits too, -0.0 turned +0.0 alike
     from evogrid import suites
 
     scn = _scenario(source)
-    calls = []
-    original = suites.integrate_rows
+    stacks, measures = [], []
+    route = suites.conjugated_columns
+    monkeypatch.setattr(suites, "conjugated_columns", lambda a, w, d, cols: stacks.append(d) or route(a, w, d, cols))
+    diagonals = SpectralMeasure.diagonals
+    monkeypatch.setattr(SpectralMeasure, "diagonals", lambda self, rows: measures.append(self) or diagonals(self, rows))
+    integrate = suites.integrate_rows
+    monkeypatch.setattr(suites, "integrate_rows", lambda measure, values: measures.append(measure) or integrate(measure, values))
+    suites._check_conjugation_covariance(scn)
+    assert measures == [] and len(stacks) == 1
+    expected = [
+        integrate_rows(scn.representation.spectral_measure(subset), covariance_samples(scn, subset)[0])
+        for subset in scn.frame.admissible()
+    ]
+    assert stacks[0].tobytes() == np.concatenate(expected).tobytes()
 
-    def spy(measure, values):
-        calls.append(measure)
-        return original(measure, values)
 
-    monkeypatch.setattr(suites, "integrate_rows", spy)
-    run_suite(scn, ["conjugation"])
-    assert len(calls) == len(scn.frame.admissible()) == gathers
-    assert all(measure.representation is scn.representation for measure in calls)
+def covariance_samples(scn, subset):
+    """A subset's ten value rows, its projection's 0/1 row then its function's values
+    for each of five samples, and its columns and rows, drawn one scalar at a time."""
+    space = scn.space
+    n = space.dimension
+    rng = SplitMix64(derive_seed(scn.seed, f"covariance-{sorted(map(str, subset))}"))
+    k = space.npoints(subset)
+    values = np.zeros((10, k), dtype=np.complex128)
+    for row in range(0, 10, 2):
+        members = sorted({integer(rng, k) for _ in range(integer(rng, k) + 1)})
+        values[row, members] = 1.0
+        values[row + 1] = space.random_function(subset, rng).values
+    cols = [integer(rng, n) for _ in range(COVARIANCE_COLUMNS)]
+    rows = [integer(rng, n) for _ in range(COVARIANCE_COLUMNS)]
+    return values, cols, rows
 
 
 def per_operator_covariance(scn) -> float:
     """The covariance body before the stack: each subset's five projections
     and five integrals built and read one operator at a time."""
     space = scn.space
-    n = space.dimension
     w = scn.conjugated.conjugator
     w_star = w.conj().T
     row_gram = np.sum(w * np.conj(w), axis=1)
     dev = 0.0
     for subset in scn.frame.admissible():
-        rng = SplitMix64(derive_seed(scn.seed, f"covariance-{sorted(map(str, subset))}"))
         plain = scn.representation.spectral_measure(subset)
         moved = scn.conjugated.spectral_measure(subset)
-        k = moved.npoints
-        samples = []
-        for _ in range(5):
-            members = sorted({integer(rng, k) for _ in range(integer(rng, k) + 1)})
-            samples.append((members, space.random_function(subset, rng)))
-        cols = [integer(rng, n) for _ in range(COVARIANCE_COLUMNS)]
-        rows = [integer(rng, n) for _ in range(COVARIANCE_COLUMNS)]
-        for members, f in samples:
+        values, cols, rows = covariance_samples(scn, subset)
+        for row in range(0, 10, 2):
+            members, f = np.flatnonzero(values[row]).tolist(), space.function(subset, values[row + 1])
             for op, d in (
                 (moved.projection(members), plain.projection(members).diag),
                 (integrate(f, moved), integrate(f, plain).diag),
@@ -299,13 +317,31 @@ def test_entry_reads_index_arrays_with_the_bits_of_its_scalar_calls(n):
         assert op.entry(rows[1:2], cols[1:2]).tobytes() == scalar[1:2].tobytes()
 
 
-def test_covariance_reads_each_subsets_entries_in_one_call(monkeypatch):
+def test_covariance_reads_each_chunks_entries_in_one_call(monkeypatch):
+    # one call per chunk, its pair lists one per stack row, each subset's
+    # rows and columns for each of its ten rows
     scn = load_scenario("demo")
     calls = []
     entry = ConjugatedDiagonalOperator.entry
-    monkeypatch.setattr(ConjugatedDiagonalOperator, "entry", lambda self, i, j: calls.append(len(i)) or entry(self, i, j))
+    monkeypatch.setattr(ConjugatedDiagonalOperator, "entry", lambda self, i, j: calls.append((i, j)) or entry(self, i, j))
     suites._check_conjugation_covariance(scn)
-    assert calls == [COVARIANCE_COLUMNS] * len(scn.frame.admissible())
+    assert len(calls) == 1
+    rows, cols = calls[0]
+    sampled = [covariance_samples(scn, subset)[1:] for subset in scn.frame.admissible()]
+    assert cols.tolist() == [c for c, _ in sampled for _ in range(10)]
+    assert rows.tolist() == [r for _, r in sampled for _ in range(10)]
+
+
+def test_entry_reads_one_pair_list_per_stack_row_with_the_bits_of_its_rows():
+    rep = conjugated_rep(SplitMix64(5).haar_unitary(32))
+    rng = SplitMix64(6)
+    stack = rng.complex_matrix(10, 32)
+    rows, cols = rng.integers(32, 40).reshape(10, 4), rng.integers(32, 40).reshape(10, 4)
+    op = ConjugatedDiagonalOperator(rep, stack)
+    pairs = op.entry(rows, cols)
+    assert pairs.shape == (10, 4)
+    for d, i, j, values in zip(stack, rows, cols, pairs):
+        assert values.tobytes() == ConjugatedDiagonalOperator(rep, d).entry(i, j).tobytes()
 
 
 COVARIANCE_SOURCES = ["demo", "witness", "ladder-5x2", "ladder-3x5", "ladder-4x3", "ladder-2x8", "ladder-3x8", "ladder-8x1"]
@@ -331,6 +367,36 @@ def reported_covariance():
 def test_stacked_covariance_reports_the_per_operator_deviation_bit_for_bit(source, reported_covariance):
     oracle, record = reported_covariance[source]
     assert record == oracle
+
+
+def _chunked_covariance(source, budget) -> tuple[str, int]:
+    # the record as float.hex with the stack entry budget set to `budget`, and the chunks it took
+    from evogrid import dynamics
+
+    scn = _scenario(source)
+    chunks = []
+    route = suites.conjugated_columns
+    original = dynamics.PAIR_ENTRIES
+    dynamics.PAIR_ENTRIES = budget
+    suites.conjugated_columns = lambda a, w, d, cols: chunks.append(len(d)) or route(a, w, d, cols)
+    try:
+        [(_, _, dev, _)] = suites._check_conjugation_covariance(scn)
+    finally:
+        dynamics.PAIR_ENTRIES, suites.conjugated_columns = original, route
+    assert sum(chunks) == 10 * len(scn.frame.admissible())
+    return dev.hex(), len(chunks)
+
+
+def test_covariance_does_not_depend_on_its_chunks():
+    # rung 5x2 (32 subsets of N = 32) is one chunk at the entry budget; at a
+    # budget of ten subsets' diagonals it takes four, with the same record bits
+    code = (
+        "import json; from test_conjugation import _chunked_covariance; "
+        "print(json.dumps([_chunked_covariance('ladder-5x2', b) for b in (1 << 16, 10 * 10 * 32, 1)]))"
+    )
+    (whole, one), (split, four), (single, each) = json.loads(_in_one_thread(code))
+    assert (one, four, each) == (1, 4, 32)
+    assert split == single == whole
 
 
 def test_one_wide_product_is_the_narrow_products_bit_for_bit_at_one_thread():

@@ -297,10 +297,11 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     # actions that load built for the weight, which the three shared
     # Lagrangian laws read; one disjoint pair
     # table read by two pair walks (the cocycle law's, which group-law shares,
-    # and action-additivity's), one nested pair table read by the restriction
-    # law, and one packing of the frame's membership rows, for the union
-    # lookup; the restriction table and the law read the boolean table, so
-    # nothing unpacks those rows
+    # and action-additivity's), no nested pair table, as the restriction law's
+    # range certificate reads 0.0 on a local Lagrangian and walks no pair, and
+    # one packing of the frame's membership rows, for the union lookup; the
+    # restriction table and the law read the boolean table, so nothing unpacks
+    # those rows
     from evogrid import lagrangian as lagrangian_module
     from evogrid import suites
 
@@ -332,13 +333,21 @@ def test_each_family_is_built_once_per_suite_run(monkeypatch):
     run_suite(scn, ["dynamics", "lagrangian"])
     assert calls == {"pullback_family": 2}
     assert len(tables) == 2 and all(table is tables[0] for table in tables)
-    assert len(nested) == 1
-    # the restriction law pulls each density table once
+    assert nested == []
+    # the certificate reads the flat density buffer, no table one subset at a
+    # time; on tables that break the law, the exact walk pulls each once and
+    # reads the nested pair table once
     pulled = Counter()
     table = Lagrangian.table
     monkeypatch.setattr(Lagrangian, "table", lambda self, subset: pulled.update([frozenset(subset)]) or table(self, subset))
     verify_lagrangian(scn.lagrangian)
-    assert pulled == Counter(scn.frame.admissible())
+    assert pulled == Counter() and nested == []
+    rng = np.random.default_rng(3)
+    space = scn.space
+    faulted = Lagrangian(space, {s: rng.normal(size=(space.npoints(s), len(s))) for s in space.frame.admissible()})
+    pulled.clear()
+    verify_lagrangian(faulted)
+    assert pulled == Counter(scn.frame.admissible()) and len(nested) == 1
     assert packed.count((32, 5)) == 1
     assert (32, 1) not in unpacked
 

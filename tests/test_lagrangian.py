@@ -1,7 +1,11 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evobench.ladder import ladder_config
 from evogrid import (
@@ -23,7 +27,11 @@ from evogrid import (
     weight_from_lagrangian,
 )
 
+from evogrid import dynamics
+from evogrid.lagrangian import _restriction_range
+
 from conftest import every_ordered_pair
+from test_dynamics import per_pair_restriction
 
 
 def table_lagrangian(space):
@@ -516,3 +524,70 @@ def test_each_lagrangian_check_catches_its_mutant(mutant, monkeypatch):
     records = {r.check: r for r in run_suite(scn, ["lagrangian"]).records}
     for check in caught:
         assert records[check].max_deviation > records[check].tolerance, check
+
+
+# -- the restriction law's range certificate --------------------------------------
+
+
+@pytest.mark.parametrize("mutant", list(LAGRANGIAN_MUTANTS))
+def test_the_restriction_law_is_the_per_pair_arithmetic_under_each_mutant(mutant, monkeypatch):
+    # a mutant whose tables break the law takes the exact walk, and any other
+    # stops at the certificate: either way the per-pair maximum and count
+    monkeypatch.setattr(*LAGRANGIAN_MUTANTS[mutant][0])
+    lagrangian = load_scenario("demo").lagrangian
+    report = verify_lagrangian(lagrangian)
+    assert per_pair_restriction(lagrangian) == (report.restriction_deviation.hex(), report.pairs)
+    assert (report.restriction_deviation > 0.0) == (mutant == "density-counts-its-subset")
+
+
+@functools.cache
+def _rung_lagrangian(times, grid):
+    cfg = ladder_config(times, grid)
+    del cfg["conjugator"]
+    return scenario_from_dict(cfg).lagrangian
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rung=st.sampled_from([(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.integers(0, 6),
+    scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e6]),
+)
+def test_the_range_certificate_lies_between_the_law_and_twice_it(rung, seed, faults, scale):
+    # a local Lagrangian with a few entries moved, or with every table drawn
+    # at random (no fault drawn): the exact maximum D from the pair walk and
+    # the certificate R obey D <= R <= 2 D
+    lagrangian = _rung_lagrangian(*rung)
+    space = lagrangian.space
+    rng = np.random.default_rng(seed)
+    domain = [s for s in space.frame.admissible() if s]
+    tables = {s: lagrangian.table(s).real.copy() for s in space.frame.admissible()}
+    for _ in range(faults):
+        table = tables[domain[rng.integers(len(domain))]]
+        table[rng.integers(table.shape[0]), rng.integers(table.shape[1])] += scale * rng.normal()
+    if not faults:
+        tables = {s: scale * rng.normal(size=t.shape) for s, t in tables.items()}
+    faulted = Lagrangian(space, tables)
+    exact = verify_lagrangian(faulted).restriction_deviation
+    assert exact <= _restriction_range(faulted) <= 2.0 * exact
+
+
+def test_the_range_certificate_holds_one_chunk_and_a_row_per_time(monkeypatch):
+    # rung 8x2 without a conjugator, m = N = 256: the exact walk stacks every
+    # pulled table, sum |T| N = 4 m N values (2 MiB); the certificate holds a
+    # chunk of at most PAIR_ENTRIES values and a running max and min over the
+    # N full points, O(T N) in all
+    lagrangian = _rung_lagrangian(8, 2)
+    space = lagrangian.space
+    space.restriction_table()
+    monkeypatch.setattr(dynamics, "PAIR_ENTRIES", 1 << 12)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spread = _restriction_range(lagrangian)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert spread == 0.0
+    assert peak <= 4 * dynamics.PAIR_ENTRIES * 8 + 2 * len(space.frame.times) * space.dimension * 8 + 64 * 1024

@@ -811,10 +811,14 @@ def test_array_writer_matches_indented_json_dumps(a):
 
 # a chunk formats at most _CHUNK_FLOATS floats, two per complex entry: the
 # first shape is one axis longer than a chunk, the second has leading-axis
-# slices longer than a chunk, the third such slices on its middle axis
+# slices longer than a chunk, the third such slices on its middle axis; the
+# fourth wraps rows of 10 floats, which do not divide a chunk, many times per
+# chunk, and the fifth wraps two axes whose float counts divide it
 @pytest.mark.parametrize(
-    "shape", [(3 * _CHUNK_FLOATS // 2 + 3,), (3, _CHUNK_FLOATS // 2 + 5), (2, 2, _CHUNK_FLOATS // 2 + 1)],
-    ids=["1d", "2d", "3d"],
+    "shape",
+    [(3 * _CHUNK_FLOATS // 2 + 3,), (3, _CHUNK_FLOATS // 2 + 5), (2, 2, _CHUNK_FLOATS // 2 + 1),
+     (3 * _CHUNK_FLOATS // 10 + 1, 5), (3 * _CHUNK_FLOATS // 32 + 1, 2, 8)],
+    ids=["1d", "2d", "3d", "2d-short-rows", "3d-dividing"],
 )
 def test_array_writer_matches_json_dumps_across_chunks(shape):
     rng = np.random.default_rng(7)
@@ -892,6 +896,30 @@ def test_cli_compute_builds_each_operator_after_the_last_is_written(monkeypatch)
     assert all(text.endswith("}") for text in built[1:])
     doc = json.loads("".join(written))
     assert [op["times"] for op in doc["operators"]] == [["1"], ["2"], ["1", "2"], ["1"]]
+
+
+def test_cli_compute_fixes_the_malloc_thresholds_where_it_can(monkeypatch, capsys):
+    # glibc gets a fixed 8 MiB mmap threshold and twice that as its trim
+    # threshold; a C library without mallopt, or none to load, is left as is
+    from evogrid import cli
+
+    calls = []
+
+    class Glibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    texts = []
+    for cdll in (lambda name: Glibc(), lambda name: object(), no_library):
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert main(["compute", "demo", "--subsets", "1"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert calls == [(-3, 8 << 20), (-1, 16 << 20)]
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_cli_compute_diagonal_without_conjugator(tmp_path):
