@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .dynamics import ActionWeight, _chunk_rows, _pair_max
+from .dynamics import ActionWeight, _chunk_rows, _pair_max, nan_max
 from .errors import DataError, DomainError, StructureError
 from .evolution import GridEvolutionSpace, GridFunction
 
@@ -222,30 +222,37 @@ class LagrangianReport:
     pairs: int
 
 
-def _restriction_range(lagrangian: Lagrangian) -> float:
-    """The largest range, max - min, of L_T(t)(x|T) over the admissible T holding t,
-    over every time t and full point x: `verify_lagrangian`'s certificate.
-
-    Per time, the subsets holding it are read in chunks of at most PAIR_ENTRIES
-    values, each row gathered from the flat density buffer through the subset's
-    row of the restriction table, and folded into a running max and min per full
-    point, so memory stays O(N) beside one chunk and time O(sum |T| N).
-    """
+def _column_reader(lagrangian: Lagrangian) -> Callable[[int, np.ndarray], np.ndarray]:
+    """read(t, rows): L_T(t)(x|T) over the full points x, one row of N values per
+    admissible T at the family positions `rows`, each holding time t, gathered from
+    the flat density buffer through the subset's row of the restriction table."""
     space = lagrangian.space
     holds = space.frame.members().T  # [time, subset]
     # where column t of each subset's table starts in the buffer, and each table's row width |T|
     starts = _density_offsets(space)[:-1] + np.cumsum(holds, axis=0) - 1
     widths = holds.sum(axis=0)
     table, real = space.restriction_table(), lagrangian.densities.real
+    return lambda t, rows: real[starts[t, rows, None] + table[rows] * widths[rows, None]]
+
+
+def _restriction_range(lagrangian: Lagrangian) -> float:
+    """The largest range, max - min, of L_T(t)(x|T) over the admissible T holding t,
+    over every time t and full point x: `verify_lagrangian`'s certificate.
+
+    Per time, the subsets holding it are read (`_column_reader`) in chunks of at
+    most PAIR_ENTRIES values and folded into a running max and min per full
+    point, so memory stays O(N) beside one chunk and time O(sum |T| N).
+    """
+    space = lagrangian.space
+    read = _column_reader(lagrangian)
     step = _chunk_rows(np.empty((0, space.dimension)))  # rows of N values
     spread = 0.0
-    for t, holding in enumerate(holds):
+    for t, holding in enumerate(space.frame.members().T):
         subsets = np.flatnonzero(holding)
         # a time no subset holds leaves -inf - inf, no range
         high, low = np.full(space.dimension, -np.inf), np.full(space.dimension, np.inf)
         for lo in range(0, len(subsets), step):
-            rows = subsets[lo : lo + step]
-            values = real[starts[t, rows, None] + table[rows] * widths[rows, None]]
+            values = read(t, subsets[lo : lo + step])
             np.maximum(high, values.max(axis=0), out=high)
             np.minimum(low, values.min(axis=0), out=low)
         spread = max(spread, float(np.max(high - low)))
@@ -264,10 +271,13 @@ def verify_lagrangian(lagrangian: Lagrangian) -> LagrangianReport:
     closed under unions, so S1 u S2 is admissible and nested over both (or
     equal to one), and |L_S1 - L_S2| <= |L_S1 - L_S1uS2| + |L_S1uS2 - L_S2| <= 2 D.
     So R is 0.0 exactly when D is, and then no pair is walked.  Otherwise the
-    exact walk runs: each table is pulled back once, a stack row per (subset,
-    time) column, and one `_pair_max` reads (superset row, subset row) for
-    each time of T'.  The pair count is read off the boolean containment
-    product either way.  Realness is the largest imaginary part in any table.
+    exact walk runs one time t at a time: a stack of the time-t columns of the
+    subsets holding t, pulled back to the full points (`_column_reader`), and
+    one `_pair_max` over the (superset row, subset row) of the nested pairs
+    whose subset holds t; `nan_max` combines the times.  So the walk holds one
+    time's columns, O(m N), not every table's.  The pair count is read off
+    the boolean containment product either way.  Realness is the largest
+    imaginary part in any table.
     """
     space = lagrangian.space
     frame = space.frame
@@ -278,12 +288,17 @@ def verify_lagrangian(lagrangian: Lagrangian) -> LagrangianReport:
     realness = float(np.max(np.abs(lagrangian.densities.imag), initial=0.0))
     if _restriction_range(lagrangian) == 0.0:
         return LagrangianReport(0.0, realness, pairs)
-    columns = [np.empty((0, space.dimension))]
-    for subset, restricted in zip(frame.admissible(), space.restriction_table()):
-        columns.append(lagrangian.table(subset).real[restricted].T)
-    # slot[i, p]: the stack row of subset i's time at frame position p, as the columns were stacked
-    slot = np.cumsum(member).reshape(member.shape) - 1
+    read = _column_reader(lagrangian)
+    step = _chunk_rows(np.empty((0, space.dimension)))
     big, small = frame.nested_pairs().T
-    pair, time = np.nonzero(member[small])
-    shared = np.column_stack((slot[big[pair], time], slot[small[pair], time]))
-    return LagrangianReport(_pair_max(np.concatenate(columns), shared, np.subtract), realness, pairs)
+    deviation = 0.0
+    for t, holding in enumerate(member.T):
+        subsets = np.flatnonzero(holding)
+        stack = np.empty((len(subsets), space.dimension))
+        for lo in range(0, len(subsets), step):
+            stack[lo : lo + step] = read(t, subsets[lo : lo + step])
+        row = np.cumsum(holding) - 1  # a subset's row in the stack, where it holds t
+        shared = holding[small]
+        law = _pair_max(stack, np.column_stack((row[big[shared]], row[small[shared]])), np.subtract)
+        deviation = nan_max(deviation, law)
+    return LagrangianReport(deviation, realness, pairs)

@@ -48,10 +48,19 @@ the words in the scalar draws' order; words past the last one it uses are
 dropped.
 The uniforms, sqrt, products and the division are numpy
 operations, which are correctly rounded IEEE arithmetic.
-`log`, `cos` and `sin` stay on libm through `math`, mapped over the vector:
+`log`, `cos` and `sin` stay on libm through CPython, mapped over the vector:
 numpy's `log` differs from `math.log` in the last bit on about 0.3% of
 inputs, and numpy's float64 `sin`/`cos` dispatch to SIMD kernels that vary
-with the CPU.  The division by sqrt(2) is written out as CPython's complex
+with the CPU.  Each normal makes two CPython calls that reach libm:
+  - `math.log(1 - u1)`, mapped by `itertools.starmap` over `zip` of the
+    values: `math.log` takes an optional base, so it parses an argument
+    tuple on every call, and `zip` hands `starmap` one reused 1-tuple
+    instead of a new one per value;
+  - `cmath.exp(i theta)`, whose real and imaginary parts are libm's
+    cos theta and sin theta bit for bit: for a finite argument CPython
+    computes exp(a + ib) as exp(a) cos b + i exp(a) sin b with libm's `exp`,
+    `cos` and `sin`, and exp(0) is exactly 1, so both products are exact.
+The division by sqrt(2) is written out as CPython's complex
 quotient by a real s computes it,
     re = (x + y * 0.0) / s,  im = (y - x * 0.0) / s,
 which keeps its signed zeros (x = -0.0, y >= +0.0 gives re = +0.0, not the
@@ -59,15 +68,21 @@ which keeps its signed zeros (x = -0.0, y >= +0.0 gives re = +0.0, not the
 
 Independent substreams come from `derive_seed(root, label)` which mixes the
 root seed with the FNV-1a hash of a text label through one splitmix64 step.
+FNV-1a reads a label's bytes in order, so `derive_seeds(root, labels)` hashes
+the labels' common head once and continues its state over each label's tail
+(`fnv1a64(tail, state)`); a head of characters is a head of UTF-8 bytes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from itertools import starmap
+from os.path import commonprefix
 
 import numpy as np
 
-__all__ = ["SplitMix64", "derive_seed", "fnv1a64", "haar_qr", "normals", "raw_streams"]
+__all__ = ["SplitMix64", "derive_seed", "derive_seeds", "fnv1a64", "haar_qr", "normals", "raw_streams"]
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -90,9 +105,10 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def fnv1a64(text: str) -> int:
-    """FNV-1a hash of the UTF-8 bytes of `text`, as a 64-bit integer."""
-    h = _FNV_OFFSET
+def fnv1a64(text: str, state: int = _FNV_OFFSET) -> int:
+    """FNV-1a hash of the UTF-8 bytes of `text`, as a 64-bit integer, continued
+    from `state`: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)."""
+    h = state
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & MASK64
     return h
@@ -101,6 +117,13 @@ def fnv1a64(text: str) -> int:
 def derive_seed(root: int, label: str) -> int:
     """A reproducible child seed for the named substream of `root`."""
     return _mix((int(root) ^ fnv1a64(label)) & MASK64)
+
+
+def derive_seeds(root: int, labels: list[str]) -> list[int]:
+    """derive_seed(root, label) for each label, with the labels' common head hashed once."""
+    head = commonprefix(labels)
+    root, state, cut = int(root), fnv1a64(head), len(head)
+    return [_mix((root ^ fnv1a64(label[cut:], state)) & MASK64) for label in labels]
 
 
 def raw_streams(seeds: list[int], counts: list[int]) -> np.ndarray:
@@ -131,12 +154,14 @@ def normals(words: np.ndarray, out: np.ndarray) -> None:
     words 2i and 2i + 1 (see the module docstring)."""
     m = len(out)
     # the uniforms of the even words, then of the odd ones: no array of all
-    # of them is held beside `words`
-    log = np.fromiter(map(math.log, (1.0 - (words[0::2] >> 11) * 2.0**-53).tolist()), np.float64, m)
+    # of them is held beside `words`; two libm calls per entry (module docstring)
+    log = np.fromiter(starmap(math.log, zip((1.0 - (words[0::2] >> 11) * 2.0**-53).tolist())), np.float64, m)
     r = np.sqrt(-2.0 * log)
-    theta = (_TWO_PI * ((words[1::2] >> 11) * 2.0**-53)).tolist()
-    x = r * np.fromiter(map(math.cos, theta), np.float64, m)
-    y = r * np.fromiter(map(math.sin, theta), np.float64, m)
+    turn = np.zeros(m, np.complex128)  # i theta, then exp(i theta) = cos theta + i sin theta
+    turn.imag = _TWO_PI * ((words[1::2] >> 11) * 2.0**-53)
+    turn = np.fromiter(map(cmath.exp, turn.tolist()), np.complex128, m)
+    x = r * turn.real
+    y = r * turn.imag
     pairs = out.view(np.float64)  # re, im interleaved
     pairs[0::2] = (x + y * 0.0) / _SQRT2
     pairs[1::2] = (y - x * 0.0) / _SQRT2

@@ -134,7 +134,7 @@ from .representation import (
     integrate_rows,
     pushforward,
 )
-from .rng import SplitMix64, derive_seed, haar_qr, normals, raw_streams
+from .rng import SplitMix64, derive_seed, derive_seeds, haar_qr, normals, raw_streams
 from .scenario import Scenario
 
 __all__ = ["CheckRecord", "VerificationReport", "run_suite", "SUITE_NAMES"]
@@ -224,11 +224,12 @@ def _labels(prefix: str, subsets) -> list[str]:
 def _reads(scn: Scenario, labels: list[str], counts: list[int]) -> Iterator[tuple[np.ndarray, list[int]]]:
     """The first counts[i] raw words of each labeled substream, in order, one
     read per run of the substreams that start within 2 READ_NORMALS words of
-    each other: per run, its words and its counts."""
+    each other: per run, its words and its counts.  A run's labels share their
+    check's prefix, which `derive_seeds` hashes once."""
     runs = [start // (2 * READ_NORMALS) for start in accumulate(counts, initial=0)]
     cuts = [i for i in range(1, len(counts)) if runs[i] != runs[i - 1]]
     for lo, hi in zip([0, *cuts], [*cuts, len(counts)]):
-        yield raw_streams([derive_seed(scn.seed, label) for label in labels[lo:hi]], counts[lo:hi]), counts[lo:hi]
+        yield raw_streams(derive_seeds(scn.seed, labels[lo:hi]), counts[lo:hi]), counts[lo:hi]
 
 
 def _bit_rows(ids: np.ndarray, k: int) -> np.ndarray:

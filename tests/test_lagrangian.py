@@ -547,18 +547,9 @@ def _rung_lagrangian(times, grid):
     return scenario_from_dict(cfg).lagrangian
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    rung=st.sampled_from([(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3)]),
-    seed=st.integers(0, 2**32 - 1),
-    faults=st.integers(0, 6),
-    scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e6]),
-)
-def test_the_range_certificate_lies_between_the_law_and_twice_it(rung, seed, faults, scale):
-    # a local Lagrangian with a few entries moved, or with every table drawn
-    # at random (no fault drawn): the exact maximum D from the pair walk and
-    # the certificate R obey D <= R <= 2 D
-    lagrangian = _rung_lagrangian(*rung)
+def _faulted(lagrangian, seed, faults, scale):
+    """`lagrangian` with `faults` entries moved by scale times a normal draw, or
+    with every table drawn at random when `faults` is 0."""
     space = lagrangian.space
     rng = np.random.default_rng(seed)
     domain = [s for s in space.frame.admissible() if s]
@@ -568,9 +559,49 @@ def test_the_range_certificate_lies_between_the_law_and_twice_it(rung, seed, fau
         table[rng.integers(table.shape[0]), rng.integers(table.shape[1])] += scale * rng.normal()
     if not faults:
         tables = {s: scale * rng.normal(size=t.shape) for s, t in tables.items()}
-    faulted = Lagrangian(space, tables)
+    return Lagrangian(space, tables)
+
+
+FAULTED_RUNGS = dict(
+    rung=st.sampled_from([(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.integers(0, 6),
+    scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e6]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FAULTED_RUNGS)
+def test_the_range_certificate_lies_between_the_law_and_twice_it(rung, seed, faults, scale):
+    # a local Lagrangian with a few entries moved, or with every table drawn
+    # at random (no fault drawn): the exact maximum D from the pair walk and
+    # the certificate R obey D <= R <= 2 D
+    faulted = _faulted(_rung_lagrangian(*rung), seed, faults, scale)
     exact = verify_lagrangian(faulted).restriction_deviation
     assert exact <= _restriction_range(faulted) <= 2.0 * exact
+
+
+def stacked_walk(lagrangian) -> float:
+    """The restriction law's exact walk over one stack of every pulled table, a
+    row per (subset, time) column, read by one `_pair_max` over all nested pairs."""
+    space = lagrangian.space
+    frame = space.frame
+    member = frame.members()
+    columns = [np.empty((0, space.dimension))]
+    for subset, restricted in zip(frame.admissible(), space.restriction_table()):
+        columns.append(lagrangian.table(subset).real[restricted].T)
+    slot = np.cumsum(member).reshape(member.shape) - 1  # the stack row of (subset, frame position)
+    big, small = frame.nested_pairs().T
+    pair, time = np.nonzero(member[small])
+    shared = np.column_stack((slot[big[pair], time], slot[small[pair], time]))
+    return dynamics._pair_max(np.concatenate(columns), shared, np.subtract)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**FAULTED_RUNGS)
+def test_the_walk_one_time_at_a_time_is_the_stacked_walk_bit_for_bit(rung, seed, faults, scale):
+    faulted = _faulted(_rung_lagrangian(*rung), seed, faults, scale)
+    assert verify_lagrangian(faulted).restriction_deviation.hex() == stacked_walk(faulted).hex()
 
 
 def test_the_range_certificate_holds_one_chunk_and_a_row_per_time(monkeypatch):
@@ -591,3 +622,26 @@ def test_the_range_certificate_holds_one_chunk_and_a_row_per_time(monkeypatch):
         tracemalloc.stop()
     assert spread == 0.0
     assert peak <= 4 * dynamics.PAIR_ENTRIES * 8 + 2 * len(space.frame.times) * space.dimension * 8 + 64 * 1024
+
+
+def test_the_exact_walk_holds_one_time_s_columns(monkeypatch):
+    # rung 8x2 with one density moved, m = N = 256: the walk stacks the
+    # time-t columns of the 128 subsets holding t (256 KiB), where one stack
+    # of every pulled table held sum |T| N = 4 m N values (2 MiB, twice that
+    # while concatenated); beside it, four pair-walk operands of at most
+    # PAIR_ENTRIES values and the nested pair table, in int64 rows
+    lagrangian = _rung_lagrangian(8, 2)
+    space = lagrangian.space
+    faulted = _faulted(lagrangian, 3, 1, 1.0)
+    space.restriction_table()
+    monkeypatch.setattr(dynamics, "PAIR_ENTRIES", 1 << 12)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = verify_lagrangian(faulted)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.restriction_deviation > 0.0
+    held = space.frame.members().sum(axis=0).max()
+    assert peak <= held * space.dimension * 8 + 4 * dynamics.PAIR_ENTRIES * 8 + 64 * report.pairs + 64 * 1024

@@ -1,14 +1,16 @@
+import cmath
 import hashlib
 import math
 import subprocess
 import sys
+from itertools import starmap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evogrid.rng import _BLOCK, MASK64, SplitMix64, derive_seed, fnv1a64, haar_qr, normals, raw_streams
+from evogrid.rng import _BLOCK, MASK64, SplitMix64, derive_seed, derive_seeds, fnv1a64, haar_qr, normals, raw_streams
 
 from conftest import complex_normal, integer, normal_pair, one_thread_env, parent_haar_rule, standard_normal, uniform
 
@@ -163,6 +165,81 @@ def test_normals_read_two_words_per_entry_across_substreams():
     assert out.tobytes() == np.array(expect, dtype=np.complex128).tobytes()
 
 
+# -- the libm calls behind `normals` ----------------------------------------------
+
+
+def _exp_parts(theta):
+    z = cmath.exp(complex(0.0, theta))
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
+def test_cmath_exp_of_i_theta_is_libm_cos_and_sin_bit_for_bit(theta):
+    assert _exp_parts(theta) == (math.cos(theta).hex(), math.sin(theta).hex())
+
+
+@pytest.mark.parametrize("point", [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi])
+def test_cmath_exp_is_cos_and_sin_at_the_quarter_turns_and_their_neighbours(point):
+    # where cos or sin crosses zero, and below a full turn, the largest theta
+    for theta in (math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf)):
+        if 0.0 <= theta < 2 * math.pi:
+            assert _exp_parts(theta) == (math.cos(theta).hex(), math.sin(theta).hex()), theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), max_size=50))
+def test_starmap_over_zip_is_the_mapped_log(values):
+    assert [x.hex() for x in starmap(math.log, zip(values))] == [x.hex() for x in map(math.log, values)]
+
+
+class _Words:
+    """A stream that hands out given raw words, for the scalar oracle."""
+
+    def __init__(self, words):
+        self._words = iter(words)
+
+    def next_uint64(self):
+        return next(self._words)
+
+
+def test_normals_keep_the_scalar_signed_zeros_where_a_uniform_is_zero():
+    # words below 2^11 give the uniform 0.0: u1 = 0 makes r = sqrt(-2 log 1) =
+    # -0.0, and u2 = 0 makes theta = 0.0, sin theta = 0.0; every pairing of
+    # them with each other and with nonzero uniforms
+    small = [0, 1, 2**11 - 1]
+    other = SplitMix64(5)._raw(4).tolist()
+    pairs = [(u1, u2) for u1 in small + other for u2 in small + other]
+    words = np.array([w for pair in pairs for w in pair], dtype=np.uint64)
+    out = np.empty(len(pairs), dtype=np.complex128)
+    normals(words, out)
+    expect = [complex_normal(_Words(pair)) for pair in pairs]
+    assert out.tobytes() == np.array(expect, dtype=np.complex128).tobytes()
+    x, y = normal_pair(_Words((0, 0)))
+    assert (x.hex(), y.hex()) == ("-0x0.0p+0", "-0x0.0p+0")
+
+
+def test_normals_make_one_log_and_one_exp_call_per_entry(monkeypatch):
+    calls = dict.fromkeys(("log", "exp", "cos", "sin"), 0)
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def spy(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counted(math, "log", "log")
+    counted(cmath, "exp", "exp")
+    counted(math, "cos", "cos")
+    counted(math, "sin", "sin")
+    out = np.empty(37, dtype=np.complex128)
+    normals(SplitMix64(8)._raw(2 * 37), out)
+    assert calls == {"log": 37, "exp": 37, "cos": 0, "sin": 0}
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (3, 5), (17, 2), (300, 300)])
 def test_complex_matrix_advances_two_uniforms_per_entry(shape):
     r1, r2 = SplitMix64(44), SplitMix64(44)
@@ -238,3 +315,16 @@ def test_derive_seed_stable_and_label_sensitive():
     assert s1 == s2
     assert s1 != s3
     assert 0 <= s1 <= MASK64
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=12), st.text(max_size=12))
+def test_fnv1a64_continues_from_a_state(head, tail):
+    assert fnv1a64(tail, fnv1a64(head)) == fnv1a64(head + tail)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=MASK64), st.text(max_size=6), st.lists(st.text(max_size=8), max_size=6))
+def test_derive_seeds_is_derive_seed_per_label(root, head, tails):
+    labels = [head + tail for tail in tails]
+    assert derive_seeds(root, labels) == [derive_seed(root, label) for label in labels]

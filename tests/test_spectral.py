@@ -11,6 +11,7 @@ a broken restriction table makes the deviations nonzero.
 
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from evobench.ladder import ladder_config
 from evogrid import builtin_scenario, evolution, load_scenario, representation, run_suite, scenario_from_dict, suites
 from evogrid.dynamics import nan_max
-from evogrid.evolution import GridEvolutionSpace, GridFunction, pullback, pullback_rows
+from evogrid.evolution import GridEvolutionSpace, GridFunction, TimeFrame, pullback, pullback_rows
 from evogrid.lagrangian import Lagrangian, action_from_lagrangian
 from evogrid.representation import (
     PureRepresentation,
@@ -30,7 +31,7 @@ from evogrid.representation import (
     matrix_element,
     theta_represent,
 )
-from evogrid.rng import SplitMix64
+from evogrid.rng import SplitMix64, derive_seed
 from evogrid.suites import EXHAUSTIVE_SETS, _bit_rows, _nonempty_subsets, _rng
 
 from conftest import integer, last_point_ignored, neighbouring_members, reversed_table, swapped_table_rows
@@ -503,6 +504,29 @@ def test_matrix_elements_reads_its_substream_in_bounded_windows(budget, monkeypa
     assert (len(reads) == 1) == (budget == default)
     if budget == 1:
         assert len(reads) == len(bounds)
+
+
+SUBSTREAM_PREFIXES = ("pushforward", "injectivity", "embedding-measure", "matrix-elements", "covariance",
+                      "lipschitz", "spectral-sum", "factorization", "embedding")
+
+
+@pytest.mark.parametrize("seed", [42, 2**64 - 1])
+def test_reads_derive_each_label_s_own_seed_from_the_shared_prefix(seed, monkeypatch):
+    # every label the checks make on a 12-time frame, 4,096 subsets, read in
+    # runs of 64 substreams: the prefix each run shares is hashed once, and
+    # each seed is still derive_seed of its whole label
+    subsets = TimeFrame(tuple(map(str, range(1, 13))), (1.0,) * 12).admissible()
+    seeds = []
+    original = suites.raw_streams
+    monkeypatch.setattr(suites, "raw_streams", lambda run, counts: seeds.extend(run) or original(run, counts))
+    monkeypatch.setattr(suites, "READ_NORMALS", 32)
+    scn = SimpleNamespace(seed=seed)
+    for prefix in SUBSTREAM_PREFIXES:
+        labels = suites._labels(prefix, subsets)
+        seeds.clear()
+        runs = list(suites._reads(scn, labels, [1] * len(labels)))
+        assert len(runs) == 64
+        assert seeds == [derive_seed(seed, label) for label in labels], prefix
 
 
 def _empty_family():
