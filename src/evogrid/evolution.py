@@ -38,7 +38,9 @@ order and each one's points in linear order; the space builds its (m + 1,)
 `family_offsets()` once, `locate` names the subset and point of a flat
 index, and `pullback_family` reads such a table through the restriction
 table, a chunk of rows at a time, into the (m, N) stack of pulled-back
-rows.  No record, table or memo is a dataclass field: equality, hashing and
+rows.  `pullback_along` reads rows over the flat slice of a run of subsets
+through restriction rows its caller built, never through the table.  No
+record, table or memo is a dataclass field: equality, hashing and
 fingerprints see only frame and grids.
 """
 
@@ -62,6 +64,7 @@ __all__ = [
     "GridFunction",
     "pullback",
     "pullback_rows",
+    "pullback_along",
     "pullback_family",
     "named_contraction",
     "contraction_norm_estimate",
@@ -538,6 +541,23 @@ def pullback_family(space: GridEvolutionSpace, values: np.ndarray) -> np.ndarray
     for lo in range(0, len(table), step):
         np.take(values, starts[lo : lo + step] + table[lo : lo + step], out=stack[lo : lo + step])
     return stack
+
+
+def pullback_along(space: GridEvolutionSpace, values: np.ndarray, image: np.ndarray, lo: int) -> np.ndarray:
+    """Pull back value rows over the flat family slice of the admissible subsets
+    lo, ..., lo + c - 1 along restriction rows the caller built, (s, c, N).
+
+    `values` is (s, P), the subsets' points side by side on the flat family
+    axis (`family_offsets`), the slice's own first point at column 0, and
+    `image` is (c, N): row i gives each full point's restriction to subset
+    lo + i.  Entry (r, i, x) is row r's value at that restriction, copied bit
+    for bit with the input's dtype; the restriction table is never read.
+    """
+    starts = space.family_offsets()[lo : lo + len(image) + 1]
+    values = np.asarray(values)
+    if values.ndim != 2 or values.shape[1] != starts[-1] - starts[0]:
+        raise StructureError(f"value rows have shape {values.shape}, expected (s, {starts[-1] - starts[0]})")
+    return np.take(values, (starts[:-1] - starts[0])[:, None] + image, axis=1)
 
 
 def pullback_rows(space: GridEvolutionSpace, subset, values: np.ndarray) -> np.ndarray:

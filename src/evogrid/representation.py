@@ -16,17 +16,24 @@ subset's row of the space's restriction table: each full point takes the
 value at the point of T it restricts to.  Spectral integrals and the batch `diagonals` of many
 point sets are that gather; `integrate` is the one-row case of
 `integrate_rows`, and `projection` (so `atom`) the one-row case of `diagonals`.
+A representation's `family_diagonals` and `family_integrals` are the same
+gathers for a run of admissible subsets at once: their rows lie side by
+side on the flat family axis of `family_offsets()`, and one take through
+the subsets' rows of the table reads every row of every subset, with the
+per-subset bits.
 
 `pullback_rows`, with `pullback` and `embed_eta` as its one-row cases, is
 the independent second route: it broadcasts the values over the axes
-outside T and never reads the table.  The checks pair the two routes on
-stacks of sampled rows: `factorization` compares `integrate_rows` with
-`pullback_rows` of the same rows, and `embedding` and `embedding-measure`
-compare lifted rows and projections with integrals and measure diagonals.
-`spectral-sum` pins the gather to the explicit sum of value-scaled atoms,
-read off the atom that holds each full point, and `pushforward` and
-`matrix-elements` test it against an image table built from the full
-points' mixed-radix digits.
+outside T and never reads the table; `pullback_along` pulls back rows over
+the flat family axis along restriction rows its caller builds.  The checks
+pair the two routes on stacks of sampled rows: `factorization` compares
+`family_integrals` with `pullback_along` of the same rows through an image
+built from the full points' mixed-radix digits, and `embedding` and
+`embedding-measure` compare lifted rows and projections with integrals and
+measure diagonals.  `spectral-sum` pins the gather to the explicit sum of
+value-scaled atoms, read off the atom that holds each full point, and
+`pushforward` and `matrix-elements` test it against the same digit-built
+image.
 
 Conjugation acts on representations: `conjugate(W, rep)` is the
 representation f -> W* rep(f) W, unitarily equivalent to rep.  W is checked
@@ -63,8 +70,9 @@ leaves the report bytes as they were.  The suites read stacks only: the
 covariance checks wrap the plain diagonals they gathered, which are the
 conjugated measure's bits, as `diagonals` and `integrate_rows` never read
 the representation, and `to_dense` is left to `compute` and the commutant
-witness, which need one operator's whole matrix.  They read a measure
-through those two gathers only, its atoms as one (k, N) boolean table;
+witness, which need one operator's whole matrix.  They read the measures
+of the family through the family gathers, a chunk of subsets at a time,
+the atoms of subsets of k points as one (k, subsets, N) boolean table;
 `projection`, `atom`, `empty`, `total` and `projection_rank` build one
 operator at a time, for library callers.
 """
@@ -396,6 +404,41 @@ class PureRepresentation:
         if not subset <= self.space.full:
             raise DomainError("measure subset contains unknown time labels")
         return SpectralMeasure(self, subset)
+
+    def family_diagonals(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Boolean diagonals of E_T(V) for every T = admissible()[i], lo <= i < hi, as (s, hi - lo, N).
+
+        `rows` is an (s, P) boolean block over those subsets' slice of the
+        flat family axis (`family_offsets()`, the slice's first point at
+        column 0): T's part of row r is a membership row V_r over points(T),
+        and entry (r, i) is `spectral_measure(T).diagonals` of it, read by one
+        gather through the subsets' rows of the restriction table.
+        """
+        return _family_gather(self.space, np.asarray(rows, dtype=bool), lo, hi)
+
+    def family_integrals(self, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Diagonals of spectral integrals over every T = admissible()[i], lo <= i < hi, as (s, hi - lo, N).
+
+        `values` is (s, P) over the subsets' flat family slice, as in
+        `family_diagonals`; entry (r, i) is `integrate_rows` of T's part of
+        row r, the gather added into zeros as it adds it, so it has those
+        bits.  The result is C-ordered complex128.
+        """
+        gathered = _family_gather(self.space, values, lo, hi)
+        out = np.zeros(gathered.shape, dtype=np.complex128)
+        out += gathered
+        return out
+
+
+def _family_gather(space: GridEvolutionSpace, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The (s, hi - lo, N) gather of an (s, P) block over the flat family slice of
+    admissible()[lo:hi]: entry (r, i, x) is row r at T_i's first column plus
+    restriction_table()[i, x]."""
+    starts = space.family_offsets()[lo : hi + 1]
+    values = np.asarray(values)
+    if values.ndim != 2 or values.shape[1] != starts[-1] - starts[0]:
+        raise StructureError(f"value rows have shape {values.shape}, expected (s, {starts[-1] - starts[0]})")
+    return np.take(values, (starts[:-1] - starts[0])[:, None] + space.restriction_table()[lo:hi], axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,27 +39,43 @@ at once through `_reads`, the one caller of `rng.raw_streams`, in runs of
 the subsets whose draws start within 2 `READ_NORMALS` words of each other
 (one run unless the family is large), and a draw whose count depends on an
 earlier draw is read at its largest count and walked in the scalar draws'
-order.  So `pushforward`, `injectivity-subsets` and `embedding-measure`
-read their point sets, and `spectral-sum`, `factorization` and `embedding`
-their S random functions, with one `normals` call per run and the bits of
-a `complex_matrix(S, npoints)` per subset.  `matrix-elements` parses each
-subset's words as Python ints: 20 samples of a count c, c members and a
-basis point x, each read as the diagonal entry (x, x).  Measures
-are read through two gathers, `diagonals` and `integrate_rows`, each
-through the subset's row of the space's restriction table.  One walk of
-the family judges `pvm-axioms`, `pushforward`, `pushforward-rank` and
-`spectral-sum` on each subset's atoms, the rows of one `diagonals(np.eye(k))`
-table: its row sums are the ranks, each column must hold exactly one 1
+order.  The draws are laid out on the flat family axis of
+`family_offsets()`: a block of S rows holds every subset's S samples side
+by side, each subset's k points in its own slice.  So `spectral-sum`,
+`factorization` and `embedding` draw their S random functions with one
+`normals` call per run, the bits of a `complex_matrix(S, k)` per subset;
+`pushforward`, `injectivity-subsets` and `embedding-measure` read the point
+sets of every sampled subset in one read, made distinct and sorted within
+each subset by one sort per chunk; and `matrix-elements` parses a run's
+words one sample row at a time across its subsets with array operations:
+20 samples of a count c, c members and a basis point x, each read as the
+diagonal entry (x, x).
+
+The checks walk the family in chunks of consecutive subsets whose gathers
+hold at most PAIR_ENTRIES entries (read at call time), at least one
+subset, and reduce each chunk with one `nan_max`.  Measures are read
+through the representation's family gathers, `family_diagonals` and
+`family_integrals`: one take through the chunk's rows of the restriction
+table for every row of every subset, the bits of `diagonals` and
+`integrate_rows` per subset.  One walk of the family judges `pvm-axioms`,
+`pushforward-rank` and `spectral-sum` on the atoms of a chunk of subsets of
+one point count k, one gather of k rows, row q marking point q of every
+subset: the column sums are the ranks, each column must hold exactly one 1
 (`pvm-axioms`' pair laws over every pair of atoms), and `spectral-sum`'s
 oracle takes each full point's value from the atom holding it, the bits of
 the ascending-b sum of value-scaled atoms, which a column in no atom or in
 several (a broken measure) takes itself.  The empty and total sets are two
-rows of one gather.  A gather selects columns row by row, which keeps every
-other pair law, so `pvm-axioms` samples no pairs and reads no substream.
-`index-roundtrip` compares every row of the table, and `pushforward` and
-`matrix-elements` the gathers, with an oracle image: `np.unravel_index`
-digits raveled again by `np.ravel_multi_index`, never reading the table.
-The injectivity checks count distinct 0/1 diagonals with `np.unique`.
+rows of one family gather, which `conjugated-pvm` reads through the
+conjugated representation.  A gather selects columns row by row, which
+keeps every other pair law, so `pvm-axioms` samples no pairs and reads no
+substream.  The independent route never reads the table: one oracle image
+per chunk, `np.unravel_index` digits raveled again by
+`np.ravel_multi_index`, one call per subset shape.  `index-roundtrip`
+compares every row of the table with it, `pushforward` and
+`matrix-elements` read their preimages off it, and `factorization`,
+`embedding` and `embedding-measure` pull back through it with
+`pullback_along`.  The injectivity checks count each subset's distinct 0/1
+diagonals by one sort of their packed rows.
 
 The conjugation checks read g = ||G||_F of the Gram defect G = W W* - I,
 kept when the conjugator W was checked.  A conjugated projection is
@@ -106,7 +122,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate, compress, pairwise
+from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -123,17 +139,16 @@ from .algebra import (
 # no check calls evolution_unitary; evobench/test_evobench.py reads this binding as its `from` import example
 from .dynamics import _chunk_rows, _pair_max, commutant_witness, evolution_unitary, nan_max, validate_action_weight  # noqa: F401
 from .errors import DomainError
-from .evolution import CONTRACTION_TOL, contraction_norm_estimate, named_contraction, pullback_family, pullback_rows
-from .lagrangian import verify_lagrangian
-from .representation import (
-    ConjugatedDiagonalOperator,
-    DiagonalOperator,
-    conjugated_columns,
-    embed_eta,
-    identity_operator,
-    integrate_rows,
-    pushforward,
+from .evolution import (
+    CONTRACTION_TOL,
+    contraction_norm_estimate,
+    named_contraction,
+    pullback_along,
+    pullback_family,
+    pullback_rows,
 )
+from .lagrangian import verify_lagrangian
+from .representation import ConjugatedDiagonalOperator, DiagonalOperator, conjugated_columns, identity_operator
 from .rng import SplitMix64, derive_seed, derive_seeds, haar_qr, normals, raw_streams
 from .scenario import Scenario
 
@@ -212,10 +227,6 @@ def _rng(scn: Scenario, label: str) -> SplitMix64:
     return SplitMix64(derive_seed(scn.seed, label))
 
 
-def _nonempty_subsets(scn: Scenario) -> list[frozenset]:
-    return [s for s in scn.frame.admissible() if s]
-
-
 def _labels(prefix: str, subsets) -> list[str]:
     """The substream label of each subset under a check's prefix."""
     return [f"{prefix}-{sorted(map(str, s))}" for s in subsets]
@@ -243,12 +254,15 @@ def _bit_rows(ids: np.ndarray, k: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1, count=k, bitorder="little").view(bool)
 
 
-def _random_ids(words: np.ndarray, k: int) -> np.ndarray:
+def _random_ids(words: np.ndarray, k) -> np.ndarray:
     """Raw words as random subsets of k points, in place: rows of ceil(k / 64)
     words, low word first, with the bits past point k - 1 masked off the top
-    word, so that every point can be drawn."""
-    ids = words.reshape(-1, -(-k // 64))
-    ids[:, -1] &= np.uint64((1 << (k - 64 * (ids.shape[1] - 1))) - 1)
+    word, so that every point can be drawn.  k is one point count or one per
+    row, all of one word count."""
+    k = np.asarray(k)
+    w = -(-int(k.max()) // 64)
+    ids = words.reshape(-1, w)
+    ids[:, -1] &= np.uint64(2**64 - 1) >> (64 * w - k).astype(np.uint64)
     return ids
 
 
@@ -259,28 +273,69 @@ def _streams(scn: Scenario, labels: list[str], counts: list[int]) -> Iterator[np
         yield from (run[a:b] for a, b in pairwise(accumulate(part, initial=0)))
 
 
-def _point_sets(scn: Scenario, labels: list[str], subsets, exhaustive: int, samples: int) -> Iterator[np.ndarray]:
-    """Per subset of times, point sets over its k points as bit rows: every
-    set when there are at most `exhaustive` of them; otherwise the distinct
-    ids of `samples` draws from the subset's labeled substream, sorted by
-    value (top word first), every drawn substream read at once (`_streams`)."""
-    sizes = [scn.space.npoints(s) for s in subsets]
-    drawn = [1 << k > exhaustive for k in sizes]
-    streams = _streams(scn, list(compress(labels, drawn)), [samples * -(-k // 64) for k in compress(sizes, drawn)])
-    for k, sampled in zip(sizes, drawn):
-        if not sampled:
-            yield _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
-            continue
-        ids = _random_ids(next(streams), k)
-        yield _bit_rows(np.unique(ids[:, 0]) if ids.shape[1] == 1 else np.unique(ids[:, ::-1], axis=0)[:, ::-1], k)
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions starts[i] + j for j < lengths[i], i ascending, in one array."""
+    return np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(np.sum(lengths))
+
+
+def _nonempty_start(scn: Scenario) -> int:
+    """The position of the first nonempty admissible subset: 1 when the family holds {}, which sorts first."""
+    family = scn.frame.admissible()
+    return int(bool(family) and not family[0])
+
+
+def _chunks(lo: int, hi: int, rows: int, n: int) -> Iterator[tuple[int, int]]:
+    """Consecutive runs a:b of the admissible subsets lo:hi whose gathers of
+    `rows` rows of n entries per subset hold at most PAIR_ENTRIES entries, at
+    least one subset (`_chunk_rows`, which reads PAIR_ENTRIES at call time)."""
+    step = _chunk_rows(np.empty((0, rows, n)))
+    return ((a, min(a + step, hi)) for a in range(lo, hi, step))
+
+
+def _runs(key: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The runs a:b of the subsets lo:hi over which key[i] stays the same."""
+    cuts = (np.flatnonzero(np.diff(key[lo:hi])) + lo + 1).tolist()
+    return zip([lo, *cuts], [*cuts, hi]) if hi > lo else iter(())
+
+
+def _oracle_image(space) -> Callable[[int, int], np.ndarray]:
+    """The oracle restriction rows of the family, built from digits and never
+    from the library's restriction table, whose place values it checks: a
+    function of lo, hi giving the (hi - lo, N) rows of admissible()[lo:hi].
+
+    A row is each full point's `np.unravel_index` digits on the subset's axes,
+    raveled over the subset's shape by `np.ravel_multi_index`, all 0 over
+    T = {}; the family is grouped by shape once, and a chunk's rows take one
+    `np.ravel_multi_index` call per shape in it.
+    """
+    digits = np.stack(np.unravel_index(np.arange(space.dimension), space.full_shape()))
+    members = space.frame.members()
+    count = members.sum(axis=1)
+    axes = np.argsort(~members, axis=1, kind="stable")  # each subset's axes first, in frame order
+    shapes = np.where(np.arange(members.shape[1]) < count[:, None], np.array(space.full_shape())[axes], 0)
+    # one id per shape: runs of equal rows in lexicographic order
+    order = np.lexsort(shapes.T)
+    kind = np.empty(len(order), dtype=np.intp)
+    kind[order] = np.cumsum(np.concatenate(([0], np.any(shapes[order[1:]] != shapes[order[:-1]], axis=1))))
+
+    def image(lo: int, hi: int) -> np.ndarray:
+        rows = np.zeros((hi - lo, space.dimension), dtype=np.intp)
+        for j in np.unique(kind[lo:hi]).tolist():
+            mine = np.flatnonzero(kind[lo:hi] == j) + lo
+            r = int(count[mine[0]])
+            if r:
+                shape = tuple(shapes[mine[0], :r].tolist())
+                rows[mine - lo] = np.ravel_multi_index(tuple(digits[axes[mine, a]] for a in range(r)), shape)
+        return rows
+
+    return image
 
 
 def _restriction_image(space, subset: frozenset, points: np.ndarray | None = None) -> np.ndarray:
-    """Oracle restriction of the full points `points`, every one by default:
-    each point's `np.unravel_index` digits on the subset's axes, raveled over
-    the subset's shape; all 0 over T = {}.
-
-    It never reads the library's restriction table, whose place values it checks.
+    """Oracle restriction of the full points `points` to one subset, every one by
+    default: each point's `np.unravel_index` digits on the subset's axes,
+    raveled over the subset's shape; all 0 over T = {}.  The per-subset form
+    of `_oracle_image`'s rows, which the tests compare them with.
     """
     points = np.arange(space.dimension) if points is None else points
     axes = space.axes(subset)
@@ -290,10 +345,94 @@ def _restriction_image(space, subset: frozenset, points: np.ndarray | None = Non
     return np.ravel_multi_index([digits[ax] for ax in axes], space.shape(subset))
 
 
-def _ends_defect(measure) -> float:
-    """1.0 unless E({}) is 0 and E(points(T)) is I, read as two rows of one gather."""
+def _distinct_ids(words: np.ndarray, k: np.ndarray, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The point sets of c subsets from their raw words, a (c, samples w)
+    block for point counts k of one word count w = ceil(k / 64): per subset,
+    its distinct ids sorted by value (top word first) in the first count rows
+    of a (c, S, w) block, the rest 0, and the counts.  One sort within each
+    subset: a one-word id sorts as a uint64, a longer one as one item of its
+    words' big-endian bytes, top word first, which sort as its value."""
+    c = len(words)
+    ids = _random_ids(words, np.repeat(k, samples)).reshape(c, samples, -1)
+    w = ids.shape[2]
+    keys = ids[..., 0] if w == 1 else np.ascontiguousarray(ids[..., ::-1], dtype=">u8").view(f"V{8 * w}")[..., 0]
+    keys = np.sort(keys, axis=1)
+    new = np.ones((c, samples), dtype=bool)
+    new[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    count = np.count_nonzero(new, axis=1)
+    distinct = np.zeros((c, int(count.max()), w), dtype=np.uint64)
+    rows = keys[new].view(np.uint64 if w == 1 else ">u8").reshape(-1, w)[:, ::-1]
+    distinct[np.repeat(np.arange(c), count), _ragged(np.zeros(c, dtype=np.intp), count)] = rows
+    return distinct, count
+
+
+def _point_set(scn: Scenario, label: str, k: int, exhaustive: int, samples: int) -> np.ndarray:
+    """The point sets over k points as bit rows: every set when there are at
+    most `exhaustive` of them; otherwise the distinct ids of `samples` draws
+    from the labeled substream, sorted by value (top word first)."""
+    if 1 << k <= exhaustive:
+        return _bit_rows(np.arange(1 << k, dtype=np.uint64), k)
+    [(words, _)] = _reads(scn, [label], [samples * -(-k // 64)])
+    distinct, count = _distinct_ids(words[None], np.array([k]), samples)
+    return _bit_rows(distinct[0, : count[0]], k)
+
+
+def _point_set_chunks(scn: Scenario, prefix: str, exhaustive: int, samples: int):
+    """Per chunk a:b of the nonempty admissible subsets whose ids take one word
+    count, their point sets as membership rows over the chunk's flat family
+    slice, (S, P), and each subset's number of sets, S at most: every set of a
+    subset with at most `exhaustive` of them, in id order, otherwise its
+    `_distinct_ids` of `samples` draws from its labeled substream; a subset's
+    rows past its count are empty.  Every drawn substream is read at once
+    (`_reads`).
+    """
+    space = scn.space
+    offsets = space.family_offsets()
+    k = np.diff(offsets)
+    m, lo = len(k), _nonempty_start(scn)
+    width = -(-k // 64)
+    drawn = k >= exhaustive.bit_length()  # 2^k sets pass `exhaustive`
+    picked = np.flatnonzero(drawn[lo:]) + lo
+    reads = samples * width[picked]
+    starts = np.zeros(m, dtype=np.intp)  # each drawn subset's first word
+    starts[picked] = np.cumsum(reads) - reads
+    if len(picked):
+        labels = _labels(prefix, [scn.frame.admissible()[i] for i in picked])
+        words = np.concatenate([run for run, _ in _reads(scn, labels, reads.tolist())])
+    bound = np.where(drawn, samples, 1 << np.minimum(k, exhaustive.bit_length()))  # most sets of a subset
+    for a0, b0 in _runs(width, lo, m):
+        for a, b in _chunks(a0, b0, int(bound[a0:b0].max()), space.dimension):
+            w, own = int(width[a]), np.flatnonzero(drawn[a:b])
+            count = 1 << np.where(drawn[a:b], 0, k[a:b])  # every set of an exhaustive subset
+            if len(own):
+                read = words[starts[a + own, None] + np.arange(samples * w)]
+                distinct, count[own] = _distinct_ids(read, k[a + own], samples)
+            # every subset's ids: an exhaustive subset's sets are its row
+            # numbers, a drawn subset's its distinct ids
+            rows = np.arange(count.max())
+            ids = np.zeros((b - a, len(rows), w), dtype=np.uint64)
+            ids[:, :, 0] = np.where(rows < count[:, None], rows, 0)
+            if len(own):
+                ids[own, : distinct.shape[1]] = distinct
+            # (S, subsets, largest k) bits, low word and bit first; each subset keeps its first k
+            width_bytes = np.ascontiguousarray(ids.transpose(1, 0, 2)).view(np.uint8)
+            bits = np.unpackbits(width_bytes, axis=2, count=int(k[a:b].max()), bitorder="little")
+            kept = (np.arange(bits.shape[2]) < k[a:b, None]).ravel()
+            bits = bits.view(bool).reshape(len(rows), -1)
+            # selecting columns copies every entry: only a chunk of mixed point counts needs it
+            yield a, b, bits if kept.all() else bits[:, kept], count
+
+
+def _ends_defect(rep) -> float:
+    """1.0 unless E_T({}) is 0 and E_T(points(T)) is I for every admissible T,
+    read as two rows of one family gather per chunk."""
+    offsets = rep.space.family_offsets()
     ends = np.array([[False], [True]])
-    return float(np.any(measure.diagonals(ends.repeat(measure.npoints, axis=1)) != ends))
+    dev = 0.0
+    for lo, hi in _chunks(0, len(offsets) - 1, 2, rep.space.dimension):
+        diagonals = rep.family_diagonals(ends.repeat(offsets[hi] - offsets[lo], axis=1), lo, hi)
+        dev = nan_max(dev, float(np.any(diagonals != ends[:, :, None])))
+    return dev
 
 
 def _finite(value: float, check: str) -> float:
@@ -404,55 +543,72 @@ def _check_grid_contraction(scn: Scenario) -> list[tuple[str, str, float, float]
 
 def _check_index_roundtrip(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    # every row of the family's table against its oracle row, one row at a
-    # time: a whole (m, N) int64 image would be 134 MB at m = N = 4096
-    rows = zip(space.restriction_table(), scn.frame.admissible())
-    bad = sum(int(np.count_nonzero(row != _restriction_image(space, s))) for row, s in rows)
+    table, image = space.restriction_table(), _oracle_image(space)
+    # every row of the family's table against its oracle row, a chunk of rows
+    # at a time: a whole (m, N) int64 image would be 134 MB at m = N = 4096
+    chunks = _chunks(0, len(table), 1, space.dimension)
+    bad = sum(int(np.count_nonzero(table[lo:hi] != image(lo, hi))) for lo, hi in chunks)
     return [("index-roundtrip", "S2", float(bad), 0.0)]
 
 
 # -- spectral suite ---------------------------------------------------------
 
 
-def _sampled_rows(scn: Scenario, label: str, samples: int) -> Iterator[np.ndarray]:
-    """Per admissible subset, in order, `samples` random functions over its
-    points, one row each: its substream's `complex_matrix(samples, k)`, one
-    read and one `normals` call per run (`_reads`)."""
-    subsets = scn.frame.admissible()
-    for words, part in _reads(scn, _labels(label, subsets), [2 * samples * scn.space.npoints(s) for s in subsets]):
-        values = np.empty(len(words) // 2, dtype=np.complex128)
-        normals(words, values)
-        yield from (rows.reshape(samples, -1) for rows in np.split(values, np.cumsum(part)[:-1] // 2))
+def _sampled_values(scn: Scenario, label: str, samples: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Per `_reads` run of every admissible subset's substream, in order: the
+    run's subsets lo:hi and their `samples` random functions over the run's
+    flat family slice, a (samples, P) block whose subset-T part of row s is
+    row s of T's `complex_matrix(samples, k)`, drawn by one `normals` call."""
+    offsets = scn.space.family_offsets()
+    k = np.diff(offsets)
+    lo = 0
+    for words, part in _reads(scn, _labels(label, scn.frame.admissible()), (2 * samples * k).tolist()):
+        hi = lo + len(part)
+        drawn = np.empty(len(words) // 2, dtype=np.complex128)
+        normals(words, drawn)
+        owner = np.repeat(np.arange(lo, hi), k[lo:hi])
+        # T's draw is its (samples, k) block from samples * first, row s at s k
+        at = (samples - 1) * (offsets[owner] - offsets[lo]) + np.arange(len(owner))
+        yield lo, hi, drawn[at + k[owner] * np.arange(samples)[:, None]]
+        lo = hi
 
 
 def _check_atoms(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    full_measure = scn.representation.spectral_measure()
-    subsets = scn.frame.admissible()
-    nonempty = _nonempty_subsets(scn)
-    point_sets = _point_sets(scn, _labels("pushforward", nonempty), nonempty, EXHAUSTIVE_SETS, 256)
+    rep = scn.representation
+    n = space.dimension
+    offsets = space.family_offsets()
+    sizes = np.diff(offsets)
+    first = _nonempty_start(scn)
     pvm = push = spectral = 0.0
     rank_bad = 0
-    for subset, values in zip(subsets, _sampled_rows(scn, "spectral-sum", 5)):
-        measure = pushforward(full_measure, subset)
-        k = measure.npoints
-        atoms = measure.diagonals(np.eye(k, dtype=bool))
-        # |column sum - 1| is the entry deviation of sum_b E(b) = I and, where
-        # a sum passes 1, of E(b)E(b') = 0
-        count = np.count_nonzero(atoms, axis=0)
-        pvm = nan_max(pvm, _ends_defect(measure), float(np.max(np.abs(count - 1))))
-        if subset:
-            # oracle: read each preimage of V off the digit-built image table
-            rows = next(point_sets)
-            push = nan_max(push, float(np.max(measure.diagonals(rows) != rows[:, _restriction_image(space, subset)])))
-            rank_bad += int(np.count_nonzero(atoms.sum(axis=1) != space.dimension // k))
-        # oracle: each full point's value from its one atom; a column in no
-        # atom or in several takes the value-scaled atoms summed from 0 in ascending b
-        oracle = values[:, np.argmax(atoms, axis=0)]
-        stray = np.flatnonzero(count != 1)
-        if len(stray):
-            oracle[:, stray] = sum(values[:, b, None] * atom for b, atom in enumerate(atoms[:, stray]))
-        spectral = nan_max(spectral, float(np.max(np.abs(integrate_rows(measure, values) - oracle))))
+    for lo, hi, values in _sampled_values(scn, "spectral-sum", 5):
+        # chunks of subsets of one point count k, whose atoms are k rows each
+        runs = ((a, b, int(sizes[a])) for a, b in _runs(sizes, lo, hi))
+        for a, b, k in ((a, b, k) for a0, b0, k in runs for a, b in _chunks(a0, b0, max(k, 5), n)):
+            part = values[:, offsets[a] - offsets[lo] : offsets[b] - offsets[lo]]
+            # the chunk's atoms (k, b - a, N), one gather of the identity
+            # rows: row q marks point q of every subset
+            atoms = rep.family_diagonals(np.arange(part.shape[1]) % k == np.arange(k)[:, None], a, b)
+            # |column sum - 1| is the entry deviation of sum_b E(b) = I and, where
+            # a sum passes 1, of E(b)E(b') = 0
+            count = np.count_nonzero(atoms, axis=0)
+            pvm = nan_max(pvm, float(np.max(np.abs(count - 1))))
+            rank_bad += int(np.count_nonzero(atoms[:, max(first - a, 0) :].sum(axis=2) != n // k))
+            # oracle: each full point's value from its one atom; a column in no
+            # atom or in several takes the value-scaled atoms summed from 0 in ascending b
+            oracle = np.take(part, k * np.arange(b - a)[:, None] + np.argmax(atoms, axis=0), axis=1)
+            for i in np.flatnonzero(np.any(count != 1, axis=1)):
+                stray = np.flatnonzero(count[i] != 1)
+                own = part[:, k * i : k * (i + 1)]
+                oracle[:, i, stray] = sum(own[:, q, None] * atom for q, atom in enumerate(atoms[:, i, stray]))
+            spectral = nan_max(spectral, float(np.max(np.abs(rep.family_integrals(part, a, b) - oracle))))
+    pvm = nan_max(pvm, _ends_defect(rep))
+    image = _oracle_image(space)
+    for lo, hi, rows, _ in _point_set_chunks(scn, "pushforward", EXHAUSTIVE_SETS, 256):
+        # oracle: read each preimage of V off the digit-built image
+        preimages = np.take(rows, (offsets[lo:hi] - offsets[lo])[:, None] + image(lo, hi), axis=1)
+        push = nan_max(push, float(np.max(rep.family_diagonals(rows, lo, hi) != preimages)))
     return [
         ("pvm-axioms", "T3.1", pvm, scn.tolerances.exact),
         ("pushforward", "T3.2", push, scn.tolerances.exact),
@@ -462,11 +618,16 @@ def _check_atoms(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 
 def _check_factorization(scn: Scenario) -> list[tuple[str, str, float, float]]:
+    space = scn.space
+    offsets = space.family_offsets()
+    image = _oracle_image(space)
     dev = 0.0
-    for subset, values in zip(scn.frame.admissible(), _sampled_rows(scn, "factorization", 25)):
-        via_integral = integrate_rows(scn.representation.spectral_measure(subset), values)
-        via_pullback = pullback_rows(scn.space, subset, values)
-        dev = nan_max(dev, float(np.max(np.abs(via_integral - via_pullback))))
+    for lo, hi, values in _sampled_values(scn, "factorization", 25):
+        for a, b in _chunks(lo, hi, 25, space.dimension):
+            part = values[:, offsets[a] - offsets[lo] : offsets[b] - offsets[lo]]
+            via_integral = scn.representation.family_integrals(part, a, b)
+            via_pullback = pullback_along(space, part, image(a, b), a)
+            dev = nan_max(dev, float(np.max(np.abs(via_integral - via_pullback))))
     return [("factorization", "C3.3", dev, scn.tolerances.exact)]
 
 
@@ -486,24 +647,35 @@ def _check_diagonal_calculus(scn: Scenario) -> list[tuple[str, str, float, float
     return [("diagonal-calculus", "P3.5", dev, scn.tolerances.exact)]
 
 
-def _distinct_rows(bits: np.ndarray) -> int:
-    """Number of distinct boolean rows, told apart by their packed bits, each packed row one void item."""
-    packed = np.packbits(bits, axis=1)
-    return len(np.unique(packed.view(np.dtype((np.void, packed.shape[1])))))
+def _distinct_counts(bits: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Per subset i, the number of distinct rows among its first count[i] rows
+    bits[:, i] of an (S, c, N) boolean block, by one sort of every subset's
+    packed rows, its rows past its count replaced by its row 0: a row of at
+    most 64 points sorts as one 64-bit word, a longer one as one item of its
+    packed bytes."""
+    packed = np.packbits(bits, axis=2)
+    if packed.shape[2] <= 8:
+        words = np.zeros((*bits.shape[:2], 8), dtype=np.uint8)
+        words[..., : packed.shape[2]] = packed
+        keys = words.view(np.uint64)[..., 0]
+    else:
+        keys = packed.view(f"V{packed.shape[2]}")[..., 0]
+    keys = np.sort(np.where(np.arange(len(bits))[:, None] < count, keys, keys[:1]), axis=0)
+    return 1 + np.count_nonzero(keys[1:] != keys[:-1], axis=0)
 
 
 def _check_injectivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    masks = next(_point_sets(scn, ["injectivity-full"], [space.full], 4096, 512))
+    masks = _point_set(scn, "injectivity-full", space.dimension, 4096, 512)
     # a function on the full set acts as the diagonal of its pullback there:
     # distinct 0/1 masks must keep distinct diagonals
-    bad = int(_distinct_rows(pullback_rows(space, space.full, masks)) != len(masks))
-    subsets = _nonempty_subsets(scn)
+    lifted = pullback_rows(space, space.full, masks)[:, None]
+    bad = int(_distinct_counts(lifted, np.array([len(masks)]))[0] != len(masks))
     sub_bad = 0
-    for subset, rows in zip(subsets, _point_sets(scn, _labels("injectivity", subsets), subsets, 1024, 512)):
-        measure = scn.representation.spectral_measure(subset)
+    for lo, hi, rows, count in _point_set_chunks(scn, "injectivity", 1024, 512):
         # integrating a 0/1 function gives its projection: count distinct ones
-        sub_bad += int(_distinct_rows(measure.diagonals(rows)) != len(rows))
+        diagonals = scn.representation.family_diagonals(rows, lo, hi)
+        sub_bad += int(np.count_nonzero(_distinct_counts(diagonals, count) != count))
     return [
         ("injectivity-full", "C3.6", float(bad), 0.0),
         ("injectivity-subsets", "C3.7", float(sub_bad), 0.0),
@@ -512,18 +684,27 @@ def _check_injectivity(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 def _check_embedding(scn: Scenario) -> list[tuple[str, str, float, float]]:
     space = scn.space
-    rep = scn.representation
+    offsets = space.family_offsets()
+    image = _oracle_image(space)
     dev = 0.0
     norm_dev = 0.0
-    for subset, small in zip(scn.frame.admissible(), _sampled_rows(scn, "embedding", 10)):
-        # embed_eta's route on every row at once, against the integrals
-        lifted = pullback_rows(space, subset, small)
-        dev = nan_max(dev, float(np.max(np.abs(lifted - integrate_rows(rep.spectral_measure(subset), small)))))
-        # a diagonal operator's norm is its largest entry modulus
-        norms = np.max(np.abs(lifted), axis=1) - np.max(np.abs(small), axis=1)
-        norm_dev = nan_max(norm_dev, float(np.max(np.abs(norms))))
-        unit = embed_eta(scn.rep_space, subset, identity_operator(space.npoints(subset)))
-        dev = nan_max(dev, (unit - identity_operator(space.dimension)).norm())
+    for lo, hi, values in _sampled_values(scn, "embedding", 10):
+        for a, b in _chunks(lo, hi, 10, space.dimension):
+            small = values[:, offsets[a] - offsets[lo] : offsets[b] - offsets[lo]]
+            restricted = image(a, b)
+            # embed_eta's route on every row at once, against the integrals
+            lifted = pullback_along(space, small, restricted, a)
+            # a diagonal operator's norm is its largest entry modulus
+            sup = np.maximum.reduceat(np.abs(small), offsets[a:b] - offsets[a], axis=1)
+            norms = np.max(np.abs(lifted), axis=2) - sup
+            # the embedded identity of every subset, against the identity
+            unit = pullback_along(space, np.ones((1, small.shape[1]), dtype=np.complex128), restricted, a)
+            dev = nan_max(
+                dev,
+                float(np.max(np.abs(lifted - scn.representation.family_integrals(small, a, b)))),
+                float(np.max(np.abs(unit - 1.0))),
+            )
+            norm_dev = nan_max(norm_dev, float(np.max(np.abs(norms))))
     return [
         ("embedding", "T3.8", dev, scn.tolerances.exact),
         ("embedding-isometry", "T3.8", norm_dev, scn.tolerances.exact),
@@ -531,16 +712,14 @@ def _check_embedding(scn: Scenario) -> list[tuple[str, str, float, float]]:
 
 
 def _check_embedding_measure(scn: Scenario) -> list[tuple[str, str, float, float]]:
-    rep = scn.representation
-    subsets = _nonempty_subsets(scn)
-    point_sets = _point_sets(scn, _labels("embedding-measure", subsets), subsets, EXHAUSTIVE_SETS, 256)
+    space = scn.space
+    image = _oracle_image(space)
     dev = 0.0
-    for subset, rows in zip(subsets, point_sets):
-        measure = rep.spectral_measure(subset)
-        # the lifted indicators broadcast over the other axes; the measure
-        # gathers through the restriction table; entries are 0 or 1
-        lifted = pullback_rows(scn.space, subset, rows)
-        dev = nan_max(dev, float(np.any(lifted != measure.diagonals(rows))))
+    for lo, hi, rows, _ in _point_set_chunks(scn, "embedding-measure", EXHAUSTIVE_SETS, 256):
+        # the lifted indicators read through the digit-built image; the
+        # measure gathers through the restriction table; entries are 0 or 1
+        lifted = pullback_along(space, rows, image(lo, hi), lo)
+        dev = nan_max(dev, float(np.any(lifted != scn.representation.family_diagonals(rows, lo, hi))))
     return [("embedding-measure", "C3.9", dev, scn.tolerances.exact)]
 
 
@@ -548,29 +727,43 @@ def _check_matrix_elements(scn: Scenario) -> list[tuple[str, str, float, float]]
     space = scn.space
     rep = scn.representation
     n = space.dimension
-    subsets = _nonempty_subsets(scn)
-    sizes = [space.npoints(s) for s in subsets]
-    # a subset's substream holds 20 samples, each a count c, c members and a
-    # basis point x, so at most 20 (k + 2) words, parsed as Python ints
-    streams = _streams(scn, _labels("matrix-elements", subsets), [20 * (k + 2) for k in sizes])
+    offsets = space.family_offsets()
+    k = np.diff(offsets)
+    lo = _nonempty_start(scn)
+    image = _oracle_image(space)
     dev = 0.0
-    for subset, k, words in zip(subsets, sizes, streams):
-        words, used = words.tolist(), 0
-        cells, xs = [], []
-        for s in range(20):
-            count = words[used] % k + 1
-            cells += [s * k + w % k for w in words[used + 1 : used + 1 + count]]
-            xs.append(words[used + 1 + count] % n)
-            used += count + 2
-        rows = np.zeros((20, k), dtype=bool)
-        rows.flat[cells] = True
-        # <e_x, E(V) e_x> of every sample from one gather: E(V) is a 0/1
-        # diagonal, so the entry is its entry x
-        values = rep.spectral_measure(subset).diagonals(rows)[np.arange(20), xs]
-        # oracle: each sample's basis point restricted through the digit-built
-        # image table, not through the library's table
-        expected = rows[np.arange(20), _restriction_image(space, subset, np.array(xs))]
-        dev = nan_max(dev, float(np.any(values != expected)))
+    # a subset's substream holds 20 samples, each a count c, c members and a
+    # basis point x, so at most 20 (k + 2) words; a run's words are parsed one
+    # sample row at a time across its subsets, each sample's count word read
+    # to find the next, then as membership rows over the run's flat family
+    # slice and a (20, subsets) table of basis points
+    labels = _labels("matrix-elements", scn.frame.admissible()[lo:])
+    for words, part in _reads(scn, labels, (20 * (k[lo:] + 2)).tolist()):
+        hi = lo + len(part)
+        size, first = k[lo:hi].astype(np.uint64), offsets[lo:hi] - offsets[lo]
+        part = np.asarray(part, dtype=np.intp)
+        heads = np.empty((20, hi - lo), dtype=np.intp)  # each sample's count word
+        heads[0] = np.cumsum(part) - part
+        for s in range(1, 20):
+            heads[s] = heads[s - 1] + (words[heads[s - 1]] % size).astype(np.intp) + 3
+        count = (words[heads] % size).astype(np.intp) + 1
+        xs = (words[heads + count + 1] % np.uint64(n)).astype(np.intp)
+        # every sample's members at once, sample-major
+        members = words[_ragged((heads + 1).ravel(), count.ravel())] % np.repeat(np.tile(size, 20), count.ravel())
+        rows = np.zeros((20, offsets[hi] - offsets[lo]), dtype=bool)
+        cells = np.repeat(np.tile(first, 20), count.ravel()) + members.astype(np.intp)
+        rows[np.repeat(np.arange(20), count.sum(axis=1)), cells] = True
+        for a, b in _chunks(lo, hi, 20, n):
+            cols, x = rows[:, first[a - lo] : offsets[b] - offsets[lo]], xs[:, a - lo : b - lo]
+            # <e_x, E(V) e_x> of every sample from one gather: E(V) is a 0/1
+            # diagonal, so the entry is its entry x
+            values = np.take_along_axis(rep.family_diagonals(cols, a, b), x[:, :, None], axis=2)[:, :, 0]
+            # oracle: each sample's basis point restricted through the
+            # digit-built image, not through the library's table
+            restricted = image(a, b)[np.arange(b - a), x]
+            expected = cols[np.arange(20)[:, None], first[a - lo : b - lo] - first[a - lo] + restricted]
+            dev = nan_max(dev, float(np.any(values != expected)))
+        lo = hi
     return [("matrix-elements", "P3.5", dev, scn.tolerances.exact)]
 
 
@@ -610,15 +803,8 @@ def _check_conjugated_pvm(scn: Scenario) -> list[tuple[str, str, float, float]]:
     # the spectral suite checks, and E'(total) - I = W*W - I has the singular
     # values of G, so one bound covers every pair over every subset; the
     # empty and total diagonals are checked exactly, 0 or 1
-    dev = _gram_bound(scn)
-    for subset in scn.frame.admissible():
-        dev = nan_max(dev, _ends_defect(scn.conjugated.spectral_measure(subset)))
+    dev = nan_max(_gram_bound(scn), _ends_defect(scn.conjugated))
     return [("conjugated-pvm", "P3.4", dev, scn.tolerances.conjugated)]
-
-
-def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The positions starts[i] + j for j < lengths[i], i ascending, in one array."""
-    return np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(np.sum(lengths))
 
 
 def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, float]]:
@@ -661,18 +847,17 @@ def _check_conjugation_covariance(scn: Scenario) -> list[tuple[str, str, float, 
     flat, table = values.ravel(), space.restriction_table()
     dev = 0.0
     # chunks of subsets whose ten diagonals hold at most PAIR_ENTRIES entries
-    step = _chunk_rows(np.empty((0, 10, n)))
-    for lo in range(0, m, step):
+    for lo, hi in _chunks(0, m, 10, n):
         # the chunk's ten diagonals per subset, one gather through each
         # subset's restriction row added into zeros, as `integrate_rows`
         # gathers them through the plain measure: the conjugated measure's
         # gather never reads the representation, so it would give the same bits
-        gather = (first[lo : lo + step, None] + table[lo : lo + step])[:, None, :] + points * np.arange(10)[:, None]
+        gather = (first[lo:hi, None] + table[lo:hi])[:, None, :] + points * np.arange(10)[:, None]
         d = np.zeros(gather.shape, dtype=np.complex128)
         d += np.take(flat, gather)
         d = d.reshape(-1, n)
         # each subset's columns and rows, for each of its ten rows
-        cols, rows = np.split(np.repeat(picks[lo : lo + step], 10, axis=0), 2, axis=1)
+        cols, rows = np.split(np.repeat(picks[lo:hi], 10, axis=0), 2, axis=1)
         ops = ConjugatedDiagonalOperator(rep, d)
         # independent route: W* (d * W e_j) from the unconjugated diagonals,
         # all the chunk's columns in one product, as `columns` reads them

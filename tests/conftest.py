@@ -95,19 +95,41 @@ def swapped_table_rows(original):
     return mutant
 
 
-def last_point_ignored(original):
-    """A `diagonals` method under which the last point of every subset belongs to no set."""
-    def mutant(self, rows):
-        rows = np.array(rows, dtype=bool)
-        rows[:, -1] = False
-        return original(self, rows)
+def without_last_point(rows):
+    """Membership rows over one subset's points with its last point in no set, in place."""
+    rows[:, -1] = False
+    return rows
 
-    return mutant
+
+def at_next_point(rows):
+    """Membership rows over one subset's points with every member moved to the next point, cyclically."""
+    return np.roll(rows, 1, axis=1)
+
+
+def on_members(change):
+    """The `diagonals` fault that changes a measure's membership rows by `change` before its gather."""
+    return lambda original: lambda self, rows: original(self, change(np.array(rows, dtype=bool)))
+
+
+def each_subset(change):
+    """The same fault in `family_diagonals`: `change` acts on each subset's part
+    of the flat membership rows, as it acts on one measure's rows."""
+    def wrap(original):
+        def mutant(self, rows, lo, hi):
+            rows = np.array(rows, dtype=bool)
+            offsets = self.space.family_offsets()[lo : hi + 1] - self.space.family_offsets()[lo]
+            for a, b in zip(offsets[:-1], offsets[1:]):
+                rows[:, a:b] = change(rows[:, a:b])
+            return original(self, rows, lo, hi)
+
+        return mutant
+
+    return wrap
 
 
 def neighbouring_members(original):
     """A `diagonals` method that moves every member to the next point, so atom b reads as atom b + 1."""
-    return lambda self, rows: original(self, np.roll(np.asarray(rows, dtype=bool), 1, axis=1))
+    return on_members(at_next_point)(original)
 
 
 def parent_haar_rule(g):

@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from evobench.ladder import ladder_config
-from evogrid import builtin_scenario, evolution_unitary, load_scenario, run_suite, scenario_from_dict, suites
+from evogrid import (
+    builtin_scenario,
+    evolution_unitary,
+    load_scenario,
+    representation,
+    run_suite,
+    scenario_from_dict,
+    suites,
+)
 from evogrid.cli import main
 from evogrid.dynamics import nan_max
 from evogrid.representation import ConjugatedDiagonalOperator, PureRepresentation, SpectralMeasure, integrate, integrate_rows
@@ -25,7 +33,7 @@ from evogrid.rng import SplitMix64, derive_seed
 from evogrid.scenario import decode_matrix, encode_matrix
 from evogrid.suites import COVARIANCE_COLUMNS
 
-from conftest import conjugated_rep, integer, last_point_ignored, neighbouring_members, one_thread_env
+from conftest import conjugated_rep, each_subset, integer, neighbouring_members, one_thread_env, without_last_point
 
 
 def _w_d_w_star_columns(self, cols):
@@ -114,9 +122,10 @@ MUTANTS = {
         None,
         ("singleton-conjugacy",),
     ),
-    # the last point of every subset belongs to no set: the conjugated total set loses its last fibre
+    # the last point of every subset belongs to no set: the conjugated total
+    # set loses its last fibre, in the family gather that reads the ends
     "diagonals-ignore-last-point": (
-        (SpectralMeasure, "diagonals", last_point_ignored(SpectralMeasure.diagonals)),
+        (PureRepresentation, "family_diagonals", each_subset(without_last_point)(PureRepresentation.family_diagonals)),
         None,
         ("conjugated-pvm",),
     ),
@@ -231,8 +240,13 @@ def test_the_covariance_stack_is_each_subsets_plain_gather_bit_for_bit(source, m
     monkeypatch.setattr(suites, "conjugated_columns", lambda a, w, d, cols: stacks.append(d) or route(a, w, d, cols))
     diagonals = SpectralMeasure.diagonals
     monkeypatch.setattr(SpectralMeasure, "diagonals", lambda self, rows: measures.append(self) or diagonals(self, rows))
-    integrate = suites.integrate_rows
-    monkeypatch.setattr(suites, "integrate_rows", lambda measure, values: measures.append(measure) or integrate(measure, values))
+    for name in ("family_diagonals", "family_integrals"):
+        gather = getattr(PureRepresentation, name)
+        monkeypatch.setattr(PureRepresentation, name,
+                            lambda self, *args, gather=gather: measures.append(self) or gather(self, *args))
+    integrate = representation.integrate_rows
+    monkeypatch.setattr(representation, "integrate_rows",
+                        lambda measure, values: measures.append(measure) or integrate(measure, values))
     suites._check_conjugation_covariance(scn)
     assert measures == [] and len(stacks) == 1
     expected = [

@@ -286,16 +286,17 @@ def test_integrate_and_pullback_routes_check_each_other(monkeypatch):
     scn = load_scenario("demo")
     for check in checks:
         assert check(scn)[0][2] == 0.0
-    table = GridEvolutionSpace.restricted_index_array
-    broadcast = suites.pullback_rows
-    # the measure gathers through the restriction table; pullback, embed_eta
-    # and pullback_rows broadcast; matrix-elements restricts by mixed-radix digits
+    table = GridEvolutionSpace.restriction_table
+    lifted = suites.pullback_along
+    # the measures gather through the restriction table; the pullback side
+    # reads the digit-built image; matrix-elements restricts by mixed-radix digits
     with monkeypatch.context() as m:
-        m.setattr(GridEvolutionSpace, "restricted_index_array", lambda self, subset: table(self, subset)[::-1])
+        m.setattr(GridEvolutionSpace, "restriction_table", lambda self: table(self)[:, ::-1])
         for check in checks:
             assert check(scn)[0][2] > 0.0
     with monkeypatch.context() as m:
-        m.setattr(suites, "pullback_rows", lambda space, subset, values: broadcast(space, subset, values)[:, ::-1])
+        m.setattr(suites, "pullback_along",
+                  lambda space, values, image, lo: lifted(space, values, image, lo)[..., ::-1])
         assert _check_embedding_measure(scn)[0][2] > 0.0
 
 

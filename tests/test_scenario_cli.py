@@ -19,7 +19,7 @@ from evogrid import (
     builtin_scenario,
     canonical_json,
     load_scenario,
-    pullback_rows,
+    pullback_along,
     run_suite,
     scenario_from_dict,
 )
@@ -287,14 +287,20 @@ def test_sampled_point_sets_are_the_labeled_draws(monkeypatch):
     full = sorted(map(str, scn.space.full))
     expected = {f"pushforward-{full}": 256, f"injectivity-{full}": 512, "injectivity-full": 512}
     drawn = {}
-    point_sets = suites._point_sets
+    point_set, chunks = suites._point_set, suites._point_set_chunks
+    offsets, family = scn.space.family_offsets(), scn.frame.admissible()
 
-    def spy(scn, labels, subsets, exhaustive, samples):
-        rows = list(point_sets(scn, labels, subsets, exhaustive, samples))
-        drawn.update(zip(labels, rows))
-        return iter(rows)
+    def spy_chunks(scn, prefix, exhaustive, samples):
+        # each subset's first `count` rows over its part of the chunk's flat rows
+        for lo, hi, rows, count in chunks(scn, prefix, exhaustive, samples):
+            for i in range(lo, hi):
+                part = rows[: count[i - lo], offsets[i] - offsets[lo] : offsets[i + 1] - offsets[lo]]
+                drawn[f"{prefix}-{sorted(map(str, family[i]))}"] = part
+            yield lo, hi, rows, count
 
-    monkeypatch.setattr(suites, "_point_sets", spy)
+    monkeypatch.setattr(suites, "_point_set",
+                        lambda scn, label, *args: drawn.setdefault(label, point_set(scn, label, *args)))
+    monkeypatch.setattr(suites, "_point_set_chunks", spy_chunks)
     suites._check_atoms(scn)
     suites._check_injectivity(scn)
     for label, samples in expected.items():
@@ -325,7 +331,7 @@ def test_sampled_point_sets_past_64_points_reach_every_point():
 
     scn = scenario_from_dict(ladder_config(3, 5))
     n = scn.space.dimension
-    rows = next(suites._point_sets(scn, ["injectivity-full"], [scn.space.full], 4096, 512))
+    rows = suites._point_set(scn, "injectivity-full", n, 4096, 512)
     assert rows.shape[1] == n and rows[:, 64:].any(axis=0).all()
     rng = SplitMix64(derive_seed(scn.seed, "injectivity-full"))
     assert _row_ids(rows) == sorted(set(_ids_of_words([rng.next_uint64() for _ in range(2 * 512)], n)))
@@ -346,19 +352,20 @@ def test_multi_word_ids_stay_below_two_to_the_k(k):
 
 
 def test_embedding_measure_catches_swapped_broadcast_axes(monkeypatch):
-    # the lifted side broadcasts, the measure side gathers; a broadcast that
-    # swaps two grid axes permutes the lifted diagonals and must show
+    # the lifted side pulls back through the digit-built image, the measure
+    # side gathers through the table; a pullback that swaps two grid axes
+    # permutes the lifted diagonals and must show
     from evogrid import suites
 
     scn = load_scenario("demo")
     assert suites._check_embedding_measure(scn)[0][2] == 0.0
 
-    def swapped(space, subset, values):
-        rows = pullback_rows(space, subset, values)
-        cube = rows.reshape(len(rows), *space.full_shape())
-        return np.ascontiguousarray(cube.swapaxes(1, 2)).reshape(len(rows), -1)
+    def swapped(space, values, image, lo):
+        rows = pullback_along(space, values, image, lo)
+        cube = rows.reshape(*rows.shape[:2], *space.full_shape())
+        return np.ascontiguousarray(cube.swapaxes(2, 3)).reshape(rows.shape)
 
-    monkeypatch.setattr(suites, "pullback_rows", swapped)
+    monkeypatch.setattr(suites, "pullback_along", swapped)
     [(check, _, deviation, tolerance)] = suites._check_embedding_measure(scn)
     assert check == "embedding-measure"
     assert deviation > tolerance

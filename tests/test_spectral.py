@@ -17,9 +17,18 @@ import numpy as np
 import pytest
 
 from evobench.ladder import ladder_config
-from evogrid import builtin_scenario, evolution, load_scenario, representation, run_suite, scenario_from_dict, suites
+from evogrid import (
+    builtin_scenario,
+    dynamics,
+    evolution,
+    load_scenario,
+    representation,
+    run_suite,
+    scenario_from_dict,
+    suites,
+)
 from evogrid.dynamics import nan_max
-from evogrid.evolution import GridEvolutionSpace, GridFunction, TimeFrame, pullback, pullback_rows
+from evogrid.evolution import GridEvolutionSpace, GridFunction, TimeFrame, pullback, pullback_along, pullback_rows
 from evogrid.lagrangian import Lagrangian, action_from_lagrangian
 from evogrid.representation import (
     PureRepresentation,
@@ -32,11 +41,23 @@ from evogrid.representation import (
     theta_represent,
 )
 from evogrid.rng import SplitMix64, derive_seed
-from evogrid.suites import EXHAUSTIVE_SETS, _bit_rows, _nonempty_subsets, _rng
+from evogrid.suites import EXHAUSTIVE_SETS, _bit_rows, _rng
 
-from conftest import integer, last_point_ignored, neighbouring_members, reversed_table, swapped_table_rows
+from conftest import (
+    at_next_point,
+    each_subset,
+    integer,
+    on_members,
+    reversed_table,
+    swapped_table_rows,
+    without_last_point,
+)
 
 # -- the per-sample bodies the stacked checks replaced -------------------------
+
+
+def _nonempty_subsets(scn):
+    return [s for s in scn.frame.admissible() if s]
 
 
 def _parent_random_ids(rng, k, count):
@@ -468,22 +489,27 @@ def test_sampled_checks_read_their_substreams_at_once(source, monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [suites.READ_NORMALS, 1000, 1])
-def test_sampled_rows_are_each_subset_s_own_draw_in_bounded_reads(budget, monkeypatch):
-    # subsets whose values start within one run of `budget` share a read; the
-    # rows are each subset's own complex_matrix draw whatever the runs
+def test_sampled_values_are_each_subset_s_own_draw_in_bounded_reads(budget, monkeypatch):
+    # subsets whose values start within one run of `budget` share a read; each
+    # run lays its subsets' rows side by side on the flat family axis, and a
+    # subset's part of them is its own complex_matrix draw whatever the runs
     scn = SCENARIOS["ladder-5x2"]()
     subsets = scn.frame.admissible()
-    sizes = [25 * scn.space.npoints(s) for s in subsets]
+    offsets = scn.space.family_offsets()
+    sizes = [50 * scn.space.npoints(s) for s in subsets]
     reads, default = [], suites.READ_NORMALS
     original = suites.raw_streams
     monkeypatch.setattr(suites, "READ_NORMALS", budget)
     monkeypatch.setattr(suites, "raw_streams", lambda seeds, counts: reads.append(counts) or original(seeds, counts))
-    rows = list(suites._sampled_rows(scn, "factorization", 25))
-    assert len(rows) == len(subsets)
-    for subset, got in zip(subsets, rows):
-        want = _rng(scn, f"factorization-{sorted(map(str, subset))}").complex_matrix(25, scn.space.npoints(subset))
-        assert got.tobytes() == want.tobytes()
-    assert len(reads) == len(set((np.cumsum([0, *sizes[:-1]]) // budget).tolist()))
+    runs = list(suites._sampled_values(scn, "factorization", 25))
+    assert [lo for lo, _, _ in runs] == [0, *(hi for _, hi, _ in runs[:-1])] and runs[-1][1] == len(subsets)
+    for lo, hi, values in runs:
+        assert values.shape == (25, offsets[hi] - offsets[lo])
+        for i in range(lo, hi):
+            k = int(offsets[i + 1] - offsets[i])
+            want = _rng(scn, f"factorization-{sorted(map(str, subsets[i]))}").complex_matrix(25, k)
+            assert values[:, offsets[i] - offsets[lo] : offsets[i + 1] - offsets[lo]].tobytes() == want.tobytes()
+    assert len(reads) == len(runs) == len(set((np.cumsum([0, *sizes[:-1]]) // (2 * budget)).tolist()))
     assert (len(reads) == 1) == (budget == default)
 
 
@@ -620,8 +646,15 @@ def test_matrix_elements_reads_the_per_sample_members(source, monkeypatch):
             integer(rng, n)
         expected.append(rows)
     seen = []
-    diagonals = SpectralMeasure.diagonals
-    monkeypatch.setattr(SpectralMeasure, "diagonals", lambda self, rows: seen.append(rows) or diagonals(self, rows))
+    family = PureRepresentation.family_diagonals
+
+    def spy(self, rows, lo, hi):
+        # each subset's part of the chunk's flat rows
+        offsets = self.space.family_offsets()[lo : hi + 1] - self.space.family_offsets()[lo]
+        seen.extend(rows[:, a:b] for a, b in zip(offsets[:-1], offsets[1:]))
+        return family(self, rows, lo, hi)
+
+    monkeypatch.setattr(PureRepresentation, "family_diagonals", spy)
     suites._check_matrix_elements(scn)
     assert len(seen) == len(expected)
     assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
@@ -651,13 +684,28 @@ def _everywhere(name, value):
     return [(module, name, value) for module in (evolution, representation, suites) if hasattr(module, name)]
 
 
-def _on_complex_rows(change):
+def _both_gathers(change):
+    """A membership-row fault in both gathers: one measure's `diagonals` and the
+    family's `family_diagonals`, each subset's rows changed alike."""
+    return [
+        (SpectralMeasure, "diagonals", on_members(change)(SpectralMeasure.diagonals)),
+        (PureRepresentation, "family_diagonals", each_subset(change)(PureRepresentation.family_diagonals)),
+    ]
+
+
+def _on_complex_rows(original, change):
     # boolean membership rows pass unchanged
-    def mutant(space, subset, values):
-        out = pullback_rows(space, subset, values)
+    def mutant(*args):
+        out = original(*args)
         return change(out) if np.iscomplexobj(out) else out
 
     return mutant
+
+
+def _both_pullbacks(change):
+    """A fault of the pullback route, in `pullback_rows` and in `pullback_along`, on complex rows."""
+    return (_everywhere("pullback_rows", _on_complex_rows(pullback_rows, change))
+            + _everywhere("pullback_along", _on_complex_rows(pullback_along, change)))
 
 
 def _conjugated_integral_rows(E, values):
@@ -668,6 +716,28 @@ def _conjugated_integral_rows(E, values):
     return out
 
 
+def _conjugated_family_integrals(original):
+    # the same fault on the family's integrals: a subset's part of a row that
+    # is not 0/1 integrates to its conjugate
+    def mutant(self, values, lo, hi):
+        out = original(self, values, lo, hi)
+        offsets = self.space.family_offsets()
+        moved = ~np.logical_and.reduceat((values == 0) | (values == 1), offsets[lo:hi] - offsets[lo], axis=1)
+        out[moved] = np.conj(out[moved])
+        return out
+
+    return mutant
+
+
+def _shifted_chunk_offsets(space, values, lo, hi):
+    # the measure side's gather reads each subset of a chunk from the next
+    # subset's flat offset, the last from the first's: a chunk of one subset
+    # reads it right
+    starts = space.family_offsets()[lo : hi + 1]
+    first = np.roll(starts[:-1] - starts[0], -1)
+    return np.take(values, (first[:, None] + space.restriction_table()[lo:hi]) % values.shape[1], axis=1)
+
+
 def _full_pullback_drops_last_point(space, subset, values):
     out = pullback_rows(space, subset, values).copy()
     if frozenset(subset) == space.full:
@@ -675,14 +745,10 @@ def _full_pullback_drops_last_point(space, subset, values):
     return out
 
 
-def _diagonals_ignore_last_member(original):
-    def mutant(self, rows):
-        rows = np.array(rows, dtype=bool)
-        last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1], axis=1)
-        rows[np.arange(len(rows)), last] = False
-        return original(self, rows)
-
-    return mutant
+def _without_last_member(rows):
+    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1], axis=1)
+    rows[np.arange(len(rows)), last] = False
+    return rows
 
 
 def _conjugating_right_factor(original):
@@ -695,12 +761,16 @@ def _conjugating_right_factor(original):
 
 REVERSED_TABLE = (GridEvolutionSpace, "restriction_table", reversed_table(GridEvolutionSpace.restriction_table))
 
+# a fault of a measure's gather is patched into the per-measure gathers
+# (`diagonals`, `integrate_rows`) and into their family forms, which the
+# family walks read
 SPECTRAL_MUTANTS = {
-    "neighbouring-atom": (
-        [(SpectralMeasure, "diagonals", neighbouring_members(SpectralMeasure.diagonals))],
-        ("spectral-sum", "singleton-conjugacy"),
+    "neighbouring-atom": (_both_gathers(at_next_point), ("spectral-sum", "singleton-conjugacy")),
+    "conjugated-integral-rows": (
+        _everywhere("integrate_rows", _conjugated_integral_rows)
+        + [(PureRepresentation, "family_integrals", _conjugated_family_integrals(PureRepresentation.family_integrals))],
+        ("spectral-sum",),
     ),
-    "conjugated-integral-rows": (_everywhere("integrate_rows", _conjugated_integral_rows), ("spectral-sum",)),
     "reversed-restriction-table": ([REVERSED_TABLE], ("factorization",)),
     "reversed-restriction-table-pushforward": ([REVERSED_TABLE], ("pushforward",)),
     # two rows of one point count exchanged: every index is in range, but the
@@ -709,21 +779,21 @@ SPECTRAL_MUTANTS = {
         [(GridEvolutionSpace, "restriction_table", swapped_table_rows(GridEvolutionSpace.restriction_table))],
         ("pushforward", "factorization", "embedding", "embedding-measure", "matrix-elements"),
     ),
-    "conjugated-pullback": (_everywhere("pullback_rows", _on_complex_rows(np.conj)), ("embedding",)),
-    "doubled-pullback": (_everywhere("pullback_rows", _on_complex_rows(lambda out: 2.0 * out)),
-                         ("embedding-isometry",)),
+    # a chunk's subsets read at their neighbours' flat offsets by the
+    # measures, not by the pullback, which reads the family offsets itself
+    "shifted-chunk-offsets": ([(representation, "_family_gather", _shifted_chunk_offsets)],
+                              ("factorization", "embedding")),
+    "conjugated-pullback": (_both_pullbacks(np.conj), ("embedding",)),
+    "doubled-pullback": (_both_pullbacks(lambda out: 2.0 * out), ("embedding-isometry",)),
     "full-pullback-drops-last-point": (_everywhere("pullback_rows", _full_pullback_drops_last_point),
                                        ("injectivity-full",)),
     # the last point of every subset belongs to no set: the total set, the
     # last atom and every lifted set holding it lose their last fibre
     "diagonals-ignore-last-point": (
-        [(SpectralMeasure, "diagonals", last_point_ignored(SpectralMeasure.diagonals))],
+        _both_gathers(without_last_point),
         ("injectivity-subsets", "pvm-axioms", "pushforward-rank", "singleton-rank", "embedding-measure"),
     ),
-    "diagonals-ignore-last-member": (
-        [(SpectralMeasure, "diagonals", _diagonals_ignore_last_member(SpectralMeasure.diagonals))],
-        ("matrix-elements",),
-    ),
+    "diagonals-ignore-last-member": (_both_gathers(_without_last_member), ("matrix-elements",)),
     "conjugating-product": (
         [(GridFunction, "__mul__", _conjugating_right_factor(GridFunction.__mul__))],
         ("diagonal-calculus",),
@@ -746,12 +816,18 @@ def test_each_spectral_check_catches_its_mutant(mutant, monkeypatch):
 
 def _row_mixing(original):
     # row i of every gather ORed with row i - 1, cyclically: each row still
-    # selects columns, but reads its neighbour's members too
-    def mutant(self, rows):
-        out = original(self, rows)
+    # selects columns, but reads its neighbour's members too; a family
+    # gather's rows are (row, subset) pairs, so each subset's rows mix
+    def mutant(self, *args):
+        out = original(self, *args)
         return out | np.roll(out, 1, axis=0)
 
     return mutant
+
+
+def _mixing_gathers():
+    return [(SpectralMeasure, "diagonals", _row_mixing(SpectralMeasure.diagonals)),
+            (PureRepresentation, "family_diagonals", _row_mixing(PureRepresentation.family_diagonals))]
 
 
 @pytest.mark.parametrize("source", MUTANT_SOURCES)
@@ -760,13 +836,14 @@ def test_pvm_axioms_catch_a_gather_that_mixes_rows(source, monkeypatch):
     # row; at N = 1 (8x1) every subset has one atom, and the ends catch it
     scn = SCENARIOS[source]()
     assert suites._check_atoms(scn)[0][2] == 0.0
-    monkeypatch.setattr(SpectralMeasure, "diagonals", _row_mixing(SpectralMeasure.diagonals))
+    for patch in _mixing_gathers():
+        monkeypatch.setattr(*patch)
     assert suites._check_atoms(scn)[0][2] > scn.tolerances.exact
 
 
 BROKEN_MEASURES = {
-    "row-mixing": _row_mixing(SpectralMeasure.diagonals),
-    "diagonals-ignore-last-point": last_point_ignored(SpectralMeasure.diagonals),
+    "row-mixing": _mixing_gathers(),
+    "diagonals-ignore-last-point": _both_gathers(without_last_point),
 }
 
 
@@ -778,7 +855,8 @@ def test_atom_records_match_their_oracles_where_points_lie_in_no_atom_or_several
     # mixes rows shows only to oracles that read the same gathers; one that
     # drops a point also to atom(b)
     scn = SCENARIOS[source]()
-    monkeypatch.setattr(SpectralMeasure, "diagonals", BROKEN_MEASURES[mutant])
+    for patch in BROKEN_MEASURES[mutant]:
+        monkeypatch.setattr(*patch)
     got = suites._check_atoms(scn)
     assert got[0][2] > scn.tolerances.exact  # some column is in no atom or in several
     assert _records_as_bits(got) == _records_as_bits(_per_subset_atoms(scn, _atoms_in_two_gathers))
@@ -801,16 +879,140 @@ def _is_identity(rows):
     return rows.ndim == 2 and rows.shape[0] == rows.shape[1] and np.array_equal(rows, np.eye(len(rows), dtype=bool))
 
 
+def _is_family_identity(rows, k):
+    # the identity of a chunk of subsets of k points each: row q marks point q of every subset
+    rows = np.asarray(rows)
+    return rows.shape[0] == k and np.array_equal(rows, np.arange(rows.shape[1]) % k == np.arange(k)[:, None])
+
+
 @pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-8x1", "listed-3"])
 def test_each_atom_table_is_gathered_once_per_spectral_run(source, monkeypatch):
-    # one identity-table gather per admissible subset, read by pvm-axioms,
+    # one identity-table gather per admissible subset, in a family gather of
+    # a chunk of subsets of one point count, read by pvm-axioms,
     # pushforward-rank and spectral-sum, and the full measure's one in
     # `singletons`; listed-3 leaves the full set out of its family
     scn = SCENARIOS[source]()
     seen = []
-    diagonals = SpectralMeasure.diagonals
+    diagonals, family = SpectralMeasure.diagonals, PureRepresentation.family_diagonals
     monkeypatch.setattr(SpectralMeasure, "diagonals",
                         lambda self, rows: seen.append((self.subset, _is_identity(rows))) or diagonals(self, rows))
+
+    def spy(self, rows, lo, hi):
+        k = np.diff(self.space.family_offsets()[lo : hi + 1])
+        if len(set(k.tolist())) == 1 and _is_family_identity(rows, int(k[0])):
+            seen.extend((subset, True) for subset in self.space.frame.admissible()[lo:hi])
+        return family(self, rows, lo, hi)
+
+    monkeypatch.setattr(PureRepresentation, "family_diagonals", spy)
     run_suite(scn, ["spectral"])
     gathered = Counter(subset for subset, identity in seen if identity)
     assert gathered == Counter(scn.frame.admissible()) + Counter([scn.space.full])
+
+
+# -- the family walk: chunks and the shared oracle image -------------------------
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-3x5", "listed-3", "ladder-2-3-2"])
+def test_the_oracle_image_is_each_subset_s_digit_image(source):
+    # every row of every chunk of the shared image, against the per-subset
+    # image and the library's table; chunks of one subset and of the family
+    scn = SCENARIOS[source]()
+    space = scn.space
+    subsets = scn.frame.admissible()
+    oracle = suites._oracle_image(space)
+    for step in (1, 3, len(subsets)):
+        for lo in range(0, len(subsets), step):
+            hi = min(lo + step, len(subsets))
+            image = oracle(lo, hi)
+            assert image.shape == (hi - lo, space.dimension)
+            for subset, row, table_row in zip(subsets[lo:hi], image, space.restriction_table()[lo:hi]):
+                assert np.array_equal(row, suites._restriction_image(space, subset))
+                assert np.array_equal(row, table_row)
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "listed-3"])
+def test_spectral_records_do_not_depend_on_the_chunking(source, monkeypatch):
+    # PAIR_ENTRIES is read at call time: a small budget splits every family
+    # walk into many chunks, and every record keeps the one-chunk run's bits
+    scn = SCENARIOS[source]()
+    calls = []
+    family = PureRepresentation.family_diagonals
+    monkeypatch.setattr(PureRepresentation, "family_diagonals",
+                        lambda self, rows, lo, hi: calls.append(hi - lo) or family(self, rows, lo, hi))
+    bodies, gathers = [], []
+    for budget in (1 << 30, 1000, 64, 1):
+        monkeypatch.setattr(dynamics, "PAIR_ENTRIES", budget)
+        calls.clear()
+        bodies.append(run_suite(scn, ["spectral", "conjugation"]).body_lines())
+        gathers.append(len(calls))
+        if budget == 1:
+            assert set(calls) == {1}  # one subset per chunk
+    assert bodies[1:] == bodies[:-1]
+    assert gathers[0] < gathers[-1]
+    assert gathers == sorted(gathers)
+
+
+FAMILY_CHECKS = [suites._check_atoms, suites._check_factorization, suites._check_embedding,
+                 suites._check_embedding_measure, suites._check_matrix_elements, suites._check_conjugated_pvm,
+                 suites._check_index_roundtrip]
+
+
+@pytest.mark.parametrize("check", FAMILY_CHECKS, ids=lambda check: check.__name__)
+def test_a_chunk_holds_a_bounded_share_of_the_family(check, monkeypatch):
+    # rung 8x2 (N = 256, 256 subsets): at budgets of 2^12 gathered entries and
+    # 2^12 normals per read, a check's traced peak stays under 1.5 MiB, where
+    # the whole family's (25, 256, 256) integrals alone take 26 MB
+    import tracemalloc
+
+    scn = scenario_from_dict(ladder_config(8, 2))
+    monkeypatch.setattr(dynamics, "PAIR_ENTRIES", 1 << 12)
+    monkeypatch.setattr(suites, "READ_NORMALS", 1 << 12)
+    # an untraced first call builds the space's tables and imports what numpy
+    # loads lazily (`np.unique` imports `numpy.ma`), none of which is a chunk
+    check(scn)
+    tracemalloc.start()
+    try:
+        records = check(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(dev <= tol for _, _, dev, tol in records)
+    assert peak < 1.5 * 2**20
+
+
+def _naive_point_sets(scn, prefix, exhaustive, samples):
+    # the per-subset draws of the parent walk, each subset's own read
+    return {i: _parent_point_sets(scn, f"{prefix}-{sorted(map(str, s))}", scn.space.npoints(s), exhaustive, samples)
+            for i, s in enumerate(scn.frame.admissible()) if s}
+
+
+@pytest.mark.parametrize("source", ["demo", "ladder-5x2", "ladder-3x5", "ladder-2-3-2"])
+@pytest.mark.parametrize("shape", [("pushforward", EXHAUSTIVE_SETS, 256), ("injectivity", 1024, 512)])
+def test_point_set_chunks_are_each_subset_s_own_sets(source, shape):
+    # the rows of each subset in its chunk are its sorted distinct sets, one
+    # or two words per id (3x5 has N = 125), and the rows past its count are empty
+    scn = SCENARIOS[source]()
+    offsets = scn.space.family_offsets()
+    expected = _naive_point_sets(scn, *shape)
+    seen = []
+    for lo, hi, rows, count in suites._point_set_chunks(scn, *shape):
+        assert rows.dtype == bool and rows.shape == (count.max(), offsets[hi] - offsets[lo])
+        for i in range(lo, hi):
+            part = rows[:, offsets[i] - offsets[lo] : offsets[i + 1] - offsets[lo]]
+            assert np.array_equal(part[: count[i - lo]], expected[i]) and not part[count[i - lo] :].any()
+            seen.append(i)
+    assert seen == sorted(expected)
+
+
+@pytest.mark.parametrize("n", [12, 64, 65, 200])
+def test_distinct_counts_are_the_distinct_rows_of_each_subset(n):
+    # one and several 64-bit words per row; repeated rows and rows past a
+    # subset's count, which must not count
+    rng = np.random.default_rng(n)
+    bits = rng.random((40, 6, n)) < 0.5
+    bits[5:9] = bits[0]
+    bits[20, :, : n // 2] = bits[21, :, : n // 2]
+    count = np.array([40, 1, 9, 21, 30, 40])
+    got = suites._distinct_counts(bits, count)
+    want = [len(np.unique(bits[: c, i], axis=0)) for i, c in enumerate(count)]
+    assert got.tolist() == want
