@@ -47,19 +47,20 @@ whose draw counts depend on earlier draws reads the largest count and walks
 the words in the scalar draws' order; words past the last one it uses are
 dropped.
 The uniforms, sqrt, products and the division are numpy
-operations, which are correctly rounded IEEE arithmetic.
-`log`, `cos` and `sin` stay on libm through CPython, mapped over the vector:
-numpy's `log` differs from `math.log` in the last bit on about 0.3% of
-inputs, and numpy's float64 `sin`/`cos` dispatch to SIMD kernels that vary
-with the CPU.  Each normal makes two CPython calls that reach libm:
+operations, which are correctly rounded IEEE arithmetic.  `log`, `cos` and
+`sin` keep libm's bits, at one CPython call per normal:
   - `math.log(1 - u1)`, mapped by `itertools.starmap` over `zip` of the
     values: `math.log` takes an optional base, so it parses an argument
-    tuple on every call, and `zip` hands `starmap` one reused 1-tuple
-    instead of a new one per value;
-  - `cmath.exp(i theta)`, whose real and imaginary parts are libm's
-    cos theta and sin theta bit for bit: for a finite argument CPython
-    computes exp(a + ib) as exp(a) cos b + i exp(a) sin b with libm's `exp`,
-    `cos` and `sin`, and exp(0) is exactly 1, so both products are exact.
+    tuple on every call, and `zip` hands `starmap` one reused 1-tuple.
+    numpy's float64 `log` differs from it in the last bit on 0.35-0.55% of
+    these inputs (by the CPU's SIMD kernel), and the real part of its
+    complex `log` on 23-32%;
+  - exp(i theta) through numpy's complex `exp`, a C loop over glibc's
+    `cexp`, which for a zero real part returns exp(0) (cos theta,
+    sin theta) from `sincos`; that shares its code with libm's `cos` and
+    `sin`, and exp(0) is exactly 1, so both parts are libm's bit for bit
+    (numpy's float64 `sin` and `cos` are SIMD kernels that vary with the
+    CPU).  The tests check it on Box-Muller angles and glibc's branch edges.
 The division by sqrt(2) is written out as CPython's complex
 quotient by a real s computes it,
     re = (x + y * 0.0) / s,  im = (y - x * 0.0) / s,
@@ -75,7 +76,6 @@ the labels' common head once and continues its state over each label's tail
 
 from __future__ import annotations
 
-import cmath
 import math
 from itertools import starmap
 from os.path import commonprefix
@@ -154,12 +154,13 @@ def normals(words: np.ndarray, out: np.ndarray) -> None:
     words 2i and 2i + 1 (see the module docstring)."""
     m = len(out)
     # the uniforms of the even words, then of the odd ones: no array of all
-    # of them is held beside `words`; two libm calls per entry (module docstring)
+    # of them is held beside `words`; one CPython call per entry, `log`, and
+    # exp(i theta) through glibc's `cexp` (module docstring)
     log = np.fromiter(starmap(math.log, zip((1.0 - (words[0::2] >> 11) * 2.0**-53).tolist())), np.float64, m)
     r = np.sqrt(-2.0 * log)
     turn = np.zeros(m, np.complex128)  # i theta, then exp(i theta) = cos theta + i sin theta
     turn.imag = _TWO_PI * ((words[1::2] >> 11) * 2.0**-53)
-    turn = np.fromiter(map(cmath.exp, turn.tolist()), np.complex128, m)
+    np.exp(turn, out=turn)
     x = r * turn.real
     y = r * turn.imag
     pairs = out.view(np.float64)  # re, im interleaved

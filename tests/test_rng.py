@@ -173,10 +173,20 @@ def _exp_parts(theta):
     return z.real.hex(), z.imag.hex()
 
 
+def _numpy_exp_parts(thetas):
+    """The parts of numpy's complex exp of i theta, as `normals` forms it."""
+    turn = np.zeros(len(thetas), np.complex128)
+    turn.imag = thetas
+    np.exp(turn, out=turn)
+    return [(z.real.hex(), z.imag.hex()) for z in turn.tolist()]
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
 def test_cmath_exp_of_i_theta_is_libm_cos_and_sin_bit_for_bit(theta):
-    assert _exp_parts(theta) == (math.cos(theta).hex(), math.sin(theta).hex())
+    libm = (math.cos(theta).hex(), math.sin(theta).hex())
+    assert _exp_parts(theta) == libm
+    assert _numpy_exp_parts([theta]) == [libm]
 
 
 @pytest.mark.parametrize("point", [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi])
@@ -185,6 +195,29 @@ def test_cmath_exp_is_cos_and_sin_at_the_quarter_turns_and_their_neighbours(poin
     for theta in (math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf)):
         if 0.0 <= theta < 2 * math.pi:
             assert _exp_parts(theta) == (math.cos(theta).hex(), math.sin(theta).hex()), theta
+
+
+def _grid_theta(words):
+    """theta = 2 pi u of the uniforms of `words`, as `normals` forms it."""
+    return 2.0 * math.pi * ((np.asarray(words, np.uint64) >> 11) * 2.0**-53)
+
+
+def test_numpy_exp_of_i_theta_is_cmath_exp_and_libm_cos_and_sin_bit_for_bit():
+    # 2^18 Box-Muller angles of one seed, and the edges of glibc's branches:
+    # theta = 0 and one grid step, below 2^-27 (where sin and cos take their
+    # tiny-argument paths), each side of 0.855469 and 2.426265 (where
+    # sin/cos switch between reductions), the quarter turns, and the largest
+    # grid theta below 2 pi
+    edges = [0.0, 2.0 * math.pi * 2.0**-53, 2.0**-28, math.nextafter(2.0**-27, 0.0), 2.0**-1022, 5e-324]
+    for point in (0.855469, 2.426265, math.pi / 2, math.pi, 3 * math.pi / 2):
+        edges += [math.nextafter(point, 0.0), point, math.nextafter(point, math.inf)]
+    largest = _grid_theta([MASK64])[0]
+    assert largest < 2 * math.pi
+    thetas = np.concatenate([_grid_theta(SplitMix64(2024)._raw(1 << 18)), edges, [largest]])
+    numpy_parts = _numpy_exp_parts(thetas)
+    theta_list = thetas.tolist()
+    assert numpy_parts == [_exp_parts(theta) for theta in theta_list]
+    assert numpy_parts == [(math.cos(theta).hex(), math.sin(theta).hex()) for theta in theta_list]
 
 
 @settings(max_examples=200, deadline=None)
@@ -219,7 +252,7 @@ def test_normals_keep_the_scalar_signed_zeros_where_a_uniform_is_zero():
     assert (x.hex(), y.hex()) == ("-0x0.0p+0", "-0x0.0p+0")
 
 
-def test_normals_make_one_log_and_one_exp_call_per_entry(monkeypatch):
+def test_normals_make_one_log_call_per_entry_and_no_exp_cos_or_sin_call(monkeypatch):
     calls = dict.fromkeys(("log", "exp", "cos", "sin"), 0)
 
     def counted(module, name, key):
@@ -237,7 +270,7 @@ def test_normals_make_one_log_and_one_exp_call_per_entry(monkeypatch):
     counted(math, "sin", "sin")
     out = np.empty(37, dtype=np.complex128)
     normals(SplitMix64(8)._raw(2 * 37), out)
-    assert calls == {"log": 37, "exp": 37, "cos": 0, "sin": 0}
+    assert calls == {"log": 37, "exp": 0, "cos": 0, "sin": 0}
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (3, 5), (17, 2), (300, 300)])
